@@ -349,6 +349,11 @@ fn write_outputs(
     events: Option<&EventSink>,
     title: &str,
 ) {
+    let dropped = events.map_or(0, EventSink::dropped);
+    if dropped > 0 {
+        let recorded = events.map_or(0, EventSink::recorded);
+        println!("events    : {recorded} recorded, {dropped} dropped (oldest overwritten)");
+    }
     if let Some(path) = &a.json {
         let json = serde_json::to_string_pretty(report).expect("report serializes");
         std::fs::write(path, json).expect("write json");
@@ -376,6 +381,9 @@ fn write_outputs(
         let jsonl = write_jsonl(&header, segments, &events);
         std::fs::write(path, jsonl).expect("write event trace");
         println!("wrote {path} (inspect with `plb trace --input {path}`)");
+        if dropped > 0 {
+            eprintln!("warning: {path} is truncated: it lacks the {dropped} oldest events");
+        }
     }
 }
 

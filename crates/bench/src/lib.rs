@@ -11,17 +11,11 @@
 //!   from Section V and the ablation studies from DESIGN.md).
 //! * [`report`] — markdown/CSV emitters for `results/`.
 //!
-//! * [`perf`] — the performance-trajectory harness behind the
-//!   committed `BENCH_solver.json` / `BENCH_driver.json` snapshots
-//!   (regenerated by the `perfbench` binary, regression-gated by
-//!   `cargo xtask bench-check`; see `docs/PERFORMANCE.md`).
-//!
 //! The `repro` binary drives all of this:
 //! `cargo run -p plb-bench --bin repro --release -- all`.
 
 pub mod figures;
 pub mod harness;
-pub mod perf;
 pub mod report;
 pub mod viz;
 

@@ -12,6 +12,8 @@
 use crate::events::EventSink;
 use crate::fault::FaultAction;
 use crate::task::{FailureReason, TaskId};
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 /// How a backend's `now()` behaves — the one semantic difference the
 /// core must condition on.
@@ -206,5 +208,95 @@ pub trait Backend {
     /// ledger report 0.
     fn bytes_into(&self, _pu: usize) -> u64 {
         0
+    }
+}
+
+/// The event queue and virtual clock both simulated backends run on:
+/// future events pop in `(time, push order)` order — the tie-break is
+/// what makes a run's event stream deterministic — and the clock
+/// follows them, along with the scheduler overhead charged so far.
+pub(crate) struct EventQueue<P> {
+    now: f64,
+    seq: u64,
+    overhead_until: f64,
+    heap: BinaryHeap<Reverse<Entry<P>>>,
+}
+
+struct Entry<P> {
+    time: f64,
+    seq: u64,
+    payload: P,
+}
+
+impl<P> Ord for Entry<P> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Times are always finite here; total_cmp keeps the order total
+        // without a panic path.
+        self.time
+            .total_cmp(&other.time)
+            .then(self.seq.cmp(&other.seq))
+    }
+}
+
+impl<P> PartialOrd for Entry<P> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<P> PartialEq for Entry<P> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<P> Eq for Entry<P> {}
+
+impl<P> EventQueue<P> {
+    pub(crate) fn new() -> Self {
+        EventQueue {
+            now: 0.0,
+            seq: 0,
+            overhead_until: 0.0,
+            heap: BinaryHeap::new(),
+        }
+    }
+
+    pub(crate) fn now(&self) -> f64 {
+        self.now
+    }
+
+    /// Schedule `payload` to pop at `time`.
+    pub(crate) fn push(&mut self, time: f64, payload: P) {
+        self.seq += 1;
+        let seq = self.seq;
+        self.heap.push(Reverse(Entry { time, seq, payload }));
+    }
+
+    /// Pop the earliest event and advance the clock to it.
+    pub(crate) fn pop(&mut self) -> Option<P> {
+        let Reverse(ev) = self.heap.pop()?;
+        debug_assert!(ev.time + 1e-12 >= self.now, "time went backwards");
+        self.now = ev.time.max(self.now);
+        Some(ev.payload)
+    }
+
+    /// The events still queued, in no particular order.
+    pub(crate) fn pending(&self) -> impl Iterator<Item = &P> {
+        self.heap.iter().map(|Reverse(e)| &e.payload)
+    }
+
+    /// When an attempt launched now begins: first attempts wait out any
+    /// outstanding scheduler overhead, retries wait out their backoff.
+    pub(crate) fn start_of(&self, spec: &LaunchSpec) -> f64 {
+        if spec.attempt == 0 {
+            self.now.max(self.overhead_until)
+        } else {
+            self.now + spec.backoff_s
+        }
+    }
+
+    pub(crate) fn charge_overhead(&mut self, seconds: f64) {
+        self.overhead_until = self.overhead_until.max(self.now) + seconds;
     }
 }

@@ -31,7 +31,7 @@
 //! under the same cluster shape. See `docs/FAULT_TOLERANCE.md`, "Node
 //! fault domains".
 
-use super::backend::{Backend, ClockKind, Launch, LaunchSpec, Polled};
+use super::backend::{Backend, ClockKind, EventQueue, Launch, LaunchSpec, Polled};
 use super::{drive, Durability};
 use crate::checkpoint::{Checkpoint, CheckpointConfig, CheckpointWriter};
 use crate::engine::{RunError, SimEngine};
@@ -46,8 +46,6 @@ use crate::weights::Weights;
 use plb_hetsim::transfer::Link;
 use plb_hetsim::workload::CostModel;
 use plb_hetsim::{ClusterSim, NodeFaultPlan, PuId, PuKind};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Inter-node migration tunables: the link a migrated chunk's payload
 /// crosses, the payload size, and the delivery retry envelope.
@@ -189,31 +187,6 @@ enum Payload {
     Emit { pu: Option<usize>, kind: EventKind },
 }
 
-/// Event-queue entry, ordered by time then sequence (same idiom as the
-/// single-node simulator backend).
-#[derive(Debug, Clone, PartialEq)]
-struct Event {
-    time: f64,
-    seq: u64,
-    payload: Payload,
-}
-
-impl Eq for Event {}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.time
-            .total_cmp(&other.time)
-            .then(self.seq.cmp(&other.seq))
-    }
-}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// Backend-side record of the chunk currently on a node.
 #[derive(Debug, Clone)]
 struct InflightChunk {
@@ -265,10 +238,7 @@ struct ClusterBackend<'r> {
     node_faults: NodeFaultPlan,
     migration: MigrationConfig,
     weights: Arc<Weights>,
-    clock: f64,
-    heap: BinaryHeap<Reverse<Event>>,
-    seq: u64,
-    overhead_until: f64,
+    queue: EventQueue<Payload>,
     /// Migration payload + intra-node bytes per node.
     bytes_in: Vec<u64>,
     /// Pending `NodeUp` events still in the heap: only these can bring
@@ -282,15 +252,6 @@ struct ClusterBackend<'r> {
 }
 
 impl ClusterBackend<'_> {
-    fn push(&mut self, time: f64, payload: Payload) {
-        self.seq += 1;
-        self.heap.push(Reverse(Event {
-            time,
-            seq: self.seq,
-            payload,
-        }));
-    }
-
     /// Which node owns the home shard containing `offset`.
     fn owner_of(&self, offset: u64) -> usize {
         self.shard_bounds.partition_point(|&b| b <= offset)
@@ -320,7 +281,7 @@ impl Backend for ClusterBackend<'_> {
     }
 
     fn now(&self) -> f64 {
-        self.clock
+        self.queue.now()
     }
 
     fn unit_ready(&self, pu: usize) -> bool {
@@ -332,11 +293,7 @@ impl Backend for ClusterBackend<'_> {
         if !self.nodes.get(pu).is_some_and(|n| n.alive) || self.crash_doomed(pu) {
             return Launch::UnitGone;
         }
-        let send = if spec.attempt == 0 {
-            self.clock.max(self.overhead_until)
-        } else {
-            self.clock + spec.backoff_s
-        };
+        let send = self.queue.start_of(spec);
         let owner = self.owner_of(spec.offset);
         let cost = self.weights.cost(spec.offset, spec.items);
         let bytes = (spec.items as f64 * self.migration.bytes_per_item).max(0.0);
@@ -352,7 +309,7 @@ impl Backend for ClusterBackend<'_> {
         } else {
             let nominal =
                 self.migration.link.time(bytes) * self.node_faults.degrade_factor(owner, pu, send);
-            self.push(
+            self.queue.push(
                 send,
                 Payload::Emit {
                     pu: Some(pu),
@@ -386,7 +343,7 @@ impl Backend for ClusterBackend<'_> {
                     failed_at = Some(t);
                     break;
                 }
-                self.push(
+                self.queue.push(
                     t,
                     Payload::Emit {
                         pu: Some(pu),
@@ -433,7 +390,7 @@ impl Backend for ClusterBackend<'_> {
                 });
                 st.last_failed = None;
                 let epoch = st.epoch;
-                self.push(
+                self.queue.push(
                     arrival + xfer_s + proc_s,
                     Payload::ChunkDone {
                         node: pu,
@@ -459,7 +416,7 @@ impl Backend for ClusterBackend<'_> {
                     cost,
                 });
                 let epoch = st.epoch;
-                self.push(
+                self.queue.push(
                     t_fail,
                     Payload::DeliveryFailed {
                         node: pu,
@@ -478,7 +435,7 @@ impl Backend for ClusterBackend<'_> {
         // Flush core-initiated quarantines buffered by the hook below.
         while let Some((node, items, cost)) = self.pending_notes.pop() {
             events.record(
-                self.clock,
+                self.queue.now(),
                 Some(node),
                 EventKind::NodeQuarantined {
                     reason: "migration-failures".to_string(),
@@ -486,21 +443,19 @@ impl Backend for ClusterBackend<'_> {
             );
             if items > 0 {
                 events.record(
-                    self.clock,
+                    self.queue.now(),
                     Some(node),
                     EventKind::CoverRecredited { items, cost },
                 );
             }
         }
         loop {
-            let Some(Reverse(ev)) = self.heap.pop() else {
+            let Some(payload) = self.queue.pop() else {
                 return Polled::Drained;
             };
-            debug_assert!(ev.time + 1e-12 >= self.clock, "time went backwards");
-            self.clock = ev.time.max(self.clock);
-            match ev.payload {
+            match payload {
                 Payload::Emit { pu, kind } => {
-                    events.record(self.clock, pu, kind);
+                    events.record(self.queue.now(), pu, kind);
                     continue;
                 }
                 Payload::ChunkDone {
@@ -534,8 +489,8 @@ impl Backend for ClusterBackend<'_> {
                         // The node dies right after reporting this
                         // chunk: the crash event lands at the same
                         // instant, after the completion below.
-                        let at = self.clock;
-                        self.push(
+                        let at = self.queue.now();
+                        self.queue.push(
                             at,
                             Payload::NodeDown {
                                 node,
@@ -549,7 +504,7 @@ impl Backend for ClusterBackend<'_> {
                         start,
                         xfer_s,
                         proc_s,
-                        finish: self.clock,
+                        finish: self.queue.now(),
                     };
                 }
                 Payload::DeliveryFailed { node, epoch, task } => {
@@ -583,7 +538,7 @@ impl Backend for ClusterBackend<'_> {
                     st.epoch += 1;
                     let fl = st.inflight.take();
                     events.record(
-                        self.clock,
+                        self.queue.now(),
                         Some(node),
                         EventKind::NodeQuarantined {
                             reason: reason.name().to_string(),
@@ -593,7 +548,7 @@ impl Backend for ClusterBackend<'_> {
                         // The unfinished range folds back into the
                         // pool (the core reclaims it on `UnitDown`).
                         events.record(
-                            self.clock,
+                            self.queue.now(),
                             Some(node),
                             EventKind::CoverRecredited {
                                 items: f.items,
@@ -621,7 +576,7 @@ impl Backend for ClusterBackend<'_> {
     }
 
     fn charge_overhead(&mut self, seconds: f64) {
-        self.overhead_until = self.overhead_until.max(self.clock) + seconds;
+        self.queue.charge_overhead(seconds);
     }
 
     fn on_unit_quarantined(&mut self, pu: usize) {
@@ -644,9 +599,9 @@ impl Backend for ClusterBackend<'_> {
 
     fn idle_progress_possible(&self) -> bool {
         self.heals_pending > 0
-            || self.heap.iter().any(|Reverse(e)| {
+            || self.queue.pending().any(|p| {
                 matches!(
-                    e.payload,
+                    p,
                     Payload::ChunkDone { .. } | Payload::DeliveryFailed { .. }
                 )
             })
@@ -953,10 +908,7 @@ impl<'r> ClusterEngine<'r> {
             node_faults: self.node_faults.clone(),
             migration: self.migration.clone(),
             weights: Arc::clone(&self.weights),
-            clock: 0.0,
-            heap: BinaryHeap::new(),
-            seq: 0,
-            overhead_until: 0.0,
+            queue: EventQueue::new(),
             bytes_in: vec![0; n],
             heals_pending: 0,
             pending_notes: Vec::new(),
@@ -966,14 +918,14 @@ impl<'r> ClusterEngine<'r> {
         // virtual times.
         for node in 0..n {
             for (from_s, to_s) in backend.node_faults.partition_windows(node) {
-                backend.push(
+                backend.queue.push(
                     from_s,
                     Payload::NodeDown {
                         node,
                         reason: DownReason::Partition,
                     },
                 );
-                backend.push(to_s, Payload::NodeUp { node });
+                backend.queue.push(to_s, Payload::NodeUp { node });
                 backend.heals_pending += 1;
             }
         }

@@ -36,6 +36,7 @@ mod backend;
 pub mod cluster;
 mod pool;
 
+pub(crate) use backend::EventQueue;
 pub use backend::{Backend, ClockKind, Launch, LaunchSpec, Polled};
 pub use pool::WorkPool;
 
@@ -207,78 +208,13 @@ impl SchedulerCtx for Driver<'_> {
     }
 
     fn assign(&mut self, pu: PuId, budget_cost: u64) -> u64 {
-        if budget_cost == 0 || self.pool.remaining() == 0 {
-            return 0;
-        }
-        if !self.handles[pu.0].available
-            || self.inflight[pu.0].is_some()
-            || !self.backend.unit_ready(pu.0)
-        {
-            return 0;
-        }
-        // Re-credited ranges are served first so failed blocks re-run;
-        // a reclaimed fragment may carry less weight than the budget,
-        // in which case less cost is assigned (policies must tolerate
-        // any return value).
-        let Some((offset, got)) = self.pool.take(budget_cost) else {
-            return 0;
-        };
-        let cost = self.weights.cost(offset, got);
-        let task = TaskId(self.next_task);
-        self.next_task += 1;
-        let now = self.backend.now();
-        self.events.record(
-            now,
-            Some(pu.0),
-            EventKind::TaskSubmit {
-                task: task.0,
-                items: got,
-                cost,
-            },
-        );
-        if !self.launch(pu.0, task, offset, got, cost, 0, 0.0) {
-            // The executor died out from under us: the block returns
-            // to the pool and the unit is lost; the driver loop
-            // delivers the policy notification.
-            self.pool.reclaim(offset, got);
-            self.release_unit(pu.0);
-            return 0;
-        }
-        cost
+        self.claim_and_launch(pu, budget_cost, |pool| pool.take(budget_cost))
     }
 
     fn assign_within(&mut self, pu: PuId, budget_cost: u64, lo: u64, hi: u64) -> u64 {
-        if budget_cost == 0 || self.pool.remaining() == 0 {
-            return 0;
-        }
-        let unit_free = self.handles.get(pu.0).is_some_and(|h| h.available)
-            && self.inflight.get(pu.0).is_some_and(Option::is_none)
-            && self.backend.unit_ready(pu.0);
-        if !unit_free {
-            return 0;
-        }
-        let Some((offset, got)) = self.pool.take_within(lo, hi, budget_cost) else {
-            return 0;
-        };
-        let cost = self.weights.cost(offset, got);
-        let task = TaskId(self.next_task);
-        self.next_task += 1;
-        let now = self.backend.now();
-        self.events.record(
-            now,
-            Some(pu.0),
-            EventKind::TaskSubmit {
-                task: task.0,
-                items: got,
-                cost,
-            },
-        );
-        if !self.launch(pu.0, task, offset, got, cost, 0, 0.0) {
-            self.pool.reclaim(offset, got);
-            self.release_unit(pu.0);
-            return 0;
-        }
-        cost
+        self.claim_and_launch(pu, budget_cost, |pool| {
+            pool.take_within(lo, hi, budget_cost)
+        })
     }
 
     fn is_busy(&self, pu: PuId) -> bool {
@@ -311,6 +247,55 @@ impl SchedulerCtx for Driver<'_> {
 }
 
 impl Driver<'_> {
+    /// The body of both `assign` flavours: if `pu` is free, claim a
+    /// range through `claim`, submit it as a new task and launch it;
+    /// returns the claimed cost (0 when nothing was assigned).
+    fn claim_and_launch(
+        &mut self,
+        pu: PuId,
+        budget_cost: u64,
+        claim: impl FnOnce(&mut WorkPool) -> Option<(u64, u64)>,
+    ) -> u64 {
+        if budget_cost == 0 || self.pool.remaining() == 0 {
+            return 0;
+        }
+        let unit_free = self.handles.get(pu.0).is_some_and(|h| h.available)
+            && self.inflight.get(pu.0).is_some_and(Option::is_none)
+            && self.backend.unit_ready(pu.0);
+        if !unit_free {
+            return 0;
+        }
+        // Re-credited ranges are served first so failed blocks re-run;
+        // a reclaimed fragment may carry less weight than the budget,
+        // in which case less cost is assigned (policies must tolerate
+        // any return value).
+        let Some((offset, got)) = claim(&mut self.pool) else {
+            return 0;
+        };
+        let cost = self.weights.cost(offset, got);
+        let task = TaskId(self.next_task);
+        self.next_task += 1;
+        let now = self.backend.now();
+        self.events.record(
+            now,
+            Some(pu.0),
+            EventKind::TaskSubmit {
+                task: task.0,
+                items: got,
+                cost,
+            },
+        );
+        if !self.launch(pu.0, task, offset, got, cost, 0, 0.0) {
+            // The executor died out from under us: the block returns
+            // to the pool and the unit is lost; the driver loop
+            // delivers the policy notification.
+            self.pool.reclaim(offset, got);
+            self.release_unit(pu.0);
+            return 0;
+        }
+        cost
+    }
+
     /// Launch one attempt: resolve the fault plan, arm the watchdog
     /// deadline (wall clocks), record the in-flight entry, and hand the
     /// spec to the backend. Returns `false` when the unit's executor is

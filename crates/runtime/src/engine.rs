@@ -19,7 +19,7 @@
 //! (cloud QoS drift, machine loss).
 
 use crate::checkpoint::{Checkpoint, CheckpointConfig, CheckpointWriter};
-use crate::core::{self, Backend, ClockKind, Durability, Launch, LaunchSpec, Polled};
+use crate::core::{self, Backend, ClockKind, Durability, EventQueue, Launch, LaunchSpec, Polled};
 use crate::data::{DataHandle, DataRegistry, MemNode};
 use crate::events::{EventKind, EventSink};
 use crate::fault::{FaultAction, FaultPlan, FaultToleranceConfig};
@@ -30,8 +30,6 @@ use crate::task::{FailureReason, TaskId};
 use crate::trace::Trace;
 use crate::weights::Weights;
 use plb_hetsim::{ClusterSim, CostModel, PuId};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// A scheduled runtime perturbation.
 #[derive(Debug, Clone)]
@@ -106,38 +104,13 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-/// Event-queue entry. Ordered by time, then sequence for determinism.
-#[derive(Debug, Clone, PartialEq)]
-struct Event {
-    time: f64,
-    seq: u64,
-    payload: EventPayload,
-}
-
+/// What the simulator's event queue holds.
 #[derive(Debug, Clone, PartialEq)]
 enum EventPayload {
     /// Task `task` on `pu` completes.
     Completion { pu: PuId, task: TaskId },
     /// Index into the perturbation list.
     Perturb(usize),
-}
-
-impl Eq for Event {}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Times are always finite here; total_cmp keeps the order total
-        // without a panic path.
-        self.time
-            .total_cmp(&other.time)
-            .then(self.seq.cmp(&other.seq))
-    }
-}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 /// Backend-side record of the attempt currently occupying a unit: the
@@ -159,10 +132,7 @@ struct SimBackend<'a> {
     cluster: &'a mut ClusterSim,
     cost: &'a dyn CostModel,
     perturbations: Vec<Perturbation>,
-    clock: f64,
-    heap: BinaryHeap<Reverse<Event>>,
-    seq: u64,
-    overhead_until: f64,
+    queue: EventQueue<EventPayload>,
     /// StarPU-style data management: per-task block buffers and the
     /// application's broadcast set, with a transfer ledger per memory
     /// node feeding the run report's byte accounting.
@@ -172,21 +142,12 @@ struct SimBackend<'a> {
 }
 
 impl SimBackend<'_> {
-    fn push_event(&mut self, time: f64, payload: EventPayload) {
-        self.seq += 1;
-        self.heap.push(Reverse(Event {
-            time,
-            seq: self.seq,
-            payload,
-        }));
-    }
-
     /// Is a `Restore` perturbation still waiting in the event queue?
     /// (Only pending restores can bring a dead cluster back; already-
     /// fired ones must not defer a stall.)
     fn restore_pending(&self) -> bool {
-        self.heap.iter().any(|Reverse(e)| {
-            matches!(e.payload, EventPayload::Perturb(i)
+        self.queue.pending().any(|p| {
+            matches!(*p, EventPayload::Perturb(i)
                 if matches!(self.perturbations[i].kind, PerturbationKind::Restore(_)))
         })
     }
@@ -198,7 +159,7 @@ impl Backend for SimBackend<'_> {
     }
 
     fn now(&self) -> f64 {
-        self.clock
+        self.queue.now()
     }
 
     fn launch(&mut self, spec: &LaunchSpec) -> Launch {
@@ -235,11 +196,7 @@ impl Backend for SimBackend<'_> {
         // First attempts issued while scheduler overhead is outstanding
         // begin only after the overhead window closes; retries begin
         // after their backoff.
-        let start = if spec.attempt == 0 {
-            self.clock.max(self.overhead_until)
-        } else {
-            self.clock + spec.backoff_s
-        };
+        let start = self.queue.start_of(spec);
         self.attempt_of[spec.pu] = Some(SimAttempt {
             task: spec.task,
             start,
@@ -247,7 +204,7 @@ impl Backend for SimBackend<'_> {
             proc,
             doomed,
         });
-        self.push_event(
+        self.queue.push(
             start + xfer + proc,
             EventPayload::Completion {
                 pu,
@@ -259,13 +216,10 @@ impl Backend for SimBackend<'_> {
 
     fn poll(&mut self, _wake: Option<f64>, events: &mut EventSink) -> Polled {
         loop {
-            let Some(Reverse(ev)) = self.heap.pop() else {
+            let Some(payload) = self.queue.pop() else {
                 return Polled::Drained;
             };
-            debug_assert!(ev.time + 1e-12 >= self.clock, "time went backwards");
-            self.clock = ev.time.max(self.clock);
-
-            match ev.payload {
+            match payload {
                 EventPayload::Completion { pu, task } => {
                     // Completions of cancelled attempts (unit failed
                     // while the task was in flight) are stale: skip to
@@ -292,13 +246,14 @@ impl Backend for SimBackend<'_> {
                         start: a.start,
                         xfer_s: a.xfer,
                         proc_s: a.proc,
-                        finish: self.clock,
+                        finish: self.queue.now(),
                     };
                 }
                 EventPayload::Perturb(idx) => match self.perturbations[idx].kind {
                     PerturbationKind::SetSlowdown(pu, f) => {
                         self.cluster.device_mut(pu).set_slowdown(f);
-                        events.record(self.clock, Some(pu.0), EventKind::SlowdownSet { factor: f });
+                        let now = self.queue.now();
+                        events.record(now, Some(pu.0), EventKind::SlowdownSet { factor: f });
                         // In-flight tasks keep their original times:
                         // the slowdown applies from the next kernel,
                         // like a contended cloud node would behave
@@ -322,7 +277,7 @@ impl Backend for SimBackend<'_> {
     }
 
     fn charge_overhead(&mut self, seconds: f64) {
-        self.overhead_until = self.overhead_until.max(self.clock) + seconds;
+        self.queue.charge_overhead(seconds);
     }
 
     fn on_unit_quarantined(&mut self, pu: usize) {
@@ -337,9 +292,9 @@ impl Backend for SimBackend<'_> {
     }
 
     fn idle_progress_possible(&self) -> bool {
-        self.heap
-            .iter()
-            .any(|Reverse(e)| matches!(e.payload, EventPayload::Completion { .. }))
+        self.queue
+            .pending()
+            .any(|p| matches!(p, EventPayload::Completion { .. }))
             || self.restore_pending()
     }
 
@@ -484,17 +439,14 @@ impl<'a> SimEngine<'a> {
             cluster: &mut *self.cluster,
             cost: self.cost,
             perturbations: self.perturbations.clone(),
-            clock: 0.0,
-            heap: BinaryHeap::new(),
-            seq: 0,
-            overhead_until: 0.0,
+            queue: EventQueue::new(),
             registry,
             broadcast,
             attempt_of: vec![None; n],
         };
         for i in 0..backend.perturbations.len() {
             let at = backend.perturbations[i].at.max(0.0);
-            backend.push_event(at, EventPayload::Perturb(i));
+            backend.queue.push(at, EventPayload::Perturb(i));
         }
         let durability = Durability {
             checkpoint: self.checkpoint.clone().map(CheckpointWriter::new),

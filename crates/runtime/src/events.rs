@@ -406,7 +406,9 @@ pub struct EventSink {
     head: usize,
     capacity: usize,
     next_seq: u64,
-    dropped: u64,
+    /// Lifetime tally of every recorded event, including overwritten
+    /// ones; `counters.dropped` is the overwrite count.
+    counters: EventCounters,
     /// Per-PU monotonicity clamp; index = pu, last slot unused for
     /// global events (those clamp against `last_global`).
     last_t: Vec<f64>,
@@ -427,7 +429,7 @@ impl EventSink {
             head: 0,
             capacity: capacity.max(1),
             next_seq: 0,
-            dropped: 0,
+            counters: EventCounters::default(),
             last_t: Vec::new(),
             last_global: 0.0,
         }
@@ -448,6 +450,7 @@ impl EventSink {
             None => t.max(self.last_global),
         };
         self.last_global = self.last_global.max(t);
+        self.counters.tally(&kind);
         let ev = Event {
             seq: self.next_seq,
             t,
@@ -460,7 +463,7 @@ impl EventSink {
         } else {
             self.buf[self.head] = ev;
             self.head = (self.head + 1) % self.capacity;
-            self.dropped += 1;
+            self.counters.dropped += 1;
         }
     }
 
@@ -472,9 +475,7 @@ impl EventSink {
         out
     }
 
-    /// Iterate the held events oldest first without copying the buffer
-    /// (what [`counters`](EventSink::counters) uses — a periodic
-    /// checkpoint must not clone the whole ring to count it).
+    /// Iterate the held events oldest first without copying the buffer.
     pub fn iter(&self) -> impl Iterator<Item = &Event> {
         self.buf[self.head..]
             .iter()
@@ -493,7 +494,7 @@ impl EventSink {
 
     /// Events overwritten because the ring wrapped.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.counters.dropped
     }
 
     /// Total events ever recorded (held + dropped).
@@ -501,11 +502,11 @@ impl EventSink {
         self.next_seq
     }
 
-    /// Aggregate counters over the held events (plus the drop count).
+    /// Aggregate counters over every event ever recorded — exact even
+    /// after the ring wrapped, and O(1): the tally is kept by
+    /// [`record`](EventSink::record).
     pub fn counters(&self) -> EventCounters {
-        let mut c = EventCounters::from_events(self.iter());
-        c.dropped = self.dropped;
-        c
+        self.counters.clone()
     }
 }
 
@@ -583,8 +584,8 @@ pub struct EventCounters {
     pub cover_recredits: u64,
     /// Stall errors.
     pub stalls: u64,
-    /// Events lost to ring-buffer overwrite (counts may undercount when
-    /// nonzero).
+    /// Events lost to ring-buffer overwrite (the other counts still
+    /// include them).
     pub dropped: u64,
 }
 
@@ -593,52 +594,57 @@ impl EventCounters {
     pub fn from_events<'a>(events: impl Iterator<Item = &'a Event>) -> EventCounters {
         let mut c = EventCounters::default();
         for e in events {
-            match &e.kind {
-                EventKind::TaskSubmit { .. } => c.tasks_submitted += 1,
-                EventKind::TaskFinish { .. } => c.tasks_finished += 1,
-                EventKind::ProbeIssued { .. } => c.probes += 1,
-                EventKind::CurveFit { accepted, .. } => {
-                    c.curve_fits += 1;
-                    if !accepted {
-                        c.fit_rejections += 1;
-                    }
-                }
-                EventKind::BlockSolve { .. } => c.solves += 1,
-                EventKind::RebalanceTriggered { .. } => c.rebalances += 1,
-                EventKind::IpmIteration { backtracks, .. } => {
-                    c.ipm_iterations += 1;
-                    c.ipm_backtracks += *backtracks as u64;
-                }
-                EventKind::SlowdownSet { .. } | EventKind::DeviceRestored => {
-                    c.perturbations += 1;
-                }
-                EventKind::DeviceFailed => {
-                    c.perturbations += 1;
-                    c.device_failures += 1;
-                }
-                EventKind::TaskFailed { .. } => c.task_failures += 1,
-                EventKind::TaskRetry { .. } => c.task_retries += 1,
-                EventKind::PuQuarantined { .. } => c.quarantines += 1,
-                EventKind::CheckpointWritten { .. } => c.checkpoints += 1,
-                EventKind::RunResumed { .. } => c.resumes += 1,
-                EventKind::PuJoined { .. } => c.joins += 1,
-                EventKind::DriftApplied { .. } => c.drift_changes += 1,
-                EventKind::Restabilized { .. } => c.restabilizations += 1,
-                EventKind::DeviceRestoredIgnored => c.restores_ignored += 1,
-                EventKind::NodeJoined { .. } => c.node_joins += 1,
-                EventKind::NodeQuarantined { .. } => c.node_quarantines += 1,
-                EventKind::MigrationSent { .. } => c.migrations_sent += 1,
-                EventKind::MigrationRetried { .. } => c.migration_retries += 1,
-                EventKind::CoverRecredited { .. } => c.cover_recredits += 1,
-                EventKind::Stalled { .. } => c.stalls += 1,
-                EventKind::RunStart { .. }
-                | EventKind::TaskStart { .. }
-                | EventKind::RunEnd { .. }
-                | EventKind::ModelingDone { .. }
-                | EventKind::IpmDone { .. } => {}
-            }
+            c.tally(&e.kind);
         }
         c
+    }
+
+    /// Count one event.
+    pub fn tally(&mut self, kind: &EventKind) {
+        match kind {
+            EventKind::TaskSubmit { .. } => self.tasks_submitted += 1,
+            EventKind::TaskFinish { .. } => self.tasks_finished += 1,
+            EventKind::ProbeIssued { .. } => self.probes += 1,
+            EventKind::CurveFit { accepted, .. } => {
+                self.curve_fits += 1;
+                if !accepted {
+                    self.fit_rejections += 1;
+                }
+            }
+            EventKind::BlockSolve { .. } => self.solves += 1,
+            EventKind::RebalanceTriggered { .. } => self.rebalances += 1,
+            EventKind::IpmIteration { backtracks, .. } => {
+                self.ipm_iterations += 1;
+                self.ipm_backtracks += *backtracks as u64;
+            }
+            EventKind::SlowdownSet { .. } | EventKind::DeviceRestored => {
+                self.perturbations += 1;
+            }
+            EventKind::DeviceFailed => {
+                self.perturbations += 1;
+                self.device_failures += 1;
+            }
+            EventKind::TaskFailed { .. } => self.task_failures += 1,
+            EventKind::TaskRetry { .. } => self.task_retries += 1,
+            EventKind::PuQuarantined { .. } => self.quarantines += 1,
+            EventKind::CheckpointWritten { .. } => self.checkpoints += 1,
+            EventKind::RunResumed { .. } => self.resumes += 1,
+            EventKind::PuJoined { .. } => self.joins += 1,
+            EventKind::DriftApplied { .. } => self.drift_changes += 1,
+            EventKind::Restabilized { .. } => self.restabilizations += 1,
+            EventKind::DeviceRestoredIgnored => self.restores_ignored += 1,
+            EventKind::NodeJoined { .. } => self.node_joins += 1,
+            EventKind::NodeQuarantined { .. } => self.node_quarantines += 1,
+            EventKind::MigrationSent { .. } => self.migrations_sent += 1,
+            EventKind::MigrationRetried { .. } => self.migration_retries += 1,
+            EventKind::CoverRecredited { .. } => self.cover_recredits += 1,
+            EventKind::Stalled { .. } => self.stalls += 1,
+            EventKind::RunStart { .. }
+            | EventKind::TaskStart { .. }
+            | EventKind::RunEnd { .. }
+            | EventKind::ModelingDone { .. }
+            | EventKind::IpmDone { .. } => {}
+        }
     }
 
     /// Accumulate another set of counters into this one, field by field.
@@ -1205,10 +1211,28 @@ mod tests {
         let copied = sink.events();
         let viewed: Vec<Event> = sink.iter().cloned().collect();
         assert_eq!(copied, viewed);
-        // Counters built from the borrowed view agree too.
-        let c = sink.counters();
-        assert_eq!(c.tasks_submitted, 4);
-        assert_eq!(c.dropped, 3);
+    }
+
+    #[test]
+    fn counters_stay_exact_after_the_ring_wraps() {
+        let mut sink = EventSink::new(8);
+        let mut all = Vec::new();
+        for seq in 0..100u64 {
+            let kind = match seq % 5 {
+                0 => EventKind::Stalled { remaining: seq },
+                1 => EventKind::PuQuarantined { failures: 3 },
+                2 => EventKind::DeviceFailed,
+                3 => EventKind::CoverRecredited { items: 4, cost: 4 },
+                _ => EventKind::PuJoined { after_tasks: seq },
+            };
+            let (t, pu) = (seq as f64, Some(0));
+            sink.record(t, pu, kind.clone());
+            all.push(Event { seq, t, pu, kind });
+        }
+        let mut expected = EventCounters::from_events(all.iter());
+        expected.dropped = 92;
+        assert_eq!(sink.counters(), expected);
+        assert_eq!(expected.device_failures, 20);
     }
 
     #[test]

@@ -10,10 +10,7 @@
 //!   always match the file on disk. Findings pass through per-pass
 //!   allowlists and the ratcheting baseline (`report.rs`), and render
 //!   as human text or SARIF 2.1.0 for GitHub code scanning.
-//! * `bench-check` — machine-independent gates on the committed
-//!   performance snapshots (`bench.rs`, `docs/PERFORMANCE.md`).
 
-mod bench;
 mod lexer;
 mod passes;
 mod report;
@@ -31,15 +28,12 @@ fn main() -> ExitCode {
     let root = workspace_root();
     match args.first().map(String::as_str) {
         Some("lint") => lint(&root, &args[1..]),
-        Some("bench-check") => bench::bench_check(&root, &args[1..]),
         _ => {
             eprintln!(
                 "usage: cargo xtask <command>\n\n\
                  commands:\n  \
                  lint [--format text|sarif] [--out PATH] [--baseline PATH] [--write-baseline]\n      \
-                 run the ten soundness passes (docs/SOUNDNESS.md)\n  \
-                 bench-check [--tolerance PCT] [--fresh DIR]\n      \
-                 validate the committed performance snapshots (docs/PERFORMANCE.md)"
+                 run the ten soundness passes (docs/SOUNDNESS.md)"
             );
             ExitCode::FAILURE
         }

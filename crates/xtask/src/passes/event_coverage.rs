@@ -1,5 +1,5 @@
 //! Pass 3: every `EventKind` variant is constructed somewhere outside
-//! `events.rs`, is matched explicitly in `EventCounters::from_events`,
+//! `events.rs`, is matched explicitly in `EventCounters::tally`,
 //! and that match has no `_ =>` wildcard (adding a variant must force
 //! a counters decision).
 
@@ -37,13 +37,13 @@ impl Pass for EventCoverage {
             });
             return;
         };
-        let from_events = fn_body(&events.code, "fn from_events");
-        if from_events.is_none() {
+        let tally = fn_body(&events.code, "fn tally");
+        if tally.is_none() {
             out.push(Violation {
                 file: events.rel.clone(),
                 line: 1,
                 pass: self.name(),
-                msg: "could not locate `EventCounters::from_events`".to_string(),
+                msg: "could not locate `EventCounters::tally`".to_string(),
             });
         }
         for (name, line) in &variants {
@@ -63,27 +63,27 @@ impl Pass for EventCoverage {
                     ),
                 });
             }
-            if let Some((body, _)) = from_events {
+            if let Some((body, _)) = tally {
                 if !body.contains(&needle) {
                     out.push(Violation {
                         file: events.rel.clone(),
                         line: *line,
                         pass: self.name(),
                         msg: format!(
-                            "`EventCounters::from_events` does not match \
+                            "`EventCounters::tally` does not match \
                              `EventKind::{name}` explicitly"
                         ),
                     });
                 }
             }
         }
-        if let Some((body, body_pos)) = from_events {
+        if let Some((body, body_pos)) = tally {
             if let Some(off) = wildcard_arm(body) {
                 out.push(Violation {
                     file: events.rel.clone(),
                     line: line_of(&events.code, body_pos + off),
                     pass: self.name(),
-                    msg: "wildcard `_ =>` arm in `EventCounters::from_events`; every \
+                    msg: "wildcard `_ =>` arm in `EventCounters::tally`; every \
                           variant must make an explicit counting decision"
                         .to_string(),
                 });

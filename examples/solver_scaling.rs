@@ -4,9 +4,9 @@
 //! of increasing size on both KKT paths — the O(n) arrow-structured
 //! Schur elimination the selection problem normally takes, and the
 //! dense LU path it would need without the structure — then shows what
-//! warm-starting a drifted re-solve saves. This is a human-readable
-//! tour of the numbers committed in `BENCH_solver.json`; the
-//! methodology lives in `docs/PERFORMANCE.md`.
+//! warm-starting a drifted re-solve saves. This is the standing
+//! dense-vs-arrow demonstration behind the table in
+//! `docs/PERFORMANCE.md`.
 //!
 //! ```text
 //! cargo run --release --example solver_scaling
@@ -19,8 +19,7 @@ use std::time::Instant;
 /// A heterogeneous roster cycling through 64 speed grades, each with a
 /// convex finish-time curve (overhead + linear rate + contention),
 /// expressed in the normalized share `s = x·n` so per-unit times stay
-/// O(1 s) at every roster size (how real fitted curves behave — see
-/// `plb_bench::perf::synthetic_curves`).
+/// O(1 s) at every roster size (how real fitted curves behave).
 fn curves(n: usize, drift: f64) -> Vec<BoxedCurve> {
     let k = n as f64;
     (0..n)

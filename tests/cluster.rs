@@ -14,8 +14,8 @@ use plb_hec_suite::hetsim::{cluster_scenario, ClusterSim, PuKind, Scenario, Topo
 use plb_hec_suite::plb::NodeDiffusionPolicy;
 use plb_hec_suite::runtime::{
     equal_cost_shards, Checkpoint, CheckpointConfig, ChunkOutcome, ClusterEngine, Codelet,
-    EventCounters, FaultToleranceConfig, FixedBlockPolicy, FnCodelet, HostNodeRunner, HostPu,
-    MigrationConfig, NodeFault, NodeFaultKind, NodeFaultPlan, NodeRunner, Policy, PuState,
+    EventKind, EventSink, FaultToleranceConfig, FixedBlockPolicy, FnCodelet, HostNodeRunner,
+    HostPu, MigrationConfig, NodeFault, NodeFaultKind, NodeFaultPlan, NodeRunner, Policy, PuState,
     RunError, RunReport, SimNodeRunner, Weights, WorkloadId, CHECKPOINT_FORMAT_VERSION,
 };
 use proptest::prelude::*;
@@ -78,7 +78,7 @@ fn rescale_windows(mut plan: NodeFaultPlan, factor: f64) -> NodeFaultPlan {
 }
 
 /// Run an `n`-node simulated cluster under `plan`, returning the report
-/// and the event counters. `migration` overrides the delivery tunables
+/// and the event stream. `migration` overrides the delivery tunables
 /// (the defaults are sized for wall-clock seconds; simulated runs are
 /// sub-millisecond, so tests scale the retry timescale to the run).
 fn run_sim_cluster(
@@ -86,7 +86,7 @@ fn run_sim_cluster(
     total: u64,
     plan: NodeFaultPlan,
     migration: Option<MigrationConfig>,
-) -> (Result<RunReport, RunError>, EventCounters) {
+) -> (Result<RunReport, RunError>, EventSink) {
     let cost = LinearCost::generic();
     let (clusters, policies, names) = sim_nodes(n);
     let mut runner = SimNodeRunner::new(&cost, names, clusters, policies, Weights::uniform());
@@ -96,11 +96,8 @@ fn run_sim_cluster(
         engine = engine.with_migration(m);
     }
     let result = engine.run(&mut policy, total);
-    let counters = engine
-        .last_events()
-        .map(|s| s.counters())
-        .unwrap_or_default();
-    (result, counters)
+    let events = engine.last_events().cloned().unwrap_or_default();
+    (result, events)
 }
 
 fn assert_full_cover(report: &RunReport, total: u64) {
@@ -116,7 +113,8 @@ fn assert_full_cover(report: &RunReport, total: u64) {
 #[test]
 fn fault_free_cluster_completes_with_full_cover() {
     let total = 90_000;
-    let (result, counters) = run_sim_cluster(3, total, NodeFaultPlan::none(), None);
+    let (result, events) = run_sim_cluster(3, total, NodeFaultPlan::none(), None);
+    let counters = events.counters();
     let report = result.expect("fault-free cluster run");
     assert_full_cover(&report, total);
     assert!(report.makespan > 0.0);
@@ -127,6 +125,15 @@ fn fault_free_cluster_completes_with_full_cover() {
     }
     assert_eq!(counters.node_quarantines, 0);
     assert_eq!(counters.cover_recredits, 0);
+    // Work crosses shard borders even without faults, and no migrated
+    // chunk arrives sooner than the inter-node link's latency allows.
+    assert!(counters.migrations_sent >= 1, "nothing migrated");
+    let latency_s = MigrationConfig::default().link.latency_s;
+    for e in events.iter() {
+        if let EventKind::MigrationSent { xfer_s, .. } = e.kind {
+            assert!(xfer_s >= latency_s, "{xfer_s} s beats the link latency");
+        }
+    }
 }
 
 /// The acceptance scenario: a partition mid-run quarantines one of
@@ -152,7 +159,8 @@ fn partition_degrades_gracefully_recredits_and_readmits() {
             to_s: 0.60 * m,
         },
     }]);
-    let (result, counters) = run_sim_cluster(3, total, plan, Some(scaled_migration(m)));
+    let (result, events) = run_sim_cluster(3, total, plan, Some(scaled_migration(m)));
+    let counters = events.counters();
     let report = result.expect("partitioned run must still complete");
 
     // Zero lost, zero duplicated: the cover is exact.
@@ -378,7 +386,8 @@ fn sim_and_host_runners_agree_on_crash_accounting() {
     }]);
 
     // Simulated nodes.
-    let (sim_report, sim_counters) = run_sim_cluster(2, total, plan.clone(), None);
+    let (sim_report, sim_events) = run_sim_cluster(2, total, plan.clone(), None);
+    let sim_counters = sim_events.counters();
     let sim_report = sim_report.expect("sim cluster run");
     assert_full_cover(&sim_report, total);
 
