@@ -203,9 +203,9 @@ pub trait Backend {
         false
     }
 
-    /// Bytes transferred into `pu`'s memory node over the run, for the
-    /// report's data-movement accounting. Backends without a transfer
-    /// ledger report 0.
+    /// Bytes transferred into `pu`'s memory over the run, for the
+    /// report's data-movement accounting. Backends that do not count
+    /// transfers report 0.
     fn bytes_into(&self, _pu: usize) -> u64 {
         0
     }

@@ -139,6 +139,20 @@ pub fn equal_cost_shards(total_items: u64, n_nodes: usize, weights: &Weights) ->
     bounds
 }
 
+/// Are `bounds` usable home-shard boundaries? The owner lookup is a
+/// `partition_point` over them, so anything but at most `n_nodes - 1`
+/// strictly ascending items inside `(0, total_items)` names the wrong
+/// owner, or one that does not exist.
+fn shard_bounds_usable(bounds: &[u64], total_items: u64, n_nodes: usize) -> bool {
+    let mut prev = 0;
+    bounds.len() < n_nodes
+        && bounds.iter().all(|&b| {
+            let inside = prev < b && b < total_items;
+            prev = b;
+            inside
+        })
+}
+
 /// Why a node left the active set, as reported in `node_quarantined`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DownReason {
@@ -616,63 +630,14 @@ impl Backend for ClusterBackend<'_> {
     }
 }
 
-/// An offset-shifting view of the application cost model: a node runs
-/// its chunk in local coordinates `0..items`, while the range-aware
-/// costs are those of the global range starting at `base`.
-struct ShiftedCost<'a> {
-    inner: &'a dyn CostModel,
-    base: u64,
-}
-
-impl CostModel for ShiftedCost<'_> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-    fn flops(&self, items: u64) -> f64 {
-        self.inner.flops(items)
-    }
-    fn bytes_in(&self, items: u64) -> f64 {
-        self.inner.bytes_in(items)
-    }
-    fn bytes_out(&self, items: u64) -> f64 {
-        self.inner.bytes_out(items)
-    }
-    fn bytes_touched(&self, items: u64) -> f64 {
-        self.inner.bytes_touched(items)
-    }
-    fn threads(&self, items: u64) -> f64 {
-        self.inner.threads(items)
-    }
-    fn broadcast_bytes(&self) -> f64 {
-        self.inner.broadcast_bytes()
-    }
-    fn flops_range(&self, offset: u64, items: u64) -> f64 {
-        self.inner
-            .flops_range(self.base.saturating_add(offset), items)
-    }
-    fn bytes_in_range(&self, offset: u64, items: u64) -> f64 {
-        self.inner
-            .bytes_in_range(self.base.saturating_add(offset), items)
-    }
-    fn bytes_out_range(&self, offset: u64, items: u64) -> f64 {
-        self.inner
-            .bytes_out_range(self.base.saturating_add(offset), items)
-    }
-    fn bytes_touched_range(&self, offset: u64, items: u64) -> f64 {
-        self.inner
-            .bytes_touched_range(self.base.saturating_add(offset), items)
-    }
-    fn threads_range(&self, offset: u64, items: u64) -> f64 {
-        self.inner
-            .threads_range(self.base.saturating_add(offset), items)
-    }
-}
-
 /// The simulator node runner: one [`ClusterSim`] and one persistent
 /// intra-node policy per node. Every chunk runs a nested discrete-event
-/// engine over the node's devices; the policy object survives across
-/// chunks, so PLB-HeC's learned profiles carry over and later chunks
-/// skip straight to re-fit + re-solve.
+/// engine over the node's devices, in global item coordinates: the
+/// node owns `offset..offset + items` of the application's item space
+/// and sees the application's own cost model and weight table there.
+/// The policy object survives across chunks, so PLB-HeC's learned
+/// profiles carry over and later chunks skip straight to re-fit +
+/// re-solve.
 pub struct SimNodeRunner<'c> {
     cost: &'c dyn CostModel,
     names: Vec<String>,
@@ -684,8 +649,8 @@ pub struct SimNodeRunner<'c> {
 impl<'c> SimNodeRunner<'c> {
     /// Build a runner from per-node simulated machines and per-node
     /// intra-node policies. `clusters` and `policies` must have equal
-    /// length; `weights` is the *global* per-item cost table (chunk
-    /// runs see the matching sub-table).
+    /// length; `cost` and `weights` are the *global* cost model and
+    /// per-item cost table.
     pub fn new(
         cost: &'c dyn CostModel,
         names: Vec<String>,
@@ -722,21 +687,9 @@ impl NodeRunner for SimNodeRunner<'_> {
         let Some(policy) = self.policies.get_mut(node) else {
             return Err(format!("no policy for node {node}"));
         };
-        let shifted = ShiftedCost {
-            inner: self.cost,
-            base: offset,
-        };
-        let sub_weights = if self.weights.is_uniform() {
-            Weights::uniform()
-        } else {
-            let w = &self.weights;
-            Arc::new(Weights::per_item(
-                (offset..offset.saturating_add(items)).map(|i| w.cost(i, 1)),
-            ))
-        };
-        let report = SimEngine::new(cluster, &shifted)
-            .with_weights(sub_weights)
-            .run(policy.as_mut(), items)
+        let report = SimEngine::new(cluster, self.cost)
+            .with_weights(Arc::clone(&self.weights))
+            .run_range(policy.as_mut(), offset..offset.saturating_add(items))
             .map_err(|e| e.to_string())?;
         Ok(ChunkOutcome {
             makespan_s: report.makespan,
@@ -857,8 +810,10 @@ impl<'r> ClusterEngine<'r> {
         self
     }
 
-    /// Override the home-shard boundaries (interior bounds, ascending).
-    /// Defaults to [`equal_cost_shards`] over the run's weights.
+    /// Override the home-shard boundaries: interior bounds, strictly
+    /// ascending inside `(0, total_items)`, at most one fewer than
+    /// there are nodes (`run` rejects anything else). Defaults to
+    /// [`equal_cost_shards`] over the run's weights.
     pub fn with_shard_bounds(mut self, bounds: Vec<u64>) -> ClusterEngine<'r> {
         self.shard_bounds = Some(bounds);
         self
@@ -901,6 +856,15 @@ impl<'r> ClusterEngine<'r> {
             Some(b) => b.clone(),
             None => equal_cost_shards(total_items, n, &self.weights),
         };
+        if !shard_bounds_usable(&shard_bounds, total_items, n) {
+            return Err(RunError::Infrastructure {
+                detail: format!(
+                    "shard bounds: {shard_bounds:?} are not at most {} strictly ascending \
+                     items inside (0, {total_items})",
+                    n - 1
+                ),
+            });
+        }
         let mut backend = ClusterBackend {
             runner: self.runner,
             nodes: (0..n).map(|_| NodeState::fresh()).collect(),
@@ -939,7 +903,7 @@ impl<'r> ClusterEngine<'r> {
             &mut backend,
             handles,
             policy,
-            total_items,
+            0..total_items,
             Arc::clone(&self.weights),
             self.faults.clone(),
             self.ft.clone(),
@@ -965,11 +929,17 @@ impl<'r> ClusterEngine<'r> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::FixedBlockPolicy;
+    use crate::sync::Mutex;
+    use plb_hetsim::cluster::ClusterOptions;
+    use plb_hetsim::workload::LinearCost;
+    use plb_hetsim::{cluster_scenario, Scenario};
 
     #[test]
     fn equal_cost_shards_split_uniform_items_evenly() {
         let b = equal_cost_shards(100, 4, &Weights::Uniform);
         assert_eq!(b, vec![25, 50, 75]);
+        assert!(shard_bounds_usable(&b, 100, 4));
         assert!(equal_cost_shards(100, 1, &Weights::Uniform).is_empty());
         assert!(equal_cost_shards(0, 4, &Weights::Uniform).is_empty());
     }
@@ -981,6 +951,7 @@ mod tests {
         let w = Weights::per_item([20, 25, 1, 1, 1, 1, 1, 0, 0, 0]);
         let b = equal_cost_shards(10, 2, &w);
         assert_eq!(b.len(), 1);
+        assert!(shard_bounds_usable(&b, 10, 2));
         let cut = b[0];
         let left = w.cost(0, cut);
         let right = w.cost(cut, 10 - cut);
@@ -997,5 +968,130 @@ mod tests {
         assert_eq!(owner(74), 2);
         assert_eq!(owner(75), 3);
         assert_eq!(owner(99), 3);
+    }
+
+    #[test]
+    fn run_rejects_unusable_shard_bounds() {
+        let cost = LinearCost::generic();
+        let bad: [&[u64]; 5] = [
+            &[60, 30],     // descending
+            &[30, 30],     // not strictly ascending
+            &[0, 50],      // 0 is not interior
+            &[50, 100],    // the total is not interior
+            &[20, 40, 60], // four shards, three nodes
+        ];
+        let sim =
+            || ClusterSim::build(&cluster_scenario(Scenario::One, false), &Default::default());
+        let inner = || Box::new(FixedBlockPolicy { block: 10 }) as Box<dyn Policy>;
+        for bounds in bad {
+            let mut runner = SimNodeRunner::new(
+                &cost,
+                Vec::new(),
+                vec![sim(), sim(), sim()],
+                vec![inner(), inner(), inner()],
+                Weights::uniform(),
+            );
+            let err = ClusterEngine::new(&mut runner)
+                .with_shard_bounds(bounds.to_vec())
+                .run(&mut FixedBlockPolicy { block: 10 }, 100)
+                .unwrap_err();
+            assert!(
+                matches!(&err, RunError::Infrastructure { detail } if detail.starts_with("shard bounds: ")),
+                "{bounds:?}: {err}"
+            );
+        }
+    }
+
+    /// A per-row cost model over a vector of row weights that records
+    /// every range it is asked about. The count-based methods ask about
+    /// the head of the table, so a caller that dropped the offset shows
+    /// up in the record.
+    struct RowCost {
+        rows: Vec<u64>,
+        asked: Mutex<Vec<(u64, u64)>>,
+    }
+
+    impl RowCost {
+        fn weight(&self, offset: u64, items: u64) -> f64 {
+            self.asked.lock().push((offset, items));
+            let rows = &self.rows[offset as usize..(offset + items) as usize];
+            rows.iter().sum::<u64>() as f64
+        }
+    }
+
+    impl CostModel for RowCost {
+        fn name(&self) -> &str {
+            "rows"
+        }
+        fn flops(&self, items: u64) -> f64 {
+            self.flops_range(0, items)
+        }
+        fn bytes_in(&self, items: u64) -> f64 {
+            self.bytes_in_range(0, items)
+        }
+        fn bytes_out(&self, items: u64) -> f64 {
+            self.bytes_out_range(0, items)
+        }
+        fn flops_range(&self, offset: u64, items: u64) -> f64 {
+            2e4 * self.weight(offset, items)
+        }
+        fn bytes_in_range(&self, offset: u64, items: u64) -> f64 {
+            12.0 * self.weight(offset, items)
+        }
+        fn bytes_out_range(&self, offset: u64, items: u64) -> f64 {
+            self.weight(offset, items)
+        }
+    }
+
+    /// One chunk `off..off + len` on a one-node runner built over
+    /// `rows`; returns the outcome and the ranges the cost model saw.
+    fn run_one_chunk(rows: Vec<u64>, off: u64, len: u64) -> (ChunkOutcome, Vec<(u64, u64)>) {
+        let weights = Arc::new(Weights::per_item(rows.iter().copied()));
+        let cost = RowCost {
+            rows,
+            asked: Mutex::new(Vec::new()),
+        };
+        let opts = ClusterOptions {
+            seed: 5,
+            ..Default::default()
+        };
+        let sim = ClusterSim::build(&cluster_scenario(Scenario::Two, false), &opts);
+        let policy: Box<dyn Policy> = Box::new(FixedBlockPolicy { block: 700 });
+        let out = SimNodeRunner::new(&cost, Vec::new(), vec![sim], vec![policy], weights)
+            .run_chunk(0, off, len)
+            .unwrap();
+        let asked = std::mem::take(&mut *cost.asked.lock());
+        (out, asked)
+    }
+
+    #[test]
+    fn nested_chunk_is_translation_invariant() {
+        // Seeded row weights in 1..=64 (xorshift64).
+        let mut x = 0x9E37_79B9_7F4A_7C15_u64;
+        let rows: Vec<u64> = (0..6_000)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                1 + x % 64
+            })
+            .collect();
+        let (off, len) = (2_500u64, 3_000u64);
+        // The oracle slices the *inputs*: the same rows as a whole item
+        // space of their own, on an identically seeded node.
+        let sliced = rows[off as usize..(off + len) as usize].to_vec();
+        let (at_zero, _) = run_one_chunk(sliced, 0, len);
+        let (global, asked) = run_one_chunk(rows, off, len);
+        assert_eq!(global.makespan_s.to_bits(), at_zero.makespan_s.to_bits());
+        assert_eq!(global.bytes_in, at_zero.bytes_in);
+        assert!(global.makespan_s > 0.0 && global.bytes_in > 0);
+        assert!(!asked.is_empty());
+        for (o, n) in asked {
+            assert!(
+                o >= off && o + n <= off + len,
+                "cost model asked about {o}..{} outside the chunk",
+                o + n
+            );
+        }
     }
 }

@@ -7,8 +7,9 @@
 //!
 //! * the driver loop (completion detection, stall detection, watchdog
 //!   wake-ups),
-//! * assignment bookkeeping and the disjoint-range cover of
-//!   `0..total_items` ([`WorkPool`]),
+//! * assignment bookkeeping and the disjoint-range cover of the run's
+//!   item range ([`WorkPool`]) — `0..total_items` for a whole run, one
+//!   node chunk of the global item space for a nested cluster-tier run,
 //! * the entire fault-response state machine — bounded in-place retry
 //!   with exponential backoff, quarantine after consecutive failures,
 //!   probation restore, item re-credit, permanent unit loss — exactly
@@ -54,6 +55,7 @@ use crate::task::{FailureReason, TaskFailure, TaskId, TaskInfo};
 use crate::trace::Trace;
 use crate::weights::Weights;
 use plb_hetsim::PuId;
+use std::ops::Range;
 
 /// Run-level durability knobs handed to [`drive`]: an optional
 /// periodic-snapshot writer and an optional snapshot to resume from.
@@ -125,6 +127,8 @@ struct Driver<'b> {
     /// absorbing): a probation restore can never resurrect a unit
     /// whose executor is gone. See [`crate::protocol::UnitGate`].
     gates: Vec<UnitGate>,
+    /// First item and item count of the range this drive covers.
+    start: u64,
     total: u64,
     next_task: u64,
     trace: Trace,
@@ -204,7 +208,7 @@ impl SchedulerCtx for Driver<'_> {
     }
 
     fn total_cost(&self) -> u64 {
-        self.weights.total_cost(self.total)
+        self.weights.cost(self.start, self.total)
     }
 
     fn assign(&mut self, pu: PuId, budget_cost: u64) -> u64 {
@@ -491,7 +495,7 @@ impl Driver<'_> {
                 policy: policy.name().to_string(),
                 total_items: self.total,
                 n_pus: self.handles.len(),
-                total_cost: self.weights.total_cost(self.total),
+                total_cost: self.total_cost(),
                 nodes: self.nodes.clone(),
             },
             seq: 0,
@@ -910,18 +914,21 @@ impl Driver<'_> {
     }
 }
 
-/// Run `total_items` under `policy` on `backend`: the single driver
-/// both engines delegate to. `handles` is the backend's unit roster
-/// (with initial availability); `weights` is the workload's per-item
-/// cost (uniform for regular workloads — cost ≡ item count); `faults`
+/// Run the item range `items` under `policy` on `backend`: the single
+/// driver every engine delegates to. `items` is `0..total_items` for a
+/// whole run and one node's chunk, in global coordinates, for a nested
+/// cluster-tier run; `handles` is the backend's unit roster (with
+/// initial availability); `weights` is the *global* per-item cost
+/// (uniform for regular workloads — cost ≡ item count); `faults`
 /// injects deterministic failures and `ft` tunes the response (see
 /// [`crate::fault`]); `durability` turns on periodic checkpointing
-/// and/or resume (see [`crate::checkpoint`]).
+/// and/or resume (see [`crate::checkpoint`]), which are defined for
+/// whole runs only.
 pub fn drive(
     backend: &mut dyn Backend,
     handles: Vec<PuHandle>,
     policy: &mut dyn Policy,
-    total_items: u64,
+    items: Range<u64>,
     weights: Arc<Weights>,
     faults: FaultPlan,
     ft: FaultToleranceConfig,
@@ -935,11 +942,24 @@ pub fn drive(
         shard_bounds,
     } = durability;
 
+    let total_items = items.end.saturating_sub(items.start);
+    let reject = |detail: String| CoreOutcome {
+        result: Err(RunError::Checkpoint { detail }),
+        trace: Trace::new(n),
+        events: EventSink::default(),
+        lost: vec![false; n],
+    };
+    // A snapshot's cover and identity describe `0..total_items`; one
+    // taken of (or restored into) a sub-range would be unreadable.
+    if items.start != 0 && (checkpoint.is_some() || resume.is_some()) {
+        return reject("checkpoint and resume need a whole run, not a sub-range".into());
+    }
+
     // Validate the resume snapshot before building any state: a
     // rejected snapshot must fail the run loudly, never silently start
     // a fresh one over the remains of another.
     let mut restored: Option<Checkpoint> = None;
-    let mut pool = WorkPool::with_weights(total_items, Arc::clone(&weights));
+    let mut pool = WorkPool::over(items.clone(), Arc::clone(&weights));
     if let Some(ckpt) = resume {
         let workload = WorkloadId {
             policy: policy.name().to_string(),
@@ -960,14 +980,7 @@ pub fn drive(
                 pool = p;
                 restored = Some(ckpt);
             }
-            Err(detail) => {
-                return CoreOutcome {
-                    result: Err(RunError::Checkpoint { detail }),
-                    trace: Trace::new(n),
-                    events: EventSink::default(),
-                    lost: vec![false; n],
-                };
-            }
+            Err(detail) => return reject(detail),
         }
     }
 
@@ -990,6 +1003,7 @@ pub fn drive(
         inflight: vec![None; n],
         pool,
         gates: (0..n).map(|_| UnitGate::new()).collect(),
+        start: items.start,
         total: total_items,
         next_task: 0,
         trace: Trace::new(n),

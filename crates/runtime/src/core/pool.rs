@@ -1,10 +1,11 @@
 //! Disjoint-range bookkeeping over the application's item space.
 //!
-//! Both engines dispatch blocks as half-open ranges of `0..total_items`
-//! and must preserve the disjoint-cover invariant: every item is
-//! processed by exactly one *successful* attempt, even when failed
-//! blocks are re-credited and re-dispatched to other units. The pool
-//! pairs a fresh-range cursor with a reclaimed-range free list on top
+//! Both engines dispatch blocks as half-open ranges of the run's item
+//! range (`0..total_items`, or one node chunk of it in global
+//! coordinates) and must preserve the disjoint-cover invariant: every
+//! item is processed by exactly one *successful* attempt, even when
+//! failed blocks are re-credited and re-dispatched to other units. The
+//! pool pairs a fresh-range cursor with a reclaimed-range free list on top
 //! of the loom-checked [`CompletionLatch`] (the item count and the
 //! run-closed bit share one atomic word, so a re-credit can never race
 //! a run completion — see `docs/SOUNDNESS.md`).
@@ -23,6 +24,7 @@
 use crate::protocol::CompletionLatch;
 use crate::sync::Arc;
 use crate::weights::Weights;
+use std::ops::Range;
 
 /// The undistributed-item pool: a cursor over fresh ranges plus a free
 /// list of reclaimed (failed-block) ranges, with the item count and the
@@ -51,9 +53,16 @@ impl WorkPool {
     /// A pool holding the full `0..total` item space under the given
     /// per-item weights.
     pub fn with_weights(total: u64, weights: Arc<Weights>) -> WorkPool {
+        WorkPool::over(0..total, weights)
+    }
+
+    /// A pool holding the contiguous range `items` of a larger item
+    /// space (one node's chunk, in global coordinates): claims start at
+    /// `items.start` and `weights` is the global table.
+    pub(crate) fn over(items: Range<u64>, weights: Arc<Weights>) -> WorkPool {
         WorkPool {
-            latch: CompletionLatch::new(total),
-            cursor: 0,
+            latch: CompletionLatch::new(items.end.saturating_sub(items.start)),
+            cursor: items.start,
             reclaimed: Vec::new(),
             weights,
         }
@@ -281,14 +290,51 @@ impl WorkPool {
 mod tests {
     use super::*;
 
+    /// Every ranged case runs twice: over the whole space, and over one
+    /// node chunk in the middle of a larger item space.
+    const BASES: [u64; 2] = [0, 1_000];
+
+    /// A pool over `base..base + total` of the global `weights`, which
+    /// must start out holding exactly that range's items and cost.
+    fn pool_at(base: u64, total: u64, weights: &Arc<Weights>) -> WorkPool {
+        let p = WorkPool::over(base..base + total, Arc::clone(weights));
+        assert_eq!(p.remaining(), total);
+        assert_eq!(p.remaining_cost(), weights.cost(base, total));
+        p
+    }
+
+    /// `costs` as the weights of items `base..`, behind `base` items of
+    /// an unrelated weight that must not show up in any of its costs.
+    fn weights_at(base: u64, costs: impl IntoIterator<Item = u64>) -> Arc<Weights> {
+        Arc::new(Weights::per_item(
+            std::iter::repeat_n(9, base as usize).chain(costs),
+        ))
+    }
+
+    /// The successful claims tile `base..base + total` exactly: none
+    /// outside it, no gap, no overlap.
+    fn assert_exact_cover(mut claims: Vec<Option<(u64, u64)>>, base: u64, total: u64) {
+        claims.sort_unstable();
+        let mut expect = base;
+        for (off, len) in claims.into_iter().flatten() {
+            assert_eq!(off, expect, "gap, overlap or claim outside the range");
+            expect = off + len;
+        }
+        assert_eq!(expect, base + total);
+    }
+
     #[test]
     fn fresh_ranges_advance_the_cursor() {
-        let mut p = WorkPool::new(100);
-        assert_eq!(p.take(40), Some((0, 40)));
-        assert_eq!(p.take(100), Some((40, 60)), "clamped to the pool");
-        assert_eq!(p.take(1), None);
-        assert_eq!(p.remaining(), 0);
-        assert!(p.try_close());
+        for b in BASES {
+            let mut p = pool_at(b, 100, &Weights::uniform());
+            let claims = vec![p.take(40), p.take(100)];
+            assert_eq!(claims[0], Some((b, 40)));
+            assert_eq!(claims[1], Some((b + 40, 60)), "clamped to the pool");
+            assert_eq!(p.take(1), None);
+            assert_eq!(p.remaining(), 0);
+            assert_exact_cover(claims, b, 100);
+            assert!(p.try_close());
+        }
     }
 
     #[test]
@@ -390,30 +436,43 @@ mod tests {
 
     #[test]
     fn fragment_splits_the_fresh_range_at_shard_bounds() {
-        let mut p = WorkPool::new(100);
-        p.fragment(&[30, 60]);
-        assert_eq!(p.remaining(), 100);
-        // Unrestricted takes still serve ascending, shard by shard.
-        assert_eq!(p.take(1000), Some((0, 30)));
-        assert_eq!(p.take(1000), Some((30, 30)));
-        assert_eq!(p.take(1000), Some((60, 40)));
-        assert_eq!(p.take(1), None);
-        assert!(p.try_close());
+        for b in BASES {
+            let mut p = pool_at(b, 100, &Weights::uniform());
+            p.fragment(&[b + 30, b + 60]);
+            assert_eq!(p.remaining(), 100);
+            // Unrestricted takes still serve ascending, shard by shard.
+            let claims = vec![p.take(1000), p.take(1000), p.take(1000)];
+            assert_eq!(claims[0], Some((b, 30)));
+            assert_eq!(claims[1], Some((b + 30, 30)));
+            assert_eq!(claims[2], Some((b + 60, 40)));
+            assert_eq!(p.take(1), None);
+            assert_exact_cover(claims, b, 100);
+            assert!(p.try_close());
+        }
     }
 
     #[test]
     fn take_within_claims_only_inside_the_shard() {
-        let mut p = WorkPool::new(100);
-        p.fragment(&[30, 60]);
-        // Shard 1 is [30, 60).
-        assert_eq!(p.take_within(30, 60, 10), Some((30, 10)));
-        assert_eq!(p.take_within(30, 60, 1000), Some((40, 20)));
-        assert_eq!(p.take_within(30, 60, 1), None, "shard exhausted");
-        // Other shards untouched.
-        assert_eq!(p.remaining(), 70);
-        assert_eq!(p.take_within(0, 30, 1000), Some((0, 30)));
-        assert_eq!(p.take_within(60, 100, 1000), Some((60, 40)));
-        assert!(p.try_close());
+        for b in BASES {
+            let mut p = pool_at(b, 100, &Weights::uniform());
+            p.fragment(&[b + 30, b + 60]);
+            // Shard 1 is [b+30, b+60).
+            let mut claims = vec![
+                p.take_within(b + 30, b + 60, 10),
+                p.take_within(b + 30, b + 60, 1000),
+            ];
+            assert_eq!(claims[0], Some((b + 30, 10)));
+            assert_eq!(claims[1], Some((b + 40, 20)));
+            assert_eq!(p.take_within(b + 30, b + 60, 1), None, "shard exhausted");
+            // Other shards untouched.
+            assert_eq!(p.remaining(), 70);
+            claims.push(p.take_within(b, b + 30, 1000));
+            claims.push(p.take_within(b + 60, b + 100, 1000));
+            assert_eq!(claims[2], Some((b, 30)));
+            assert_eq!(claims[3], Some((b + 60, 40)));
+            assert_exact_cover(claims, b, 100);
+            assert!(p.try_close());
+        }
     }
 
     #[test]
@@ -433,17 +492,26 @@ mod tests {
 
     #[test]
     fn take_within_respects_cost_budgets_and_reclaim() {
-        let w = Arc::new(Weights::per_item([10, 10, 1, 1, 1, 1]));
-        let mut p = WorkPool::with_weights(6, Arc::clone(&w));
-        p.fragment(&[2]);
-        // Shard 0 = heavy items; a 10-unit budget buys one.
-        assert_eq!(p.take_within(0, 2, 10), Some((0, 1)));
-        p.reclaim(0, 1);
-        assert_eq!(p.take_within(0, 2, 100), Some((0, 1)), "re-credit reissued");
-        assert_eq!(p.take_within(0, 2, 100), Some((1, 1)));
-        assert_eq!(p.take_within(0, 2, 100), None);
-        assert_eq!(p.take_within(2, 6, 100), Some((2, 4)));
-        assert!(p.try_close());
+        for b in BASES {
+            let w = weights_at(b, [10, 10, 1, 1, 1, 1]);
+            let mut p = pool_at(b, 6, &w);
+            p.fragment(&[b + 2]);
+            // Shard 0 = heavy items; a 10-unit budget buys one.
+            assert_eq!(p.take_within(b, b + 2, 10), Some((b, 1)));
+            p.reclaim(b, 1);
+            let claims = vec![
+                p.take_within(b, b + 2, 100),
+                p.take_within(b, b + 2, 100),
+                p.take_within(b, b + 2, 100),
+                p.take_within(b + 2, b + 6, 100),
+            ];
+            assert_eq!(claims[0], Some((b, 1)), "re-credit reissued");
+            assert_eq!(claims[1], Some((b + 1, 1)));
+            assert_eq!(claims[2], None);
+            assert_eq!(claims[3], Some((b + 2, 4)));
+            assert_exact_cover(claims, b, 6);
+            assert!(p.try_close());
+        }
     }
 
     #[test]
@@ -459,19 +527,23 @@ mod tests {
 
     #[test]
     fn weighted_claims_are_budgeted_by_cost_not_count() {
-        // Items 0..4 cost 10 each, items 4..100 cost 1 each.
-        let costs = (0..100u64).map(|i| if i < 4 { 10 } else { 1 });
-        let w = Arc::new(Weights::per_item(costs));
-        let mut p = WorkPool::with_weights(100, Arc::clone(&w));
-        assert_eq!(p.remaining_cost(), 136);
-        // A 20-unit budget buys two heavy items, not twenty.
-        assert_eq!(p.take(20), Some((0, 2)));
-        // A budget below one item's cost still buys that item.
-        assert_eq!(p.take(3), Some((2, 1)));
-        // Across the heavy/light boundary the budget spans many items.
-        assert_eq!(p.take(30), Some((3, 21)));
-        assert_eq!(p.remaining(), 76);
-        assert_eq!(p.remaining_cost(), 76);
+        for b in BASES {
+            // Items b..b+4 cost 10 each, the other 96 cost 1 each.
+            let w = weights_at(b, (0..100u64).map(|i| if i < 4 { 10 } else { 1 }));
+            let mut p = pool_at(b, 100, &w);
+            assert_eq!(p.remaining_cost(), 136);
+            let mut claims = vec![p.take(20), p.take(3), p.take(30)];
+            // A 20-unit budget buys two heavy items, not twenty.
+            assert_eq!(claims[0], Some((b, 2)));
+            // A budget below one item's cost still buys that item.
+            assert_eq!(claims[1], Some((b + 2, 1)));
+            // Across the heavy/light boundary the budget spans many items.
+            assert_eq!(claims[2], Some((b + 3, 21)));
+            assert_eq!(p.remaining(), 76);
+            assert_eq!(p.remaining_cost(), 76);
+            claims.push(p.take(u64::MAX));
+            assert_exact_cover(claims, b, 100);
+        }
     }
 
     #[test]

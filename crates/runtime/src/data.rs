@@ -1,13 +1,7 @@
-//! StarPU-flavored data management: handles, memory nodes, a transfer
-//! ledger — and [`DisjointOutput`], the audited concurrent-output
-//! buffer the app kernels assemble partial results into.
-//!
-//! StarPU registers application buffers as *data handles* and tracks
-//! which *memory node* (host RAM, each GPU's device memory) holds a
-//! valid copy, issuing transfers on demand and keeping copies coherent
-//! under a single-writer model. The engines use this layer to account
-//! for the bytes each unit pulled across PCIe/network — the raw
-//! measurements behind the paper's `G_p[x]` transfer curves.
+//! [`DisjointOutput`], the audited concurrent-output buffer the app
+//! kernels assemble partial results into. (Transfer-byte accounting is
+//! not here: each backend counts the bytes its units pull in and
+//! reports them through [`Backend::bytes_into`](crate::Backend::bytes_into).)
 //!
 //! This module is the **only** place in the workspace outside the test
 //! tree where `unsafe` is permitted (enforced by `cargo xtask lint`,
@@ -15,146 +9,10 @@
 //! `SAFETY:` argument and the whole abstraction is exercised under
 //! Miri in CI.
 
-use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{thread, Mutex};
-use std::collections::BTreeSet;
 use std::fmt;
 use std::mem::ManuallyDrop;
 use std::ops::{Deref, DerefMut, Range};
-
-/// A memory node: node 0 is the master's host RAM; each processing unit
-/// `i` owns node `i + 1`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct MemNode(pub usize);
-
-impl MemNode {
-    /// The master node's host memory.
-    pub const HOST: MemNode = MemNode(0);
-
-    /// The memory node owned by processing unit `pu`.
-    pub fn of_pu(pu: usize) -> MemNode {
-        MemNode(pu + 1)
-    }
-}
-
-/// A registered data buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct DataHandle {
-    id: u64,
-    /// Buffer length in bytes.
-    pub len_bytes: u64,
-}
-
-/// One recorded transfer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TransferRecord {
-    /// The moved handle.
-    pub handle: DataHandle,
-    /// Source node.
-    pub from: MemNode,
-    /// Destination node.
-    pub to: MemNode,
-    /// Bytes moved.
-    pub bytes: u64,
-}
-
-/// The data registry: where valid copies live, plus the transfer ledger.
-///
-/// Thread-safe: the host engine's workers fetch concurrently.
-#[derive(Debug)]
-pub struct DataRegistry {
-    next_id: AtomicU64,
-    inner: Mutex<Inner>,
-}
-
-impl Default for DataRegistry {
-    fn default() -> DataRegistry {
-        DataRegistry {
-            next_id: AtomicU64::new(0),
-            inner: Mutex::new(Inner::default()),
-        }
-    }
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    /// `(handle id, node)` pairs holding a valid copy.
-    copies: BTreeSet<(u64, usize)>,
-    ledger: Vec<TransferRecord>,
-}
-
-impl DataRegistry {
-    /// Create an empty registry.
-    pub fn new() -> DataRegistry {
-        DataRegistry::default()
-    }
-
-    /// Register a buffer whose valid copy lives on `home`.
-    pub fn register(&self, len_bytes: u64, home: MemNode) -> DataHandle {
-        // Relaxed is sufficient: the counter only needs each caller to
-        // observe a distinct value (fetch_add is atomic under any
-        // ordering). No other memory is published through `next_id` —
-        // handle visibility is carried by the `inner` mutex acquired on
-        // the next line, which orders the id allocation for any thread
-        // that later looks the handle up.
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let h = DataHandle { id, len_bytes };
-        self.inner.lock().copies.insert((id, home.0));
-        h
-    }
-
-    /// Does `node` hold a valid copy of `handle`?
-    pub fn has_copy(&self, handle: DataHandle, node: MemNode) -> bool {
-        self.inner.lock().copies.contains(&(handle.id, node.0))
-    }
-
-    /// Ensure `node` holds a valid copy, recording a transfer from
-    /// `from` when it does not. Returns the bytes actually moved (0 on a
-    /// cache hit — the mechanism by which a broadcast input, like matrix
-    /// A in the paper's MM app, is paid for only once per unit).
-    pub fn acquire(&self, handle: DataHandle, node: MemNode, from: MemNode) -> u64 {
-        let mut inner = self.inner.lock();
-        if inner.copies.contains(&(handle.id, node.0)) {
-            return 0;
-        }
-        debug_assert!(
-            inner.copies.contains(&(handle.id, from.0)),
-            "acquire: source node has no valid copy"
-        );
-        inner.copies.insert((handle.id, node.0));
-        inner.ledger.push(TransferRecord {
-            handle,
-            from,
-            to: node,
-            bytes: handle.len_bytes,
-        });
-        handle.len_bytes
-    }
-
-    /// Invalidate every copy except the one on `writer` (single-writer
-    /// coherence after a task writes the buffer).
-    pub fn write_back(&self, handle: DataHandle, writer: MemNode) {
-        let mut inner = self.inner.lock();
-        inner.copies.retain(|&(id, _)| id != handle.id);
-        inner.copies.insert((handle.id, writer.0));
-    }
-
-    /// Total bytes transferred into `node` so far.
-    pub fn bytes_into(&self, node: MemNode) -> u64 {
-        self.inner
-            .lock()
-            .ledger
-            .iter()
-            .filter(|r| r.to == node)
-            .map(|r| r.bytes)
-            .sum()
-    }
-
-    /// Snapshot of the transfer ledger.
-    pub fn ledger(&self) -> Vec<TransferRecord> {
-        self.inner.lock().ledger.clone()
-    }
-}
 
 /// Why a [`DisjointOutput`] view could not be handed out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -439,72 +297,6 @@ impl<T> Drop for DisjointWriter<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn register_places_home_copy() {
-        let reg = DataRegistry::new();
-        let h = reg.register(1024, MemNode::HOST);
-        assert!(reg.has_copy(h, MemNode::HOST));
-        assert!(!reg.has_copy(h, MemNode::of_pu(0)));
-    }
-
-    #[test]
-    fn acquire_transfers_once() {
-        let reg = DataRegistry::new();
-        let h = reg.register(4096, MemNode::HOST);
-        let node = MemNode::of_pu(2);
-        assert_eq!(reg.acquire(h, node, MemNode::HOST), 4096);
-        // Second acquire is a cache hit: broadcast data is paid once.
-        assert_eq!(reg.acquire(h, node, MemNode::HOST), 0);
-        assert_eq!(reg.bytes_into(node), 4096);
-        assert_eq!(reg.ledger().len(), 1);
-    }
-
-    #[test]
-    fn write_back_invalidates_other_copies() {
-        let reg = DataRegistry::new();
-        let h = reg.register(100, MemNode::HOST);
-        let a = MemNode::of_pu(0);
-        let b = MemNode::of_pu(1);
-        reg.acquire(h, a, MemNode::HOST);
-        reg.acquire(h, b, MemNode::HOST);
-        reg.write_back(h, a);
-        assert!(reg.has_copy(h, a));
-        assert!(!reg.has_copy(h, b));
-        assert!(!reg.has_copy(h, MemNode::HOST));
-        // Re-acquiring on host records a fresh transfer from the writer.
-        assert_eq!(reg.acquire(h, MemNode::HOST, a), 100);
-    }
-
-    #[test]
-    fn distinct_handles_do_not_alias() {
-        let reg = DataRegistry::new();
-        let h1 = reg.register(10, MemNode::HOST);
-        let h2 = reg.register(10, MemNode::HOST);
-        assert_ne!(h1, h2);
-        reg.acquire(h1, MemNode::of_pu(0), MemNode::HOST);
-        assert!(!reg.has_copy(h2, MemNode::of_pu(0)));
-    }
-
-    #[test]
-    fn concurrent_acquires_transfer_once() {
-        use std::sync::Arc;
-        let reg = Arc::new(DataRegistry::new());
-        let h = reg.register(512, MemNode::HOST);
-        let node = MemNode::of_pu(0);
-        let total: u64 = std::thread::scope(|s| {
-            (0..8)
-                .map(|_| {
-                    let reg = Arc::clone(&reg);
-                    s.spawn(move || reg.acquire(h, node, MemNode::HOST))
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|j| j.join().unwrap())
-                .sum()
-        });
-        assert_eq!(total, 512, "exactly one thread performs the transfer");
-    }
 
     #[test]
     fn disjoint_output_roundtrips() {

@@ -11,7 +11,7 @@
 //! re-credit, stall detection, event emission — live in the shared
 //! scheduling core ([`crate::core`]); this module is only the
 //! virtual-clock [`Backend`]: an event heap over the simulated cluster's
-//! device models, plus the StarPU-style data registry feeding the
+//! device models, plus the per-unit transfer-byte counters behind the
 //! report's byte accounting.
 //!
 //! Perturbations (slowdowns, failures, restorations) can be scheduled at
@@ -20,7 +20,6 @@
 
 use crate::checkpoint::{Checkpoint, CheckpointConfig, CheckpointWriter};
 use crate::core::{self, Backend, ClockKind, Durability, EventQueue, Launch, LaunchSpec, Polled};
-use crate::data::{DataHandle, DataRegistry, MemNode};
 use crate::events::{EventKind, EventSink};
 use crate::fault::{FaultAction, FaultPlan, FaultToleranceConfig};
 use crate::metrics::RunReport;
@@ -30,6 +29,7 @@ use crate::task::{FailureReason, TaskId};
 use crate::trace::Trace;
 use crate::weights::Weights;
 use plb_hetsim::{ClusterSim, CostModel, PuId};
+use std::ops::Range;
 
 /// A scheduled runtime perturbation.
 #[derive(Debug, Clone)]
@@ -133,11 +133,12 @@ struct SimBackend<'a> {
     cost: &'a dyn CostModel,
     perturbations: Vec<Perturbation>,
     queue: EventQueue<EventPayload>,
-    /// StarPU-style data management: per-task block buffers and the
-    /// application's broadcast set, with a transfer ledger per memory
-    /// node feeding the run report's byte accounting.
-    registry: DataRegistry,
-    broadcast: Option<DataHandle>,
+    /// Bytes moved host -> unit so far, per unit: every block's input
+    /// buffer plus the one-time broadcast staging. Feeds the run
+    /// report's byte accounting.
+    bytes_in: Vec<u64>,
+    /// Per unit: has the broadcast set been staged there yet?
+    broadcast_staged: Vec<bool>,
     attempt_of: Vec<Option<SimAttempt>>,
 }
 
@@ -165,17 +166,17 @@ impl Backend for SimBackend<'_> {
     fn launch(&mut self, spec: &LaunchSpec) -> Launch {
         let pu = PuId(spec.pu);
         if spec.attempt == 0 {
-            // Data management: the block's input buffer moves host ->
+            // Data movement: the block's input buffer moves host ->
             // unit; the broadcast set is staged once per unit (cache
             // hit after). Retries reuse the already-staged block.
-            let node = MemNode::of_pu(spec.pu);
-            let block_bytes = self.cost.bytes_in_range(spec.offset, spec.items).max(0.0) as u64;
-            if block_bytes > 0 {
-                let h = self.registry.register(block_bytes, MemNode::HOST);
-                self.registry.acquire(h, node, MemNode::HOST);
+            let mut bytes = self.cost.bytes_in_range(spec.offset, spec.items).max(0.0) as u64;
+            if let Some(staged) = self.broadcast_staged.get_mut(spec.pu) {
+                if !std::mem::replace(staged, true) {
+                    bytes += self.cost.broadcast_bytes().max(0.0) as u64;
+                }
             }
-            if let Some(b) = self.broadcast {
-                self.registry.acquire(b, node, MemNode::HOST);
+            if let Some(b) = self.bytes_in.get_mut(spec.pu) {
+                *b += bytes;
             }
         }
         let dev = self.cluster.device_mut(pu);
@@ -303,7 +304,7 @@ impl Backend for SimBackend<'_> {
     }
 
     fn bytes_into(&self, pu: usize) -> u64 {
-        self.registry.bytes_into(MemNode::of_pu(pu))
+        self.bytes_in.get(pu).copied().unwrap_or(0)
     }
 }
 
@@ -411,6 +412,18 @@ impl<'a> SimEngine<'a> {
         policy: &mut dyn Policy,
         total_items: u64,
     ) -> Result<RunReport, RunError> {
+        self.run_range(policy, 0..total_items)
+    }
+
+    /// Run the global item range `items` under `policy`: the whole
+    /// space for [`run`](SimEngine::run), one node's chunk for the
+    /// cluster tier's [`SimNodeRunner`](crate::SimNodeRunner). The cost
+    /// model and weights are the application's own, at global offsets.
+    pub(crate) fn run_range(
+        &mut self,
+        policy: &mut dyn Policy,
+        items: Range<u64>,
+    ) -> Result<RunReport, RunError> {
         let handles: Vec<PuHandle> = self
             .cluster
             .devices()
@@ -428,20 +441,13 @@ impl<'a> SimEngine<'a> {
             return Err(RunError::NoUnits);
         }
         let n = handles.len();
-        let registry = DataRegistry::new();
-        let broadcast_bytes = self.cost.broadcast_bytes().max(0.0) as u64;
-        let broadcast = if broadcast_bytes > 0 {
-            Some(registry.register(broadcast_bytes, MemNode::HOST))
-        } else {
-            None
-        };
         let mut backend = SimBackend {
             cluster: &mut *self.cluster,
             cost: self.cost,
             perturbations: self.perturbations.clone(),
             queue: EventQueue::new(),
-            registry,
-            broadcast,
+            bytes_in: vec![0; n],
+            broadcast_staged: vec![false; n],
             attempt_of: vec![None; n],
         };
         for i in 0..backend.perturbations.len() {
@@ -457,7 +463,7 @@ impl<'a> SimEngine<'a> {
             &mut backend,
             handles,
             policy,
-            total_items,
+            items,
             Arc::clone(&self.weights),
             self.faults.clone(),
             self.ft.clone(),
@@ -523,6 +529,24 @@ mod tests {
             .unwrap();
         assert_eq!(report.total_items, 0);
         assert_eq!(report.makespan, 0.0);
+    }
+
+    #[test]
+    fn sub_range_runs_cover_global_items_and_refuse_durability() {
+        let mut cluster = make_cluster(Scenario::One);
+        let cost = LinearCost::generic();
+        let mut policy = FixedBlockPolicy { block: 10 };
+        let report = SimEngine::new(&mut cluster, &cost)
+            .run_range(&mut policy, 50..100)
+            .unwrap();
+        assert_eq!(report.total_items, 50);
+        assert_eq!(report.cover, vec![(50, 50)]);
+        // A snapshot describes `0..total_items`; none is taken of a chunk.
+        let err = SimEngine::new(&mut cluster, &cost)
+            .with_checkpoint(CheckpointConfig::new("never-written.ckpt"))
+            .run_range(&mut policy, 50..100)
+            .unwrap_err();
+        assert!(matches!(err, RunError::Checkpoint { .. }), "{err}");
     }
 
     #[test]

@@ -68,6 +68,7 @@ use crate::trace::Trace;
 use crate::weights::Weights;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use plb_hetsim::{PuId, PuKind};
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// Configuration of one host processing unit.
@@ -356,6 +357,18 @@ impl HostEngine {
         codelet: Arc<dyn Codelet>,
         total_items: u64,
     ) -> Result<RunReport, RunError> {
+        self.run_range(policy, codelet, 0..total_items)
+    }
+
+    /// Run the global item range `items` of `codelet` under `policy`:
+    /// the whole space for [`run`](HostEngine::run), one node's chunk
+    /// for [`HostNodeRunner`]. The kernel sees global ranges.
+    pub(crate) fn run_range(
+        &mut self,
+        policy: &mut dyn Policy,
+        codelet: Arc<dyn Codelet>,
+        items: Range<u64>,
+    ) -> Result<RunReport, RunError> {
         let n = self.pus.len();
         let epoch = Instant::now();
         let (done_tx, done_rx): (Sender<WorkerMsg>, Receiver<WorkerMsg>) = unbounded();
@@ -514,7 +527,7 @@ impl HostEngine {
             &mut backend,
             handles,
             policy,
-            total_items,
+            items,
             Arc::clone(&self.weights),
             self.faults.clone(),
             self.ft.clone(),
@@ -558,27 +571,6 @@ impl HostEngine {
     }
 }
 
-/// A codelet view shifted into a node's chunk: the nested engine works
-/// in local coordinates `0..items`, while the application's kernel
-/// sees the global range starting at `base`.
-struct ShiftedCodelet {
-    inner: Arc<dyn Codelet>,
-    base: u64,
-}
-
-impl Codelet for ShiftedCodelet {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn execute(&self, range: std::ops::Range<u64>, res: &PuResources) {
-        self.inner.execute(
-            self.base.saturating_add(range.start)..self.base.saturating_add(range.end),
-            res,
-        );
-    }
-}
-
 /// The real-thread node runner for the cluster tier
 /// ([`crate::ClusterEngine`]): each node is a set of host units, and
 /// every chunk runs a nested [`HostEngine`] over them with the node's
@@ -596,9 +588,9 @@ pub struct HostNodeRunner {
 impl HostNodeRunner {
     /// Build a runner from per-node unit rosters and per-node intra-node
     /// policies (equal lengths), the application codelet, and the
-    /// *global* per-item cost table (chunk runs see the matching
-    /// sub-table). Codelets must be idempotent — the same contract
-    /// single-node re-dispatch already requires.
+    /// *global* per-item cost table (chunks run in global item
+    /// coordinates against both). Codelets must be idempotent — the same
+    /// contract single-node re-dispatch already requires.
     pub fn new(
         names: Vec<String>,
         pus: Vec<Vec<HostPu>>,
@@ -643,21 +635,13 @@ impl crate::core::cluster::NodeRunner for HostNodeRunner {
         if pus.is_empty() {
             return Err(format!("node {node} has no units"));
         }
-        let sub_weights = if self.weights.is_uniform() {
-            Weights::uniform()
-        } else {
-            let w = &self.weights;
-            Arc::new(Weights::per_item(
-                (offset..offset.saturating_add(items)).map(|i| w.cost(i, 1)),
-            ))
-        };
-        let shifted: Arc<dyn Codelet> = Arc::new(ShiftedCodelet {
-            inner: Arc::clone(&self.codelet),
-            base: offset,
-        });
         let report = HostEngine::new(pus.clone())
-            .with_weights(sub_weights)
-            .run(policy.as_mut(), shifted, items)
+            .with_weights(Arc::clone(&self.weights))
+            .run_range(
+                policy.as_mut(),
+                Arc::clone(&self.codelet),
+                offset..offset.saturating_add(items),
+            )
             .map_err(|e| e.to_string())?;
         Ok(crate::core::cluster::ChunkOutcome {
             makespan_s: report.makespan,

@@ -24,8 +24,9 @@
 //! * [`HostEngine`] — a real-thread executor that runs actual
 //!   [`Codelet`] kernels on pools of host cores, so the same policies
 //!   drive genuinely measured wall-clock times in the examples.
-//! * [`DataRegistry`] — StarPU-flavored data management: handles,
-//!   per-unit memory nodes, and a transfer ledger.
+//! * [`DisjointOutput`] — the audited concurrent-output buffer host
+//!   kernels assemble partial results into; per-unit transfer-byte
+//!   accounting lives in the backends ([`PuReport::bytes_in`]).
 //! * [`trace`] — Gantt segments, per-unit busy/idle accounting, and the
 //!   run reports from which every figure of the paper is regenerated.
 //! * [`events`] — structured decision-level event tracing (probes, curve
@@ -78,10 +79,7 @@ pub use checkpoint::{
     CHECKPOINT_FORMAT_VERSION,
 };
 pub use codelet::{Codelet, FnCodelet, PuResources};
-pub use data::{
-    DataHandle, DataRegistry, DisjointError, DisjointOutput, DisjointWriter, MemNode,
-    TransferRecord,
-};
+pub use data::{DisjointError, DisjointOutput, DisjointWriter};
 pub use engine::{Perturbation, PerturbationKind, RunError, SimEngine};
 pub use events::{
     write_jsonl, Event, EventCounters, EventKind, EventSink, TraceData, TraceHeader,

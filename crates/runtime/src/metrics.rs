@@ -20,8 +20,8 @@ pub struct PuReport {
     pub busy_s: f64,
     /// Idle fraction of the makespan (Fig. 7's quantity).
     pub idle_fraction: f64,
-    /// Bytes moved into this unit's memory node (block data plus the
-    /// one-time broadcast staging), from the data registry's ledger.
+    /// Bytes moved into this unit's memory (block data plus the
+    /// one-time broadcast staging), as counted by the backend.
     pub bytes_in: u64,
 }
 

@@ -63,11 +63,6 @@ impl Weights {
         Arc::new(Weights::Uniform)
     }
 
-    /// Is this the uniform fast path?
-    pub fn is_uniform(&self) -> bool {
-        matches!(self, Weights::Uniform)
-    }
-
     /// Prefix value at item boundary `i`. Items past the end of the
     /// table cost 1 unit each — a workload larger than the cost vector
     /// degrades to uniform on the tail instead of panicking (the run
@@ -214,8 +209,7 @@ mod tests {
 
     #[test]
     fn default_is_uniform() {
-        assert!(Weights::default().is_uniform());
-        assert!(Weights::uniform().is_uniform());
-        assert!(!Weights::per_item([1]).is_uniform());
+        assert_eq!(Weights::default(), Weights::Uniform);
+        assert_eq!(*Weights::uniform(), Weights::Uniform);
     }
 }

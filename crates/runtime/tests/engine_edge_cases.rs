@@ -6,7 +6,8 @@ use plb_hetsim::workload::LinearCost;
 use plb_hetsim::{cluster_scenario, ClusterSim, PuId, Scenario};
 use plb_runtime::policy::FixedBlockPolicy;
 use plb_runtime::{
-    Perturbation, PerturbationKind, Policy, RunError, SchedulerCtx, SimEngine, TaskInfo,
+    Fault, FaultKind, FaultPlan, Perturbation, PerturbationKind, Policy, RunError, SchedulerCtx,
+    SimEngine, TaskInfo,
 };
 
 fn cluster() -> ClusterSim {
@@ -275,18 +276,30 @@ fn byte_accounting_reflects_block_and_broadcast_data() {
             1_000_000.0
         }
     }
-    let mut c = cluster();
-    let cost = Bcast;
-    let mut p = FixedBlockPolicy { block: 5_000 };
-    let report = SimEngine::new(&mut c, &cost).run(&mut p, 100_000).unwrap();
-    let total_block_bytes: u64 = report.pus.iter().map(|p| p.bytes_in).sum();
-    // Every unit that processed anything staged the 1 MB broadcast once
-    // plus 10 B per item.
-    let busy_units = report.pus.iter().filter(|p| p.items > 0).count() as u64;
-    assert_eq!(total_block_bytes, 100_000 * 10 + busy_units * 1_000_000);
-    for pu in &report.pus {
-        if pu.items > 0 {
-            assert!(pu.bytes_in >= 1_000_000 + pu.items * 10 - 10);
+    // The second run panics unit 0's second dispatch; the block is
+    // retried in place and must not pay for its input a second time.
+    let retry_once = FaultPlan::new(vec![Fault {
+        pu: 0,
+        kind: FaultKind::PanicOnAttempt { nth: 1 },
+    }]);
+    for (plan, retries) in [(FaultPlan::none(), 0), (retry_once, 1)] {
+        let mut c = cluster();
+        let cost = Bcast;
+        let mut p = FixedBlockPolicy { block: 5_000 };
+        let report = SimEngine::new(&mut c, &cost)
+            .with_faults(plan)
+            .run(&mut p, 100_000)
+            .unwrap();
+        assert_eq!(report.events.task_retries, retries);
+        let total_block_bytes: u64 = report.pus.iter().map(|p| p.bytes_in).sum();
+        // Every unit that processed anything staged the 1 MB broadcast
+        // once plus 10 B per item.
+        let busy_units = report.pus.iter().filter(|p| p.items > 0).count() as u64;
+        assert_eq!(total_block_bytes, 100_000 * 10 + busy_units * 1_000_000);
+        for pu in &report.pus {
+            if pu.items > 0 {
+                assert!(pu.bytes_in >= 1_000_000 + pu.items * 10 - 10);
+            }
         }
     }
 }
