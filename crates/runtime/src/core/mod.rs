@@ -30,6 +30,12 @@
 //! scheduler overhead only delays virtual launches (wall time already
 //! passed).
 //!
+//! What the loop spends per poll does not grow with the roster: the
+//! driver counts the attempts in flight and the timers it has armed as
+//! it arms them, and while no timer is armed — always, under a virtual
+//! clock — it neither looks for elapsed probations nor scans for the
+//! next wake time.
+//!
 //! [`SimEngine`]: crate::engine::SimEngine
 //! [`HostEngine`]: crate::host::HostEngine
 
@@ -121,7 +127,15 @@ struct Pending {
 struct Driver<'b> {
     backend: &'b mut dyn Backend,
     handles: Vec<PuHandle>,
+    /// Written only through `set_inflight` / `take_inflight`, which keep
+    /// `busy` and `armed_timers` in step.
     inflight: Vec<Option<Pending>>,
+    /// Attempts in flight: the `Some` entries of `inflight`.
+    busy: usize,
+    /// Timers the loop must wake for: watchdog deadlines of in-flight
+    /// attempts plus probation expiries in `quarantined_until`. Zero
+    /// for the whole run under a virtual clock.
+    armed_timers: usize,
     pool: WorkPool,
     /// Per-unit availability lattice (`Active ⇄ Quarantined`, `Lost`
     /// absorbing): a probation restore can never resurrect a unit
@@ -162,6 +176,7 @@ struct Driver<'b> {
     /// Observed seconds-per-cost-unit EWMA (deadline fallback).
     rate_ewma: Vec<Option<f64>>,
     /// Probation expiry for quarantined units (wall clocks only).
+    /// Written only through `set_probation`.
     quarantined_until: Vec<Option<f64>>,
     /// Units whose loss was detected inside `assign` (policy callback
     /// re-entrancy guard): the driver loop delivers `on_device_lost`.
@@ -226,7 +241,7 @@ impl SchedulerCtx for Driver<'_> {
     }
 
     fn any_busy(&self) -> bool {
-        self.inflight.iter().any(Option::is_some)
+        self.busy > 0
     }
 
     fn charge_overhead(&mut self, seconds: f64) {
@@ -251,6 +266,75 @@ impl SchedulerCtx for Driver<'_> {
 }
 
 impl Driver<'_> {
+    /// Record `pend` as the attempt in flight on the free unit `pu`.
+    fn set_inflight(&mut self, pu: usize, pend: Pending) {
+        if let Some(slot) = self.inflight.get_mut(pu) {
+            debug_assert!(slot.is_none(), "launching onto a busy unit");
+            self.busy += 1;
+            self.armed_timers += usize::from(pend.deadline_at.is_some());
+            *slot = Some(pend);
+        }
+    }
+
+    /// Clear and return the attempt in flight on `pu`, if any.
+    fn take_inflight(&mut self, pu: usize) -> Option<Pending> {
+        let pend = self.inflight.get_mut(pu)?.take()?;
+        self.busy -= 1;
+        self.armed_timers -= usize::from(pend.deadline_at.is_some());
+        Some(pend)
+    }
+
+    /// Take the attempt in flight on `pu` if it is still `task`. An
+    /// observation of any other task is stale — it comes from a unit
+    /// already written off, whose block was re-dispatched elsewhere —
+    /// and yields `None`.
+    fn take_if_current(&mut self, pu: usize, task: TaskId) -> Option<Pending> {
+        let current = self.inflight.get(pu)?.as_ref()?.task == task;
+        if current {
+            self.take_inflight(pu)
+        } else {
+            None
+        }
+    }
+
+    /// Arm (`Some`) or clear (`None`) the probation timer of `pu`.
+    fn set_probation(&mut self, pu: usize, until: Option<f64>) {
+        if let Some(slot) = self.quarantined_until.get_mut(pu) {
+            self.armed_timers -= usize::from(slot.is_some());
+            self.armed_timers += usize::from(until.is_some());
+            *slot = until;
+        }
+    }
+
+    /// `(busy, armed_timers)` counted from scratch: what the two
+    /// counters must equal at every turn of the loop.
+    fn recount(&self) -> (usize, usize) {
+        let deadlines = self
+            .inflight
+            .iter()
+            .flatten()
+            .filter(|p| p.deadline_at.is_some());
+        let probations = self.quarantined_until.iter().flatten();
+        (
+            self.inflight.iter().flatten().count(),
+            deadlines.count() + probations.count(),
+        )
+    }
+
+    /// The earliest armed watchdog deadline or probation expiry. Looks
+    /// at the roster only when a timer is armed.
+    fn earliest_timer(&self) -> Option<f64> {
+        if self.armed_timers == 0 {
+            return None;
+        }
+        let deadlines = self.inflight.iter().flatten().filter_map(|p| p.deadline_at);
+        let probations = self.quarantined_until.iter().flatten().copied();
+        deadlines
+            .chain(probations)
+            .reduce(f64::min)
+            .filter(|t| t.is_finite())
+    }
+
     /// The body of both `assign` flavours: if `pu` is free, claim a
     /// range through `claim`, submit it as a new task and launch it;
     /// returns the claimed cost (0 when nothing was assigned).
@@ -339,14 +423,17 @@ impl Driver<'_> {
         } else {
             None
         };
-        self.inflight[pu] = Some(Pending {
-            task,
-            offset,
-            items,
-            cost,
-            attempt,
-            deadline_at,
-        });
+        self.set_inflight(
+            pu,
+            Pending {
+                task,
+                offset,
+                items,
+                cost,
+                attempt,
+                deadline_at,
+            },
+        );
         match self.backend.launch(&LaunchSpec {
             pu,
             task,
@@ -376,7 +463,7 @@ impl Driver<'_> {
                 true
             }
             Launch::UnitGone => {
-                self.inflight[pu] = None;
+                let _ = self.take_inflight(pu);
                 false
             }
         }
@@ -395,7 +482,7 @@ impl Driver<'_> {
         }
         self.handles[pu].available = false;
         self.backend.forget_unit(pu);
-        self.quarantined_until[pu] = None;
+        self.set_probation(pu, None);
         let now = self.backend.now();
         self.events.record(now, Some(pu), EventKind::DeviceFailed);
         self.pending_lost.push(PuId(pu));
@@ -558,7 +645,8 @@ impl Driver<'_> {
         if self.pool.remaining() == 0
             || self.handles.iter().any(|h| h.available)
             || self.any_busy()
-            || self.quarantined_until.iter().any(Option::is_some)
+            // With nothing in flight, every armed timer is a probation.
+            || self.armed_timers > 0
             || self.backend.external_restore_possible()
         {
             return None;
@@ -578,15 +666,7 @@ impl Driver<'_> {
         task: TaskId,
         reason: FailureReason,
     ) -> Option<RunError> {
-        // Stale failures (from units already written off) are ignored:
-        // the block was re-dispatched elsewhere.
-        let current = self.inflight[pu].as_ref().is_some_and(|p| p.task == task);
-        if !current {
-            return None;
-        }
-        let Some(pend) = self.inflight[pu].take() else {
-            return None;
-        };
+        let pend = self.take_if_current(pu, task)?;
         self.consec_failures[pu] += 1;
         let failures = self.consec_failures[pu];
         let now = self.backend.now();
@@ -611,7 +691,7 @@ impl Driver<'_> {
             self.backend.on_unit_quarantined(pu);
             self.handles[pu].available = false;
             if self.backend.clock_kind() == ClockKind::Wall {
-                self.quarantined_until[pu] = self.ft.probation_s.map(|p| now + p);
+                self.set_probation(pu, self.ft.probation_s.map(|p| now + p));
             }
             self.pool.reclaim(pend.offset, pend.items);
             self.events
@@ -679,69 +759,75 @@ impl Driver<'_> {
         None
     }
 
+    /// Close the run if every item is done and nothing is in flight.
+    fn try_finish(&mut self) -> bool {
+        if self.pool.remaining() > 0 || self.any_busy() {
+            return false;
+        }
+        let closed = self.pool.try_close();
+        debug_assert!(closed, "run closed twice");
+        true
+    }
+
+    /// End the probation windows that have elapsed: the unit rejoins
+    /// the active set and the policy can fold it back in. The gate
+    /// arbitrates against loss: a unit marked lost after its quarantine
+    /// fails `try_restore` and stays gone.
+    fn end_elapsed_probations(&mut self, policy: &mut dyn Policy) {
+        let now = self.backend.now();
+        for i in 0..self.handles.len() {
+            let due = self.quarantined_until[i].is_some_and(|t| now >= t);
+            if !due {
+                continue;
+            }
+            self.set_probation(i, None);
+            if !self.gates[i].try_restore() {
+                continue;
+            }
+            self.consec_failures[i] = 0;
+            self.handles[i].available = true;
+            let now = self.backend.now();
+            self.events.record(now, Some(i), EventKind::DeviceRestored);
+            policy.on_device_restored(self, PuId(i));
+            self.notify_lost(policy);
+        }
+    }
+
     /// The unified driver loop.
     fn run_loop(&mut self, policy: &mut dyn Policy) -> Result<(), RunError> {
         let n = self.handles.len();
         loop {
-            // Completion check.
-            if self.pool.remaining() == 0 && !self.any_busy() {
-                let closed = self.pool.try_close();
-                debug_assert!(closed, "run closed twice");
+            debug_assert_eq!(
+                (self.busy, self.armed_timers),
+                self.recount(),
+                "busy / armed-timer counts drifted from inflight / quarantined_until"
+            );
+            if self.try_finish() {
                 return Ok(());
             }
 
-            // End probation windows that have elapsed (wall clocks
-            // only — virtual clocks never arm them): the unit rejoins
-            // the active set and the policy can fold it back in. The
-            // gate arbitrates against loss: a unit marked lost after
-            // its quarantine fails `try_restore` and stays gone.
-            let now = self.backend.now();
-            for i in 0..n {
-                let due = self.quarantined_until[i].is_some_and(|t| now >= t);
-                if !due {
-                    continue;
+            // Timers are armed under wall clocks only, so a virtual-
+            // clock run never walks the roster here.
+            if self.armed_timers > 0 {
+                self.end_elapsed_probations(policy);
+                if self.try_finish() {
+                    return Ok(());
                 }
-                self.quarantined_until[i] = None;
-                if !self.gates[i].try_restore() {
-                    continue;
-                }
-                self.consec_failures[i] = 0;
-                self.handles[i].available = true;
-                let now = self.backend.now();
-                self.events.record(now, Some(i), EventKind::DeviceRestored);
-                policy.on_device_restored(self, PuId(i));
-                self.notify_lost(policy);
-            }
-            if self.pool.remaining() == 0 && !self.any_busy() {
-                let closed = self.pool.try_close();
-                debug_assert!(closed, "run closed twice");
-                return Ok(());
             }
 
-            if !self.any_busy() {
-                // Idle with work left: unless a probation expiry or the
-                // backend itself (queued completions, a pending
-                // external restore) can still make progress, the
-                // policy deadlocked the run — stall now rather than
-                // waiting forever.
-                let probation_pending = self.quarantined_until.iter().any(Option::is_some);
-                if !probation_pending && !self.backend.idle_progress_possible() {
-                    return Err(self.stall());
-                }
+            // Idle with work left: unless a probation expiry (with
+            // nothing in flight, every armed timer is one) or the
+            // backend itself (queued completions, a pending external
+            // restore) can still make progress, the policy deadlocked
+            // the run — stall now rather than waiting forever.
+            if !self.any_busy() && self.armed_timers == 0 && !self.backend.idle_progress_possible()
+            {
+                return Err(self.stall());
             }
 
             // Watchdog-aware wait: wake at the earliest task deadline
             // or probation expiry, whichever comes first.
-            let mut wake = f64::INFINITY;
-            for p in self.inflight.iter().flatten() {
-                if let Some(d) = p.deadline_at {
-                    wake = wake.min(d);
-                }
-            }
-            for t in self.quarantined_until.iter().flatten() {
-                wake = wake.min(*t);
-            }
-            let wake = wake.is_finite().then_some(wake);
+            let wake = self.earliest_timer();
 
             match self.backend.poll(wake, &mut self.events) {
                 Polled::Completed {
@@ -755,11 +841,7 @@ impl Driver<'_> {
                     // Stale completions (from units already written
                     // off, whose wedged worker eventually finished) are
                     // ignored: the block was re-dispatched elsewhere.
-                    let current = self.inflight[pu].as_ref().is_some_and(|p| p.task == task);
-                    if !current {
-                        continue;
-                    }
-                    let Some(pend) = self.inflight[pu].take() else {
+                    let Some(pend) = self.take_if_current(pu, task) else {
                         continue;
                     };
                     self.consec_failures[pu] = 0;
@@ -820,7 +902,7 @@ impl Driver<'_> {
                     self.handles[pu].available = false;
                     let _ = self.gates[pu].try_quarantine();
                     let now = self.backend.now();
-                    if let Some(pend) = self.inflight[pu].take() {
+                    if let Some(pend) = self.take_inflight(pu) {
                         self.pool.reclaim(pend.offset, pend.items);
                         self.events.record(
                             now,
@@ -871,7 +953,7 @@ impl Driver<'_> {
                         if !blown {
                             continue;
                         }
-                        let Some(pend) = self.inflight[i].take() else {
+                        let Some(pend) = self.take_inflight(i) else {
                             continue;
                         };
                         self.events.record(
@@ -1001,6 +1083,8 @@ pub fn drive(
         backend,
         handles,
         inflight: vec![None; n],
+        busy: 0,
+        armed_timers: 0,
         pool,
         gates: (0..n).map(|_| UnitGate::new()).collect(),
         start: items.start,
@@ -1066,7 +1150,7 @@ pub fn drive(
                 d.handles[i].available = false;
                 if d.backend.clock_kind() == ClockKind::Wall {
                     let now = d.backend.now();
-                    d.quarantined_until[i] = d.ft.probation_s.map(|p| now + p);
+                    d.set_probation(i, d.ft.probation_s.map(|p| now + p));
                 }
             }
         }
@@ -1131,5 +1215,308 @@ pub fn drive(
         trace: d.trace,
         events: d.events,
         lost: d.gates.iter().map(UnitGate::is_lost).collect(),
+    }
+}
+
+/// The driver's wake contract: what `wake` the core hands
+/// [`Backend::poll`], and so which timers it believes are armed. The
+/// loop's own `debug_assert!` recounts `busy` / `armed_timers` at every
+/// turn of these runs.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fault::{Fault, FaultAction, FaultKind};
+    use crate::task::{FailureReason, TaskFailure, TaskInfo};
+    use plb_hetsim::PuKind;
+
+    /// What the mock's queue holds.
+    enum Ev {
+        /// The attempt of `task` on `pu`, started at `start`, ends; `doomed`
+        /// attempts end in a panic.
+        Done {
+            pu: usize,
+            task: TaskId,
+            start: f64,
+            doomed: bool,
+        },
+        /// The core's wake time arrived with nothing else to report.
+        Tick,
+    }
+
+    /// A backend of either clock kind whose time moves only in `poll`: an
+    /// attempt on unit `i` takes `task_s[i]` seconds, and a poll that has
+    /// a wake time but no event sleeps until then.
+    struct MockBackend {
+        clock: ClockKind,
+        task_s: Vec<f64>,
+        queue: EventQueue<Ev>,
+    }
+
+    impl MockBackend {
+        fn new(clock: ClockKind, task_s: &[f64]) -> MockBackend {
+            MockBackend {
+                clock,
+                task_s: task_s.to_vec(),
+                queue: EventQueue::new(),
+            }
+        }
+    }
+
+    impl Backend for MockBackend {
+        fn clock_kind(&self) -> ClockKind {
+            self.clock
+        }
+
+        fn now(&self) -> f64 {
+            self.queue.now()
+        }
+
+        fn launch(&mut self, spec: &LaunchSpec) -> Launch {
+            let start = self.queue.start_of(spec);
+            let doomed = matches!(spec.inject, Some(FaultAction::Panic));
+            self.queue.push(
+                start + self.task_s[spec.pu],
+                Ev::Done {
+                    pu: spec.pu,
+                    task: spec.task,
+                    start,
+                    doomed,
+                },
+            );
+            Launch::Started {
+                start: (self.clock == ClockKind::Virtual).then_some(start),
+            }
+        }
+
+        fn poll(&mut self, wake: Option<f64>, _events: &mut EventSink) -> Polled {
+            if !self.idle_progress_possible() {
+                match wake {
+                    Some(w) => self.queue.push(w, Ev::Tick),
+                    None => return Polled::Drained,
+                }
+            }
+            match self.queue.pop() {
+                Some(Ev::Done {
+                    pu,
+                    task,
+                    doomed: true,
+                    ..
+                }) => Polled::AttemptFailed {
+                    pu,
+                    task,
+                    reason: FailureReason::Panicked,
+                },
+                Some(Ev::Done {
+                    pu, task, start, ..
+                }) => Polled::Completed {
+                    pu,
+                    task,
+                    start,
+                    xfer_s: 0.0,
+                    proc_s: self.now() - start,
+                    finish: self.now(),
+                },
+                Some(Ev::Tick) => Polled::Timeout,
+                None => Polled::Drained,
+            }
+        }
+
+        fn idle_progress_possible(&self) -> bool {
+            self.queue.pending().next().is_some()
+        }
+    }
+
+    /// Delegates to `inner`, noting the `wake` of every poll.
+    struct WakeLog<B> {
+        inner: B,
+        wakes: Vec<Option<f64>>,
+    }
+
+    impl<B: Backend> Backend for WakeLog<B> {
+        fn clock_kind(&self) -> ClockKind {
+            self.inner.clock_kind()
+        }
+        fn now(&self) -> f64 {
+            self.inner.now()
+        }
+        fn launch(&mut self, spec: &LaunchSpec) -> Launch {
+            self.inner.launch(spec)
+        }
+        fn poll(&mut self, wake: Option<f64>, events: &mut EventSink) -> Polled {
+            self.wakes.push(wake);
+            self.inner.poll(wake, events)
+        }
+        fn idle_progress_possible(&self) -> bool {
+            self.inner.idle_progress_possible()
+        }
+    }
+
+    /// Hands a block to every free unit whenever anything happens — unless
+    /// `hold`, in which case only the start and a restore assign, so a run
+    /// can sit idle on a probation timer.
+    struct Pump {
+        block: u64,
+        /// Seconds per cost unit hinted for unit `i` (the watchdog's rate).
+        hints: Vec<f64>,
+        hold: bool,
+    }
+
+    impl Pump {
+        fn pump(&self, ctx: &mut dyn SchedulerCtx) {
+            let free: Vec<PuId> = ctx
+                .pus()
+                .iter()
+                .filter(|p| p.available)
+                .map(|p| p.id)
+                .collect();
+            for id in free {
+                if !ctx.is_busy(id) {
+                    ctx.assign(id, self.block);
+                }
+            }
+        }
+    }
+
+    impl Policy for Pump {
+        fn name(&self) -> &str {
+            "pump"
+        }
+        fn on_start(&mut self, ctx: &mut dyn SchedulerCtx) {
+            for (i, &h) in self.hints.iter().enumerate() {
+                ctx.set_deadline_hint(PuId(i), h);
+            }
+            self.pump(ctx);
+        }
+        fn on_task_finished(&mut self, ctx: &mut dyn SchedulerCtx, _done: &TaskInfo) {
+            if !self.hold {
+                self.pump(ctx);
+            }
+        }
+        fn on_task_failed(&mut self, ctx: &mut dyn SchedulerCtx, _failure: &TaskFailure) {
+            if !self.hold {
+                self.pump(ctx);
+            }
+        }
+        fn on_device_restored(&mut self, ctx: &mut dyn SchedulerCtx, _pu: PuId) {
+            self.pump(ctx);
+        }
+    }
+
+    fn handles(n: usize) -> Vec<PuHandle> {
+        (0..n)
+            .map(|i| PuHandle {
+                id: PuId(i),
+                name: format!("u{i}"),
+                kind: PuKind::Cpu,
+                machine: 0,
+                available: true,
+            })
+            .collect()
+    }
+
+    fn flaky(pu: usize, attempts: u64) -> FaultPlan {
+        FaultPlan::new(vec![Fault {
+            pu,
+            kind: FaultKind::FlakyUntil { attempts },
+        }])
+    }
+
+    fn run(
+        backend: &mut dyn Backend,
+        n: usize,
+        policy: &mut Pump,
+        total: u64,
+        faults: FaultPlan,
+        ft: FaultToleranceConfig,
+    ) -> RunReport {
+        drive(
+            backend,
+            handles(n),
+            policy,
+            0..total,
+            Weights::uniform(),
+            faults,
+            ft,
+            Durability::default(),
+        )
+        .result
+        .expect("run completes")
+    }
+
+    #[test]
+    fn virtual_clock_never_arms_a_timer() {
+        let mut backend = WakeLog {
+            inner: MockBackend::new(ClockKind::Virtual, &[0.3, 0.2, 0.25]),
+            wakes: Vec::new(),
+        };
+        // Hints and a probation window are on offer; a virtual clock must
+        // turn neither into a timer.
+        let mut policy = Pump {
+            block: 100,
+            hints: vec![1e-3; 3],
+            hold: false,
+        };
+        // Unit 1 panics three times: attempt 0 and two in-place retries,
+        // then quarantine, and its block is re-credited to the others.
+        let report = run(
+            &mut backend,
+            3,
+            &mut policy,
+            1_000,
+            flaky(1, 10),
+            FaultToleranceConfig::default().with_probation(1.0),
+        );
+        assert_eq!(report.cover, vec![(0, 1_000)]);
+        assert_eq!(report.events.task_retries, 2);
+        assert_eq!(report.events.quarantines, 1);
+        assert_eq!(report.pus[1].items, 0);
+        assert!(backend.wakes.len() >= 10 + 3);
+        assert!(
+            backend.wakes.iter().all(Option::is_none),
+            "{:?}",
+            backend.wakes
+        );
+    }
+
+    #[test]
+    fn wall_clock_wakes_at_the_earliest_deadline_or_probation_expiry() {
+        let mut backend = WakeLog {
+            inner: MockBackend::new(ClockKind::Wall, &[0.3, 0.2]),
+            wakes: Vec::new(),
+        };
+        let mut policy = Pump {
+            block: 100,
+            hints: vec![1e-3, 2e-3],
+            hold: true,
+        };
+        let ft = FaultToleranceConfig::default()
+            .with_quarantine_after(1)
+            .with_probation(5.0);
+        // Seconds from dispatch to the watchdog deadline of a block: 1 s on
+        // unit 0, 2 s on unit 1.
+        let deadline = |pu: usize| ft.deadline_for(Some(policy.hints[pu]), 100).expect("armed");
+        let (d0, d1) = (deadline(0), deadline(1));
+        assert!(d0 < d1);
+        let report = run(&mut backend, 2, &mut policy, 300, flaky(1, 1), ft);
+        assert_eq!(report.cover, vec![(0, 300)]);
+        assert_eq!(report.events.quarantines, 1);
+        let restored_at = 0.2 + 5.0;
+        assert_eq!(
+            backend.wakes,
+            vec![
+                // Both first attempts in flight: unit 0's deadline is the
+                // earlier. Unit 1 then panics at 0.2 s and is quarantined.
+                Some(d0),
+                // Unit 0's deadline still comes before the probation expiry.
+                Some(d0),
+                // Unit 0 finished at 0.3 s and the policy holds: only the
+                // probation timer is left, and the backend sleeps until it.
+                Some(restored_at),
+                // Restored, both units run the last two blocks.
+                Some(restored_at + d0),
+                // Unit 1 finished first; unit 0's deadline remains.
+                Some(restored_at + d0),
+            ]
+        );
     }
 }

@@ -532,6 +532,25 @@ mod tests {
     }
 
     #[test]
+    fn unused_unit_reports_positive_zero_busy_time() {
+        // One block for a roster of several units: every unit but the
+        // first runs nothing.
+        let mut cluster = make_cluster(Scenario::Two);
+        let cost = LinearCost::generic();
+        let report = SimEngine::new(&mut cluster, &cost)
+            .run(&mut FixedBlockPolicy { block: 1_000 }, 1_000)
+            .unwrap();
+        assert_eq!(report.tasks, 1);
+        assert!(report.pus.len() > 1);
+        let unused = report.pus.last().unwrap();
+        assert_eq!(unused.items, 0);
+        // +0.0, not the -0.0 of an empty `f64` sum: `plb run` prints it
+        // and JSON reports carry it.
+        assert_eq!(unused.busy_s.to_bits(), 0.0f64.to_bits());
+        assert_eq!(unused.idle_fraction, 1.0);
+    }
+
+    #[test]
     fn sub_range_runs_cover_global_items_and_refuse_durability() {
         let mut cluster = make_cluster(Scenario::One);
         let cost = LinearCost::generic();

@@ -30,7 +30,7 @@
 //!   a scheduler-overhead window) and a perturbation lands inside that
 //!   window.
 
-use crate::trace::{Segment, SegmentKind, Trace};
+use crate::trace::{Segment, Trace};
 use serde::{Deserialize, Serialize};
 
 /// Schema version stamped into every exported trace header.
@@ -853,26 +853,16 @@ impl TraceData {
             "  {:<name_w$} {:>7} {:>11} {:>11} {:>11} {:>7}",
             "unit", "tasks", "compute", "transfer", "idle", "idle%"
         );
-        for p in 0..n {
-            let (mut compute, mut transfer, mut tasks) = (0.0f64, 0.0f64, 0usize);
-            for s in self.segments.iter().filter(|s| s.pu == p) {
-                match s.kind {
-                    SegmentKind::Compute => {
-                        compute += s.duration();
-                        tasks += 1;
-                    }
-                    SegmentKind::Transfer => transfer += s.duration(),
-                }
-            }
-            let idle = (ms - compute - transfer).max(0.0);
+        for (p, u) in trace.ledger().iter().enumerate() {
+            let idle = (ms - u.compute_s - u.transfer_s).max(0.0);
             let idle_pct = if ms > 0.0 { idle / ms * 100.0 } else { 0.0 };
             let _ = writeln!(
                 out,
                 "  {:<name_w$} {:>7} {:>10.4}s {:>10.4}s {:>10.4}s {:>6.1}%",
                 name_of(p),
-                tasks,
-                compute,
-                transfer,
+                u.tasks,
+                u.compute_s,
+                u.transfer_s,
                 idle,
                 idle_pct
             );
@@ -1414,8 +1404,12 @@ mod tests {
     fn summary_mentions_units_and_counters() {
         let data = sample_trace_data();
         let s = data.summarize();
-        assert!(s.contains("cpu"));
-        assert!(s.contains("gpu"));
+        assert!(s.contains(
+            "per-unit time accounting:\n  \
+             unit   tasks     compute    transfer        idle   idle%\n  \
+             cpu        1     1.5000s     0.5000s     0.0000s    0.0%\n  \
+             gpu        1     1.0000s     0.0000s     1.0000s   50.0%\n"
+        ));
         assert!(s.contains("rebalances: 0"));
         assert!(s.contains("makespan"));
         assert!(s.contains("event counters"));

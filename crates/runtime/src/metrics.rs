@@ -68,23 +68,20 @@ impl RunReport {
         names: &[String],
         block_distribution: Option<Vec<f64>>,
     ) -> RunReport {
-        let items = trace.items_per_pu();
-        let total: u64 = items.iter().sum();
-        let tasks = trace
-            .segments()
+        let ledger = trace.ledger();
+        let total: u64 = ledger.iter().map(|u| u.items).sum();
+        let pus = ledger
             .iter()
-            .filter(|s| s.kind == crate::trace::SegmentKind::Compute)
-            .count();
-        let pus = (0..trace.n_pus())
-            .map(|i| PuReport {
+            .enumerate()
+            .map(|(i, u)| PuReport {
                 name: names.get(i).cloned().unwrap_or_else(|| format!("PU{i}")),
-                items: items[i],
+                items: u.items,
                 item_share: if total > 0 {
-                    items[i] as f64 / total as f64
+                    u.items as f64 / total as f64
                 } else {
                     0.0
                 },
-                busy_s: trace.busy_time(PuId(i)),
+                busy_s: u.busy_s,
                 idle_fraction: trace.idle_fraction(PuId(i)),
                 bytes_in: 0,
             })
@@ -93,7 +90,7 @@ impl RunReport {
             policy: policy.to_string(),
             makespan: trace.makespan(),
             total_items: total,
-            tasks,
+            tasks: ledger.iter().map(|u| u.tasks).sum(),
             pus,
             block_distribution,
             rebalances: 0,

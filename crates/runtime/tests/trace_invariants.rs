@@ -9,6 +9,9 @@
 //!   `busy / makespan`.
 //! * The JSONL export round-trips losslessly through
 //!   `TraceData::parse_jsonl`.
+//! * Every per-unit number a `Trace`, a `RunReport`, `summarize()` and
+//!   `ascii_gantt()` give equals the definitional computation — a
+//!   filter of the segment list per unit — kept here as the reference.
 
 use std::collections::HashMap;
 
@@ -17,9 +20,11 @@ use plb_hetsim::workload::LinearCost;
 use plb_hetsim::{cluster_scenario, ClusterSim, PuId, Scenario};
 use plb_runtime::policy::FixedBlockPolicy;
 use plb_runtime::{
-    write_jsonl, EventSink, RunReport, SimEngine, Trace, TraceData, TraceHeader,
-    TRACE_FORMAT_VERSION,
+    write_jsonl, EventSink, RunReport, Segment, SegmentKind, SimEngine, TaskId, Trace, TraceData,
+    TraceHeader, TRACE_FORMAT_VERSION,
 };
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 fn cluster() -> ClusterSim {
     ClusterSim::build(
@@ -154,5 +159,206 @@ fn jsonl_round_trip_is_lossless() {
     let summary = parsed.summarize();
     for p in &report.pus {
         assert!(summary.contains(&p.name), "summary omits {}", p.name);
+    }
+}
+
+/// The per-unit numbers by their definitions: one filter of the whole
+/// segment list per unit and quantity.
+struct Reference<'a> {
+    segments: &'a [Segment],
+}
+
+impl Reference<'_> {
+    fn of(&self, pu: usize) -> impl Iterator<Item = &Segment> {
+        self.segments.iter().filter(move |s| s.pu == pu)
+    }
+    fn seconds(&self, pu: usize, kind: SegmentKind) -> f64 {
+        // Accumulates from +0.0 like `summarize()` always did.
+        self.of(pu)
+            .filter(|s| s.kind == kind)
+            .fold(0.0, |acc, s| acc + s.duration())
+    }
+    fn tasks(&self, pu: usize) -> usize {
+        self.of(pu)
+            .filter(|s| s.kind == SegmentKind::Compute)
+            .count()
+    }
+    fn items(&self, pu: usize) -> u64 {
+        let compute = self.of(pu).filter(|s| s.kind == SegmentKind::Compute);
+        compute.map(|s| s.items).sum()
+    }
+    fn busy(&self, pu: usize) -> f64 {
+        self.of(pu).map(Segment::duration).sum()
+    }
+    fn makespan(&self) -> f64 {
+        self.segments.iter().fold(0.0f64, |m, s| m.max(s.end))
+    }
+    fn idle_fraction(&self, pu: usize) -> f64 {
+        let ms = self.makespan();
+        if ms <= 0.0 {
+            return 0.0;
+        }
+        ((ms - self.busy(pu)) / ms).max(0.0)
+    }
+    /// One `ascii_gantt` row, painted from the unit's own segments.
+    fn gantt_row(&self, pu: usize, width: usize) -> String {
+        let ms = self.makespan();
+        let mut row = vec!['.'; width];
+        for s in self.of(pu) {
+            let a = ((s.start / ms) * width as f64).floor() as usize;
+            let b = (((s.end / ms) * width as f64).ceil() as usize).min(width);
+            for c in row.iter_mut().take(b).skip(a.min(width)) {
+                if *c != '#' {
+                    *c = match s.kind {
+                        SegmentKind::Compute => '#',
+                        SegmentKind::Transfer => '-',
+                    };
+                }
+            }
+        }
+        row.into_iter().collect()
+    }
+}
+
+/// Compare everything `trace` reports per unit against the reference.
+fn assert_matches_reference(trace: &Trace, what: &str) {
+    let reference = Reference {
+        segments: trace.segments(),
+    };
+    let n = trace.n_pus();
+    // Five characters each, the width both renderings pad names to.
+    let names: Vec<String> = (0..n).map(|i| format!("unit{i}")).collect();
+    assert_eq!(
+        trace.makespan().to_bits(),
+        reference.makespan().to_bits(),
+        "{what}"
+    );
+
+    let report = RunReport::from_trace("oracle", trace, &names, None);
+    assert_eq!(report.pus.len(), n, "{what}");
+    assert_eq!(
+        report.makespan.to_bits(),
+        reference.makespan().to_bits(),
+        "{what}"
+    );
+    assert_eq!(
+        report.tasks,
+        (0..n).map(|p| reference.tasks(p)).sum::<usize>(),
+        "{what}"
+    );
+    let total: u64 = (0..n).map(|p| reference.items(p)).sum();
+    assert_eq!(report.total_items, total, "{what}");
+
+    let data = TraceData {
+        header: TraceHeader {
+            version: TRACE_FORMAT_VERSION,
+            policy: "oracle".into(),
+            pu_names: names.clone(),
+        },
+        segments: trace.segments().to_vec(),
+        events: Vec::new(),
+    };
+    let summary = data.summarize();
+    let gantt = trace.ascii_gantt(&names, 64);
+    let gantt_rows: Vec<&str> = gantt.lines().collect();
+    assert_eq!(
+        gantt_rows.len(),
+        if reference.makespan() > 0.0 { n } else { 0 },
+        "{what}"
+    );
+
+    let ms = reference.makespan();
+    for pu in 0..n {
+        let what = format!("{what}, unit {pu}");
+        let (busy, idle) = (reference.busy(pu), reference.idle_fraction(pu));
+        let r = &report.pus[pu];
+        // `==` holds for every unit; the bits as well, except for a
+        // unit with no segment, whose empty sum is -0.0 by definition
+        // and +0.0 in the ledger.
+        assert_eq!(trace.busy_time(PuId(pu)), busy, "{what}");
+        assert_eq!(trace.idle_fraction(PuId(pu)), idle, "{what}");
+        assert_eq!(trace.items_per_pu()[pu], reference.items(pu), "{what}");
+        assert_eq!(
+            (r.busy_s, r.idle_fraction, r.items),
+            (busy, idle, reference.items(pu)),
+            "{what}"
+        );
+        if reference.of(pu).next().is_some() {
+            assert_eq!(
+                trace.busy_time(PuId(pu)).to_bits(),
+                busy.to_bits(),
+                "{what}"
+            );
+            assert_eq!(r.busy_s.to_bits(), busy.to_bits(), "{what}");
+            assert_eq!(r.idle_fraction.to_bits(), idle.to_bits(), "{what}");
+        } else {
+            assert_eq!(r.busy_s.to_bits(), 0.0f64.to_bits(), "{what}");
+        }
+        let share = if total > 0 {
+            reference.items(pu) as f64 / total as f64
+        } else {
+            0.0
+        };
+        assert_eq!(r.item_share.to_bits(), share.to_bits(), "{what}");
+
+        // The line `summarize()` printed for this unit before the
+        // ledger existed.
+        let compute = reference.seconds(pu, SegmentKind::Compute);
+        let transfer = reference.seconds(pu, SegmentKind::Transfer);
+        let idle_s = (ms - compute - transfer).max(0.0);
+        let idle_pct = if ms > 0.0 { idle_s / ms * 100.0 } else { 0.0 };
+        let line = format!(
+            "  {:<5} {:>7} {:>10.4}s {:>10.4}s {:>10.4}s {:>6.1}%\n",
+            names[pu],
+            reference.tasks(pu),
+            compute,
+            transfer,
+            idle_s,
+            idle_pct
+        );
+        assert!(
+            summary.contains(&line),
+            "{what}: {line:?} not in\n{summary}"
+        );
+
+        if ms > 0.0 {
+            let row = format!("{:<5} |{}|", names[pu], reference.gantt_row(pu, 64));
+            assert_eq!(gantt_rows[pu], row, "{what}");
+        }
+    }
+}
+
+#[test]
+fn per_unit_accounting_matches_the_definitional_reference() {
+    let mut rng = ChaCha8Rng::seed_from_u64(201_509);
+    for case in 0..40 {
+        // Up to 9 units, of which the last two never run a task.
+        let n = rng.gen_range(3..10usize);
+        let active = n - 2;
+        let mut free_at = vec![0.0f64; n];
+        let mut trace = Trace::new(n);
+        for task in 0..rng.gen_range(0..60u64) {
+            let pu = rng.gen_range(0..active);
+            // One task in three moves no data: a single compute segment.
+            let xfer = if rng.gen_bool(1.0 / 3.0) {
+                0.0
+            } else {
+                rng.gen_range(0.0..1.37)
+            };
+            let proc = rng.gen_range(0.0..1.37);
+            let start = free_at[pu] + rng.gen_range(0.0..1.37);
+            let items = rng.gen_range(1..=5_000u64);
+            trace.record_task(PuId(pu), TaskId(task), items, start, xfer, proc);
+            free_at[pu] = start + xfer + proc;
+        }
+        assert_eq!(trace.n_pus(), n);
+        assert_matches_reference(&trace, &format!("case {case}, recorded"));
+
+        // Rebuilt from its segments, told of fewer units than they name.
+        let rebuilt = Trace::from_segments(1, trace.segments().to_vec());
+        let named = trace.segments().iter().map(|s| s.pu + 1).max().unwrap_or(0);
+        assert_eq!(rebuilt.n_pus(), named.max(1), "case {case}");
+        assert_eq!(rebuilt.segments(), trace.segments());
+        assert_matches_reference(&rebuilt, &format!("case {case}, rebuilt"));
     }
 }
