@@ -22,8 +22,8 @@
 //! completions report the cost actually claimed. Under uniform weights
 //! cost ≡ item count, which is the paper's original formulation.
 
-use crate::config::ProbeSchedule;
-use crate::profile::{PerfProfile, UnitModel};
+use crate::config::{FitMode, ProbeSchedule};
+use crate::profile::{PerfProfile, ProfileBook, UnitModel};
 
 /// Where the modeling phase stands.
 #[derive(Debug)]
@@ -44,9 +44,14 @@ pub struct ModelingController {
     granularity: u64,
     r2_threshold: f64,
     items_budget: u64,
-    profiles: Vec<PerfProfile>,
+    /// The measurements, and the model last fitted from each.
+    book: ProfileBook,
     /// Probes completed per unit.
     probes_done: Vec<u32>,
+    /// Active units still short of [`MIN_PROBES`]: what the fit gate
+    /// waits for, counted by the writers of `active` and `probes_done`
+    /// instead of by a roster scan per probe completion.
+    below_quota: usize,
     /// `t_f / t_k` speed rescale per unit (1.0 for the fastest).
     speed_scale: Vec<f64>,
     /// Earliest observed first-probe time; set by the first finisher.
@@ -77,8 +82,9 @@ impl ModelingController {
             granularity,
             r2_threshold,
             items_budget,
-            profiles: vec![PerfProfile::new(); n_units],
+            book: ProfileBook::new(n_units),
             probes_done: vec![0; n_units],
+            below_quota: n_units,
             speed_scale: vec![1.0; n_units],
             t_f: None,
             active: vec![true; n_units],
@@ -97,7 +103,18 @@ impl ModelingController {
     /// Accumulated measurement profiles (shared with the execution phase
     /// for rebalancing refits).
     pub fn profiles(&self) -> &[PerfProfile] {
-        &self.profiles
+        self.book.profiles()
+    }
+
+    /// Hand the measurements, with the models fitted from them, to the
+    /// execution phase.
+    pub(crate) fn into_book(self) -> ProfileBook {
+        self.book
+    }
+
+    /// Is `unit` one the fit gate still waits for?
+    fn owes_probes(&self, unit: usize) -> bool {
+        self.active[unit] && self.probes_done[unit] < MIN_PROBES
     }
 
     /// Cost units consumed by probing so far (items under uniform
@@ -118,6 +135,9 @@ impl ModelingController {
 
     /// Mark a unit failed: no further probes, excluded from the gate.
     pub fn deactivate(&mut self, unit: usize) {
+        if self.owes_probes(unit) {
+            self.below_quota -= 1;
+        }
         self.active[unit] = false;
     }
 
@@ -129,6 +149,9 @@ impl ModelingController {
     /// (if any) are kept; its probe count restarts so it walks the full
     /// multiplier ladder again.
     pub fn admit(&mut self, unit: usize) -> u64 {
+        if !self.owes_probes(unit) {
+            self.below_quota += 1;
+        }
         self.active[unit] = true;
         self.probes_done[unit] = 0;
         let block = round_to_granularity(self.initial_block as f64, self.granularity);
@@ -141,7 +164,7 @@ impl ModelingController {
     /// Records the issued probes as outstanding; the caller assigns them
     /// and routes completions to [`on_task_done`](Self::on_task_done).
     pub fn initial_probes(&mut self) -> Vec<u64> {
-        let mut blocks = vec![0u64; self.profiles.len()];
+        let mut blocks = vec![0u64; self.active.len()];
         for (k, b) in blocks.iter_mut().enumerate() {
             if !self.active[k] {
                 continue;
@@ -172,8 +195,11 @@ impl ModelingController {
     pub fn on_task_done(&mut self, unit: usize, cost: u64, proc: f64, xfer: f64) -> Option<u64> {
         debug_assert!(self.outstanding > 0, "completion without outstanding probe");
         self.outstanding -= 1;
-        self.profiles[unit].record(cost, proc, xfer);
+        self.book.record(unit, cost, proc, xfer);
         self.probes_done[unit] += 1;
+        if self.active[unit] && self.probes_done[unit] == MIN_PROBES {
+            self.below_quota -= 1;
+        }
 
         let total = proc + xfer;
         if self.probes_done[unit] == 1 && total > 0.0 && total.is_finite() {
@@ -209,18 +235,23 @@ impl ModelingController {
 
     /// True when every active unit has its probe quota and every fit
     /// clears the R² gate.
-    fn gate_passes(&self) -> bool {
-        let quota =
-            (0..self.profiles.len()).all(|k| !self.active[k] || self.probes_done[k] >= MIN_PROBES);
-        if !quota {
+    fn gate_passes(&mut self) -> bool {
+        debug_assert_eq!(
+            self.below_quota,
+            (0..self.active.len())
+                .filter(|&k| self.owes_probes(k))
+                .count(),
+            "below_quota out of step with active / probes_done"
+        );
+        if self.below_quota > 0 {
             return false;
         }
-        (0..self.profiles.len()).all(|k| {
-            !self.active[k]
-                || self.profiles[k]
-                    .fit()
-                    .map(|m| m.min_r2() >= self.r2_threshold)
-                    .unwrap_or(false)
+        let (active, book, threshold) = (&self.active, &mut self.book, self.r2_threshold);
+        (0..active.len()).all(|k| {
+            !active[k]
+                || book
+                    .fit(k, FitMode::BestSubset)
+                    .is_ok_and(|m| m.min_r2() >= threshold)
         })
     }
 
@@ -228,7 +259,7 @@ impl ModelingController {
     /// fit gate passes or the data budget is exhausted — and never
     /// before every outstanding probe has landed (their measurements
     /// feed the fits).
-    pub fn status(&self) -> ModelingStatus {
+    pub fn status(&mut self) -> ModelingStatus {
         if self.outstanding > 0 {
             return ModelingStatus::Probing;
         }
@@ -243,35 +274,36 @@ impl ModelingController {
     /// the best-subset fit to a constant-rate model built from the mean
     /// observed throughput. Inactive units get whatever their samples
     /// support (they are excluded from selection by the policy anyway).
-    pub fn force_models(&self) -> Vec<UnitModel> {
-        self.profiles
-            .iter()
-            .map(|p| {
-                p.fit().unwrap_or_else(|_| {
-                    // Mean-rate fallback: time = items / mean_rate.
-                    let samples = p.proc_samples();
-                    let rate = if samples.is_empty() {
-                        1.0
-                    } else {
-                        let s: f64 = samples.iter().map(|&(x, t)| x / t.max(1e-12)).sum();
-                        (s / samples.len() as f64).max(1e-12)
-                    };
-                    let line: Vec<(f64, f64)> =
-                        [1.0, 2.0, 4.0].iter().map(|&x| (x, x / rate)).collect();
-                    // Exact affine data always fits; if the solve ever
-                    // degenerates anyway, degrade to a constant
-                    // one-item-time model instead of panicking.
-                    let f = plb_numerics::fit_linear(&line)
-                        .unwrap_or_else(|_| plb_numerics::FittedCurve::constant(1.0 / rate));
-                    UnitModel {
-                        f,
-                        g: plb_numerics::FittedCurve::constant(0.0),
-                        f_quality: 0.0,
-                        g_quality: 1.0,
-                    }
-                })
+    pub fn force_models(&mut self) -> Vec<UnitModel> {
+        (0..self.active.len())
+            .map(|k| {
+                let fitted = self.book.fit(k, FitMode::BestSubset).ok().cloned();
+                fitted.unwrap_or_else(|| mean_rate_model(self.book.profiles()[k].proc_samples()))
             })
             .collect()
+    }
+}
+
+/// Mean-rate fallback for samples no curve fits: time = items /
+/// mean_rate.
+fn mean_rate_model(samples: &[(f64, f64)]) -> UnitModel {
+    let rate = if samples.is_empty() {
+        1.0
+    } else {
+        let s: f64 = samples.iter().map(|&(x, t)| x / t.max(1e-12)).sum();
+        (s / samples.len() as f64).max(1e-12)
+    };
+    let line: Vec<(f64, f64)> = [1.0, 2.0, 4.0].iter().map(|&x| (x, x / rate)).collect();
+    // Exact affine data always fits; if the solve ever degenerates
+    // anyway, degrade to a constant one-item-time model instead of
+    // panicking.
+    let f = plb_numerics::fit_linear(&line)
+        .unwrap_or_else(|_| plb_numerics::FittedCurve::constant(1.0 / rate));
+    UnitModel {
+        f,
+        g: plb_numerics::FittedCurve::constant(0.0),
+        f_quality: 0.0,
+        g_quality: 1.0,
     }
 }
 

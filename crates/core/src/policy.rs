@@ -23,7 +23,7 @@
 
 use crate::config::PolicyConfig;
 use crate::modeling::{round_to_granularity, ModelingController, ModelingStatus};
-use crate::profile::{PerfProfile, UnitModel};
+use crate::profile::{PerfProfile, ProfileBook, UnitModel};
 use crate::selection::{select_block_sizes_cached, SelectionResult, SelectionWarmCache};
 use plb_hetsim::PuId;
 use plb_runtime::{EventKind, Policy, SchedulerCtx, TaskFailure, TaskInfo};
@@ -93,10 +93,14 @@ pub struct PlbHecPolicy {
     cfg: PolicyConfig,
     phase: Phase,
     ctrl: Option<ModelingController>,
-    profiles: Vec<PerfProfile>,
+    /// Every unit's measurements, and the model last fitted from each.
+    book: ProfileBook,
     models: Vec<UnitModel>,
     fractions: Vec<f64>,
     blocks: Vec<u64>,
+    /// Sum of `blocks` (one full round, in cost units), kept by the two
+    /// writers of `blocks` so a finished task does not walk the roster.
+    round_total: u64,
     active: Vec<bool>,
     last_finish: Vec<Option<f64>>,
     mean_block_time: f64,
@@ -128,10 +132,11 @@ impl PlbHecPolicy {
             cfg: cfg.clone(),
             phase: Phase::Modeling,
             ctrl: None,
-            profiles: Vec::new(),
+            book: ProfileBook::default(),
             models: Vec::new(),
             fractions: Vec::new(),
             blocks: Vec::new(),
+            round_total: 0,
             active: Vec::new(),
             last_finish: Vec::new(),
             mean_block_time: 0.0,
@@ -217,6 +222,7 @@ impl PlbHecPolicy {
         );
         self.fractions = sel.fractions.clone();
         self.blocks = sel.blocks.clone();
+        self.round_total = self.blocks.iter().sum();
         if sel.predicted_time.is_finite() && sel.predicted_time > 0.0 {
             self.mean_block_time = sel.predicted_time;
         }
@@ -290,31 +296,31 @@ impl PlbHecPolicy {
         }
     }
 
-    /// Try to enter the execution phase directly from checkpointed
-    /// learning (paper resume semantics: re-fit + re-solve, never
-    /// re-probe). Succeeds only when every *active* unit ends up with a
-    /// model — either freshly re-fit from the persisted profile or
-    /// carried over verbatim. On any shortfall the seed is dropped and
-    /// the caller falls back to ordinary modeling.
-    fn try_resume(&mut self, ctx: &mut dyn SchedulerCtx) -> bool {
+    /// Try to enter the execution phase directly from earlier learning
+    /// — a checkpoint's, or this policy object's own previous run
+    /// (paper resume semantics: re-fit + re-solve, never re-probe).
+    /// Succeeds only when every *active* unit ends up with a model —
+    /// either re-fit from its profile or carried over verbatim from
+    /// `models`. On any shortfall the learning is dropped and the
+    /// caller falls back to ordinary modeling.
+    fn try_resume(
+        &mut self,
+        ctx: &mut dyn SchedulerCtx,
+        mut book: ProfileBook,
+        models: Vec<UnitModel>,
+    ) -> bool {
         let n = ctx.pus().len();
-        let Some(seed) = self.seed.take() else {
-            return false;
-        };
-        if seed.profiles.len() != n || (!seed.models.is_empty() && seed.models.len() != n) {
+        if book.profiles().len() != n || (!models.is_empty() && models.len() != n) {
             return false;
         }
         let mut fitted: Vec<Option<UnitModel>> = Vec::with_capacity(n);
-        for (i, p) in seed.profiles.iter().enumerate() {
-            if !self.active[i] {
+        for (i, &active) in self.active.iter().enumerate() {
+            if !active {
                 fitted.push(None);
                 continue;
             }
-            match p
-                .fit_with(self.cfg.fit_mode)
-                .ok()
-                .or_else(|| seed.models.get(i).cloned())
-            {
+            let refit = book.fit(i, self.cfg.fit_mode).ok().cloned();
+            match refit.or_else(|| models.get(i).cloned()) {
                 Some(m) => fitted.push(Some(m)),
                 None => return false,
             }
@@ -328,9 +334,9 @@ impl PlbHecPolicy {
             .into_iter()
             .map(|m| m.unwrap_or_else(|| filler.clone()))
             .collect();
-        self.profiles = seed.profiles;
-        for (i, m) in self.models.iter().enumerate() {
-            if !self.active[i] {
+        self.book = book;
+        for (i, (m, &active)) in self.models.iter().zip(&self.active).enumerate() {
+            if !active {
                 continue;
             }
             ctx.emit_event(
@@ -339,7 +345,7 @@ impl PlbHecPolicy {
                     r2_f: m.f_quality,
                     r2_g: m.g_quality,
                     basis_f: m.f.basis().describe(),
-                    samples: self.profiles[i].len(),
+                    samples: self.book.samples(i),
                     accepted: m.min_r2() >= self.cfg.r2_threshold,
                 },
             );
@@ -355,9 +361,9 @@ impl PlbHecPolicy {
         // extend them with execution-phase samples.
         if let Some(ctrl) = self.ctrl.take() {
             let items_used = ctrl.items_used();
-            self.profiles = ctrl.profiles().to_vec();
-            for (i, m) in models.iter().enumerate() {
-                if !self.active[i] {
+            self.book = ctrl.into_book();
+            for (i, (m, &active)) in models.iter().zip(&self.active).enumerate() {
+                if !active {
                     continue;
                 }
                 ctx.emit_event(
@@ -366,7 +372,7 @@ impl PlbHecPolicy {
                         r2_f: m.f_quality,
                         r2_g: m.g_quality,
                         basis_f: m.f.basis().describe(),
-                        samples: self.profiles[i].len(),
+                        samples: self.book.samples(i),
                         accepted: m.min_r2() >= self.cfg.r2_threshold,
                     },
                 );
@@ -378,12 +384,15 @@ impl PlbHecPolicy {
         self.reselect_and_dispatch(ctx);
     }
 
+    /// Bring every active unit's model up to date with its profile. A
+    /// unit that ran nothing since its last fit gets that fit back.
     fn refit_models(&mut self, ctx: &mut dyn SchedulerCtx) {
-        for (i, p) in self.profiles.iter().enumerate() {
-            if !self.active[i] {
+        for (i, (model, &active)) in self.models.iter_mut().zip(&self.active).enumerate() {
+            if !active {
                 continue;
             }
-            match p.fit_with(self.cfg.fit_mode) {
+            let samples = self.book.samples(i);
+            match self.book.fit(i, self.cfg.fit_mode) {
                 Ok(m) => {
                     ctx.emit_event(
                         Some(i),
@@ -391,11 +400,11 @@ impl PlbHecPolicy {
                             r2_f: m.f_quality,
                             r2_g: m.g_quality,
                             basis_f: m.f.basis().describe(),
-                            samples: p.len(),
+                            samples,
                             accepted: true,
                         },
                     );
-                    self.models[i] = m;
+                    *model = m.clone();
                 }
                 Err(_) => {
                     // On a failed refit the previous model is kept: stale
@@ -405,8 +414,8 @@ impl PlbHecPolicy {
                         EventKind::CurveFit {
                             r2_f: 0.0,
                             r2_g: 0.0,
-                            basis_f: self.models[i].f.basis().describe(),
-                            samples: p.len(),
+                            basis_f: model.f.basis().describe(),
+                            samples,
                             accepted: false,
                         },
                     );
@@ -505,7 +514,8 @@ impl PlbHecPolicy {
     /// data) runs out — fold the unit into the split.
     fn on_join_probe_done(&mut self, ctx: &mut dyn SchedulerCtx, done: &TaskInfo) {
         let pu = done.pu;
-        self.profiles[pu.0].record(done.cost, done.proc_time, done.xfer_time);
+        self.book
+            .record(pu.0, done.cost, done.proc_time, done.xfer_time);
         self.join_probing[pu.0] -= 1;
         if self.join_probing[pu.0] > 0 && ctx.remaining_items() > 0 {
             let round = JOIN_PROBE_ROUNDS - self.join_probing[pu.0] + 1;
@@ -531,7 +541,7 @@ impl PlbHecPolicy {
     /// re-solve over the full active set (warm-started like any other
     /// rebalance) and arm the restabilization watch.
     fn fold_joined_unit(&mut self, ctx: &mut dyn SchedulerCtx, pu: PuId) {
-        let fitted = self.profiles[pu.0].fit_with(self.cfg.fit_mode).ok();
+        let fitted = self.book.fit(pu.0, self.cfg.fit_mode).ok().cloned();
         let accepted = fitted.is_some();
         let model = fitted.or_else(|| {
             // Too few samples for a curve (the pool dried up during the
@@ -552,7 +562,7 @@ impl PlbHecPolicy {
                 r2_f: model.f_quality,
                 r2_g: model.g_quality,
                 basis_f: model.f.basis().describe(),
-                samples: self.profiles[pu.0].len(),
+                samples: self.book.samples(pu.0),
                 accepted,
             },
         );
@@ -604,6 +614,7 @@ impl Policy for PlbHecPolicy {
         self.last_finish = vec![None; n];
         self.extra_granted = vec![false; n];
         self.blocks = vec![0; n];
+        self.round_total = 0;
         self.fractions = vec![0.0; n];
         self.join_probing = vec![0; n];
         self.restabilize = (0..n).map(|_| None).collect();
@@ -611,25 +622,29 @@ impl Policy for PlbHecPolicy {
         // engine per chunk against the same policy) carries its learned
         // profiles into the next run as an implicit seed: re-fit +
         // re-solve, never re-probe — the same path a checkpoint resume
-        // takes.
-        if self.seed.is_none() && matches!(self.phase, Phase::Executing) && self.profiles.len() == n
-        {
-            self.seed = Some(PolicySeed {
-                profiles: self.profiles.clone(),
-                models: self.models.clone(),
-            });
-        }
+        // takes. Its book moves over whole, so a unit the previous run
+        // never used is not fitted again.
+        let learned = match self.seed.take() {
+            Some(seed) => Some((ProfileBook::from_profiles(seed.profiles), seed.models)),
+            None if matches!(self.phase, Phase::Executing) && self.book.profiles().len() == n => {
+                Some((
+                    std::mem::take(&mut self.book),
+                    std::mem::take(&mut self.models),
+                ))
+            }
+            None => None,
+        };
         self.phase = Phase::Modeling;
         self.ctrl = None;
         self.mean_block_time = 0.0;
         self.rebalance_pending = false;
         self.last_rebalance_t = f64::NEG_INFINITY;
-        if self.try_resume(ctx) {
-            // Checkpointed profiles re-fit cleanly: straight to the
+        if learned.is_some_and(|(book, models)| self.try_resume(ctx, book, models)) {
+            // The learned profiles re-fit cleanly: straight to the
             // execution phase, zero probes re-issued.
             return;
         }
-        self.profiles = vec![PerfProfile::new(); n];
+        self.book = ProfileBook::new(n);
         // The paper's 20% modeling budget, measured in work (cost
         // units), so a skewed workload doesn't let probing chew through
         // a disproportionate share of the heavy rows.
@@ -702,7 +717,8 @@ impl Policy for PlbHecPolicy {
                     self.on_join_probe_done(ctx, done);
                     return;
                 }
-                self.profiles[done.pu.0].record(done.cost, done.proc_time, done.xfer_time);
+                self.book
+                    .record(done.pu.0, done.cost, done.proc_time, done.xfer_time);
                 self.last_finish[done.pu.0] = Some(done.finish);
 
                 // Restabilization watch: a freshly folded joiner has
@@ -745,7 +761,12 @@ impl Policy for PlbHecPolicy {
                 // hysteresis against thrash under continuous drift.
                 // Blocks are cost budgets, so the "one full round left"
                 // test compares against the remaining cost.
-                let round_total: u64 = self.blocks.iter().sum();
+                let round_total = self.round_total;
+                debug_assert_eq!(
+                    round_total,
+                    self.blocks.iter().sum::<u64>(),
+                    "round_total out of step with blocks"
+                );
                 let cooled = ctx.now() >= self.last_rebalance_t + self.cfg.rebalance_cooldown_s;
                 if !self.rebalance_pending && cooled && ctx.remaining_cost() >= round_total.max(1) {
                     if let Some((expected, observed)) = self.check_divergence(done) {
@@ -952,7 +973,7 @@ impl Policy for PlbHecPolicy {
                 // concurrent re-solve) until its probes yield a model;
                 // `fold_joined_unit` flips it in.
                 self.last_finish[pu.0] = None;
-                self.profiles[pu.0] = PerfProfile::new();
+                self.book.reset(pu.0);
                 self.join_probing[pu.0] = JOIN_PROBE_ROUNDS;
                 let block =
                     round_to_granularity(self.cfg.initial_block as f64, self.cfg.granularity);
@@ -1036,7 +1057,7 @@ impl Policy for PlbHecPolicy {
             profiles: match (&self.phase, &self.ctrl) {
                 // Mid-modeling the controller owns the live profiles.
                 (Phase::Modeling, Some(ctrl)) => ctrl.profiles().to_vec(),
-                _ => self.profiles.clone(),
+                _ => self.book.profiles().to_vec(),
             },
             models: match self.phase {
                 Phase::Modeling => Vec::new(),
@@ -1357,7 +1378,7 @@ mod tests {
         // A seed sized for the wrong cluster is dropped at on_start:
         // the run still completes, via ordinary modeling.
         let mut donor = PlbHecPolicy::new(&PolicyConfig::default());
-        donor.profiles = vec![PerfProfile::new(); 7];
+        donor.book = ProfileBook::new(7);
         let state = donor.snapshot().expect("snapshot always serializes");
         let mut cluster = ClusterSim::build(
             &cluster_scenario(Scenario::Two, false),
@@ -1387,6 +1408,94 @@ mod tests {
         }
         p.fit_with(crate::config::FitMode::BestSubset)
             .expect("clean linear data fits")
+    }
+
+    /// A context that only keeps the events a hook emits.
+    #[derive(Default)]
+    struct EventLog(Vec<(Option<usize>, EventKind)>);
+
+    impl SchedulerCtx for EventLog {
+        fn now(&self) -> f64 {
+            0.0
+        }
+        fn pus(&self) -> &[plb_runtime::PuHandle] {
+            &[]
+        }
+        fn remaining_items(&self) -> u64 {
+            0
+        }
+        fn total_items(&self) -> u64 {
+            0
+        }
+        fn assign(&mut self, _pu: PuId, _budget: u64) -> u64 {
+            0
+        }
+        fn is_busy(&self, _pu: PuId) -> bool {
+            false
+        }
+        fn any_busy(&self) -> bool {
+            false
+        }
+        fn charge_overhead(&mut self, _seconds: f64) {}
+        fn emit_event(&mut self, pu: Option<usize>, kind: EventKind) {
+            self.0.push((pu, kind));
+        }
+    }
+
+    #[test]
+    fn refit_of_an_unchanged_profile_emits_the_from_scratch_fit() {
+        let mode = crate::config::FitMode::BestSubset;
+        let sample = |unit: usize, i: usize, x: u64| {
+            let wobble = 1.0 + 0.01 * ((i + unit) % 3) as f64;
+            let proc = (1e-3 + x as f64 / (1e5 * (unit + 1) as f64)) * wobble;
+            (x, proc, 1e-5 + 1e-9 * x as f64)
+        };
+        let mut profiles = vec![PerfProfile::new(); 4];
+        for (unit, p) in profiles.iter_mut().enumerate() {
+            for (i, x) in [100u64, 200, 400, 800, 1600].into_iter().enumerate() {
+                let (x, proc, xfer) = sample(unit, i, x);
+                p.record(x, proc, xfer);
+            }
+        }
+        let mut policy = PlbHecPolicy::new(&PolicyConfig::default());
+        policy.active = vec![true, true, true, false];
+        policy.models = vec![linear_model(1e4); 4];
+        policy.book = ProfileBook::from_profiles(profiles);
+
+        let mut first = EventLog::default();
+        policy.refit_models(&mut first);
+        // Until the next rebalance only unit 1 runs anything.
+        for (i, x) in [3200u64, 6400].into_iter().enumerate() {
+            let (x, proc, xfer) = sample(1, i, x);
+            policy.book.record(1, x, proc, xfer);
+        }
+        let mut second = EventLog::default();
+        policy.refit_models(&mut second);
+
+        // What a policy with no memory of earlier fits would emit.
+        let from_scratch: Vec<(Option<usize>, EventKind)> = (0..3)
+            .map(|unit| {
+                let profile = &policy.book.profiles()[unit];
+                let m = profile.fit_with(mode).expect("clean data fits");
+                assert_eq!(
+                    policy.models[unit].f.coeffs(),
+                    m.f.coeffs(),
+                    "unit {unit} runs on the from-scratch curve"
+                );
+                let kind = EventKind::CurveFit {
+                    r2_f: m.f_quality,
+                    r2_g: m.g_quality,
+                    basis_f: m.f.basis().describe(),
+                    samples: profile.len(),
+                    accepted: true,
+                };
+                (Some(unit), kind)
+            })
+            .collect();
+        assert_eq!(second.0, from_scratch, "inactive unit 3 is never fitted");
+        assert_eq!(second.0[0], first.0[0]);
+        assert_eq!(second.0[2], first.0[2]);
+        assert_ne!(second.0[1], first.0[1], "unit 1 gained samples");
     }
 
     #[test]

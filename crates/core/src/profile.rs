@@ -76,23 +76,97 @@ impl PerfProfile {
                 &BasisSet::new(&[BasisFn::One, BasisFn::LnX]),
             )?,
         };
-        let g = if self.xfer_samples.iter().all(|&(_, t)| t == 0.0) {
-            FittedCurve::constant(0.0)
+        let (g, g_quality) = if self.xfer_samples.iter().all(|&(_, t)| t == 0.0) {
+            (FittedCurve::constant(0.0), 1.0)
         } else {
-            fit_linear(&self.xfer_samples)?
+            let g = fit_linear(&self.xfer_samples)?;
+            let quality = fit_quality(&g, &self.xfer_samples);
+            (g, quality)
         };
         let f_quality = fit_quality(&f, &self.proc_samples);
-        let g_quality = if self.xfer_samples.iter().all(|&(_, t)| t == 0.0) {
-            1.0
-        } else {
-            fit_quality(&g, &self.xfer_samples)
-        };
         Ok(UnitModel {
             f,
             g,
             f_quality,
             g_quality,
         })
+    }
+}
+
+/// The profiles of a run's units and, beside each, the outcome of the
+/// last fit of it: a sample set is fitted once. The modeling gate asks
+/// for every unit's model on every probe completion, closing the phase
+/// asks again, and a rebalance refits units that ran nothing since the
+/// previous one; all of them get the stored outcome until
+/// [`record`](Self::record) adds a sample. The memo lives here and not
+/// in [`PerfProfile`] because a profile is checkpointed and a model is
+/// derived from it.
+#[derive(Debug, Default)]
+pub(crate) struct ProfileBook {
+    profiles: Vec<PerfProfile>,
+    /// `fitted[k]`: how `profiles[k]`, as it stands, fits.
+    fitted: Vec<Fitted>,
+}
+
+/// The outcome of fitting a profile in one mode, once it is known.
+type Fitted = Option<(FitMode, Result<UnitModel, FitError>)>;
+
+impl ProfileBook {
+    /// Empty profiles for `n_units` units.
+    pub(crate) fn new(n_units: usize) -> ProfileBook {
+        ProfileBook::from_profiles(vec![PerfProfile::new(); n_units])
+    }
+
+    /// Take over recorded profiles, none of them fitted yet.
+    pub(crate) fn from_profiles(profiles: Vec<PerfProfile>) -> ProfileBook {
+        let fitted = profiles.iter().map(|_| None).collect();
+        ProfileBook { profiles, fitted }
+    }
+
+    /// Every unit's measurements, indexed by unit.
+    pub(crate) fn profiles(&self) -> &[PerfProfile] {
+        &self.profiles
+    }
+
+    /// One unit's profile and memo slot. The policy hooks must not
+    /// index (`cargo xtask lint`, panic freedom): a unit outside the
+    /// book reads as one that has no samples.
+    fn entry(&mut self, unit: usize) -> Option<(&mut PerfProfile, &mut Fitted)> {
+        self.profiles.get_mut(unit).zip(self.fitted.get_mut(unit))
+    }
+
+    /// Processing-time samples recorded for `unit`.
+    pub(crate) fn samples(&self, unit: usize) -> usize {
+        self.profiles.get(unit).map_or(0, PerfProfile::len)
+    }
+
+    /// [`PerfProfile::record`] on `unit`'s profile.
+    pub(crate) fn record(&mut self, unit: usize, cost: u64, proc_time: f64, xfer_time: f64) {
+        if let Some((profile, slot)) = self.entry(unit) {
+            profile.record(cost, proc_time, xfer_time);
+            *slot = None;
+        }
+    }
+
+    /// Start `unit`'s profile over, empty.
+    pub(crate) fn reset(&mut self, unit: usize) {
+        if let Some((profile, slot)) = self.entry(unit) {
+            *profile = PerfProfile::new();
+            *slot = None;
+        }
+    }
+
+    /// [`PerfProfile::fit_with`] of `unit`'s profile, computed at most
+    /// once per sample set and mode.
+    pub(crate) fn fit(&mut self, unit: usize, mode: FitMode) -> Result<&UnitModel, FitError> {
+        let Some((profile, slot)) = self.entry(unit) else {
+            return Err(FitError::NotEnoughSamples { have: 0, need: 2 });
+        };
+        if slot.as_ref().is_some_and(|(m, _)| *m != mode) {
+            *slot = None;
+        }
+        let (_, outcome) = slot.get_or_insert_with(|| (mode, profile.fit_with(mode)));
+        outcome.as_ref().map_err(FitError::clone)
     }
 }
 
@@ -219,6 +293,30 @@ mod tests {
         let mut p = PerfProfile::new();
         p.record(100, 0.1, 0.0);
         assert!(p.fit().is_err());
+    }
+
+    #[test]
+    fn book_refits_after_a_new_sample_or_another_mode_only() {
+        let mut book = ProfileBook::from_profiles(vec![filled_profile(), PerfProfile::new()]);
+        let describe = |m: &UnitModel| (m.f.basis().describe(), m.f.n_samples());
+        let best = describe(book.fit(0, FitMode::BestSubset).unwrap());
+        assert_eq!(best.1, 6);
+        assert_eq!(describe(book.fit(0, FitMode::BestSubset).unwrap()), best);
+        // Another mode is another fit of the same samples, both ways.
+        let log = describe(book.fit(0, FitMode::LogOnly).unwrap());
+        assert_eq!(log, ("a0*1 + a1*ln(x)".to_string(), 6));
+        assert_eq!(describe(book.fit(0, FitMode::BestSubset).unwrap()), best);
+        // A new sample is a new sample set; a reset an empty one.
+        book.record(0, 6400, 0.001 + 2e-6 * 6400.0, 1e-4);
+        assert_eq!(book.samples(0), 7);
+        assert_eq!(book.fit(0, FitMode::BestSubset).unwrap().f.n_samples(), 7);
+        book.reset(0);
+        assert!(book.fit(0, FitMode::BestSubset).is_err());
+        // Failures are outcomes too, until a sample arrives.
+        assert!(book.fit(1, FitMode::BestSubset).is_err());
+        book.record(1, 100, 0.1, 0.0);
+        book.record(1, 200, 0.2, 0.0);
+        assert!(book.fit(1, FitMode::BestSubset).is_ok());
     }
 
     #[test]

@@ -68,6 +68,29 @@ impl BasisFn {
         }
     }
 
+    /// Position in [`ALL`](Self::ALL), and in [`eval_all`](Self::eval_all).
+    pub(crate) fn column(self) -> usize {
+        match self {
+            BasisFn::One => 0,
+            BasisFn::LnX => 1,
+            BasisFn::X => 2,
+            BasisFn::X2 => 3,
+            BasisFn::X3 => 4,
+            BasisFn::ExpX => 5,
+            BasisFn::XExpX => 6,
+            BasisFn::XLnX => 7,
+        }
+    }
+
+    /// [`eval`](Self::eval) of every function at once, indexed by
+    /// [`column`](Self::column): one `ln` and one `exp` per sample in
+    /// place of two each, with the same bits.
+    pub(crate) fn eval_all(x: f64) -> [f64; 8] {
+        let ln = x.max(LN_FLOOR).ln();
+        let exp = x.min(EXP_CLAMP).exp();
+        [1.0, ln, x, x * x, x * x * x, exp, x * exp, x * ln]
+    }
+
     /// First derivative at `x`.
     pub fn d1(self, x: f64) -> f64 {
         let xl = x.max(LN_FLOOR);
@@ -112,6 +135,24 @@ impl BasisFn {
         }
     }
 }
+
+/// The model forms [`BasisSet::candidate_models`] returns, in the order
+/// the best-subset fit tries them.
+pub(crate) static CANDIDATE_MODELS: [&[BasisFn]; 10] = {
+    use BasisFn::*;
+    [
+        &[One, X],
+        &[One, X, X2],
+        &[One, X, X2, X3],
+        &[One, LnX, X],
+        &[One, X, XLnX],
+        &[One, LnX],
+        &[One, X, ExpX],
+        &[One, X, XExpX],
+        &[One, X2],
+        &[One, X3],
+    ]
+};
 
 /// An ordered set of basis functions defining one candidate model form.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -177,19 +218,7 @@ impl BasisSet {
     /// * exponential forms — kernels that degrade past cache/memory
     ///   capacity.
     pub fn candidate_models() -> Vec<BasisSet> {
-        use BasisFn::*;
-        vec![
-            BasisSet::new(&[One, X]),
-            BasisSet::new(&[One, X, X2]),
-            BasisSet::new(&[One, X, X2, X3]),
-            BasisSet::new(&[One, LnX, X]),
-            BasisSet::new(&[One, X, XLnX]),
-            BasisSet::new(&[One, LnX]),
-            BasisSet::new(&[One, X, ExpX]),
-            BasisSet::new(&[One, X, XExpX]),
-            BasisSet::new(&[One, X2]),
-            BasisSet::new(&[One, X3]),
-        ]
+        CANDIDATE_MODELS.iter().map(|f| BasisSet::new(f)).collect()
     }
 
     /// Human-readable model form, e.g. `a0*1 + a1*x + a2*x^2`.
@@ -218,6 +247,17 @@ mod tests {
         assert!((BasisFn::ExpX.eval(x) - x.exp()).abs() < 1e-12);
         assert!((BasisFn::XExpX.eval(x) - x * x.exp()).abs() < 1e-12);
         assert!((BasisFn::XLnX.eval(x) - x * x.ln()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn eval_all_is_eval_of_each_function_bit_for_bit() {
+        for &x in &[0.0, 1e-13, 0.003, 0.5, 1.0, 2.0, 16.0, 31.0, 1e6] {
+            let row = BasisFn::eval_all(x);
+            for (i, f) in BasisFn::ALL.into_iter().enumerate() {
+                assert_eq!(f.column(), i);
+                assert_eq!(row[i].to_bits(), f.eval(x).to_bits(), "{} at {x}", f.name());
+            }
+        }
     }
 
     /// Central-difference check of every analytic derivative.

@@ -11,9 +11,8 @@
 //! transparently work in original units, which is what the interior-point
 //! block-size selection consumes.
 
-use crate::basis::{BasisFn, BasisSet};
-use crate::matrix::Mat;
-use crate::solve::{lstsq, LinAlgError};
+use crate::basis::{BasisFn, BasisSet, CANDIDATE_MODELS};
+use crate::solve::{lstsq_into, LinAlgError, LstsqScratch};
 use crate::stats::{adjusted_r_squared, r_squared};
 
 /// Errors from curve fitting.
@@ -91,15 +90,13 @@ impl FittedCurve {
 
     /// Predicted time at block size `x` (original units).
     pub fn eval(&self, x: f64) -> f64 {
-        let u = x / self.x_scale;
-        let s: f64 = self
-            .basis
-            .funcs()
-            .iter()
-            .zip(&self.coeffs)
-            .map(|(f, a)| a * f.eval(u))
-            .sum();
-        s * self.y_scale
+        eval_model(
+            self.basis.funcs(),
+            &self.coeffs,
+            self.x_scale,
+            self.y_scale,
+            x,
+        )
     }
 
     /// First derivative `dT/dx` at block size `x` (original units).
@@ -150,6 +147,14 @@ impl FittedCurve {
     }
 }
 
+/// `y_scale · Σ aᵢ fᵢ(x / x_scale)`: a model's prediction in original
+/// units, for a [`FittedCurve`] and for a candidate that is not one yet.
+fn eval_model(funcs: &[BasisFn], coeffs: &[f64], x_scale: f64, y_scale: f64, x: f64) -> f64 {
+    let u = x / x_scale;
+    let s: f64 = funcs.iter().zip(coeffs).map(|(f, a)| a * f.eval(u)).sum();
+    s * y_scale
+}
+
 fn validate(samples: &[(f64, f64)]) -> Result<(), FitError> {
     for (i, &(x, y)) in samples.iter().enumerate() {
         if !(x.is_finite() && x > 0.0 && y.is_finite()) {
@@ -168,40 +173,145 @@ fn scales(samples: &[(f64, f64)]) -> (f64, f64) {
     )
 }
 
+/// Most columns a model can have: one per basis function.
+const MAX_COLS: usize = BasisFn::ALL.len();
+
+/// The sample set of one fit call, tabulated once: every basis value a
+/// model of this call can use (`width` per sample, at the normalized
+/// block size), the normalized times, and the scratch of the
+/// least-squares solves, in a single buffer. Each model is then a
+/// choice of table columns, solved with no further allocation.
+struct FitTable<'a> {
+    n: usize,
+    width: usize,
+    x_scale: f64,
+    y_scale: f64,
+    /// `table (n·width) | rhs (n) | a2 (n·width) | y (n) | predicted (n)`
+    buf: &'a mut [f64],
+}
+
+/// Sample sets up to this size are fitted in a workspace on the stack:
+/// the modeling phase's four to a dozen probes never reach the heap.
+const STACK_SAMPLES: usize = 16;
+
+/// Run `fit` with a zeroed workspace for `n` samples of `width` table
+/// columns.
+fn with_workspace<R>(n: usize, width: usize, fit: impl FnOnce(&mut [f64]) -> R) -> R {
+    let mut stack = [0.0; STACK_SAMPLES * (2 * MAX_COLS + 3)];
+    let len = n * (2 * width + 3);
+    match stack.get_mut(..len) {
+        Some(buf) => fit(buf),
+        None => fit(&mut vec![0.0; len]),
+    }
+}
+
+/// One solved model: only the first `k` coefficients are meaningful.
+struct Solved {
+    coeffs: [f64; MAX_COLS],
+    k: usize,
+    r2: f64,
+    adj_r2: f64,
+}
+
+impl<'a> FitTable<'a> {
+    /// Tabulate validated `samples` into `buf` ([`with_workspace`]);
+    /// `fill_row(u, row)` writes the `width` basis values at normalized
+    /// block size `u`.
+    fn new(
+        samples: &[(f64, f64)],
+        width: usize,
+        buf: &'a mut [f64],
+        fill_row: impl Fn(f64, &mut [f64]),
+    ) -> FitTable<'a> {
+        let n = samples.len();
+        let (x_scale, y_scale) = scales(samples);
+        let (table, rest) = buf.split_at_mut(n * width);
+        for (i, &(x, y)) in samples.iter().enumerate() {
+            fill_row(x / x_scale, &mut table[i * width..(i + 1) * width]);
+            rest[i] = y / y_scale;
+        }
+        FitTable {
+            n,
+            width,
+            x_scale,
+            y_scale,
+            buf,
+        }
+    }
+
+    /// Least-squares fit of the model whose design columns are the
+    /// table columns `cols`, with its fit quality.
+    fn solve(&mut self, cols: &[usize]) -> Result<Solved, LinAlgError> {
+        let (n, w, k) = (self.n, self.width, cols.len());
+        debug_assert!(
+            k <= w && k <= MAX_COLS && cols.iter().all(|&c| c < w),
+            "model columns outside the table"
+        );
+        let (table, rest) = self.buf.split_at_mut(n * w);
+        let (rhs, rest) = rest.split_at_mut(n);
+        let (a2, rest) = rest.split_at_mut(n * w);
+        let (y, predicted) = rest.split_at_mut(n);
+        let (table, rhs) = (&*table, &*rhs);
+        let design = |i: usize, j: usize| table[i * w + cols[j]];
+
+        let mut coeffs = [0.0; MAX_COLS];
+        let scratch = LstsqScratch {
+            a2,
+            y,
+            tau: &mut [0.0; MAX_COLS],
+            scale: &mut [0.0; MAX_COLS],
+            sol: &mut [0.0; MAX_COLS],
+            kept: &mut [0; MAX_COLS],
+        };
+        lstsq_into(n, k, design, rhs, scratch, &mut coeffs[..k])?;
+
+        for (i, p) in predicted.iter_mut().enumerate() {
+            *p = (0..k).map(|j| design(i, j) * coeffs[j]).sum();
+        }
+        let r2 = r_squared(rhs, predicted);
+        Ok(Solved {
+            coeffs,
+            k,
+            r2,
+            adj_r2: adjusted_r_squared(r2, n, k),
+        })
+    }
+
+    /// The curve a solved model of this table is, once it has won.
+    fn curve(&self, funcs: &[BasisFn], fit: &Solved) -> FittedCurve {
+        FittedCurve {
+            basis: BasisSet::new(funcs),
+            coeffs: fit.coeffs[..fit.k].to_vec(),
+            r2: fit.r2,
+            adj_r2: fit.adj_r2,
+            x_scale: self.x_scale,
+            y_scale: self.y_scale,
+            n_samples: self.n,
+        }
+    }
+}
+
 /// Fit one specific model form to `(block size, time)` samples.
 pub fn fit_basis(samples: &[(f64, f64)], basis: &BasisSet) -> Result<FittedCurve, FitError> {
     validate(samples)?;
     let n = samples.len();
-    let k = basis.len();
+    let funcs = basis.funcs();
+    let k = funcs.len();
     if n < k {
         return Err(FitError::NotEnoughSamples { have: n, need: k });
     }
-    let (x_scale, y_scale) = scales(samples);
-
-    let mut design = Mat::zeros(n, k);
-    let mut rhs = vec![0.0; n];
-    let mut row = Vec::with_capacity(k);
-    for (i, &(x, y)) in samples.iter().enumerate() {
-        basis.eval_row(x / x_scale, &mut row);
-        design.row_mut(i).copy_from_slice(&row);
-        rhs[i] = y / y_scale;
-    }
-    let coeffs = lstsq(&design, &rhs).map_err(FitError::AllModelsFailed)?;
-
-    let predicted: Vec<f64> = (0..n)
-        .map(|i| design.row(i).iter().zip(&coeffs).map(|(d, c)| d * c).sum())
-        .collect();
-    let r2 = r_squared(&rhs, &predicted);
-    let adj = adjusted_r_squared(r2, n, k);
-
-    Ok(FittedCurve {
-        basis: basis.clone(),
-        coeffs,
-        r2,
-        adj_r2: adj,
-        x_scale,
-        y_scale,
-        n_samples: n,
+    with_workspace(n, k, |buf| {
+        // The table holds exactly this model's columns, in its order.
+        let mut table = FitTable::new(samples, k, buf, |u, row| {
+            for (v, f) in row.iter_mut().zip(funcs) {
+                *v = f.eval(u);
+            }
+        });
+        const IDENTITY: [usize; MAX_COLS] = [0, 1, 2, 3, 4, 5, 6, 7];
+        let fit = table
+            .solve(&IDENTITY[..k])
+            .map_err(FitError::AllModelsFailed)?;
+        Ok(table.curve(funcs, &fit))
     })
 }
 
@@ -217,13 +327,13 @@ pub fn fit_linear(samples: &[(f64, f64)]) -> Result<FittedCurve, FitError> {
 /// sizes well beyond the probe range) are rejected — an `eˣ` term can
 /// interpolate four probe points perfectly and still predict negative
 /// times at 10× the range.
-fn extrapolates_sanely(fit: &FittedCurve, max_x: f64) -> bool {
-    let mut prev = fit.eval(max_x);
+fn extrapolates_sanely(eval: impl Fn(f64) -> f64, max_x: f64) -> bool {
+    let mut prev = eval(max_x);
     if !(prev.is_finite() && prev > 0.0) {
         return false;
     }
     for mult in [2.0, 4.0, 8.0, 16.0] {
-        let v = fit.eval(max_x * mult);
+        let v = eval(max_x * mult);
         if !(v.is_finite() && v > 0.0 && v >= 0.99 * prev) {
             return false;
         }
@@ -241,6 +351,10 @@ fn extrapolates_sanely(fit: &FittedCurve, max_x: f64) -> bool {
 /// decreasing execution times beyond the sampled range) are skipped;
 /// only if *every* candidate fails is an error returned.
 ///
+/// The eight basis functions are evaluated once per sample into one
+/// table and every candidate is solved from it in one reused workspace;
+/// only the winner becomes a [`FittedCurve`].
+///
 /// ```
 /// use plb_numerics::fit_best_model;
 ///
@@ -255,15 +369,23 @@ fn extrapolates_sanely(fit: &FittedCurve, max_x: f64) -> bool {
 /// ```
 pub fn fit_best_model(samples: &[(f64, f64)]) -> Result<FittedCurve, FitError> {
     validate(samples)?;
-    if samples.len() < 2 {
-        return Err(FitError::NotEnoughSamples {
-            have: samples.len(),
-            need: 2,
-        });
+    let n = samples.len();
+    if n < 2 {
+        return Err(FitError::NotEnoughSamples { have: n, need: 2 });
     }
 
-    let max_x = samples.iter().fold(0.0f64, |m, &(x, _)| m.max(x));
-    let mut best: Option<FittedCurve> = None;
+    with_workspace(n, MAX_COLS, |buf| best_model_in(samples, buf))
+}
+
+/// [`fit_best_model`] of validated samples, in the workspace `buf`.
+fn best_model_in(samples: &[(f64, f64)], buf: &mut [f64]) -> Result<FittedCurve, FitError> {
+    let n = samples.len();
+    let mut table = FitTable::new(samples, MAX_COLS, buf, |u, row| {
+        row.copy_from_slice(&BasisFn::eval_all(u))
+    });
+    // The largest sampled block size, which is what x is normalized by.
+    let max_x = table.x_scale;
+    let mut best: Option<(&[BasisFn], Solved)> = None;
     let mut last_err: Option<FitError> = None;
     // First pass demands at least one residual degree of freedom so an
     // exact interpolation cannot masquerade as a perfect fit (4 probe
@@ -272,18 +394,21 @@ pub fn fit_best_model(samples: &[(f64, f64)]) -> Result<FittedCurve, FitError> {
     // requirements are relaxed step by step only if nothing qualifies.
     for (require_dof, require_sane) in [(true, true), (false, true), (true, false), (false, false)]
     {
-        for cand in BasisSet::candidate_models() {
-            let limit_ok = if require_dof {
-                cand.len() < samples.len()
-            } else {
-                cand.len() <= samples.len()
-            };
+        for &funcs in &CANDIDATE_MODELS {
+            let k = funcs.len();
+            let limit_ok = if require_dof { k < n } else { k <= n };
             if !limit_ok {
                 continue;
             }
-            match fit_basis(samples, &cand) {
+            let mut cols = [0; MAX_COLS];
+            for (c, &f) in cols.iter_mut().zip(funcs) {
+                *c = f.column();
+            }
+            match table.solve(&cols[..k]) {
                 Ok(fit) => {
-                    if require_sane && !extrapolates_sanely(&fit, max_x) {
+                    let eval =
+                        |x| eval_model(funcs, &fit.coeffs[..k], table.x_scale, table.y_scale, x);
+                    if require_sane && !extrapolates_sanely(eval, max_x) {
                         continue;
                     }
                     // Parsimony margin: a larger model must beat the
@@ -293,8 +418,8 @@ pub fn fit_best_model(samples: &[(f64, f64)]) -> Result<FittedCurve, FitError> {
                     // R² and then wildly overestimate when extrapolated.
                     let better = match &best {
                         None => true,
-                        Some(b) => {
-                            if fit.basis.len() <= b.basis.len() {
+                        Some((_, b)) => {
+                            if k <= b.k {
                                 fit.adj_r2 > b.adj_r2
                             } else {
                                 fit.adj_r2 > b.adj_r2 + 0.005
@@ -302,22 +427,20 @@ pub fn fit_best_model(samples: &[(f64, f64)]) -> Result<FittedCurve, FitError> {
                         }
                     };
                     if better {
-                        best = Some(fit);
+                        best = Some((funcs, fit));
                     }
                 }
-                Err(e) => last_err = Some(e),
+                Err(e) => last_err = Some(FitError::AllModelsFailed(e)),
             }
         }
         if best.is_some() {
             break;
         }
     }
-    best.ok_or_else(|| {
-        last_err.unwrap_or(FitError::NotEnoughSamples {
-            have: samples.len(),
-            need: 2,
-        })
-    })
+    match best {
+        Some((funcs, fit)) => Ok(table.curve(funcs, &fit)),
+        None => Err(last_err.unwrap_or(FitError::NotEnoughSamples { have: n, need: 2 })),
+    }
 }
 
 #[cfg(test)]

@@ -231,6 +231,111 @@ impl Cholesky {
     }
 }
 
+/// Householder QR of the row-major `m x n` matrix in `a` (`m >= n`), in
+/// place: reflector vectors end up below the diagonal, R on and above
+/// it, the reflector scalars in `tau` (length `n`). The one copy of the
+/// factorization loops; [`Qr`] and [`lstsq`] both run it.
+fn householder_factor(
+    a: &mut [f64],
+    m: usize,
+    n: usize,
+    tau: &mut [f64],
+) -> Result<(), LinAlgError> {
+    debug_assert!(a.len() == m * n && tau.len() == n, "QR workspace shape");
+    if m < n {
+        return Err(LinAlgError::ShapeMismatch {
+            detail: format!("QR requires rows >= cols, got {m}x{n}"),
+        });
+    }
+    if !a.iter().all(|v| v.is_finite()) {
+        return Err(LinAlgError::NotFinite);
+    }
+    for k in 0..n {
+        // Householder vector for column k.
+        let mut norm = 0.0;
+        for i in k..m {
+            norm += a[i * n + k] * a[i * n + k];
+        }
+        let norm = norm.sqrt();
+        if norm < PIVOT_TOL {
+            return Err(LinAlgError::Singular {
+                pivot: norm,
+                index: k,
+            });
+        }
+        let alpha = if a[k * n + k] >= 0.0 { -norm } else { norm };
+        let v0 = a[k * n + k] - alpha;
+        // Normalize so v[k] == 1 implicitly; store v below diagonal.
+        for i in (k + 1)..m {
+            a[i * n + k] /= v0;
+        }
+        tau[k] = -v0 / alpha;
+        a[k * n + k] = alpha;
+        // Apply the reflector to the remaining columns.
+        for j in (k + 1)..n {
+            let mut s = a[k * n + j];
+            for i in (k + 1)..m {
+                s += a[i * n + k] * a[i * n + j];
+            }
+            s *= tau[k];
+            a[k * n + j] -= s;
+            for i in (k + 1)..m {
+                let vik = a[i * n + k];
+                a[i * n + j] -= s * vik;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Least-squares solve against a factorization made by
+/// [`householder_factor`]: `y` (length `m`) holds the right-hand side
+/// on entry and `Qᵀ b` on return, `x` (length `n`) receives the
+/// solution.
+fn householder_solve(
+    qr: &[f64],
+    m: usize,
+    n: usize,
+    tau: &[f64],
+    y: &mut [f64],
+    x: &mut [f64],
+) -> Result<(), LinAlgError> {
+    debug_assert!(
+        qr.len() == m * n && tau.len() == n && y.len() == m && x.len() == n,
+        "QR workspace shape"
+    );
+    // Apply Qᵀ to b.
+    for k in 0..n {
+        let mut s = y[k];
+        for i in (k + 1)..m {
+            s += qr[i * n + k] * y[i];
+        }
+        s *= tau[k];
+        y[k] -= s;
+        for i in (k + 1)..m {
+            let vik = qr[i * n + k];
+            y[i] -= s * vik;
+        }
+    }
+    // Back-substitute R x = (Qᵀ b)[0..n].
+    x.fill(0.0);
+    for i in (0..n).rev() {
+        let mut s = y[i];
+        for j in (i + 1)..n {
+            s -= qr[i * n + j] * x[j];
+        }
+        let d = qr[i * n + i];
+        if d.abs() < PIVOT_TOL {
+            return Err(LinAlgError::Singular {
+                pivot: d.abs(),
+                index: i,
+            });
+        }
+        x[i] = s / d;
+    }
+    Ok(())
+}
+
 /// Householder QR factorization of a (possibly tall) matrix.
 pub struct Qr {
     /// Packed Householder vectors below the diagonal; R on and above it.
@@ -243,51 +348,9 @@ impl Qr {
     /// Factor an `m x n` matrix with `m >= n`.
     pub fn factor(a: &Mat) -> Result<Qr, LinAlgError> {
         let (m, n) = (a.rows(), a.cols());
-        if m < n {
-            return Err(LinAlgError::ShapeMismatch {
-                detail: format!("QR requires rows >= cols, got {m}x{n}"),
-            });
-        }
-        if !a.is_finite() {
-            return Err(LinAlgError::NotFinite);
-        }
         let mut qr = a.clone();
         let mut tau = vec![0.0; n];
-        for k in 0..n {
-            // Householder vector for column k.
-            let mut norm = 0.0;
-            for i in k..m {
-                norm += qr[(i, k)] * qr[(i, k)];
-            }
-            let norm = norm.sqrt();
-            if norm < PIVOT_TOL {
-                return Err(LinAlgError::Singular {
-                    pivot: norm,
-                    index: k,
-                });
-            }
-            let alpha = if qr[(k, k)] >= 0.0 { -norm } else { norm };
-            let v0 = qr[(k, k)] - alpha;
-            // Normalize so v[k] == 1 implicitly; store v below diagonal.
-            for i in (k + 1)..m {
-                qr[(i, k)] /= v0;
-            }
-            tau[k] = -v0 / alpha;
-            qr[(k, k)] = alpha;
-            // Apply the reflector to the remaining columns.
-            for j in (k + 1)..n {
-                let mut s = qr[(k, j)];
-                for i in (k + 1)..m {
-                    s += qr[(i, k)] * qr[(i, j)];
-                }
-                s *= tau[k];
-                qr[(k, j)] -= s;
-                for i in (k + 1)..m {
-                    let vik = qr[(i, k)];
-                    qr[(i, j)] -= s * vik;
-                }
-            }
-        }
+        householder_factor(qr.as_mut_slice(), m, n, &mut tau)?;
         Ok(Qr { qr, tau })
     }
 
@@ -300,35 +363,8 @@ impl Qr {
             });
         }
         let mut y = b.to_vec();
-        // Apply Qᵀ to b.
-        for k in 0..n {
-            let mut s = y[k];
-            for i in (k + 1)..m {
-                s += self.qr[(i, k)] * y[i];
-            }
-            s *= self.tau[k];
-            y[k] -= s;
-            for i in (k + 1)..m {
-                let vik = self.qr[(i, k)];
-                y[i] -= s * vik;
-            }
-        }
-        // Back-substitute R x = (Qᵀ b)[0..n].
         let mut x = vec![0.0; n];
-        for i in (0..n).rev() {
-            let mut s = y[i];
-            for j in (i + 1)..n {
-                s -= self.qr[(i, j)] * x[j];
-            }
-            let d = self.qr[(i, i)];
-            if d.abs() < PIVOT_TOL {
-                return Err(LinAlgError::Singular {
-                    pivot: d.abs(),
-                    index: i,
-                });
-            }
-            x[i] = s / d;
-        }
+        householder_solve(self.qr.as_slice(), m, n, &self.tau, &mut y, &mut x)?;
         Ok(x)
     }
 }
@@ -348,6 +384,90 @@ pub fn qr_solve(a: &Mat, b: &[f64]) -> Result<Vec<f64>, LinAlgError> {
     Qr::factor(a)?.solve(b)
 }
 
+/// Scratch of one [`lstsq_into`] solve of an `m x n` system, provided
+/// by the caller so a loop of solves allocates nothing: `a2` holds at
+/// least `m·n` values, `y` at least `m`, the others at least `n`.
+pub(crate) struct LstsqScratch<'a> {
+    pub(crate) a2: &'a mut [f64],
+    pub(crate) y: &'a mut [f64],
+    pub(crate) tau: &'a mut [f64],
+    pub(crate) scale: &'a mut [f64],
+    pub(crate) sol: &'a mut [f64],
+    pub(crate) kept: &'a mut [usize],
+}
+
+/// [`lstsq`] over a matrix given as `a(row, col)`, writing the `n`
+/// coefficients to `x` and touching no heap: the least-squares kernel
+/// every fit in this crate runs.
+pub(crate) fn lstsq_into(
+    m: usize,
+    n: usize,
+    a: impl Fn(usize, usize) -> f64,
+    b: &[f64],
+    scratch: LstsqScratch<'_>,
+    x: &mut [f64],
+) -> Result<(), LinAlgError> {
+    if b.len() != m {
+        return Err(LinAlgError::ShapeMismatch {
+            detail: format!("rhs length {} != {}", b.len(), m),
+        });
+    }
+    let LstsqScratch {
+        a2,
+        y,
+        tau,
+        scale,
+        sol,
+        kept,
+    } = scratch;
+    debug_assert!(
+        x.len() == n
+            && a2.len() >= m * n
+            && y.len() >= m
+            && tau.len() >= n
+            && scale.len() >= n
+            && sol.len() >= n
+            && kept.len() >= n,
+        "least-squares workspace shape"
+    );
+    // Column scales; identically zero columns drop out.
+    let mut k = 0;
+    for j in 0..n {
+        let mut s = 0.0f64;
+        for i in 0..m {
+            s = s.max(a(i, j).abs());
+        }
+        scale[j] = s;
+        if s > 0.0 {
+            kept[k] = j;
+            k += 1;
+        }
+    }
+    x.fill(0.0);
+    if k == 0 {
+        return Ok(());
+    }
+    let (a2, y, tau, sol, kept) = (
+        &mut a2[..m * k],
+        &mut y[..m],
+        &mut tau[..k],
+        &mut sol[..k],
+        &kept[..k],
+    );
+    for (jj, &j) in kept.iter().enumerate() {
+        for i in 0..m {
+            a2[i * k + jj] = a(i, j) / scale[j];
+        }
+    }
+    householder_factor(a2, m, k, tau)?;
+    y.copy_from_slice(b);
+    householder_solve(a2, m, k, tau, y, sol)?;
+    for (jj, &j) in kept.iter().enumerate() {
+        x[j] = sol[jj] / scale[j];
+    }
+    Ok(())
+}
+
 /// Linear least squares with per-column scaling for conditioning.
 ///
 /// Columns of `a` are scaled to unit infinity-norm before the QR solve;
@@ -357,35 +477,21 @@ pub fn qr_solve(a: &Mat, b: &[f64]) -> Result<Vec<f64>, LinAlgError> {
 /// samples share one x value after normalization).
 pub fn lstsq(a: &Mat, b: &[f64]) -> Result<Vec<f64>, LinAlgError> {
     let (m, n) = (a.rows(), a.cols());
-    if b.len() != m {
-        return Err(LinAlgError::ShapeMismatch {
-            detail: format!("rhs length {} != {}", b.len(), m),
-        });
-    }
-    // Column scales.
-    let mut scale = vec![0.0f64; n];
-    for j in 0..n {
-        let mut s = 0.0f64;
-        for i in 0..m {
-            s = s.max(a[(i, j)].abs());
-        }
-        scale[j] = s;
-    }
-    let kept: Vec<usize> = (0..n).filter(|&j| scale[j] > 0.0).collect();
-    if kept.is_empty() {
-        return Ok(vec![0.0; n]);
-    }
-    let mut a2 = Mat::zeros(m, kept.len());
-    for (jj, &j) in kept.iter().enumerate() {
-        for i in 0..m {
-            a2[(i, jj)] = a[(i, j)] / scale[j];
-        }
-    }
-    let sol = Qr::factor(&a2)?.solve(b)?;
+    let mut reals = vec![0.0f64; m * n + m + 3 * n];
+    let (a2, rest) = reals.split_at_mut(m * n);
+    let (y, rest) = rest.split_at_mut(m);
+    let (tau, rest) = rest.split_at_mut(n);
+    let (scale, sol) = rest.split_at_mut(n);
+    let scratch = LstsqScratch {
+        a2,
+        y,
+        tau,
+        scale,
+        sol,
+        kept: &mut vec![0; n],
+    };
     let mut x = vec![0.0; n];
-    for (jj, &j) in kept.iter().enumerate() {
-        x[j] = sol[jj] / scale[j];
-    }
+    lstsq_into(m, n, |i, j| a[(i, j)], b, scratch, &mut x)?;
     Ok(x)
 }
 

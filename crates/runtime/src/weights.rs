@@ -11,9 +11,10 @@
 //!
 //! Irregular workloads (sparse matrices, graphs) provide one cost per
 //! item; the weights store the prefix sums, so range cost is two
-//! lookups and budget→items conversion is a binary search. Per-item
-//! costs are clamped to at least 1 cost unit: a zero-cost item could
-//! satisfy no budget and would wedge cost-budgeted claiming.
+//! lookups and budget→items conversion is a galloping search from the
+//! claim's offset. Per-item costs are clamped to at least 1 cost unit:
+//! a zero-cost item could satisfy no budget and would wedge
+//! cost-budgeted claiming.
 
 use crate::sync::Arc;
 
@@ -95,8 +96,8 @@ impl Weights {
 
     /// How many of the `avail` items starting at `offset` a claim of
     /// `budget` cost units buys: the largest `k ≤ avail` with
-    /// `cost(offset, k) ≤ budget`, found by binary search on the prefix
-    /// sums — except at least 1 when both `avail` and `budget` are
+    /// `cost(offset, k) ≤ budget`, found by a galloping search on the
+    /// prefix sums — except at least 1 when both `avail` and `budget` are
     /// positive, so a budget smaller than the next item's cost still
     /// makes progress (the paper's same-size re-dispatch must never
     /// stall on one expensive row). Under uniform weights this is
@@ -112,7 +113,22 @@ impl Weights {
                 if Self::at(prefix, offset.saturating_add(1)) > cap {
                     return 1;
                 }
+                // Gallop from the cursor: double the reach until the
+                // prefix passes `cap` or the range ends, so the search
+                // costs O(log claim length) and stays on the cache
+                // lines next to `offset` instead of bisecting the whole
+                // remaining table. `lo` items always fit and `hi` bounds
+                // the answer; the bisection finishes inside `[lo, hi]`.
                 let (mut lo, mut hi) = (1u64, avail);
+                while lo < hi {
+                    let reach = lo.saturating_mul(2).min(hi);
+                    if Self::at(prefix, offset.saturating_add(reach)) <= cap {
+                        lo = reach;
+                    } else {
+                        hi = reach - 1;
+                        break;
+                    }
+                }
                 while lo < hi {
                     let mid = lo + (hi - lo).div_ceil(2);
                     if Self::at(prefix, offset.saturating_add(mid)) <= cap {
@@ -190,6 +206,49 @@ mod tests {
         assert_eq!(w.cost(0, 4), 6);
         assert_eq!(w.cost(2, 3), 3);
         assert_eq!(w.items_for_budget(2, 10, 4), 4);
+    }
+
+    /// The definition, by linear scan: the largest `k ≤ avail` whose
+    /// range fits the budget, but at least one item.
+    fn items_for_budget_by_scan(w: &Weights, offset: u64, avail: u64, budget: u64) -> u64 {
+        if avail == 0 || budget == 0 {
+            return 0;
+        }
+        (1..=avail)
+            .take_while(|&k| w.cost(offset, k) <= budget)
+            .last()
+            .unwrap_or(1)
+    }
+
+    #[test]
+    fn budget_search_matches_a_linear_scan_exhaustively() {
+        let tables: [&[u64]; 6] = [
+            &[1],
+            &[3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5],
+            &[1, 1, 1, 1, 1, 1, 1, 1, 1],
+            &[40, 1, 1, 1, 1, 1, 1, 40, 1, 1, 1, 1, 1, 1, 1, 1, 1],
+            &[0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0],
+            &[1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096],
+        ];
+        for costs in tables {
+            let w = Weights::per_item(costs.iter().copied());
+            let n = costs.len() as u64;
+            // Offsets and ranges run past the table: the uncosted tail
+            // is one unit per item.
+            let reach = n + 6;
+            let top = w.total_cost(reach) + 2;
+            for offset in 0..reach {
+                for avail in 0..=reach - offset {
+                    for budget in 0..=top {
+                        assert_eq!(
+                            w.items_for_budget(offset, avail, budget),
+                            items_for_budget_by_scan(&w, offset, avail, budget),
+                            "{costs:?}: offset {offset}, avail {avail}, budget {budget}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
