@@ -19,6 +19,7 @@ use plb_hetsim::CostModel;
 use plb_runtime::{Codelet, DisjointOutput, PuResources, Weights};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -42,9 +43,25 @@ const BYTES_PER_NNZ: f64 = 12.0;
 /// an irregularity test.
 pub const SKEW_RANGE: (f64, f64) = (0.5, 4.0);
 
+/// Nonzeros of rows `offset..offset + items` of a `rows`-row matrix
+/// whose row lengths are the costs in `table`. [`Weights`] charges items
+/// past its table one unit each; a matrix has no rows there, so the
+/// range is clamped to the matrix first and the part past the end costs
+/// nothing.
+fn range_nnz(table: &Weights, rows: u64, offset: u64, items: u64) -> u64 {
+    let lo = offset.min(rows);
+    let hi = offset.saturating_add(items).min(rows);
+    table.cost(lo, hi - lo)
+}
+
 /// The synthetic SpMV application: a square `rows × rows` sparse matrix
 /// with power-law row lengths.
-#[derive(Debug, Clone)]
+///
+/// The row lengths exist once, as the prefix sums of an
+/// `Arc<`[`Weights`]`>` built by [`Spmv::new`]: [`Spmv::weights`],
+/// [`Spmv::cost`] and every clone of the app hand out handles to that
+/// one table (4 000 001 `u64`s, 32 MB, at the benchmark's size).
+#[derive(Clone)]
 pub struct Spmv {
     /// Matrix order (one item = one row).
     pub rows: u64,
@@ -53,17 +70,29 @@ pub struct Spmv {
     pub skew: f64,
     /// Generator seed.
     pub seed: u64,
-    /// Per-row nonzero counts, `rows` entries.
-    nnz: Vec<u32>,
+    /// One cost unit per nonzero, one item per row.
+    table: Arc<Weights>,
+}
+
+// Hand-written: the derived impl would format the whole table into any
+// `{:?}` (a panic message, a failed assertion, a CLI error path).
+impl fmt::Debug for Spmv {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Spmv")
+            .field("rows", &self.rows)
+            .field("skew", &self.skew)
+            .field("seed", &self.seed)
+            .field("total_nnz", &self.total_nnz())
+            .finish()
+    }
 }
 
 impl Spmv {
-    /// Create the application, generating the row-length profile.
-    ///
-    /// Returns a description of the problem instead of panicking when
-    /// `rows == 0` or `skew` is outside [`SKEW_RANGE`] — the CLI
-    /// surfaces it as a usage error.
-    pub fn new(rows: u64, skew: f64, seed: u64) -> Result<Spmv, String> {
+    /// What [`Spmv::new`] checks before it generates anything: a
+    /// description of the problem when `rows == 0` or `skew` is outside
+    /// [`SKEW_RANGE`]. The CLI surfaces it as a usage error without
+    /// paying for a matrix.
+    pub fn validate(rows: u64, skew: f64) -> Result<(), String> {
         if rows == 0 {
             return Err("spmv needs at least one row".to_string());
         }
@@ -73,20 +102,30 @@ impl Spmv {
                 "spmv skew {skew} outside supported range [{lo}, {hi}]"
             ));
         }
+        Ok(())
+    }
+
+    /// Create the application, generating the row-length profile.
+    ///
+    /// Returns [`Spmv::validate`]'s description of the problem instead
+    /// of panicking on parameters it rejects.
+    pub fn new(rows: u64, skew: f64, seed: u64) -> Result<Spmv, String> {
+        Self::validate(rows, skew)?;
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let nnz = (0..rows)
-            .map(|_| {
-                // Inverse-CDF Pareto draw: nnz = x_min · u^(-1/skew).
-                let u: f64 = rng.gen::<f64>().max(1e-12);
-                let raw = X_MIN_NNZ * u.powf(-1.0 / skew);
-                (raw as u64).clamp(1, MAX_ROW_NNZ) as u32
-            })
-            .collect();
+        // Every draw lands in [1, MAX_ROW_NNZ], so `per_item`'s own
+        // clamp to at least one unit changes nothing: the table holds
+        // the row lengths exactly.
+        let table = Weights::per_item((0..rows).map(|_| {
+            // Inverse-CDF Pareto draw: nnz = x_min · u^(-1/skew).
+            let u: f64 = rng.gen::<f64>().max(1e-12);
+            let raw = X_MIN_NNZ * u.powf(-1.0 / skew);
+            (raw as u64).clamp(1, MAX_ROW_NNZ)
+        }));
         Ok(Spmv {
             rows,
             skew,
             seed,
-            nnz,
+            table: Arc::new(table),
         })
     }
 
@@ -97,37 +136,33 @@ impl Spmv {
 
     /// Nonzeros of row `i` (0 for out-of-range rows).
     pub fn row_nnz(&self, i: u64) -> u64 {
-        self.nnz.get(i as usize).map_or(0, |&c| c as u64)
+        range_nnz(&self.table, self.rows, i, 1)
     }
 
     /// Total stored nonzeros.
     pub fn total_nnz(&self) -> u64 {
-        self.nnz.iter().map(|&c| c as u64).sum()
+        range_nnz(&self.table, self.rows, 0, self.rows)
     }
 
     /// The per-row cost table as runtime weights: one cost unit per
     /// nonzero. This is what makes claims, curves and the NLP reason in
-    /// work instead of rows.
+    /// work instead of rows. A handle to the app's one table, not a
+    /// copy.
     pub fn weights(&self) -> Arc<Weights> {
-        Arc::new(Weights::per_item(self.nnz.iter().map(|&c| c as u64)))
+        Arc::clone(&self.table)
     }
 
-    /// The simulator cost model (range-aware).
+    /// The simulator cost model (range-aware), reading the same table
+    /// as [`Spmv::weights`].
     pub fn cost(&self) -> SpmvCost {
-        let mut prefix = Vec::with_capacity(self.nnz.len() + 1);
-        prefix.push(0u64);
-        let mut acc = 0u64;
-        for &c in &self.nnz {
-            acc = acc.saturating_add(c as u64);
-            prefix.push(acc);
-        }
         let mean_nnz = if self.rows > 0 {
-            acc as f64 / self.rows as f64
+            self.total_nnz() as f64 / self.rows as f64
         } else {
             0.0
         };
         SpmvCost {
-            prefix: Arc::new(prefix),
+            table: Arc::clone(&self.table),
+            rows: self.rows,
             mean_nnz,
         }
     }
@@ -138,22 +173,30 @@ impl Spmv {
 /// count-based [`CostModel`] methods fall back to the mean row length —
 /// they are only reached by callers that have no offset to give, and
 /// for those the average is the best unbiased answer.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct SpmvCost {
-    /// `prefix[i]` = nonzeros of rows `0..i`; `rows + 1` entries.
-    prefix: Arc<Vec<u64>>,
+    /// The app's row-length table (see [`Spmv`]).
+    table: Arc<Weights>,
+    /// Matrix order: where the table's rows end.
+    rows: u64,
     /// Mean nonzeros per row (the count-based fallback rate).
     mean_nnz: f64,
+}
+
+// As for `Spmv`: never the table.
+impl fmt::Debug for SpmvCost {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SpmvCost")
+            .field("rows", &self.rows)
+            .field("total_nnz", &self.range_nnz(0, self.rows))
+            .finish()
+    }
 }
 
 impl SpmvCost {
     /// Nonzeros in the row range `offset..offset + items`.
     pub fn range_nnz(&self, offset: u64, items: u64) -> u64 {
-        let at = |i: u64| -> u64 {
-            let last = self.prefix.last().copied().unwrap_or(0);
-            self.prefix.get(i as usize).copied().unwrap_or(last)
-        };
-        at(offset.saturating_add(items)).saturating_sub(at(offset))
+        range_nnz(&self.table, self.rows, offset, items)
     }
 }
 
@@ -217,12 +260,12 @@ impl SpmvData {
     pub fn generate(app: &Spmv) -> SpmvData {
         let mut rng = ChaCha8Rng::seed_from_u64(app.seed.wrapping_add(1));
         let total = app.total_nnz() as usize;
-        let mut row_ptr = Vec::with_capacity(app.nnz.len() + 1);
+        let mut row_ptr = Vec::with_capacity(app.rows as usize + 1);
         let mut cols = Vec::with_capacity(total);
         let mut vals = Vec::with_capacity(total);
         row_ptr.push(0u64);
-        for &n in &app.nnz {
-            for _ in 0..n {
+        for row in 0..app.rows {
+            for _ in 0..app.row_nnz(row) {
                 cols.push(rng.gen_range(0..app.rows) as u32);
                 vals.push(rng.gen_range(-1.0..1.0));
             }
@@ -303,13 +346,22 @@ mod tests {
     use super::*;
     use plb_hetsim::PuKind;
 
+    /// Every row's length, in row order.
+    fn row_lengths(app: &Spmv) -> Vec<u64> {
+        (0..app.rows).map(|i| app.row_nnz(i)).collect()
+    }
+
     #[test]
     fn generation_is_deterministic() {
         let a = Spmv::new(500, 1.5, 42).unwrap();
         let b = Spmv::new(500, 1.5, 42).unwrap();
-        assert_eq!(a.nnz, b.nnz);
+        assert_eq!(row_lengths(&a), row_lengths(&b));
         let c = Spmv::new(500, 1.5, 43).unwrap();
-        assert_ne!(a.nnz, c.nnz, "different seed, different matrix");
+        assert_ne!(
+            row_lengths(&a),
+            row_lengths(&c),
+            "different seed, different matrix"
+        );
     }
 
     #[test]
@@ -325,12 +377,12 @@ mod tests {
     #[test]
     fn row_lengths_are_bounded_and_skewed() {
         let app = Spmv::new(10_000, 1.2, 7).unwrap();
-        assert!(app.nnz.iter().all(|&n| n >= 1 && n as u64 <= MAX_ROW_NNZ));
+        let mut sorted = row_lengths(&app);
+        assert!(sorted.iter().all(|&n| (1..=MAX_ROW_NNZ).contains(&n)));
         // A heavy tail: the largest row dwarfs the median row.
-        let mut sorted = app.nnz.clone();
         sorted.sort_unstable();
-        let median = sorted[sorted.len() / 2] as u64;
-        let max = *sorted.last().unwrap() as u64;
+        let median = sorted[sorted.len() / 2];
+        let max = *sorted.last().unwrap();
         assert!(max > 10 * median, "max {max} vs median {median}");
     }
 
@@ -410,5 +462,187 @@ mod tests {
         assert_eq!(data.vals.len(), data.cols.len());
         assert_eq!(data.x.len() as u64, app.rows);
         assert!(data.cols.iter().all(|&c| (c as u64) < app.rows));
+    }
+
+    #[test]
+    fn weights_and_cost_are_handles_to_one_table() {
+        let app = Spmv::new(300, 1.5, 9).unwrap();
+        let table = app.weights();
+        assert!(Arc::ptr_eq(&table, &app.weights()));
+        // `app` and `table` hold it; each live cost model holds it once
+        // more, and none of them built another.
+        assert_eq!(Arc::strong_count(&table), 2);
+        let costs: Vec<SpmvCost> = (0..3).map(|_| app.cost()).collect();
+        assert_eq!(Arc::strong_count(&table), 2 + costs.len());
+        drop(costs);
+        assert_eq!(Arc::strong_count(&table), 2);
+        let clone = app.clone();
+        assert!(Arc::ptr_eq(&table, &clone.weights()));
+        assert_eq!(Arc::strong_count(&table), 3);
+    }
+
+    #[test]
+    fn debug_prints_a_summary_not_the_table() {
+        let app = Spmv::new(5_000, 1.5, 9).unwrap();
+        let total = app.total_nnz();
+        assert_eq!(
+            format!("{app:?}"),
+            format!("Spmv {{ rows: 5000, skew: 1.5, seed: 9, total_nnz: {total} }}")
+        );
+        assert_eq!(
+            format!("{:?}", app.cost()),
+            format!("SpmvCost {{ rows: 5000, total_nnz: {total} }}")
+        );
+    }
+
+    /// The cost model as it was before the app and its cost model
+    /// shared one table, kept as the reference: the generator's draws
+    /// in a `Vec<u32>`, and a `Vec<u64>` prefix of its own per model.
+    struct ReferenceCost {
+        nnz: Vec<u32>,
+        prefix: Vec<u64>,
+        mean_nnz: f64,
+    }
+
+    impl ReferenceCost {
+        fn new(rows: u64, skew: f64, seed: u64) -> ReferenceCost {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let nnz: Vec<u32> = (0..rows)
+                .map(|_| {
+                    let u: f64 = rng.gen::<f64>().max(1e-12);
+                    let raw = X_MIN_NNZ * u.powf(-1.0 / skew);
+                    (raw as u64).clamp(1, MAX_ROW_NNZ) as u32
+                })
+                .collect();
+            let mut prefix = Vec::with_capacity(nnz.len() + 1);
+            prefix.push(0u64);
+            let mut acc = 0u64;
+            for &c in &nnz {
+                acc = acc.saturating_add(c as u64);
+                prefix.push(acc);
+            }
+            ReferenceCost {
+                nnz,
+                prefix,
+                mean_nnz: acc as f64 / rows as f64,
+            }
+        }
+
+        fn range_nnz(&self, offset: u64, items: u64) -> u64 {
+            let at = |i: u64| -> u64 {
+                let last = self.prefix.last().copied().unwrap_or(0);
+                self.prefix.get(i as usize).copied().unwrap_or(last)
+            };
+            at(offset.saturating_add(items)).saturating_sub(at(offset))
+        }
+    }
+
+    impl CostModel for ReferenceCost {
+        fn name(&self) -> &str {
+            "spmv-reference"
+        }
+        fn flops(&self, items: u64) -> f64 {
+            FLOPS_PER_NNZ * self.mean_nnz * items as f64
+        }
+        fn bytes_in(&self, items: u64) -> f64 {
+            (BYTES_PER_NNZ * self.mean_nnz + 8.0) * items as f64
+        }
+        fn bytes_out(&self, items: u64) -> f64 {
+            8.0 * items as f64
+        }
+        fn threads(&self, items: u64) -> f64 {
+            self.mean_nnz * items as f64
+        }
+        fn flops_range(&self, offset: u64, items: u64) -> f64 {
+            FLOPS_PER_NNZ * self.range_nnz(offset, items) as f64
+        }
+        fn bytes_in_range(&self, offset: u64, items: u64) -> f64 {
+            BYTES_PER_NNZ * self.range_nnz(offset, items) as f64 + 8.0 * items as f64
+        }
+        fn bytes_out_range(&self, _offset: u64, items: u64) -> f64 {
+            8.0 * items as f64
+        }
+        fn threads_range(&self, offset: u64, items: u64) -> f64 {
+            self.range_nnz(offset, items) as f64
+        }
+    }
+
+    #[test]
+    fn shared_table_cost_model_matches_the_per_call_prefix_bit_for_bit() {
+        type Ranged = fn(&dyn CostModel, u64, u64) -> f64;
+        type Counted = fn(&dyn CostModel, u64) -> f64;
+        const ROWS: u64 = 3_000;
+        let app = Spmv::new(ROWS, 0.8, 201_509).unwrap();
+        let (cost, reference) = (app.cost(), ReferenceCost::new(ROWS, 0.8, 201_509));
+        assert_eq!(
+            row_lengths(&app),
+            reference.nnz.iter().map(|&c| c as u64).collect::<Vec<_>>()
+        );
+        assert_eq!(app.total_nnz(), reference.range_nnz(0, ROWS));
+        assert_eq!(app.row_nnz(ROWS), 0, "no row past the end");
+
+        // Empty, single-row, whole-matrix, straddling the end, past the
+        // end, and `offset + items` overflowing `u64`.
+        let mut ranges = vec![
+            (0, 0),
+            (17, 0),
+            (ROWS, 0),
+            (0, 1),
+            (ROWS - 1, 1),
+            (0, ROWS),
+            (ROWS - 1, 2),
+            (ROWS - 40, 100),
+            (0, ROWS + 1),
+            (ROWS, 1),
+            (ROWS, 50),
+            (ROWS + 7, 3),
+            (0, u64::MAX),
+            (5, u64::MAX),
+            (ROWS - 1, u64::MAX),
+            (u64::MAX - 3, 10),
+            (u64::MAX, u64::MAX),
+        ];
+        let mut rng = ChaCha8Rng::seed_from_u64(18);
+        for _ in 0..4_000 {
+            let offset = rng.gen_range(0..ROWS + 50);
+            // Mostly claim-sized, sometimes most of the matrix.
+            let span = if rng.gen_bool(0.8) { 64 } else { ROWS + 50 };
+            ranges.push((offset, rng.gen_range(0..span)));
+        }
+        let ranged: [(&str, Ranged); 5] = [
+            ("flops_range", |c, o, n| c.flops_range(o, n)),
+            ("bytes_in_range", |c, o, n| c.bytes_in_range(o, n)),
+            ("bytes_out_range", |c, o, n| c.bytes_out_range(o, n)),
+            ("bytes_touched_range", |c, o, n| c.bytes_touched_range(o, n)),
+            ("threads_range", |c, o, n| c.threads_range(o, n)),
+        ];
+        let counted: [(&str, Counted); 4] = [
+            ("flops", |c, n| c.flops(n)),
+            ("bytes_in", |c, n| c.bytes_in(n)),
+            ("bytes_out", |c, n| c.bytes_out(n)),
+            ("threads", |c, n| c.threads(n)),
+        ];
+        for (offset, items) in ranges {
+            let at = format!("rows {offset}..+{items}");
+            assert_eq!(
+                cost.range_nnz(offset, items),
+                reference.range_nnz(offset, items),
+                "{at}"
+            );
+            for (name, f) in ranged {
+                assert_eq!(
+                    f(&cost, offset, items).to_bits(),
+                    f(&reference, offset, items).to_bits(),
+                    "{name}, {at}"
+                );
+            }
+            for (name, f) in counted {
+                assert_eq!(
+                    f(&cost, items).to_bits(),
+                    f(&reference, items).to_bits(),
+                    "{name}, {items} items"
+                );
+            }
+        }
     }
 }

@@ -22,7 +22,7 @@
 //! compact side-by-side diagnostic (shares, distributions, solve times)
 //! plus a PLB-HeC deep dive into its block-size selection.
 
-use plb_bench::harness::{default_initial_block, run_once, App, PolicyKind};
+use plb_bench::harness::{default_initial_block, run_once, App, AppInputs, PolicyKind};
 use plb_bench::viz::gantt_svg;
 use plb_hec::NodeDiffusionPolicy;
 use plb_hec::{
@@ -260,7 +260,7 @@ fn app_of(name: &str, size: u64, skew: f64, seed: u64) -> App {
         "spmv" => {
             // Validate up front so bad parameters are a usage error, not
             // a panic deep inside the harness.
-            if let Err(e) = plb_apps::Spmv::new(size, skew, seed) {
+            if let Err(e) = plb_apps::Spmv::validate(size, skew) {
                 usage(&e);
             }
             App::Spmv {
@@ -409,8 +409,12 @@ fn run_cluster_tier(a: &Args) {
         }
         None => FaultPlan::none(),
     };
-    let cost = app.cost();
-    let weights = app.weights();
+    let AppInputs {
+        cost,
+        weights,
+        total_items,
+        total_cost,
+    } = app.inputs();
     // Per-node seeds keep the nodes' noise streams independent while
     // the whole run stays reproducible from --seed.
     let clusters: Vec<ClusterSim> = (0..n)
@@ -425,7 +429,7 @@ fn run_cluster_tier(a: &Args) {
         .collect();
     // Intra-node chunks are shard-sized, not run-sized: scale the
     // probing block to the per-node share.
-    let per_node_cost = (app.total_cost() / (n as u64).max(1)).max(1);
+    let per_node_cost = (total_cost / (n as u64).max(1)).max(1);
     let cfg = PolicyConfig {
         initial_block: default_initial_block(per_node_cost, cost.as_ref()),
         seed: a.seed,
@@ -436,7 +440,7 @@ fn run_cluster_tier(a: &Args) {
         .collect();
     let names: Vec<String> = (0..n).map(|i| format!("node{i}")).collect();
     let mut runner = SimNodeRunner::new(cost.as_ref(), names, clusters, policies, weights.clone());
-    let bounds = equal_cost_shards(app.total_items(), n, &weights);
+    let bounds = equal_cost_shards(total_items, n, &weights);
     let mut outer = NodeDiffusionPolicy::new(topology, bounds.clone());
     let mut engine = ClusterEngine::new(&mut runner)
         .with_node_faults(node_plan)
@@ -472,12 +476,10 @@ fn run_cluster_tier(a: &Args) {
             }
         }
     }
-    let report = engine
-        .run(&mut outer, app.total_items())
-        .unwrap_or_else(|e| {
-            eprintln!("run failed: {e}");
-            std::process::exit(1)
-        });
+    let report = engine.run(&mut outer, total_items).unwrap_or_else(|e| {
+        eprintln!("run failed: {e}");
+        std::process::exit(1)
+    });
     print_report(&report);
     let title = format!(
         "{} on {} node(s) x {} machine(s) — {}",
@@ -529,15 +531,15 @@ fn main() {
             };
             let mut cluster = ClusterSim::build(&machines, &opts);
             let n_units = cluster.ids().count();
-            let cost = app.cost();
+            let inputs = app.inputs();
+            let cost = inputs.cost.as_ref();
             let cfg = PolicyConfig {
-                initial_block: default_initial_block(app.total_cost(), cost.as_ref()),
+                initial_block: default_initial_block(inputs.total_cost, cost),
                 seed: a.seed,
                 ..Default::default()
             };
             let mut policy = policy_of(&a.policy, &cfg, &a.profiles);
-            let mut engine =
-                SimEngine::new(&mut cluster, cost.as_ref()).with_weights(app.weights());
+            let mut engine = SimEngine::new(&mut cluster, cost).with_weights(inputs.weights);
             let mut plan = match &a.faults {
                 Some(spec) => FaultPlan::parse(spec, n_units)
                     .unwrap_or_else(|e| usage(&format!("bad --faults spec: {e}"))),
@@ -590,7 +592,7 @@ fn main() {
                 }
             }
             let report = engine
-                .run(policy.as_mut(), app.total_items())
+                .run(policy.as_mut(), inputs.total_items)
                 .unwrap_or_else(|e| {
                     eprintln!("run failed: {e}");
                     std::process::exit(1)
@@ -635,10 +637,11 @@ fn main() {
                 ..Default::default()
             };
             let mut cluster = ClusterSim::build(&machines, &opts);
-            let cost = app.cost();
+            let inputs = app.inputs();
+            let cost = inputs.cost.as_ref();
             // Probe each unit across a size sweep (offline profiling,
             // exactly what the static algorithm [17] requires).
-            let base = default_initial_block(app.total_cost(), cost.as_ref()).max(1);
+            let base = default_initial_block(inputs.total_cost, cost).max(1);
             let ids: Vec<_> = cluster.ids().collect();
             let models: Vec<UnitModel> = ids
                 .into_iter()
@@ -647,8 +650,8 @@ fn main() {
                     for mult in [1u64, 2, 4, 8, 16, 32] {
                         let b = base.saturating_mul(mult);
                         let d = cluster.device_mut(id);
-                        let xfer = d.transfer_time(cost.as_ref(), b);
-                        let proc = d.proc_time(cost.as_ref(), b);
+                        let xfer = d.transfer_time(cost, b);
+                        let proc = d.proc_time(cost, b);
                         p.record(b, proc, xfer);
                     }
                     p.fit().unwrap_or_else(|e| {
@@ -744,9 +747,10 @@ fn main() {
                 ..Default::default()
             };
             let mut cluster = ClusterSim::build(&machines, &opts);
-            let cost = app.cost();
+            let inputs = app.inputs();
+            let cost = inputs.cost.as_ref();
             let cfg = PolicyConfig {
-                initial_block: default_initial_block(app.total_cost(), cost.as_ref()),
+                initial_block: default_initial_block(inputs.total_cost, cost),
                 seed: a.seed,
                 ..Default::default()
             };
@@ -755,10 +759,9 @@ fn main() {
                 cfg.initial_block
             );
             let mut policy = PlbHecPolicy::new(&cfg);
-            let mut engine =
-                SimEngine::new(&mut cluster, cost.as_ref()).with_weights(app.weights());
+            let mut engine = SimEngine::new(&mut cluster, cost).with_weights(inputs.weights);
             let report = engine
-                .run(&mut policy, app.total_items())
+                .run(&mut policy, inputs.total_items)
                 .unwrap_or_else(|e| {
                     eprintln!("plb-hec deep-dive run failed: {e}");
                     std::process::exit(1)

@@ -91,7 +91,7 @@ pub fn fig1() -> (String, Vec<Table>) {
         ),
     ];
     for (label, app, sizes) in apps {
-        let cost = app.cost();
+        let cost = app.inputs().cost;
         for (dev_label, perf) in [
             ("CPU", DevicePerf::for_cpu(&machine.cpu)),
             ("GPU", DevicePerf::for_gpu(&machine.gpus[0])),
@@ -134,7 +134,7 @@ pub fn fig3() -> (String, Vec<Table>) {
         ..Default::default()
     };
     let mut cluster = ClusterSim::build(&machines, &opts);
-    let cost = app.cost();
+    let cost = app.inputs().cost;
     // Smaller execution rounds than the default: QoS drift is detected
     // when the slowed unit's current block completes, so finer blocks
     // give the demo a timely detection (the trade-off the paper's
@@ -654,7 +654,7 @@ pub fn svgs(seeds: u64) -> Vec<(String, String)> {
             noise_sigma: 0.01,
             ..Default::default()
         };
-        let cost = app.cost();
+        let cost = app.inputs().cost;
         let cfg = PolicyConfig {
             initial_block: default_initial_block(app.total_items(), cost.as_ref()),
             ..Default::default()

@@ -31,22 +31,46 @@ pub enum App {
     },
 }
 
-impl App {
-    /// The generated SpMV application for a [`App::Spmv`] variant.
-    /// Panics on parameters outside [`plb_apps::spmv::SKEW_RANGE`] —
-    /// the CLI validates before constructing the variant.
-    fn spmv_app(rows: u64, skew: f64, seed: u64) -> plb_apps::Spmv {
-        plb_apps::Spmv::new(rows, skew, seed).expect("spmv parameters validated by caller")
-    }
-
+/// What a run needs of its application, built once by [`App::inputs`].
+pub struct AppInputs {
     /// The simulator cost model.
-    pub fn cost(&self) -> Box<dyn CostModel> {
-        match *self {
-            App::MatMul(n) => Box::new(plb_apps::MatMul::new(n).cost()),
-            App::Grn(n) => Box::new(plb_apps::GrnInference::new(n).cost()),
-            App::BlackScholes(n) => Box::new(plb_apps::BlackScholes::new(n).cost()),
-            App::NnLayer(n) => Box::new(plb_apps::NnLayer::new(n, 16384, 16384).cost()),
-            App::Spmv { rows, skew, seed } => Box::new(Self::spmv_app(rows, skew, seed).cost()),
+    pub cost: Box<dyn CostModel>,
+    /// The run's work weights: per-row nonzero costs for SpMV (the very
+    /// table `cost` reads), uniform for the regular apps (for which
+    /// cost ≡ item count).
+    pub weights: Arc<Weights>,
+    /// Total work items.
+    pub total_items: u64,
+    /// Total workload weight in cost units (equals `total_items` for
+    /// the uniform apps): the quantity block-size heuristics should
+    /// scale with.
+    pub total_cost: u64,
+}
+
+impl App {
+    /// Build the run's inputs. For [`App::Spmv`] this generates the
+    /// matrix's row profile — once, whatever the run then reads of it.
+    /// Panics on parameters [`plb_apps::Spmv::validate`] rejects — the
+    /// CLI validates before constructing the variant.
+    pub fn inputs(&self) -> AppInputs {
+        let uniform = |cost: Box<dyn CostModel>| (cost, Weights::uniform());
+        let (cost, weights) = match *self {
+            App::MatMul(n) => uniform(Box::new(plb_apps::MatMul::new(n).cost())),
+            App::Grn(n) => uniform(Box::new(plb_apps::GrnInference::new(n).cost())),
+            App::BlackScholes(n) => uniform(Box::new(plb_apps::BlackScholes::new(n).cost())),
+            App::NnLayer(n) => uniform(Box::new(plb_apps::NnLayer::new(n, 16384, 16384).cost())),
+            App::Spmv { rows, skew, seed } => {
+                let app = plb_apps::Spmv::new(rows, skew, seed)
+                    .expect("spmv parameters validated by caller");
+                (Box::new(app.cost()) as Box<dyn CostModel>, app.weights())
+            }
+        };
+        let total_items = self.total_items();
+        AppInputs {
+            cost,
+            total_cost: weights.total_cost(total_items),
+            weights,
+            total_items,
         }
     }
 
@@ -59,22 +83,6 @@ impl App {
             App::NnLayer(n) => n,
             App::Spmv { rows, .. } => rows,
         }
-    }
-
-    /// The run's work weights: per-row nonzero costs for SpMV, uniform
-    /// for the regular apps (for which cost ≡ item count).
-    pub fn weights(&self) -> Arc<Weights> {
-        match *self {
-            App::Spmv { rows, skew, seed } => Self::spmv_app(rows, skew, seed).weights(),
-            _ => Weights::uniform(),
-        }
-    }
-
-    /// Total workload weight in cost units (equals [`App::total_items`]
-    /// for the uniform apps): the quantity block-size heuristics should
-    /// scale with.
-    pub fn total_cost(&self) -> u64 {
-        self.weights().total_cost(self.total_items())
     }
 
     /// Short family name ("MM", "GRN", "BS").
@@ -180,6 +188,26 @@ pub fn run_once(
     seed: u64,
     perturbations: Vec<Perturbation>,
 ) -> RunOutcome {
+    run_with(
+        &app.inputs(),
+        scenario,
+        single_gpu,
+        kind,
+        seed,
+        perturbations,
+    )
+}
+
+/// [`run_once`] over inputs the caller built, so repeated runs of one
+/// application share them.
+fn run_with(
+    inputs: &AppInputs,
+    scenario: Scenario,
+    single_gpu: bool,
+    kind: PolicyKind,
+    seed: u64,
+    perturbations: Vec<Perturbation>,
+) -> RunOutcome {
     let machines = cluster_scenario(scenario, single_gpu);
     let opts = ClusterOptions {
         seed,
@@ -187,20 +215,18 @@ pub fn run_once(
         ..Default::default()
     };
     let mut cluster = ClusterSim::build(&machines, &opts);
-    let n_units = cluster.len();
-    let total = app.total_items();
-    let cost = app.cost();
+    let total = inputs.total_items;
+    let cost = inputs.cost.as_ref();
     let cfg = PolicyConfig {
         // Block sizes are cost budgets, so the heuristic scales with
         // the workload's weight, not its item count (identical for the
         // uniform apps).
-        initial_block: default_initial_block(app.total_cost(), cost.as_ref()),
+        initial_block: default_initial_block(inputs.total_cost, cost),
         seed,
         ..Default::default()
     };
-    let _ = n_units;
-    let mut engine = SimEngine::new(&mut cluster, cost.as_ref())
-        .with_weights(app.weights())
+    let mut engine = SimEngine::new(&mut cluster, cost)
+        .with_weights(Arc::clone(&inputs.weights))
         .with_perturbations(perturbations);
 
     let (report, solve_times, rebalances) = match kind {
@@ -347,8 +373,9 @@ pub fn run_many(
     seeds: u64,
 ) -> Aggregate {
     assert!(seeds > 0);
+    let inputs = app.inputs();
     let runs: Vec<RunOutcome> = (0..seeds)
-        .map(|s| run_once(app, scenario, single_gpu, kind, s, Vec::new()))
+        .map(|s| run_with(&inputs, scenario, single_gpu, kind, s, Vec::new()))
         .collect();
     let makespans: Vec<f64> = runs.iter().map(|r| r.report.makespan).collect();
     Aggregate {
@@ -365,14 +392,42 @@ mod tests {
     #[test]
     fn initial_block_heuristic() {
         // Wide items (matmul columns): floor is the 32-item minimum.
-        let mm = App::MatMul(150_000).cost();
+        let mm = App::MatMul(150_000).inputs().cost;
         assert_eq!(default_initial_block(150_000, mm.as_ref()), 150);
         // Narrow items (options, 128 threads each): floor ≈ 782 items.
-        let bs = App::BlackScholes(500_000).cost();
+        let bs = App::BlackScholes(500_000).inputs().cost;
         assert_eq!(default_initial_block(500_000, bs.as_ref()), 782);
         // Floor never exceeds the input itself.
-        let bs_small = App::BlackScholes(100).cost();
+        let bs_small = App::BlackScholes(100).inputs().cost;
         assert_eq!(default_initial_block(100, bs_small.as_ref()), 100);
+    }
+
+    #[test]
+    fn spmv_inputs_share_one_generated_table() {
+        let app = App::Spmv {
+            rows: 2_000,
+            skew: 0.8,
+            seed: 7,
+        };
+        let AppInputs {
+            cost,
+            weights,
+            total_items,
+            total_cost,
+        } = app.inputs();
+        assert_eq!(total_items, 2_000);
+        assert_eq!(total_cost, weights.total_cost(total_items));
+        assert_eq!(cost.flops_range(0, total_items), 2.0 * total_cost as f64);
+        // The generated app is gone; what still holds the table beside
+        // `weights` is the cost model, so it reads this allocation and
+        // no second one was built.
+        assert_eq!(Arc::strong_count(&weights), 2);
+        drop(cost);
+        assert_eq!(Arc::strong_count(&weights), 1);
+        // The regular apps carry no table at all.
+        let uniform = App::BlackScholes(1_000).inputs();
+        assert_eq!(*uniform.weights, Weights::Uniform);
+        assert_eq!(uniform.total_cost, uniform.total_items);
     }
 
     #[test]

@@ -4,16 +4,19 @@
 //! pre-weights behavior, and on a skewed irregular workload (the SpMV
 //! app) balancing *cost* must beat balancing *row counts*.
 
+use plb_hec_suite::apps::spmv::SpmvData;
 use plb_hec_suite::apps::Spmv;
 use plb_hec_suite::hetsim::cluster::ClusterOptions;
 use plb_hec_suite::hetsim::workload::LinearCost;
 use plb_hec_suite::hetsim::PuKind;
 use plb_hec_suite::hetsim::{cluster_scenario, ClusterSim, PuId, Scenario};
-use plb_hec_suite::plb::{PlbHecPolicy, PolicyConfig};
+use plb_hec_suite::plb::{GreedyPolicy, PlbHecPolicy, PolicyConfig};
 use plb_hec_suite::runtime::{
     Codelet, Event, EventKind, FnCodelet, HostEngine, HostPu, Policy, SchedulerCtx, SimEngine,
     TaskInfo, Weights,
 };
+use rand::{RngCore, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -217,4 +220,87 @@ fn weighted_plb_hec_beats_count_uniform_on_skewed_spmv() {
         "weighted PLB-HeC ({weighted:.6}s) must strictly beat the count-uniform \
          baseline ({uniform:.6}s) on a skewed matrix"
     );
+}
+
+/// Whether the goldens below apply to this build. They were printed
+/// under the offline stand-in `plbmark/stubs/rand_chacha` — no registry
+/// is reachable where this repository is built — whose streams are not
+/// the published crate's, and the matrix is drawn from them. Under any
+/// other generator there is no reference to compare with, so `got` is
+/// printed instead (ROADMAP item 6 ends this: one generator the
+/// repository owns).
+fn goldens_apply(got: &dyn std::fmt::Debug) -> bool {
+    /// First word of `ChaCha8Rng::seed_from_u64(0)` under the stand-in.
+    const STAND_IN_STREAM: u64 = 0xbf94_d133_2d8e_e5e8;
+    let stream = ChaCha8Rng::seed_from_u64(0).next_u64();
+    if stream != STAND_IN_STREAM {
+        eprintln!("generator stream {stream:#x} is not the stand-in's; got {got:#x?}");
+    }
+    stream == STAND_IN_STREAM
+}
+
+#[test]
+fn weighted_runs_keep_their_bits_across_commits() {
+    // `plbmark` compares a binary with itself; this compares commits.
+    // Printed by this test at commit 323660e, where the cost model and
+    // the weights were two tables built from a third: the makespan's
+    // bits, the task count and every unit's item count, under PLB-HeC
+    // and under greedy.
+    let golden = [
+        (
+            0x3f83_5ea1_e483_aec5u64,
+            23usize,
+            vec![14_001u64, 1_313, 1_648, 2_123, 915],
+        ),
+        (
+            0x3f70_182b_6b48_5c24,
+            74,
+            vec![15_097, 2_867, 271, 912, 853],
+        ),
+    ];
+    let app = Spmv::new(ROWS, 0.8, SEED).expect("valid spmv parameters");
+    let cost_model = app.cost();
+    let cfg = PolicyConfig::default()
+        .with_initial_block((app.weights().total_cost(ROWS) / 64).max(1))
+        .with_round_fraction(0.2);
+    let run = |policy: &mut dyn Policy| {
+        let mut cluster = sim_cluster();
+        let report = SimEngine::new(&mut cluster, &cost_model)
+            .with_weights(app.weights())
+            .run(policy, ROWS)
+            .expect("run completes");
+        assert_eq!(report.cover, vec![(0, ROWS)]);
+        let items: Vec<u64> = report.pus.iter().map(|pu| pu.items).collect();
+        (report.makespan.to_bits(), report.tasks, items)
+    };
+    let got = [
+        run(&mut PlbHecPolicy::new(&cfg)),
+        run(&mut GreedyPolicy::new(&cfg)),
+    ];
+    if goldens_apply(&got) {
+        assert_eq!(got, golden, "(makespan bits, tasks, items per unit)");
+    }
+}
+
+#[test]
+fn generated_matrix_keeps_its_bits_across_commits() {
+    // Printed by this test at commit 323660e, where `generate` read the
+    // row lengths from a `Vec<u32>` of the app's own: the nonzero count
+    // and the FNV-1a hash of `row_ptr`, `cols`, `vals` and `x`, each
+    // word as its little-endian bytes.
+    const GOLDEN: (usize, u64) = (218_696, 0xa804_ccbb_dd9d_649c);
+    let app = Spmv::new(2_000, 0.8, 201_509).expect("valid spmv parameters");
+    let data = SpmvData::generate(&app);
+    let words = (data.row_ptr.iter().copied())
+        .chain(data.cols.iter().map(|&c| u64::from(c)))
+        .chain(data.vals.iter().chain(&data.x).map(|v| v.to_bits()));
+    let hash = words
+        .flat_map(u64::to_le_bytes)
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    let got = (data.cols.len(), hash);
+    if goldens_apply(&got) {
+        assert_eq!(got, GOLDEN);
+    }
 }
