@@ -10,6 +10,7 @@
 //! several rebalancing iterations. Once the per-unit times agree within
 //! a user threshold, the distribution is frozen.
 
+use super::{renormalize_live, spread_evenly};
 use crate::config::PolicyConfig;
 use crate::selection::apportion;
 use plb_hetsim::PuId;
@@ -85,16 +86,13 @@ impl AcostaPolicy {
 
     fn finish_wave(&mut self, ctx: &mut dyn SchedulerCtx) {
         // Relative powers from the completed wave.
-        let mut rp = vec![0.0f64; self.fractions.len()];
-        let mut times = Vec::new();
-        for (i, r) in self.wave_result.iter().enumerate() {
-            if let Some((items, secs)) = r {
-                if *secs > 0.0 {
-                    rp[i] = *items as f64 / secs;
-                    times.push(*secs);
-                }
-            }
-        }
+        let timed = |r: &Option<(u64, f64)>| r.filter(|&(_, secs)| secs > 0.0);
+        let rp: Vec<f64> = (self.wave_result.iter())
+            .map(|r| timed(r).map_or(0.0, |(items, secs)| items as f64 / secs))
+            .collect();
+        let times: Vec<f64> = (self.wave_result.iter())
+            .filter_map(|r| timed(r).map(|(_, secs)| secs))
+            .collect();
         let srp: f64 = rp.iter().sum();
         if srp > 0.0 && !self.converged {
             let tmax = times.iter().cloned().fold(0.0f64, f64::max);
@@ -109,22 +107,7 @@ impl AcostaPolicy {
                     let target = r / srp;
                     *f = 0.5 * *f + 0.5 * target;
                 }
-                let s: f64 = self
-                    .fractions
-                    .iter()
-                    .zip(&self.active)
-                    .filter(|(_, &a)| a)
-                    .map(|(f, _)| *f)
-                    .sum();
-                if s > 0.0 {
-                    for (f, &a) in self.fractions.iter_mut().zip(&self.active) {
-                        if a {
-                            *f /= s;
-                        } else {
-                            *f = 0.0;
-                        }
-                    }
-                }
+                renormalize_live(&mut self.fractions, self.active.iter().copied());
                 self.rebalances += 1;
             }
         }
@@ -145,18 +128,17 @@ impl Policy for AcostaPolicy {
     fn on_start(&mut self, ctx: &mut dyn SchedulerCtx) {
         let n = ctx.pus().len();
         self.active = ctx.pus().iter().map(|p| p.available).collect();
-        let live = self.active.iter().filter(|&&a| a).count().max(1);
-        self.fractions = self
-            .active
-            .iter()
-            .map(|&a| if a { 1.0 / live as f64 } else { 0.0 })
-            .collect();
+        self.fractions = vec![0.0; n];
+        spread_evenly(&mut self.fractions, self.active.iter().copied());
         self.wave_result = vec![None; n];
         self.launch_wave(ctx);
     }
 
     fn on_task_finished(&mut self, ctx: &mut dyn SchedulerCtx, done: &TaskInfo) {
-        self.wave_result[done.pu.0] = Some((done.items, done.total_time()));
+        let Some(result) = self.wave_result.get_mut(done.pu.0) else {
+            return;
+        };
+        *result = Some((done.items, done.total_time()));
         debug_assert!(self.outstanding > 0);
         self.outstanding -= 1;
         if self.outstanding == 0 {
@@ -165,22 +147,18 @@ impl Policy for AcostaPolicy {
     }
 
     fn on_device_lost(&mut self, ctx: &mut dyn SchedulerCtx, pu: PuId) {
-        self.active[pu.0] = false;
+        let (Some(active), Some(result)) = (self.active.get_mut(pu.0), self.wave_result.get(pu.0))
+        else {
+            return;
+        };
+        *active = false;
         // If the lost unit was part of the wave barrier, release it.
-        if self.wave_result[pu.0].is_none() && self.outstanding > 0 {
+        if result.is_none() && self.outstanding > 0 {
             self.outstanding -= 1;
         }
-        self.fractions[pu.0] = 0.0;
-        let s: f64 = self.fractions.iter().sum();
-        if s > 0.0 {
-            for f in &mut self.fractions {
-                *f /= s;
-            }
-        } else {
-            let live = self.active.iter().filter(|&&a| a).count().max(1);
-            for (f, &a) in self.fractions.iter_mut().zip(&self.active) {
-                *f = if a { 1.0 / live as f64 } else { 0.0 };
-            }
+        // Its share goes to the survivors, in proportion.
+        if !renormalize_live(&mut self.fractions, self.active.iter().copied()) {
+            spread_evenly(&mut self.fractions, self.active.iter().copied());
         }
         self.converged = false;
         if self.outstanding == 0 && ctx.remaining_items() > 0 {

@@ -16,7 +16,9 @@
 //!   sizes start big and decrease geometrically, trimming the
 //!   end-of-run imbalance. Weights are never updated again.
 
+use super::{renormalize_live, spread_evenly};
 use crate::config::PolicyConfig;
+use crate::modeling::{ladder_multiplier, round_to_granularity};
 use plb_hetsim::PuId;
 use plb_numerics::{fit_basis, BasisFn, BasisSet};
 use plb_runtime::{Policy, SchedulerCtx, TaskInfo};
@@ -29,171 +31,126 @@ enum Phase {
     Completion,
 }
 
+/// What HDSS keeps per unit, besides its weight.
+#[derive(Clone, Default)]
+struct Unit {
+    active: bool,
+    /// Adaptive probes issued so far.
+    probe_count: u32,
+    /// Whether an adaptive probe is currently in flight.
+    probing: bool,
+    /// (block size, observed items/s) samples.
+    rate_samples: Vec<(f64, f64)>,
+}
+
 /// The HDSS policy.
 pub struct HdssPolicy {
     cfg: PolicyConfig,
     phase: Phase,
-    /// Per-unit count of adaptive probes taken (drives the growth
-    /// schedule independently per unit — HDSS is a self-scheduler).
-    probe_count: Vec<u32>,
-    /// Per-unit flag: an adaptive probe is in flight. The weights are
-    /// fitted only once every probe has landed — the synchronization
-    /// point between HDSS's two phases, and the source of its phase-1
-    /// idleness (fast units wait while slow units chew their probes).
-    probing: Vec<bool>,
-    /// Adaptive-phase items still to hand out before weights freeze.
+    units: Vec<Unit>,
+    /// Items the adaptive phase may still hand out.
     adaptive_budget: u64,
-    /// (block items, rate items/s) samples per unit.
-    rate_samples: Vec<Vec<(f64, f64)>>,
+    /// One weight per unit (fraction of total speed).
     weights: Vec<f64>,
-    active: Vec<bool>,
 }
 
 impl HdssPolicy {
-    /// Create the policy from shared configuration.
+    /// Create the policy.
     pub fn new(cfg: &PolicyConfig) -> HdssPolicy {
         HdssPolicy {
             cfg: cfg.clone(),
             phase: Phase::Adaptive,
-            probe_count: Vec::new(),
-            probing: Vec::new(),
+            units: Vec::new(),
             adaptive_budget: 0,
-            rate_samples: Vec::new(),
             weights: Vec::new(),
-            active: Vec::new(),
         }
     }
 
-    /// The fitted per-unit weights (empty during the adaptive phase).
+    /// The fitted per-unit weights (sum to 1 over active units).
     pub fn weights(&self) -> &[f64] {
         &self.weights
     }
 
-    /// Next adaptive probe for one unit: the growth schedule 1, 2, 4, 8
-    /// (capped) of `initialBlockSize`. Equal per step across units — the
-    /// original HDSS's choice and the source of its adaptive-phase
-    /// idleness on slow units (paper Fig. 7). The rescaled variant
-    /// (opt-in) shrinks probes by the unit's running rate estimate.
-    fn adaptive_probe(&mut self, ctx: &mut dyn SchedulerCtx, unit: usize) -> bool {
-        if self.adaptive_budget == 0 || ctx.remaining_items() == 0 || !self.active[unit] {
+    /// Hand `pu` its next adaptive probe if the budget allows. The
+    /// probe sizes follow the same growth schedule on every unit —
+    /// HDSS has no round-1 speed preview to rescale with — and every
+    /// unit self-schedules its next probe the moment it finishes the
+    /// previous one, so fast units naturally perform more probes.
+    fn adaptive_probe(&mut self, ctx: &mut dyn SchedulerCtx, pu: PuId) -> bool {
+        let Some(unit) = self.units.get_mut(pu.0) else {
+            return false;
+        };
+        if self.adaptive_budget == 0 || ctx.remaining_items() == 0 || !unit.active {
             return false;
         }
-        let step = self.probe_count[unit].min(3);
-        let base = self
-            .cfg
-            .initial_block
-            .saturating_mul(1u64 << step)
-            .max(self.cfg.granularity);
-        let block = if self.cfg.hdss_rescaled_probes {
-            match self.current_rate_ratio(unit) {
-                Some(r) => ((base as f64 * r) as u64).max(self.cfg.granularity),
-                None => base,
-            }
-        } else {
-            base
-        };
-        let block = block.min(self.adaptive_budget);
-        let got = ctx.assign(PuId(unit), block);
-        if got > 0 {
-            self.probe_count[unit] += 1;
-            self.probing[unit] = true;
-            self.adaptive_budget = self.adaptive_budget.saturating_sub(got);
-            true
-        } else {
-            false
+        let block = (self.cfg.initial_block)
+            .saturating_mul(ladder_multiplier(unit.probe_count))
+            .max(self.cfg.granularity)
+            .min(self.adaptive_budget);
+        let got = ctx.assign(pu, block);
+        if got == 0 {
+            return false;
         }
+        unit.probe_count += 1;
+        unit.probing = true;
+        self.adaptive_budget = self.adaptive_budget.saturating_sub(got);
+        true
     }
 
-    /// All probes landed and the budget is gone: fit the weights from
-    /// every unit's samples and move everyone into the completion phase.
+    /// Enter the completion phase if the adaptive phase is over: the
+    /// budget is gone and every probe has landed (the weight
+    /// computation is a synchronization point, as in the original).
     fn try_enter_completion(&mut self, ctx: &mut dyn SchedulerCtx) {
-        if self.probing.iter().any(|&p| p) {
+        if self.units.iter().any(|u| u.probing) {
             return; // a probe is still in flight; finished units idle
         }
         self.fit_weights(ctx.remaining_items());
         // Deterministic stand-in for the (trivial) weight-fit cost.
         ctx.charge_overhead(5e-6 * self.weights.len() as f64);
         self.phase = Phase::Completion;
-        let ids: Vec<PuId> = (0..self.active.len())
-            .filter(|&i| self.active[i])
-            .map(PuId)
-            .collect();
-        for id in ids {
-            if !ctx.is_busy(id) {
-                self.assign_completion(ctx, id);
+        for pu in (0..self.units.len()).map(PuId) {
+            if !ctx.is_busy(pu) {
+                self.assign_completion(ctx, pu);
             }
         }
     }
 
-    /// This unit's mean observed rate relative to the fastest unit's,
-    /// in (0, 1]; `None` before any measurements exist.
-    fn current_rate_ratio(&self, unit: usize) -> Option<f64> {
-        let mean_rate = |s: &Vec<(f64, f64)>| -> Option<f64> {
-            if s.is_empty() {
-                None
-            } else {
-                Some(s.iter().map(|&(_, r)| r).sum::<f64>() / s.len() as f64)
-            }
-        };
-        let mine = mean_rate(&self.rate_samples[unit])?;
-        let fastest = self
-            .rate_samples
-            .iter()
-            .filter_map(mean_rate)
-            .fold(f64::NAN, f64::max);
-        if fastest.is_finite() && fastest > 0.0 {
-            Some((mine / fastest).clamp(1e-3, 1.0))
-        } else {
-            None
-        }
-    }
-
-    /// Fit `rate(x) = a·ln x + b` per unit and evaluate at the unit's
-    /// projected share of the remaining data.
+    /// Fit each unit's log rate curve and collapse it to a weight.
     fn fit_weights(&mut self, remaining: u64) {
-        let live = self.active.iter().filter(|&&a| a).count().max(1);
+        let live = self.units.iter().filter(|u| u.active).count().max(1);
         let eval_x = (remaining as f64 / live as f64).max(1.0);
         let log_basis = BasisSet::new(&[BasisFn::One, BasisFn::LnX]);
-        self.weights = self
-            .rate_samples
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                if !self.active[i] || s.is_empty() {
-                    return 0.0;
-                }
-                let rate = match fit_basis(s, &log_basis) {
-                    Ok(fit) => fit.eval(eval_x),
-                    Err(_) => s.iter().map(|&(_, r)| r).sum::<f64>() / s.len() as f64,
-                };
-                rate.max(1e-9)
-            })
-            .collect();
-        let sum: f64 = self.weights.iter().sum();
-        if sum > 0.0 {
-            for w in &mut self.weights {
-                *w /= sum;
+        let weight = |unit: &Unit| {
+            let s = &unit.rate_samples;
+            if !unit.active || s.is_empty() {
+                return 0.0;
             }
-        } else {
-            for (w, &a) in self.weights.iter_mut().zip(&self.active) {
-                *w = if a { 1.0 / live as f64 } else { 0.0 };
-            }
+            let rate = match fit_basis(s, &log_basis) {
+                Ok(fit) => fit.eval(eval_x),
+                Err(_) => s.iter().map(|&(_, r)| r).sum::<f64>() / s.len() as f64,
+            };
+            rate.max(1e-9)
+        };
+        self.weights = self.units.iter().map(weight).collect();
+        let live = self.units.iter().map(|u| u.active);
+        if !renormalize_live(&mut self.weights, live.clone()) {
+            spread_evenly(&mut self.weights, live);
         }
     }
 
-    fn completion_block(&self, pu: usize, remaining: u64) -> u64 {
-        let ideal = self.weights[pu] * remaining as f64 * COMPLETION_ALPHA;
-        let b = crate::modeling::round_to_granularity(ideal, self.cfg.granularity);
-        b.min(remaining.max(1))
+    fn completion_block(&self, weight: f64, remaining: u64) -> u64 {
+        let ideal = weight * remaining as f64 * COMPLETION_ALPHA;
+        round_to_granularity(ideal, self.cfg.granularity).min(remaining.max(1))
     }
 
     fn assign_completion(&mut self, ctx: &mut dyn SchedulerCtx, pu: PuId) {
-        let remaining = ctx.remaining_items();
-        if remaining == 0 || !self.active[pu.0] {
+        let (Some(unit), Some(&weight)) = (self.units.get(pu.0), self.weights.get(pu.0)) else {
             return;
+        };
+        let remaining = ctx.remaining_items();
+        if remaining > 0 && unit.active {
+            ctx.assign(pu, self.completion_block(weight, remaining));
         }
-        let b = self.completion_block(pu.0, remaining);
-        ctx.assign(pu, b);
     }
 }
 
@@ -203,36 +160,39 @@ impl Policy for HdssPolicy {
     }
 
     fn on_start(&mut self, ctx: &mut dyn SchedulerCtx) {
-        let n = ctx.pus().len();
-        self.active = ctx.pus().iter().map(|p| p.available).collect();
-        self.rate_samples = vec![Vec::new(); n];
-        self.weights = vec![0.0; n];
-        self.probe_count = vec![0; n];
-        self.probing = vec![false; n];
+        let unit = |p: &plb_runtime::PuHandle| Unit {
+            active: p.available,
+            ..Unit::default()
+        };
+        self.units = ctx.pus().iter().map(unit).collect();
+        self.weights = vec![0.0; self.units.len()];
         // The adaptive phase consumes the same share of the input the
         // other profile-based schedulers grant their modeling phases.
         self.adaptive_budget =
             ((ctx.total_items() as f64 * self.cfg.modeling_cap_fraction * 0.5) as u64).max(1);
-        let ids: Vec<usize> = (0..n).filter(|&i| self.active[i]).collect();
-        for i in ids {
-            self.adaptive_probe(ctx, i);
+        for pu in (0..self.units.len()).map(PuId) {
+            self.adaptive_probe(ctx, pu);
         }
     }
 
     fn on_task_finished(&mut self, ctx: &mut dyn SchedulerCtx, done: &TaskInfo) {
+        let Some(unit) = self.units.get_mut(done.pu.0) else {
+            return;
+        };
         match self.phase {
             Phase::Adaptive => {
-                self.probing[done.pu.0] = false;
+                unit.probing = false;
                 let t = done.total_time();
                 if t > 0.0 {
-                    self.rate_samples[done.pu.0].push((done.items as f64, done.items as f64 / t));
+                    let items = done.items as f64;
+                    unit.rate_samples.push((items, items / t));
                 }
                 // Self-scheduling within the phase: this unit takes its
                 // next probe while the budget lasts. Once the budget is
                 // gone, it waits for every outstanding probe to land —
                 // the weights need all units' measurements — and that
                 // wait is exactly the phase-1 idleness of Fig. 7.
-                if self.adaptive_probe(ctx, done.pu.0) {
+                if self.adaptive_probe(ctx, done.pu) {
                     return;
                 }
                 self.try_enter_completion(ctx);
@@ -244,12 +204,15 @@ impl Policy for HdssPolicy {
     }
 
     fn on_device_lost(&mut self, ctx: &mut dyn SchedulerCtx, pu: PuId) {
-        self.active[pu.0] = false;
+        let Some(unit) = self.units.get_mut(pu.0) else {
+            return;
+        };
+        unit.active = false;
         match self.phase {
             Phase::Adaptive => {
                 // Its in-flight probe (if any) will never land; don't
                 // hold the weight synchronization for it.
-                self.probing[pu.0] = false;
+                unit.probing = false;
                 if self.adaptive_budget == 0 {
                     self.try_enter_completion(ctx);
                 }
@@ -257,13 +220,8 @@ impl Policy for HdssPolicy {
             Phase::Completion => {
                 // Self-scheduling absorbs the loss: renormalize weights
                 // so survivors' blocks stay proportional.
-                self.weights[pu.0] = 0.0;
-                let s: f64 = self.weights.iter().sum();
-                if s > 0.0 {
-                    for w in &mut self.weights {
-                        *w /= s;
-                    }
-                }
+                let live = self.units.iter().map(|u| u.active);
+                renormalize_live(&mut self.weights, live);
             }
         }
     }
@@ -326,11 +284,9 @@ mod tests {
     #[test]
     fn completion_blocks_decrease() {
         let cfg = PolicyConfig::default();
-        let mut p = HdssPolicy::new(&cfg);
-        p.active = vec![true];
-        p.weights = vec![1.0];
-        let b1 = p.completion_block(0, 100_000);
-        let b2 = p.completion_block(0, 100_000 - b1);
+        let p = HdssPolicy::new(&cfg);
+        let b1 = p.completion_block(1.0, 100_000);
+        let b2 = p.completion_block(1.0, 100_000 - b1);
         assert!(b2 < b1, "{b1} then {b2}");
     }
 

@@ -87,9 +87,9 @@ impl Policy for StaticProfilePolicy {
         self.fractions = sel.fractions;
         self.blocks = sel.blocks;
 
-        for i in 0..n {
-            if self.active[i] && self.blocks[i] > 0 {
-                ctx.assign(PuId(i), self.blocks[i]);
+        for (pu, (&block, &active)) in self.blocks.iter().zip(&self.active).enumerate() {
+            if active && block > 0 {
+                ctx.assign(PuId(pu), block);
             }
             if ctx.remaining_items() == 0 {
                 break;
@@ -112,33 +112,34 @@ impl Policy for StaticProfilePolicy {
         // The one concession required for liveness: a vanished unit's
         // share is re-apportioned (otherwise the run cannot finish).
         // The *relative* split among survivors stays frozen.
-        self.active[pu.0] = false;
-        let lost = self.fractions[pu.0];
-        self.fractions[pu.0] = 0.0;
-        self.blocks[pu.0] = 0;
+        let (Some(active), Some(fraction), Some(block)) = (
+            self.active.get_mut(pu.0),
+            self.fractions.get_mut(pu.0),
+            self.blocks.get_mut(pu.0),
+        ) else {
+            return;
+        };
+        *active = false;
+        let lost = std::mem::take(fraction);
+        *block = 0;
         let live_sum: f64 = self.fractions.iter().sum();
+        let shares = self.fractions.iter_mut().zip(&mut self.blocks);
+        let survivors = shares.zip(&self.active).filter(|&(_, &active)| active);
         if live_sum > 0.0 && lost > 0.0 {
-            for (i, f) in self.fractions.iter_mut().enumerate() {
-                if self.active[i] {
-                    *f *= 1.0 + lost / live_sum;
-                }
-            }
             // Blocks scale with the regained share.
-            for (i, b) in self.blocks.iter_mut().enumerate() {
-                if self.active[i] && *b > 0 {
+            for ((f, b), _) in survivors {
+                *f *= 1.0 + lost / live_sum;
+                if *b > 0 {
                     *b = ((*b as f64) * (1.0 + lost / live_sum)).round().max(1.0) as u64;
                 }
             }
         }
         // Kick idle survivors (their next natural request may be far
         // away if they were idle when the failure hit).
-        let ids: Vec<PuId> = (0..self.active.len())
-            .filter(|&i| self.active[i])
-            .map(PuId)
-            .collect();
-        for id in ids {
-            if !ctx.is_busy(id) && ctx.remaining_items() > 0 && self.blocks[id.0] > 0 {
-                ctx.assign(id, self.blocks[id.0]);
+        for (id, (&block, &active)) in self.blocks.iter().zip(&self.active).enumerate() {
+            let id = PuId(id);
+            if active && !ctx.is_busy(id) && ctx.remaining_items() > 0 && block > 0 {
+                ctx.assign(id, block);
             }
         }
     }

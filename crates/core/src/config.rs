@@ -71,11 +71,6 @@ pub struct PolicyConfig {
     pub solver: SolverChoice,
     /// Probe-block sizing schedule (ablation knob).
     pub probe_schedule: ProbeSchedule,
-    /// HDSS variant: scale adaptive-phase probe blocks by the running
-    /// rate estimate instead of the original algorithm's equal sizes.
-    /// Off by default — the equal-size adaptive phase is precisely what
-    /// produces HDSS's phase-1 idleness in the paper's Fig. 7.
-    pub hdss_rescaled_probes: bool,
     /// Minimum seconds between block-size re-solves: divergence triggers
     /// observed sooner than this after the previous selection are
     /// suppressed. Hysteresis against rebalance thrash under continuous
@@ -98,7 +93,6 @@ impl Default for PolicyConfig {
             fit_mode: FitMode::BestSubset,
             solver: SolverChoice::Auto,
             probe_schedule: ProbeSchedule::ExponentialRescaled,
-            hdss_rescaled_probes: false,
             rebalance_cooldown_s: 0.0,
         }
     }

@@ -46,7 +46,6 @@ pub mod selection;
 pub use baselines::{AcostaPolicy, GreedyPolicy, HdssPolicy, StaticProfilePolicy};
 pub use config::{FitMode, PolicyConfig, ProbeSchedule, SolverChoice};
 pub use diffusion::NodeDiffusionPolicy;
-pub use modeling::{ModelingController, ModelingStatus};
 pub use policy::PlbHecPolicy;
 pub use profile::{PerfProfile, UnitModel};
 pub use selection::{

@@ -93,14 +93,15 @@ impl PerfProfile {
     }
 }
 
-/// The profiles of a run's units and, beside each, the outcome of the
-/// last fit of it: a sample set is fitted once. The modeling gate asks
-/// for every unit's model on every probe completion, closing the phase
-/// asks again, and a rebalance refits units that ran nothing since the
-/// previous one; all of them get the stored outcome until
-/// [`record`](Self::record) adds a sample. The memo lives here and not
-/// in [`PerfProfile`] because a profile is checkpointed and a model is
-/// derived from it.
+/// The one owner of a run's measurements: every unit's profile and,
+/// beside each, the outcome of the last fit of it. The policy holds one
+/// book from the first probe to the last block — the modeling phase
+/// records into it and gates on it, the execution phase extends it and
+/// refits from it, a checkpoint copies its profiles — and a sample set
+/// is fitted once: whoever asks for a unit's model gets the stored
+/// outcome until [`record`](Self::record) adds a sample. The memo lives
+/// here and not in [`PerfProfile`] because a profile is checkpointed
+/// and a model is derived from it.
 #[derive(Debug, Default)]
 pub(crate) struct ProfileBook {
     profiles: Vec<PerfProfile>,
@@ -148,14 +149,6 @@ impl ProfileBook {
         }
     }
 
-    /// Start `unit`'s profile over, empty.
-    pub(crate) fn reset(&mut self, unit: usize) {
-        if let Some((profile, slot)) = self.entry(unit) {
-            *profile = PerfProfile::new();
-            *slot = None;
-        }
-    }
-
     /// [`PerfProfile::fit_with`] of `unit`'s profile, computed at most
     /// once per sample set and mode.
     pub(crate) fn fit(&mut self, unit: usize, mode: FitMode) -> Result<&UnitModel, FitError> {
@@ -167,6 +160,42 @@ impl ProfileBook {
         }
         let (_, outcome) = slot.get_or_insert_with(|| (mode, profile.fit_with(mode)));
         outcome.as_ref().map_err(FitError::clone)
+    }
+
+    /// A model for `unit` no matter what: its fit, or — when its samples
+    /// support no curve — the constant-rate model of its mean observed
+    /// throughput.
+    pub(crate) fn fit_or_mean_rate(&mut self, unit: usize, mode: FitMode) -> UnitModel {
+        if let Ok(model) = self.fit(unit, mode) {
+            return model.clone();
+        }
+        mean_rate_model(
+            self.profiles
+                .get(unit)
+                .map_or(&[], PerfProfile::proc_samples),
+        )
+    }
+}
+
+/// Mean-rate fallback for samples no curve fits: time = items /
+/// mean_rate.
+fn mean_rate_model(samples: &[(f64, f64)]) -> UnitModel {
+    let rate = if samples.is_empty() {
+        1.0
+    } else {
+        let s: f64 = samples.iter().map(|&(x, t)| x / t.max(1e-12)).sum();
+        (s / samples.len() as f64).max(1e-12)
+    };
+    let line: Vec<(f64, f64)> = [1.0, 2.0, 4.0].iter().map(|&x| (x, x / rate)).collect();
+    // Exact affine data always fits; if the solve ever degenerates
+    // anyway, degrade to a constant one-item-time model instead of
+    // panicking.
+    let f = fit_linear(&line).unwrap_or_else(|_| FittedCurve::constant(1.0 / rate));
+    UnitModel {
+        f,
+        g: FittedCurve::constant(0.0),
+        f_quality: 0.0,
+        g_quality: 1.0,
     }
 }
 
@@ -306,17 +335,40 @@ mod tests {
         let log = describe(book.fit(0, FitMode::LogOnly).unwrap());
         assert_eq!(log, ("a0*1 + a1*ln(x)".to_string(), 6));
         assert_eq!(describe(book.fit(0, FitMode::BestSubset).unwrap()), best);
-        // A new sample is a new sample set; a reset an empty one.
+        // A new sample is a new sample set.
         book.record(0, 6400, 0.001 + 2e-6 * 6400.0, 1e-4);
         assert_eq!(book.samples(0), 7);
         assert_eq!(book.fit(0, FitMode::BestSubset).unwrap().f.n_samples(), 7);
-        book.reset(0);
-        assert!(book.fit(0, FitMode::BestSubset).is_err());
         // Failures are outcomes too, until a sample arrives.
         assert!(book.fit(1, FitMode::BestSubset).is_err());
         book.record(1, 100, 0.1, 0.0);
         book.record(1, 200, 0.2, 0.0);
         assert!(book.fit(1, FitMode::BestSubset).is_ok());
+    }
+
+    #[test]
+    fn every_unit_gets_a_model_its_own_samples_support() {
+        let mut book = ProfileBook::from_profiles(vec![filled_profile(); 3]);
+        book.profiles[1] = PerfProfile::new();
+        book.profiles[1].record(1000, 0.5, 0.0);
+        book.profiles[2] = PerfProfile::new();
+        // A curve where one fits; the mean rate of a lone sample; and
+        // one cost unit per second for a unit nothing is known about.
+        let fitted = book.fit_or_mean_rate(0, FitMode::BestSubset);
+        assert!(fitted.min_r2() > 0.999);
+        let lone = book.fit_or_mean_rate(1, FitMode::BestSubset);
+        assert!((lone.total_time(2000.0) - 1.0).abs() < 1e-9);
+        assert_eq!(lone.f_quality, 0.0);
+        let unknown = book.fit_or_mean_rate(2, FitMode::BestSubset);
+        assert!((unknown.total_time(10.0) - 10.0).abs() < 1e-9);
+        assert!(
+            (book
+                .fit_or_mean_rate(9, FitMode::BestSubset)
+                .total_time(10.0)
+                - 10.0)
+                .abs()
+                < 1e-9
+        );
     }
 
     #[test]

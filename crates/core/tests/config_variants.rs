@@ -1,7 +1,7 @@
 //! Behavioral coverage for the configuration variants: fit modes,
 //! probe schedules, and the HDSS probe-rescale flag.
 
-use plb_hec::{FitMode, HdssPolicy, PerfProfile, PlbHecPolicy, PolicyConfig, ProbeSchedule};
+use plb_hec::{FitMode, PerfProfile, PlbHecPolicy, PolicyConfig, ProbeSchedule};
 use plb_hetsim::cluster::ClusterOptions;
 use plb_hetsim::workload::LinearCost;
 use plb_hetsim::{cluster_scenario, ClusterSim, Scenario};
@@ -93,39 +93,5 @@ fn equal_probe_schedule_costs_more_modeling_time_on_heterogeneous_units() {
     assert!(
         rescaled <= equal * 1.1,
         "rescaled {rescaled:.4}s should not lose to equal {equal:.4}s"
-    );
-}
-
-#[test]
-fn hdss_rescaled_probe_variant_completes_and_differs() {
-    let run = |rescaled: bool| {
-        let machines = cluster_scenario(Scenario::Two, false);
-        let mut cluster = ClusterSim::build(
-            &machines,
-            &ClusterOptions {
-                seed: 9,
-                noise_sigma: 0.0,
-                ..Default::default()
-            },
-        );
-        let cost = heavy();
-        let cfg = PolicyConfig {
-            initial_block: 2_000,
-            hdss_rescaled_probes: rescaled,
-            ..Default::default()
-        };
-        let mut policy = HdssPolicy::new(&cfg);
-        let report = SimEngine::new(&mut cluster, &cost)
-            .run(&mut policy, 2_000_000)
-            .unwrap();
-        assert_eq!(report.total_items, 2_000_000);
-        report.makespan
-    };
-    let literal = run(false);
-    let charitable = run(true);
-    assert_ne!(
-        literal.to_bits(),
-        charitable.to_bits(),
-        "the variant flag must actually change the schedule"
     );
 }

@@ -27,10 +27,15 @@ use crate::report::{Allowlist, Violation};
 const PANIC_SCOPE: &[&str] = &["crates/runtime/src/", "crates/core/src/", "crates/ipm/src/"];
 
 /// The `drive()` hot path and the policy hooks it invokes every task
-/// completion: here even indexing is a latent abort.
+/// completion: here even indexing is a latent abort. The PLB-HeC hooks
+/// are a directory, so a phase moved to a new file stays in scope, plus
+/// the two modules that run inside them (the probe ladder and the
+/// profile book).
 const INDEX_SCOPE: &[&str] = &[
     "crates/runtime/src/core/",
-    "crates/core/src/policy.rs",
+    "crates/core/src/policy/",
+    "crates/core/src/modeling.rs",
+    "crates/core/src/profile.rs",
     "crates/core/src/baselines/",
 ];
 
@@ -152,12 +157,27 @@ fn index_expressions(code: &str) -> Vec<usize> {
             continue;
         }
         let prev = b[k - 1];
-        if is_word_byte(prev) || prev == b')' || prev == b']' {
+        if prev == b')' || prev == b']' {
             hits.push(i);
+        } else if is_word_byte(prev) {
+            // An identifier ends a place expression; a keyword puts the
+            // bracket in type or expression position (`&mut [f64]`,
+            // `for x in [a, b]`, `return [0; 4]`).
+            let start = b[..k].iter().rposition(|&c| !is_word_byte(c));
+            let word = &code[start.map_or(0, |s| s + 1)..k];
+            if !BEFORE_A_NON_INDEX_BRACKET.contains(&word) {
+                hits.push(i);
+            }
         }
     }
     hits
 }
+
+/// Keywords after which `[` opens a slice type or an array expression,
+/// never an index.
+const BEFORE_A_NON_INDEX_BRACKET: &[&str] = &[
+    "mut", "const", "dyn", "in", "return", "break", "else", "match", "if", "while",
+];
 
 #[cfg(test)]
 mod tests {
@@ -170,6 +190,16 @@ mod tests {
         let hits = index_expressions(code);
         // xs[i], a[0], m()[1] — not #[derive], not the literal, not vec![.
         assert_eq!(hits.len(), 3, "{hits:?}");
+    }
+
+    #[test]
+    fn a_keyword_before_the_bracket_is_not_a_place() {
+        let code = "fn f(xs: &mut [f64], p: *const [u8]) -> u8 { \
+                    for x in [1, 2] { g(x) } if c { return [0; 4][0] } xs[0] = mut_[1]; in_[2] }";
+        let hits = index_expressions(code);
+        // `[0; 4][0]`, `xs[0]`, `mut_[1]`, `in_[2]` — not the slice
+        // types, the `in [..]` array, or the `return [..]` array.
+        assert_eq!(hits.len(), 4, "{hits:?}");
     }
 
     #[test]
