@@ -32,9 +32,9 @@ use plb_hec::{
 use plb_hetsim::cluster::ClusterOptions;
 use plb_hetsim::{cluster_scenario, ClusterSim, Scenario, Topology};
 use plb_runtime::{
-    equal_cost_shards, write_jsonl, CheckpointConfig, CheckpointError, ClusterEngine, EventSink,
-    FaultPlan, NodeFaultPlan, Policy, RunReport, SegmentKind, SimEngine, SimNodeRunner, Trace,
-    TraceData, TraceHeader,
+    equal_cost_shards, write_jsonl, Checkpoint, CheckpointConfig, CheckpointError, ClusterEngine,
+    EventSink, FaultPlan, NodeFaultPlan, Policy, RunReport, SegmentKind, SimEngine, SimNodeRunner,
+    Trace, TraceData, TraceHeader,
 };
 
 struct Args {
@@ -387,6 +387,44 @@ fn write_outputs(
     }
 }
 
+/// `--checkpoint FILE [--checkpoint-interval N] [--resume]`, for either
+/// engine: where to snapshot, and the snapshot to resume from when
+/// `--resume` finds one there.
+fn durability_of(a: &Args) -> (Option<CheckpointConfig>, Option<Checkpoint>) {
+    if a.resume && a.checkpoint.is_none() {
+        usage("--resume requires --checkpoint FILE");
+    }
+    let Some(path) = &a.checkpoint else {
+        return (None, None);
+    };
+    let mut cfg = CheckpointConfig::new(path);
+    if let Some(every) = a.checkpoint_interval {
+        cfg = cfg.with_interval(every);
+    }
+    if !a.resume {
+        return (Some(cfg), None);
+    }
+    match plb_runtime::checkpoint::load(std::path::Path::new(path)) {
+        Ok(ckpt) => {
+            println!(
+                "resuming from {path}: snapshot #{}, {} of {} items already done",
+                ckpt.seq,
+                ckpt.completed_items(),
+                ckpt.workload.total_items,
+            );
+            (Some(cfg), Some(ckpt))
+        }
+        // A missing file is the normal cold-start case for idempotent
+        // invocations; anything else (corruption, wrong workload) is a
+        // hard error.
+        Err(CheckpointError::Io(_)) => {
+            println!("no checkpoint at {path}; starting fresh");
+            (Some(cfg), None)
+        }
+        Err(e) => usage(&format!("cannot resume from {path}: {e}")),
+    }
+}
+
 /// `plb run --nodes N`: the multi-node cluster tier. Each node is a
 /// full simulated machine cluster running the intra-node `--policy`;
 /// the outer engine balances equal-cost home shards across the nodes by
@@ -449,32 +487,12 @@ fn run_cluster_tier(a: &Args) {
     if !chunk_plan.is_empty() {
         engine = engine.with_faults(chunk_plan);
     }
-    if a.resume && a.checkpoint.is_none() {
-        usage("--resume requires --checkpoint FILE");
+    let (checkpoint, resume) = durability_of(a);
+    if let Some(cfg) = checkpoint {
+        engine = engine.with_checkpoint(cfg);
     }
-    if let Some(path) = &a.checkpoint {
-        let mut ckpt_cfg = CheckpointConfig::new(path);
-        if let Some(every) = a.checkpoint_interval {
-            ckpt_cfg = ckpt_cfg.with_interval(every);
-        }
-        engine = engine.with_checkpoint(ckpt_cfg);
-        if a.resume {
-            match plb_runtime::checkpoint::load(std::path::Path::new(path)) {
-                Ok(ckpt) => {
-                    println!(
-                        "resuming from {path}: snapshot #{}, {} of {} items already done",
-                        ckpt.seq,
-                        ckpt.completed_items(),
-                        ckpt.workload.total_items,
-                    );
-                    engine = engine.resume_from(ckpt);
-                }
-                Err(CheckpointError::Io(_)) => {
-                    println!("no checkpoint at {path}; starting fresh");
-                }
-                Err(e) => usage(&format!("cannot resume from {path}: {e}")),
-            }
-        }
+    if let Some(ckpt) = resume {
+        engine = engine.resume_from(ckpt);
     }
     let report = engine.run(&mut outer, total_items).unwrap_or_else(|e| {
         eprintln!("run failed: {e}");
@@ -561,35 +579,12 @@ fn main() {
             if !plan.is_empty() {
                 engine = engine.with_faults(plan);
             }
-            if a.resume && a.checkpoint.is_none() {
-                usage("--resume requires --checkpoint FILE");
+            let (checkpoint, resume) = durability_of(&a);
+            if let Some(cfg) = checkpoint {
+                engine = engine.with_checkpoint(cfg);
             }
-            if let Some(path) = &a.checkpoint {
-                let mut ckpt_cfg = CheckpointConfig::new(path);
-                if let Some(n) = a.checkpoint_interval {
-                    ckpt_cfg = ckpt_cfg.with_interval(n);
-                }
-                engine = engine.with_checkpoint(ckpt_cfg);
-                if a.resume {
-                    match plb_runtime::checkpoint::load(std::path::Path::new(path)) {
-                        Ok(ckpt) => {
-                            println!(
-                                "resuming from {path}: snapshot #{}, {} of {} items already done",
-                                ckpt.seq,
-                                ckpt.completed_items(),
-                                ckpt.workload.total_items,
-                            );
-                            engine = engine.resume_from(ckpt);
-                        }
-                        // A missing file is the normal cold-start case
-                        // for idempotent invocations; anything else
-                        // (corruption, wrong workload) is a hard error.
-                        Err(CheckpointError::Io(_)) => {
-                            println!("no checkpoint at {path}; starting fresh");
-                        }
-                        Err(e) => usage(&format!("cannot resume from {path}: {e}")),
-                    }
-                }
+            if let Some(ckpt) = resume {
+                engine = engine.resume_from(ckpt);
             }
             let report = engine
                 .run(policy.as_mut(), inputs.total_items)

@@ -32,8 +32,8 @@
 //! fault domains".
 
 use super::backend::{Backend, ClockKind, EventQueue, Launch, LaunchSpec, Polled};
-use super::{drive, Durability};
-use crate::checkpoint::{Checkpoint, CheckpointConfig, CheckpointWriter};
+use super::{drive, RunConfig, WorkPool};
+use crate::checkpoint::{Checkpoint, CheckpointConfig};
 use crate::engine::{RunError, SimEngine};
 use crate::events::{EventKind, EventSink};
 use crate::fault::{FaultAction, FaultPlan, FaultToleranceConfig};
@@ -729,13 +729,9 @@ impl NodeRunner for SimNodeRunner<'_> {
 pub struct ClusterEngine<'r> {
     runner: &'r mut dyn NodeRunner,
     node_faults: NodeFaultPlan,
-    faults: FaultPlan,
-    ft: FaultToleranceConfig,
     migration: MigrationConfig,
-    checkpoint: Option<CheckpointConfig>,
-    resume: Option<Checkpoint>,
-    weights: Arc<Weights>,
     shard_bounds: Option<Vec<u64>>,
+    cfg: RunConfig,
     last_trace: Option<Trace>,
     last_events: Option<EventSink>,
 }
@@ -746,13 +742,9 @@ impl<'r> ClusterEngine<'r> {
         ClusterEngine {
             runner,
             node_faults: NodeFaultPlan::none(),
-            faults: FaultPlan::none(),
-            ft: FaultToleranceConfig::default(),
             migration: MigrationConfig::default(),
-            checkpoint: None,
-            resume: None,
-            weights: Weights::uniform(),
             shard_bounds: None,
+            cfg: RunConfig::default(),
             last_trace: None,
             last_events: None,
         }
@@ -769,14 +761,14 @@ impl<'r> ClusterEngine<'r> {
     /// attempt index — the same grammar single-node runs use, applied
     /// at node granularity. See [`FaultPlan`].
     pub fn with_faults(mut self, plan: FaultPlan) -> ClusterEngine<'r> {
-        self.faults = plan;
+        self.cfg.faults = plan;
         self
     }
 
     /// Override the fault-response tunables (chunk retry bound,
     /// backoff, node quarantine threshold).
     pub fn with_fault_tolerance(mut self, ft: FaultToleranceConfig) -> ClusterEngine<'r> {
-        self.ft = ft;
+        self.cfg.ft = ft;
         self
     }
 
@@ -791,7 +783,7 @@ impl<'r> ClusterEngine<'r> {
     /// clean shutdown). Cluster snapshots carry the node roster
     /// (checkpoint v3), so they resume only under the same roster.
     pub fn with_checkpoint(mut self, cfg: CheckpointConfig) -> ClusterEngine<'r> {
-        self.checkpoint = Some(cfg);
+        self.cfg.checkpoint = Some(cfg);
         self
     }
 
@@ -799,14 +791,14 @@ impl<'r> ClusterEngine<'r> {
     /// Consumed by that run. The snapshot must match the run's workload
     /// *and* node roster, or `run` fails with [`RunError::Checkpoint`].
     pub fn resume_from(mut self, ckpt: Checkpoint) -> ClusterEngine<'r> {
-        self.resume = Some(ckpt);
+        self.cfg.resume = Some(ckpt);
         self
     }
 
     /// Use per-item work weights: home shards become equal-*cost* (not
     /// equal-count), and chunk claims are cost-budgeted.
     pub fn with_weights(mut self, weights: Arc<Weights>) -> ClusterEngine<'r> {
-        self.weights = weights;
+        self.cfg.weights = weights;
         self
     }
 
@@ -854,7 +846,7 @@ impl<'r> ClusterEngine<'r> {
             .collect();
         let shard_bounds = match &self.shard_bounds {
             Some(b) => b.clone(),
-            None => equal_cost_shards(total_items, n, &self.weights),
+            None => equal_cost_shards(total_items, n, &self.cfg.weights),
         };
         if !shard_bounds_usable(&shard_bounds, total_items, n) {
             return Err(RunError::Infrastructure {
@@ -865,13 +857,23 @@ impl<'r> ClusterEngine<'r> {
                 ),
             });
         }
+        // Cut the pool at the home-shard borders, so shard-scoped claims
+        // never straddle an ownership boundary. (A resumed run replaces
+        // the pool with the snapshot's holes, which split lazily inside
+        // `take_within`.)
+        let cfg = RunConfig {
+            roster: names,
+            ..self.cfg.for_run()
+        };
+        let mut pool = WorkPool::over(0..total_items, Arc::clone(&cfg.weights));
+        pool.fragment(&shard_bounds);
         let mut backend = ClusterBackend {
             runner: self.runner,
             nodes: (0..n).map(|_| NodeState::fresh()).collect(),
-            shard_bounds: shard_bounds.clone(),
+            shard_bounds,
             node_faults: self.node_faults.clone(),
             migration: self.migration.clone(),
-            weights: Arc::clone(&self.weights),
+            weights: Arc::clone(&cfg.weights),
             queue: EventQueue::new(),
             bytes_in: vec![0; n],
             heals_pending: 0,
@@ -893,22 +895,7 @@ impl<'r> ClusterEngine<'r> {
                 backend.heals_pending += 1;
             }
         }
-        let durability = Durability {
-            checkpoint: self.checkpoint.clone().map(CheckpointWriter::new),
-            resume: self.resume.take(),
-            nodes: names,
-            shard_bounds,
-        };
-        let outcome = drive(
-            &mut backend,
-            handles,
-            policy,
-            0..total_items,
-            Arc::clone(&self.weights),
-            self.faults.clone(),
-            self.ft.clone(),
-            durability,
-        );
+        let outcome = drive(&mut backend, handles, policy, pool, cfg);
         self.last_trace = Some(outcome.trace);
         self.last_events = Some(outcome.events);
         outcome.result

@@ -30,6 +30,14 @@
 //! scheduler overhead only delays virtual launches (wall time already
 //! passed).
 //!
+//! Who owns what: `handles` is what policies see
+//! ([`SchedulerCtx::pus`]); everything else the driver keeps about a
+//! unit is one `Unit` record, resolved once per hook and per
+//! observation; and a unit's availability changes in three functions
+//! only — `take_down`, `bring_back`, `write_off` — which the run loop
+//! and the checkpoint restore share (`docs/FAULT_TOLERANCE.md`,
+//! "Transitions").
+//!
 //! What the loop spends per poll does not grow with the roster: the
 //! driver counts the attempts in flight and the timers it has armed as
 //! it arms them, and while no timer is armed — always, under a virtual
@@ -48,7 +56,7 @@ pub use backend::{Backend, ClockKind, Launch, LaunchSpec, Polled};
 pub use pool::WorkPool;
 
 use crate::checkpoint::{
-    Checkpoint, CheckpointWriter, PuState, WorkloadId, CHECKPOINT_FORMAT_VERSION,
+    Checkpoint, CheckpointConfig, CheckpointWriter, PuState, WorkloadId, CHECKPOINT_FORMAT_VERSION,
 };
 use crate::engine::RunError;
 use crate::events::{EventCounters, EventKind, EventSink};
@@ -61,34 +69,49 @@ use crate::task::{FailureReason, TaskFailure, TaskId, TaskInfo};
 use crate::trace::Trace;
 use crate::weights::Weights;
 use plb_hetsim::PuId;
-use std::ops::Range;
 
-/// Run-level durability knobs handed to [`drive`]: an optional
-/// periodic-snapshot writer and an optional snapshot to resume from.
-/// Both default to off; see [`crate::checkpoint`] and
-/// `docs/FAULT_TOLERANCE.md`.
-#[derive(Debug, Default)]
-pub struct Durability {
-    /// Write periodic snapshots (plus one on clean shutdown) through
-    /// this writer.
-    pub checkpoint: Option<CheckpointWriter>,
+/// What a run is configured with besides its backend, units, policy and
+/// items: the one value every engine holds and hands to [`drive`]. The
+/// defaults are uniform weights, no injected fault, the default
+/// response, and no durability.
+#[derive(Debug, Clone, Default)]
+pub struct RunConfig {
+    /// The *global* per-item cost of the workload (uniform for regular
+    /// workloads — cost ≡ item count): converts claimed ranges to cost
+    /// units for events, deadlines, and the policy-facing cost
+    /// accessors. The pool handed to [`drive`] is built over the same
+    /// table. See [`crate::weights`].
+    pub weights: Arc<Weights>,
+    /// Deterministic fault injection (see [`crate::fault`]).
+    pub faults: FaultPlan,
+    /// The fault-response tunables.
+    pub ft: FaultToleranceConfig,
+    /// Write periodic snapshots (plus one on clean shutdown) here. See
+    /// [`crate::checkpoint`] and `docs/FAULT_TOLERANCE.md`; defined for
+    /// whole runs only, like `resume`.
+    pub checkpoint: Option<CheckpointConfig>,
     /// Restore this snapshot instead of starting fresh: the work pool
     /// resumes on the uncovered items, per-unit driver state is
-    /// restored, and the policy is re-seeded via
-    /// [`Policy::restore`](crate::Policy::restore).
+    /// restored, and the policy is re-seeded via [`Policy::restore`].
     pub resume: Option<Checkpoint>,
     /// Cluster-tier node roster (one display name per node, in shard
     /// order). Stamped into snapshots as checkpoint-v3 workload
     /// identity so a mid-partition cluster run only resumes under the
     /// same roster. Empty for single-node runs.
-    pub nodes: Vec<String>,
-    /// Home-shard boundaries of a cluster run: `shard_bounds[i]` is the
-    /// first item of shard `i+1` (ascending, exclusive of 0 and the
-    /// total). On a fresh cluster run the work pool is pre-fragmented
-    /// at these bounds so shard-scoped claims
-    /// ([`WorkPool::take_within`]) never straddle an ownership border.
-    /// Empty for single-node runs.
-    pub shard_bounds: Vec<u64>,
+    pub roster: Vec<String>,
+}
+
+impl RunConfig {
+    /// The configuration of an engine's next run: a copy that takes the
+    /// resume snapshot with it, so a snapshot is consumed by one run
+    /// and the run after it starts fresh.
+    pub(crate) fn for_run(&mut self) -> RunConfig {
+        let resume = self.resume.take();
+        RunConfig {
+            resume,
+            ..self.clone()
+        }
+    }
 }
 
 /// Everything a finished drive hands back to its engine: the result
@@ -123,63 +146,112 @@ struct Pending {
     deadline_at: Option<f64>,
 }
 
+/// Everything the driver keeps about one unit besides its policy-facing
+/// [`PuHandle`].
+#[derive(Debug, Default)]
+struct Unit {
+    /// Availability lattice (`Active ⇄ Quarantined`, `Lost` absorbing):
+    /// a probation restore can never resurrect a unit whose executor is
+    /// gone. A unit still waiting for its join is `Active` here and
+    /// unavailable in its handle. See [`crate::protocol::UnitGate`].
+    gate: UnitGate,
+    /// The attempt in flight. Written only by `launch` and
+    /// `take_inflight`, which keep `busy` and `armed_timers` in step.
+    inflight: Option<Pending>,
+    /// Dispatch counter (including retries) — the fault plan's attempt
+    /// index.
+    attempts: u64,
+    /// Drift factor of the previous dispatch (`None` before the first:
+    /// nominal); `drift_applied` is emitted only when the factor
+    /// changes.
+    last_drift: Option<f64>,
+    /// Consecutive-failure counter; reset by any success.
+    consec_failures: u32,
+    /// Policy-provided seconds-per-cost-unit prediction (deadline
+    /// hint; seconds per item under uniform weights).
+    deadline_hint: Option<f64>,
+    /// Observed seconds-per-cost-unit EWMA (deadline fallback).
+    rate_ewma: Option<f64>,
+    /// Probation expiry while quarantined (wall clocks only). Written
+    /// only through `set_probation`.
+    quarantined_until: Option<f64>,
+}
+
+impl Unit {
+    /// Arm (`Some`) or clear (`None`) the probation timer, keeping the
+    /// driver's count of armed timers in step.
+    fn set_probation(&mut self, until: Option<f64>, armed_timers: &mut usize) {
+        *armed_timers -= usize::from(self.quarantined_until.is_some());
+        *armed_timers += usize::from(until.is_some());
+        self.quarantined_until = until;
+    }
+
+    /// Fold an observed per-cost-unit rate into the EWMA estimate
+    /// (per-item under uniform weights).
+    fn observe_rate(&mut self, proc_time: f64, cost: u64) {
+        if cost == 0 || !(proc_time.is_finite() && proc_time >= 0.0) {
+            return;
+        }
+        let rate = proc_time / cost as f64;
+        self.rate_ewma = Some(match self.rate_ewma {
+            Some(prev) => 0.5 * prev + 0.5 * rate,
+            None => rate,
+        });
+    }
+
+    /// The timers armed on the unit: the watchdog deadline of its
+    /// attempt in flight, and its probation expiry.
+    fn timers(&self) -> impl Iterator<Item = f64> {
+        let deadline = self.inflight.as_ref().and_then(|p| p.deadline_at);
+        [deadline, self.quarantined_until].into_iter().flatten()
+    }
+}
+
+/// Why a unit enters the active set.
+enum Up {
+    /// Its probation ended, or the backend restored it.
+    Restored,
+    /// The completed-task count reached its join threshold.
+    Joined { after_tasks: u64 },
+}
+
 /// The driver's working state: shared bookkeeping plus the backend.
 struct Driver<'b> {
     backend: &'b mut dyn Backend,
+    /// What policies see of the units; `available` is written by
+    /// `take_down`, `bring_back` and `write_off` only.
     handles: Vec<PuHandle>,
-    /// Written only through `set_inflight` / `take_inflight`, which keep
-    /// `busy` and `armed_timers` in step.
-    inflight: Vec<Option<Pending>>,
-    /// Attempts in flight: the `Some` entries of `inflight`.
+    /// What the driver keeps about them, index for index.
+    units: Vec<Unit>,
+    /// Attempts in flight: the units whose `inflight` is `Some`.
     busy: usize,
     /// Timers the loop must wake for: watchdog deadlines of in-flight
-    /// attempts plus probation expiries in `quarantined_until`. Zero
-    /// for the whole run under a virtual clock.
+    /// attempts plus probation expiries. Zero for the whole run under a
+    /// virtual clock.
     armed_timers: usize,
     pool: WorkPool,
-    /// Per-unit availability lattice (`Active ⇄ Quarantined`, `Lost`
-    /// absorbing): a probation restore can never resurrect a unit
-    /// whose executor is gone. See [`crate::protocol::UnitGate`].
-    gates: Vec<UnitGate>,
     /// First item and item count of the range this drive covers.
     start: u64,
     total: u64,
     next_task: u64,
     trace: Trace,
     events: EventSink,
-    /// Fault injection + response (see [`crate::fault`]).
-    faults: FaultPlan,
-    ft: FaultToleranceConfig,
-    /// Per-unit dispatch counter (including retries) — the fault
-    /// plan's attempt index.
-    attempts: Vec<u64>,
-    /// Join schedule from the fault plan, sorted by trigger: units in
-    /// this list start *latent* (never probed, never assigned) and are
-    /// admitted when the global completed-task count reaches their
-    /// threshold. Keying admission to `tasks_done` — owned here, not by
-    /// the backends — makes both engines admit at the same point in the
-    /// task sequence.
+    /// The run's configuration; its `checkpoint` has moved into
+    /// `ckpt_writer` and its `resume` snapshot, restored, is gone.
+    cfg: RunConfig,
+    /// Join schedule from the fault plan, soonest trigger last: units
+    /// in this list start *latent* (never probed, never assigned) and
+    /// are admitted, off the back, when the global completed-task count
+    /// reaches their threshold. Keying admission to `tasks_done` —
+    /// owned here, not by the backends — makes both engines admit at
+    /// the same point in the task sequence.
     joins: Vec<(usize, u64)>,
-    /// Next unadmitted entry of `joins`.
-    next_join: usize,
-    /// Per-unit drift factor of the previous dispatch; `drift_applied`
-    /// is emitted only when the factor changes.
-    last_drift: Vec<f64>,
     /// Whether the fault plan has any drift schedule at all (skips the
     /// per-launch schedule evaluation on the common drift-free path).
     has_drift: bool,
-    /// Per-unit consecutive-failure counter; reset by any success.
-    consec_failures: Vec<u32>,
-    /// Policy-provided seconds-per-cost-unit prediction (deadline
-    /// hint; seconds per item under uniform weights).
-    deadline_hint: Vec<Option<f64>>,
-    /// Observed seconds-per-cost-unit EWMA (deadline fallback).
-    rate_ewma: Vec<Option<f64>>,
-    /// Probation expiry for quarantined units (wall clocks only).
-    /// Written only through `set_probation`.
-    quarantined_until: Vec<Option<f64>>,
-    /// Units whose loss was detected inside `assign` (policy callback
-    /// re-entrancy guard): the driver loop delivers `on_device_lost`.
+    /// Units that went down since the policy was last told: the loop
+    /// delivers `on_device_lost` once the hook in progress (a loss can
+    /// be detected inside the policy's own `assign`) has returned.
     pending_lost: Vec<PuId>,
     /// Completed ranges accumulated this process (sorted + coalesced
     /// lazily) — the disjoint cover a checkpoint persists.
@@ -192,13 +264,6 @@ struct Driver<'b> {
     /// into every new snapshot and the final report so lifetime totals
     /// survive the process boundary.
     carried: EventCounters,
-    /// Per-item cost of the workload (shared with the pool): converts
-    /// claimed ranges to cost units for events, deadlines, and the
-    /// policy-facing cost accessors.
-    weights: Arc<Weights>,
-    /// Cluster-tier node roster, stamped into checkpoint workload
-    /// identity (v3). Empty for single-node runs.
-    nodes: Vec<String>,
 }
 
 impl SchedulerCtx for Driver<'_> {
@@ -223,7 +288,7 @@ impl SchedulerCtx for Driver<'_> {
     }
 
     fn total_cost(&self) -> u64 {
-        self.weights.cost(self.start, self.total)
+        self.cfg.weights.cost(self.start, self.total)
     }
 
     fn assign(&mut self, pu: PuId, budget_cost: u64) -> u64 {
@@ -237,7 +302,7 @@ impl SchedulerCtx for Driver<'_> {
     }
 
     fn is_busy(&self, pu: PuId) -> bool {
-        self.inflight[pu.0].is_some()
+        self.units.get(pu.0).is_some_and(|u| u.inflight.is_some())
     }
 
     fn any_busy(&self) -> bool {
@@ -256,69 +321,164 @@ impl SchedulerCtx for Driver<'_> {
     }
 
     fn set_deadline_hint(&mut self, pu: PuId, seconds_per_cost_unit: f64) {
-        self.deadline_hint[pu.0] =
-            if seconds_per_cost_unit.is_finite() && seconds_per_cost_unit > 0.0 {
-                Some(seconds_per_cost_unit)
-            } else {
-                None
-            };
+        if let Some(unit) = self.units.get_mut(pu.0) {
+            let usable = seconds_per_cost_unit.is_finite() && seconds_per_cost_unit > 0.0;
+            unit.deadline_hint = usable.then_some(seconds_per_cost_unit);
+        }
     }
 }
 
-impl Driver<'_> {
-    /// Record `pend` as the attempt in flight on the free unit `pu`.
-    fn set_inflight(&mut self, pu: usize, pend: Pending) {
-        if let Some(slot) = self.inflight.get_mut(pu) {
-            debug_assert!(slot.is_none(), "launching onto a busy unit");
-            self.busy += 1;
-            self.armed_timers += usize::from(pend.deadline_at.is_some());
-            *slot = Some(pend);
+impl<'b> Driver<'b> {
+    /// The driver of one run, before its policy starts: the resume
+    /// snapshot (if any) validated and restored, latent units held out.
+    /// `Err` is why the snapshot — or asking for durability on a
+    /// sub-range — was rejected, before any state was built: a rejected
+    /// snapshot must fail the run loudly, never silently start a fresh
+    /// one over the remains of another.
+    fn new(
+        backend: &'b mut dyn Backend,
+        mut handles: Vec<PuHandle>,
+        policy: &mut dyn Policy,
+        mut pool: WorkPool,
+        mut cfg: RunConfig,
+    ) -> Result<Driver<'b>, String> {
+        let n = handles.len();
+        let items = pool.items();
+        let total = items.end.saturating_sub(items.start);
+        // A snapshot's cover and identity describe `0..total`; one
+        // taken of (or restored into) a sub-range would be unreadable.
+        if items.start != 0 && (cfg.checkpoint.is_some() || cfg.resume.is_some()) {
+            return Err("checkpoint and resume need a whole run, not a sub-range".into());
         }
+        let resume = cfg.resume.take();
+        if let Some(ckpt) = &resume {
+            let workload = WorkloadId {
+                policy: policy.name().to_string(),
+                total_items: total,
+                n_pus: n,
+                total_cost: cfg.weights.total_cost(total),
+                nodes: cfg.roster.clone(),
+            };
+            ckpt.validate()
+                .and_then(|()| ckpt.matches(&workload))
+                .map_err(|e| e.to_string())?;
+            // The uncovered holes replace whatever the engine handed
+            // over; they split at shard borders lazily, inside
+            // `take_within`.
+            pool = WorkPool::resume_with_weights(total, &ckpt.completed, Arc::clone(&cfg.weights))?;
+        }
+
+        // Units with a scheduled mid-run join start *latent*: invisible
+        // to the policy's probing and assignment until the global
+        // completed-task count reaches their threshold
+        // (`admit_due_joins`). Out-of-range targets (a plan built for a
+        // larger cluster) are ignored.
+        let mut joins = cfg.faults.joins();
+        joins.reverse();
+        for &(pu, _) in &joins {
+            if let Some(handle) = handles.get_mut(pu) {
+                handle.available = false;
+            }
+        }
+        let mut d = Driver {
+            backend,
+            handles,
+            units: (0..n).map(|_| Unit::default()).collect(),
+            busy: 0,
+            armed_timers: 0,
+            pool,
+            start: items.start,
+            total,
+            next_task: 0,
+            trace: Trace::new(n),
+            events: EventSink::default(),
+            has_drift: cfg.faults.has_drift(),
+            joins,
+            pending_lost: Vec::new(),
+            completed: Vec::new(),
+            tasks_done: 0,
+            ckpt_writer: cfg.checkpoint.take().map(CheckpointWriter::new),
+            carried: EventCounters::default(),
+            cfg,
+        };
+        let started = EventKind::RunStart {
+            policy: policy.name().to_string(),
+            total_items: total,
+            n_pus: n,
+        };
+        d.events.record(0.0, None, started);
+        if let Some(ckpt) = &resume {
+            d.restore(policy, ckpt);
+        }
+        Ok(d)
     }
 
-    /// Clear and return the attempt in flight on `pu`, if any.
-    fn take_inflight(&mut self, pu: usize) -> Option<Pending> {
-        let pend = self.inflight.get_mut(pu)?.take()?;
+    /// Restore the driver's bookkeeping from a validated snapshot: the
+    /// task-id sequence, the completed cover, lifetime counters, and
+    /// per-unit fault state — the transitions replayed without events
+    /// or callbacks, since the policy has not started. Restoring
+    /// `attempts` keeps injected fault plans deterministic across the
+    /// process boundary.
+    fn restore(&mut self, policy: &mut dyn Policy, ckpt: &Checkpoint) {
+        self.next_task = ckpt.next_task;
+        self.tasks_done = ckpt.tasks_done;
+        self.completed = ckpt.completed.clone();
+        self.carried = ckpt.counters.clone();
+        for (pu, saved) in ckpt.units.iter().enumerate() {
+            let Some(unit) = self.units.get_mut(pu) else {
+                break;
+            };
+            unit.attempts = saved.dispatches;
+            unit.consec_failures = saved.consecutive_failures;
+            unit.rate_ewma = saved.rate_ewma;
+            if saved.lost {
+                // The executor died with the previous process.
+                let _ = self.write_off(pu);
+            } else if saved.quarantined && self.handles.get(pu).is_some_and(|h| h.available) {
+                let _ = self.take_down(pu, true);
+            }
+        }
+        if let Some(w) = self.ckpt_writer.as_mut() {
+            w.continue_from(ckpt.seq + 1, ckpt.tasks_done);
+        }
+        // Re-seed the policy with its persisted state (for PLB-HeC, the
+        // accumulated profiles and fitted models — re-fit + re-solve
+        // instead of re-probing). A policy that declines restores
+        // simply starts fresh on the remaining items.
+        if let Some(state) = &ckpt.policy_state {
+            let _ = policy.restore(state);
+        }
+        let resumed = EventKind::RunResumed {
+            seq: ckpt.seq,
+            completed_items: ckpt.completed_items(),
+        };
+        self.events.record(self.backend.now(), None, resumed);
+    }
+
+    /// Clear and return the attempt in flight on `pu`, if any, with the
+    /// unit it ran on.
+    fn take_inflight(&mut self, pu: usize) -> Option<(&mut Unit, Pending)> {
+        let unit = self.units.get_mut(pu)?;
+        let pend = unit.inflight.take()?;
         self.busy -= 1;
         self.armed_timers -= usize::from(pend.deadline_at.is_some());
-        Some(pend)
+        Some((unit, pend))
     }
 
     /// Take the attempt in flight on `pu` if it is still `task`. An
     /// observation of any other task is stale — it comes from a unit
     /// already written off, whose block was re-dispatched elsewhere —
-    /// and yields `None`.
-    fn take_if_current(&mut self, pu: usize, task: TaskId) -> Option<Pending> {
-        let current = self.inflight.get(pu)?.as_ref()?.task == task;
-        if current {
-            self.take_inflight(pu)
-        } else {
-            None
-        }
-    }
-
-    /// Arm (`Some`) or clear (`None`) the probation timer of `pu`.
-    fn set_probation(&mut self, pu: usize, until: Option<f64>) {
-        if let Some(slot) = self.quarantined_until.get_mut(pu) {
-            self.armed_timers -= usize::from(slot.is_some());
-            self.armed_timers += usize::from(until.is_some());
-            *slot = until;
-        }
+    /// and yields `None`, as does one naming a unit outside the roster.
+    fn take_if_current(&mut self, pu: usize, task: TaskId) -> Option<(&mut Unit, Pending)> {
+        let current = self.units.get(pu)?.inflight.as_ref()?.task == task;
+        current.then(|| self.take_inflight(pu)).flatten()
     }
 
     /// `(busy, armed_timers)` counted from scratch: what the two
     /// counters must equal at every turn of the loop.
     fn recount(&self) -> (usize, usize) {
-        let deadlines = self
-            .inflight
-            .iter()
-            .flatten()
-            .filter(|p| p.deadline_at.is_some());
-        let probations = self.quarantined_until.iter().flatten();
-        (
-            self.inflight.iter().flatten().count(),
-            deadlines.count() + probations.count(),
-        )
+        let busy = self.units.iter().filter(|u| u.inflight.is_some()).count();
+        (busy, self.units.iter().flat_map(Unit::timers).count())
     }
 
     /// The earliest armed watchdog deadline or probation expiry. Looks
@@ -327,12 +487,8 @@ impl Driver<'_> {
         if self.armed_timers == 0 {
             return None;
         }
-        let deadlines = self.inflight.iter().flatten().filter_map(|p| p.deadline_at);
-        let probations = self.quarantined_until.iter().flatten().copied();
-        deadlines
-            .chain(probations)
-            .reduce(f64::min)
-            .filter(|t| t.is_finite())
+        let earliest = self.units.iter().flat_map(Unit::timers).reduce(f64::min);
+        earliest.filter(|t| t.is_finite())
     }
 
     /// The body of both `assign` flavours: if `pu` is free, claim a
@@ -348,7 +504,7 @@ impl Driver<'_> {
             return 0;
         }
         let unit_free = self.handles.get(pu.0).is_some_and(|h| h.available)
-            && self.inflight.get(pu.0).is_some_and(Option::is_none)
+            && self.units.get(pu.0).is_some_and(|u| u.inflight.is_none())
             && self.backend.unit_ready(pu.0);
         if !unit_free {
             return 0;
@@ -360,7 +516,7 @@ impl Driver<'_> {
         let Some((offset, got)) = claim(&mut self.pool) else {
             return 0;
         };
-        let cost = self.weights.cost(offset, got);
+        let cost = self.cfg.weights.cost(offset, got);
         let task = TaskId(self.next_task);
         self.next_task += 1;
         let now = self.backend.now();
@@ -373,73 +529,59 @@ impl Driver<'_> {
                 cost,
             },
         );
-        if !self.launch(pu.0, task, offset, got, cost, 0, 0.0) {
-            // The executor died out from under us: the block returns
-            // to the pool and the unit is lost; the driver loop
-            // delivers the policy notification.
-            self.pool.reclaim(offset, got);
-            self.release_unit(pu.0);
-            return 0;
+        let first = Pending {
+            task,
+            offset,
+            items: got,
+            cost,
+            attempt: 0,
+            deadline_at: None,
+        };
+        // An executor that died out from under us took nothing: the
+        // loop delivers the policy's notification once this hook ends.
+        if self.launch(pu.0, first, 0.0) {
+            cost
+        } else {
+            0
         }
-        cost
     }
 
-    /// Launch one attempt: resolve the fault plan, arm the watchdog
-    /// deadline (wall clocks), record the in-flight entry, and hand the
-    /// spec to the backend. Returns `false` when the unit's executor is
-    /// gone — the caller reclaims the block and writes the unit off.
-    fn launch(
-        &mut self,
-        pu: usize,
-        task: TaskId,
-        offset: u64,
-        items: u64,
-        cost: u64,
-        attempt: u32,
-        backoff_s: f64,
-    ) -> bool {
-        let fault_attempt = self.attempts[pu];
-        self.attempts[pu] += 1;
-        let inject = self.faults.action(pu, fault_attempt);
+    /// Launch the attempt `pend` (its deadline not yet set): resolve
+    /// the fault plan, arm the watchdog deadline (wall clocks), hand the
+    /// spec to the backend and record the in-flight entry. Returns
+    /// `false` when the unit's executor is gone: the block is back in
+    /// the pool and the unit written off.
+    fn launch(&mut self, pu: usize, mut pend: Pending, backoff_s: f64) -> bool {
+        let Some(unit) = self.units.get_mut(pu) else {
+            return false;
+        };
+        let fault_attempt = unit.attempts;
+        unit.attempts += 1;
+        let inject = self.cfg.faults.action(pu, fault_attempt);
         let drift = if self.has_drift {
-            self.faults.drift_factor(pu, fault_attempt)
+            self.cfg.faults.drift_factor(pu, fault_attempt)
         } else {
             1.0
         };
-        if drift != self.last_drift[pu] {
-            self.last_drift[pu] = drift;
-            let now = self.backend.now();
+        let now = self.backend.now();
+        if drift != unit.last_drift.unwrap_or(1.0) {
+            unit.last_drift = Some(drift);
             self.events
                 .record(now, Some(pu), EventKind::DriftApplied { factor: drift });
         }
-        let deadline_at = if self.backend.clock_kind() == ClockKind::Wall {
+        if self.backend.clock_kind() == ClockKind::Wall {
             // Rates (hinted and observed) are seconds per cost unit, so
             // the watchdog prices the block by its weight, not length.
-            let rate = self.deadline_hint[pu].or(self.rate_ewma[pu]);
-            let now = self.backend.now();
-            self.ft
-                .deadline_for(rate, cost)
-                .map(|d| now + backoff_s + d)
-        } else {
-            None
-        };
-        self.set_inflight(
-            pu,
-            Pending {
-                task,
-                offset,
-                items,
-                cost,
-                attempt,
-                deadline_at,
-            },
-        );
+            let rate = unit.deadline_hint.or(unit.rate_ewma);
+            let deadline = self.cfg.ft.deadline_for(rate, pend.cost);
+            pend.deadline_at = deadline.map(|d| now + backoff_s + d);
+        }
         match self.backend.launch(&LaunchSpec {
             pu,
-            task,
-            offset,
-            items,
-            attempt,
+            task: pend.task,
+            offset: pend.offset,
+            items: pend.items,
+            attempt: pend.attempt,
             backoff_s,
             inject,
             drift,
@@ -448,101 +590,167 @@ impl Driver<'_> {
                 // Virtual clocks know the start time at dispatch; it is
                 // recorded for first attempts only (retries of the same
                 // block keep the original submit/start pair).
-                if attempt == 0 {
-                    if let Some(s) = start {
-                        self.events.record(
-                            s,
-                            Some(pu),
-                            EventKind::TaskStart {
-                                task: task.0,
-                                items,
-                            },
-                        );
-                    }
+                if let (0, Some(s)) = (pend.attempt, start) {
+                    let kind = EventKind::TaskStart {
+                        task: pend.task.0,
+                        items: pend.items,
+                    };
+                    self.events.record(s, Some(pu), kind);
                 }
+                debug_assert!(unit.inflight.is_none(), "launching onto a busy unit");
+                self.busy += 1;
+                self.armed_timers += usize::from(pend.deadline_at.is_some());
+                unit.inflight = Some(pend);
                 true
             }
             Launch::UnitGone => {
-                let _ = self.take_inflight(pu);
+                self.pool.reclaim(pend.offset, pend.items);
+                if self.write_off(pu) {
+                    self.announce_down(pu);
+                }
                 false
             }
         }
     }
 
-    /// Permanently remove a unit whose executor is gone or wedged.
-    /// Emits `device_failed` and queues the `on_device_lost`
-    /// notification for the driver loop (never calls the policy
-    /// directly — this can run inside a policy's own `assign` call).
-    fn release_unit(&mut self, pu: usize) {
-        // The gate's swap makes loss idempotent and absorbing: exactly
-        // one caller performs the teardown, and a pending probation
-        // restore can no longer succeed.
-        if !self.gates[pu].mark_lost() {
+    /// Take `pu` out of the active set, restorably: its handle goes
+    /// unavailable and the gate records a quarantine, so a later
+    /// restore succeeds (a no-op on a unit that is already down). When
+    /// the core itself decided it (`by_core`: the failure bar, or a
+    /// quarantine replayed from a snapshot) the backend mirrors it and,
+    /// under a wall clock with a probation window, the timer that
+    /// brings the unit back is armed; a down the backend reported is
+    /// ended by the backend. `false` when `pu` is outside the roster.
+    fn take_down(&mut self, pu: usize, by_core: bool) -> bool {
+        let (Some(handle), Some(unit)) = (self.handles.get_mut(pu), self.units.get_mut(pu)) else {
+            return false;
+        };
+        handle.available = false;
+        let gated = unit.gate.try_quarantine();
+        if by_core {
+            debug_assert!(gated, "quarantining a non-active unit");
+            self.backend.on_unit_quarantined(pu);
+            if self.backend.clock_kind() == ClockKind::Wall {
+                let until = self.cfg.ft.probation_s.map(|p| self.backend.now() + p);
+                unit.set_probation(until, &mut self.armed_timers);
+            }
+        }
+        true
+    }
+
+    /// Bring `pu` into the active set — back, after a probation window
+    /// or a backend-external restore, or for the first time, when its
+    /// join is due — with a clean failure run, and tell the policy. The
+    /// gate arbitrates against loss: a written-off unit stays gone (no
+    /// event, no callback), because its executor is. A restore of a
+    /// unit that never failed still fires, matching the perturbation's
+    /// contract; a join of a unit that is already up does not.
+    fn bring_back(&mut self, policy: &mut dyn Policy, pu: usize, why: Up) {
+        let (Some(handle), Some(unit)) = (self.handles.get_mut(pu), self.units.get_mut(pu)) else {
+            return;
+        };
+        if unit.gate.is_lost() || (handle.available && matches!(why, Up::Joined { .. })) {
             return;
         }
-        self.handles[pu].available = false;
+        let _ = unit.gate.try_restore();
+        unit.set_probation(None, &mut self.armed_timers);
+        unit.consec_failures = 0;
+        handle.available = true;
+        let now = self.backend.now();
+        match why {
+            Up::Restored => {
+                self.events.record(now, Some(pu), EventKind::DeviceRestored);
+                policy.on_device_restored(self, PuId(pu));
+            }
+            // The policy's `on_device_joined` flow decides — via its
+            // acquisition gate — whether folding the newcomer in pays.
+            Up::Joined { after_tasks } => {
+                self.backend.on_unit_joined(pu);
+                self.events
+                    .record(now, Some(pu), EventKind::PuJoined { after_tasks });
+                policy.on_device_joined(self, PuId(pu));
+            }
+        }
+        self.notify_lost(policy);
+    }
+
+    /// Permanently remove a unit whose executor is gone or wedged. The
+    /// gate's swap makes loss idempotent and absorbing: exactly one
+    /// caller performs the teardown (and gets `true`), and a pending
+    /// probation restore can no longer succeed.
+    fn write_off(&mut self, pu: usize) -> bool {
+        let (Some(handle), Some(unit)) = (self.handles.get_mut(pu), self.units.get_mut(pu)) else {
+            return false;
+        };
+        if !unit.gate.mark_lost() {
+            return false;
+        }
+        handle.available = false;
+        unit.set_probation(None, &mut self.armed_timers);
         self.backend.forget_unit(pu);
-        self.set_probation(pu, None);
+        true
+    }
+
+    /// Say that `pu` left the active set: `device_failed` now, the
+    /// policy's `on_device_lost` at the next `notify_lost` — never a
+    /// direct call, since this can run inside a policy's own `assign`.
+    fn announce_down(&mut self, pu: usize) {
         let now = self.backend.now();
         self.events.record(now, Some(pu), EventKind::DeviceFailed);
         self.pending_lost.push(PuId(pu));
     }
 
-    /// Deliver queued `on_device_lost` notifications (losses detected
-    /// inside `assign`, where calling back into the policy would
-    /// re-enter it).
+    /// Deliver the queued `on_device_lost` notifications.
     fn notify_lost(&mut self, policy: &mut dyn Policy) {
         while let Some(pu) = self.pending_lost.pop() {
             policy.on_device_lost(self, pu);
         }
     }
 
-    /// Admit every latent unit whose join threshold the global
-    /// completed-task count has reached: flip it available, mirror the
-    /// admission in the backend, emit `pu_joined`, and hand the unit to
-    /// the policy's `on_device_joined` flow (which decides — via its
-    /// acquisition gate — whether folding the newcomer in pays off).
-    /// Called once at start (thresholds of 0, resumed runs) and after
-    /// every completion; joins never fire between completions, so both
-    /// engines admit at the same point in the task sequence.
-    fn admit_due_joins(&mut self, policy: &mut dyn Policy) {
-        while self
-            .joins
-            .get(self.next_join)
-            .is_some_and(|&(_, after)| self.tasks_done >= after)
-        {
-            let (pu, after_tasks) = self.joins[self.next_join];
-            self.next_join += 1;
-            // Out-of-range targets (a plan built for a larger cluster)
-            // are ignored, mirroring the latent-marking pass. A unit
-            // written off while latent (it cannot fail a task it never
-            // ran, but an external perturbation may have killed it)
-            // stays gone.
-            if pu >= self.handles.len() || self.gates[pu].is_lost() || self.handles[pu].available {
-                continue;
-            }
-            self.handles[pu].available = true;
-            self.consec_failures[pu] = 0;
-            self.backend.on_unit_joined(pu);
-            let now = self.backend.now();
-            self.events
-                .record(now, Some(pu), EventKind::PuJoined { after_tasks });
-            policy.on_device_joined(self, PuId(pu));
-            self.notify_lost(policy);
+    /// Record one failed attempt in the event stream.
+    fn note_failed(&mut self, pu: usize, pend: &Pending, reason: FailureReason) {
+        let now = self.backend.now();
+        self.events.record(
+            now,
+            Some(pu),
+            EventKind::TaskFailed {
+                task: pend.task.0,
+                items: pend.items,
+                attempt: pend.attempt,
+                reason: reason.name().to_string(),
+            },
+        );
+    }
+
+    /// Give an attempt up: record `task_failed`, return the block's
+    /// items to the pool for the other units, and describe the failure
+    /// for [`Policy::on_task_failed`].
+    fn abandon(&mut self, pu: usize, pend: Pending, reason: FailureReason) -> TaskFailure {
+        self.note_failed(pu, &pend, reason);
+        self.pool.reclaim(pend.offset, pend.items);
+        TaskFailure {
+            task_id: pend.task,
+            pu: PuId(pu),
+            items: pend.items,
+            cost: pend.cost,
+            attempt: pend.attempt,
+            at: self.backend.now(),
+            reason,
         }
     }
 
-    /// Fold an observed per-cost-unit rate into the unit's EWMA
-    /// estimate (per-item under uniform weights).
-    fn observe_rate(&mut self, pu: usize, proc_time: f64, cost: u64) {
-        if cost == 0 || !(proc_time.is_finite() && proc_time >= 0.0) {
-            return;
+    /// Admit every latent unit whose join threshold the global
+    /// completed-task count has reached. Called once at start
+    /// (thresholds of 0, resumed runs) and after every completion;
+    /// joins never fire between completions, so both engines admit at
+    /// the same point in the task sequence. A unit written off while
+    /// latent (it cannot fail a task it never ran, but an external
+    /// perturbation may have killed it) stays gone.
+    fn admit_due_joins(&mut self, policy: &mut dyn Policy) {
+        let done = self.tasks_done;
+        while let Some((pu, after_tasks)) = self.joins.pop_if(|(_, after)| done >= *after) {
+            self.bring_back(policy, pu, Up::Joined { after_tasks });
         }
-        let rate = proc_time / cost as f64;
-        self.rate_ewma[pu] = Some(match self.rate_ewma[pu] {
-            Some(prev) => 0.5 * prev + 0.5 * rate,
-            None => rate,
-        });
     }
 
     /// Sort the completed ranges and merge adjacent ones in place. The
@@ -550,14 +758,13 @@ impl Driver<'_> {
     /// exactly one attempt), so adjacency is the only merge case.
     fn coalesce_completed(&mut self) {
         self.completed.sort_unstable();
-        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(self.completed.len());
-        for &(off, len) in &self.completed {
-            match merged.last_mut() {
-                Some((m_off, m_len)) if *m_off + *m_len == off => *m_len += len,
-                _ => merged.push((off, len)),
+        self.completed.dedup_by(|next, kept| {
+            let adjacent = kept.0 + kept.1 == next.0;
+            if adjacent {
+                kept.1 += next.1;
             }
-        }
-        self.completed = merged;
+            adjacent
+        });
     }
 
     /// Snapshot the driver state (see [`crate::checkpoint`]). The
@@ -566,16 +773,16 @@ impl Driver<'_> {
         self.coalesce_completed();
         let mut counters = self.events.counters();
         counters.merge(&self.carried);
-        let units = (0..self.handles.len())
-            .map(|i| PuState {
-                name: self.handles[i].name.clone(),
-                dispatches: self.attempts[i],
-                consecutive_failures: self.consec_failures[i],
-                rate_ewma: self.rate_ewma[i],
-                quarantined: !self.gates[i].is_lost() && !self.handles[i].available,
-                lost: self.gates[i].is_lost(),
-            })
-            .collect();
+        // The gate tells a quarantined unit (neither active nor lost)
+        // from one that is merely waiting for its join.
+        let state = |(handle, unit): (&PuHandle, &Unit)| PuState {
+            name: handle.name.clone(),
+            dispatches: unit.attempts,
+            consecutive_failures: unit.consec_failures,
+            rate_ewma: unit.rate_ewma,
+            quarantined: !unit.gate.is_active() && !unit.gate.is_lost(),
+            lost: unit.gate.is_lost(),
+        };
         Checkpoint {
             version: CHECKPOINT_FORMAT_VERSION,
             workload: WorkloadId {
@@ -583,14 +790,14 @@ impl Driver<'_> {
                 total_items: self.total,
                 n_pus: self.handles.len(),
                 total_cost: self.total_cost(),
-                nodes: self.nodes.clone(),
+                nodes: self.cfg.roster.clone(),
             },
             seq: 0,
             at: self.backend.now(),
             tasks_done: self.tasks_done,
             next_task: self.next_task,
             completed: self.completed.clone(),
-            units,
+            units: self.handles.iter().zip(&self.units).map(state).collect(),
             counters,
             policy_state: policy.snapshot(),
         }
@@ -601,11 +808,8 @@ impl Driver<'_> {
     /// without the durability the caller asked for would let a later
     /// crash lose work the caller believed was persisted.
     fn maybe_checkpoint(&mut self, policy: &dyn Policy, force: bool) -> Result<(), RunError> {
-        let due = match &self.ckpt_writer {
-            Some(w) => force || w.due(self.tasks_done),
-            None => false,
-        };
-        if !due {
+        let due = |w: &CheckpointWriter| force || w.due(self.tasks_done);
+        if !self.ckpt_writer.as_ref().is_some_and(due) {
             return Ok(());
         }
         let mut ckpt = self.build_checkpoint(policy);
@@ -637,11 +841,11 @@ impl Driver<'_> {
         RunError::Stalled { remaining, at }
     }
 
-    /// After a unit loss: when every unit is gone, nothing is in
+    /// After a unit went down: when every unit is gone, nothing is in
     /// flight, and nothing (probation, pending external restore) can
     /// bring one back, the run is dead — stall immediately rather than
     /// replaying a drained queue.
-    fn all_dead_stall(&mut self) -> Option<RunError> {
+    fn all_dead_stall(&mut self) -> Result<(), RunError> {
         if self.pool.remaining() == 0
             || self.handles.iter().any(|h| h.available)
             || self.any_busy()
@@ -649,114 +853,77 @@ impl Driver<'_> {
             || self.armed_timers > 0
             || self.backend.external_restore_possible()
         {
-            return None;
+            return Ok(());
         }
-        Some(self.stall())
+        Err(self.stall())
     }
 
     /// The fault-response state machine for one failed attempt:
     /// quarantine after `quarantine_after` consecutive failures, else
     /// bounded in-place retry with exponential backoff, else re-credit
-    /// the block to the pool. Returns an error when the failure killed
-    /// the run (every unit gone).
+    /// the block to the pool. `Err` when the failure killed the run
+    /// (every unit gone).
     fn handle_failure(
         &mut self,
         policy: &mut dyn Policy,
         pu: usize,
         task: TaskId,
         reason: FailureReason,
-    ) -> Option<RunError> {
-        let pend = self.take_if_current(pu, task)?;
-        self.consec_failures[pu] += 1;
-        let failures = self.consec_failures[pu];
-        let now = self.backend.now();
-        self.events.record(
-            now,
-            Some(pu),
-            EventKind::TaskFailed {
-                task: pend.task.0,
-                items: pend.items,
-                attempt: pend.attempt,
-                reason: reason.name().to_string(),
-            },
-        );
-        if failures >= self.ft.quarantine_after {
-            // Quarantine: the unit leaves the active set, its block
-            // returns to the pool, and the policy re-solves the split
-            // over the survivors. Under a wall clock with a probation
-            // window the unit can come back; virtual clocks model
-            // restores as external perturbations instead.
-            let gated = self.gates[pu].try_quarantine();
-            debug_assert!(gated, "quarantining a non-active unit");
-            self.backend.on_unit_quarantined(pu);
-            self.handles[pu].available = false;
-            if self.backend.clock_kind() == ClockKind::Wall {
-                self.set_probation(pu, self.ft.probation_s.map(|p| now + p));
-            }
-            self.pool.reclaim(pend.offset, pend.items);
-            self.events
-                .record(now, Some(pu), EventKind::PuQuarantined { failures });
-            self.events.record(now, Some(pu), EventKind::DeviceFailed);
-            policy.on_device_lost(self, PuId(pu));
-            self.notify_lost(policy);
-            let failure = TaskFailure {
-                task_id: pend.task,
-                pu: PuId(pu),
-                items: pend.items,
-                cost: pend.cost,
-                attempt: pend.attempt,
-                at: now,
-                reason,
-            };
-            policy.on_task_failed(self, &failure);
-            self.notify_lost(policy);
-            return self.all_dead_stall();
-        }
-        if pend.attempt < self.ft.max_retries {
+    ) -> Result<(), RunError> {
+        let Some((unit, pend)) = self.take_if_current(pu, task) else {
+            return Ok(());
+        };
+        unit.consec_failures += 1;
+        let failures = unit.consec_failures;
+        let quarantine = failures >= self.cfg.ft.quarantine_after;
+        if !quarantine && pend.attempt < self.cfg.ft.max_retries {
             // Bounded in-place retry with exponential backoff; the
             // fault plan sees a fresh per-unit attempt index.
-            let retry_attempt = pend.attempt + 1;
-            let backoff = self.ft.backoff_for(retry_attempt);
+            self.note_failed(pu, &pend, reason);
+            let retry = Pending {
+                attempt: pend.attempt + 1,
+                deadline_at: None,
+                ..pend
+            };
+            let backoff_s = self.cfg.ft.backoff_for(retry.attempt);
+            let now = self.backend.now();
             self.events.record(
                 now,
                 Some(pu),
                 EventKind::TaskRetry {
-                    task: pend.task.0,
-                    items: pend.items,
-                    attempt: retry_attempt,
-                    backoff_s: backoff,
+                    task: retry.task.0,
+                    items: retry.items,
+                    attempt: retry.attempt,
+                    backoff_s,
                 },
             );
-            if !self.launch(
-                pu,
-                pend.task,
-                pend.offset,
-                pend.items,
-                pend.cost,
-                retry_attempt,
-                backoff,
-            ) {
-                self.pool.reclaim(pend.offset, pend.items);
-                self.release_unit(pu);
+            if !self.launch(pu, retry, backoff_s) {
                 self.notify_lost(policy);
             }
-            return None;
+            return Ok(());
         }
-        // Retries exhausted without hitting the quarantine bar: the
-        // block's items return to the pool for the other units.
-        self.pool.reclaim(pend.offset, pend.items);
-        let failure = TaskFailure {
-            task_id: pend.task,
-            pu: PuId(pu),
-            items: pend.items,
-            cost: pend.cost,
-            attempt: pend.attempt,
-            at: now,
-            reason,
-        };
+        // The block is given up — the unit hit the quarantine bar, or
+        // ran out of retries short of it — and its items return to the
+        // pool for the other units.
+        let failure = self.abandon(pu, pend, reason);
+        if quarantine {
+            // The unit leaves the active set and the policy re-solves
+            // the split over the survivors. Under a wall clock with a
+            // probation window the unit can come back; virtual clocks
+            // model restores as external perturbations instead.
+            let _ = self.take_down(pu, true);
+            let now = self.backend.now();
+            self.events
+                .record(now, Some(pu), EventKind::PuQuarantined { failures });
+            self.announce_down(pu);
+            self.notify_lost(policy);
+        }
         policy.on_task_failed(self, &failure);
         self.notify_lost(policy);
-        None
+        if quarantine {
+            return self.all_dead_stall();
+        }
+        Ok(())
     }
 
     /// Close the run if every item is done and nothing is in flight.
@@ -770,37 +937,24 @@ impl Driver<'_> {
     }
 
     /// End the probation windows that have elapsed: the unit rejoins
-    /// the active set and the policy can fold it back in. The gate
-    /// arbitrates against loss: a unit marked lost after its quarantine
-    /// fails `try_restore` and stays gone.
+    /// the active set and the policy can fold it back in.
     fn end_elapsed_probations(&mut self, policy: &mut dyn Policy) {
         let now = self.backend.now();
-        for i in 0..self.handles.len() {
-            let due = self.quarantined_until[i].is_some_and(|t| now >= t);
-            if !due {
-                continue;
+        for pu in 0..self.units.len() {
+            let elapsed = |u: &Unit| u.quarantined_until.is_some_and(|t| now >= t);
+            if self.units.get(pu).is_some_and(elapsed) {
+                self.bring_back(policy, pu, Up::Restored);
             }
-            self.set_probation(i, None);
-            if !self.gates[i].try_restore() {
-                continue;
-            }
-            self.consec_failures[i] = 0;
-            self.handles[i].available = true;
-            let now = self.backend.now();
-            self.events.record(now, Some(i), EventKind::DeviceRestored);
-            policy.on_device_restored(self, PuId(i));
-            self.notify_lost(policy);
         }
     }
 
     /// The unified driver loop.
     fn run_loop(&mut self, policy: &mut dyn Policy) -> Result<(), RunError> {
-        let n = self.handles.len();
         loop {
             debug_assert_eq!(
                 (self.busy, self.armed_timers),
                 self.recount(),
-                "busy / armed-timer counts drifted from inflight / quarantined_until"
+                "busy / armed-timer counts drifted from the units' inflight / quarantined_until"
             );
             if self.try_finish() {
                 return Ok(());
@@ -828,351 +982,153 @@ impl Driver<'_> {
             // Watchdog-aware wait: wake at the earliest task deadline
             // or probation expiry, whichever comes first.
             let wake = self.earliest_timer();
+            let polled = self.backend.poll(wake, &mut self.events);
+            self.observe(policy, polled)?;
+        }
+    }
 
-            match self.backend.poll(wake, &mut self.events) {
-                Polled::Completed {
-                    pu,
-                    task,
-                    start,
-                    xfer_s,
-                    proc_s,
-                    finish,
-                } => {
-                    // Stale completions (from units already written
-                    // off, whose wedged worker eventually finished) are
-                    // ignored: the block was re-dispatched elsewhere.
-                    let Some(pend) = self.take_if_current(pu, task) else {
-                        continue;
+    /// Act on one observation of the backend.
+    fn observe(&mut self, policy: &mut dyn Policy, polled: Polled) -> Result<(), RunError> {
+        match polled {
+            Polled::Completed {
+                pu,
+                task,
+                start,
+                xfer_s,
+                proc_s,
+                finish,
+            } => {
+                // Stale completions (from units already written off,
+                // whose wedged worker eventually finished) are ignored:
+                // the block was re-dispatched elsewhere.
+                let Some((unit, pend)) = self.take_if_current(pu, task) else {
+                    return Ok(());
+                };
+                unit.consec_failures = 0;
+                unit.observe_rate(proc_s, pend.cost);
+                self.completed.push((pend.offset, pend.items));
+                self.tasks_done += 1;
+                self.trace
+                    .record_task(PuId(pu), task, pend.items, start, xfer_s, proc_s);
+                if self.backend.clock_kind() == ClockKind::Wall {
+                    // Wall clocks learn the start time only now: record
+                    // it retroactively (virtual clocks already did at
+                    // dispatch).
+                    let kind = EventKind::TaskStart {
+                        task: task.0,
+                        items: pend.items,
                     };
-                    self.consec_failures[pu] = 0;
-                    self.observe_rate(pu, proc_s, pend.cost);
-                    self.completed.push((pend.offset, pend.items));
-                    self.tasks_done += 1;
-                    self.trace
-                        .record_task(PuId(pu), task, pend.items, start, xfer_s, proc_s);
-                    if self.backend.clock_kind() == ClockKind::Wall {
-                        // Wall clocks learn the start time only now:
-                        // record it retroactively (virtual clocks
-                        // already did at dispatch).
-                        self.events.record(
-                            start,
-                            Some(pu),
-                            EventKind::TaskStart {
-                                task: task.0,
-                                items: pend.items,
-                            },
-                        );
-                    }
-                    self.events.record(
-                        finish,
-                        Some(pu),
-                        EventKind::TaskFinish {
-                            task: task.0,
-                            items: pend.items,
-                            cost: pend.cost,
-                            xfer_s,
-                            proc_s,
-                        },
-                    );
-                    let info = TaskInfo {
-                        task_id: task,
-                        pu: PuId(pu),
+                    self.events.record(start, Some(pu), kind);
+                }
+                self.events.record(
+                    finish,
+                    Some(pu),
+                    EventKind::TaskFinish {
+                        task: task.0,
                         items: pend.items,
                         cost: pend.cost,
-                        xfer_time: xfer_s,
-                        proc_time: proc_s,
-                        start,
-                        finish,
-                    };
-                    policy.on_task_finished(self, &info);
+                        xfer_s,
+                        proc_s,
+                    },
+                );
+                let info = TaskInfo {
+                    task_id: task,
+                    pu: PuId(pu),
+                    items: pend.items,
+                    cost: pend.cost,
+                    xfer_time: xfer_s,
+                    proc_time: proc_s,
+                    start,
+                    finish,
+                };
+                policy.on_task_finished(self, &info);
+                self.notify_lost(policy);
+                self.admit_due_joins(policy);
+                self.maybe_checkpoint(&*policy, false)?;
+            }
+            Polled::AttemptFailed { pu, task, reason } => {
+                self.handle_failure(policy, pu, task, reason)?;
+            }
+            Polled::UnitDown { pu } => {
+                // Backend-external loss (a simulated machine failure):
+                // the in-flight block is cancelled and its items are
+                // re-credited; the policy hears of the unit, not of the
+                // task.
+                if self.take_down(pu, false) {
+                    if let Some((_, pend)) = self.take_inflight(pu) {
+                        let _ = self.abandon(pu, pend, FailureReason::WorkerLost);
+                    }
+                    self.announce_down(pu);
                     self.notify_lost(policy);
-                    self.admit_due_joins(policy);
-                    self.maybe_checkpoint(&*policy, false)?;
-                }
-                Polled::AttemptFailed { pu, task, reason } => {
-                    if let Some(err) = self.handle_failure(policy, pu, task, reason) {
-                        return Err(err);
-                    }
-                }
-                Polled::UnitDown { pu } => {
-                    // Backend-external loss (a simulated machine
-                    // failure): cancel the in-flight block and
-                    // re-credit its items. The gate records it as a
-                    // quarantine so a later external restore succeeds.
-                    self.handles[pu].available = false;
-                    let _ = self.gates[pu].try_quarantine();
-                    let now = self.backend.now();
-                    if let Some(pend) = self.take_inflight(pu) {
-                        self.pool.reclaim(pend.offset, pend.items);
-                        self.events.record(
-                            now,
-                            Some(pu),
-                            EventKind::TaskFailed {
-                                task: pend.task.0,
-                                items: pend.items,
-                                attempt: pend.attempt,
-                                reason: FailureReason::WorkerLost.name().to_string(),
-                            },
-                        );
-                    }
-                    self.events.record(now, Some(pu), EventKind::DeviceFailed);
-                    policy.on_device_lost(self, PuId(pu));
-                    self.notify_lost(policy);
-                    if let Some(err) = self.all_dead_stall() {
-                        return Err(err);
-                    }
-                }
-                Polled::UnitRestored { pu } => {
-                    // Backend-external restore. `try_restore` is a
-                    // no-op for a unit that never failed — the event
-                    // and callback still fire, matching the
-                    // perturbation's contract.
-                    let _ = self.gates[pu].try_restore();
-                    self.handles[pu].available = true;
-                    self.consec_failures[pu] = 0;
-                    let now = self.backend.now();
-                    self.events.record(now, Some(pu), EventKind::DeviceRestored);
-                    policy.on_device_restored(self, PuId(pu));
-                    self.notify_lost(policy);
-                }
-                Polled::Nothing => {}
-                Polled::Timeout => {
-                    // Declare units with blown deadlines lost. Their
-                    // executors may be wedged mid-kernel; the lost
-                    // block re-runs on a survivor (idempotent
-                    // codelets). The watchdog must win the attempt's
-                    // claim word first: if the real outcome beat the
-                    // deadline and is already queued, the claim fails
-                    // and the unit is left alone.
-                    let now = self.backend.now();
-                    for i in 0..n {
-                        let blown = self.inflight[i]
-                            .as_ref()
-                            .is_some_and(|p| p.deadline_at.is_some_and(|d| now >= d))
-                            && self.backend.try_claim_timeout(i);
-                        if !blown {
-                            continue;
-                        }
-                        let Some(pend) = self.take_inflight(i) else {
-                            continue;
-                        };
-                        self.events.record(
-                            now,
-                            Some(i),
-                            EventKind::TaskFailed {
-                                task: pend.task.0,
-                                items: pend.items,
-                                attempt: pend.attempt,
-                                reason: FailureReason::DeadlineExceeded.name().to_string(),
-                            },
-                        );
-                        self.pool.reclaim(pend.offset, pend.items);
-                        self.release_unit(i);
-                        self.notify_lost(policy);
-                        let failure = TaskFailure {
-                            task_id: pend.task,
-                            pu: PuId(i),
-                            items: pend.items,
-                            cost: pend.cost,
-                            attempt: pend.attempt,
-                            at: now,
-                            reason: FailureReason::DeadlineExceeded,
-                        };
-                        policy.on_task_failed(self, &failure);
-                        self.notify_lost(policy);
-                    }
-                }
-                Polled::Drained => {
-                    // The backend can never produce another event while
-                    // work is outstanding: a policy bug (or every
-                    // device failed).
-                    return Err(self.stall());
-                }
-                Polled::Infrastructure { detail } => {
-                    return Err(RunError::Infrastructure { detail });
+                    self.all_dead_stall()?;
                 }
             }
+            Polled::UnitRestored { pu } => self.bring_back(policy, pu, Up::Restored),
+            Polled::Nothing => {}
+            Polled::Timeout => {
+                // Declare units with blown deadlines lost. Their
+                // executors may be wedged mid-kernel; the lost block
+                // re-runs on a survivor (idempotent codelets). The
+                // watchdog must win the attempt's claim word first: if
+                // the real outcome beat the deadline and is already
+                // queued, the claim fails and the unit is left alone.
+                let now = self.backend.now();
+                for pu in 0..self.units.len() {
+                    let deadline = self
+                        .units
+                        .get(pu)
+                        .and_then(|u| u.inflight.as_ref()?.deadline_at);
+                    let blown =
+                        deadline.is_some_and(|d| now >= d) && self.backend.try_claim_timeout(pu);
+                    if !blown {
+                        continue;
+                    }
+                    let Some((_, pend)) = self.take_inflight(pu) else {
+                        continue;
+                    };
+                    let failure = self.abandon(pu, pend, FailureReason::DeadlineExceeded);
+                    if self.write_off(pu) {
+                        self.announce_down(pu);
+                    }
+                    self.notify_lost(policy);
+                    policy.on_task_failed(self, &failure);
+                    self.notify_lost(policy);
+                }
+            }
+            // The backend can never produce another event while work is
+            // outstanding: a policy bug (or every device failed).
+            Polled::Drained => return Err(self.stall()),
+            Polled::Infrastructure { detail } => return Err(RunError::Infrastructure { detail }),
         }
+        Ok(())
     }
 }
 
-/// Run the item range `items` under `policy` on `backend`: the single
-/// driver every engine delegates to. `items` is `0..total_items` for a
-/// whole run and one node's chunk, in global coordinates, for a nested
+/// Run the items of `pool` under `policy` on `backend`: the single
+/// driver every engine delegates to. `pool` holds `0..total_items` for
+/// a whole run — cut at the home-shard borders by the cluster tier —
+/// and one node's chunk, in global coordinates, for a nested
 /// cluster-tier run; `handles` is the backend's unit roster (with
-/// initial availability); `weights` is the *global* per-item cost
-/// (uniform for regular workloads — cost ≡ item count); `faults`
-/// injects deterministic failures and `ft` tunes the response (see
-/// [`crate::fault`]); `durability` turns on periodic checkpointing
-/// and/or resume (see [`crate::checkpoint`]), which are defined for
-/// whole runs only.
+/// initial availability); `cfg` is everything else ([`RunConfig`]).
 pub fn drive(
     backend: &mut dyn Backend,
     handles: Vec<PuHandle>,
     policy: &mut dyn Policy,
-    items: Range<u64>,
-    weights: Arc<Weights>,
-    faults: FaultPlan,
-    ft: FaultToleranceConfig,
-    durability: Durability,
+    pool: WorkPool,
+    cfg: RunConfig,
 ) -> CoreOutcome {
     let n = handles.len();
-    let Durability {
-        checkpoint,
-        resume,
-        nodes,
-        shard_bounds,
-    } = durability;
-
-    let total_items = items.end.saturating_sub(items.start);
-    let reject = |detail: String| CoreOutcome {
-        result: Err(RunError::Checkpoint { detail }),
-        trace: Trace::new(n),
-        events: EventSink::default(),
-        lost: vec![false; n],
-    };
-    // A snapshot's cover and identity describe `0..total_items`; one
-    // taken of (or restored into) a sub-range would be unreadable.
-    if items.start != 0 && (checkpoint.is_some() || resume.is_some()) {
-        return reject("checkpoint and resume need a whole run, not a sub-range".into());
-    }
-
-    // Validate the resume snapshot before building any state: a
-    // rejected snapshot must fail the run loudly, never silently start
-    // a fresh one over the remains of another.
-    let mut restored: Option<Checkpoint> = None;
-    let mut pool = WorkPool::over(items.clone(), Arc::clone(&weights));
-    if let Some(ckpt) = resume {
-        let workload = WorkloadId {
-            policy: policy.name().to_string(),
-            total_items,
-            n_pus: n,
-            total_cost: weights.total_cost(total_items),
-            nodes: nodes.clone(),
-        };
-        let prepared = ckpt
-            .validate()
-            .and_then(|()| ckpt.matches(&workload))
-            .map_err(|e| e.to_string())
-            .and_then(|()| {
-                WorkPool::resume_with_weights(total_items, &ckpt.completed, Arc::clone(&weights))
-            });
-        match prepared {
-            Ok(p) => {
-                pool = p;
-                restored = Some(ckpt);
-            }
-            Err(detail) => return reject(detail),
-        }
-    }
-
-    // Cluster runs pre-fragment the pool at the home-shard borders so
-    // shard-scoped claims never straddle an ownership boundary (a
-    // no-op on a resumed pool, whose fresh range is already exhausted —
-    // resume holes split lazily inside `take_within`).
-    if !shard_bounds.is_empty() {
-        pool.fragment(&shard_bounds);
-    }
-
-    // Units with a scheduled mid-run join start *latent*: invisible to
-    // the policy's probing and assignment until the global completed-
-    // task count reaches their threshold (`Driver::admit_due_joins`).
-    let joins = faults.joins();
-    let has_drift = faults.has_drift();
-    let mut d = Driver {
-        backend,
-        handles,
-        inflight: vec![None; n],
-        busy: 0,
-        armed_timers: 0,
-        pool,
-        gates: (0..n).map(|_| UnitGate::new()).collect(),
-        start: items.start,
-        total: total_items,
-        next_task: 0,
-        trace: Trace::new(n),
-        events: EventSink::default(),
-        faults,
-        ft,
-        attempts: vec![0; n],
-        joins,
-        next_join: 0,
-        last_drift: vec![1.0; n],
-        has_drift,
-        consec_failures: vec![0; n],
-        deadline_hint: vec![None; n],
-        rate_ewma: vec![None; n],
-        quarantined_until: vec![None; n],
-        pending_lost: Vec::new(),
-        completed: Vec::new(),
-        tasks_done: 0,
-        ckpt_writer: checkpoint,
-        carried: EventCounters::default(),
-        weights,
-        nodes,
-    };
-    for &(pu, _) in &d.joins {
-        if pu < n {
-            d.handles[pu].available = false;
-        }
-    }
-    d.events.record(
-        0.0,
-        None,
-        EventKind::RunStart {
-            policy: policy.name().to_string(),
-            total_items,
-            n_pus: n,
-        },
-    );
-    if let Some(ckpt) = &restored {
-        // Restore the driver's bookkeeping: the task-id sequence, the
-        // completed cover, lifetime counters, and per-unit fault state.
-        // Restoring `attempts` keeps injected fault plans deterministic
-        // across the process boundary.
-        d.next_task = ckpt.next_task;
-        d.tasks_done = ckpt.tasks_done;
-        d.completed = ckpt.completed.clone();
-        d.carried = ckpt.counters.clone();
-        for (i, u) in ckpt.units.iter().enumerate() {
-            d.attempts[i] = u.dispatches;
-            d.consec_failures[i] = u.consecutive_failures;
-            d.rate_ewma[i] = u.rate_ewma;
-            if u.lost {
-                // The executor died with the previous process: written
-                // off before the policy ever sees the unit.
-                if d.gates[i].mark_lost() {
-                    d.handles[i].available = false;
-                    d.backend.forget_unit(i);
-                }
-            } else if u.quarantined && d.handles[i].available && d.gates[i].try_quarantine() {
-                d.backend.on_unit_quarantined(i);
-                d.handles[i].available = false;
-                if d.backend.clock_kind() == ClockKind::Wall {
-                    let now = d.backend.now();
-                    d.set_probation(i, d.ft.probation_s.map(|p| now + p));
-                }
+    let mut d = match Driver::new(backend, handles, policy, pool, cfg) {
+        Ok(d) => d,
+        Err(detail) => {
+            return CoreOutcome {
+                result: Err(RunError::Checkpoint { detail }),
+                trace: Trace::new(n),
+                events: EventSink::default(),
+                lost: vec![false; n],
             }
         }
-        if let Some(w) = d.ckpt_writer.as_mut() {
-            w.continue_from(ckpt.seq + 1, ckpt.tasks_done);
-        }
-        // Re-seed the policy with its persisted state (for PLB-HeC, the
-        // accumulated profiles and fitted models — re-fit + re-solve
-        // instead of re-probing). A policy that declines restores
-        // simply starts fresh on the remaining items.
-        if let Some(state) = &ckpt.policy_state {
-            let _ = policy.restore(state);
-        }
-        d.events.record(
-            d.backend.now(),
-            None,
-            EventKind::RunResumed {
-                seq: ckpt.seq,
-                completed_items: ckpt.completed_items(),
-            },
-        );
-    }
+    };
     policy.on_start(&mut d);
     d.notify_lost(policy);
     // Joins already due (a threshold of 0, or a resume past the
@@ -1190,7 +1146,7 @@ pub fn drive(
             None,
             EventKind::RunEnd {
                 makespan_s: d.trace.makespan(),
-                total_items,
+                total_items: d.total,
             },
         );
         let names: Vec<String> = d.handles.iter().map(|h| h.name.clone()).collect();
@@ -1214,14 +1170,18 @@ pub fn drive(
         result,
         trace: d.trace,
         events: d.events,
-        lost: d.gates.iter().map(UnitGate::is_lost).collect(),
+        lost: d.units.iter().map(|u| u.gate.is_lost()).collect(),
     }
 }
 
-/// The driver's wake contract: what `wake` the core hands
-/// [`Backend::poll`], and so which timers it believes are armed. The
-/// loop's own `debug_assert!` recounts `busy` / `armed_timers` at every
-/// turn of these runs.
+/// The driver against a scripted backend: the wake contract (what
+/// `wake` the core hands [`Backend::poll`], and so which timers it
+/// believes are armed) and cross-commit goldens for the paths no
+/// simulated run reaches — watchdog deadlines, probation timers,
+/// executors that go away, resume of a quarantined and a lost unit —
+/// then every transition of a unit, state by cause. The loop's own
+/// `debug_assert!` recounts `busy` / `armed_timers` at every turn of
+/// these runs, and the transition table after every row.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1231,9 +1191,10 @@ mod tests {
 
     /// What the mock's queue holds.
     enum Ev {
-        /// The attempt of `task` on `pu`, started at `start`, ends; `doomed`
-        /// attempts end in a panic.
+        /// The attempt of `task` on `pu`, started at `start`, ends at
+        /// `at`; `doomed` attempts end in a panic.
         Done {
+            at: f64,
             pu: usize,
             task: TaskId,
             start: f64,
@@ -1241,15 +1202,27 @@ mod tests {
         },
         /// The core's wake time arrived with nothing else to report.
         Tick,
+        /// A backend-external `UnitDown` / `UnitRestored` surfaces at `at`.
+        External { at: f64, polled: Polled },
     }
 
     /// A backend of either clock kind whose time moves only in `poll`: an
-    /// attempt on unit `i` takes `task_s[i]` seconds, and a poll that has
-    /// a wake time but no event sleeps until then.
+    /// attempt on unit `i` takes `task_s[i]` seconds, and a poll whose
+    /// wake time comes before the next outcome sleeps until then.
     struct MockBackend {
         clock: ClockKind,
         task_s: Vec<f64>,
         queue: EventQueue<Ev>,
+        /// The attempt each unit still owes an outcome for: cleared when
+        /// the outcome surfaces, the watchdog claims it or the unit is
+        /// forgotten. A `Done` of any other attempt is stale.
+        owed: Vec<Option<TaskId>>,
+        /// Launches each unit's executor still accepts; at 0 it is gone.
+        launches_left: Vec<u64>,
+        /// The `wake` of every poll.
+        wakes: Vec<Option<f64>>,
+        /// The per-unit hooks the core called, in order.
+        hooks: Vec<String>,
     }
 
     impl MockBackend {
@@ -1258,6 +1231,31 @@ mod tests {
                 clock,
                 task_s: task_s.to_vec(),
                 queue: EventQueue::new(),
+                owed: vec![None; task_s.len()],
+                launches_left: vec![u64::MAX; task_s.len()],
+                wakes: Vec::new(),
+                hooks: Vec::new(),
+            }
+        }
+
+        /// The executor of `pu` goes away after `launches` launches.
+        fn executor_lasts(mut self, pu: usize, launches: u64) -> MockBackend {
+            self.launches_left[pu] = launches;
+            self
+        }
+
+        /// `polled` surfaces at time `at`.
+        fn external(mut self, at: f64, polled: Polled) -> MockBackend {
+            self.queue.push(at, Ev::External { at, polled });
+            self
+        }
+
+        /// When `ev` surfaces as an observation, if it still will.
+        fn live(&self, ev: &Ev) -> Option<f64> {
+            match ev {
+                Ev::Done { at, pu, task, .. } => (self.owed[*pu] == Some(*task)).then_some(*at),
+                Ev::External { at, .. } => Some(*at),
+                Ev::Tick => None,
             }
         }
     }
@@ -1272,96 +1270,138 @@ mod tests {
         }
 
         fn launch(&mut self, spec: &LaunchSpec) -> Launch {
+            if self.launches_left[spec.pu] == 0 {
+                return Launch::UnitGone;
+            }
+            self.launches_left[spec.pu] -= 1;
             let start = self.queue.start_of(spec);
-            let doomed = matches!(spec.inject, Some(FaultAction::Panic));
+            let at = start + self.task_s[spec.pu];
             self.queue.push(
-                start + self.task_s[spec.pu],
+                at,
                 Ev::Done {
+                    at,
                     pu: spec.pu,
                     task: spec.task,
                     start,
-                    doomed,
+                    doomed: matches!(spec.inject, Some(FaultAction::Panic)),
                 },
             );
+            self.owed[spec.pu] = Some(spec.task);
             Launch::Started {
                 start: (self.clock == ClockKind::Virtual).then_some(start),
             }
         }
 
         fn poll(&mut self, wake: Option<f64>, _events: &mut EventSink) -> Polled {
-            if !self.idle_progress_possible() {
-                match wake {
-                    Some(w) => self.queue.push(w, Ev::Tick),
+            self.wakes.push(wake);
+            let mut wake = wake;
+            loop {
+                let next = self
+                    .queue
+                    .pending()
+                    .filter_map(|e| self.live(e))
+                    .fold(f64::INFINITY, f64::min);
+                match wake.take() {
+                    Some(w) if w < next => self.queue.push(w.max(self.now()), Ev::Tick),
+                    None if next.is_infinite() => return Polled::Drained,
+                    _ => {}
+                }
+                match self.queue.pop() {
+                    Some(Ev::Done {
+                        pu,
+                        task,
+                        start,
+                        doomed,
+                        ..
+                    }) => {
+                        if self.owed[pu] != Some(task) {
+                            continue;
+                        }
+                        self.owed[pu] = None;
+                        if doomed {
+                            return Polled::AttemptFailed {
+                                pu,
+                                task,
+                                reason: FailureReason::Panicked,
+                            };
+                        }
+                        return Polled::Completed {
+                            pu,
+                            task,
+                            start,
+                            xfer_s: 0.0,
+                            proc_s: self.now() - start,
+                            finish: self.now(),
+                        };
+                    }
+                    Some(Ev::External { polled, .. }) => return polled,
+                    Some(Ev::Tick) => return Polled::Timeout,
                     None => return Polled::Drained,
                 }
             }
-            match self.queue.pop() {
-                Some(Ev::Done {
-                    pu,
-                    task,
-                    doomed: true,
-                    ..
-                }) => Polled::AttemptFailed {
-                    pu,
-                    task,
-                    reason: FailureReason::Panicked,
-                },
-                Some(Ev::Done {
-                    pu, task, start, ..
-                }) => Polled::Completed {
-                    pu,
-                    task,
-                    start,
-                    xfer_s: 0.0,
-                    proc_s: self.now() - start,
-                    finish: self.now(),
-                },
-                Some(Ev::Tick) => Polled::Timeout,
-                None => Polled::Drained,
-            }
+        }
+
+        fn try_claim_timeout(&mut self, pu: usize) -> bool {
+            self.owed[pu].take().is_some()
+        }
+
+        fn on_unit_quarantined(&mut self, pu: usize) {
+            self.hooks.push(format!("quarantined {pu}"));
+        }
+
+        fn on_unit_joined(&mut self, pu: usize) {
+            self.hooks.push(format!("joined {pu}"));
+        }
+
+        fn forget_unit(&mut self, pu: usize) {
+            self.hooks.push(format!("forgot {pu}"));
+            self.launches_left[pu] = 0;
+            self.owed[pu] = None;
         }
 
         fn idle_progress_possible(&self) -> bool {
-            self.queue.pending().next().is_some()
+            self.queue.pending().any(|e| self.live(e).is_some())
         }
-    }
 
-    /// Delegates to `inner`, noting the `wake` of every poll.
-    struct WakeLog<B> {
-        inner: B,
-        wakes: Vec<Option<f64>>,
-    }
-
-    impl<B: Backend> Backend for WakeLog<B> {
-        fn clock_kind(&self) -> ClockKind {
-            self.inner.clock_kind()
-        }
-        fn now(&self) -> f64 {
-            self.inner.now()
-        }
-        fn launch(&mut self, spec: &LaunchSpec) -> Launch {
-            self.inner.launch(spec)
-        }
-        fn poll(&mut self, wake: Option<f64>, events: &mut EventSink) -> Polled {
-            self.wakes.push(wake);
-            self.inner.poll(wake, events)
-        }
-        fn idle_progress_possible(&self) -> bool {
-            self.inner.idle_progress_possible()
+        fn external_restore_possible(&self) -> bool {
+            self.queue.pending().any(|e| {
+                matches!(
+                    e,
+                    Ev::External {
+                        polled: Polled::UnitRestored { .. },
+                        ..
+                    }
+                )
+            })
         }
     }
 
     /// Hands a block to every free unit whenever anything happens — unless
-    /// `hold`, in which case only the start and a restore assign, so a run
-    /// can sit idle on a probation timer.
+    /// `hold`, in which case only the start, a restore and a join assign,
+    /// so a run can sit idle on a probation timer. Notes every callback.
     struct Pump {
         block: u64,
         /// Seconds per cost unit hinted for unit `i` (the watchdog's rate).
         hints: Vec<f64>,
         hold: bool,
+        calls: Vec<String>,
     }
 
     impl Pump {
+        fn new(block: u64, hints: &[f64]) -> Pump {
+            Pump {
+                block,
+                hints: hints.to_vec(),
+                hold: false,
+                calls: Vec::new(),
+            }
+        }
+
+        fn holding(mut self) -> Pump {
+            self.hold = true;
+            self
+        }
+
         fn pump(&self, ctx: &mut dyn SchedulerCtx) {
             let free: Vec<PuId> = ctx
                 .pus()
@@ -1382,22 +1422,35 @@ mod tests {
             "pump"
         }
         fn on_start(&mut self, ctx: &mut dyn SchedulerCtx) {
+            self.calls.push("start>".into());
             for (i, &h) in self.hints.iter().enumerate() {
                 ctx.set_deadline_hint(PuId(i), h);
             }
             self.pump(ctx);
+            self.calls.push("<start".into());
         }
-        fn on_task_finished(&mut self, ctx: &mut dyn SchedulerCtx, _done: &TaskInfo) {
+        fn on_task_finished(&mut self, ctx: &mut dyn SchedulerCtx, done: &TaskInfo) {
+            self.calls.push(format!("finished {}", done.pu.0));
             if !self.hold {
                 self.pump(ctx);
             }
         }
-        fn on_task_failed(&mut self, ctx: &mut dyn SchedulerCtx, _failure: &TaskFailure) {
+        fn on_task_failed(&mut self, ctx: &mut dyn SchedulerCtx, failure: &TaskFailure) {
+            self.calls
+                .push(format!("failed {} {}", failure.pu.0, failure.reason.name()));
             if !self.hold {
                 self.pump(ctx);
             }
         }
-        fn on_device_restored(&mut self, ctx: &mut dyn SchedulerCtx, _pu: PuId) {
+        fn on_device_lost(&mut self, _ctx: &mut dyn SchedulerCtx, pu: PuId) {
+            self.calls.push(format!("lost {}", pu.0));
+        }
+        fn on_device_restored(&mut self, ctx: &mut dyn SchedulerCtx, pu: PuId) {
+            self.calls.push(format!("restored {}", pu.0));
+            self.pump(ctx);
+        }
+        fn on_device_joined(&mut self, ctx: &mut dyn SchedulerCtx, pu: PuId) {
+            self.calls.push(format!("joined {}", pu.0));
             self.pump(ctx);
         }
     }
@@ -1421,46 +1474,54 @@ mod tests {
         }])
     }
 
+    fn join(pu: usize, after_tasks: u64) -> FaultPlan {
+        FaultPlan::new(vec![Fault {
+            pu,
+            kind: FaultKind::Join { after_tasks },
+        }])
+    }
+
+    /// One whole drive of `0..total` over the mock's units.
+    fn run_outcome(
+        backend: &mut MockBackend,
+        policy: &mut Pump,
+        total: u64,
+        faults: FaultPlan,
+        ft: FaultToleranceConfig,
+        resume: Option<Checkpoint>,
+    ) -> CoreOutcome {
+        let n = backend.task_s.len();
+        let cfg = RunConfig {
+            faults,
+            ft,
+            resume,
+            ..Default::default()
+        };
+        drive(backend, handles(n), policy, WorkPool::new(total), cfg)
+    }
+
     fn run(
-        backend: &mut dyn Backend,
-        n: usize,
+        backend: &mut MockBackend,
         policy: &mut Pump,
         total: u64,
         faults: FaultPlan,
         ft: FaultToleranceConfig,
     ) -> RunReport {
-        drive(
-            backend,
-            handles(n),
-            policy,
-            0..total,
-            Weights::uniform(),
-            faults,
-            ft,
-            Durability::default(),
-        )
-        .result
-        .expect("run completes")
+        run_outcome(backend, policy, total, faults, ft, None)
+            .result
+            .expect("run completes")
     }
 
     #[test]
     fn virtual_clock_never_arms_a_timer() {
-        let mut backend = WakeLog {
-            inner: MockBackend::new(ClockKind::Virtual, &[0.3, 0.2, 0.25]),
-            wakes: Vec::new(),
-        };
+        let mut backend = MockBackend::new(ClockKind::Virtual, &[0.3, 0.2, 0.25]);
         // Hints and a probation window are on offer; a virtual clock must
         // turn neither into a timer.
-        let mut policy = Pump {
-            block: 100,
-            hints: vec![1e-3; 3],
-            hold: false,
-        };
+        let mut policy = Pump::new(100, &[1e-3; 3]);
         // Unit 1 panics three times: attempt 0 and two in-place retries,
         // then quarantine, and its block is re-credited to the others.
         let report = run(
             &mut backend,
-            3,
             &mut policy,
             1_000,
             flaky(1, 10),
@@ -1480,15 +1541,8 @@ mod tests {
 
     #[test]
     fn wall_clock_wakes_at_the_earliest_deadline_or_probation_expiry() {
-        let mut backend = WakeLog {
-            inner: MockBackend::new(ClockKind::Wall, &[0.3, 0.2]),
-            wakes: Vec::new(),
-        };
-        let mut policy = Pump {
-            block: 100,
-            hints: vec![1e-3, 2e-3],
-            hold: true,
-        };
+        let mut backend = MockBackend::new(ClockKind::Wall, &[0.3, 0.2]);
+        let mut policy = Pump::new(100, &[1e-3, 2e-3]).holding();
         let ft = FaultToleranceConfig::default()
             .with_quarantine_after(1)
             .with_probation(5.0);
@@ -1497,7 +1551,7 @@ mod tests {
         let deadline = |pu: usize| ft.deadline_for(Some(policy.hints[pu]), 100).expect("armed");
         let (d0, d1) = (deadline(0), deadline(1));
         assert!(d0 < d1);
-        let report = run(&mut backend, 2, &mut policy, 300, flaky(1, 1), ft);
+        let report = run(&mut backend, &mut policy, 300, flaky(1, 1), ft);
         assert_eq!(report.cover, vec![(0, 300)]);
         assert_eq!(report.events.quarantines, 1);
         let restored_at = 0.2 + 5.0;
@@ -1518,5 +1572,614 @@ mod tests {
                 Some(restored_at + d0),
             ]
         );
+    }
+
+    // -----------------------------------------------------------------
+    // Cross-commit goldens (the `tests/policy_goldens.rs` method): one
+    // hash per scenario over the whole event stream and the outcome.
+    // The mock's time moves only in `poll`, so a wall-clock run is
+    // deterministic. Every constant was printed at commit d850cbf, the
+    // parent of the PR that gave the driver one record per unit
+    // (ISSUE 20), which passed them all unmodified.
+
+    fn fnv(h: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(h, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// FNV-1a over every event's `seq`, `t` bits, `pu` and `Debug`
+    /// payload; then the makespan's bits, the task count and every
+    /// unit's items — or the error's `Debug` text.
+    fn stream_hash(out: &CoreOutcome) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        for e in out.events.iter() {
+            h = fnv(h, &e.seq.to_le_bytes());
+            h = fnv(h, &e.t.to_bits().to_le_bytes());
+            h = fnv(h, &e.pu.map_or(u64::MAX, |p| p as u64).to_le_bytes());
+            h = fnv(h, format!("{:?}", e.kind).as_bytes());
+        }
+        match &out.result {
+            Ok(report) => {
+                h = fnv(h, &report.makespan.to_bits().to_le_bytes());
+                h = fnv(h, &(report.tasks as u64).to_le_bytes());
+                for pu in &report.pus {
+                    h = fnv(h, &pu.items.to_le_bytes());
+                }
+            }
+            Err(e) => h = fnv(h, format!("{e:?}").as_bytes()),
+        }
+        h
+    }
+
+    fn check(name: &str, out: &CoreOutcome, golden: u64) {
+        let got = stream_hash(out);
+        let names: Vec<&str> = out.events.iter().map(|e| e.kind.name()).collect();
+        assert_eq!(
+            got, golden,
+            "{name}: got {got:#018x}; {:?}; events {names:?}",
+            out.result
+        );
+    }
+
+    fn names_on(out: &CoreOutcome, pu: usize) -> Vec<&'static str> {
+        let on_pu = out.events.iter().filter(|e| e.pu == Some(pu));
+        on_pu.map(|e| e.kind.name()).collect()
+    }
+
+    #[test]
+    fn a_blown_deadline_writes_the_unit_off_and_its_block_reruns_elsewhere() {
+        // Unit 1 wedges in its first kernel; its deadline is 1 s.
+        let mut backend = MockBackend::new(ClockKind::Wall, &[0.3, 50.0]);
+        let mut policy = Pump::new(100, &[1e-3, 1e-3]);
+        let out = run_outcome(
+            &mut backend,
+            &mut policy,
+            500,
+            FaultPlan::none(),
+            FaultToleranceConfig::default(),
+            None,
+        );
+        let report = out.result.as_ref().expect("run completes");
+        assert_eq!(report.cover, vec![(0, 500)]);
+        assert_eq!(report.pus[1].items, 0);
+        assert_eq!(report.makespan, 1.5, "the lost block re-ran last");
+        assert_eq!(out.lost, vec![false, true]);
+        assert_eq!(backend.hooks, ["forgot 1"]);
+        assert_eq!(
+            names_on(&out, 1),
+            ["task_submit", "task_failed", "device_failed"]
+        );
+        let tail = &policy.calls[policy.calls.len() - 4..];
+        assert_eq!(
+            tail,
+            ["lost 1", "failed 1 deadline", "finished 0", "finished 0"]
+        );
+        check("blown_deadline", &out, 0x99b9_2698_4204_7d0c);
+    }
+
+    #[test]
+    fn an_executor_gone_inside_assign_is_reported_after_the_hook_returns() {
+        // Unit 2 has no executor from the start; unit 1's takes one
+        // launch, which panics, and is gone for the retry.
+        let mut backend = MockBackend::new(ClockKind::Wall, &[0.3, 0.2, 0.25])
+            .executor_lasts(2, 0)
+            .executor_lasts(1, 1);
+        let mut policy = Pump::new(100, &[]);
+        let out = run_outcome(
+            &mut backend,
+            &mut policy,
+            600,
+            flaky(1, 1),
+            FaultToleranceConfig::default(),
+            None,
+        );
+        let report = out.result.as_ref().expect("run completes");
+        assert_eq!(report.cover, vec![(0, 600)]);
+        assert_eq!(report.pus[0].items, 600);
+        assert_eq!(out.lost, vec![false, true, true]);
+        assert_eq!(backend.hooks, ["forgot 2", "forgot 1"]);
+        // The block claimed for unit 2 went back without a start or a
+        // failure; the policy heard of the loss once `on_start` was over.
+        assert_eq!(names_on(&out, 2), ["task_submit", "device_failed"]);
+        assert_eq!(policy.calls[..3], ["start>", "<start", "lost 2"]);
+        // Unit 1's block was given up on the retry: no `on_task_failed`.
+        assert_eq!(
+            names_on(&out, 1),
+            ["task_submit", "task_failed", "task_retry", "device_failed"]
+        );
+        assert_eq!(policy.calls[3], "lost 1");
+        assert!(!policy.calls.iter().any(|c| c.starts_with("failed")));
+        check("executor_gone", &out, 0x1234_aa3a_bada_8a3c);
+    }
+
+    #[test]
+    fn quarantine_probation_restore_resets_the_failure_run() {
+        let mut backend = MockBackend::new(ClockKind::Wall, &[0.3, 0.2]);
+        let mut policy = Pump::new(100, &[1e-3, 1e-3]).holding();
+        // Unit 1 panics on its first three dispatches and is quarantined
+        // after the second. Restored, the third failure starts a new run
+        // of one and is retried in place; counted onto the old run it
+        // would be a second quarantine.
+        let out = run_outcome(
+            &mut backend,
+            &mut policy,
+            300,
+            flaky(1, 3),
+            FaultToleranceConfig::default()
+                .with_quarantine_after(2)
+                .with_probation(5.0),
+            None,
+        );
+        let report = out.result.as_ref().expect("run completes");
+        assert_eq!(report.cover, vec![(0, 300)]);
+        assert_eq!(report.events.quarantines, 1);
+        assert_eq!(report.events.task_retries, 2);
+        assert_eq!(report.pus[1].items, 100);
+        assert_eq!(backend.hooks, ["quarantined 1"]);
+        assert_eq!(
+            policy.calls,
+            [
+                "start>",
+                "<start",
+                "finished 0",
+                "lost 1",
+                "failed 1 panic",
+                "restored 1",
+                "finished 0",
+                "finished 1"
+            ]
+        );
+        check("probation_restore", &out, 0x5677_ae61_44e3_c7d6);
+    }
+
+    #[test]
+    fn every_unit_gone_stalls_the_run() {
+        // Unit 0 has no executor, unit 1 wedges past its 1 s deadline and
+        // unit 2 (no deadline) panics at 1.5 s into a quarantine.
+        let mut backend = MockBackend::new(ClockKind::Wall, &[0.3, 50.0, 1.5]).executor_lasts(0, 0);
+        let mut policy = Pump::new(100, &[1e-3, 1e-3, 0.0]);
+        let out = run_outcome(
+            &mut backend,
+            &mut policy,
+            500,
+            flaky(2, 10),
+            FaultToleranceConfig::default().with_quarantine_after(1),
+            None,
+        );
+        let stalled = RunError::Stalled {
+            remaining: 500,
+            at: 1.5,
+        };
+        assert_eq!(out.result.as_ref().err(), Some(&stalled));
+        assert_eq!(out.lost, vec![true, true, false]);
+        assert_eq!(backend.hooks, ["forgot 0", "forgot 1", "quarantined 2"]);
+        assert_eq!(
+            policy.calls,
+            [
+                "start>",
+                "<start",
+                "lost 0",
+                "lost 1",
+                "failed 1 deadline",
+                "lost 2",
+                "failed 2 panic"
+            ]
+        );
+        let last = out.events.iter().last().expect("events");
+        assert_eq!(last.kind, EventKind::Stalled { remaining: 500 });
+        check("every_unit_gone", &out, 0xd38c_61eb_7e85_11b7);
+    }
+
+    /// A snapshot of a 600-item run, 200 done: unit 1 quarantined after
+    /// three dispatches, unit 2 written off.
+    fn snapshot_with_a_quarantined_and_a_lost_unit() -> Checkpoint {
+        let unit = |name: &str, dispatches: u64| PuState {
+            name: name.into(),
+            dispatches,
+            consecutive_failures: 0,
+            rate_ewma: None,
+            quarantined: false,
+            lost: false,
+        };
+        Checkpoint {
+            version: CHECKPOINT_FORMAT_VERSION,
+            workload: WorkloadId {
+                policy: "pump".into(),
+                total_items: 600,
+                n_pus: 3,
+                total_cost: 600,
+                nodes: Vec::new(),
+            },
+            seq: 4,
+            at: 0.9,
+            tasks_done: 2,
+            next_task: 5,
+            completed: vec![(0, 100), (200, 100)],
+            units: vec![
+                PuState {
+                    rate_ewma: Some(3e-3),
+                    ..unit("u0", 2)
+                },
+                PuState {
+                    consecutive_failures: 3,
+                    quarantined: true,
+                    ..unit("u1", 3)
+                },
+                PuState {
+                    lost: true,
+                    ..unit("u2", 1)
+                },
+            ],
+            counters: EventCounters {
+                quarantines: 1,
+                ..Default::default()
+            },
+            policy_state: None,
+        }
+    }
+
+    #[test]
+    fn resume_restores_a_quarantined_and_a_lost_unit() {
+        let mut backend = MockBackend::new(ClockKind::Wall, &[0.3, 0.2, 0.25]);
+        let mut policy = Pump::new(100, &[]);
+        // Unit 1's fourth dispatch (index 3) still panics: the restored
+        // dispatch count keeps the plan where it was.
+        let out = run_outcome(
+            &mut backend,
+            &mut policy,
+            600,
+            flaky(1, 4),
+            FaultToleranceConfig::default().with_probation(0.5),
+            Some(snapshot_with_a_quarantined_and_a_lost_unit()),
+        );
+        let report = out.result.as_ref().expect("run completes");
+        assert_eq!(report.cover, vec![(0, 600)]);
+        assert_eq!(report.events.quarantines, 1, "the carried one only");
+        assert_eq!(report.events.task_retries, 1);
+        assert_eq!(report.pus[2].items, 0);
+        assert!(report.pus[1].items > 0, "probation ended at 0.5 s");
+        assert_eq!(out.lost, vec![false, false, true]);
+        // Replayed silently: no event, no callback before `on_start`.
+        assert_eq!(backend.hooks, ["quarantined 1", "forgot 2"]);
+        assert_eq!(policy.calls[..3], ["start>", "<start", "finished 0"]);
+        let head: Vec<&str> = out.events.iter().take(3).map(|e| e.kind.name()).collect();
+        assert_eq!(head, ["run_start", "run_resumed", "task_submit"]);
+        // Unit 0's restored rate (3 ms per cost unit) arms its 3 s
+        // deadline; the probation timer comes first.
+        assert_eq!(backend.wakes[0], Some(0.5));
+        check("resume_quarantined_and_lost", &out, 0xf635_f39d_42ed_dbde);
+    }
+    // -----------------------------------------------------------------
+    // The two fixes that rode along with the one-record driver: each
+    // test fails at d850cbf.
+
+    #[test]
+    fn a_latent_joiner_is_not_snapshotted_as_quarantined() {
+        // Unit 1 joins after five tasks; snapshots are cut after two and
+        // after six.
+        let mut backend = MockBackend::new(ClockKind::Virtual, &[0.3, 0.2]);
+        let mut policy = Pump::new(100, &[]);
+        let handles = handles(2);
+        let cfg = RunConfig {
+            faults: join(1, 5),
+            ..Default::default()
+        };
+        let mut d = Driver::new(
+            &mut backend,
+            handles,
+            &mut policy,
+            WorkPool::new(1_000),
+            cfg,
+        )
+        .expect("nothing to reject");
+        policy.on_start(&mut d);
+        let mut snapshots = Vec::new();
+        while d.tasks_done < 6 {
+            let polled = d.backend.poll(None, &mut d.events);
+            d.observe(&mut policy, polled).expect("run goes on");
+            if d.tasks_done == 2 || d.tasks_done == 6 {
+                snapshots.push(d.build_checkpoint(&policy));
+            }
+        }
+        let flags = |c: &Checkpoint| (c.units[1].quarantined, c.units[1].lost);
+        assert_eq!(
+            flags(&snapshots[0]),
+            (false, false),
+            "latent: waiting, not down"
+        );
+        assert_eq!(flags(&snapshots[1]), (false, false), "joined");
+        drop(d);
+
+        // Resumed without the join plan, the unit is simply there.
+        let mut backend = MockBackend::new(ClockKind::Virtual, &[0.3, 0.2]);
+        let mut policy = Pump::new(100, &[]);
+        let resume = Some(snapshots.swap_remove(0));
+        let out = run_outcome(
+            &mut backend,
+            &mut policy,
+            1_000,
+            FaultPlan::none(),
+            FaultToleranceConfig::default(),
+            resume,
+        );
+        let report = out.result.expect("run completes");
+        assert_eq!(report.cover, vec![(0, 1_000)]);
+        assert!(report.pus[1].items > 0, "{:?}", report.pus[1]);
+        assert!(backend.hooks.is_empty(), "{:?}", backend.hooks);
+    }
+
+    #[test]
+    fn a_restore_of_a_written_off_unit_is_dropped() {
+        // Unit 1's executor is gone from the start; at 0.45 s the backend
+        // claims the unit is back.
+        let mut backend = MockBackend::new(ClockKind::Wall, &[0.3, 0.2])
+            .executor_lasts(1, 0)
+            .external(0.45, Polled::UnitRestored { pu: 1 });
+        let mut policy = Pump::new(100, &[]);
+        let out = run_outcome(
+            &mut backend,
+            &mut policy,
+            400,
+            FaultPlan::none(),
+            FaultToleranceConfig::default(),
+            None,
+        );
+        let report = out.result.as_ref().expect("run completes");
+        assert_eq!(report.pus[0].items, 400);
+        assert_eq!(out.lost, vec![false, true]);
+        // One launch was refused, and none was tried again: the unit
+        // never reappeared in `pus()`.
+        assert_eq!(report.events.tasks_submitted, 5);
+        assert_eq!(names_on(&out, 1), ["task_submit", "device_failed"]);
+        assert!(!policy.calls.iter().any(|c| c == "restored 1"));
+    }
+
+    // -----------------------------------------------------------------
+    // Transitions: the state of a unit x what happens to it -> where it
+    // ends up and who hears of it. Unit 0 stands by, idle and healthy;
+    // unit 1 is the subject, and no callback assigns anything.
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum State {
+        /// Up; with a block in flight (deadline 1 s, kernel wedged)
+        /// unless its executor is about to be found gone.
+        Active,
+        /// Taken down by the core: probation until 5 s.
+        Quarantined,
+        Lost,
+        /// Waiting for its join, due after five tasks.
+        Latent,
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Cause {
+        FailureAtTheBar,
+        ExternalDown,
+        ProbationExpiry,
+        ExternalRestore,
+        JoinDue,
+        BlownDeadline,
+        ExecutorGone,
+    }
+
+    /// Where a row leaves unit 1: its gate, its handle's `available`,
+    /// the timers armed, and — since the cause — the events on it, the
+    /// policy's callbacks and the backend's hooks.
+    #[derive(Debug, PartialEq)]
+    struct After {
+        gate: State,
+        available: bool,
+        timers: usize,
+        events: String,
+        calls: String,
+        hooks: String,
+    }
+
+    fn after(gate: State, timers: usize, events: &str, calls: &str, hooks: &str) -> After {
+        After {
+            gate,
+            available: gate == State::Active,
+            timers,
+            events: events.into(),
+            calls: calls.into(),
+            hooks: hooks.into(),
+        }
+    }
+
+    fn transition(state: State, cause: Cause) -> After {
+        let executor = if cause == Cause::ExecutorGone { 0 } else { 9 };
+        let mut backend =
+            MockBackend::new(ClockKind::Wall, &[0.3, 50.0]).executor_lasts(1, executor);
+        let mut policy = Pump::new(0, &[1e-3, 1e-3]);
+        let cfg = RunConfig {
+            faults: if state == State::Latent {
+                join(1, 5)
+            } else {
+                FaultPlan::none()
+            },
+            ft: FaultToleranceConfig::default()
+                .with_quarantine_after(1)
+                .with_probation(5.0),
+            ..Default::default()
+        };
+        let pool = WorkPool::new(1_000);
+        let mut d = Driver::new(&mut backend, handles(2), &mut policy, pool, cfg).expect("fresh");
+        policy.on_start(&mut d);
+        match state {
+            State::Active if cause != Cause::ExecutorGone => {
+                assert_eq!(d.assign(PuId(1), 100), 100)
+            }
+            State::Active | State::Latent => {}
+            State::Quarantined => assert!(d.take_down(1, true)),
+            State::Lost => assert!(d.write_off(1)),
+        }
+        let (seen, called) = (d.events.len(), policy.calls.len());
+        let hooked = usize::from(matches!(state, State::Quarantined | State::Lost));
+        assert_eq!((d.busy, d.armed_timers), d.recount(), "{state:?} set up");
+
+        // The mock's clock moves in `poll` only.
+        let sleep_until = |d: &mut Driver, t: f64| {
+            assert_eq!(d.backend.poll(Some(t), &mut d.events), Polled::Timeout);
+        };
+        let verdict = match cause {
+            Cause::FailureAtTheBar => d.observe(
+                &mut policy,
+                Polled::AttemptFailed {
+                    pu: 1,
+                    task: TaskId(0),
+                    reason: FailureReason::Panicked,
+                },
+            ),
+            Cause::ExternalDown => d.observe(&mut policy, Polled::UnitDown { pu: 1 }),
+            Cause::ProbationExpiry => {
+                sleep_until(&mut d, 6.0);
+                d.end_elapsed_probations(&mut policy);
+                Ok(())
+            }
+            Cause::ExternalRestore => d.observe(&mut policy, Polled::UnitRestored { pu: 1 }),
+            Cause::JoinDue => {
+                if state != State::Latent {
+                    d.joins.push((1, 5));
+                }
+                d.tasks_done = 5;
+                d.admit_due_joins(&mut policy);
+                Ok(())
+            }
+            Cause::BlownDeadline => {
+                sleep_until(&mut d, 1.5);
+                d.observe(&mut policy, Polled::Timeout)
+            }
+            Cause::ExecutorGone => {
+                assert_eq!(d.assign(PuId(1), 100), 0);
+                d.notify_lost(&mut policy);
+                Ok(())
+            }
+        };
+        assert_eq!(verdict, Ok(()), "unit 0 keeps the run alive");
+        assert_eq!(
+            (d.busy, d.armed_timers),
+            d.recount(),
+            "{state:?} x {cause:?}"
+        );
+        let unit = &d.units[1];
+        let gate = match (unit.gate.is_active(), unit.gate.is_lost()) {
+            (true, _) if !d.handles[1].available => State::Latent,
+            (true, _) => State::Active,
+            (_, true) => State::Lost,
+            _ => State::Quarantined,
+        };
+        let events: Vec<&str> = (d.events.iter().skip(seen))
+            .filter(|e| e.pu == Some(1))
+            .map(|e| e.kind.name())
+            .collect();
+        let result = After {
+            gate,
+            available: d.handles[1].available,
+            timers: d.armed_timers,
+            events: events.join(" "),
+            calls: policy.calls[called..].join(", "),
+            hooks: String::new(),
+        };
+        drop(d);
+        After {
+            hooks: backend.hooks[hooked..].join(", "),
+            ..result
+        }
+    }
+
+    #[test]
+    fn every_transition_of_a_unit() {
+        use Cause::*;
+        use State::*;
+        let unchanged = |state: State| {
+            let timers = usize::from(matches!(state, Active | Quarantined));
+            after(state, timers, "", "", "")
+        };
+        let down_again =
+            |state: State, timers: usize| after(state, timers, "device_failed", "lost 1", "");
+        let table = [
+            // Active: a block in flight, its 1 s deadline the one timer.
+            (
+                (Active, FailureAtTheBar),
+                after(
+                    Quarantined,
+                    1,
+                    "task_failed pu_quarantined device_failed",
+                    "lost 1, failed 1 panic",
+                    "quarantined 1",
+                ),
+            ),
+            (
+                (Active, ExternalDown),
+                after(Quarantined, 0, "task_failed device_failed", "lost 1", ""),
+            ),
+            ((Active, ProbationExpiry), unchanged(Active)),
+            // A restore of a unit that never failed still fires.
+            (
+                (Active, ExternalRestore),
+                after(Active, 1, "device_restored", "restored 1", ""),
+            ),
+            ((Active, JoinDue), unchanged(Active)),
+            (
+                (Active, BlownDeadline),
+                after(
+                    Lost,
+                    0,
+                    "task_failed device_failed",
+                    "lost 1, failed 1 deadline",
+                    "forgot 1",
+                ),
+            ),
+            (
+                (Active, ExecutorGone),
+                after(Lost, 0, "task_submit device_failed", "lost 1", "forgot 1"),
+            ),
+            // Quarantined by the core: the probation expiry is the timer.
+            // Nothing is in flight, so a failure or a deadline finds
+            // nothing, and `assign` refuses before any launch.
+            ((Quarantined, FailureAtTheBar), unchanged(Quarantined)),
+            ((Quarantined, ExternalDown), down_again(Quarantined, 1)),
+            (
+                (Quarantined, ProbationExpiry),
+                after(Active, 0, "device_restored", "restored 1", ""),
+            ),
+            (
+                (Quarantined, ExternalRestore),
+                after(Active, 0, "device_restored", "restored 1", ""),
+            ),
+            (
+                (Quarantined, JoinDue),
+                after(Active, 0, "pu_joined", "joined 1", "joined 1"),
+            ),
+            ((Quarantined, BlownDeadline), unchanged(Quarantined)),
+            ((Quarantined, ExecutorGone), unchanged(Quarantined)),
+            // Lost is absorbing: no restore, no join.
+            ((Lost, FailureAtTheBar), unchanged(Lost)),
+            ((Lost, ExternalDown), down_again(Lost, 0)),
+            ((Lost, ProbationExpiry), unchanged(Lost)),
+            ((Lost, ExternalRestore), unchanged(Lost)),
+            ((Lost, JoinDue), unchanged(Lost)),
+            ((Lost, BlownDeadline), unchanged(Lost)),
+            ((Lost, ExecutorGone), unchanged(Lost)),
+            // Latent: the gate is active, the handle is not available.
+            ((Latent, FailureAtTheBar), unchanged(Latent)),
+            ((Latent, ExternalDown), down_again(Quarantined, 0)),
+            ((Latent, ProbationExpiry), unchanged(Latent)),
+            (
+                (Latent, ExternalRestore),
+                after(Active, 0, "device_restored", "restored 1", ""),
+            ),
+            (
+                (Latent, JoinDue),
+                after(Active, 0, "pu_joined", "joined 1", "joined 1"),
+            ),
+            ((Latent, BlownDeadline), unchanged(Latent)),
+            ((Latent, ExecutorGone), unchanged(Latent)),
+        ];
+        assert_eq!(table.len(), 4 * 7);
+        for ((state, cause), expected) in table {
+            assert_eq!(transition(state, cause), expected, "{state:?} x {cause:?}");
+        }
     }
 }

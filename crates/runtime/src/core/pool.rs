@@ -32,6 +32,8 @@ use std::ops::Range;
 /// budgeted through the workload's [`Weights`].
 #[derive(Debug)]
 pub struct WorkPool {
+    /// The range the pool was built over.
+    items: Range<u64>,
     latch: CompletionLatch,
     cursor: u64,
     /// Ranges of failed blocks returned to the pool; served before
@@ -63,6 +65,7 @@ impl WorkPool {
         WorkPool {
             latch: CompletionLatch::new(items.end.saturating_sub(items.start)),
             cursor: items.start,
+            items,
             reclaimed: Vec::new(),
             weights,
         }
@@ -124,11 +127,18 @@ impl WorkPool {
         // serve them in ascending offset order.
         holes.reverse();
         Ok(WorkPool {
+            items: 0..total,
             latch: CompletionLatch::new(total - covered),
             cursor: total,
             reclaimed: holes,
             weights,
         })
+    }
+
+    /// The range the pool was built over: `0..total` for a whole (or
+    /// resumed) run, one node's chunk for a nested cluster-tier run.
+    pub fn items(&self) -> Range<u64> {
+        self.items.clone()
     }
 
     /// Items not yet distributed (0 after a close).

@@ -18,8 +18,10 @@
 //! absolute virtual times to reproduce the paper's future-work scenarios
 //! (cloud QoS drift, machine loss).
 
-use crate::checkpoint::{Checkpoint, CheckpointConfig, CheckpointWriter};
-use crate::core::{self, Backend, ClockKind, Durability, EventQueue, Launch, LaunchSpec, Polled};
+use crate::checkpoint::{Checkpoint, CheckpointConfig};
+use crate::core::{
+    self, Backend, ClockKind, EventQueue, Launch, LaunchSpec, Polled, RunConfig, WorkPool,
+};
 use crate::events::{EventKind, EventSink};
 use crate::fault::{FaultAction, FaultPlan, FaultToleranceConfig};
 use crate::metrics::RunReport;
@@ -105,12 +107,12 @@ impl std::fmt::Display for RunError {
 impl std::error::Error for RunError {}
 
 /// What the simulator's event queue holds.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 enum EventPayload {
     /// Task `task` on `pu` completes.
     Completion { pu: PuId, task: TaskId },
-    /// Index into the perturbation list.
-    Perturb(usize),
+    /// A scheduled perturbation fires.
+    Perturb(PerturbationKind),
 }
 
 /// Backend-side record of the attempt currently occupying a unit: the
@@ -131,15 +133,20 @@ struct SimAttempt {
 struct SimBackend<'a> {
     cluster: &'a mut ClusterSim,
     cost: &'a dyn CostModel,
-    perturbations: Vec<Perturbation>,
     queue: EventQueue<EventPayload>,
-    /// Bytes moved host -> unit so far, per unit: every block's input
-    /// buffer plus the one-time broadcast staging. Feeds the run
-    /// report's byte accounting.
-    bytes_in: Vec<u64>,
-    /// Per unit: has the broadcast set been staged there yet?
-    broadcast_staged: Vec<bool>,
-    attempt_of: Vec<Option<SimAttempt>>,
+    units: Vec<SimUnit>,
+}
+
+/// What the backend keeps per unit.
+#[derive(Debug, Clone, Default)]
+struct SimUnit {
+    /// Bytes moved host -> unit so far: every block's input buffer plus
+    /// the one-time broadcast staging. Feeds the run report's byte
+    /// accounting.
+    bytes_in: u64,
+    /// Has the broadcast set been staged there yet?
+    broadcast_staged: bool,
+    attempt: Option<SimAttempt>,
 }
 
 impl SimBackend<'_> {
@@ -147,10 +154,8 @@ impl SimBackend<'_> {
     /// (Only pending restores can bring a dead cluster back; already-
     /// fired ones must not defer a stall.)
     fn restore_pending(&self) -> bool {
-        self.queue.pending().any(|p| {
-            matches!(*p, EventPayload::Perturb(i)
-                if matches!(self.perturbations[i].kind, PerturbationKind::Restore(_)))
-        })
+        let is_restore = |p| matches!(p, &EventPayload::Perturb(PerturbationKind::Restore(_)));
+        self.queue.pending().any(is_restore)
     }
 }
 
@@ -165,18 +170,16 @@ impl Backend for SimBackend<'_> {
 
     fn launch(&mut self, spec: &LaunchSpec) -> Launch {
         let pu = PuId(spec.pu);
+        let Some(unit) = self.units.get_mut(spec.pu) else {
+            return Launch::UnitGone;
+        };
         if spec.attempt == 0 {
             // Data movement: the block's input buffer moves host ->
             // unit; the broadcast set is staged once per unit (cache
             // hit after). Retries reuse the already-staged block.
-            let mut bytes = self.cost.bytes_in_range(spec.offset, spec.items).max(0.0) as u64;
-            if let Some(staged) = self.broadcast_staged.get_mut(spec.pu) {
-                if !std::mem::replace(staged, true) {
-                    bytes += self.cost.broadcast_bytes().max(0.0) as u64;
-                }
-            }
-            if let Some(b) = self.bytes_in.get_mut(spec.pu) {
-                *b += bytes;
+            unit.bytes_in += self.cost.bytes_in_range(spec.offset, spec.items).max(0.0) as u64;
+            if !std::mem::replace(&mut unit.broadcast_staged, true) {
+                unit.bytes_in += self.cost.broadcast_bytes().max(0.0) as u64;
             }
         }
         let dev = self.cluster.device_mut(pu);
@@ -198,7 +201,7 @@ impl Backend for SimBackend<'_> {
         // begin only after the overhead window closes; retries begin
         // after their backoff.
         let start = self.queue.start_of(spec);
-        self.attempt_of[spec.pu] = Some(SimAttempt {
+        unit.attempt = Some(SimAttempt {
             task: spec.task,
             start,
             xfer,
@@ -225,13 +228,10 @@ impl Backend for SimBackend<'_> {
                     // Completions of cancelled attempts (unit failed
                     // while the task was in flight) are stale: skip to
                     // the next event.
-                    let current = self.attempt_of[pu.0]
-                        .as_ref()
-                        .is_some_and(|a| a.task == task);
-                    if !current {
+                    let Some(unit) = self.units.get_mut(pu.0) else {
                         continue;
-                    }
-                    let Some(a) = self.attempt_of[pu.0].take() else {
+                    };
+                    let Some(a) = unit.attempt.take_if(|a| a.task == task) else {
                         continue;
                     };
                     if a.doomed {
@@ -250,7 +250,7 @@ impl Backend for SimBackend<'_> {
                         finish: self.queue.now(),
                     };
                 }
-                EventPayload::Perturb(idx) => match self.perturbations[idx].kind {
+                EventPayload::Perturb(kind) => match kind {
                     PerturbationKind::SetSlowdown(pu, f) => {
                         self.cluster.device_mut(pu).set_slowdown(f);
                         let now = self.queue.now();
@@ -265,7 +265,9 @@ impl Backend for SimBackend<'_> {
                         self.cluster.device_mut(pu).fail();
                         // The in-flight attempt (if any) is cancelled;
                         // its queued completion event becomes stale.
-                        self.attempt_of[pu.0] = None;
+                        if let Some(unit) = self.units.get_mut(pu.0) {
+                            unit.attempt = None;
+                        }
                         return Polled::UnitDown { pu: pu.0 };
                     }
                     PerturbationKind::Restore(pu) => {
@@ -304,7 +306,7 @@ impl Backend for SimBackend<'_> {
     }
 
     fn bytes_into(&self, pu: usize) -> u64 {
-        self.bytes_in.get(pu).copied().unwrap_or(0)
+        self.units.get(pu).map_or(0, |u| u.bytes_in)
     }
 }
 
@@ -331,11 +333,7 @@ pub struct SimEngine<'a> {
     cluster: &'a mut ClusterSim,
     cost: &'a dyn CostModel,
     perturbations: Vec<Perturbation>,
-    faults: FaultPlan,
-    ft: FaultToleranceConfig,
-    checkpoint: Option<CheckpointConfig>,
-    resume: Option<Checkpoint>,
-    weights: Arc<Weights>,
+    cfg: RunConfig,
     last_trace: Option<Trace>,
     last_events: Option<EventSink>,
 }
@@ -347,11 +345,7 @@ impl<'a> SimEngine<'a> {
             cluster,
             cost,
             perturbations: Vec::new(),
-            faults: FaultPlan::none(),
-            ft: FaultToleranceConfig::default(),
-            checkpoint: None,
-            resume: None,
-            weights: Weights::uniform(),
+            cfg: RunConfig::default(),
             last_trace: None,
             last_events: None,
         }
@@ -366,14 +360,14 @@ impl<'a> SimEngine<'a> {
     /// Inject deterministic faults (panics, delays) by per-unit attempt
     /// index. See [`FaultPlan`].
     pub fn with_faults(mut self, plan: FaultPlan) -> SimEngine<'a> {
-        self.faults = plan;
+        self.cfg.faults = plan;
         self
     }
 
     /// Override the fault-response tunables (retry bound, backoff,
     /// quarantine threshold). Deadlines don't apply to virtual time.
     pub fn with_fault_tolerance(mut self, ft: FaultToleranceConfig) -> SimEngine<'a> {
-        self.ft = ft;
+        self.cfg.ft = ft;
         self
     }
 
@@ -381,7 +375,7 @@ impl<'a> SimEngine<'a> {
     /// driver state during `run` (plus one on clean shutdown). See
     /// [`crate::checkpoint`].
     pub fn with_checkpoint(mut self, cfg: CheckpointConfig) -> SimEngine<'a> {
-        self.checkpoint = Some(cfg);
+        self.cfg.checkpoint = Some(cfg);
         self
     }
 
@@ -391,7 +385,7 @@ impl<'a> SimEngine<'a> {
     /// name, item count, unit count) or `run` fails with
     /// [`RunError::Checkpoint`].
     pub fn resume_from(mut self, ckpt: Checkpoint) -> SimEngine<'a> {
-        self.resume = Some(ckpt);
+        self.cfg.resume = Some(ckpt);
         self
     }
 
@@ -400,7 +394,7 @@ impl<'a> SimEngine<'a> {
     /// default is [`Weights::Uniform`], under which everything behaves
     /// exactly as the pre-weights engine did. See [`crate::weights`].
     pub fn with_weights(mut self, weights: Arc<Weights>) -> SimEngine<'a> {
-        self.weights = weights;
+        self.cfg.weights = weights;
         self
     }
 
@@ -440,35 +434,20 @@ impl<'a> SimEngine<'a> {
         if !handles.iter().any(|h| h.available) {
             return Err(RunError::NoUnits);
         }
-        let n = handles.len();
         let mut backend = SimBackend {
             cluster: &mut *self.cluster,
             cost: self.cost,
-            perturbations: self.perturbations.clone(),
             queue: EventQueue::new(),
-            bytes_in: vec![0; n],
-            broadcast_staged: vec![false; n],
-            attempt_of: vec![None; n],
+            units: vec![SimUnit::default(); handles.len()],
         };
-        for i in 0..backend.perturbations.len() {
-            let at = backend.perturbations[i].at.max(0.0);
-            backend.queue.push(at, EventPayload::Perturb(i));
+        for p in &self.perturbations {
+            backend
+                .queue
+                .push(p.at.max(0.0), EventPayload::Perturb(p.kind));
         }
-        let durability = Durability {
-            checkpoint: self.checkpoint.clone().map(CheckpointWriter::new),
-            resume: self.resume.take(),
-            ..Default::default()
-        };
-        let outcome = core::drive(
-            &mut backend,
-            handles,
-            policy,
-            items,
-            Arc::clone(&self.weights),
-            self.faults.clone(),
-            self.ft.clone(),
-            durability,
-        );
+        let cfg = self.cfg.for_run();
+        let pool = WorkPool::over(items, Arc::clone(&cfg.weights));
+        let outcome = core::drive(&mut backend, handles, policy, pool, cfg);
         self.last_trace = Some(outcome.trace);
         self.last_events = Some(outcome.events);
         outcome.result

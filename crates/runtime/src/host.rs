@@ -53,9 +53,9 @@
 //! [`crate::protocol`] and model-checked under loom (see
 //! `docs/SOUNDNESS.md`).
 
-use crate::checkpoint::{Checkpoint, CheckpointConfig, CheckpointWriter};
+use crate::checkpoint::{Checkpoint, CheckpointConfig};
 use crate::codelet::{Codelet, PuResources};
-use crate::core::{self, Backend, ClockKind, Durability, Launch, LaunchSpec, Polled};
+use crate::core::{self, Backend, ClockKind, Launch, LaunchSpec, Polled, RunConfig, WorkPool};
 use crate::engine::RunError;
 use crate::events::EventSink;
 use crate::fault::{FaultAction, FaultPlan, FaultToleranceConfig};
@@ -144,12 +144,18 @@ enum WorkerMsg {
 /// back, and the current attempt's claim word per unit. Mechanics only —
 /// every decision is the scheduling core's.
 struct HostBackend {
-    senders: Vec<Option<Sender<Assignment>>>,
-    /// The in-flight attempt's claim word per unit, shared with its
-    /// worker; the core's watchdog arbitrates through it.
-    slots: Vec<Option<Arc<AttemptSlot>>>,
+    units: Vec<HostUnit>,
     done_rx: Receiver<WorkerMsg>,
     epoch: Instant,
+}
+
+/// What the backend keeps per unit; both `None` once the core forgot it.
+struct HostUnit {
+    /// The channel into the unit's worker thread.
+    sender: Option<Sender<Assignment>>,
+    /// The in-flight attempt's claim word, shared with the worker; the
+    /// core's watchdog arbitrates through it.
+    slot: Option<Arc<AttemptSlot>>,
 }
 
 impl Backend for HostBackend {
@@ -162,12 +168,15 @@ impl Backend for HostBackend {
     }
 
     fn unit_ready(&self, pu: usize) -> bool {
-        self.senders[pu].is_some()
+        self.units.get(pu).is_some_and(|u| u.sender.is_some())
     }
 
     fn launch(&mut self, spec: &LaunchSpec) -> Launch {
+        let Some(unit) = self.units.get_mut(spec.pu) else {
+            return Launch::UnitGone;
+        };
         let slot = Arc::new(AttemptSlot::new());
-        let sent = match self.senders[spec.pu].as_ref() {
+        let sent = match unit.sender.as_ref() {
             Some(tx) => tx
                 .send(Assignment {
                     task: spec.task,
@@ -189,7 +198,7 @@ impl Backend for HostBackend {
         if !sent {
             return Launch::UnitGone;
         }
-        self.slots[spec.pu] = Some(slot);
+        unit.slot = Some(slot);
         // Real start time is only known when the completion reports it.
         Launch::Started { start: None }
     }
@@ -221,12 +230,15 @@ impl Backend for HostBackend {
     }
 
     fn try_claim_timeout(&mut self, pu: usize) -> bool {
-        self.slots[pu].as_ref().is_some_and(|s| s.try_timeout())
+        let slot = self.units.get(pu).and_then(|u| u.slot.as_ref());
+        slot.is_some_and(|s| s.try_timeout())
     }
 
     fn forget_unit(&mut self, pu: usize) {
-        self.senders[pu] = None;
-        self.slots[pu] = None;
+        if let Some(unit) = self.units.get_mut(pu) {
+            unit.sender = None;
+            unit.slot = None;
+        }
     }
 }
 
@@ -270,11 +282,7 @@ fn repeat_for(perturbations: &[HostPerturbation], pu: usize, done: u64) -> u32 {
 pub struct HostEngine {
     pus: Vec<HostPu>,
     perturbations: Vec<HostPerturbation>,
-    faults: FaultPlan,
-    ft: FaultToleranceConfig,
-    checkpoint: Option<CheckpointConfig>,
-    resume: Option<Checkpoint>,
-    weights: Arc<Weights>,
+    cfg: RunConfig,
     last_trace: Option<Trace>,
     last_events: Option<EventSink>,
 }
@@ -287,11 +295,7 @@ impl HostEngine {
         HostEngine {
             pus,
             perturbations: Vec::new(),
-            faults: FaultPlan::none(),
-            ft: FaultToleranceConfig::default(),
-            checkpoint: None,
-            resume: None,
-            weights: Weights::uniform(),
+            cfg: RunConfig::default(),
             last_trace: None,
             last_events: None,
         }
@@ -308,14 +312,14 @@ impl HostEngine {
     /// index. See [`FaultPlan`]. Re-dispatch after a loss assumes
     /// idempotent codelets.
     pub fn with_faults(mut self, plan: FaultPlan) -> HostEngine {
-        self.faults = plan;
+        self.cfg.faults = plan;
         self
     }
 
     /// Override the fault-response tunables: retry bound, backoff,
     /// quarantine threshold, deadline factor, probation window.
     pub fn with_fault_tolerance(mut self, ft: FaultToleranceConfig) -> HostEngine {
-        self.ft = ft;
+        self.cfg.ft = ft;
         self
     }
 
@@ -323,7 +327,7 @@ impl HostEngine {
     /// driver state during `run` (plus one on clean shutdown), so a
     /// SIGKILLed run can be resumed. See [`crate::checkpoint`].
     pub fn with_checkpoint(mut self, cfg: CheckpointConfig) -> HostEngine {
-        self.checkpoint = Some(cfg);
+        self.cfg.checkpoint = Some(cfg);
         self
     }
 
@@ -335,7 +339,7 @@ impl HostEngine {
     /// possibly re-executed tail block (the same contract re-dispatch
     /// after a loss already requires).
     pub fn resume_from(mut self, ckpt: Checkpoint) -> HostEngine {
-        self.resume = Some(ckpt);
+        self.cfg.resume = Some(ckpt);
         self
     }
 
@@ -344,7 +348,7 @@ impl HostEngine {
     /// default is [`Weights::Uniform`], under which everything behaves
     /// exactly as the pre-weights engine did. See [`crate::weights`].
     pub fn with_weights(mut self, weights: Arc<Weights>) -> HostEngine {
-        self.weights = weights;
+        self.cfg.weights = weights;
         self
     }
 
@@ -512,37 +516,25 @@ impl HostEngine {
                 available: true,
             })
             .collect();
+        let unit = |tx| HostUnit {
+            sender: Some(tx),
+            slot: None,
+        };
         let mut backend = HostBackend {
-            senders: senders.into_iter().map(Some).collect(),
-            slots: vec![None; n],
+            units: senders.into_iter().map(unit).collect(),
             done_rx,
             epoch,
         };
-        let durability = Durability {
-            checkpoint: self.checkpoint.clone().map(CheckpointWriter::new),
-            resume: self.resume.take(),
-            ..Default::default()
-        };
-        let outcome = core::drive(
-            &mut backend,
-            handles,
-            policy,
-            items,
-            Arc::clone(&self.weights),
-            self.faults.clone(),
-            self.ft.clone(),
-            durability,
-        );
+        let cfg = self.cfg.for_run();
+        let pool = WorkPool::over(items, Arc::clone(&cfg.weights));
+        let outcome = core::drive(&mut backend, handles, policy, pool, cfg);
 
         // Shut healthy workers down; threads of lost units may be wedged
         // inside a kernel and are detached instead of joined.
         drop(backend);
         let mut join_failed = false;
-        for (i, j) in joins.into_iter().enumerate() {
-            if outcome.lost[i] {
-                continue;
-            }
-            if j.join().is_err() {
+        for (j, &lost) in joins.into_iter().zip(&outcome.lost) {
+            if !lost && j.join().is_err() {
                 join_failed = true;
             }
         }

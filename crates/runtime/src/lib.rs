@@ -72,7 +72,7 @@ pub use crate::core::cluster::{
     equal_cost_shards, ChunkOutcome, ClusterEngine, MigrationConfig, NodeRunner, SimNodeRunner,
 };
 pub use crate::core::{
-    Backend, ClockKind, CoreOutcome, Durability, Launch, LaunchSpec, Polled, WorkPool,
+    Backend, ClockKind, CoreOutcome, Launch, LaunchSpec, Polled, RunConfig, WorkPool,
 };
 pub use checkpoint::{
     Checkpoint, CheckpointConfig, CheckpointError, CheckpointWriter, PuState, WorkloadId,

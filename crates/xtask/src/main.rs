@@ -8,8 +8,9 @@
 //!   modules blanked in place, so a keyword inside a doc comment or a
 //!   raw string can never produce a false positive, and line numbers
 //!   always match the file on disk. Findings pass through per-pass
-//!   allowlists and the ratcheting baseline (`report.rs`), and render
-//!   as human text or SARIF 2.1.0 for GitHub code scanning.
+//!   allowlists (`report.rs`) — there is no baseline of accepted
+//!   findings: one violation fails the lint — and render as human text
+//!   or SARIF 2.1.0 for GitHub code scanning.
 
 mod lexer;
 mod passes;
@@ -21,7 +22,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use passes::{registry, Context, Source};
-use report::{default_baseline_path, sarif, timing_line, Baseline, PassTiming, Violation};
+use report::{sarif, timing_line, PassTiming, Violation};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -32,7 +33,7 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: cargo xtask <command>\n\n\
                  commands:\n  \
-                 lint [--format text|sarif] [--out PATH] [--baseline PATH] [--write-baseline]\n      \
+                 lint [--format text|sarif] [--out PATH]\n      \
                  run the ten soundness passes (docs/SOUNDNESS.md)"
             );
             ExitCode::FAILURE
@@ -62,8 +63,6 @@ enum Format {
 fn lint(root: &Path, args: &[String]) -> ExitCode {
     let mut format = Format::Text;
     let mut out_path: Option<PathBuf> = None;
-    let mut baseline_path = default_baseline_path(root);
-    let mut write_baseline = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -82,14 +81,6 @@ fn lint(root: &Path, args: &[String]) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--baseline" => match it.next() {
-                Some(p) => baseline_path = PathBuf::from(p),
-                None => {
-                    eprintln!("lint: --baseline needs a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--write-baseline" => write_baseline = true,
             other => {
                 eprintln!("lint: unknown argument `{other}`");
                 return ExitCode::FAILURE;
@@ -122,34 +113,11 @@ fn lint(root: &Path, args: &[String]) -> ExitCode {
     }
     violations.sort_by(|a, b| (a.pass, &a.file, a.line).cmp(&(b.pass, &b.file, b.line)));
 
-    if write_baseline {
-        let text = Baseline::render(&violations);
-        if let Err(e) = fs::write(&baseline_path, &text) {
-            eprintln!("lint: writing {}: {e}", baseline_path.display());
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "xtask lint: wrote baseline {} ({} finding(s) accepted)",
-            baseline_path.display(),
-            violations.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline = match Baseline::load(&baseline_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("lint: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (reported, suppressed) = baseline.apply(violations);
-
     let rules: Vec<(&'static str, &'static str)> =
         passes.iter().map(|p| (p.name(), p.summary())).collect();
     match format {
         Format::Sarif => {
-            let doc = sarif(&rules, &reported);
+            let doc = sarif(&rules, &violations);
             match &out_path {
                 Some(p) => {
                     if let Err(e) = fs::write(p, &doc) {
@@ -159,33 +127,28 @@ fn lint(root: &Path, args: &[String]) -> ExitCode {
                     eprintln!(
                         "xtask lint: wrote SARIF {} ({} result(s))",
                         p.display(),
-                        reported.len()
+                        violations.len()
                     );
                 }
                 None => print!("{doc}"),
             }
         }
         Format::Text => {
-            for v in &reported {
+            for v in &violations {
                 println!("{}:{}: [{}] {}", v.file, v.line, v.pass, v.msg);
             }
         }
     }
     eprintln!("{}", timing_line(&timings));
-    if reported.is_empty() {
+    if violations.is_empty() {
         eprintln!(
-            "xtask lint: OK ({} files, {} passes, {} baselined finding(s) suppressed)",
+            "xtask lint: OK ({} files, {} passes)",
             sources.len(),
-            passes.len(),
-            suppressed
+            passes.len()
         );
         ExitCode::SUCCESS
     } else {
-        eprintln!(
-            "xtask lint: {} violation(s) ({} baselined suppressed)",
-            reported.len(),
-            suppressed
-        );
+        eprintln!("xtask lint: {} violation(s)", violations.len());
         ExitCode::FAILURE
     }
 }

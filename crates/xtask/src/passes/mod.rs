@@ -43,7 +43,7 @@ impl Context<'_> {
 }
 
 /// A lint pass: a name (stable — it is the SARIF rule id and the
-/// allowlist/baseline key), a one-line summary, and the check itself.
+/// allowlist key), a one-line summary, and the check itself.
 pub trait Pass {
     /// Stable pass name, e.g. `"unsafe-allowlist"`.
     fn name(&self) -> &'static str;

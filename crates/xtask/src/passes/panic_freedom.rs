@@ -11,10 +11,11 @@
 //!   audited allowlist (`allowlists/panic-freedom.txt`, each entry a
 //!   file whose panics carry a local proof of unreachability);
 //! * **slice-index expressions** (`xs[i]` — the third way safe Rust
-//!   panics) are additionally flagged in the `drive()` hot path and
-//!   the policy hooks it calls. Existing audited sites live in the
-//!   ratchet baseline (`lint-baseline.txt`): the count may only
-//!   shrink.
+//!   panics) are additionally flagged in the `drive()` hot path, the
+//!   two backends whose `launch`/`poll` run once per task, and the
+//!   policy hooks the driver calls — whatever the allowlist says of
+//!   the file's other panics. There is no grandfathered site: one
+//!   index expression in scope fails the lint.
 //!
 //! Tests are exempt (assertions are their job), as is `assert!` — an
 //! invariant check is a *deliberate* abort, not an accidental one.
@@ -26,13 +27,16 @@ use crate::report::{Allowlist, Violation};
 /// Crates whose run path must not panic (the old deny-lint scope).
 const PANIC_SCOPE: &[&str] = &["crates/runtime/src/", "crates/core/src/", "crates/ipm/src/"];
 
-/// The `drive()` hot path and the policy hooks it invokes every task
+/// The `drive()` hot path, the simulator and host backends it launches
+/// and polls once per task, and the policy hooks it invokes every task
 /// completion: here even indexing is a latent abort. The PLB-HeC hooks
 /// are a directory, so a phase moved to a new file stays in scope, plus
 /// the two modules that run inside them (the probe ladder and the
 /// profile book).
 const INDEX_SCOPE: &[&str] = &[
     "crates/runtime/src/core/",
+    "crates/runtime/src/engine.rs",
+    "crates/runtime/src/host.rs",
     "crates/core/src/policy/",
     "crates/core/src/modeling.rs",
     "crates/core/src/profile.rs",
@@ -62,6 +66,21 @@ impl Pass for PanicFreedom {
             }
         };
         for s in ctx.sources {
+            // The allowlist audits a file's unwraps and panics, never
+            // its indexing.
+            if INDEX_SCOPE.iter().any(|p| s.rel.starts_with(p)) {
+                for pos in index_expressions(&s.code) {
+                    out.push(Violation {
+                        file: s.rel.clone(),
+                        line: line_of(&s.code, pos),
+                        pass: self.name(),
+                        msg: "slice-index in the drive() hot path can panic on a logic \
+                              slip; resolve the element once with `.get()`/`.get_mut()`, \
+                              or iterate"
+                            .to_string(),
+                    });
+                }
+            }
             if !PANIC_SCOPE.iter().any(|p| s.rel.starts_with(p)) || allow.permits(&s.rel) {
                 continue;
             }
@@ -96,19 +115,6 @@ impl Pass for PanicFreedom {
                             ),
                         });
                     }
-                }
-            }
-            if INDEX_SCOPE.iter().any(|p| s.rel.starts_with(p)) {
-                for pos in index_expressions(&s.code) {
-                    out.push(Violation {
-                        file: s.rel.clone(),
-                        line: line_of(&s.code, pos),
-                        pass: self.name(),
-                        msg: "slice-index in the drive() hot path can panic on a logic \
-                              slip; prefer `.get()`/iterators, or keep the audited count \
-                              in lint-baseline.txt from growing"
-                            .to_string(),
-                    });
                 }
             }
         }
@@ -182,6 +188,30 @@ const BEFORE_A_NON_INDEX_BRACKET: &[&str] = &[
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::passes::Source;
+
+    #[test]
+    fn an_index_in_the_driver_or_a_backend_is_flagged_whatever_the_allowlist_says() {
+        // `host.rs` is on the allowlist for its injected panic.
+        let root = crate::workspace_root();
+        for rel in [
+            "crates/runtime/src/core/mod.rs",
+            "crates/runtime/src/engine.rs",
+            "crates/runtime/src/host.rs",
+        ] {
+            let sources = [Source {
+                rel: rel.to_string(),
+                code: "fn planted(xs: &[u64]) -> u64 { xs[0] }".to_string(),
+            }];
+            let ctx = Context {
+                root: &root,
+                sources: &sources,
+            };
+            let mut out = Vec::new();
+            PanicFreedom.run(&ctx, &mut out);
+            assert_eq!(out.len(), 1, "{rel}: {out:?}");
+        }
+    }
 
     #[test]
     fn index_detection_distinguishes_index_from_literal_and_attr() {

@@ -1,10 +1,8 @@
-//! Lint reporting: violations, per-pass allowlists, the ratcheting
-//! baseline, and the two output formats (human text and SARIF 2.1.0
-//! for GitHub code scanning).
+//! Lint reporting: violations, per-pass allowlists, and the two output
+//! formats (human text and SARIF 2.1.0 for GitHub code scanning).
 
-use std::collections::BTreeMap;
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// One finding from one pass.
 #[derive(Debug, Clone)]
@@ -93,106 +91,6 @@ impl Allowlist {
 }
 
 // ---------------------------------------------------------------------------
-// Baseline (ratchet)
-// ---------------------------------------------------------------------------
-
-/// Accepted legacy-violation counts, keyed by `(pass, file)`.
-///
-/// The ratchet: a `(pass, file)` group whose current count is at or
-/// below its baselined count is suppressed; one finding more and the
-/// *whole group* is reported, so the offending diff sees every
-/// instance it must choose among. Groups absent from the baseline get
-/// zero tolerance. `cargo xtask lint --write-baseline` regenerates the
-/// file — shrinking it over time is the point.
-#[derive(Debug, Clone, Default)]
-pub struct Baseline {
-    counts: BTreeMap<(String, String), usize>,
-}
-
-/// Default on-disk location of the committed baseline.
-pub fn default_baseline_path(root: &Path) -> PathBuf {
-    root.join("crates/xtask/lint-baseline.txt")
-}
-
-impl Baseline {
-    /// Parse the tab-separated `pass<TAB>file<TAB>count` format.
-    pub fn parse(text: &str) -> Result<Baseline, String> {
-        let mut counts = BTreeMap::new();
-        for (i, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut cols = line.split('\t');
-            let (Some(pass), Some(file), Some(count)) = (cols.next(), cols.next(), cols.next())
-            else {
-                return Err(format!(
-                    "baseline line {}: expected pass<TAB>file<TAB>count",
-                    i + 1
-                ));
-            };
-            let count: usize = count
-                .parse()
-                .map_err(|_| format!("baseline line {}: bad count `{count}`", i + 1))?;
-            counts.insert((pass.to_string(), file.to_string()), count);
-        }
-        Ok(Baseline { counts })
-    }
-
-    /// Load from `path`; a missing file is an empty baseline (zero
-    /// tolerance everywhere), not an error.
-    pub fn load(path: &Path) -> Result<Baseline, String> {
-        match fs::read_to_string(path) {
-            Ok(text) => Baseline::parse(&text),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Baseline::default()),
-            Err(e) => Err(format!("baseline {}: {e}", path.display())),
-        }
-    }
-
-    /// Serialize current violations as a fresh baseline.
-    pub fn render(violations: &[Violation]) -> String {
-        let mut counts: BTreeMap<(String, String), usize> = BTreeMap::new();
-        for v in violations {
-            *counts
-                .entry((v.pass.to_string(), v.file.clone()))
-                .or_insert(0) += 1;
-        }
-        let mut out = String::from(
-            "# Accepted legacy lint findings: pass<TAB>file<TAB>count.\n\
-             # Regenerate with `cargo xtask lint --write-baseline`; counts may\n\
-             # only shrink (the ratchet fails the build when a group grows).\n",
-        );
-        for ((pass, file), n) in &counts {
-            out.push_str(&format!("{pass}\t{file}\t{n}\n"));
-        }
-        out
-    }
-
-    /// Split `violations` into (reported, suppressed-count) under the
-    /// ratchet.
-    pub fn apply(&self, violations: Vec<Violation>) -> (Vec<Violation>, usize) {
-        let mut groups: BTreeMap<(String, String), Vec<Violation>> = BTreeMap::new();
-        for v in violations {
-            groups
-                .entry((v.pass.to_string(), v.file.clone()))
-                .or_default()
-                .push(v);
-        }
-        let mut reported = Vec::new();
-        let mut suppressed = 0usize;
-        for (key, group) in groups {
-            let allowed = self.counts.get(&key).copied().unwrap_or(0);
-            if group.len() <= allowed {
-                suppressed += group.len();
-            } else {
-                reported.extend(group);
-            }
-        }
-        (reported, suppressed)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // SARIF 2.1.0
 // ---------------------------------------------------------------------------
 
@@ -273,42 +171,6 @@ mod tests {
         assert!(!a.permits("crates/runtime/src/engine.rs"));
         assert!(!a.permits("crates/core/src/baselines.rs"));
         assert_eq!(a.entries().len(), 2);
-    }
-
-    #[test]
-    fn baseline_round_trips_and_ratchets() {
-        let current = vec![
-            v("panic-freedom", "a.rs", 3),
-            v("panic-freedom", "a.rs", 9),
-            v("panic-freedom", "b.rs", 1),
-        ];
-        let text = Baseline::render(&current);
-        let base = Baseline::parse(&text).expect("parses");
-
-        // Unchanged tree: everything suppressed.
-        let (reported, suppressed) = base.apply(current.clone());
-        assert!(reported.is_empty(), "{reported:?}");
-        assert_eq!(suppressed, 3);
-
-        // One new finding in a.rs: the whole a.rs group resurfaces,
-        // b.rs stays suppressed.
-        let mut grown = current.clone();
-        grown.push(v("panic-freedom", "a.rs", 20));
-        let (reported, suppressed) = base.apply(grown);
-        assert_eq!(reported.len(), 3);
-        assert!(reported.iter().all(|x| x.file == "a.rs"));
-        assert_eq!(suppressed, 1);
-
-        // A group absent from the baseline has zero tolerance.
-        let (reported, _) = base.apply(vec![v("nondeterminism-confinement", "c.rs", 5)]);
-        assert_eq!(reported.len(), 1);
-    }
-
-    #[test]
-    fn baseline_rejects_malformed_lines() {
-        assert!(Baseline::parse("pass only-two-cols\n").is_err());
-        assert!(Baseline::parse("p\tf\tnot-a-number\n").is_err());
-        assert!(Baseline::parse("# just comments\n\n").is_ok());
     }
 
     #[test]

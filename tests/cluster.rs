@@ -11,7 +11,7 @@
 use plb_hec_suite::hetsim::cluster::ClusterOptions;
 use plb_hec_suite::hetsim::workload::LinearCost;
 use plb_hec_suite::hetsim::{cluster_scenario, ClusterSim, PuKind, Scenario, Topology};
-use plb_hec_suite::plb::NodeDiffusionPolicy;
+use plb_hec_suite::plb::{NodeDiffusionPolicy, PlbHecPolicy, PolicyConfig};
 use plb_hec_suite::runtime::{
     equal_cost_shards, Checkpoint, CheckpointConfig, ChunkOutcome, ClusterEngine, Codelet,
     EventKind, EventSink, FaultToleranceConfig, FixedBlockPolicy, FnCodelet, HostNodeRunner,
@@ -20,6 +20,8 @@ use plb_hec_suite::runtime::{
 };
 use proptest::prelude::*;
 use std::sync::Arc;
+
+mod common;
 
 /// Per-node simulated machines, intra-node policies, and names for an
 /// `n`-node homogeneous cluster.
@@ -531,4 +533,103 @@ fn cluster_checkpoints_stamp_and_enforce_the_node_roster() {
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+// ---------------------------------------------------------------------
+// Cross-commit goldens (the `tests/policy_goldens.rs` method): one hash
+// over the whole node-level event stream and the run's outcome. Noise
+// is off and the weights are closed-form, so no generator stream
+// enters. Both constants were printed by this file at commit d850cbf,
+// the parent of the PR that gave the driver one record per unit
+// (ISSUE 20), which passed them unmodified.
+
+/// Skewed per-item weights with a heavy head, in closed form.
+fn skewed_weights(total: u64) -> Arc<Weights> {
+    Arc::new(Weights::per_item((0..total).map(|i| {
+        let base = 1 + i.wrapping_mul(2_654_435_761) % 97;
+        base + if i < total / 20 { 400 } else { 0 }
+    })))
+}
+
+/// The paper's machines A to D as a 4-node ring, PLB-HeC inside every
+/// node and diffusion between them, over skewed weights; with a
+/// `timescale`, under `plbmark`'s `sim-cluster` fault plan — node 1
+/// crashes after its second chunk, the link between nodes 0 and 1 runs
+/// three times slower, node 3 is cut off from a quarter to six tenths
+/// of the timescale. Returns the makespan and the hash.
+fn golden_ring(timescale: Option<f64>) -> (f64, u64) {
+    let total = 80_000;
+    let weights = skewed_weights(total);
+    let cost = LinearCost::generic();
+    let opts = ClusterOptions {
+        seed: 7,
+        noise_sigma: 0.0,
+        ..Default::default()
+    };
+    let machines = cluster_scenario(Scenario::Four, false);
+    let clusters: Vec<ClusterSim> = machines
+        .iter()
+        .map(|m| ClusterSim::build(std::slice::from_ref(m), &opts))
+        .collect();
+    let cfg = PolicyConfig::default()
+        .with_initial_block(64)
+        .with_round_fraction(0.25);
+    let policies = (0..4)
+        .map(|_| Box::new(PlbHecPolicy::new(&cfg)) as Box<dyn Policy>)
+        .collect();
+    let names = (0..4).map(|i| format!("node{i}")).collect();
+    let mut runner = SimNodeRunner::new(&cost, names, clusters, policies, Arc::clone(&weights));
+    let bounds = equal_cost_shards(total, 4, &weights);
+    let mut policy = NodeDiffusionPolicy::new(Topology::Ring, bounds);
+    let mut engine = ClusterEngine::new(&mut runner).with_weights(weights);
+    if let Some(m) = timescale {
+        engine = engine
+            .with_migration(scaled_migration(m))
+            .with_node_faults(NodeFaultPlan::new(vec![
+                NodeFault {
+                    node: 1,
+                    kind: NodeFaultKind::Crash { after_chunks: 2 },
+                },
+                NodeFault {
+                    node: 0,
+                    kind: NodeFaultKind::LinkDegrade {
+                        peer: 1,
+                        factor: 3.0,
+                        from_s: 0.0,
+                        to_s: 1e9,
+                    },
+                },
+                NodeFault {
+                    node: 3,
+                    kind: NodeFaultKind::Partition {
+                        from_s: 0.25 * m,
+                        to_s: 0.60 * m,
+                    },
+                },
+            ]));
+    }
+    let report = engine.run(&mut policy, total).expect("run completes");
+    assert_full_cover(&report, total);
+    let sink = engine.last_events().expect("engine keeps the event sink");
+    assert_eq!(sink.counters().dropped, 0, "the hash must see every event");
+    let counters = sink.counters();
+    if timescale.is_some() {
+        assert!(counters.node_quarantines >= 2, "crash and partition");
+        assert!(counters.cover_recredits >= 1, "the cut re-credits a chunk");
+    } else {
+        assert_eq!(counters.node_quarantines, 0);
+    }
+    assert!(counters.migrations_sent >= 1, "nothing migrated");
+    (report.makespan, common::stream_hash(sink.iter(), &report))
+}
+
+#[test]
+fn four_node_ring_keeps_its_stream_across_commits() {
+    let (m, fault_free) = golden_ring(None);
+    let (_, faulted) = golden_ring(Some(m));
+    assert_eq!(
+        (fault_free, faulted),
+        (0x34de_8969_cbcf_9c6b, 0x7eb7_a080_da54_2709),
+        "got ({fault_free:#018x}, {faulted:#018x}); fault-free makespan {m:?} s"
+    );
 }

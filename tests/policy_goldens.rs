@@ -26,6 +26,8 @@ use plb_hec_suite::runtime::{
 };
 use std::path::PathBuf;
 
+mod common;
+
 /// Heavy, wide items (~50 µs of GPU work each): runs last long enough
 /// for mid-run faults to land in the execution phase.
 fn heavy_cost() -> LinearCost {
@@ -114,39 +116,10 @@ fn run_with(
     engine_run(scenario, cost, items, &mut policy, setup, |e| e)
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv(h: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(h, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 impl Outcome {
-    /// FNV-1a over every event's `seq`, `t` bits, `pu` and payload, then
-    /// the makespan's bits, the task count and every unit's items.
-    /// `BlockSolve::solve_s` is wall time and is zeroed. The payload
-    /// goes in as its `Debug` text: std prints an `f64` as the shortest
-    /// decimal that reads back to the same bits, so the text pins them,
-    /// and no serializer (real or stand-in) takes part.
+    /// The stream hash every constant below is one of.
     fn hash(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        for e in &self.events {
-            let mut kind = e.kind.clone();
-            if let EventKind::BlockSolve { solve_s, .. } = &mut kind {
-                *solve_s = 0.0;
-            }
-            h = fnv(h, &e.seq.to_le_bytes());
-            h = fnv(h, &e.t.to_bits().to_le_bytes());
-            h = fnv(h, &e.pu.map_or(u64::MAX, |p| p as u64).to_le_bytes());
-            h = fnv(h, format!("{kind:?}").as_bytes());
-        }
-        h = fnv(h, &self.report.makespan.to_bits().to_le_bytes());
-        h = fnv(h, &(self.report.tasks as u64).to_le_bytes());
-        for pu in &self.report.pus {
-            h = fnv(h, &pu.items.to_le_bytes());
-        }
-        h
+        common::stream_hash(&self.events, &self.report)
     }
 
     fn count(&self, pred: impl Fn(&Event) -> bool) -> usize {
