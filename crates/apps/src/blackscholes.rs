@@ -7,9 +7,8 @@
 //! European call and put prices.
 
 use plb_hetsim::CostModel;
+use plb_rng::ChaCha8Rng;
 use plb_runtime::{Codelet, DisjointOutput, PuResources};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -224,22 +223,13 @@ impl Codelet for BsCodelet {
     }
 
     fn execute(&self, range: Range<u64>, res: &PuResources) {
-        use rayon::prelude::*;
-        let lo = range.start as usize;
-        let hi = range.end as usize;
-        if res.threads > 1 {
-            // One claim per option so rayon threads write independently.
-            (lo..hi).into_par_iter().for_each(|i| {
-                let mut out = self.prices.writer(i..i + 1);
-                out[0] = price(&self.data.options[i]);
-            });
-        } else {
-            // One claim for the whole contiguous block.
+        res.for_each_chunk(range, |sub| {
+            let (lo, hi) = (sub.start as usize, sub.end as usize);
             let mut out = self.prices.writer(lo..hi);
-            for i in lo..hi {
-                out[i - lo] = price(&self.data.options[i]);
+            for (slot, option) in out.iter_mut().zip(&self.data.options[lo..hi]) {
+                *slot = price(option);
             }
-        }
+        });
     }
 }
 
@@ -312,10 +302,17 @@ mod tests {
                 kind: PuKind::Cpu,
             },
         );
-        let r = codelet.results();
-        assert!(r[..3].iter().all(|&(c, p)| c == 0.0 && p == 0.0));
-        assert!(r[3..7].iter().all(|&(c, _)| c != 0.0));
-        assert!(r[7..].iter().all(|&(c, p)| c == 0.0 && p == 0.0));
+        // Bit-for-bit the reference inside the range (a deep
+        // out-of-the-money call may price at exactly 0.0, so "non-zero"
+        // is not the property), untouched outside it.
+        for (i, got) in codelet.results().into_iter().enumerate() {
+            let want = if (3..7).contains(&i) {
+                price(&data.options[i])
+            } else {
+                (0.0, 0.0)
+            };
+            assert_eq!(got, want, "option {i}");
+        }
     }
 
     #[test]

@@ -12,9 +12,8 @@
 //! (one target gene) costs `O(n²)` and the whole run `O(n³)`.
 
 use plb_hetsim::CostModel;
+use plb_rng::ChaCha8Rng;
 use plb_runtime::{Codelet, DisjointOutput, PuResources};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -288,8 +287,8 @@ pub struct GrnResult {
 /// The real CPU codelet: exhaustive pair search per target gene.
 pub struct GrnCodelet {
     data: Arc<GrnData>,
-    /// Best pair per target; each task claims its target index as a
-    /// [`DisjointOutput`] view.
+    /// Best pair per target; each chunk of targets claims its indices
+    /// as one [`DisjointOutput`] view.
     results: Arc<DisjointOutput<Option<GrnResult>>>,
 }
 
@@ -305,7 +304,7 @@ impl GrnCodelet {
         self.results.snapshot()
     }
 
-    fn infer_target(&self, target: usize) {
+    fn infer_target(&self, target: usize) -> GrnResult {
         let n = self.data.genes;
         let mut best = GrnResult {
             pair: (0, 0),
@@ -328,8 +327,7 @@ impl GrnCodelet {
                 }
             }
         }
-        let mut out = self.results.writer(target..target + 1);
-        out[0] = Some(best);
+        best
     }
 }
 
@@ -339,16 +337,13 @@ impl Codelet for GrnCodelet {
     }
 
     fn execute(&self, range: Range<u64>, res: &PuResources) {
-        use rayon::prelude::*;
-        if res.threads > 1 {
-            (range.start..range.end)
-                .into_par_iter()
-                .for_each(|t| self.infer_target(t as usize));
-        } else {
-            for t in range {
-                self.infer_target(t as usize);
+        res.for_each_chunk(range, |sub| {
+            let (lo, hi) = (sub.start as usize, sub.end as usize);
+            let mut out = self.results.writer(lo..hi);
+            for (slot, target) in out.iter_mut().zip(lo..hi) {
+                *slot = Some(self.infer_target(target));
             }
-        }
+        });
     }
 }
 

@@ -8,9 +8,8 @@
 //! (single-precision input columns and result columns).
 
 use plb_hetsim::CostModel;
+use plb_rng::ChaCha8Rng;
 use plb_runtime::{Codelet, DisjointOutput, PuResources};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -112,8 +111,9 @@ impl MatMulData {
 pub struct MatMulCodelet {
     data: Arc<MatMulData>,
     /// Output C, column-major; each work item (column `j`) owns the
-    /// contiguous element range `j·n .. (j+1)·n`, claimed as a
-    /// [`DisjointOutput`] view for the duration of the column kernel.
+    /// contiguous element range `j·n .. (j+1)·n`, and a chunk of
+    /// columns claims its columns' elements as one [`DisjointOutput`]
+    /// view.
     c: Arc<DisjointOutput<f32>>,
 }
 
@@ -129,11 +129,10 @@ impl MatMulCodelet {
         self.c.snapshot()
     }
 
-    fn compute_column(&self, j: usize) {
+    fn compute_column(&self, j: usize, col: &mut [f32]) {
         let n = self.data.n;
         let a = &self.data.a;
         let bcol = &self.data.b[j * n..(j + 1) * n];
-        let mut col = self.c.writer(j * n..(j + 1) * n);
         for i in 0..n {
             let arow = &a[i * n..(i + 1) * n];
             let mut acc = 0.0f32;
@@ -151,16 +150,14 @@ impl Codelet for MatMulCodelet {
     }
 
     fn execute(&self, range: Range<u64>, res: &PuResources) {
-        use rayon::prelude::*;
-        if res.threads > 1 {
-            (range.start..range.end)
-                .into_par_iter()
-                .for_each(|j| self.compute_column(j as usize));
-        } else {
-            for j in range {
-                self.compute_column(j as usize);
+        let n = self.data.n;
+        res.for_each_chunk(range, |sub| {
+            let (lo, hi) = (sub.start as usize, sub.end as usize);
+            let mut out = self.c.writer(lo * n..hi * n);
+            for (j, col) in (lo..hi).zip(out.chunks_exact_mut(n)) {
+                self.compute_column(j, col);
             }
-        }
+        });
     }
 }
 

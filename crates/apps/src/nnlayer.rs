@@ -13,9 +13,8 @@
 //! paper's MM at 65536.
 
 use plb_hetsim::CostModel;
+use plb_rng::ChaCha8Rng;
 use plb_runtime::{Codelet, DisjointOutput, PuResources};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -157,7 +156,8 @@ pub struct NnLayerCodelet {
     data: Arc<NnLayerData>,
     /// Activations, sample-major `samples × outputs`; each work item
     /// (sample) owns the contiguous row `sample·outputs ..
-    /// (sample+1)·outputs`, claimed as a [`DisjointOutput`] view.
+    /// (sample+1)·outputs`, and a chunk of samples claims its rows as
+    /// one [`DisjointOutput`] view.
     activations: Arc<DisjointOutput<f32>>,
 }
 
@@ -173,19 +173,16 @@ impl NnLayerCodelet {
         self.activations.snapshot()
     }
 
-    fn forward(&self, sample: usize) {
+    fn forward(&self, sample: usize, row: &mut [f32]) {
         let d = &self.data;
         let x = &d.batch[sample * d.inputs..(sample + 1) * d.inputs];
-        let mut row = self
-            .activations
-            .writer(sample * d.outputs..(sample + 1) * d.outputs);
-        for o in 0..d.outputs {
+        for (o, out) in row.iter_mut().enumerate() {
             let w = &d.weights[o * d.inputs..(o + 1) * d.inputs];
             let mut z = d.biases[o];
             for (a, b) in w.iter().zip(x) {
                 z += a * b;
             }
-            row[o] = z.max(0.0);
+            *out = z.max(0.0);
         }
     }
 }
@@ -196,16 +193,14 @@ impl Codelet for NnLayerCodelet {
     }
 
     fn execute(&self, range: Range<u64>, res: &PuResources) {
-        use rayon::prelude::*;
-        if res.threads > 1 {
-            (range.start..range.end)
-                .into_par_iter()
-                .for_each(|s| self.forward(s as usize));
-        } else {
-            for s in range {
-                self.forward(s as usize);
+        let outputs = self.data.outputs;
+        res.for_each_chunk(range, |sub| {
+            let (lo, hi) = (sub.start as usize, sub.end as usize);
+            let mut out = self.activations.writer(lo * outputs..hi * outputs);
+            for (sample, row) in (lo..hi).zip(out.chunks_exact_mut(outputs)) {
+                self.forward(sample, row);
             }
-        }
+        });
     }
 }
 

@@ -16,9 +16,8 @@
 //! cross-engine equivalence tests rely on.
 
 use plb_hetsim::CostModel;
+use plb_rng::ChaCha8Rng;
 use plb_runtime::{Codelet, DisjointOutput, PuResources, Weights};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
@@ -322,22 +321,13 @@ impl Codelet for SpmvCodelet {
     }
 
     fn execute(&self, range: Range<u64>, res: &PuResources) {
-        use rayon::prelude::*;
-        let lo = range.start as usize;
-        let hi = range.end as usize;
-        if res.threads > 1 {
-            // One claim per row so rayon threads write independently.
-            (lo..hi).into_par_iter().for_each(|i| {
-                let mut out = self.y.writer(i..i + 1);
-                out[0] = self.data.row_dot(i);
-            });
-        } else {
-            // One claim for the whole contiguous block.
+        res.for_each_chunk(range, |sub| {
+            let (lo, hi) = (sub.start as usize, sub.end as usize);
             let mut out = self.y.writer(lo..hi);
-            for i in lo..hi {
-                out[i - lo] = self.data.row_dot(i);
+            for (slot, row) in out.iter_mut().zip(lo..hi) {
+                *slot = self.data.row_dot(row);
             }
-        }
+        });
     }
 }
 

@@ -55,7 +55,7 @@ fn plb_run_emits_report_and_artifacts() {
     // Artifacts exist and parse.
     let parsed: serde_json::Value =
         serde_json::from_str(&std::fs::read_to_string(&json).unwrap()).unwrap();
-    assert_eq!(parsed["total_items"], 50_000);
+    assert_eq!(parsed["total_items"].as_u64(), Some(50_000));
     let svg_text = std::fs::read_to_string(&svg).unwrap();
     assert!(svg_text.starts_with("<svg"));
 }

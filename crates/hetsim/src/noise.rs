@@ -6,8 +6,7 @@
 //! derived from `(experiment seed, device id)`, so a whole cluster run is
 //! reproducible and two devices never share a stream.
 
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use plb_rng::ChaCha8Rng;
 
 /// Per-device noise generator.
 #[derive(Debug, Clone)]
@@ -90,6 +89,44 @@ mod tests {
         }
         let mean = sum / 1000.0;
         assert!((mean - 1.0).abs() < 0.02, "mean factor {mean}");
+    }
+
+    #[test]
+    fn factors_keep_their_bits_across_commits() {
+        // Printed at commit e6bb616 under the generator `plb-rng`
+        // replaced (see its tests): the noise every simulated makespan
+        // in the goldens and in `plbmark` carries. Device 0 takes the
+        // seed's own stream, device 7 a mixed one.
+        let bits = |device| {
+            let mut n = NoiseGen::new(201_509, device, 0.02);
+            [(); 8].map(|()| n.factor().to_bits())
+        };
+        assert_eq!(
+            bits(0),
+            [
+                0x3fef_824b_4be7_fb9c,
+                0x3fef_6492_6c13_00c1,
+                0x3ff0_08d8_d453_de84,
+                0x3ff0_381f_bfb6_4207,
+                0x3fef_93d9_22b2_9b83,
+                0x3ff0_8a79_1824_76c1,
+                0x3fee_d769_96b0_8d48,
+                0x3fef_eebe_a665_bf9b,
+            ]
+        );
+        assert_eq!(
+            bits(7),
+            [
+                0x3ff0_007a_8e0e_aa3e,
+                0x3fee_fa2f_58e7_3e8a,
+                0x3ff0_2b18_b315_6c8f,
+                0x3fef_b1d7_894c_2889,
+                0x3fef_9e04_a202_5ac5,
+                0x3ff0_1937_d66c_4e74,
+                0x3ff0_0074_887d_e16d,
+                0x3fef_82a5_dfe0_1be7,
+            ]
+        );
     }
 
     #[test]

@@ -16,8 +16,7 @@ use plb_numerics::{
     fit_basis, fit_best_model, fit_linear, lstsq, r_squared, BasisFn, BasisSet, FitError,
     FittedCurve, LinAlgError, Mat,
 };
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use plb_rng::ChaCha8Rng;
 
 const PIVOT_TOL: f64 = 1e-13;
 

@@ -1523,6 +1523,6 @@ mod tests {
         };
         let v = serde_json::to_value(&e).unwrap();
         assert_eq!(v["kind"], "modeling_done");
-        assert_eq!(v["items_used"], 7);
+        assert_eq!(v["items_used"].as_u64(), Some(7));
     }
 }

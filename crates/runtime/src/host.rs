@@ -33,9 +33,9 @@
 //!   detached rather than joined and the unit never returns.
 //! * **Retry / re-dispatch** — a failed block is retried in place with
 //!   exponential backoff up to `max_retries` times; past that its items
-//!   are re-credited to the shared pool and flow to the surviving units
-//!   through the normal assignment path (the ranges are recycled so the
-//!   disjoint-cover guarantee over `0..total_items` still holds).
+//!   are re-credited to the shared pool, from which the policy's next
+//!   `assign` hands them to a surviving unit (the ranges are recycled
+//!   so the disjoint-cover guarantee over `0..total_items` still holds).
 //! * **Quarantine** — `quarantine_after` consecutive failures remove the
 //!   unit from the active set and notify the policy via
 //!   `on_device_lost`, which for PLB-HeC re-solves the block-size split
@@ -62,11 +62,11 @@ use crate::fault::{FaultAction, FaultPlan, FaultToleranceConfig};
 use crate::metrics::RunReport;
 use crate::policy::{Policy, PuHandle};
 use crate::protocol::AttemptSlot;
+use crate::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use crate::sync::Arc;
 use crate::task::{FailureReason, TaskId};
 use crate::trace::Trace;
 use crate::weights::Weights;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use plb_hetsim::{PuId, PuKind};
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -375,16 +375,16 @@ impl HostEngine {
     ) -> Result<RunReport, RunError> {
         let n = self.pus.len();
         let epoch = Instant::now();
-        let (done_tx, done_rx): (Sender<WorkerMsg>, Receiver<WorkerMsg>) = unbounded();
+        let (done_tx, done_rx): (Sender<WorkerMsg>, Receiver<WorkerMsg>) = channel();
 
-        // One worker thread (owning a sized rayon pool) per unit. A
-        // spawn or pool-construction failure tears down what exists and
-        // reports infrastructure loss instead of panicking.
+        // One worker thread per unit; the kernel widens itself to the
+        // unit's `threads` (`PuResources::for_each_chunk`). A spawn
+        // failure tears down what exists and reports infrastructure
+        // loss instead of panicking.
         let mut senders: Vec<Sender<Assignment>> = Vec::with_capacity(n);
         let mut joins = Vec::with_capacity(n);
-        let mut infra_error: Option<String> = None;
         for (i, pu) in self.pus.iter().enumerate() {
-            let (tx, rx): (Sender<Assignment>, Receiver<Assignment>) = unbounded();
+            let (tx, rx): (Sender<Assignment>, Receiver<Assignment>) = channel();
             let done = done_tx.clone();
             let codelet = Arc::clone(&codelet);
             let res = PuResources {
@@ -392,17 +392,6 @@ impl HostEngine {
                 kind: pu.kind,
             };
             let perturbations = self.perturbations.clone();
-            let pool = match rayon::ThreadPoolBuilder::new()
-                .num_threads(pu.threads)
-                .thread_name(move |t| format!("hostpu{i}-w{t}"))
-                .build()
-            {
-                Ok(p) => p,
-                Err(e) => {
-                    infra_error = Some(format!("thread pool construction for unit {i}: {e}"));
-                    break;
-                }
-            };
             let spawned = std::thread::Builder::new()
                 .name(format!("hostpu{i}"))
                 .spawn(move || {
@@ -418,25 +407,20 @@ impl HostEngine {
                         // its task failed instead of killing the worker.
                         let outcome =
                             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                pool.install(|| {
-                                    match a.inject {
-                                        Some(FaultAction::Delay(s)) => {
-                                            if s.is_finite() && s > 0.0 {
-                                                std::thread::sleep(Duration::from_secs_f64(s));
-                                            }
+                                match a.inject {
+                                    Some(FaultAction::Delay(s)) => {
+                                        if s.is_finite() && s > 0.0 {
+                                            std::thread::sleep(Duration::from_secs_f64(s));
                                         }
-                                        Some(FaultAction::Panic) => {
-                                            panic!(
-                                                "injected fault: panic on attempt {}",
-                                                a.attempt
-                                            );
-                                        }
-                                        None => {}
                                     }
-                                    for _ in 0..repeat {
-                                        codelet.execute(a.offset..a.offset + a.items, &res);
+                                    Some(FaultAction::Panic) => {
+                                        panic!("injected fault: panic on attempt {}", a.attempt);
                                     }
-                                });
+                                    None => {}
+                                }
+                                for _ in 0..repeat {
+                                    codelet.execute(a.offset..a.offset + a.items, &res);
+                                }
                             }));
                         // Realize drift: stretch the attempt by the
                         // surplus fraction of its own measured kernel
@@ -490,19 +474,17 @@ impl HostEngine {
                     joins.push(h);
                 }
                 Err(e) => {
-                    infra_error = Some(format!("worker thread spawn for unit {i}: {e}"));
-                    break;
+                    drop(senders);
+                    for j in joins {
+                        let _ = j.join();
+                    }
+                    return Err(RunError::Infrastructure {
+                        detail: format!("worker thread spawn for unit {i}: {e}"),
+                    });
                 }
             }
         }
         drop(done_tx);
-        if let Some(detail) = infra_error {
-            drop(senders);
-            for j in joins {
-                let _ = j.join();
-            }
-            return Err(RunError::Infrastructure { detail });
-        }
 
         let handles: Vec<PuHandle> = self
             .pus
@@ -683,7 +665,7 @@ mod tests {
 
     #[test]
     fn ranges_are_disjoint_and_cover() {
-        use parking_lot::Mutex;
+        use crate::sync::Mutex;
         let ranges = Arc::new(Mutex::new(Vec::new()));
         let r2 = Arc::clone(&ranges);
         let codelet = Arc::new(FnCodelet::new("collect", move |r, _| {

@@ -127,9 +127,13 @@ pub trait Policy: Send {
     fn on_task_finished(&mut self, ctx: &mut dyn SchedulerCtx, done: &TaskInfo);
 
     /// Called when a unit fails. Items of its in-flight task have been
-    /// re-credited to the remaining pool before this call. The default
-    /// does nothing, which suits policies that reassign work on every
-    /// completion anyway.
+    /// re-credited to the remaining pool before this call, and nobody
+    /// but the policy will assign them: the default does nothing, which
+    /// is enough only while some other unit still has a completion to
+    /// come on which the policy assigns again. If the survivors have
+    /// already drained the rest of the pool, a policy that assigns only
+    /// on completions leaves the re-credited items unassigned and the
+    /// run ends `RunError::Stalled` with them as the remainder.
     fn on_device_lost(&mut self, _ctx: &mut dyn SchedulerCtx, _pu: PuId) {}
 
     /// Called when a previously quarantined unit re-enters the active
@@ -167,8 +171,11 @@ pub trait Policy: Send {
     /// unit was quarantined, not on every retried attempt. The items
     /// have been re-credited before this call, so policies that push
     /// work on completion can hand the block to a survivor here. The
-    /// default does nothing: engines re-dispatch re-credited items
-    /// through the normal assignment path anyway.
+    /// default does nothing, and the engines assign nothing on their
+    /// own: re-credited items wait in the pool for the policy's next
+    /// `assign`, from this hook or from a later completion. With no
+    /// task left in flight and nothing assigned here, the run ends
+    /// `RunError::Stalled` (see [`Policy::on_device_lost`]).
     fn on_task_failed(&mut self, _ctx: &mut dyn SchedulerCtx, _failure: &TaskFailure) {}
 
     /// The per-unit fraction of data the policy would currently assign

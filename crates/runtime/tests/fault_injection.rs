@@ -149,7 +149,7 @@ fn sim_flaky_unit_is_quarantined_and_work_redistributed() {
     // far: attempt 0 fails, two in-place retries fail, quarantine.
     let report = SimEngine::new(&mut cluster, &cost)
         .with_faults(flaky(0, 10))
-        .run(&mut FixedBlockPolicy { block: 5_000 }, 100_000)
+        .run(&mut RedispatchPolicy { block: 5_000 }, 100_000)
         .expect("survivors absorb the flaky unit's work");
     assert_eq!(report.total_items, 100_000);
     assert_eq!(report.events.task_failures, 3);
@@ -157,6 +157,48 @@ fn sim_flaky_unit_is_quarantined_and_work_redistributed() {
     assert_eq!(report.events.quarantines, 1);
     assert_eq!(report.events.device_failures, 1);
     assert_eq!(report.pus[0].items, 0, "quarantined unit completed nothing");
+}
+
+#[test]
+fn sim_completion_only_policy_stalls_when_survivors_drain_first() {
+    // The other half of the contract: the engine re-credits a
+    // quarantined unit's block to the pool and tells the policy
+    // (`on_task_failed`, `on_device_lost`) — it assigns nothing itself.
+    // `FixedBlockPolicy` assigns only on start and on a completion, and
+    // here the four healthy units finish the other 95 000 items while
+    // unit 0 is still sitting out its retry back-offs, so when the
+    // quarantine lands nobody is left to hand the 5 000 re-credited
+    // items to. That is reported as a stall with the remainder — not a
+    // hang, not a run that "completes" short.
+    let mut cluster = quiet_cluster(Scenario::Two);
+    let cost = LinearCost::generic();
+    let mut engine = SimEngine::new(&mut cluster, &cost).with_faults(flaky(0, 10));
+    let err = engine
+        .run(&mut FixedBlockPolicy { block: 5_000 }, 100_000)
+        .expect_err("nobody re-dispatches the re-credited block");
+    assert!(
+        matches!(
+            err,
+            RunError::Stalled {
+                remaining: 5_000,
+                ..
+            }
+        ),
+        "{err:?}"
+    );
+    let events = engine.last_events().expect("post-mortem events").events();
+    let quarantined_at = events
+        .iter()
+        .position(|e| matches!(e.kind, EventKind::PuQuarantined { .. }))
+        .expect("the flaky unit was quarantined");
+    let last_finish = events
+        .iter()
+        .rposition(|e| matches!(e.kind, EventKind::TaskFinish { .. }))
+        .expect("the survivors completed work");
+    assert!(
+        last_finish < quarantined_at,
+        "the survivors had drained the pool before the quarantine landed"
+    );
 }
 
 #[test]
@@ -235,7 +277,7 @@ fn sim_faulty_runs_are_deterministic() {
         );
         let report = SimEngine::new(&mut cluster, &cost)
             .with_faults(flaky(1, 10))
-            .run(&mut FixedBlockPolicy { block: 3_000 }, 150_000)
+            .run(&mut RedispatchPolicy { block: 3_000 }, 150_000)
             .expect("run completes");
         (
             report.makespan,
@@ -253,7 +295,7 @@ fn sim_trace_times_stay_monotone_under_faults() {
     let cost = LinearCost::generic();
     let mut engine = SimEngine::new(&mut cluster, &cost).with_faults(flaky(0, 10));
     engine
-        .run(&mut FixedBlockPolicy { block: 5_000 }, 100_000)
+        .run(&mut RedispatchPolicy { block: 5_000 }, 100_000)
         .expect("run completes");
     let events = engine.last_events().expect("events recorded").events();
     let mut last: std::collections::HashMap<usize, f64> = Default::default();
@@ -303,11 +345,11 @@ fn host_panic_mid_block_is_retried_and_nothing_is_lost() {
     // Injected panics fire *before* the kernel body, so every item is
     // executed exactly once even under retries — assert the exact
     // disjoint cover.
-    use parking_lot::Mutex;
+    use std::sync::Mutex;
     let ranges = Arc::new(Mutex::new(Vec::new()));
     let r2 = Arc::clone(&ranges);
     let codelet = Arc::new(FnCodelet::new("collect", move |r, _| {
-        r2.lock().push(r);
+        r2.lock().expect("no holder panics").push(r);
     }));
     let mut engine = HostEngine::new(host_pus()).with_faults(panic_on(1, 0));
     let report = engine
@@ -317,7 +359,7 @@ fn host_panic_mid_block_is_retried_and_nothing_is_lost() {
     assert!(report.events.task_failures >= 1);
     assert!(report.events.task_retries >= 1);
     assert_eq!(report.events.quarantines, 0);
-    let mut got = ranges.lock().clone();
+    let mut got = ranges.lock().expect("no holder panics").clone();
     got.sort_by_key(|r| r.start);
     let mut expect = 0;
     for r in got {
@@ -325,6 +367,48 @@ fn host_panic_mid_block_is_retried_and_nothing_is_lost() {
         expect = r.end;
     }
     assert_eq!(expect, 1_000);
+}
+
+#[test]
+fn host_panic_inside_one_chunk_of_a_wide_unit_fails_the_task_not_the_worker() {
+    // A `threads: 3` unit splits its block over three scoped threads
+    // (`PuResources::for_each_chunk`). The first time round, the chunk
+    // holding item 40 panics on one of them: the scope re-raises it on
+    // the worker thread once the sibling chunks are done, the worker's
+    // codelet guard turns it into a failed attempt, and the same worker
+    // then runs the retry — a dead worker would stall the run instead.
+    let panicked = Arc::new(AtomicU64::new(0));
+    let touched = Arc::new(AtomicU64::new(0));
+    let (p2, t2) = (Arc::clone(&panicked), Arc::clone(&touched));
+    let codelet = Arc::new(FnCodelet::new("chunked", move |r, res| {
+        res.for_each_chunk(r, |sub| {
+            if sub.contains(&40) && p2.fetch_add(1, Ordering::Relaxed) == 0 {
+                panic!("kernel bug in chunk {sub:?}");
+            }
+            t2.fetch_add(sub.end - sub.start, Ordering::Relaxed);
+        });
+    }));
+    let mut engine = HostEngine::new(vec![HostPu {
+        name: "wide".into(),
+        kind: PuKind::Gpu,
+        threads: 3,
+    }])
+    .with_fault_tolerance(FaultToleranceConfig::default().with_backoff_base(0.005));
+    let report = engine
+        .run(&mut RedispatchPolicy { block: 90 }, codelet, 900)
+        .expect("one panicking chunk must not sink the run");
+    assert_eq!(report.total_items, 900);
+    assert_eq!(report.events.task_failures, 1);
+    assert_eq!(report.events.task_retries, 1);
+    assert_eq!(report.events.quarantines, 0);
+    let events = engine.last_events().expect("events recorded").events();
+    assert!(events.iter().any(|e| matches!(
+        &e.kind,
+        EventKind::TaskFailed { reason, .. } if reason == "panic"
+    )));
+    // The failed attempt's two sibling chunks (30 items each) ran to
+    // the end before the panic surfaced; the retry redid all 90.
+    assert_eq!(touched.load(Ordering::Relaxed), 900 + 60);
 }
 
 #[test]

@@ -18,13 +18,12 @@ use std::collections::HashMap;
 use plb_hetsim::cluster::ClusterOptions;
 use plb_hetsim::workload::LinearCost;
 use plb_hetsim::{cluster_scenario, ClusterSim, PuId, Scenario};
+use plb_rng::ChaCha8Rng;
 use plb_runtime::policy::FixedBlockPolicy;
 use plb_runtime::{
     write_jsonl, EventSink, RunReport, Segment, SegmentKind, SimEngine, TaskId, Trace, TraceData,
     TraceHeader, TRACE_FORMAT_VERSION,
 };
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 
 fn cluster() -> ClusterSim {
     ClusterSim::build(

@@ -73,7 +73,7 @@ pub fn registry() -> Vec<Box<dyn Pass>> {
 // Shared architectural facts, referenced by more than one pass.
 // ---------------------------------------------------------------------------
 
-/// The one runtime module allowed to name `std::sync` / `parking_lot`.
+/// The one runtime module allowed to name `std::sync`.
 pub const SYNC_SHIM: &str = "crates/runtime/src/sync.rs";
 
 /// Where the event schema lives.

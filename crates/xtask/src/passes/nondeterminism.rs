@@ -51,15 +51,15 @@ const CLOCK_ENTROPY_TOKENS: &[(&str, &str)] = &[
     ),
     (
         "thread_rng",
-        "use a seeded generator (rand::SeedableRng) so runs replay",
+        "use the seeded generator (plb_rng::ChaCha8Rng) so runs replay",
     ),
     (
         "from_entropy",
-        "use a seeded generator (rand::SeedableRng) so runs replay",
+        "use the seeded generator (plb_rng::ChaCha8Rng) so runs replay",
     ),
     (
         "OsRng",
-        "use a seeded generator (rand::SeedableRng) so runs replay",
+        "use the seeded generator (plb_rng::ChaCha8Rng) so runs replay",
     ),
 ];
 

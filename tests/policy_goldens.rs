@@ -6,7 +6,7 @@
 //! pattern).
 //!
 //! Every scenario runs at `noise_sigma: 0.0`, so no generator stream
-//! enters and the constants hold under any `rand_chacha`. Every constant
+//! enters and the constants hold under any generator. Every constant
 //! was printed by this file at commit 0a308d9, the parent of the PR
 //! that split `policy.rs` by phase (ISSUE 19), and the split passed
 //! them all unmodified. The seven that the PR's two fixes then moved

@@ -15,8 +15,6 @@ use plb_hec_suite::runtime::{
     Codelet, Event, EventKind, FnCodelet, HostEngine, HostPu, Policy, SchedulerCtx, SimEngine,
     TaskInfo, Weights,
 };
-use rand::{RngCore, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -222,23 +220,6 @@ fn weighted_plb_hec_beats_count_uniform_on_skewed_spmv() {
     );
 }
 
-/// Whether the goldens below apply to this build. They were printed
-/// under the offline stand-in `plbmark/stubs/rand_chacha` — no registry
-/// is reachable where this repository is built — whose streams are not
-/// the published crate's, and the matrix is drawn from them. Under any
-/// other generator there is no reference to compare with, so `got` is
-/// printed instead (ROADMAP item 6 ends this: one generator the
-/// repository owns).
-fn goldens_apply(got: &dyn std::fmt::Debug) -> bool {
-    /// First word of `ChaCha8Rng::seed_from_u64(0)` under the stand-in.
-    const STAND_IN_STREAM: u64 = 0xbf94_d133_2d8e_e5e8;
-    let stream = ChaCha8Rng::seed_from_u64(0).next_u64();
-    if stream != STAND_IN_STREAM {
-        eprintln!("generator stream {stream:#x} is not the stand-in's; got {got:#x?}");
-    }
-    stream == STAND_IN_STREAM
-}
-
 #[test]
 fn weighted_runs_keep_their_bits_across_commits() {
     // `plbmark` compares a binary with itself; this compares commits.
@@ -277,9 +258,7 @@ fn weighted_runs_keep_their_bits_across_commits() {
         run(&mut PlbHecPolicy::new(&cfg)),
         run(&mut GreedyPolicy::new(&cfg)),
     ];
-    if goldens_apply(&got) {
-        assert_eq!(got, golden, "(makespan bits, tasks, items per unit)");
-    }
+    assert_eq!(got, golden, "(makespan bits, tasks, items per unit)");
 }
 
 #[test]
@@ -299,8 +278,5 @@ fn generated_matrix_keeps_its_bits_across_commits() {
         .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
         });
-    let got = (data.cols.len(), hash);
-    if goldens_apply(&got) {
-        assert_eq!(got, GOLDEN);
-    }
+    assert_eq!((data.cols.len(), hash), GOLDEN);
 }
