@@ -71,13 +71,6 @@ pub struct PolicyConfig {
     pub solver: SolverChoice,
     /// Probe-block sizing schedule (ablation knob).
     pub probe_schedule: ProbeSchedule,
-    /// Minimum seconds between block-size re-solves: divergence triggers
-    /// observed sooner than this after the previous selection are
-    /// suppressed. Hysteresis against rebalance thrash under continuous
-    /// speed drift — a drifting unit otherwise overshoots its freshly
-    /// refit curve every round and re-solves forever. 0 (the default)
-    /// disables the cooldown, preserving the paper's immediate trigger.
-    pub rebalance_cooldown_s: f64,
 }
 
 impl Default for PolicyConfig {
@@ -93,7 +86,6 @@ impl Default for PolicyConfig {
             fit_mode: FitMode::BestSubset,
             solver: SolverChoice::Auto,
             probe_schedule: ProbeSchedule::ExponentialRescaled,
-            rebalance_cooldown_s: 0.0,
         }
     }
 }
@@ -119,16 +111,6 @@ impl PolicyConfig {
         self.round_fraction = f;
         self
     }
-
-    /// Builder-style override of the rebalance cooldown.
-    pub fn with_rebalance_cooldown(mut self, seconds: f64) -> Self {
-        assert!(
-            seconds >= 0.0 && seconds.is_finite(),
-            "cooldown must be a finite non-negative duration"
-        );
-        self.rebalance_cooldown_s = seconds;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -148,18 +130,10 @@ mod tests {
         let c = PolicyConfig::default()
             .with_initial_block(512)
             .with_rebalance_threshold(0.05)
-            .with_round_fraction(0.5)
-            .with_rebalance_cooldown(0.25);
+            .with_round_fraction(0.5);
         assert_eq!(c.initial_block, 512);
         assert_eq!(c.rebalance_threshold, 0.05);
         assert_eq!(c.round_fraction, 0.5);
-        assert_eq!(c.rebalance_cooldown_s, 0.25);
-    }
-
-    #[test]
-    #[should_panic(expected = "finite")]
-    fn negative_cooldown_rejected() {
-        PolicyConfig::default().with_rebalance_cooldown(-1.0);
     }
 
     #[test]

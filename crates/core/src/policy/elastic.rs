@@ -256,7 +256,7 @@ mod tests {
         policy.models = vec![linear_model(1e4); 3];
         policy.book = ProfileBook::new(3);
         if known {
-            policy.book.record(2, 100, 0.01, 0.0);
+            policy.book.record(2, 100, 0.01, 0.0, false);
         }
         policy.phase = Phase::Executing;
         policy.resolve(&mut ctx);

@@ -60,10 +60,12 @@ impl PlbHecPolicy {
         let (Some(unit), Some(model)) = (self.units.get_mut(pu.0), self.models.get(pu.0)) else {
             return;
         };
+        // Judged once: the trigger below, the watch, and the book —
+        // which keeps the verdict for the next run's first split.
+        let diverged = divergence(unit, model, done, self.cfg.rebalance_threshold);
+        let surprise = diverged.is_some();
         self.book
-            .record(pu.0, done.cost, done.proc_time, done.xfer_time);
-        let threshold = self.cfg.rebalance_threshold;
-        let diverged = |unit: &Unit| divergence(unit, model, done, threshold);
+            .record(pu.0, done.cost, done.proc_time, done.xfer_time, surprise);
         let pool_dry = ctx.remaining_items() == 0;
 
         // Restabilization watch: a freshly admitted unit has settled
@@ -74,7 +76,7 @@ impl PlbHecPolicy {
         // stable one, and no watch can see another block of its unit.
         if let Some(watch) = unit.watch.as_mut() {
             watch.post_blocks += 1;
-            if pool_dry || watch.post_blocks >= SETTLE_BLOCKS || diverged(unit).is_none() {
+            if pool_dry || watch.post_blocks >= SETTLE_BLOCKS || !surprise {
                 settle(ctx, pu.0, unit, self.rebalances);
             }
         }
@@ -89,20 +91,15 @@ impl PlbHecPolicy {
             self.units.iter().map(|u| u.block).sum::<u64>(),
             "round_total out of step with the units' blocks"
         );
-        let Some(unit) = self.units.get_mut(pu.0) else {
-            return;
-        };
 
         // A divergence is only actionable while data remains to
         // redistribute; the staggered finishes of the very last blocks
         // (including the shrinking residue-phase blocks) are inherent
-        // tail effects, not imbalance. The cooldown additionally mutes
-        // triggers right after a re-solve — hysteresis against thrash
-        // under continuous drift. Blocks are cost budgets, so the "one
-        // full round left" test compares against the remaining cost.
-        let cooled = ctx.now() >= self.last_rebalance_t + self.cfg.rebalance_cooldown_s;
-        if !self.rebalance_pending && cooled && ctx.remaining_cost() >= round_total.max(1) {
-            if let Some((expected, observed)) = diverged(unit) {
+        // tail effects, not imbalance. Blocks are cost budgets, so the
+        // "one full round left" test compares against the remaining
+        // cost.
+        if !self.rebalance_pending && ctx.remaining_cost() >= round_total.max(1) {
+            if let Some((expected, observed)) = diverged {
                 ctx.emit_event(
                     Some(pu.0),
                     EventKind::RebalanceTriggered {

@@ -149,9 +149,6 @@ pub struct PlbHecPolicy {
     rebalance_pending: bool,
     selections: Vec<SelectionResult>,
     rebalances: usize,
-    /// When the last block-size selection ran; divergence triggers
-    /// within `rebalance_cooldown_s` of it are suppressed.
-    last_rebalance_t: f64,
     /// Checkpointed learning delivered via [`Policy::restore`], consumed
     /// by the first `on_start` to skip the modeling phase.
     seed: Option<PolicySeed>,
@@ -175,13 +172,12 @@ impl PlbHecPolicy {
             rebalance_pending: false,
             selections: Vec::new(),
             rebalances: 0,
-            last_rebalance_t: f64::NEG_INFINITY,
             seed: None,
             warm_cache: None,
         }
     }
 
-    /// Every block-size selection performed (the first plus any
+    /// Every block-size selection of the latest run (the first plus any
     /// rebalances): exposes the interior-point solve times the paper
     /// reports (~170 ms mean on its 4-machine scenario).
     pub fn selections(&self) -> &[SelectionResult] {
@@ -196,21 +192,36 @@ impl PlbHecPolicy {
 
     /// Try to enter the execution phase directly from the learning in
     /// the book — a checkpoint's, or this policy object's own previous
-    /// run (paper resume semantics: re-fit + re-solve, never re-probe).
-    /// Succeeds only when every *active* unit ends up with a model,
-    /// re-fit from its profile or taken verbatim from `carried`; on any
-    /// shortfall the caller falls back to ordinary modeling. An
-    /// inactive unit gets what its own samples support, the model it
-    /// comes back on should it be restored.
+    /// run (paper resume semantics: never re-probe). A unit keeps the
+    /// model `carried` for it while that model still predicts: an
+    /// accepted fit no block has left the divergence band of. Every
+    /// other unit — surprised, never fitted, on a stand-in, or read
+    /// from a checkpoint — is re-fit from its profile, falling back to
+    /// the carried model when the re-fit fails. Succeeds only when
+    /// every *active* unit ends up with a model; on any shortfall the
+    /// caller falls back to ordinary modeling. An inactive unit gets
+    /// what its own samples support, the model it comes back on should
+    /// it be restored.
     fn try_resume(&mut self, ctx: &mut dyn SchedulerCtx, carried: Vec<UnitModel>) -> bool {
         let n = self.active.len();
         if self.book.profiles().len() != n || (!carried.is_empty() && carried.len() != n) {
             return false;
         }
+        let mut carried = carried.into_iter();
         let mut models = Vec::with_capacity(n);
+        let mut refitted = Vec::with_capacity(n);
         for (pu, &active) in self.active.iter().enumerate() {
-            let refit = self.book.fit(pu, self.cfg.fit_mode).ok().cloned();
-            match refit.or_else(|| carried.get(pu).cloned()) {
+            let carried = carried.next();
+            let predicts = carried.as_ref().is_some_and(|model| {
+                !self.book.surprised(pu) && model.min_r2() >= self.cfg.r2_threshold
+            });
+            let model = if predicts {
+                carried
+            } else {
+                (self.book.fit(pu, self.cfg.fit_mode).ok().cloned()).or(carried)
+            };
+            refitted.push(!predicts);
+            match model {
                 Some(model) => models.push(model),
                 None if active => return false,
                 None => models.push(self.book.fit_or_mean_rate(pu, self.cfg.fit_mode)),
@@ -219,23 +230,25 @@ impl PlbHecPolicy {
         if !self.active.contains(&true) {
             return false;
         }
-        self.enter_execution(ctx, models, None);
+        self.enter_execution(ctx, models, &refitted, None);
         true
     }
 
     /// The one way into the execution phase, from a modeling phase that
     /// closed (having consumed `modeling_items`) or from earlier
-    /// learning: announce the model every active unit runs on, and
-    /// solve the first split.
+    /// learning: announce the model of every active unit that was
+    /// `fitted` for the occasion, and solve the first split.
     fn enter_execution(
         &mut self,
         ctx: &mut dyn SchedulerCtx,
         models: Vec<UnitModel>,
+        fitted: &[bool],
         modeling_items: Option<u64>,
     ) {
         self.models = models;
-        for (pu, (model, &active)) in self.models.iter().zip(&self.active).enumerate() {
-            if active {
+        let units = self.models.iter().zip(&self.active).zip(fitted);
+        for (pu, ((model, &active), &fitted)) in units.enumerate() {
+            if active && fitted {
                 let accepted = model.min_r2() >= self.cfg.r2_threshold;
                 emit_fit(ctx, pu, self.book.samples(pu), model, Some(accepted));
             }
@@ -265,8 +278,6 @@ impl PlbHecPolicy {
         if ctx.remaining_items() == 0 || n_live == 0 {
             return;
         }
-        // Every selection opens a fresh cooldown window.
-        self.last_rebalance_t = ctx.now();
         let window = self.execution_window(ctx);
         let sel = select_block_sizes_cached(
             &self.models,
@@ -394,12 +405,12 @@ impl Policy for PlbHecPolicy {
         self.units = self.active.iter().map(|_| Unit::idle()).collect();
         self.round_total = 0;
         self.rebalance_pending = false;
-        self.last_rebalance_t = f64::NEG_INFINITY;
-        // Earlier learning is a seed: re-fit + re-solve, never
-        // re-probe. A checkpoint's replaces the book; a reused policy
-        // object (the cluster tier runs one nested engine per chunk
-        // against the same policy) simply still holds its own, so a
-        // unit the previous run never used is not fitted again.
+        self.selections.clear();
+        // Earlier learning is a seed: never re-probe. A checkpoint's
+        // replaces the book, and every unit is re-fit from it; a reused
+        // policy object (the cluster tier runs one nested engine per
+        // chunk against the same policy) simply still holds its own,
+        // and re-fits the units its last run surprised.
         let carried = match self.seed.take() {
             Some(seed) => {
                 self.book = ProfileBook::from_profiles(seed.profiles);
@@ -478,6 +489,7 @@ impl Policy for PlbHecPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::{PINNED, WINDOW};
     use plb_hetsim::cluster::ClusterOptions;
     use plb_hetsim::workload::LinearCost;
     use plb_hetsim::{cluster_scenario, ClusterSim, PuKind, Scenario};
@@ -960,6 +972,144 @@ mod tests {
         }
     }
 
+    /// Devices whose kernel time is linear in the cost, at these many
+    /// cost units per second.
+    const RATES: [f64; 3] = [1e5, 2e5, 4e5];
+
+    /// Rows of one chunk, and chunks one node policy sees at ten times
+    /// `sim-cluster`'s 11 a node.
+    const CHUNK: u64 = 200_000;
+    const CHUNKS: usize = 110;
+
+    /// One run of `policy` over a fresh pool of [`CHUNK`] cost units,
+    /// as the cluster tier makes one per chunk: every block lands,
+    /// unit after unit, at `rate(pu, pool_dry)`. Returns what the chunk
+    /// start emitted, and what the rest of the run did.
+    fn chunk(
+        policy: &mut PlbHecPolicy,
+        rate: impl Fn(usize, bool) -> f64,
+    ) -> [Vec<(Option<usize>, EventKind)>; 2] {
+        let mut ctx = MockCtx::new(RATES.len(), CHUNK);
+        policy.on_start(&mut ctx);
+        let at_start = std::mem::take(&mut ctx.events);
+        while ctx.any_busy() {
+            for pu in 0..RATES.len() {
+                if ctx.running[pu].is_some() {
+                    let done = ctx.finish(pu, rate(pu, ctx.remaining == 0));
+                    policy.on_task_finished(&mut ctx, &done);
+                }
+            }
+        }
+        assert_eq!(ctx.remaining, 0, "the chunk completes");
+        [at_start, ctx.events]
+    }
+
+    /// The unit and sample count of every `curve_fit` among `events`.
+    fn fits(events: &[(Option<usize>, EventKind)]) -> Vec<(usize, usize)> {
+        let fit = |(pu, kind): &(Option<usize>, EventKind)| match kind {
+            EventKind::CurveFit { samples, .. } => Some((pu.expect("a unit's"), *samples)),
+            _ => None,
+        };
+        events.iter().filter_map(fit).collect()
+    }
+
+    fn solves(events: &[(Option<usize>, EventKind)]) -> usize {
+        let solve = |(_, kind): &&(Option<usize>, EventKind)| kind.name() == "block_solve";
+        events.iter().filter(solve).count()
+    }
+
+    fn node_policy() -> PlbHecPolicy {
+        PlbHecPolicy::new(&PolicyConfig::default().with_initial_block(100))
+    }
+
+    fn steady(pu: usize, _pool_dry: bool) -> f64 {
+        RATES[pu]
+    }
+
+    #[test]
+    fn a_long_lived_policy_fits_on_surprise_and_holds_a_bounded_profile() {
+        let mut policy = node_policy();
+        let [at_start, rest] = chunk(&mut policy, steady);
+        assert_eq!(fits(&at_start), [], "nothing is known yet");
+        assert_eq!(
+            fits(&rest).len(),
+            RATES.len(),
+            "modeling closes on a fit a unit"
+        );
+
+        for n in 1..CHUNKS {
+            let [at_start, rest] = chunk(&mut policy, steady);
+            // Every block stayed inside the band: no model is fitted
+            // again, yet each chunk's window gets its own split.
+            assert_eq!(fits(&at_start), [], "chunk {n}");
+            assert_eq!(fits(&rest), [], "chunk {n}");
+            assert_eq!(solves(&at_start), 1, "chunk {n}");
+            assert!(at_start
+                .iter()
+                .all(|(_, kind)| kind.name() != "probe_issued"));
+            assert_eq!(policy.selections().len(), 1, "chunk {n}: this run's only");
+            for pu in 0..RATES.len() {
+                assert!(policy.book.samples(pu) <= PINNED + WINDOW, "chunk {n}");
+            }
+        }
+        // Far more blocks landed than are held...
+        for pu in 0..RATES.len() {
+            assert_eq!(policy.book.samples(pu), PINNED + WINDOW);
+        }
+        // ...and a snapshot is sized by units × (ladder + window), not
+        // by chunks.
+        let bytes = serde_json::to_string(&policy.snapshot())
+            .expect("serializes")
+            .len();
+        let per_block = 2 * "[12345.0,0.0123456789012345678],".len();
+        let models = 4096;
+        assert!(
+            bytes <= RATES.len() * (PINNED + WINDOW) * per_block + models,
+            "{bytes} bytes"
+        );
+    }
+
+    #[test]
+    fn a_chunk_start_refits_the_unit_that_was_surprised_and_only_that_unit() {
+        let mut policy = node_policy();
+        for _ in 0..CHUNKS / 2 {
+            chunk(&mut policy, steady);
+        }
+        // Unit 1 turns three times slower on the chunk's last blocks,
+        // where a divergence is a tail effect and triggers nothing.
+        let slowing = |pu: usize, pool_dry: bool| match (pu, pool_dry) {
+            (1, true) => RATES[1] / 3.0,
+            _ => RATES[pu],
+        };
+        let [at_start, rest] = chunk(&mut policy, slowing);
+        assert_eq!((fits(&at_start), fits(&rest)), (vec![], vec![]));
+        assert!(policy.book.surprised(1));
+        assert!(!policy.book.surprised(0) && !policy.book.surprised(2));
+
+        let slow = |pu: usize, _: bool| if pu == 1 { RATES[1] / 3.0 } else { RATES[pu] };
+        let [at_start, _] = chunk(&mut policy, slow);
+        assert_eq!(fits(&at_start), [(1, PINNED + WINDOW)]);
+        assert_eq!(solves(&at_start), 1);
+        // The window turns over and the model settles on the new
+        // speed: chunk starts stop fitting again.
+        for _ in 0..CHUNKS / 2 - 10 {
+            chunk(&mut policy, slow);
+        }
+        for n in 0..10 {
+            let [at_start, rest] = chunk(&mut policy, slow);
+            assert_eq!((fits(&at_start), fits(&rest)), (vec![], vec![]), "{n}");
+        }
+        let block = policy.units[1].block as f64;
+        let (predicted, actual) = (
+            policy.models[1].total_time(block),
+            1e-3 + block / (RATES[1] / 3.0) + 1e-4,
+        );
+        assert!(
+            (predicted - actual).abs() < 0.01 * actual,
+            "{predicted} vs {actual}"
+        );
+    }
+
     #[test]
     fn refit_of_an_unchanged_profile_emits_the_from_scratch_fit() {
         let mode = crate::config::FitMode::BestSubset;
@@ -985,7 +1135,7 @@ mod tests {
         // Until the next rebalance only unit 1 runs anything.
         for (i, x) in [3200u64, 6400].into_iter().enumerate() {
             let (x, proc, xfer) = sample(1, i, x);
-            policy.book.record(1, x, proc, xfer);
+            policy.book.record(1, x, proc, xfer, false);
         }
         let mut second = MockCtx::new(0, 0);
         policy.refit_models(&mut second);
@@ -1052,43 +1202,6 @@ mod tests {
                 .any(|e| e.pu == Some(1) && matches!(e.kind, EventKind::Restabilized { .. })),
             "joined unit must restabilize"
         );
-    }
-
-    #[test]
-    fn cooldown_bounds_rebalances_under_drift() {
-        // Fast sinusoidal drift on the GPU: every block runs far from
-        // its freshly fitted curve, so without hysteresis the trigger
-        // re-solves round after round.
-        let run = |cooldown: f64| {
-            let mut cluster = ClusterSim::build(
-                &cluster_scenario(Scenario::One, false),
-                &ClusterOptions {
-                    noise_sigma: 0.01,
-                    ..Default::default()
-                },
-            );
-            let cost = heavy_cost();
-            let cfg = PolicyConfig::default()
-                .with_initial_block(1000)
-                .with_round_fraction(0.25)
-                .with_rebalance_cooldown(cooldown);
-            let mut policy = PlbHecPolicy::new(&cfg);
-            let plan =
-                plb_runtime::FaultPlan::parse("drift:pu=1,kind=sin,from=0,period=6,amp=0.8", 2)
-                    .unwrap();
-            let r = SimEngine::new(&mut cluster, &cost)
-                .with_faults(plan)
-                .run(&mut policy, 8_000_000)
-                .unwrap();
-            assert_eq!(r.total_items, 8_000_000);
-            policy.rebalances()
-        };
-        let unchecked = run(0.0);
-        assert!(unchecked >= 1, "drift scenario must be adversarial");
-        // A cooldown longer than the whole run mutes every divergence
-        // trigger after the initial selection.
-        let damped = run(1e6);
-        assert_eq!(damped, 0, "cooldown must suppress repeat triggers");
     }
 
     #[test]

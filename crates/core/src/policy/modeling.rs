@@ -67,8 +67,9 @@ impl PlbHecPolicy {
         let (Some(unit), Some(&active)) = (self.units.get_mut(pu.0), self.active.get(pu.0)) else {
             return;
         };
+        // A probe has no prediction to leave the band of.
         self.book
-            .record(pu.0, done.cost, done.proc_time, done.xfer_time);
+            .record(pu.0, done.cost, done.proc_time, done.xfer_time, false);
         let owed = owes_probes(active, unit.step);
         debug_assert!(unit.probe.is_some(), "a completion without a probe");
         unit.probe = None;
@@ -128,10 +129,11 @@ impl PlbHecPolicy {
         // The gate judges the best-subset fit whatever `fit_mode` says,
         // and those are the curves the first split runs on; the
         // configured family applies from the first refit.
-        let models = (0..self.units.len())
+        let models: Vec<_> = (0..self.units.len())
             .map(|pu| self.book.fit_or_mean_rate(pu, FitMode::BestSubset))
             .collect();
-        self.enter_execution(ctx, models, Some(items_used));
+        let fitted = vec![true; models.len()];
+        self.enter_execution(ctx, models, &fitted, Some(items_used));
     }
 }
 

@@ -2,11 +2,24 @@
 //! paper's `F_p[x]` and `G_p[x]` models.
 
 use crate::config::FitMode;
+use crate::modeling::LADDER_PROBES;
 use plb_numerics::{
     fit_basis, fit_best_model, fit_linear, BasisFn, BasisSet, FitError, FittedCurve,
 };
 
-/// Measurements accumulated for one processing unit.
+/// A profile's first samples are its walk of the probe ladder. They
+/// span the x-range and anchor the curve's shape, so they stay.
+pub(crate) const PINNED: usize = LADDER_PROBES as usize;
+
+/// Samples a profile keeps after the pinned ones: the most recent, so a
+/// fit describes the operating point the unit is at now, and its cost,
+/// a snapshot's size and a long-lived policy's memory do not grow with
+/// the number of blocks. Picked from {8, 16, 32} on `sim-cluster` and
+/// the drift goldens; CHANGES.md (PR 22) has the table.
+pub(crate) const WINDOW: usize = 16;
+
+/// Measurements kept for one processing unit: at most `PINNED + WINDOW`
+/// blocks, each one entry in both lists.
 ///
 /// Serializable so a run checkpoint can carry the raw samples across a
 /// crash: a resumed run re-fits from these instead of re-probing.
@@ -14,6 +27,16 @@ use plb_numerics::{
 pub struct PerfProfile {
     proc_samples: Vec<(f64, f64)>,
     xfer_samples: Vec<(f64, f64)>,
+}
+
+/// Make room for one more sample: the oldest unpinned ones leave. One
+/// when the list is full; more only for a list read from a checkpoint
+/// that an unbounded profile wrote.
+fn evict(samples: &mut Vec<(f64, f64)>) {
+    let newest = samples.len().saturating_sub(WINDOW - 1);
+    if newest > PINNED {
+        samples.drain(PINNED..newest);
+    }
 }
 
 impl PerfProfile {
@@ -27,17 +50,20 @@ impl PerfProfile {
     /// (seconds). Cost is the curves' domain — on an irregular workload
     /// two blocks with the same row count but different weight are
     /// different x-values, which is what keeps the fits meaningful.
+    ///
+    /// A block is recorded whole or not at all, and evicted whole: the
+    /// two lists describe the same blocks, index by index.
     pub fn record(&mut self, cost: u64, proc_time: f64, xfer_time: f64) {
-        if cost == 0 {
-            return; // zero-weight tasks carry no model information
+        let measured = |t: f64| t.is_finite() && t >= 0.0;
+        // Zero-weight tasks carry no model information.
+        if cost == 0 || !measured(proc_time) || !measured(xfer_time) {
+            return;
         }
         let x = cost as f64;
-        if proc_time.is_finite() && proc_time >= 0.0 {
-            self.proc_samples.push((x, proc_time));
-        }
-        if xfer_time.is_finite() && xfer_time >= 0.0 {
-            self.xfer_samples.push((x, xfer_time));
-        }
+        evict(&mut self.proc_samples);
+        evict(&mut self.xfer_samples);
+        self.proc_samples.push((x, proc_time));
+        self.xfer_samples.push((x, xfer_time));
     }
 
     /// Number of processing-time samples.
@@ -94,19 +120,24 @@ impl PerfProfile {
 }
 
 /// The one owner of a run's measurements: every unit's profile and,
-/// beside each, the outcome of the last fit of it. The policy holds one
-/// book from the first probe to the last block — the modeling phase
-/// records into it and gates on it, the execution phase extends it and
-/// refits from it, a checkpoint copies its profiles — and a sample set
-/// is fitted once: whoever asks for a unit's model gets the stored
-/// outcome until [`record`](Self::record) adds a sample. The memo lives
-/// here and not in [`PerfProfile`] because a profile is checkpointed
-/// and a model is derived from it.
+/// beside each, the outcome of the last fit of it and whether the unit
+/// has surprised that fit since. The policy holds one book from the
+/// first probe to the last block — the modeling phase records into it
+/// and gates on it, the execution phase extends it and refits from it,
+/// a checkpoint copies its profiles — and a sample set is fitted once:
+/// whoever asks for a unit's model gets the stored outcome until
+/// [`record`](Self::record) adds a sample. The memo lives here and not
+/// in [`PerfProfile`] because a profile is checkpointed and a model is
+/// derived from it.
 #[derive(Debug, Default)]
 pub(crate) struct ProfileBook {
     profiles: Vec<PerfProfile>,
     /// `fitted[k]`: how `profiles[k]`, as it stands, fits.
     fitted: Vec<Fitted>,
+    /// `surprised[k]`: a block of unit `k` left the divergence band
+    /// since `profiles[k]` was last fitted, or it never was — a model
+    /// carried for `k` cannot be taken on trust.
+    surprised: Vec<bool>,
 }
 
 /// The outcome of fitting a profile in one mode, once it is known.
@@ -120,8 +151,11 @@ impl ProfileBook {
 
     /// Take over recorded profiles, none of them fitted yet.
     pub(crate) fn from_profiles(profiles: Vec<PerfProfile>) -> ProfileBook {
-        let fitted = profiles.iter().map(|_| None).collect();
-        ProfileBook { profiles, fitted }
+        ProfileBook {
+            fitted: profiles.iter().map(|_| None).collect(),
+            surprised: vec![true; profiles.len()],
+            profiles,
+        }
     }
 
     /// Every unit's measurements, indexed by unit.
@@ -129,36 +163,57 @@ impl ProfileBook {
         &self.profiles
     }
 
-    /// One unit's profile and memo slot. The policy hooks must not
-    /// index (`cargo xtask lint`, panic freedom): a unit outside the
-    /// book reads as one that has no samples.
-    fn entry(&mut self, unit: usize) -> Option<(&mut PerfProfile, &mut Fitted)> {
-        self.profiles.get_mut(unit).zip(self.fitted.get_mut(unit))
+    /// One unit's profile, memo slot and surprise flag. The policy
+    /// hooks must not index (`cargo xtask lint`, panic freedom): a unit
+    /// outside the book reads as one that has no samples.
+    fn entry(&mut self, unit: usize) -> Option<(&mut PerfProfile, &mut Fitted, &mut bool)> {
+        Some((
+            self.profiles.get_mut(unit)?,
+            self.fitted.get_mut(unit)?,
+            self.surprised.get_mut(unit)?,
+        ))
     }
 
-    /// Processing-time samples recorded for `unit`.
+    /// Processing-time samples held for `unit`.
     pub(crate) fn samples(&self, unit: usize) -> usize {
         self.profiles.get(unit).map_or(0, PerfProfile::len)
     }
 
-    /// [`PerfProfile::record`] on `unit`'s profile.
-    pub(crate) fn record(&mut self, unit: usize, cost: u64, proc_time: f64, xfer_time: f64) {
-        if let Some((profile, slot)) = self.entry(unit) {
+    /// Must `unit` be refitted before a model carried for it is used?
+    pub(crate) fn surprised(&self, unit: usize) -> bool {
+        self.surprised.get(unit).copied().unwrap_or(true)
+    }
+
+    /// [`PerfProfile::record`] on `unit`'s profile. `surprise`: the
+    /// block ran outside the divergence band of the model its unit is
+    /// on — the caller's verdict, it being the one who holds the model.
+    pub(crate) fn record(
+        &mut self,
+        unit: usize,
+        cost: u64,
+        proc_time: f64,
+        xfer_time: f64,
+        surprise: bool,
+    ) {
+        if let Some((profile, slot, surprised)) = self.entry(unit) {
             profile.record(cost, proc_time, xfer_time);
             *slot = None;
+            *surprised |= surprise;
         }
     }
 
     /// [`PerfProfile::fit_with`] of `unit`'s profile, computed at most
-    /// once per sample set and mode.
+    /// once per sample set and mode. A fit that succeeds is what the
+    /// unit's next blocks are judged against.
     pub(crate) fn fit(&mut self, unit: usize, mode: FitMode) -> Result<&UnitModel, FitError> {
-        let Some((profile, slot)) = self.entry(unit) else {
+        let Some((profile, slot, surprised)) = self.entry(unit) else {
             return Err(FitError::NotEnoughSamples { have: 0, need: 2 });
         };
         if slot.as_ref().is_some_and(|(m, _)| *m != mode) {
             *slot = None;
         }
         let (_, outcome) = slot.get_or_insert_with(|| (mode, profile.fit_with(mode)));
+        *surprised &= outcome.is_err();
         outcome.as_ref().map_err(FitError::clone)
     }
 
@@ -300,10 +355,53 @@ mod tests {
 
     #[test]
     fn nan_times_ignored() {
+        // A block either of whose times is unusable is dropped whole:
+        // half of it would put the two lists out of step.
         let mut p = PerfProfile::new();
         p.record(10, f64::NAN, 0.1);
         p.record(10, 0.1, f64::INFINITY);
-        assert_eq!(p.len(), 1); // only the second's proc sample
+        p.record(10, -0.1, 0.1);
+        assert!(p.is_empty() && p.xfer_samples.is_empty());
+        p.record(10, 0.1, 0.2);
+        assert_eq!(
+            (p.proc_samples(), &p.xfer_samples[..]),
+            (&[(10.0, 0.1)][..], &[(10.0, 0.2)][..])
+        );
+    }
+
+    #[test]
+    fn ladder_stays_and_the_window_slides_pair_by_pair() {
+        let mut p = PerfProfile::new();
+        for block in 1..=100u64 {
+            p.record(block, block as f64, 0.5 * block as f64);
+            if block % 7 == 0 {
+                p.record(block, f64::NAN, 1.0); // never half a block
+            }
+            assert_eq!(p.len(), (block as usize).min(PINNED + WINDOW));
+        }
+        let costs: Vec<f64> = p.proc_samples().iter().map(|&(x, _)| x).collect();
+        let kept = (1..=PINNED as u64).chain(100 - WINDOW as u64 + 1..=100);
+        assert_eq!(costs, kept.map(|x| x as f64).collect::<Vec<_>>());
+        for (&(x, proc), &(gx, xfer)) in p.proc_samples().iter().zip(&p.xfer_samples) {
+            assert_eq!((gx, xfer), (x, 0.5 * proc), "one block, both lists");
+        }
+    }
+
+    #[test]
+    fn oversized_profile_from_an_old_checkpoint_is_cut_to_size_on_its_next_block() {
+        // What an unbounded profile wrote, the lists not even in step.
+        let blocks = |n: u64| (1..=n).map(|x| (x as f64, 1.0)).collect::<Vec<_>>();
+        let mut p = PerfProfile {
+            proc_samples: blocks(500),
+            xfer_samples: blocks(3),
+        };
+        p.record(501, 1.0, 1.0);
+        assert_eq!(p.len(), PINNED + WINDOW);
+        assert_eq!(
+            p.proc_samples()[PINNED - 1..][..2],
+            [(4.0, 1.0), (486.0, 1.0)]
+        );
+        assert_eq!(p.xfer_samples.len(), 4);
     }
 
     #[test]
@@ -336,14 +434,33 @@ mod tests {
         assert_eq!(log, ("a0*1 + a1*ln(x)".to_string(), 6));
         assert_eq!(describe(book.fit(0, FitMode::BestSubset).unwrap()), best);
         // A new sample is a new sample set.
-        book.record(0, 6400, 0.001 + 2e-6 * 6400.0, 1e-4);
+        book.record(0, 6400, 0.001 + 2e-6 * 6400.0, 1e-4, false);
         assert_eq!(book.samples(0), 7);
         assert_eq!(book.fit(0, FitMode::BestSubset).unwrap().f.n_samples(), 7);
         // Failures are outcomes too, until a sample arrives.
         assert!(book.fit(1, FitMode::BestSubset).is_err());
-        book.record(1, 100, 0.1, 0.0);
-        book.record(1, 200, 0.2, 0.0);
+        book.record(1, 100, 0.1, 0.0, false);
+        book.record(1, 200, 0.2, 0.0, false);
         assert!(book.fit(1, FitMode::BestSubset).is_ok());
+    }
+
+    #[test]
+    fn a_unit_is_surprised_until_a_fit_succeeds_and_again_by_a_block_outside_the_band() {
+        let mut book = ProfileBook::from_profiles(vec![filled_profile(), PerfProfile::new()]);
+        assert!(book.surprised(0) && book.surprised(1) && book.surprised(9));
+        assert!(book.fit(0, FitMode::BestSubset).is_ok());
+        assert!(book.fit(1, FitMode::BestSubset).is_err());
+        assert!(!book.surprised(0));
+        assert!(book.surprised(1), "a failed fit vouches for nothing");
+        // Blocks inside the band leave the verdict alone; one outside
+        // it stands until the next fit, whatever lands in between.
+        book.record(0, 6400, 0.0138, 1e-4, false);
+        assert!(!book.surprised(0));
+        book.record(0, 6400, 0.05, 1e-4, true);
+        book.record(0, 6400, 0.0138, 1e-4, false);
+        assert!(book.surprised(0));
+        assert!(book.fit(0, FitMode::BestSubset).is_ok());
+        assert!(!book.surprised(0));
     }
 
     #[test]

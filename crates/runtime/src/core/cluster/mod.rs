@@ -635,9 +635,10 @@ impl Backend for ClusterBackend<'_> {
 /// engine over the node's devices, in global item coordinates: the
 /// node owns `offset..offset + items` of the application's item space
 /// and sees the application's own cost model and weight table there.
-/// The policy object survives across chunks, so PLB-HeC's learned
-/// profiles carry over and later chunks skip straight to re-fit +
-/// re-solve.
+/// The policy object survives across chunks, so PLB-HeC's learning
+/// carries over: a later chunk probes nothing, keeps every model whose
+/// unit stayed inside the divergence band, re-fits the others from
+/// their bounded profiles, and re-solves for its own window.
 pub struct SimNodeRunner<'c> {
     cost: &'c dyn CostModel,
     names: Vec<String>,
