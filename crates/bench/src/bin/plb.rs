@@ -208,10 +208,11 @@ fn usage(err: &str) -> ! {
          `plb run --policy static --profiles FILE` reuses them without any online probing. \
          `plb run --events` captures the structured decision-event trace \
          (docs/OBSERVABILITY.md) that `plb trace` summarizes offline. \
-         `plb run --faults` injects deterministic faults, e.g. \
+         `plb run --faults` injects deterministic faults, listed in any order, e.g. \
          'panic:pu=1,nth=3; flaky:pu=2,n=4; delay:pu=0,from=2,n=5,s=0.1; \
          join:pu=3,after=40; drift:pu=1,kind=sin,from=0,period=16,amp=0.5', and \
-         `--chaos SEED` adds a seeded random fault plan on top; \
+         `--chaos SEED` adds a seeded random fault plan on top (a merge that \
+         breaks a plan rule, such as a second join of one unit, is refused); \
          `--chaos-elastic N` extends it with N seeded hot-joins and \
          drift schedules (docs/FAULT_TOLERANCE.md, Elastic capacity). \
          `--checkpoint FILE` snapshots run state every N completed tasks \
@@ -575,6 +576,14 @@ fn main() {
                     a.chaos_elastic
                 );
                 plan.faults.extend(chaos.faults);
+                // The merge can break a rule neither plan breaks alone,
+                // e.g. a second join of one unit.
+                plan.validate(n_units).unwrap_or_else(|e| {
+                    usage(&format!(
+                        "--faults and the --chaos {seed} plan conflict: {e}; \
+                         try another --chaos seed"
+                    ))
+                });
             }
             if !plan.is_empty() {
                 engine = engine.with_faults(plan);

@@ -119,6 +119,50 @@ fn plb_rejects_bad_arguments() {
 }
 
 #[test]
+fn plb_rejects_bad_fault_specs() {
+    let run = ["run", "--app", "bs", "--size", "20000", "--machines", "2"];
+    // Seed 3's elastic chaos plan on five units joins unit 1 after 32
+    // tasks. The merged plan would join it twice, and the driver honours
+    // a second join by reviving the unit if it was quarantined meanwhile.
+    let chaos = ["--chaos", "3", "--chaos-elastic", "2"];
+    for (args, needles) in [
+        (
+            [&run[..], &["--faults", "panic:pu=9,nth=0"]].concat(),
+            &["pu 9 out of range for a 5-unit cluster"][..],
+        ),
+        (
+            [
+                &run[..],
+                &[
+                    "--nodes",
+                    "3",
+                    "--node-faults",
+                    "node-crash:1,2; node-crash:1,5",
+                ],
+            ]
+            .concat(),
+            &["`node-crash:1,5`: node 1 already crashes earlier in the plan"],
+        ),
+        (
+            [&run[..], &["--faults", "join:pu=1,after=5"], &chaos].concat(),
+            &[
+                "--faults and the --chaos 3 plan conflict",
+                "Fault { pu: 1, kind: Join { after_tasks: 32 } }",
+                "pu 1 already joins earlier in the plan",
+                "try another --chaos seed",
+            ],
+        ),
+    ] {
+        let out = plb().args(&args).output().unwrap();
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        for needle in needles {
+            assert!(err.contains(needle), "{args:?}: no `{needle}` in:\n{err}");
+        }
+    }
+}
+
+#[test]
 fn repro_generates_table1() {
     let dir = std::env::temp_dir().join("plb_cli_repro_test");
     let out = repro()

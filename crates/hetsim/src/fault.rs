@@ -32,8 +32,18 @@
 //!   schedules: a multiplicative slowdown factor evaluated per attempt
 //!   (on top of the cluster's `NoiseGen` timing noise), emulating a
 //!   contended node whose effective speed changes over the run.
+//!
+//! The cluster tier's [`NodeFaultPlan`] is the second scope. Both plans
+//! parse the same way — tokenize, build (syntax only), then `validate`,
+//! which holds every rule of its scope once — and both reject with one
+//! [`FaultSpecError`].
 
 use serde::{Deserialize, Serialize};
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Display;
+
+/// What a rule check returns.
+type Checked = Result<(), FaultSpecError>;
 
 /// One fault bound to one processing unit.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -119,8 +129,8 @@ pub enum FaultKind {
 }
 
 /// Inclusive bounds a drift slowdown factor must lie within — outside
-/// this range a "drift" is really a failure (or a time machine) and the
-/// parser rejects it.
+/// this range a "drift" is really a failure (or a time machine) and
+/// [`FaultPlan::validate`] rejects it.
 pub const DRIFT_FACTOR_RANGE: (f64, f64) = (0.01, 100.0);
 
 /// What a unit must do on a given attempt.
@@ -143,7 +153,7 @@ pub struct FaultPlan {
 }
 
 /// SplitMix64: tiny, deterministic, dependency-free hash for
-/// [`FaultKind::RandomDelay`].
+/// [`FaultKind::RandomDelay`] and the chaos generators.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e3779b97f4a7c15);
     let mut z = x;
@@ -152,13 +162,36 @@ fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The seeded stream every chaos generator draws from: SplitMix64
+/// iterated from `seed ^ salt`, one salt per generator so each keeps
+/// its own stream.
+struct ChaosStream(u64);
+
+impl ChaosStream {
+    fn new(seed: u64, salt: u64) -> ChaosStream {
+        ChaosStream(splitmix64(seed ^ salt))
+    }
+
+    fn next(&mut self) -> u64 {
+        self.0 = splitmix64(self.0);
+        self.0
+    }
+
+    /// A target in `1..n` (`n ≥ 2`): chaos never touches unit or node
+    /// 0, so a run under any chaos plan can still make progress.
+    fn victim(&mut self, n: usize) -> usize {
+        1 + (self.next() as usize % (n - 1))
+    }
+}
+
 impl FaultPlan {
     /// A plan with no faults.
     pub fn none() -> FaultPlan {
         FaultPlan::default()
     }
 
-    /// Build a plan from a fault list.
+    /// Build a plan from a fault list (call [`validate`](Self::validate)
+    /// before trusting a hand-built one).
     pub fn new(faults: Vec<Fault>) -> FaultPlan {
         FaultPlan { faults }
     }
@@ -174,47 +207,29 @@ impl FaultPlan {
     pub fn action(&self, pu: usize, attempt: u64) -> Option<FaultAction> {
         let mut delay = 0.0f64;
         for f in self.faults.iter().filter(|f| f.pu == pu) {
+            let inside = f
+                .kind
+                .window()
+                .is_some_and(|(from, n)| attempt >= from && attempt - from < n);
             match f.kind {
-                FaultKind::PanicOnAttempt { nth } => {
-                    if attempt == nth {
-                        return Some(FaultAction::Panic);
-                    }
+                FaultKind::PanicOnAttempt { nth } if attempt == nth => {
+                    return Some(FaultAction::Panic)
                 }
-                FaultKind::FlakyUntil { attempts } => {
-                    if attempt < attempts {
-                        return Some(FaultAction::Panic);
-                    }
-                }
-                FaultKind::Delay {
-                    from,
-                    attempts,
-                    seconds,
-                } => {
-                    if attempt >= from && attempt - from < attempts && seconds > 0.0 {
-                        delay += seconds;
-                    }
-                }
+                FaultKind::FlakyUntil { .. } if inside => return Some(FaultAction::Panic),
+                FaultKind::Delay { seconds, .. } if inside && seconds > 0.0 => delay += seconds,
                 FaultKind::RandomDelay {
-                    from,
-                    attempts,
-                    max_seconds,
-                    seed,
-                } => {
-                    if attempt >= from && attempt - from < attempts && max_seconds > 0.0 {
-                        let h = splitmix64(
-                            seed ^ splitmix64(((pu as u64) << 32) | (attempt & 0xffff_ffff)),
-                        );
-                        // 53 high bits -> uniform f64 in [0, 1).
-                        let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
-                        delay += unit * max_seconds;
-                    }
+                    max_seconds, seed, ..
+                } if inside && max_seconds > 0.0 => {
+                    let h = splitmix64(
+                        seed ^ splitmix64(((pu as u64) << 32) | (attempt & 0xffff_ffff)),
+                    );
+                    // 53 high bits -> uniform f64 in [0, 1).
+                    let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
+                    delay += unit * max_seconds;
                 }
                 // Joins and drift schedules are not attempt actions:
                 // they are queried through `joins` and `drift_factor`.
-                FaultKind::Join { .. }
-                | FaultKind::DriftRamp { .. }
-                | FaultKind::DriftStep { .. }
-                | FaultKind::DriftSinusoid { .. } => {}
+                _ => {}
             }
         }
         if delay > 0.0 {
@@ -291,7 +306,8 @@ impl FaultPlan {
 
     /// Parse the CLI syntax used by `plb run --faults`: a
     /// semicolon-separated list of faults, each `kind:key=value,...`,
-    /// validated against a cluster of `n_pus` units.
+    /// then [`validate`](Self::validate) the plan against a cluster of
+    /// `n_pus` units. Faults may be listed in any order.
     ///
     /// ```text
     /// panic:pu=1,nth=3             panic on unit 1's 4th attempt
@@ -303,299 +319,101 @@ impl FaultPlan {
     /// drift:pu=1,kind=step,points=5:1.5/12:2.0/20:1.0
     /// drift:pu=1,kind=sin,from=0,period=16,amp=0.5
     /// ```
-    ///
-    /// Beyond the syntax, the plan itself must be well-formed — each
-    /// violation is rejected with a message naming the offending fault:
+    pub fn parse(spec: &str, n_pus: usize) -> Result<FaultPlan, FaultSpecError> {
+        let (faults, parts) = build(spec, "expected kind:key=value,...", |part, kind, rest| {
+            unit_fault(part, kind, rest).map(|f| vec![f])
+        })?;
+        let plan = FaultPlan { faults };
+        plan.check(n_pus, &parts).map(|()| plan)
+    }
+
+    /// Check the plan against a cluster of `n_pus` units: the rules
+    /// [`parse`](Self::parse) enforces beyond syntax, callable on a
+    /// plan built in code or merged from two. Each violation names the
+    /// fault by its `Debug` text:
     ///
     /// * `pu` must be `< n_pus`;
-    /// * no fault may be listed twice;
-    /// * a unit's faults must be listed in non-decreasing trigger order
-    ///   (the attempt a fault first fires on: `nth` for `panic`, 0 for
-    ///   `flaky`, `from` for the delays and drifts — joins are keyed by
-    ///   task count, not attempts, and sit outside this ordering);
-    /// * attempt windows need `n ≥ 1` and `from + n` must not overflow;
-    /// * injected durations (`s`, `max`) must be finite and positive;
     /// * a unit may join at most once (a second `join` targets a unit
     ///   that is already live by then), and at least one unit must stay
     ///   live at run start (joins must not cover every unit);
+    /// * attempt windows need `n ≥ 1` and `from + n` must not overflow;
+    /// * injected durations (`s`, `max`) must be finite and positive;
     /// * drift factors (`to`, step factors) must lie within
-    ///   [`DRIFT_FACTOR_RANGE`]; step breakpoints must be strictly
-    ///   increasing; a sinusoid needs `period ≥ 2` and `amp` in (0, 1).
-    pub fn parse(spec: &str, n_pus: usize) -> Result<FaultPlan, String> {
-        let mut faults: Vec<Fault> = Vec::new();
-        let mut last_trigger: std::collections::BTreeMap<usize, u64> =
-            std::collections::BTreeMap::new();
-        let mut join_targets: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
-        for part in spec.split(';').filter(|p| !p.trim().is_empty()) {
-            let part = part.trim();
-            let (kind, rest) = part
-                .split_once(':')
-                .ok_or_else(|| format!("fault `{part}`: expected kind:key=value,..."))?;
-            // Node-scoped kinds use the positional `--node-faults`
-            // grammar; catching them before key=value parsing gives a
-            // pointer instead of a confusing syntax error.
-            if matches!(kind.trim(), "node-crash" | "partition" | "link-degrade") {
-                return Err(format!(
-                    "fault `{part}`: `{}` is a node-scoped fault; pass it via \
-                     --node-faults (parsed by NodeFaultPlan), not --faults",
-                    kind.trim()
-                ));
+    ///   [`DRIFT_FACTOR_RANGE`]; step breakpoints must be non-empty and
+    ///   strictly increasing; a sinusoid needs `period ≥ 2` and `amp`
+    ///   in (0, 1);
+    /// * no fault may be listed twice.
+    pub fn validate(&self, n_pus: usize) -> Result<(), FaultSpecError> {
+        self.check(n_pus, &[])
+    }
+
+    /// [`validate`](Self::validate), naming fault `i` by `parts[i]`
+    /// when the plan was parsed.
+    fn check(&self, n_pus: usize, parts: &[&str]) -> Checked {
+        let mut joined = BTreeSet::new();
+        for (i, f) in self.faults.iter().enumerate() {
+            let p: Name = &|| name(parts, i, f);
+            in_range("pu", f.pu, n_pus, p)?;
+            if matches!(f.kind, FaultKind::Join { .. }) && !joined.insert(f.pu) {
+                return Err(FaultSpecError::Repeated {
+                    part: p(),
+                    target: "pu",
+                    id: f.pu,
+                });
             }
-            let mut kv = std::collections::BTreeMap::new();
-            for pair in rest.split(',').filter(|p| !p.trim().is_empty()) {
-                let (k, v) = pair
-                    .split_once('=')
-                    .ok_or_else(|| format!("fault `{part}`: bad key=value `{pair}`"))?;
-                kv.insert(k.trim().to_string(), v.trim().to_string());
+            check_values(&f.kind, p)?;
+            if self.faults[..i].contains(f) {
+                return Err(FaultSpecError::Duplicate { part: p() });
             }
-            let get_u64 = |k: &str| -> Result<u64, String> {
-                kv.get(k)
-                    .ok_or_else(|| format!("fault `{part}`: missing `{k}`"))?
-                    .parse()
-                    .map_err(|_| format!("fault `{part}`: `{k}` must be an integer"))
-            };
-            let get_f64 = |k: &str| -> Result<f64, String> {
-                kv.get(k)
-                    .ok_or_else(|| format!("fault `{part}`: missing `{k}`"))?
-                    .parse()
-                    .map_err(|_| format!("fault `{part}`: `{k}` must be a number"))
-            };
-            let pu = get_u64("pu")? as usize;
-            if pu >= n_pus {
-                return Err(format!(
-                    "fault `{part}`: pu {pu} out of range for a {n_pus}-unit cluster"
-                ));
-            }
-            let window = |from: u64, n: u64| -> Result<(u64, u64), String> {
-                if n == 0 {
-                    return Err(format!("fault `{part}`: `n` must be at least 1"));
-                }
-                from.checked_add(n).ok_or_else(|| {
-                    format!("fault `{part}`: attempt window `from + n` overflows")
-                })?;
-                Ok((from, n))
-            };
-            let duration = |key: &str, s: f64| -> Result<f64, String> {
-                if s.is_finite() && s > 0.0 {
-                    Ok(s)
-                } else {
-                    Err(format!(
-                        "fault `{part}`: `{key}` must be a finite positive duration, got {s}"
-                    ))
-                }
-            };
-            let kind = match kind.trim() {
-                "panic" => FaultKind::PanicOnAttempt {
-                    nth: get_u64("nth")?,
-                },
-                "flaky" => {
-                    let (_, attempts) = window(0, get_u64("n")?)?;
-                    FaultKind::FlakyUntil { attempts }
-                }
-                "delay" => {
-                    let (from, attempts) = window(get_u64("from")?, get_u64("n")?)?;
-                    FaultKind::Delay {
-                        from,
-                        attempts,
-                        seconds: duration("s", get_f64("s")?)?,
-                    }
-                }
-                "rdelay" => {
-                    let (from, attempts) = window(get_u64("from")?, get_u64("n")?)?;
-                    FaultKind::RandomDelay {
-                        from,
-                        attempts,
-                        max_seconds: duration("max", get_f64("max")?)?,
-                        seed: get_u64("seed").unwrap_or(0),
-                    }
-                }
-                "join" => {
-                    if !join_targets.insert(pu) {
-                        return Err(format!(
-                            "fault `{part}`: pu {pu} already joins earlier in the \
-                             plan — the unit is live by then and cannot join again"
-                        ));
-                    }
-                    FaultKind::Join {
-                        after_tasks: get_u64("after")?,
-                    }
-                }
-                "drift" => {
-                    let factor = |key: &str, v: f64| -> Result<f64, String> {
-                        let (lo, hi) = DRIFT_FACTOR_RANGE;
-                        if v.is_finite() && (lo..=hi).contains(&v) {
-                            Ok(v)
-                        } else {
-                            Err(format!(
-                                "fault `{part}`: drift factor `{key}` must be a finite \
-                                 value in [{lo}, {hi}], got {v}"
-                            ))
-                        }
-                    };
-                    let shape = kv
-                        .get("kind")
-                        .ok_or_else(|| format!("fault `{part}`: missing `kind`"))?;
-                    match shape.as_str() {
-                        "ramp" => {
-                            let (from, attempts) = window(get_u64("from")?, get_u64("n")?)?;
-                            FaultKind::DriftRamp {
-                                from,
-                                attempts,
-                                to: factor("to", get_f64("to")?)?,
-                            }
-                        }
-                        "step" => {
-                            let raw = kv
-                                .get("points")
-                                .ok_or_else(|| format!("fault `{part}`: missing `points`"))?;
-                            let mut points: Vec<(u64, f64)> = Vec::new();
-                            for p in raw.split('/').filter(|p| !p.trim().is_empty()) {
-                                let (at, fac) = p.split_once(':').ok_or_else(|| {
-                                    format!(
-                                        "fault `{part}`: bad breakpoint `{p}` \
-                                         (expected attempt:factor)"
-                                    )
-                                })?;
-                                let at: u64 = at.trim().parse().map_err(|_| {
-                                    format!(
-                                        "fault `{part}`: breakpoint attempt `{at}` \
-                                             must be an integer"
-                                    )
-                                })?;
-                                let fac: f64 = fac.trim().parse().map_err(|_| {
-                                    format!(
-                                        "fault `{part}`: breakpoint factor `{fac}` \
-                                             must be a number"
-                                    )
-                                })?;
-                                let fac = factor("points", fac)?;
-                                if let Some(&(prev, _)) = points.last() {
-                                    if at <= prev {
-                                        return Err(format!(
-                                            "fault `{part}`: breakpoint at attempt {at} \
-                                             does not follow {prev}; drift breakpoints \
-                                             must be strictly increasing"
-                                        ));
-                                    }
-                                }
-                                points.push((at, fac));
-                            }
-                            if points.is_empty() {
-                                return Err(format!(
-                                    "fault `{part}`: `points` needs at least one \
-                                     attempt:factor breakpoint"
-                                ));
-                            }
-                            FaultKind::DriftStep { points }
-                        }
-                        "sin" => {
-                            let period = get_u64("period")?;
-                            if period < 2 {
-                                return Err(format!(
-                                    "fault `{part}`: sinusoid `period` must be at \
-                                     least 2 attempts, got {period}"
-                                ));
-                            }
-                            let amp = get_f64("amp")?;
-                            if !(amp.is_finite() && amp > 0.0 && amp < 1.0) {
-                                return Err(format!(
-                                    "fault `{part}`: sinusoid `amp` must lie in (0, 1) \
-                                     so the factor stays positive, got {amp}"
-                                ));
-                            }
-                            FaultKind::DriftSinusoid {
-                                from: get_u64("from")?,
-                                period,
-                                amplitude: amp,
-                            }
-                        }
-                        other => {
-                            return Err(format!(
-                                "fault `{part}`: unknown drift kind `{other}` \
-                                 (ramp, step, sin)"
-                            ))
-                        }
-                    }
-                }
-                other => {
-                    return Err(format!(
-                        "unknown fault kind `{other}` (panic, flaky, delay, rdelay, \
-                         join, drift)"
-                    ))
-                }
-            };
-            let fault = Fault { pu, kind };
-            if faults.iter().any(|f| *f == fault) {
-                return Err(format!("fault `{part}`: duplicate of an earlier fault"));
-            }
-            if let Some(trigger) = fault.kind.trigger() {
-                if let Some(&prev) = last_trigger.get(&pu) {
-                    if trigger < prev {
-                        return Err(format!(
-                            "fault `{part}`: fires at attempt {trigger}, before the \
-                             previous fault on pu {pu} (attempt {prev}); list each \
-                             unit's faults in attempt order"
-                        ));
-                    }
-                }
-                last_trigger.insert(pu, trigger);
-            }
-            faults.push(fault);
         }
-        if faults.is_empty() {
-            return Err("empty fault spec".into());
+        if !joined.is_empty() && joined.len() >= n_pus {
+            return Err(FaultSpecError::NoSurvivor { target: "pu" });
         }
-        if !join_targets.is_empty() && join_targets.len() >= n_pus {
-            return Err("every unit joins mid-run; at least one unit must be live at start".into());
-        }
-        Ok(FaultPlan { faults })
+        Ok(())
     }
 
     /// A seeded pseudo-random plan for chaos testing: roughly
     /// `intensity` faults drawn deterministically from `seed` over units
     /// `1..n_pus`. Unit 0 is always left healthy, so a run under any
-    /// chaos plan can still make progress; per-unit triggers are
-    /// non-decreasing and injected delays stay in the low-millisecond
-    /// range. The same `(seed, n_pus, intensity)` always yields the
-    /// same plan. A cluster with fewer than two units gets an empty
-    /// plan (there is no unit to break without stalling the run).
+    /// chaos plan can still make progress; injected delays stay in the
+    /// low-millisecond range and the plan passes
+    /// [`validate`](Self::validate). The same `(seed, n_pus, intensity)`
+    /// always yields the same plan. A cluster with fewer than two units
+    /// gets an empty plan (there is no unit to break without stalling
+    /// the run).
     pub fn chaos(seed: u64, n_pus: usize, intensity: usize) -> FaultPlan {
-        let mut faults: Vec<Fault> = Vec::new();
         if n_pus < 2 {
-            return FaultPlan { faults };
+            return FaultPlan::none();
         }
-        let mut x = splitmix64(seed ^ 0x9e37_79b9_7f4a_7c15);
-        let mut next = move || {
-            x = splitmix64(x);
-            x
-        };
+        let mut faults = Vec::new();
+        let mut rng = ChaosStream::new(seed, 0x9e37_79b9_7f4a_7c15);
+        // Each unit's faults start where its previous one did or later.
         let mut next_at: Vec<u64> = vec![0; n_pus];
         for _ in 0..intensity {
-            let pu = 1 + (next() as usize % (n_pus - 1));
+            let pu = rng.victim(n_pus);
             let at = next_at[pu];
-            let kind = match next() % 4 {
-                // A flaky spell only works as a unit's first fault: it
-                // fires from attempt 0, so anything already scheduled
-                // earlier would break the trigger ordering.
+            let kind = match rng.next() % 4 {
+                // A flaky spell fires from attempt 0, so it is drawn
+                // only as a unit's first fault.
                 0 if at == 0 => FaultKind::FlakyUntil {
-                    attempts: 1 + next() % 3,
+                    attempts: 1 + rng.next() % 3,
                 },
                 0 | 1 => FaultKind::PanicOnAttempt { nth: at },
                 2 => FaultKind::Delay {
                     from: at,
-                    attempts: 1 + next() % 4,
-                    seconds: 1e-4 * (1 + next() % 20) as f64,
+                    attempts: 1 + rng.next() % 4,
+                    seconds: 1e-4 * (1 + rng.next() % 20) as f64,
                 },
                 _ => FaultKind::RandomDelay {
                     from: at,
-                    attempts: 1 + next() % 4,
+                    attempts: 1 + rng.next() % 4,
                     max_seconds: 2e-3,
-                    seed: next(),
+                    seed: rng.next(),
                 },
             };
-            next_at[pu] = at + 1 + next() % 5;
+            next_at[pu] = at + 1 + rng.next() % 5;
             let fault = Fault { pu, kind };
-            if !faults.iter().any(|f| *f == fault) {
+            if !faults.contains(&fault) {
                 faults.push(fault);
             }
         }
@@ -605,52 +423,46 @@ impl FaultPlan {
     /// [`chaos`](Self::chaos) plus an elastic dimension: roughly
     /// `elastic` additional hot-join and speed-drift faults drawn from
     /// the same seed. Unit 0 still stays untouched (so it is always live
-    /// at start and never drifts), each unit joins at most once, and
-    /// generated drift factors respect [`DRIFT_FACTOR_RANGE`]. The same
+    /// at start and never drifts), and the plan passes
+    /// [`validate`](Self::validate). The same
     /// `(seed, n_pus, intensity, elastic)` always yields the same plan.
     pub fn chaos_elastic(seed: u64, n_pus: usize, intensity: usize, elastic: usize) -> FaultPlan {
         let mut plan = Self::chaos(seed, n_pus, intensity);
         if n_pus < 2 || elastic == 0 {
             return plan;
         }
-        // A distinct stream from the base chaos RNG, so adding the
+        // A distinct stream from the base chaos plan's, so adding the
         // elastic dimension never reshuffles the failure faults.
-        let mut x = splitmix64(seed ^ 0x5851_f42d_4c95_7f2d);
-        let mut next = move || {
-            x = splitmix64(x);
-            x
-        };
-        let mut joined: std::collections::BTreeSet<usize> = Default::default();
+        let mut rng = ChaosStream::new(seed, 0x5851_f42d_4c95_7f2d);
+        let mut joined: BTreeSet<usize> = BTreeSet::new();
         for _ in 0..elastic {
-            let pu = 1 + (next() as usize % (n_pus - 1));
-            let kind = match next() % 4 {
+            let pu = rng.victim(n_pus);
+            let kind = match rng.next() % 4 {
                 // A unit joins at most once; a repeat pick drifts
                 // instead so the draw is never wasted.
                 0 if joined.insert(pu) => FaultKind::Join {
-                    after_tasks: 1 + next() % 40,
+                    after_tasks: 1 + rng.next() % 40,
                 },
                 0 | 1 => FaultKind::DriftRamp {
-                    from: next() % 8,
-                    attempts: 4 + next() % 28,
-                    to: 1.5 + (next() % 25) as f64 * 0.1,
+                    from: rng.next() % 8,
+                    attempts: 4 + rng.next() % 28,
+                    to: 1.5 + (rng.next() % 25) as f64 * 0.1,
                 },
-                2 => FaultKind::DriftStep {
-                    points: {
-                        let start = next() % 8;
-                        vec![
-                            (start, 1.2 + (next() % 18) as f64 * 0.1),
-                            (start + 4 + next() % 12, 1.0 + (next() % 10) as f64 * 0.1),
-                        ]
-                    },
-                },
+                2 => {
+                    let start = rng.next() % 8;
+                    let first = (start, 1.2 + (rng.next() % 18) as f64 * 0.1);
+                    let at = start + 4 + rng.next() % 12;
+                    let points = vec![first, (at, 1.0 + (rng.next() % 10) as f64 * 0.1)];
+                    FaultKind::DriftStep { points }
+                }
                 _ => FaultKind::DriftSinusoid {
-                    from: next() % 8,
-                    period: 4 + next() % 28,
-                    amplitude: 0.1 + (next() % 8) as f64 * 0.1,
+                    from: rng.next() % 8,
+                    period: 4 + rng.next() % 28,
+                    amplitude: 0.1 + (rng.next() % 8) as f64 * 0.1,
                 },
             };
             let fault = Fault { pu, kind };
-            if !plan.faults.iter().any(|f| *f == fault) {
+            if !plan.faults.contains(&fault) {
                 plan.faults.push(fault);
             }
         }
@@ -658,18 +470,145 @@ impl FaultPlan {
     }
 }
 
+/// Build one `--faults` fragment — syntax only: its kind, its keys and
+/// their numbers. Every range rule is [`FaultPlan::validate`]'s.
+fn unit_fault(part: &str, kind: &str, rest: &str) -> Result<Fault, FaultSpecError> {
+    // Node-scoped kinds use the positional `--node-faults` grammar;
+    // catching them before key=value parsing gives a pointer instead of
+    // a confusing syntax error.
+    if matches!(kind, "node-crash" | "partition" | "link-degrade") {
+        let pointer = "is a node-scoped fault; pass it via --node-faults, not --faults";
+        return Err(syntax(part, format!("`{kind}` {pointer}")));
+    }
+    let mut kv = BTreeMap::new();
+    for pair in rest.split(',').filter(|p| !p.trim().is_empty()) {
+        let (k, v) = pair
+            .split_once('=')
+            .ok_or_else(|| syntax(part, format!("bad key=value `{pair}`")))?;
+        kv.insert(k.trim(), v.trim());
+    }
+    let get = |k: &str| {
+        kv.get(k)
+            .copied()
+            .ok_or_else(|| syntax(part, format!("missing `{k}`")))
+    };
+    let int =
+        |k: &str| get(k).and_then(|v| read::<u64>(part, v, &format!("`{k}` must be an integer")));
+    let num =
+        |k: &str| get(k).and_then(|v| read::<f64>(part, v, &format!("`{k}` must be a number")));
+    let pu = int("pu")? as usize;
+    let kind = match kind {
+        "panic" => FaultKind::PanicOnAttempt { nth: int("nth")? },
+        "flaky" => FaultKind::FlakyUntil {
+            attempts: int("n")?,
+        },
+        "delay" => FaultKind::Delay {
+            from: int("from")?,
+            attempts: int("n")?,
+            seconds: num("s")?,
+        },
+        "rdelay" => FaultKind::RandomDelay {
+            from: int("from")?,
+            attempts: int("n")?,
+            max_seconds: num("max")?,
+            seed: int("seed").unwrap_or(0),
+        },
+        "join" => FaultKind::Join {
+            after_tasks: int("after")?,
+        },
+        "drift" => match get("kind")? {
+            "ramp" => FaultKind::DriftRamp {
+                from: int("from")?,
+                attempts: int("n")?,
+                to: num("to")?,
+            },
+            "step" => {
+                let mut points = Vec::new();
+                for p in get("points")?.split('/').filter(|p| !p.trim().is_empty()) {
+                    let (at, fac) = p.split_once(':').ok_or_else(|| {
+                        syntax(
+                            part,
+                            format!("bad breakpoint `{p}` (expected attempt:factor)"),
+                        )
+                    })?;
+                    let at = read(part, at, "a breakpoint attempt must be an integer")?;
+                    points.push((at, read(part, fac, "a breakpoint factor must be a number")?));
+                }
+                FaultKind::DriftStep { points }
+            }
+            "sin" => FaultKind::DriftSinusoid {
+                from: int("from")?,
+                period: int("period")?,
+                amplitude: num("amp")?,
+            },
+            other => Err(syntax(
+                part,
+                format!("unknown drift kind `{other}` (ramp, step, sin)"),
+            ))?,
+        },
+        other => Err(syntax(
+            part,
+            format!("unknown fault kind `{other}` (panic, flaky, delay, rdelay, join, drift)"),
+        ))?,
+    };
+    Ok(Fault { pu, kind })
+}
+
+/// The value rules of one unit fault, in the order
+/// [`FaultPlan::validate`] checks them; `p` names the fault.
+fn check_values(kind: &FaultKind, p: Name) -> Checked {
+    if let Some((from, n)) = kind.window() {
+        need(n >= 1, p, "n", "at least 1", n)?;
+        let (fits, sum) = (from.checked_add(n).is_some(), format_args!("{from} + {n}"));
+        need(fits, p, "from + n", "an end within u64 (it overflows)", sum)?;
+    }
+    let positive = |key, s: f64| {
+        let ok = s.is_finite() && s > 0.0;
+        need(ok, p, key, "a finite positive duration", s)
+    };
+    let (lo, hi) = DRIFT_FACTOR_RANGE;
+    let drift = format!("a finite drift factor in [{lo}, {hi}]");
+    let factor = |key, v: f64| need(v.is_finite() && (lo..=hi).contains(&v), p, key, &drift, v);
+    match *kind {
+        FaultKind::Delay { seconds, .. } => positive("s", seconds),
+        FaultKind::RandomDelay { max_seconds, .. } => positive("max", max_seconds),
+        FaultKind::DriftRamp { to, .. } => factor("to", to),
+        FaultKind::DriftStep { ref points } => {
+            let some = !points.is_empty();
+            need(some, p, "points", "at least one breakpoint", "none")?;
+            for &(_, fac) in points {
+                factor("points", fac)?;
+            }
+            for pair in points.windows(2) {
+                if let [(prev, _), (at, _)] = *pair {
+                    let order = format_args!("{at} after {prev}");
+                    need(at > prev, p, "points", "strictly increasing", order)?;
+                }
+            }
+            Ok(())
+        }
+        FaultKind::DriftSinusoid {
+            period, amplitude, ..
+        } => {
+            need(period >= 2, p, "period", "at least 2 attempts", period)?;
+            let a = amplitude;
+            let ok = a.is_finite() && a > 0.0 && a < 1.0;
+            need(ok, p, "amp", "in (0, 1) so the factor stays positive", a)
+        }
+        _ => Ok(()),
+    }
+}
+
 impl FaultKind {
-    /// The first attempt index this fault can fire on — the ordering
-    /// key [`FaultPlan::parse`] enforces per unit. `None` for joins,
-    /// which are keyed by completed-task count rather than attempts.
-    fn trigger(&self) -> Option<u64> {
+    /// The attempt window `(from, n)` — attempts `from..from + n` — a
+    /// fault spans, if it has one.
+    fn window(&self) -> Option<(u64, u64)> {
         match *self {
-            FaultKind::PanicOnAttempt { nth } => Some(nth),
-            FaultKind::FlakyUntil { .. } => Some(0),
-            FaultKind::Delay { from, .. } | FaultKind::RandomDelay { from, .. } => Some(from),
-            FaultKind::Join { .. } => None,
-            FaultKind::DriftRamp { from, .. } | FaultKind::DriftSinusoid { from, .. } => Some(from),
-            FaultKind::DriftStep { ref points } => points.first().map(|&(at, _)| at),
+            FaultKind::FlakyUntil { attempts } => Some((0, attempts)),
+            FaultKind::Delay { from, attempts, .. }
+            | FaultKind::RandomDelay { from, attempts, .. }
+            | FaultKind::DriftRamp { from, attempts, .. } => Some((from, attempts)),
+            _ => None,
         }
     }
 }
@@ -687,6 +626,16 @@ pub struct NodeFault {
     pub node: usize,
     /// What goes wrong.
     pub kind: NodeFaultKind,
+}
+
+impl NodeFault {
+    /// The `(from_s, to_s)` window of a partition.
+    fn partition(&self) -> Option<(f64, f64)> {
+        match self.kind {
+            NodeFaultKind::Partition { from_s, to_s } => Some((from_s, to_s)),
+            _ => None,
+        }
+    }
 }
 
 /// Kinds of node-scoped fault.
@@ -724,139 +673,202 @@ pub enum NodeFaultKind {
     },
 }
 
-/// Typed validation failures for [`NodeFaultPlan::parse`] and
-/// [`NodeFaultPlan::validate`]. Every malformed spec is a value of this
-/// enum, never a panic.
+/// Why a fault spec or plan is rejected, in either scope: returned by
+/// [`FaultPlan::parse`] / [`FaultPlan::validate`] and
+/// [`NodeFaultPlan::parse`] / [`NodeFaultPlan::validate`]. Every
+/// malformed spec is a value of this enum, never a panic. `part` names
+/// the offending spec fragment, or the fault's `Debug` text when the
+/// plan was not parsed; `target` is `"pu"` for a unit plan and
+/// `"node"` for a node plan.
 #[derive(Debug, Clone, PartialEq)]
-pub enum NodeFaultError {
-    /// The spec text around `part` is not syntactically a node fault.
+pub enum FaultSpecError {
+    /// The fragment is not syntactically a fault of its scope.
     Syntax {
-        /// The offending `;`-separated fragment.
+        /// The offending fragment.
         part: String,
         /// What was expected instead.
         detail: String,
     },
-    /// A node id is at or beyond the cluster size.
-    UnknownNode {
-        /// The offending fragment.
+    /// A unit or node id at or beyond the cluster size.
+    UnknownTarget {
+        /// The offending fault.
         part: String,
+        /// `"pu"` or `"node"`.
+        target: &'static str,
         /// The out-of-range id.
-        node: usize,
-        /// Cluster size the plan was validated against.
-        n_nodes: usize,
+        id: usize,
+        /// Cluster size the plan was checked against.
+        count: usize,
     },
-    /// A partition side lists no nodes.
-    EmptyPartitionSide {
-        /// The offending fragment.
+    /// A once-only event happens twice to one target: a unit's second
+    /// `join`, a node's second crash.
+    Repeated {
+        /// The second occurrence.
+        part: String,
+        /// `"pu"` or `"node"`.
+        target: &'static str,
+        /// The target it happens to.
+        id: usize,
+    },
+    /// Nothing survives the plan: every unit joins mid-run (none is
+    /// live at start), or every node crashes.
+    NoSurvivor {
+        /// `"pu"` or `"node"`.
+        target: &'static str,
+    },
+    /// A value outside its accepted range.
+    BadValue {
+        /// The offending fault.
+        part: String,
+        /// The spec key the value belongs to.
+        key: &'static str,
+        /// What the key accepts.
+        accepted: String,
+        /// The rejected value.
+        value: String,
+    },
+    /// A unit fault listed twice.
+    Duplicate {
+        /// The second listing.
         part: String,
     },
-    /// Both partition sides claim the same node.
-    PartitionSidesOverlap {
-        /// The offending fragment.
-        part: String,
-        /// The node listed on both sides.
-        node: usize,
-    },
-    /// A link endpoint pairs a node with itself.
-    SelfLink {
-        /// The offending fragment.
-        part: String,
-        /// The node linked to itself.
-        node: usize,
-    },
-    /// A time window does not satisfy `0 ≤ from < to` with both finite.
-    NonMonotoneWindow {
-        /// The offending fragment.
-        part: String,
-        /// Window start as given.
-        from_s: f64,
-        /// Window end as given.
-        to_s: f64,
-    },
-    /// Two partition windows on one node overlap — the node's
-    /// down/heal breakpoints would not be monotone.
-    OverlappingPartitions {
-        /// The node with conflicting windows.
-        node: usize,
-        /// The earlier window.
-        prev: (f64, f64),
-        /// The overlapping later window.
-        next: (f64, f64),
-    },
-    /// A link-degrade factor is not finite or is below 1.
-    BadFactor {
-        /// The offending fragment.
-        part: String,
-        /// The rejected factor.
-        factor: f64,
-    },
-    /// A node is given more than one crash point.
-    DuplicateCrash {
-        /// The doubly-crashed node.
-        node: usize,
-    },
-    /// Every node crashes — no survivor could finish the run.
-    AllNodesCrash,
     /// The spec contained no faults at all.
     Empty,
 }
 
-impl std::fmt::Display for NodeFaultError {
+impl std::fmt::Display for FaultSpecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // A unit plan's targets are units that may join once; a node
+        // plan's, nodes that may crash once.
+        let scope = |target: &str| match target {
+            "pu" => ("unit", "join", "joins"),
+            _ => ("node", "crash", "crashes"),
+        };
         match self {
-            NodeFaultError::Syntax { part, detail } => {
-                write!(f, "node fault `{part}`: {detail}")
-            }
-            NodeFaultError::UnknownNode {
+            FaultSpecError::Syntax { part, detail } => write!(f, "fault `{part}`: {detail}"),
+            FaultSpecError::UnknownTarget {
                 part,
-                node,
-                n_nodes,
-            } => write!(
-                f,
-                "node fault `{part}`: node {node} out of range for a {n_nodes}-node cluster"
-            ),
-            NodeFaultError::EmptyPartitionSide { part } => write!(
-                f,
-                "node fault `{part}`: each partition side needs at least one node"
-            ),
-            NodeFaultError::PartitionSidesOverlap { part, node } => write!(
-                f,
-                "node fault `{part}`: node {node} appears on both partition sides"
-            ),
-            NodeFaultError::SelfLink { part, node } => write!(
-                f,
-                "node fault `{part}`: link endpoints must differ, got {node}-{node}"
-            ),
-            NodeFaultError::NonMonotoneWindow { part, from_s, to_s } => write!(
-                f,
-                "node fault `{part}`: window must satisfy 0 <= from < to with both \
-                 finite, got [{from_s}, {to_s})"
-            ),
-            NodeFaultError::OverlappingPartitions { node, prev, next } => write!(
-                f,
-                "node {node}: partition window [{}, {}) overlaps [{}, {}); a node's \
-                 down/heal breakpoints must be monotone",
-                next.0, next.1, prev.0, prev.1
-            ),
-            NodeFaultError::BadFactor { part, factor } => write!(
-                f,
-                "node fault `{part}`: degrade factor must be finite and >= 1, got {factor}"
-            ),
-            NodeFaultError::DuplicateCrash { node } => {
-                write!(f, "node {node} is given more than one crash point")
-            }
-            NodeFaultError::AllNodesCrash => {
+                target,
+                id,
+                count,
+            } => {
+                let (noun, ..) = scope(target);
                 write!(
                     f,
-                    "every node crashes; at least one node must survive the plan"
+                    "fault `{part}`: {target} {id} out of range for a {count}-{noun} cluster"
                 )
             }
-            NodeFaultError::Empty => write!(f, "empty node fault spec"),
+            FaultSpecError::Repeated { part, target, id } => {
+                let (_, event, events) = scope(target);
+                let again =
+                    format!("already {events} earlier in the plan and cannot {event} again");
+                write!(f, "fault `{part}`: {target} {id} {again}")
+            }
+            FaultSpecError::NoSurvivor { target } => {
+                let (noun, _, events) = scope(target);
+                write!(
+                    f,
+                    "every {noun} {events}; at least one {noun} must be live throughout"
+                )
+            }
+            FaultSpecError::BadValue {
+                part,
+                key,
+                accepted,
+                value,
+            } => {
+                write!(f, "fault `{part}`: `{key}` must be {accepted}, got {value}")
+            }
+            FaultSpecError::Duplicate { part } => {
+                write!(f, "fault `{part}`: duplicate of an earlier fault")
+            }
+            FaultSpecError::Empty => write!(f, "empty fault spec"),
         }
     }
 }
 
-impl std::error::Error for NodeFaultError {}
+impl std::error::Error for FaultSpecError {}
+
+/// Split `spec` at `;` into trimmed fragments, cut each at its first
+/// `:` into a kind and the rest, and build each with `one`. Returns the
+/// faults and, for each, the fragment it came from. A fragment with no
+/// `:` is a syntax error saying `expected`; a spec with no fragment is
+/// [`FaultSpecError::Empty`].
+fn build<'a, F>(
+    spec: &'a str,
+    expected: &str,
+    mut one: impl FnMut(&'a str, &'a str, &'a str) -> Result<Vec<F>, FaultSpecError>,
+) -> Result<(Vec<F>, Vec<&'a str>), FaultSpecError> {
+    let (mut faults, mut parts) = (Vec::new(), Vec::new());
+    for part in spec.split(';').map(str::trim).filter(|p| !p.is_empty()) {
+        let (kind, rest) = part.split_once(':').ok_or_else(|| syntax(part, expected))?;
+        for fault in one(part, kind.trim(), rest)? {
+            faults.push(fault);
+            parts.push(part);
+        }
+    }
+    if faults.is_empty() {
+        return Err(FaultSpecError::Empty);
+    }
+    Ok((faults, parts))
+}
+
+/// A [`FaultSpecError::Syntax`] of fragment `part`.
+fn syntax(part: &str, detail: impl Into<String>) -> FaultSpecError {
+    FaultSpecError::Syntax {
+        part: part.to_string(),
+        detail: detail.into(),
+    }
+}
+
+/// `text` read as a `T`, or a syntax error of `part` saying what it
+/// `must` be.
+fn read<T: std::str::FromStr>(part: &str, text: &str, must: &str) -> Result<T, FaultSpecError> {
+    text.trim()
+        .parse()
+        .map_err(|_| syntax(part, format!("{must}, got `{text}`")))
+}
+
+/// How an error names fault `i`: its spec fragment when the plan was
+/// parsed, its `Debug` text otherwise.
+fn name(parts: &[&str], i: usize, fault: &impl std::fmt::Debug) -> String {
+    match parts.get(i) {
+        Some(part) => part.to_string(),
+        None => format!("{fault:?}"),
+    }
+}
+
+/// Names the fault a rule is checked on; called only once one breaks.
+type Name<'a> = &'a dyn Fn() -> String;
+
+/// The one range rule of both scopes: `id` names one of `count`
+/// targets.
+fn in_range(target: &'static str, id: usize, count: usize, p: Name) -> Checked {
+    if id < count {
+        return Ok(());
+    }
+    Err(FaultSpecError::UnknownTarget {
+        part: p(),
+        target,
+        id,
+        count,
+    })
+}
+
+/// `Ok` when the rule `holds`; otherwise fault `p`'s `key` took
+/// `value` where it accepts only `accepted`.
+fn need(holds: bool, p: Name, key: &'static str, accepted: &str, value: impl Display) -> Checked {
+    if holds {
+        return Ok(());
+    }
+    let (accepted, value) = (accepted.to_string(), value.to_string());
+    Err(FaultSpecError::BadValue {
+        part: p(),
+        key,
+        accepted,
+        value,
+    })
+}
 
 /// A deterministic plan of node-scoped faults for the cluster tier.
 /// Empty plans are free, mirroring [`FaultPlan`].
@@ -893,23 +905,16 @@ impl NodeFaultPlan {
 
     /// True when `node` is inside a partition window at time `t`.
     pub fn partitioned(&self, node: usize, t: f64) -> bool {
-        self.faults.iter().any(|f| match f.kind {
-            NodeFaultKind::Partition { from_s, to_s } => f.node == node && t >= from_s && t < to_s,
-            _ => false,
-        })
+        let mine = self.faults.iter().filter(|f| f.node == node);
+        mine.filter_map(NodeFault::partition)
+            .any(|(from_s, to_s)| t >= from_s && t < to_s)
     }
 
     /// `node`'s partition windows as `(from_s, to_s)` pairs, ascending
     /// by start time.
     pub fn partition_windows(&self, node: usize) -> Vec<(f64, f64)> {
-        let mut windows: Vec<(f64, f64)> = self
-            .faults
-            .iter()
-            .filter_map(|f| match f.kind {
-                NodeFaultKind::Partition { from_s, to_s } if f.node == node => Some((from_s, to_s)),
-                _ => None,
-            })
-            .collect();
+        let mine = self.faults.iter().filter(|f| f.node == node);
+        let mut windows: Vec<(f64, f64)> = mine.filter_map(NodeFault::partition).collect();
         windows.sort_by(|a, b| a.0.total_cmp(&b.0));
         windows
     }
@@ -936,86 +941,74 @@ impl NodeFaultPlan {
         factor
     }
 
-    /// True when the plan carries any partition window — lets the
-    /// cluster backend skip heal bookkeeping on partition-free plans.
-    pub fn has_partitions(&self) -> bool {
-        self.faults
-            .iter()
-            .any(|f| matches!(f.kind, NodeFaultKind::Partition { .. }))
+    /// Check the plan against a cluster of `n_nodes`: the rules
+    /// [`parse`](Self::parse) enforces beyond syntax, callable on a
+    /// plan built in code. Each violation names the fault by its
+    /// `Debug` text:
+    ///
+    /// * every node id, a link's peer included, must be `< n_nodes`;
+    /// * a node crashes at most once, and not every node may crash;
+    /// * a link joins two different nodes, and its factor is finite
+    ///   and ≥ 1;
+    /// * every window satisfies `0 ≤ from < to`, both finite;
+    /// * one node's partition windows must not overlap.
+    pub fn validate(&self, n_nodes: usize) -> Result<(), FaultSpecError> {
+        self.check(n_nodes, &[])
     }
 
-    /// Check plan-level invariants against a cluster of `n_nodes`.
-    /// Exactly the rules [`parse`](Self::parse) enforces, callable on
-    /// programmatically built plans.
-    pub fn validate(&self, n_nodes: usize) -> Result<(), NodeFaultError> {
-        let mut crashed: std::collections::BTreeSet<usize> = Default::default();
-        for f in &self.faults {
-            let check_node = |node: usize| -> Result<(), NodeFaultError> {
-                if node >= n_nodes {
-                    return Err(NodeFaultError::UnknownNode {
-                        part: format!("{f:?}"),
-                        node,
-                        n_nodes,
+    /// [`validate`](Self::validate), naming fault `i` by `parts[i]`
+    /// when the plan was parsed.
+    fn check(&self, n_nodes: usize, parts: &[&str]) -> Checked {
+        let mut crashed = BTreeSet::new();
+        for (i, f) in self.faults.iter().enumerate() {
+            let p: Name = &|| name(parts, i, f);
+            in_range("node", f.node, n_nodes, p)?;
+            let (from_s, to_s) = match f.kind {
+                NodeFaultKind::Crash { .. } if !crashed.insert(f.node) => {
+                    return Err(FaultSpecError::Repeated {
+                        part: p(),
+                        target: "node",
+                        id: f.node,
                     });
                 }
-                Ok(())
-            };
-            check_node(f.node)?;
-            match f.kind {
-                NodeFaultKind::Crash { .. } => {
-                    if !crashed.insert(f.node) {
-                        return Err(NodeFaultError::DuplicateCrash { node: f.node });
-                    }
-                }
-                NodeFaultKind::Partition { from_s, to_s } => {
-                    window_ok(&format!("{f:?}"), from_s, to_s)?;
-                }
+                NodeFaultKind::Crash { .. } => continue,
+                NodeFaultKind::Partition { from_s, to_s } => (from_s, to_s),
                 NodeFaultKind::LinkDegrade {
                     peer,
                     factor,
                     from_s,
                     to_s,
                 } => {
-                    check_node(peer)?;
-                    if peer == f.node {
-                        return Err(NodeFaultError::SelfLink {
-                            part: format!("{f:?}"),
-                            node: f.node,
-                        });
-                    }
-                    if !(factor.is_finite() && factor >= 1.0) {
-                        return Err(NodeFaultError::BadFactor {
-                            part: format!("{f:?}"),
-                            factor,
-                        });
-                    }
-                    window_ok(&format!("{f:?}"), from_s, to_s)?;
+                    in_range("node", peer, n_nodes, p)?;
+                    need(peer != f.node, p, "peer", "another node than its own", peer)?;
+                    let ok = factor.is_finite() && factor >= 1.0;
+                    need(ok, p, "factor", "finite and >= 1", factor)?;
+                    (from_s, to_s)
                 }
+            };
+            let ok = from_s.is_finite() && to_s.is_finite() && from_s >= 0.0 && from_s < to_s;
+            let window = format_args!("[{from_s}, {to_s})");
+            need(ok, p, "window", "0 <= from < to, both finite", window)?;
+            let earlier = self.faults[..i].iter().filter(|g| g.node == f.node);
+            let mut windows = earlier.filter_map(NodeFault::partition);
+            let clash = f
+                .partition()
+                .and_then(|_| windows.find(|w| w.0 < to_s && from_s < w.1));
+            if let Some((a, b)) = clash {
+                let clear = format!("clear of node {}'s partition [{a}, {b})", f.node);
+                need(false, p, "window", &clear, window)?;
             }
         }
         if !crashed.is_empty() && crashed.len() >= n_nodes {
-            return Err(NodeFaultError::AllNodesCrash);
-        }
-        for node in 0..n_nodes {
-            let windows = self.partition_windows(node);
-            for pair in windows.windows(2) {
-                if let [prev, next] = pair {
-                    if next.0 < prev.1 {
-                        return Err(NodeFaultError::OverlappingPartitions {
-                            node,
-                            prev: *prev,
-                            next: *next,
-                        });
-                    }
-                }
-            }
+            return Err(FaultSpecError::NoSurvivor { target: "node" });
         }
         Ok(())
     }
 
     /// Parse the CLI syntax used by `plb run --node-faults`: a
-    /// semicolon-separated list of positional node faults, validated
-    /// against a cluster of `n_nodes` nodes.
+    /// semicolon-separated list of positional node faults, then
+    /// [`validate`](Self::validate) the plan against a cluster of
+    /// `n_nodes` nodes.
     ///
     /// ```text
     /// node-crash:2,6            node 2 dies after completing 6 chunks
@@ -1025,147 +1018,13 @@ impl NodeFaultPlan {
     ///
     /// The `partition` sides are `+`-separated node lists; every node
     /// on the side *not* containing node 0 (the coordinator) is
-    /// unreachable for the window. Each violation of the plan rules —
-    /// unknown node ids, overlapping partition windows on one node,
-    /// non-monotone windows, factors below 1, duplicate crash points,
-    /// plans that crash every node — is a typed [`NodeFaultError`].
-    pub fn parse(spec: &str, n_nodes: usize) -> Result<NodeFaultPlan, NodeFaultError> {
-        let mut faults: Vec<NodeFault> = Vec::new();
-        for part in spec.split(';').filter(|p| !p.trim().is_empty()) {
-            let part = part.trim();
-            let syntax = |detail: &str| NodeFaultError::Syntax {
-                part: part.to_string(),
-                detail: detail.to_string(),
-            };
-            let (kind, rest) = part
-                .split_once(':')
-                .ok_or_else(|| syntax("expected kind:arg,arg,..."))?;
-            let args: Vec<&str> = rest.split(',').map(str::trim).collect();
-            let node_id = |s: &str| -> Result<usize, NodeFaultError> {
-                let node: usize = s
-                    .parse()
-                    .map_err(|_| syntax(&format!("`{s}` must be a node id (integer)")))?;
-                if node >= n_nodes {
-                    return Err(NodeFaultError::UnknownNode {
-                        part: part.to_string(),
-                        node,
-                        n_nodes,
-                    });
-                }
-                Ok(node)
-            };
-            let seconds = |s: &str| -> Result<f64, NodeFaultError> {
-                s.parse()
-                    .map_err(|_| syntax(&format!("`{s}` must be a number of seconds")))
-            };
-            match kind.trim() {
-                "node-crash" => {
-                    let [node, after] = args[..] else {
-                        return Err(syntax("expected node-crash:node,after_chunks"));
-                    };
-                    let node = node_id(node)?;
-                    let after_chunks: u64 = after
-                        .parse()
-                        .map_err(|_| syntax("`after_chunks` must be an integer"))?;
-                    faults.push(NodeFault {
-                        node,
-                        kind: NodeFaultKind::Crash { after_chunks },
-                    });
-                }
-                "partition" => {
-                    let [sides, from, to] = args[..] else {
-                        return Err(syntax("expected partition:a+..|b+..,from_s,to_s"));
-                    };
-                    let (side_a, side_b) = sides
-                        .split_once('|')
-                        .ok_or_else(|| syntax("partition sides must be separated by `|`"))?;
-                    let parse_side = |side: &str| -> Result<Vec<usize>, NodeFaultError> {
-                        let nodes: Vec<usize> = side
-                            .split('+')
-                            .filter(|s| !s.trim().is_empty())
-                            .map(|s| node_id(s.trim()))
-                            .collect::<Result<_, _>>()?;
-                        if nodes.is_empty() {
-                            return Err(NodeFaultError::EmptyPartitionSide {
-                                part: part.to_string(),
-                            });
-                        }
-                        Ok(nodes)
-                    };
-                    let a = parse_side(side_a)?;
-                    let b = parse_side(side_b)?;
-                    if let Some(&dup) = a.iter().find(|n| b.contains(n)) {
-                        return Err(NodeFaultError::PartitionSidesOverlap {
-                            part: part.to_string(),
-                            node: dup,
-                        });
-                    }
-                    let (from_s, to_s) = (seconds(from)?, seconds(to)?);
-                    window_ok(part, from_s, to_s)?;
-                    // The side without the coordinator (node 0) loses
-                    // contact; if neither side lists node 0 the cut
-                    // isolates side b from the a-side work source.
-                    let cut = if a.contains(&0) || !b.contains(&0) {
-                        &b
-                    } else {
-                        &a
-                    };
-                    for &node in cut {
-                        faults.push(NodeFault {
-                            node,
-                            kind: NodeFaultKind::Partition { from_s, to_s },
-                        });
-                    }
-                }
-                "link-degrade" => {
-                    let [link, factor, from, to] = args[..] else {
-                        return Err(syntax("expected link-degrade:a-b,factor,from_s,to_s"));
-                    };
-                    let (a, b) = link
-                        .split_once('-')
-                        .ok_or_else(|| syntax("link endpoints must be separated by `-`"))?;
-                    let (a, b) = (node_id(a.trim())?, node_id(b.trim())?);
-                    if a == b {
-                        return Err(NodeFaultError::SelfLink {
-                            part: part.to_string(),
-                            node: a,
-                        });
-                    }
-                    let factor: f64 = factor
-                        .parse()
-                        .map_err(|_| syntax("`factor` must be a number"))?;
-                    if !(factor.is_finite() && factor >= 1.0) {
-                        return Err(NodeFaultError::BadFactor {
-                            part: part.to_string(),
-                            factor,
-                        });
-                    }
-                    let (from_s, to_s) = (seconds(from)?, seconds(to)?);
-                    window_ok(part, from_s, to_s)?;
-                    faults.push(NodeFault {
-                        node: a,
-                        kind: NodeFaultKind::LinkDegrade {
-                            peer: b,
-                            factor,
-                            from_s,
-                            to_s,
-                        },
-                    });
-                }
-                other => {
-                    return Err(syntax(&format!(
-                        "unknown node fault kind `{other}` \
-                         (node-crash, partition, link-degrade)"
-                    )));
-                }
-            }
-        }
-        if faults.is_empty() {
-            return Err(NodeFaultError::Empty);
-        }
+    /// unreachable for the window.
+    pub fn parse(spec: &str, n_nodes: usize) -> Result<NodeFaultPlan, FaultSpecError> {
+        let (faults, parts) = build(spec, "expected kind:arg,arg,...", |part, kind, rest| {
+            node_faults(part, kind, rest, n_nodes)
+        })?;
         let plan = NodeFaultPlan { faults };
-        plan.validate(n_nodes)?;
-        Ok(plan)
+        plan.check(n_nodes, &parts).map(|()| plan)
     }
 
     /// A seeded pseudo-random node-fault plan for cluster chaos
@@ -1176,77 +1035,141 @@ impl NodeFaultPlan {
     /// always yields the same plan, and the plan always passes
     /// [`validate`](Self::validate).
     pub fn chaos_cluster(seed: u64, n_nodes: usize, intensity: usize) -> NodeFaultPlan {
-        let mut faults: Vec<NodeFault> = Vec::new();
         if n_nodes < 2 {
-            return NodeFaultPlan { faults };
+            return NodeFaultPlan::none();
         }
-        let mut x = splitmix64(seed ^ 0x1b87_3593_12f4_11ae);
-        let mut next = move || {
-            x = splitmix64(x);
-            x
-        };
-        let mut crashed: std::collections::BTreeSet<usize> = Default::default();
+        let mut faults = Vec::new();
+        let mut rng = ChaosStream::new(seed, 0x1b87_3593_12f4_11ae);
+        let mut crashed: BTreeSet<usize> = BTreeSet::new();
         // Next free partition-window start per node, keeping windows
         // disjoint by construction.
         let mut part_from: Vec<f64> = vec![0.0; n_nodes];
         for _ in 0..intensity {
-            let node = 1 + (next() as usize % (n_nodes - 1));
-            match next() % 4 {
-                0 if crashed.insert(node) => {
-                    faults.push(NodeFault {
-                        node,
-                        kind: NodeFaultKind::Crash {
-                            after_chunks: 1 + next() % 6,
-                        },
-                    });
-                }
+            let node = rng.victim(n_nodes);
+            let kind = match rng.next() % 4 {
+                0 if crashed.insert(node) => NodeFaultKind::Crash {
+                    after_chunks: 1 + rng.next() % 6,
+                },
                 0 | 1 => {
-                    let peer = (node + 1 + next() as usize % (n_nodes - 1)) % n_nodes;
-                    let peer = if peer == node { 0 } else { peer };
-                    let from_s = (next() % 8) as f64;
-                    faults.push(NodeFault {
-                        node,
-                        kind: NodeFaultKind::LinkDegrade {
-                            peer,
-                            factor: 2.0 + (next() % 12) as f64,
-                            from_s,
-                            to_s: from_s + 1.0 + (next() % 10) as f64,
-                        },
-                    });
+                    let peer = (node + 1 + rng.next() as usize % (n_nodes - 1)) % n_nodes;
+                    let from_s = (rng.next() % 8) as f64;
+                    NodeFaultKind::LinkDegrade {
+                        peer: if peer == node { 0 } else { peer },
+                        factor: 2.0 + (rng.next() % 12) as f64,
+                        from_s,
+                        to_s: from_s + 1.0 + (rng.next() % 10) as f64,
+                    }
                 }
                 _ => {
-                    let from_s = part_from.get(node).copied().unwrap_or(0.0) + (next() % 4) as f64;
-                    let to_s = from_s + 0.5 + (next() % 6) as f64;
-                    if let Some(slot) = part_from.get_mut(node) {
-                        *slot = to_s;
-                    }
-                    faults.push(NodeFault {
-                        node,
-                        kind: NodeFaultKind::Partition { from_s, to_s },
-                    });
+                    let from_s = part_from[node] + (rng.next() % 4) as f64;
+                    let to_s = from_s + 0.5 + (rng.next() % 6) as f64;
+                    part_from[node] = to_s;
+                    NodeFaultKind::Partition { from_s, to_s }
                 }
-            }
+            };
+            faults.push(NodeFault { node, kind });
         }
         NodeFaultPlan { faults }
     }
 }
 
-/// Shared window check: `0 ≤ from < to`, both finite.
-fn window_ok(part: &str, from_s: f64, to_s: f64) -> Result<(), NodeFaultError> {
-    if from_s.is_finite() && to_s.is_finite() && from_s >= 0.0 && from_s < to_s {
-        Ok(())
-    } else {
-        Err(NodeFaultError::NonMonotoneWindow {
-            part: part.to_string(),
-            from_s,
-            to_s,
-        })
-    }
+/// Build one `--node-faults` fragment — syntax only: its positional
+/// arguments and the partition's sides. The side a partition leaves in
+/// contact never enters the plan, so it is range-checked here; every
+/// other rule is [`NodeFaultPlan::validate`]'s.
+fn node_faults(
+    part: &str,
+    kind: &str,
+    rest: &str,
+    n: usize,
+) -> Result<Vec<NodeFault>, FaultSpecError> {
+    let args: Vec<&str> = rest.split(',').map(str::trim).collect();
+    let node_id = |s: &str| read::<usize>(part, s, "a node id must be an integer");
+    let seconds = |s: &str| read::<f64>(part, s, "a time must be a number of seconds");
+    let (nodes, kind) = match (kind, &args[..]) {
+        ("node-crash", &[node, after]) => {
+            let after_chunks = read(part, after, "`after_chunks` must be an integer")?;
+            (vec![node_id(node)?], NodeFaultKind::Crash { after_chunks })
+        }
+        ("partition", &[sides, from, to]) => {
+            let (a, b) = sides
+                .split_once('|')
+                .ok_or_else(|| syntax(part, "sides need a `|`"))?;
+            let side = |side: &str| -> Result<Vec<usize>, FaultSpecError> {
+                let nodes = side.split('+').filter(|s| !s.trim().is_empty());
+                let nodes = nodes.map(node_id).collect::<Result<Vec<_>, _>>()?;
+                match nodes.is_empty() {
+                    true => Err(syntax(part, "each partition side needs at least one node")),
+                    false => Ok(nodes),
+                }
+            };
+            let (a, b) = (side(a)?, side(b)?);
+            if let Some(&dup) = a.iter().find(|n| b.contains(n)) {
+                let both = format!("node {dup} appears on both partition sides");
+                return Err(syntax(part, both));
+            }
+            // The side without the coordinator (node 0) loses contact;
+            // if neither side lists node 0 the cut isolates side b from
+            // the a-side work source.
+            let (kept, cut) = if a.contains(&0) || !b.contains(&0) {
+                (a, b)
+            } else {
+                (b, a)
+            };
+            for node in kept {
+                in_range("node", node, n, &|| part.to_string())?;
+            }
+            let (from_s, to_s) = (seconds(from)?, seconds(to)?);
+            (cut, NodeFaultKind::Partition { from_s, to_s })
+        }
+        ("link-degrade", &[link, factor, from, to]) => {
+            let (a, b) = link
+                .split_once('-')
+                .ok_or_else(|| syntax(part, "link needs a `-`"))?;
+            let kind = NodeFaultKind::LinkDegrade {
+                peer: node_id(b)?,
+                factor: read(part, factor, "`factor` must be a number")?,
+                from_s: seconds(from)?,
+                to_s: seconds(to)?,
+            };
+            (vec![node_id(a)?], kind)
+        }
+        ("node-crash", _) => Err(syntax(part, "expected node-crash:node,after_chunks"))?,
+        ("partition", _) => Err(syntax(part, "expected partition:a+..|b+..,from_s,to_s"))?,
+        ("link-degrade", _) => Err(syntax(part, "expected link-degrade:a-b,factor,from_s,to_s"))?,
+        (other, _) => {
+            let kinds = "(node-crash, partition, link-degrade)";
+            Err(syntax(
+                part,
+                format!("unknown node fault kind `{other}` {kinds}"),
+            ))?
+        }
+    };
+    let fault = |node| NodeFault {
+        node,
+        kind: kind.clone(),
+    };
+    Ok(nodes.into_iter().map(fault).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The message `FaultPlan::parse` rejects `spec` with.
+    fn reject(spec: &str, n: usize) -> String {
+        FaultPlan::parse(spec, n).unwrap_err().to_string()
+    }
+
+    /// Two errors break the same rule: the same variant and, for a bad
+    /// value, the same key.
+    pub(super) fn same_rule(a: &FaultSpecError, b: &FaultSpecError) -> bool {
+        let key = |e: &FaultSpecError| match e {
+            FaultSpecError::BadValue { key, .. } => Some(*key),
+            _ => None,
+        };
+        std::mem::discriminant(a) == std::mem::discriminant(b) && key(a) == key(b)
+    }
 
     #[test]
     fn panic_fires_on_exact_attempt() {
@@ -1361,7 +1284,7 @@ mod tests {
 
     #[test]
     fn parse_rejects_out_of_range_pu() {
-        let err = FaultPlan::parse("panic:pu=4,nth=0", 4).unwrap_err();
+        let err = reject("panic:pu=4,nth=0", 4);
         assert!(err.contains("pu 4 out of range"), "{err}");
         assert!(err.contains("4-unit cluster"), "{err}");
         assert!(FaultPlan::parse("panic:pu=3,nth=0", 4).is_ok(), "boundary");
@@ -1369,7 +1292,7 @@ mod tests {
 
     #[test]
     fn parse_rejects_duplicate_faults() {
-        let err = FaultPlan::parse("panic:pu=1,nth=3;panic:pu=1,nth=3", 4).unwrap_err();
+        let err = reject("panic:pu=1,nth=3;panic:pu=1,nth=3", 4);
         assert!(err.contains("duplicate"), "{err}");
         // Same kind, different parameters: not a duplicate.
         assert!(FaultPlan::parse("panic:pu=1,nth=3;panic:pu=1,nth=5", 4).is_ok());
@@ -1378,32 +1301,172 @@ mod tests {
     }
 
     #[test]
-    fn parse_rejects_non_monotonic_triggers() {
-        let err = FaultPlan::parse("panic:pu=1,nth=5;panic:pu=1,nth=2", 4).unwrap_err();
-        assert!(err.contains("attempt order"), "{err}");
-        // A flaky spell fires from attempt 0, so it can only come first.
-        let err = FaultPlan::parse("panic:pu=1,nth=5;flaky:pu=1,n=2", 4).unwrap_err();
-        assert!(err.contains("attempt order"), "{err}");
-        // Ordering is per unit: interleaving units is fine.
-        assert!(FaultPlan::parse("panic:pu=1,nth=5;panic:pu=2,nth=2;panic:pu=1,nth=6", 4).is_ok());
-        // Equal triggers on one unit are fine (e.g. panic + delay at 2).
-        assert!(FaultPlan::parse("delay:pu=1,from=2,n=3,s=0.1;panic:pu=1,nth=2", 4).is_ok());
+    fn listing_order_changes_nothing() {
+        // What a plan does to a unit depends on which faults it holds,
+        // not on the order they are listed in: reversing the listing
+        // moves no action, drift factor or join. Listings out of
+        // attempt order parse; chaos_elastic draws them all the time.
+        let mut plans: Vec<(FaultPlan, usize)> = [
+            "panic:pu=1,nth=5;panic:pu=1,nth=2",
+            "panic:pu=1,nth=5;flaky:pu=1,n=2",
+            "drift:pu=1,kind=ramp,from=9,n=4,to=2;panic:pu=1,nth=2",
+            "delay:pu=1,from=5,n=9,s=0.1;rdelay:pu=1,from=2,n=9,max=0.2;\
+             delay:pu=1,from=0,n=9,s=0.3;join:pu=2,after=4;join:pu=1,after=9",
+            // The `plb` usage text's own example.
+            "panic:pu=1,nth=3; flaky:pu=2,n=4; delay:pu=0,from=2,n=5,s=0.1; \
+             join:pu=3,after=40; drift:pu=1,kind=sin,from=0,period=16,amp=0.5",
+        ]
+        .iter()
+        .map(|spec| (FaultPlan::parse(spec, 4).unwrap(), 4))
+        .collect();
+        plans.extend((0..32).map(|seed| (FaultPlan::chaos_elastic(seed, 5, 6, 5), 5)));
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * a.abs().max(b.abs());
+        for (plan, n) in plans {
+            let mut reversed = plan.clone();
+            reversed.faults.reverse();
+            assert_eq!(reversed.validate(n), plan.validate(n));
+            assert_eq!(reversed.joins(), plan.joins());
+            for pu in 0..n {
+                for attempt in 0..64 {
+                    match (plan.action(pu, attempt), reversed.action(pu, attempt)) {
+                        (Some(FaultAction::Delay(a)), Some(FaultAction::Delay(b))) => {
+                            assert!(close(a, b), "{plan:?} pu {pu} attempt {attempt}")
+                        }
+                        (a, b) => assert_eq!(a, b, "{plan:?} pu {pu} attempt {attempt}"),
+                    }
+                    let (a, b) = (
+                        plan.drift_factor(pu, attempt),
+                        reversed.drift_factor(pu, attempt),
+                    );
+                    assert!(close(a, b), "{plan:?} pu {pu} attempt {attempt}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn parse_and_validate_agree_on_every_unit_rule() {
+        // One malformed fault per rule of `FaultPlan::validate`, as a
+        // spec and built by hand.
+        let f = |pu, kind| Fault { pu, kind };
+        let panic = |nth| FaultKind::PanicOnAttempt { nth };
+        let join = |after_tasks| FaultKind::Join { after_tasks };
+        let delay = |from, attempts, seconds| FaultKind::Delay {
+            from,
+            attempts,
+            seconds,
+        };
+        let ramp = |attempts, to| FaultKind::DriftRamp {
+            from: 0,
+            attempts,
+            to,
+        };
+        let step = |points: &[(u64, f64)]| FaultKind::DriftStep {
+            points: points.to_vec(),
+        };
+        let sin = |period, amplitude| FaultKind::DriftSinusoid {
+            from: 0,
+            period,
+            amplitude,
+        };
+        let table = [
+            ("panic:pu=4,nth=0", 4, vec![f(4, panic(0))]),
+            (
+                "join:pu=2,after=10;join:pu=2,after=20",
+                4,
+                vec![f(2, join(10)), f(2, join(20))],
+            ),
+            (
+                "join:pu=0,after=1;join:pu=1,after=2",
+                2,
+                vec![f(0, join(1)), f(1, join(2))],
+            ),
+            (
+                "flaky:pu=1,n=0",
+                4,
+                vec![f(1, FaultKind::FlakyUntil { attempts: 0 })],
+            ),
+            (
+                "delay:pu=1,from=18446744073709551615,n=1,s=0.1",
+                4,
+                vec![f(1, delay(u64::MAX, 1, 0.1))],
+            ),
+            ("delay:pu=1,from=0,n=1,s=0", 4, vec![f(1, delay(0, 1, 0.0))]),
+            (
+                "rdelay:pu=1,from=0,n=1,max=inf",
+                4,
+                vec![f(
+                    1,
+                    FaultKind::RandomDelay {
+                        from: 0,
+                        attempts: 1,
+                        max_seconds: f64::INFINITY,
+                        seed: 0,
+                    },
+                )],
+            ),
+            (
+                "drift:pu=1,kind=ramp,from=0,n=4,to=0",
+                4,
+                vec![f(1, ramp(4, 0.0))],
+            ),
+            (
+                "drift:pu=1,kind=step,points=3:200.0",
+                4,
+                vec![f(1, step(&[(3, 200.0)]))],
+            ),
+            (
+                "drift:pu=1,kind=step,points=9:1.5/3:2.0",
+                4,
+                vec![f(1, step(&[(9, 1.5), (3, 2.0)]))],
+            ),
+            ("drift:pu=1,kind=step,points=", 4, vec![f(1, step(&[]))]),
+            (
+                "drift:pu=1,kind=sin,from=0,period=1,amp=0.5",
+                4,
+                vec![f(1, sin(1, 0.5))],
+            ),
+            (
+                "drift:pu=1,kind=sin,from=0,period=8,amp=1.5",
+                4,
+                vec![f(1, sin(8, 1.5))],
+            ),
+            (
+                "panic:pu=1,nth=3;panic:pu=1,nth=3",
+                4,
+                vec![f(1, panic(3)), f(1, panic(3))],
+            ),
+        ];
+        for (spec, n, faults) in table {
+            let parsed = FaultPlan::parse(spec, n).unwrap_err();
+            let built = FaultPlan::new(faults).validate(n).unwrap_err();
+            assert!(same_rule(&parsed, &built), "{spec}: {parsed} vs {built}");
+        }
+        // A parsed plan's error quotes the spec fragment, a built one's
+        // the fault.
+        let built = FaultPlan::new(vec![f(4, panic(0))])
+            .validate(4)
+            .unwrap_err();
+        assert!(reject("panic:pu=4,nth=0", 4).starts_with("fault `panic:pu=4,nth=0`"));
+        assert!(
+            built.to_string().starts_with("fault `Fault { pu: 4"),
+            "{built}"
+        );
     }
 
     #[test]
     fn parse_rejects_degenerate_windows_and_durations() {
-        let err = FaultPlan::parse("flaky:pu=1,n=0", 4).unwrap_err();
+        let err = reject("flaky:pu=1,n=0", 4);
         assert!(err.contains("`n` must be at least 1"), "{err}");
-        let err = FaultPlan::parse("delay:pu=1,from=2,n=0,s=0.1", 4).unwrap_err();
+        let err = reject("delay:pu=1,from=2,n=0,s=0.1", 4);
         assert!(err.contains("`n` must be at least 1"), "{err}");
-        let err =
-            FaultPlan::parse("delay:pu=1,from=18446744073709551615,n=1,s=0.1", 4).unwrap_err();
+        let err = reject("delay:pu=1,from=18446744073709551615,n=1,s=0.1", 4);
         assert!(err.contains("overflows"), "{err}");
-        let err = FaultPlan::parse("delay:pu=1,from=0,n=1,s=0", 4).unwrap_err();
+        let err = reject("delay:pu=1,from=0,n=1,s=0", 4);
         assert!(err.contains("finite positive duration"), "{err}");
-        let err = FaultPlan::parse("delay:pu=1,from=0,n=1,s=-1", 4).unwrap_err();
+        let err = reject("delay:pu=1,from=0,n=1,s=-1", 4);
         assert!(err.contains("finite positive duration"), "{err}");
-        let err = FaultPlan::parse("rdelay:pu=1,from=0,n=1,max=inf", 4).unwrap_err();
+        let err = reject("rdelay:pu=1,from=0,n=1,max=inf", 4);
         assert!(err.contains("finite positive duration"), "{err}");
     }
 
@@ -1425,23 +1488,19 @@ mod tests {
 
         for seed in 0..32u64 {
             let plan = FaultPlan::chaos(seed, 5, 10);
-            let mut last: std::collections::BTreeMap<usize, u64> = Default::default();
-            for (i, f) in plan.faults.iter().enumerate() {
-                assert!(f.pu >= 1 && f.pu < 5, "unit 0 stays healthy: {f:?}");
+            plan.validate(5).unwrap();
+            for f in &plan.faults {
+                assert!(f.pu >= 1, "unit 0 stays healthy: {f:?}");
                 assert!(
-                    !plan.faults[..i].contains(f),
-                    "duplicate fault in chaos plan: {f:?}"
+                    matches!(
+                        f.kind,
+                        FaultKind::PanicOnAttempt { .. }
+                            | FaultKind::FlakyUntil { .. }
+                            | FaultKind::Delay { .. }
+                            | FaultKind::RandomDelay { .. }
+                    ),
+                    "chaos() draws failures only: {f:?}"
                 );
-                let t = match f.kind {
-                    FaultKind::PanicOnAttempt { nth } => nth,
-                    FaultKind::FlakyUntil { .. } => 0,
-                    FaultKind::Delay { from, .. } | FaultKind::RandomDelay { from, .. } => from,
-                    ref other => panic!("chaos() must not generate {other:?}"),
-                };
-                if let Some(&prev) = last.get(&f.pu) {
-                    assert!(t >= prev, "non-monotonic triggers on pu {}: {plan:?}", f.pu);
-                }
-                last.insert(f.pu, t);
             }
         }
         assert!(
@@ -1597,14 +1656,14 @@ mod tests {
     #[test]
     fn parse_rejects_repeat_joins_and_all_units_joining() {
         // A second join for the same unit: it is already live by then.
-        let err = FaultPlan::parse("join:pu=2,after=10;join:pu=2,after=20", 4).unwrap_err();
+        let err = reject("join:pu=2,after=10;join:pu=2,after=20", 4);
         assert!(err.contains("already joins"), "{err}");
         assert!(err.contains("cannot join again"), "{err}");
         // Joins covering every unit leave nothing live at start.
-        let err = FaultPlan::parse("join:pu=0,after=1;join:pu=1,after=2", 2).unwrap_err();
+        let err = reject("join:pu=0,after=1;join:pu=1,after=2", 2);
         assert!(err.contains("at least one unit must be live"), "{err}");
         // A join out of range fails like any other fault.
-        let err = FaultPlan::parse("join:pu=4,after=1", 4).unwrap_err();
+        let err = reject("join:pu=4,after=1", 4);
         assert!(err.contains("out of range"), "{err}");
         // A join plus attempt-keyed faults on the same unit is fine, in
         // either listing order: joins sit outside the attempt timeline.
@@ -1615,38 +1674,34 @@ mod tests {
     #[test]
     fn parse_rejects_malformed_drift_schedules() {
         // Non-monotonic step breakpoints.
-        let err = FaultPlan::parse("drift:pu=1,kind=step,points=5:1.5/5:2.0", 4).unwrap_err();
+        let err = reject("drift:pu=1,kind=step,points=5:1.5/5:2.0", 4);
         assert!(err.contains("strictly increasing"), "{err}");
-        let err = FaultPlan::parse("drift:pu=1,kind=step,points=9:1.5/3:2.0", 4).unwrap_err();
+        let err = reject("drift:pu=1,kind=step,points=9:1.5/3:2.0", 4);
         assert!(err.contains("strictly increasing"), "{err}");
         // Out-of-range factors.
-        let err = FaultPlan::parse("drift:pu=1,kind=ramp,from=0,n=4,to=0", 4).unwrap_err();
+        let err = reject("drift:pu=1,kind=ramp,from=0,n=4,to=0", 4);
         assert!(err.contains("drift factor"), "{err}");
-        let err = FaultPlan::parse("drift:pu=1,kind=ramp,from=0,n=4,to=-2", 4).unwrap_err();
+        let err = reject("drift:pu=1,kind=ramp,from=0,n=4,to=-2", 4);
         assert!(err.contains("drift factor"), "{err}");
-        let err = FaultPlan::parse("drift:pu=1,kind=ramp,from=0,n=4,to=1e9", 4).unwrap_err();
+        let err = reject("drift:pu=1,kind=ramp,from=0,n=4,to=1e9", 4);
         assert!(err.contains("drift factor"), "{err}");
-        let err = FaultPlan::parse("drift:pu=1,kind=ramp,from=0,n=4,to=inf", 4).unwrap_err();
+        let err = reject("drift:pu=1,kind=ramp,from=0,n=4,to=inf", 4);
         assert!(err.contains("drift factor"), "{err}");
-        let err = FaultPlan::parse("drift:pu=1,kind=step,points=3:200.0", 4).unwrap_err();
+        let err = reject("drift:pu=1,kind=step,points=3:200.0", 4);
         assert!(err.contains("drift factor"), "{err}");
         // Degenerate windows and shapes.
-        let err = FaultPlan::parse("drift:pu=1,kind=ramp,from=0,n=0,to=2", 4).unwrap_err();
+        let err = reject("drift:pu=1,kind=ramp,from=0,n=0,to=2", 4);
         assert!(err.contains("`n` must be at least 1"), "{err}");
-        let err = FaultPlan::parse("drift:pu=1,kind=step,points=", 4).unwrap_err();
+        let err = reject("drift:pu=1,kind=step,points=", 4);
         assert!(err.contains("at least one"), "{err}");
-        let err = FaultPlan::parse("drift:pu=1,kind=sin,from=0,period=1,amp=0.5", 4).unwrap_err();
+        let err = reject("drift:pu=1,kind=sin,from=0,period=1,amp=0.5", 4);
         assert!(err.contains("period"), "{err}");
-        let err = FaultPlan::parse("drift:pu=1,kind=sin,from=0,period=8,amp=1.5", 4).unwrap_err();
+        let err = reject("drift:pu=1,kind=sin,from=0,period=8,amp=1.5", 4);
         assert!(err.contains("amp"), "{err}");
-        let err = FaultPlan::parse("drift:pu=1,kind=sin,from=0,period=8,amp=0", 4).unwrap_err();
+        let err = reject("drift:pu=1,kind=sin,from=0,period=8,amp=0", 4);
         assert!(err.contains("amp"), "{err}");
-        let err = FaultPlan::parse("drift:pu=1,kind=wobble,from=0", 4).unwrap_err();
+        let err = reject("drift:pu=1,kind=wobble,from=0", 4);
         assert!(err.contains("unknown drift kind"), "{err}");
-        // Drift schedules join the per-unit attempt ordering.
-        let err = FaultPlan::parse("drift:pu=1,kind=ramp,from=9,n=4,to=2;panic:pu=1,nth=2", 4)
-            .unwrap_err();
-        assert!(err.contains("attempt order"), "{err}");
     }
 
     #[test]
@@ -1681,39 +1736,19 @@ mod tests {
         let base = FaultPlan::chaos(42, 5, 8);
         assert!(a.faults.starts_with(&base.faults));
 
-        let (lo, hi) = DRIFT_FACTOR_RANGE;
+        // The test's own shape and the CLI's (`2n` failures, elastic 2).
         for seed in 0..32u64 {
             let plan = FaultPlan::chaos_elastic(seed, 5, 6, 5);
-            let mut joined = std::collections::BTreeSet::new();
-            for f in &plan.faults {
-                assert!(f.pu >= 1 && f.pu < 5, "unit 0 stays untouched: {f:?}");
-                match &f.kind {
-                    FaultKind::Join { .. } => {
-                        assert!(joined.insert(f.pu), "unit {} joins twice", f.pu)
-                    }
-                    FaultKind::DriftRamp { attempts, to, .. } => {
-                        assert!(*attempts >= 1);
-                        assert!((lo..=hi).contains(to), "factor {to} out of range");
-                    }
-                    FaultKind::DriftStep { points } => {
-                        assert!(!points.is_empty());
-                        for w in points.windows(2) {
-                            assert!(w[0].0 < w[1].0, "non-monotonic breakpoints");
-                        }
-                        for (_, fac) in points {
-                            assert!((lo..=hi).contains(fac), "factor {fac} out of range");
-                        }
-                    }
-                    FaultKind::DriftSinusoid {
-                        period, amplitude, ..
-                    } => {
-                        assert!(*period >= 2);
-                        assert!(*amplitude > 0.0 && *amplitude < 1.0);
-                    }
-                    _ => {}
-                }
+            plan.validate(5).unwrap();
+            assert!(
+                plan.faults.iter().all(|f| f.pu >= 1),
+                "unit 0 stays untouched"
+            );
+            for n in [4, 6, 8] {
+                FaultPlan::chaos_elastic(seed, n, 2 * n, 2)
+                    .validate(n)
+                    .unwrap();
             }
-            assert!(joined.len() < 5, "at least one unit stays live at start");
         }
         assert!(FaultPlan::chaos_elastic(7, 1, 4, 4).is_empty());
     }
@@ -1761,28 +1796,44 @@ mod node_tests {
         for spec in [
             "node-crash:4,2",
             "partition:1|4,0,5",
+            "partition:4|1,0,5",
             "link-degrade:0-9,2,0,5",
         ] {
             match NodeFaultPlan::parse(spec, 4) {
-                Err(NodeFaultError::UnknownNode { node, n_nodes, .. }) => {
-                    assert!(node >= 4, "{spec}");
-                    assert_eq!(n_nodes, 4);
-                }
-                other => panic!("{spec}: expected UnknownNode, got {other:?}"),
+                Err(FaultSpecError::UnknownTarget {
+                    target: "node",
+                    id,
+                    count: 4,
+                    ..
+                }) => assert!(id >= 4, "{spec}"),
+                other => panic!("{spec}: expected UnknownTarget, got {other:?}"),
             }
         }
     }
 
     #[test]
     fn parse_rejects_overlapping_partition_windows() {
-        let err = NodeFaultPlan::parse("partition:0|1,0,5; partition:0|1,4,8", 3).unwrap_err();
-        match err {
-            NodeFaultError::OverlappingPartitions { node, prev, next } => {
-                assert_eq!(node, 1);
-                assert_eq!(prev, (0.0, 5.0));
-                assert_eq!(next, (4.0, 8.0));
+        // The later window is the bad value, whichever starts first.
+        for spec in [
+            "partition:0|1,0,5; partition:0|1,4,8",
+            "partition:0|1,4,8; partition:0|1,0,5",
+            "partition:0|1,0,9; partition:0|1,2,3",
+        ] {
+            match NodeFaultPlan::parse(spec, 3).unwrap_err() {
+                FaultSpecError::BadValue {
+                    part,
+                    key: "window",
+                    accepted,
+                    ..
+                } => {
+                    assert!(spec.ends_with(&part), "{spec}: names {part}");
+                    assert!(
+                        accepted.starts_with("clear of node 1's partition"),
+                        "{accepted}"
+                    );
+                }
+                other => panic!("{spec}: expected an overlapping window, got {other:?}"),
             }
-            other => panic!("expected OverlappingPartitions, got {other:?}"),
         }
         // Back-to-back windows (heal == next drop) are fine.
         assert!(NodeFaultPlan::parse("partition:0|1,0,5; partition:0|1,5,8", 3).is_ok());
@@ -1799,7 +1850,7 @@ mod node_tests {
             assert!(
                 matches!(
                     NodeFaultPlan::parse(spec, 3),
-                    Err(NodeFaultError::NonMonotoneWindow { .. })
+                    Err(FaultSpecError::BadValue { key: "window", .. })
                 ),
                 "{spec}"
             );
@@ -1808,42 +1859,48 @@ mod node_tests {
 
     #[test]
     fn parse_rejects_malformed_specs_with_typed_errors() {
+        let err = |spec| NodeFaultPlan::parse(spec, 3).unwrap_err();
+        assert_eq!(err(""), FaultSpecError::Empty);
+        for (spec, detail) in [
+            (
+                "partition:|1,0,5",
+                "each partition side needs at least one node",
+            ),
+            (
+                "partition:1|1+2,0,5",
+                "node 1 appears on both partition sides",
+            ),
+            ("meteor:1,2", "unknown node fault kind `meteor`"),
+            ("node-crash:1", "expected node-crash:node,after_chunks"),
+        ] {
+            match err(spec) {
+                FaultSpecError::Syntax { part, detail: got } => {
+                    assert_eq!(part, spec);
+                    assert!(got.contains(detail), "{spec}: {got}");
+                }
+                other => panic!("{spec}: expected Syntax, got {other:?}"),
+            }
+        }
         assert!(matches!(
-            NodeFaultPlan::parse("", 3),
-            Err(NodeFaultError::Empty)
+            err("link-degrade:1-1,2,0,5"),
+            FaultSpecError::BadValue { key: "peer", .. }
         ));
         assert!(matches!(
-            NodeFaultPlan::parse("partition:|1,0,5", 3),
-            Err(NodeFaultError::EmptyPartitionSide { .. })
+            err("link-degrade:0-1,0.5,0,5"),
+            FaultSpecError::BadValue { key: "factor", .. }
         ));
         assert!(matches!(
-            NodeFaultPlan::parse("partition:1|1+2,0,5", 3),
-            Err(NodeFaultError::PartitionSidesOverlap { node: 1, .. })
+            err("node-crash:1,2; node-crash:1,5"),
+            FaultSpecError::Repeated {
+                target: "node",
+                id: 1,
+                ..
+            }
         ));
-        assert!(matches!(
-            NodeFaultPlan::parse("link-degrade:1-1,2,0,5", 3),
-            Err(NodeFaultError::SelfLink { node: 1, .. })
-        ));
-        assert!(matches!(
-            NodeFaultPlan::parse("link-degrade:0-1,0.5,0,5", 3),
-            Err(NodeFaultError::BadFactor { .. })
-        ));
-        assert!(matches!(
-            NodeFaultPlan::parse("node-crash:1,2; node-crash:1,5", 3),
-            Err(NodeFaultError::DuplicateCrash { node: 1 })
-        ));
-        assert!(matches!(
-            NodeFaultPlan::parse("node-crash:0,1; node-crash:1,1", 2),
-            Err(NodeFaultError::AllNodesCrash)
-        ));
-        assert!(matches!(
-            NodeFaultPlan::parse("meteor:1,2", 3),
-            Err(NodeFaultError::Syntax { .. })
-        ));
-        assert!(matches!(
-            NodeFaultPlan::parse("node-crash:1", 3),
-            Err(NodeFaultError::Syntax { .. })
-        ));
+        assert_eq!(
+            NodeFaultPlan::parse("node-crash:0,1; node-crash:1,1", 2).unwrap_err(),
+            FaultSpecError::NoSurvivor { target: "node" }
+        );
     }
 
     #[test]
@@ -1853,7 +1910,7 @@ mod node_tests {
             "partition:0|1,0,5",
             "link-degrade:0-1,2,0,5",
         ] {
-            let err = FaultPlan::parse(spec, 4).unwrap_err();
+            let err = FaultPlan::parse(spec, 4).unwrap_err().to_string();
             assert!(err.contains("--node-faults"), "{spec}: {err}");
         }
     }
@@ -1868,7 +1925,7 @@ mod node_tests {
 
     #[test]
     fn chaos_cluster_is_deterministic_and_always_valid() {
-        for seed in 0..24u64 {
+        for seed in 0..32u64 {
             let plan = NodeFaultPlan::chaos_cluster(seed, 5, 8);
             assert_eq!(plan, NodeFaultPlan::chaos_cluster(seed, 5, 8));
             plan.validate(5).unwrap();
@@ -1880,34 +1937,59 @@ mod node_tests {
     }
 
     #[test]
-    fn validate_catches_hand_built_violations() {
-        let plan = NodeFaultPlan::new(vec![NodeFault {
-            node: 9,
-            kind: NodeFaultKind::Crash { after_chunks: 1 },
-        }]);
-        assert!(matches!(
-            plan.validate(3),
-            Err(NodeFaultError::UnknownNode { node: 9, .. })
-        ));
-        let plan = NodeFaultPlan::new(vec![
-            NodeFault {
-                node: 1,
-                kind: NodeFaultKind::Partition {
-                    from_s: 0.0,
-                    to_s: 6.0,
-                },
+    fn parse_and_validate_agree_on_every_node_rule() {
+        // One malformed fault per rule of `NodeFaultPlan::validate`, as
+        // a spec and built by hand.
+        let crash = |node, after_chunks| NodeFault {
+            node,
+            kind: NodeFaultKind::Crash { after_chunks },
+        };
+        let cut = |node, from_s, to_s| NodeFault {
+            node,
+            kind: NodeFaultKind::Partition { from_s, to_s },
+        };
+        let link = |node, peer, factor, from_s, to_s| NodeFault {
+            node,
+            kind: NodeFaultKind::LinkDegrade {
+                peer,
+                factor,
+                from_s,
+                to_s,
             },
-            NodeFault {
-                node: 1,
-                kind: NodeFaultKind::Partition {
-                    from_s: 2.0,
-                    to_s: 3.0,
-                },
-            },
-        ]);
-        assert!(matches!(
-            plan.validate(3),
-            Err(NodeFaultError::OverlappingPartitions { node: 1, .. })
-        ));
+        };
+        let table = [
+            ("node-crash:4,2", 4, vec![crash(4, 2)]),
+            ("link-degrade:0-9,2,0,5", 4, vec![link(0, 9, 2.0, 0.0, 5.0)]),
+            (
+                "node-crash:1,2; node-crash:1,5",
+                3,
+                vec![crash(1, 2), crash(1, 5)],
+            ),
+            (
+                "node-crash:0,1; node-crash:1,1",
+                2,
+                vec![crash(0, 1), crash(1, 1)],
+            ),
+            ("link-degrade:1-1,2,0,5", 3, vec![link(1, 1, 2.0, 0.0, 5.0)]),
+            (
+                "link-degrade:0-1,0.5,0,5",
+                3,
+                vec![link(0, 1, 0.5, 0.0, 5.0)],
+            ),
+            ("partition:0|1,9,2", 3, vec![cut(1, 9.0, 2.0)]),
+            (
+                "partition:0|1,0,5; partition:0|1,4,8",
+                3,
+                vec![cut(1, 0.0, 5.0), cut(1, 4.0, 8.0)],
+            ),
+        ];
+        for (spec, n, faults) in table {
+            let parsed = NodeFaultPlan::parse(spec, n).unwrap_err();
+            let built = NodeFaultPlan::new(faults).validate(n).unwrap_err();
+            assert!(
+                super::tests::same_rule(&parsed, &built),
+                "{spec}: {parsed} vs {built}"
+            );
+        }
     }
 }

@@ -35,7 +35,7 @@ pub use calibrate::{
 };
 pub use cluster::{ClusterSim, PuId, PuKind, PuSpec, SimDevice};
 pub use fault::{
-    Fault, FaultAction, FaultKind, FaultPlan, NodeFault, NodeFaultError, NodeFaultKind,
+    Fault, FaultAction, FaultKind, FaultPlan, FaultSpecError, NodeFault, NodeFaultKind,
     NodeFaultPlan,
 };
 pub use noise::NoiseGen;

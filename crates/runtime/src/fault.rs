@@ -8,7 +8,7 @@
 //! documented in `docs/FAULT_TOLERANCE.md`.
 
 pub use plb_hetsim::fault::{
-    Fault, FaultAction, FaultKind, FaultPlan, NodeFault, NodeFaultError, NodeFaultKind,
+    Fault, FaultAction, FaultKind, FaultPlan, FaultSpecError, NodeFault, NodeFaultKind,
     NodeFaultPlan,
 };
 

@@ -86,7 +86,7 @@ pub use events::{
     TRACE_FORMAT_VERSION,
 };
 pub use fault::{
-    Fault, FaultAction, FaultKind, FaultPlan, FaultToleranceConfig, NodeFault, NodeFaultError,
+    Fault, FaultAction, FaultKind, FaultPlan, FaultSpecError, FaultToleranceConfig, NodeFault,
     NodeFaultKind, NodeFaultPlan,
 };
 pub use host::{HostEngine, HostNodeRunner, HostPerturbation, HostPu};
