@@ -4,11 +4,20 @@
 //! pieces and assigning each piece of input to any idle processing unit,
 //! without any priority assignment." Pieces are `initialBlockSize` items
 //! (the paper uses the same initial block size for every algorithm).
+//!
+//! StarPU's workers pull their next piece from their own queue the
+//! moment the last one ends, without waiting on a master. Greedy does
+//! the same wherever the runtime lets a unit hold a piece queued behind
+//! the one it runs (on a wall clock, one): at start it asks every unit
+//! for pieces until refused, and each completion refills the slot the
+//! unit's next piece just left. On a virtual clock a unit holds one
+//! piece, and this is plain first-idle dispatch.
 
 use crate::config::PolicyConfig;
 use plb_runtime::{Policy, SchedulerCtx, TaskInfo};
 
-/// Greedy first-idle dispatch of fixed-size pieces.
+/// Greedy first-idle dispatch of fixed-size pieces, one queued per
+/// unit where the runtime allows it.
 pub struct GreedyPolicy {
     block: u64,
 }
@@ -40,10 +49,7 @@ impl Policy for GreedyPolicy {
             .map(|p| p.id)
             .collect();
         for id in ids {
-            if ctx.remaining_items() == 0 {
-                break;
-            }
-            ctx.assign(id, self.block);
+            while ctx.remaining_items() > 0 && ctx.assign(id, self.block) > 0 {}
         }
     }
 

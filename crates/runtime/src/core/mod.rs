@@ -21,14 +21,25 @@
 //!
 //! Backends supply only mechanics: how an attempt is launched, how the
 //! next observation is surfaced, and what the clock means
-//! ([`ClockKind`]). The two clock semantics differ in exactly three
+//! ([`ClockKind`]). The two clock semantics differ in exactly four
 //! places, all conditioned explicitly here: virtual clocks know task
 //! start times at launch (so `task_start` is emitted at dispatch),
 //! wall clocks learn them at completion (so it is emitted
 //! retroactively); watchdog deadlines and probation timers are armed
-//! only under wall clocks (virtual time cannot be "late"); and
-//! scheduler overhead only delays virtual launches (wall time already
-//! passed).
+//! only under wall clocks (virtual time cannot be "late"); scheduler
+//! overhead only delays virtual launches (wall time already passed);
+//! and a unit on a wall clock accepts one block queued behind the one
+//! it runs, because there every dispatch pays a round trip through the
+//! driver, while on a virtual clock it pays nothing and a unit takes
+//! none ahead. The clock sets that capacity; nothing else does.
+//!
+//! A queued block is in the executor's hands but not yet running: it
+//! has no deadline until the attempt ahead of it ends with an outcome,
+//! when it becomes the attempt in flight (`promote`) and its deadline
+//! runs from that attempt's end. A unit lost without an outcome gives
+//! it back to the pool with the rest of what it held (`write_off`,
+//! `UnitDown`). There is still one attempt in flight, one deadline and
+//! one deciding claim word per unit.
 //!
 //! Who owns what: `handles` is what policies see
 //! ([`SchedulerCtx::pus`]); everything else the driver keeps about a
@@ -131,7 +142,8 @@ pub struct CoreOutcome {
     pub lost: Vec<bool>,
 }
 
-/// Engine-side record of one in-flight attempt.
+/// Engine-side record of one dispatched attempt: in flight, or queued
+/// behind the one that is.
 #[derive(Debug, Clone)]
 struct Pending {
     task: TaskId,
@@ -142,7 +154,10 @@ struct Pending {
     cost: u64,
     /// 0-based attempt number of this block (0 = first dispatch).
     attempt: u32,
-    /// Absolute watchdog deadline, when one applies (wall clocks only).
+    /// Delay before the attempt executes (retry backoff), seconds.
+    backoff_s: f64,
+    /// Absolute watchdog deadline, when one applies (wall clocks only,
+    /// from the moment the attempt runs).
     deadline_at: Option<f64>,
 }
 
@@ -155,9 +170,13 @@ struct Unit {
     /// gone. A unit still waiting for its join is `Active` here and
     /// unavailable in its handle. See [`crate::protocol::UnitGate`].
     gate: UnitGate,
-    /// The attempt in flight. Written only by `launch` and
+    /// The attempt in flight. Written only by `run` and
     /// `take_inflight`, which keep `busy` and `armed_timers` in step.
     inflight: Option<Pending>,
+    /// The block queued behind it (wall clocks only), without a
+    /// deadline until `promote` makes it the attempt in flight. `Some`
+    /// only while `inflight` is.
+    queued: Option<Pending>,
     /// Dispatch counter (including retries) — the fault plan's attempt
     /// index.
     attempts: u64,
@@ -184,6 +203,25 @@ impl Unit {
         *armed_timers -= usize::from(self.quarantined_until.is_some());
         *armed_timers += usize::from(until.is_some());
         self.quarantined_until = until;
+    }
+
+    /// Make `pend` the attempt in flight, keeping the driver's counts of
+    /// busy units and armed timers in step.
+    fn run(&mut self, pend: Pending, busy: &mut usize, armed_timers: &mut usize) {
+        debug_assert!(self.inflight.is_none(), "launching onto a busy unit");
+        *busy += 1;
+        *armed_timers += usize::from(pend.deadline_at.is_some());
+        self.inflight = Some(pend);
+    }
+
+    /// The watchdog deadline of `pend` if it starts running at `from`:
+    /// its backoff plus what `ft` allows for its weight at the unit's
+    /// rate. Rates (hinted and observed) are seconds per cost unit, so
+    /// the watchdog prices the block by its weight, not its length.
+    fn deadline_from(&self, ft: &FaultToleranceConfig, pend: &Pending, from: f64) -> Option<f64> {
+        let rate = self.deadline_hint.or(self.rate_ewma);
+        ft.deadline_for(rate, pend.cost)
+            .map(|d| from + pend.backoff_s + d)
     }
 
     /// Fold an observed per-cost-unit rate into the EWMA estimate
@@ -456,7 +494,7 @@ impl<'b> Driver<'b> {
     }
 
     /// Clear and return the attempt in flight on `pu`, if any, with the
-    /// unit it ran on.
+    /// unit it ran on. A block queued behind it stays queued.
     fn take_inflight(&mut self, pu: usize) -> Option<(&mut Unit, Pending)> {
         let unit = self.units.get_mut(pu)?;
         let pend = unit.inflight.take()?;
@@ -474,11 +512,41 @@ impl<'b> Driver<'b> {
         current.then(|| self.take_inflight(pu)).flatten()
     }
 
-    /// `(busy, armed_timers)` counted from scratch: what the two
-    /// counters must equal at every turn of the loop.
-    fn recount(&self) -> (usize, usize) {
+    /// The attempt in flight on `pu` ended with an outcome at `ended`,
+    /// and its executor has already taken the block queued behind it:
+    /// that block is now the attempt in flight, and its deadline runs
+    /// from `ended`.
+    fn promote(&mut self, pu: usize, ended: f64) {
+        let Some(unit) = self.units.get_mut(pu) else {
+            return;
+        };
+        let Some(mut next) = unit.queued.take() else {
+            return;
+        };
+        next.deadline_at = unit.deadline_from(&self.cfg.ft, &next, ended);
+        unit.run(next, &mut self.busy, &mut self.armed_timers);
+    }
+
+    /// Give back everything `pu` holds — the attempt in flight, then the
+    /// block queued behind it — each with one `task_failed`: what a unit
+    /// lost without an outcome does to its blocks. The policy hears of
+    /// the unit, not of the tasks.
+    fn abandon_held(&mut self, pu: usize) {
+        let running = self.take_inflight(pu).map(|(_, pend)| pend);
+        let queued = self.units.get_mut(pu).and_then(|u| u.queued.take());
+        for pend in running.into_iter().chain(queued) {
+            let _ = self.abandon(pu, pend, FailureReason::WorkerLost);
+        }
+    }
+
+    /// `(busy, armed_timers, no block queued on an idle unit)` counted
+    /// from scratch: what the two counters, and `true`, must be at every
+    /// turn of the loop.
+    fn recount(&self) -> (usize, usize, bool) {
         let busy = self.units.iter().filter(|u| u.inflight.is_some()).count();
-        (busy, self.units.iter().flat_map(Unit::timers).count())
+        let timers = self.units.iter().flat_map(Unit::timers).count();
+        let behind = (self.units.iter()).all(|u| u.queued.is_none() || u.inflight.is_some());
+        (busy, timers, behind)
     }
 
     /// The earliest armed watchdog deadline or probation expiry. Looks
@@ -491,9 +559,11 @@ impl<'b> Driver<'b> {
         earliest.filter(|t| t.is_finite())
     }
 
-    /// The body of both `assign` flavours: if `pu` is free, claim a
+    /// The body of both `assign` flavours: if `pu` has room, claim a
     /// range through `claim`, submit it as a new task and launch it;
-    /// returns the claimed cost (0 when nothing was assigned).
+    /// returns the claimed cost (0 when nothing was assigned). A unit
+    /// has room while nothing runs on it; on a wall clock also for one
+    /// block queued behind the one that does.
     fn claim_and_launch(
         &mut self,
         pu: PuId,
@@ -503,8 +573,10 @@ impl<'b> Driver<'b> {
         if budget_cost == 0 || self.pool.remaining() == 0 {
             return 0;
         }
+        let ahead = self.backend.clock_kind() == ClockKind::Wall;
+        let room = |u: &Unit| u.inflight.is_none() || (ahead && u.queued.is_none());
         let unit_free = self.handles.get(pu.0).is_some_and(|h| h.available)
-            && self.units.get(pu.0).is_some_and(|u| u.inflight.is_none())
+            && self.units.get(pu.0).is_some_and(room)
             && self.backend.unit_ready(pu.0);
         if !unit_free {
             return 0;
@@ -535,11 +607,12 @@ impl<'b> Driver<'b> {
             items: got,
             cost,
             attempt: 0,
+            backoff_s: 0.0,
             deadline_at: None,
         };
         // An executor that died out from under us took nothing: the
         // loop delivers the policy's notification once this hook ends.
-        if self.launch(pu.0, first, 0.0) {
+        if self.launch(pu.0, first) {
             cost
         } else {
             0
@@ -547,11 +620,12 @@ impl<'b> Driver<'b> {
     }
 
     /// Launch the attempt `pend` (its deadline not yet set): resolve
-    /// the fault plan, arm the watchdog deadline (wall clocks), hand the
-    /// spec to the backend and record the in-flight entry. Returns
-    /// `false` when the unit's executor is gone: the block is back in
-    /// the pool and the unit written off.
-    fn launch(&mut self, pu: usize, mut pend: Pending, backoff_s: f64) -> bool {
+    /// the fault plan, hand the spec to the backend and record it — as
+    /// the attempt in flight, with its watchdog deadline armed (wall
+    /// clocks), or queued behind the one running. Returns `false` when
+    /// the unit's executor is gone: the block is back in the pool and
+    /// the unit written off.
+    fn launch(&mut self, pu: usize, mut pend: Pending) -> bool {
         let Some(unit) = self.units.get_mut(pu) else {
             return false;
         };
@@ -569,12 +643,10 @@ impl<'b> Driver<'b> {
             self.events
                 .record(now, Some(pu), EventKind::DriftApplied { factor: drift });
         }
-        if self.backend.clock_kind() == ClockKind::Wall {
-            // Rates (hinted and observed) are seconds per cost unit, so
-            // the watchdog prices the block by its weight, not length.
-            let rate = unit.deadline_hint.or(unit.rate_ewma);
-            let deadline = self.cfg.ft.deadline_for(rate, pend.cost);
-            pend.deadline_at = deadline.map(|d| now + backoff_s + d);
+        // A block behind a running one gets its deadline when promoted.
+        let behind = unit.inflight.is_some();
+        if self.backend.clock_kind() == ClockKind::Wall && !behind {
+            pend.deadline_at = unit.deadline_from(&self.cfg.ft, &pend, now);
         }
         match self.backend.launch(&LaunchSpec {
             pu,
@@ -582,7 +654,7 @@ impl<'b> Driver<'b> {
             offset: pend.offset,
             items: pend.items,
             attempt: pend.attempt,
-            backoff_s,
+            backoff_s: pend.backoff_s,
             inject,
             drift,
         }) {
@@ -597,10 +669,12 @@ impl<'b> Driver<'b> {
                     };
                     self.events.record(s, Some(pu), kind);
                 }
-                debug_assert!(unit.inflight.is_none(), "launching onto a busy unit");
-                self.busy += 1;
-                self.armed_timers += usize::from(pend.deadline_at.is_some());
-                unit.inflight = Some(pend);
+                if behind {
+                    debug_assert!(unit.queued.is_none(), "queueing onto a full unit");
+                    unit.queued = Some(pend);
+                } else {
+                    unit.run(pend, &mut self.busy, &mut self.armed_timers);
+                }
                 true
             }
             Launch::UnitGone => {
@@ -644,12 +718,15 @@ impl<'b> Driver<'b> {
     /// gate arbitrates against loss: a written-off unit stays gone (no
     /// event, no callback), because its executor is. A restore of a
     /// unit that never failed still fires, matching the perturbation's
-    /// contract; a join of a unit that is already up does not.
+    /// contract; a join admits only a latent unit — active at the gate,
+    /// unavailable in its handle — so one that is already up, or
+    /// quarantined and serving its probation, stays as it is.
     fn bring_back(&mut self, policy: &mut dyn Policy, pu: usize, why: Up) {
         let (Some(handle), Some(unit)) = (self.handles.get_mut(pu), self.units.get_mut(pu)) else {
             return;
         };
-        if unit.gate.is_lost() || (handle.available && matches!(why, Up::Joined { .. })) {
+        let latent = unit.gate.is_active() && !handle.available;
+        if unit.gate.is_lost() || (matches!(why, Up::Joined { .. }) && !latent) {
             return;
         }
         let _ = unit.gate.try_restore();
@@ -677,7 +754,9 @@ impl<'b> Driver<'b> {
     /// Permanently remove a unit whose executor is gone or wedged. The
     /// gate's swap makes loss idempotent and absorbing: exactly one
     /// caller performs the teardown (and gets `true`), and a pending
-    /// probation restore can no longer succeed.
+    /// probation restore can no longer succeed. What the unit still
+    /// holds goes back to the pool; the backend revokes a queued block,
+    /// and if the executor started it anyway its report is stale.
     fn write_off(&mut self, pu: usize) -> bool {
         let (Some(handle), Some(unit)) = (self.handles.get_mut(pu), self.units.get_mut(pu)) else {
             return false;
@@ -687,6 +766,7 @@ impl<'b> Driver<'b> {
         }
         handle.available = false;
         unit.set_probation(None, &mut self.armed_timers);
+        self.abandon_held(pu);
         self.backend.forget_unit(pu);
         true
     }
@@ -861,8 +941,10 @@ impl<'b> Driver<'b> {
     /// The fault-response state machine for one failed attempt:
     /// quarantine after `quarantine_after` consecutive failures, else
     /// bounded in-place retry with exponential backoff, else re-credit
-    /// the block to the pool. `Err` when the failure killed the run
-    /// (every unit gone).
+    /// the block to the pool. A block queued behind the failed one is
+    /// promoted first; a retry queues behind it, and a quarantine leaves
+    /// it running. `Err` when the failure killed the run (every unit
+    /// gone).
     fn handle_failure(
         &mut self,
         policy: &mut dyn Policy,
@@ -870,23 +952,28 @@ impl<'b> Driver<'b> {
         task: TaskId,
         reason: FailureReason,
     ) -> Result<(), RunError> {
+        let now = self.backend.now();
         let Some((unit, pend)) = self.take_if_current(pu, task) else {
             return Ok(());
         };
         unit.consec_failures += 1;
         let failures = unit.consec_failures;
-        let quarantine = failures >= self.cfg.ft.quarantine_after;
-        if !quarantine && pend.attempt < self.cfg.ft.max_retries {
+        // A block promoted past a quarantine that now fails too: the
+        // unit is down already, so the block just goes back.
+        let up = unit.gate.is_active();
+        self.promote(pu, now);
+        let quarantine = up && failures >= self.cfg.ft.quarantine_after;
+        if up && !quarantine && pend.attempt < self.cfg.ft.max_retries {
             // Bounded in-place retry with exponential backoff; the
             // fault plan sees a fresh per-unit attempt index.
             self.note_failed(pu, &pend, reason);
+            let attempt = pend.attempt + 1;
             let retry = Pending {
-                attempt: pend.attempt + 1,
+                attempt,
+                backoff_s: self.cfg.ft.backoff_for(attempt),
                 deadline_at: None,
                 ..pend
             };
-            let backoff_s = self.cfg.ft.backoff_for(retry.attempt);
-            let now = self.backend.now();
             self.events.record(
                 now,
                 Some(pu),
@@ -894,10 +981,10 @@ impl<'b> Driver<'b> {
                     task: retry.task.0,
                     items: retry.items,
                     attempt: retry.attempt,
-                    backoff_s,
+                    backoff_s: retry.backoff_s,
                 },
             );
-            if !self.launch(pu, retry, backoff_s) {
+            if !self.launch(pu, retry) {
                 self.notify_lost(policy);
             }
             return Ok(());
@@ -952,9 +1039,10 @@ impl<'b> Driver<'b> {
     fn run_loop(&mut self, policy: &mut dyn Policy) -> Result<(), RunError> {
         loop {
             debug_assert_eq!(
-                (self.busy, self.armed_timers),
+                (self.busy, self.armed_timers, true),
                 self.recount(),
-                "busy / armed-timer counts drifted from the units' inflight / quarantined_until"
+                "busy / armed-timer counts drifted from the units' inflight / quarantined_until, \
+                 or a block is queued on an idle unit"
             );
             if self.try_finish() {
                 return Ok(());
@@ -1006,6 +1094,7 @@ impl<'b> Driver<'b> {
                 };
                 unit.consec_failures = 0;
                 unit.observe_rate(proc_s, pend.cost);
+                self.promote(pu, finish);
                 self.completed.push((pend.offset, pend.items));
                 self.tasks_done += 1;
                 self.trace
@@ -1051,13 +1140,11 @@ impl<'b> Driver<'b> {
             }
             Polled::UnitDown { pu } => {
                 // Backend-external loss (a simulated machine failure):
-                // the in-flight block is cancelled and its items are
+                // the unit's blocks are cancelled and their items are
                 // re-credited; the policy hears of the unit, not of the
-                // task.
+                // tasks.
                 if self.take_down(pu, false) {
-                    if let Some((_, pend)) = self.take_inflight(pu) {
-                        let _ = self.abandon(pu, pend, FailureReason::WorkerLost);
-                    }
+                    self.abandon_held(pu);
                     self.announce_down(pu);
                     self.notify_lost(policy);
                     self.all_dead_stall()?;
@@ -1068,7 +1155,8 @@ impl<'b> Driver<'b> {
             Polled::Timeout => {
                 // Declare units with blown deadlines lost. Their
                 // executors may be wedged mid-kernel; the lost block
-                // re-runs on a survivor (idempotent codelets). The
+                // re-runs on a survivor (idempotent codelets), and so
+                // does a block queued behind it (`write_off`). The
                 // watchdog must win the attempt's claim word first: if
                 // the real outcome beat the deadline and is already
                 // queued, the claim fails and the unit is left alone.
@@ -1188,6 +1276,7 @@ mod tests {
     use crate::fault::{Fault, FaultAction, FaultKind};
     use crate::task::{FailureReason, TaskFailure, TaskInfo};
     use plb_hetsim::PuKind;
+    use std::collections::VecDeque;
 
     /// What the mock's queue holds.
     enum Ev {
@@ -1207,16 +1296,20 @@ mod tests {
     }
 
     /// A backend of either clock kind whose time moves only in `poll`: an
-    /// attempt on unit `i` takes `task_s[i]` seconds, and a poll whose
-    /// wake time comes before the next outcome sleeps until then.
+    /// attempt on unit `i` takes `task_s[i]` seconds (one queued behind
+    /// another starts when that one ends), and a poll whose wake time
+    /// comes before the next outcome sleeps until then.
     struct MockBackend {
         clock: ClockKind,
         task_s: Vec<f64>,
         queue: EventQueue<Ev>,
-        /// The attempt each unit still owes an outcome for: cleared when
-        /// the outcome surfaces, the watchdog claims it or the unit is
-        /// forgotten. A `Done` of any other attempt is stale.
-        owed: Vec<Option<TaskId>>,
+        /// The attempts each unit still owes an outcome for, oldest
+        /// first: the front leaves when its outcome surfaces or the
+        /// watchdog claims it, all of them when the unit is forgotten. A
+        /// `Done` of any other attempt is stale.
+        owed: Vec<VecDeque<TaskId>>,
+        /// When the last attempt launched on each unit ends.
+        free_at: Vec<f64>,
         /// Launches each unit's executor still accepts; at 0 it is gone.
         launches_left: Vec<u64>,
         /// The `wake` of every poll.
@@ -1231,7 +1324,8 @@ mod tests {
                 clock,
                 task_s: task_s.to_vec(),
                 queue: EventQueue::new(),
-                owed: vec![None; task_s.len()],
+                owed: vec![VecDeque::new(); task_s.len()],
+                free_at: vec![0.0; task_s.len()],
                 launches_left: vec![u64::MAX; task_s.len()],
                 wakes: Vec::new(),
                 hooks: Vec::new(),
@@ -1253,7 +1347,7 @@ mod tests {
         /// When `ev` surfaces as an observation, if it still will.
         fn live(&self, ev: &Ev) -> Option<f64> {
             match ev {
-                Ev::Done { at, pu, task, .. } => (self.owed[*pu] == Some(*task)).then_some(*at),
+                Ev::Done { at, pu, task, .. } => self.owed[*pu].contains(task).then_some(*at),
                 Ev::External { at, .. } => Some(*at),
                 Ev::Tick => None,
             }
@@ -1274,8 +1368,13 @@ mod tests {
                 return Launch::UnitGone;
             }
             self.launches_left[spec.pu] -= 1;
-            let start = self.queue.start_of(spec);
+            let start = if self.owed[spec.pu].is_empty() {
+                self.queue.start_of(spec)
+            } else {
+                self.free_at[spec.pu] + spec.backoff_s
+            };
             let at = start + self.task_s[spec.pu];
+            self.free_at[spec.pu] = at;
             self.queue.push(
                 at,
                 Ev::Done {
@@ -1286,7 +1385,7 @@ mod tests {
                     doomed: matches!(spec.inject, Some(FaultAction::Panic)),
                 },
             );
-            self.owed[spec.pu] = Some(spec.task);
+            self.owed[spec.pu].push_back(spec.task);
             Launch::Started {
                 start: (self.clock == ClockKind::Virtual).then_some(start),
             }
@@ -1314,10 +1413,10 @@ mod tests {
                         doomed,
                         ..
                     }) => {
-                        if self.owed[pu] != Some(task) {
+                        if self.owed[pu].front() != Some(&task) {
                             continue;
                         }
-                        self.owed[pu] = None;
+                        self.owed[pu].pop_front();
                         if doomed {
                             return Polled::AttemptFailed {
                                 pu,
@@ -1342,7 +1441,7 @@ mod tests {
         }
 
         fn try_claim_timeout(&mut self, pu: usize) -> bool {
-            self.owed[pu].take().is_some()
+            self.owed[pu].pop_front().is_some()
         }
 
         fn on_unit_quarantined(&mut self, pu: usize) {
@@ -1356,7 +1455,7 @@ mod tests {
         fn forget_unit(&mut self, pu: usize) {
             self.hooks.push(format!("forgot {pu}"));
             self.launches_left[pu] = 0;
-            self.owed[pu] = None;
+            self.owed[pu].clear();
         }
 
         fn idle_progress_possible(&self) -> bool {
@@ -1938,7 +2037,9 @@ mod tests {
     // -----------------------------------------------------------------
     // Transitions: the state of a unit x what happens to it -> where it
     // ends up and who hears of it. Unit 0 stands by, idle and healthy;
-    // unit 1 is the subject, and no callback assigns anything.
+    // unit 1 is the subject, and no callback assigns anything. Every
+    // row also checks that each item is in the pool or held by a unit,
+    // once.
 
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum State {
@@ -1950,6 +2051,10 @@ mod tests {
         Lost,
         /// Waiting for its join, due after five tasks.
         Latent,
+        /// Up, with a block in flight as in `Active` and a second one
+        /// queued behind it — unless its executor is about to be found
+        /// gone, when the launch of that second block finds it.
+        Ahead,
     }
 
     #[derive(Debug, Clone, Copy, PartialEq)]
@@ -1979,7 +2084,7 @@ mod tests {
     fn after(gate: State, timers: usize, events: &str, calls: &str, hooks: &str) -> After {
         After {
             gate,
-            available: gate == State::Active,
+            available: matches!(gate, State::Active | State::Ahead),
             timers,
             events: events.into(),
             calls: calls.into(),
@@ -1988,7 +2093,11 @@ mod tests {
     }
 
     fn transition(state: State, cause: Cause) -> After {
-        let executor = if cause == Cause::ExecutorGone { 0 } else { 9 };
+        let executor = match (state, cause) {
+            (State::Ahead, Cause::ExecutorGone) => 1,
+            (_, Cause::ExecutorGone) => 0,
+            _ => 9,
+        };
         let mut backend =
             MockBackend::new(ClockKind::Wall, &[0.3, 50.0]).executor_lasts(1, executor);
         let mut policy = Pump::new(0, &[1e-3, 1e-3]);
@@ -2013,10 +2122,21 @@ mod tests {
             State::Active | State::Latent => {}
             State::Quarantined => assert!(d.take_down(1, true)),
             State::Lost => assert!(d.write_off(1)),
+            State::Ahead => {
+                assert_eq!(d.assign(PuId(1), 100), 100);
+                if cause != Cause::ExecutorGone {
+                    assert_eq!(d.assign(PuId(1), 100), 100);
+                    assert_eq!(d.assign(PuId(1), 100), 0, "one block ahead, no more");
+                }
+            }
         }
         let (seen, called) = (d.events.len(), policy.calls.len());
         let hooked = usize::from(matches!(state, State::Quarantined | State::Lost));
-        assert_eq!((d.busy, d.armed_timers), d.recount(), "{state:?} set up");
+        assert_eq!(
+            (d.busy, d.armed_timers, true),
+            d.recount(),
+            "{state:?} set up"
+        );
 
         // The mock's clock moves in `poll` only.
         let sleep_until = |d: &mut Driver, t: f64| {
@@ -2058,13 +2178,20 @@ mod tests {
         };
         assert_eq!(verdict, Ok(()), "unit 0 keeps the run alive");
         assert_eq!(
-            (d.busy, d.armed_timers),
+            (d.busy, d.armed_timers, true),
             d.recount(),
             "{state:?} x {cause:?}"
+        );
+        let held = (d.units.iter()).flat_map(|u| u.inflight.iter().chain(&u.queued));
+        assert_eq!(
+            d.pool.remaining() + held.map(|p| p.items).sum::<u64>(),
+            1_000,
+            "{state:?} x {cause:?}: an item lost or held twice"
         );
         let unit = &d.units[1];
         let gate = match (unit.gate.is_active(), unit.gate.is_lost()) {
             (true, _) if !d.handles[1].available => State::Latent,
+            (true, _) if unit.queued.is_some() => State::Ahead,
             (true, _) => State::Active,
             (_, true) => State::Lost,
             _ => State::Quarantined,
@@ -2093,7 +2220,7 @@ mod tests {
         use Cause::*;
         use State::*;
         let unchanged = |state: State| {
-            let timers = usize::from(matches!(state, Active | Quarantined));
+            let timers = usize::from(matches!(state, Active | Quarantined | Ahead));
             after(state, timers, "", "", "")
         };
         let down_again =
@@ -2148,10 +2275,9 @@ mod tests {
                 (Quarantined, ExternalRestore),
                 after(Active, 0, "device_restored", "restored 1", ""),
             ),
-            (
-                (Quarantined, JoinDue),
-                after(Active, 0, "pu_joined", "joined 1", "joined 1"),
-            ),
+            // A join admits only a latent unit: this one serves out its
+            // probation.
+            ((Quarantined, JoinDue), unchanged(Quarantined)),
             ((Quarantined, BlownDeadline), unchanged(Quarantined)),
             ((Quarantined, ExecutorGone), unchanged(Quarantined)),
             // Lost is absorbing: no restore, no join.
@@ -2176,10 +2302,102 @@ mod tests {
             ),
             ((Latent, BlownDeadline), unchanged(Latent)),
             ((Latent, ExecutorGone), unchanged(Latent)),
+            // Ahead: a block in flight with its 1 s deadline, a second
+            // queued behind it with none. A failure at the bar promotes
+            // the queued block, whose deadline joins the probation; a
+            // loss without an outcome re-credits it with a
+            // `task_failed` of its own.
+            (
+                (Ahead, FailureAtTheBar),
+                after(
+                    Quarantined,
+                    2,
+                    "task_failed pu_quarantined device_failed",
+                    "lost 1, failed 1 panic",
+                    "quarantined 1",
+                ),
+            ),
+            (
+                (Ahead, ExternalDown),
+                after(
+                    Quarantined,
+                    0,
+                    "task_failed task_failed device_failed",
+                    "lost 1",
+                    "",
+                ),
+            ),
+            ((Ahead, ProbationExpiry), unchanged(Ahead)),
+            (
+                (Ahead, ExternalRestore),
+                after(Ahead, 1, "device_restored", "restored 1", ""),
+            ),
+            ((Ahead, JoinDue), unchanged(Ahead)),
+            (
+                (Ahead, BlownDeadline),
+                after(
+                    Lost,
+                    0,
+                    "task_failed task_failed device_failed",
+                    "lost 1, failed 1 deadline",
+                    "forgot 1",
+                ),
+            ),
+            // The block about to queue goes back unlaunched, as on an
+            // idle unit; the one running, which no executor will report,
+            // goes back with a `task_failed`.
+            (
+                (Ahead, ExecutorGone),
+                after(
+                    Lost,
+                    0,
+                    "task_submit task_failed device_failed",
+                    "lost 1",
+                    "forgot 1",
+                ),
+            ),
         ];
-        assert_eq!(table.len(), 4 * 7);
+        assert_eq!(table.len(), 5 * 7);
         for ((state, cause), expected) in table {
             assert_eq!(transition(state, cause), expected, "{state:?} x {cause:?}");
         }
+    }
+
+    #[test]
+    fn a_completion_promotes_the_queued_block_and_arms_it_from_the_finish() {
+        let mut backend = MockBackend::new(ClockKind::Wall, &[0.3, 50.0]);
+        let mut policy = Pump::new(0, &[1e-3, 1e-3]);
+        let ft = FaultToleranceConfig::default();
+        let allowed = ft.deadline_for(Some(1e-3), 100).expect("armed");
+        let cfg = RunConfig {
+            ft,
+            ..Default::default()
+        };
+        let pool = WorkPool::new(1_000);
+        let mut d = Driver::new(&mut backend, handles(2), &mut policy, pool, cfg).expect("fresh");
+        policy.on_start(&mut d);
+        assert_eq!(d.assign(PuId(1), 100), 100);
+        assert_eq!(d.assign(PuId(1), 100), 100);
+        let running = |d: &Driver| (d.units[1].inflight.as_ref()).map(|p| (p.task, p.deadline_at));
+        let queued = |d: &Driver| (d.units[1].queued.as_ref()).map(|p| (p.task, p.deadline_at));
+        assert_eq!(running(&d), Some((TaskId(0), Some(allowed))));
+        assert_eq!(queued(&d), Some((TaskId(1), None)));
+
+        // The first block ended at 0.4 s; the driver hears of it later.
+        let done = Polled::Completed {
+            pu: 1,
+            task: TaskId(0),
+            start: 0.0,
+            xfer_s: 0.0,
+            proc_s: 0.4,
+            finish: 0.4,
+        };
+        d.observe(&mut policy, done).expect("run goes on");
+        assert_eq!(running(&d), Some((TaskId(1), Some(0.4 + allowed))));
+        assert_eq!(queued(&d), None);
+        assert_eq!((d.busy, d.armed_timers, true), d.recount());
+        // The slot is free again: the next block queues behind.
+        assert_eq!(d.assign(PuId(1), 100), 100);
+        assert_eq!(queued(&d), Some((TaskId(2), None)));
     }
 }

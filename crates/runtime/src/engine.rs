@@ -3,9 +3,10 @@
 //! Executes a data-parallel application of `total_items` work units on a
 //! [`ClusterSim`] under a scheduling [`Policy`]. Virtual time advances
 //! through a binary-heap event queue; each task occupies its unit for
-//! `transfer_time + proc_time` as measured by the device models. The
-//! engine enforces StarPU's worker discipline: one in-flight task per
-//! processing unit.
+//! `transfer_time + proc_time` as measured by the device models. A unit
+//! holds one task at a time: its clock is virtual, so a dispatch costs
+//! it nothing and the core queues no block behind a running one (the
+//! wall-clock host engine takes one ahead; see [`crate::core`]).
 //!
 //! All scheduling decisions — assignment bookkeeping, retry, quarantine,
 //! re-credit, stall detection, event emission — live in the shared

@@ -15,6 +15,12 @@
 //! completion channel back, and the loom-checked attempt claim words
 //! that arbitrate worker results against the core's watchdog.
 //!
+//! A unit runs one block at a time and holds at most one more queued
+//! behind it in its channel: a worker that finishes a block starts the
+//! next one itself, while the driver is still taking in the report, the
+//! way StarPU's workers pull from their own queues. The backend keeps
+//! the claim words of both, oldest first.
+//!
 //! # Fault tolerance
 //!
 //! The host path realizes the core's failure semantics on real threads
@@ -23,8 +29,9 @@
 //! * **Panic isolation** — each kernel invocation runs under
 //!   [`std::panic::catch_unwind`], so a panicking codelet marks its task
 //!   failed instead of poisoning the worker; the unit stays usable.
-//! * **Deadlines** — every dispatched task gets a watchdog deadline of
-//!   `deadline_factor × E_p(x)`, where `E_p(x)` is the policy's
+//! * **Deadlines** — every running task gets a watchdog deadline of
+//!   `deadline_factor × E_p(x)` (a queued block from the moment the
+//!   block ahead of it ends), where `E_p(x)` is the policy's
 //!   model-predicted block time (via
 //!   [`crate::policy::SchedulerCtx::set_deadline_hint`]) or, absent a
 //!   hint, the core's
@@ -68,6 +75,7 @@ use crate::task::{FailureReason, TaskId};
 use crate::trace::Trace;
 use crate::weights::Weights;
 use plb_hetsim::{PuId, PuKind};
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
@@ -121,9 +129,10 @@ struct Assignment {
     /// load would be.
     drift: f64,
     /// The attempt's claim word, shared with the core's watchdog: the
-    /// worker must win it (`try_complete` / `try_fail`) before
-    /// reporting, so a deadline-claimed attempt reports nothing. See
-    /// [`crate::protocol::AttemptSlot`].
+    /// worker must start it (`try_start`) before executing, and win it
+    /// (`try_complete` / `try_fail`) before reporting, so a revoked
+    /// block never runs and a deadline-claimed attempt reports nothing.
+    /// See [`crate::protocol::AttemptSlot`].
     slot: Arc<AttemptSlot>,
 }
 
@@ -141,21 +150,24 @@ enum WorkerMsg {
 }
 
 /// The wall-clock backend: worker channels out, a completion channel
-/// back, and the current attempt's claim word per unit. Mechanics only —
-/// every decision is the scheduling core's.
+/// back, and the claim words of the attempts each unit holds. Mechanics
+/// only — every decision is the scheduling core's.
 struct HostBackend {
     units: Vec<HostUnit>,
     done_rx: Receiver<WorkerMsg>,
     epoch: Instant,
 }
 
-/// What the backend keeps per unit; both `None` once the core forgot it.
+/// What the backend keeps per unit; no sender and no claim word once
+/// the core forgot it.
 struct HostUnit {
     /// The channel into the unit's worker thread.
     sender: Option<Sender<Assignment>>,
-    /// The in-flight attempt's claim word, shared with the worker; the
-    /// core's watchdog arbitrates through it.
-    slot: Option<Arc<AttemptSlot>>,
+    /// The claim words of the attempts handed to the worker and not yet
+    /// reported, in dispatch order: the one the core has in flight
+    /// first, the one queued behind it second. The worker reports in
+    /// the same order, so each report retires the front.
+    slots: VecDeque<Arc<AttemptSlot>>,
 }
 
 impl Backend for HostBackend {
@@ -175,7 +187,7 @@ impl Backend for HostBackend {
         let Some(unit) = self.units.get_mut(spec.pu) else {
             return Launch::UnitGone;
         };
-        let slot = Arc::new(AttemptSlot::new());
+        let slot = Arc::new(AttemptSlot::queued());
         let sent = match unit.sender.as_ref() {
             Some(tx) => tx
                 .send(Assignment {
@@ -198,7 +210,7 @@ impl Backend for HostBackend {
         if !sent {
             return Launch::UnitGone;
         }
-        unit.slot = Some(slot);
+        unit.slots.push_back(slot);
         // Real start time is only known when the completion reports it.
         Launch::Started { start: None }
     }
@@ -208,36 +220,56 @@ impl Backend for HostBackend {
             Some(w) => (w - self.now()).max(0.0).min(60.0),
             None => 60.0,
         };
-        match self.done_rx.recv_timeout(Duration::from_secs_f64(timeout)) {
-            Ok(WorkerMsg::Done(c)) => Polled::Completed {
-                pu: c.pu.0,
-                task: c.task,
-                start: c.started_at,
-                xfer_s: 0.0,
-                proc_s: c.proc_time,
-                finish: c.started_at + c.proc_time,
-            },
-            Ok(WorkerMsg::Failed { pu, task }) => Polled::AttemptFailed {
-                pu: pu.0,
-                task,
-                reason: FailureReason::Panicked,
-            },
-            Err(RecvTimeoutError::Timeout) => Polled::Timeout,
-            Err(RecvTimeoutError::Disconnected) => Polled::Infrastructure {
-                detail: "all worker threads exited while tasks were in flight".into(),
-            },
+        let (pu, polled) = match self.done_rx.recv_timeout(Duration::from_secs_f64(timeout)) {
+            Ok(WorkerMsg::Done(c)) => (
+                c.pu.0,
+                Polled::Completed {
+                    pu: c.pu.0,
+                    task: c.task,
+                    start: c.started_at,
+                    xfer_s: 0.0,
+                    proc_s: c.proc_time,
+                    finish: c.started_at + c.proc_time,
+                },
+            ),
+            Ok(WorkerMsg::Failed { pu, task }) => (
+                pu.0,
+                Polled::AttemptFailed {
+                    pu: pu.0,
+                    task,
+                    reason: FailureReason::Panicked,
+                },
+            ),
+            Err(RecvTimeoutError::Timeout) => return Polled::Timeout,
+            Err(RecvTimeoutError::Disconnected) => {
+                return Polled::Infrastructure {
+                    detail: "all worker threads exited while tasks were in flight".into(),
+                }
+            }
+        };
+        // A forgotten unit holds no claim word, so its stale reports
+        // retire nothing.
+        if let Some(unit) = self.units.get_mut(pu) {
+            unit.slots.pop_front();
         }
+        polled
     }
 
     fn try_claim_timeout(&mut self, pu: usize) -> bool {
-        let slot = self.units.get(pu).and_then(|u| u.slot.as_ref());
+        let slot = self.units.get(pu).and_then(|u| u.slots.front());
         slot.is_some_and(|s| s.try_timeout())
     }
 
     fn forget_unit(&mut self, pu: usize) {
         if let Some(unit) = self.units.get_mut(pu) {
             unit.sender = None;
-            unit.slot = None;
+            // Dropping the sender does not take back a block already in
+            // the channel: revoke it, so the worker skips it. One the
+            // worker started anyway reports late, and the core drops
+            // that report as stale.
+            for slot in unit.slots.drain(..) {
+                slot.try_revoke();
+            }
         }
     }
 }
@@ -400,6 +432,11 @@ impl HostEngine {
                         if a.backoff_s > 0.0 && a.backoff_s.is_finite() {
                             std::thread::sleep(Duration::from_secs_f64(a.backoff_s));
                         }
+                        // A block the core revoked (its unit written
+                        // off) or timed out before it began never runs.
+                        if !a.slot.try_start() {
+                            continue;
+                        }
                         let started_at = epoch.elapsed().as_secs_f64();
                         let repeat = repeat_for(&perturbations, i, attempts_run);
                         let t0 = Instant::now();
@@ -500,7 +537,7 @@ impl HostEngine {
             .collect();
         let unit = |tx| HostUnit {
             sender: Some(tx),
-            slot: None,
+            slots: VecDeque::with_capacity(2),
         };
         let mut backend = HostBackend {
             units: senders.into_iter().map(unit).collect(),

@@ -60,10 +60,21 @@ pub trait SchedulerCtx {
     /// engine converts the budget to a contiguous item range via the
     /// workload's [`crate::Weights`] (under uniform weights the budget
     /// IS an item count, exactly the pre-weights behavior), clamps to
-    /// the remaining work, and returns the *cost* actually claimed (0
-    /// when nothing remains, the unit is busy, or the unit is
-    /// unavailable — policies must tolerate a 0 return). Under uniform
-    /// weights the returned cost equals the assigned item count.
+    /// the remaining work, and returns the *cost* actually claimed.
+    /// Under uniform weights the returned cost equals the assigned item
+    /// count.
+    ///
+    /// A unit on a wall clock (the host engine) holds one block running
+    /// and accepts one more queued behind it, which its executor starts
+    /// the moment the first ends; a unit on a virtual clock (the
+    /// simulator) holds one. So `assign` returns 0 — and policies must
+    /// tolerate that — when `budget` is 0, nothing remains, the unit is
+    /// unavailable (failed, quarantined, lost or not yet joined), its
+    /// executor is gone, or the unit is full: a block running on a
+    /// virtual clock, a block running and one queued on a wall clock.
+    /// A policy that never assigns to a unit for which
+    /// [`is_busy`](Self::is_busy) holds keeps one block per unit on
+    /// either clock.
     fn assign(&mut self, pu: PuId, budget: u64) -> u64;
 
     /// Like [`assign`](Self::assign), but only claims work lying inside
@@ -78,10 +89,11 @@ pub trait SchedulerCtx {
         self.assign(pu, budget)
     }
 
-    /// Is a task currently running (or queued) on `pu`?
+    /// Is an attempt in flight on `pu`? A block queued behind it does
+    /// not change the answer.
     fn is_busy(&self, pu: PuId) -> bool;
 
-    /// Is any unit busy?
+    /// Is an attempt in flight on any unit?
     fn any_busy(&self) -> bool;
 
     /// Charge scheduler computation time (curve fitting, the
@@ -207,6 +219,12 @@ pub trait Policy: Send {
 
 /// A trivial policy for runtime tests: single fixed-size blocks handed
 /// to whichever unit just became idle, seeded round-robin at start.
+///
+/// It keeps one block per unit on either clock: it assigns once to each
+/// unit at start, and afterwards only to the unit whose block just
+/// finished, which then has nothing else in flight or queued — so the
+/// host engine runs it exactly as the simulator does, and it never
+/// takes a block ahead.
 pub struct FixedBlockPolicy {
     /// Block size in items.
     pub block: u64,

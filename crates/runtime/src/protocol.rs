@@ -1,7 +1,7 @@
 //! The host engine's concurrency protocols as explicit, loom-checkable
 //! state machines.
 //!
-//! PR 2 made the host path genuinely concurrent: worker threads race
+//! The host path is genuinely concurrent: worker threads race
 //! the engine's watchdog, quarantined units race in-flight retries, and
 //! probation restores race run completion. Each of those decisions is
 //! a tiny linearizable state machine; this module gives each one a
@@ -12,8 +12,10 @@
 //! engine runs.
 //!
 //! * [`AttemptSlot`] — result-arrival vs. watchdog-deadline: exactly
-//!   one of {completed, failed, timed-out} is claimed per dispatched
-//!   attempt, no matter how the worker and the watchdog interleave.
+//!   one of {completed, failed, timed-out} is claimed per started
+//!   attempt, no matter how the worker and the watchdog interleave; and
+//!   a block queued behind a running one is either started by its
+//!   worker or revoked by the driver, never both.
 //! * [`UnitGate`] — quarantine vs. in-flight retry vs. permanent loss:
 //!   the per-unit availability lattice `Active → Quarantined → Active`
 //!   with an absorbing `Lost` state a restore can never resurrect.
@@ -33,12 +35,17 @@ pub enum AttemptOutcome {
     Failed,
     /// The engine's watchdog claimed the attempt after its deadline.
     TimedOut,
+    /// The driver wrote the unit off while the block still sat queued,
+    /// and its worker never started it.
+    Revoked,
 }
 
 const ATTEMPT_INFLIGHT: u8 = 0;
 const ATTEMPT_COMPLETED: u8 = 1;
 const ATTEMPT_FAILED: u8 = 2;
 const ATTEMPT_TIMEDOUT: u8 = 3;
+const ATTEMPT_QUEUED: u8 = 4;
+const ATTEMPT_REVOKED: u8 = 5;
 
 /// One dispatched attempt's claim word: the worker thread (completion
 /// or caught panic) and the engine's watchdog (deadline blowout) race
@@ -48,6 +55,14 @@ const ATTEMPT_TIMEDOUT: u8 = 3;
 /// nothing (the block was already re-dispatched elsewhere), a watchdog
 /// whose claim fails leaves the unit alone (the result beat the
 /// deadline and is already in the channel).
+///
+/// The host engine hands every block to its worker `Queued`: it may
+/// wait in the channel behind the block the worker runs. The worker
+/// must win `try_start` (`Queued → InFlight`) before it executes the
+/// block; the driver, writing the unit off, revokes what is still
+/// queued (`Queued → Revoked`), because a message already in a channel
+/// outlives the channel's sender. The watchdog's `try_timeout` wins
+/// from `Queued` as well as from `InFlight`.
 ///
 /// Ordering: claims use `AcqRel` on success so the winner's claim
 /// *happens-before* any engine-side read that observes it, and
@@ -74,35 +89,64 @@ impl AttemptSlot {
         }
     }
 
-    fn claim(&self, terminal: u8) -> bool {
+    /// A fresh attempt its worker has not started yet.
+    pub fn queued() -> AttemptSlot {
+        AttemptSlot {
+            state: AtomicU8::new(ATTEMPT_QUEUED),
+        }
+    }
+
+    fn transition(&self, from: u8, to: u8) -> bool {
         self.state
-            .compare_exchange(
-                ATTEMPT_INFLIGHT,
-                terminal,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            )
+            .compare_exchange(from, to, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
+    }
+
+    /// Worker side: start a queued attempt. `false` means the driver
+    /// revoked it or the watchdog claimed it first, and the block must
+    /// not run.
+    pub fn try_start(&self) -> bool {
+        self.transition(ATTEMPT_QUEUED, ATTEMPT_INFLIGHT)
+    }
+
+    /// Driver side: take back an attempt its worker has not started.
+    /// `false` means the worker started it (its report will be stale)
+    /// or it already ended.
+    pub fn try_revoke(&self) -> bool {
+        self.transition(ATTEMPT_QUEUED, ATTEMPT_REVOKED)
     }
 
     /// Worker side: claim successful completion. `false` means the
     /// watchdog (or a caught panic) already claimed the attempt and the
     /// result must be discarded.
     pub fn try_complete(&self) -> bool {
-        self.claim(ATTEMPT_COMPLETED)
+        self.transition(ATTEMPT_INFLIGHT, ATTEMPT_COMPLETED)
     }
 
     /// Worker side: claim a caught kernel panic. `false` means the
     /// watchdog already claimed the attempt.
     pub fn try_fail(&self) -> bool {
-        self.claim(ATTEMPT_FAILED)
+        self.transition(ATTEMPT_INFLIGHT, ATTEMPT_FAILED)
     }
 
-    /// Watchdog side: claim a blown deadline. `false` means the worker
-    /// delivered an outcome first and the unit must not be declared
-    /// lost for this attempt.
+    /// Watchdog side: claim a blown deadline, whether or not the worker
+    /// has started the attempt. `false` means the worker delivered an
+    /// outcome first and the unit must not be declared lost for this
+    /// attempt.
     pub fn try_timeout(&self) -> bool {
-        self.claim(ATTEMPT_TIMEDOUT)
+        let mut cur = self.state.load(Ordering::Acquire);
+        while cur == ATTEMPT_QUEUED || cur == ATTEMPT_INFLIGHT {
+            match self.state.compare_exchange(
+                cur,
+                ATTEMPT_TIMEDOUT,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
+                Ok(_) => return true,
+                Err(seen) => cur = seen,
+            }
+        }
+        false
     }
 
     /// The claimed outcome, if any thread has claimed one yet.
@@ -111,6 +155,7 @@ impl AttemptSlot {
             ATTEMPT_COMPLETED => Some(AttemptOutcome::Completed),
             ATTEMPT_FAILED => Some(AttemptOutcome::Failed),
             ATTEMPT_TIMEDOUT => Some(AttemptOutcome::TimedOut),
+            ATTEMPT_REVOKED => Some(AttemptOutcome::Revoked),
             _ => None,
         }
     }
@@ -318,6 +363,28 @@ mod tests {
         assert!(s.try_fail());
         assert!(!s.try_fail());
         assert_eq!(s.outcome(), Some(AttemptOutcome::Failed));
+    }
+
+    #[test]
+    fn queued_slot_starts_or_is_revoked() {
+        let s = AttemptSlot::queued();
+        assert!(!s.try_complete(), "a queued block has not run");
+        assert!(s.try_start());
+        assert!(!s.try_start(), "a block starts once");
+        assert!(!s.try_revoke(), "a started block cannot be revoked");
+        assert_eq!(s.outcome(), None);
+        assert!(s.try_complete());
+
+        let s = AttemptSlot::queued();
+        assert!(s.try_revoke());
+        assert!(!s.try_start(), "a revoked block never runs");
+        assert!(!s.try_timeout());
+        assert_eq!(s.outcome(), Some(AttemptOutcome::Revoked));
+
+        let s = AttemptSlot::queued();
+        assert!(s.try_timeout(), "the watchdog wins from queued");
+        assert!(!s.try_start());
+        assert_eq!(s.outcome(), Some(AttemptOutcome::TimedOut));
     }
 
     #[test]

@@ -16,9 +16,11 @@
 //! re-exports loom's modeled primitives, so the `AttemptSlot`,
 //! `UnitGate`, and `CompletionLatch` exercised here are built on the
 //! same atomics the production engine uses — loom explores every
-//! interleaving of the racy protocols PR 2 introduced:
+//! interleaving of the host engine's racy protocols:
 //!
 //! * result-arrival vs. watchdog-deadline (`AttemptSlot`),
+//! * a queued block's start vs. its revoke and vs. the watchdog
+//!   (`AttemptSlot`),
 //! * quarantine / probation-restore vs. permanent loss (`UnitGate`),
 //! * failed-block re-credit vs. run completion (`CompletionLatch`).
 #![cfg(loom)]
@@ -65,6 +67,79 @@ fn failed_attempt_claim_has_exactly_one_winner() {
             AttemptOutcome::TimedOut
         };
         assert_eq!(slot.outcome(), Some(expect));
+    });
+}
+
+/// A queued block's start vs. its revoke: the worker picking the block
+/// up and the driver writing its unit off race for the queued claim
+/// word; exactly one wins, so a revoked block never runs.
+#[test]
+fn queued_block_starts_or_is_revoked_never_both() {
+    loom::model(|| {
+        let slot = Arc::new(AttemptSlot::queued());
+        let s2 = Arc::clone(&slot);
+        let worker = thread::spawn(move || s2.try_start());
+        let revoked = slot.try_revoke();
+        let started = worker.join().expect("worker thread");
+        assert_ne!(started, revoked, "exactly one side wins");
+        let expect = (!started).then_some(AttemptOutcome::Revoked);
+        assert_eq!(slot.outcome(), expect);
+    });
+}
+
+/// A queued block's start vs. the watchdog: the deadline may blow
+/// before the worker picks the block up or while it runs. Either way
+/// exactly one of the worker's report and the timeout claims the
+/// attempt — a worker that lost the start never runs the block.
+#[test]
+fn queued_block_races_the_watchdog_with_one_winner() {
+    loom::model(|| {
+        let slot = Arc::new(AttemptSlot::queued());
+        let s2 = Arc::clone(&slot);
+        let worker = thread::spawn(move || {
+            let started = s2.try_start();
+            (started, started && s2.try_complete())
+        });
+        let timed_out = slot.try_timeout();
+        let (started, reported) = worker.join().expect("worker thread");
+        assert_ne!(reported, timed_out, "exactly one outcome is claimed");
+        assert!(started || timed_out, "only the watchdog stops a start");
+        let expect = if reported {
+            AttemptOutcome::Completed
+        } else {
+            AttemptOutcome::TimedOut
+        };
+        assert_eq!(slot.outcome(), Some(expect));
+    });
+}
+
+/// A queued block lost with its unit: the driver re-credits it whether
+/// its revoke wins or the worker already started it (whose report is
+/// then stale and dropped), so it is re-credited exactly once; and a
+/// run completion racing that re-credit either sees the items back or
+/// closes first and refuses them — never both, never neither.
+#[test]
+fn lost_queued_block_is_recredited_exactly_once() {
+    loom::model(|| {
+        let latch = Arc::new(CompletionLatch::new(2));
+        assert_eq!(latch.take(2), 2);
+        let slot = Arc::new(AttemptSlot::queued());
+        let (s2, l2) = (Arc::clone(&slot), Arc::clone(&latch));
+        let worker = thread::spawn(move || s2.try_start() && s2.try_complete());
+        let closer = thread::spawn(move || l2.try_close());
+        let revoked = slot.try_revoke();
+        let recredited = latch.recredit(2);
+        let stale_report = worker.join().expect("worker thread");
+        let closed = closer.join().expect("closer thread");
+        assert_ne!(revoked, stale_report, "revoked, or started and stale");
+        assert_ne!(recredited, closed, "exactly one racer wins");
+        if recredited {
+            assert!(!latch.is_closed());
+            assert_eq!(latch.remaining(), 2, "re-credited once, in full");
+        } else {
+            assert!(latch.is_closed());
+            assert_eq!(latch.remaining(), 0);
+        }
     });
 }
 

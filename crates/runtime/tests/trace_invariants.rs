@@ -2,8 +2,9 @@
 //! guarantees `docs/OBSERVABILITY.md` documents for trace consumers.
 //!
 //! * Per-PU Gantt segments never overlap (a unit runs one task at a
-//!   time) and carry non-negative durations.
-//! * Event timestamps are non-decreasing per PU.
+//!   time, even with another queued behind it on the host engine) and
+//!   carry non-negative durations.
+//! * Event timestamps are non-decreasing per PU, on both engines.
 //! * `RunReport::from_trace` accounting is self-consistent:
 //!   `item_share` sums to 1 and `idle_fraction` complements
 //!   `busy / makespan`.
@@ -14,15 +15,17 @@
 //!   filter of the segment list per unit — kept here as the reference.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use plb_hetsim::cluster::ClusterOptions;
 use plb_hetsim::workload::LinearCost;
-use plb_hetsim::{cluster_scenario, ClusterSim, PuId, Scenario};
+use plb_hetsim::{cluster_scenario, ClusterSim, PuId, PuKind, Scenario};
 use plb_rng::ChaCha8Rng;
 use plb_runtime::policy::FixedBlockPolicy;
 use plb_runtime::{
-    write_jsonl, EventSink, RunReport, Segment, SegmentKind, SimEngine, TaskId, Trace, TraceData,
-    TraceHeader, TRACE_FORMAT_VERSION,
+    write_jsonl, EventKind, EventSink, FnCodelet, HostEngine, HostPu, Policy, RunReport,
+    SchedulerCtx, Segment, SegmentKind, SimEngine, TaskId, TaskInfo, Trace, TraceData, TraceHeader,
+    TRACE_FORMAT_VERSION,
 };
 
 fn cluster() -> ClusterSim {
@@ -58,9 +61,56 @@ fn run() -> (RunReport, Trace, EventSink) {
     (report, trace, events)
 }
 
-#[test]
-fn per_pu_segments_never_overlap() {
-    let (_, trace, _) = run();
+/// The shape of the greedy baseline (`plb_hec::GreedyPolicy`, which
+/// this crate cannot name): fixed pieces, asked for until refused at
+/// start, and one more for every unit that finishes one. On the host
+/// engine that keeps a piece queued behind the running one.
+struct Greedy {
+    block: u64,
+}
+
+impl Policy for Greedy {
+    fn name(&self) -> &str {
+        "greedy-shape"
+    }
+    fn on_start(&mut self, ctx: &mut dyn SchedulerCtx) {
+        let ids: Vec<PuId> = ctx.pus().iter().map(|p| p.id).collect();
+        for id in ids {
+            while ctx.remaining_items() > 0 && ctx.assign(id, self.block) > 0 {}
+        }
+    }
+    fn on_task_finished(&mut self, ctx: &mut dyn SchedulerCtx, done: &TaskInfo) {
+        ctx.assign(done.pu, self.block);
+    }
+}
+
+/// One greedy run on two real-thread units: its trace and events.
+fn host_greedy_run() -> (Trace, EventSink) {
+    let codelet = Arc::new(FnCodelet::new("spin", |r, _| {
+        let mut acc = 0u64;
+        for i in r {
+            for k in 0..64u64 {
+                acc = acc.wrapping_add(i ^ k).rotate_left(5);
+            }
+        }
+        std::hint::black_box(acc);
+    }));
+    let pus = (0..2)
+        .map(|i| HostPu {
+            name: format!("unit{i}"),
+            kind: PuKind::Cpu,
+            threads: 1,
+        })
+        .collect();
+    let mut engine = HostEngine::new(pus);
+    let report = (engine.run(&mut Greedy { block: 500 }, codelet, 40_000)).expect("run completes");
+    assert_eq!(report.cover, vec![(0, 40_000)]);
+    let trace = engine.last_trace().expect("trace recorded").clone();
+    let events = engine.last_events().expect("events recorded").clone();
+    (trace, events)
+}
+
+fn assert_segments_disjoint_per_pu(trace: &Trace) {
     let mut by_pu: HashMap<usize, Vec<(f64, f64)>> = HashMap::new();
     for s in trace.segments() {
         assert!(s.end >= s.start, "segment with negative duration: {s:?}");
@@ -81,8 +131,12 @@ fn per_pu_segments_never_overlap() {
 }
 
 #[test]
-fn event_timestamps_monotone_per_pu() {
-    let (_, _, events) = run();
+fn per_pu_segments_never_overlap() {
+    let (_, trace, _) = run();
+    assert_segments_disjoint_per_pu(&trace);
+}
+
+fn assert_stamps_monotone_per_pu(events: &EventSink) {
     let mut last: HashMap<Option<usize>, f64> = HashMap::new();
     let mut last_seq = None;
     for e in events.events() {
@@ -100,6 +154,30 @@ fn event_timestamps_monotone_per_pu() {
             assert!(e.seq > s, "sequence numbers must strictly increase");
         }
         last_seq = Some(e.seq);
+    }
+}
+
+#[test]
+fn event_timestamps_monotone_per_pu() {
+    let (_, _, events) = run();
+    assert_stamps_monotone_per_pu(&events);
+}
+
+/// On a wall clock a unit's next piece is submitted while the one
+/// before it runs, and its start is only learnt at its finish; the
+/// same two invariants hold.
+#[test]
+fn host_greedy_segments_never_overlap_and_stamps_never_decrease() {
+    let (trace, events) = host_greedy_run();
+    assert_segments_disjoint_per_pu(&trace);
+    assert_stamps_monotone_per_pu(&events);
+    for pu in 0..2 {
+        let on_pu = events.iter().filter(|e| e.pu == Some(pu));
+        let ahead = on_pu
+            .take_while(|e| !matches!(e.kind, EventKind::TaskFinish { .. }))
+            .filter(|e| matches!(e.kind, EventKind::TaskSubmit { .. }))
+            .count();
+        assert_eq!(ahead, 2, "unit {pu} had a piece queued from the start");
     }
 }
 
