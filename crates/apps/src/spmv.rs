@@ -414,8 +414,8 @@ mod tests {
         );
         let y = codelet.results();
         assert!(y[..10].iter().all(|&v| v == 0.0));
-        for i in 10..20 {
-            assert_eq!(y[i], data.row_dot(i));
+        for (i, &yi) in y.iter().enumerate().take(20).skip(10) {
+            assert_eq!(yi, data.row_dot(i));
         }
         assert!(y[20..].iter().all(|&v| v == 0.0));
     }

@@ -110,7 +110,7 @@ impl NodeDiffusionPolicy {
                 total_rate += self.rate.get(j).copied().flatten().unwrap_or(1.0);
             }
         }
-        if !(total_rate > 0.0) {
+        if total_rate.is_nan() || total_rate <= 0.0 {
             return 0;
         }
         let mine = self.rate.get(node).copied().flatten().unwrap_or(1.0);

@@ -17,8 +17,11 @@
 //! keep refining their curves while slow units finish their quota.
 //! Modeling completes when every active unit has at least four samples
 //! and all fits reach R² ≥ 0.7, or when the phase has consumed its data
-//! budget (20 % of the application). A unit admitted once the phase is
-//! over walks the same ladder, unscaled, beside the running split.
+//! budget (20 % of the application). The cap closes the phase at once:
+//! the probes still in flight land late, and a unit still on its first
+//! joins the split when it lands, so no unit waits for the slowest
+//! one's first probe. A unit admitted once the phase is over walks the
+//! same ladder, unscaled, beside the running split.
 //!
 //! The measurements belong to the policy's one `ProfileBook`, the set
 //! of active units and each unit's place on the ladder to the policy
@@ -70,8 +73,8 @@ pub(crate) fn owes_probes(active: bool, step: u32) -> bool {
 pub(crate) enum CloseOut {
     /// Probes are in flight, or more are worth issuing.
     KeepProbing,
-    /// Every probe has landed and the fit gate passes or the data
-    /// budget is spent.
+    /// The data budget is spent, or every probe has landed and the fit
+    /// gate passes.
     Finish,
     /// Nothing is in flight and nothing will be: the gate cannot pass
     /// on its own (the pool is dry, or a unit that owes probes lost its
@@ -184,13 +187,16 @@ impl Modeling {
             })
     }
 
-    /// Is the phase over? Never before every outstanding probe has
-    /// landed (their measurements feed the fits); `gate` is only asked
-    /// then.
+    /// Is the phase over? As soon as the data budget is spent, probes in
+    /// flight or not: they land late, as execution-phase samples. Short
+    /// of the cap, never before every outstanding probe has landed
+    /// (their measurements feed the fits); `gate` is only asked then.
     pub(crate) fn close_out(&self, any_busy: bool, gate: impl FnOnce() -> bool) -> CloseOut {
-        if self.outstanding > 0 {
+        if self.spent() {
+            CloseOut::Finish
+        } else if self.outstanding > 0 {
             CloseOut::KeepProbing
-        } else if self.spent() || gate() {
+        } else if gate() {
             CloseOut::Finish
         } else if !any_busy {
             CloseOut::Force
@@ -318,9 +324,14 @@ mod tests {
         // (probes in flight, any unit busy, gate passes, budget spent)
         let cases = [
             (
-                (2, true, true, true),
+                (2, true, false, true),
+                Finish,
+                "the cap closes the phase; the probes in flight land late",
+            ),
+            (
+                (2, true, true, false),
                 KeepProbing,
-                "probes in flight feed the fits",
+                "short of the cap, probes in flight feed the fits",
             ),
             ((0, false, true, false), Finish, "every fit clears the gate"),
             ((0, false, false, true), Finish, "the data cap is hit"),
@@ -339,55 +350,40 @@ mod tests {
             let got = phase(outstanding, spent).close_out(busy, || gate);
             assert_eq!(got, expect, "{why}");
         }
-        // The gate fits curves: it is not asked while probes are out.
-        let asked = std::cell::Cell::new(false);
-        phase(1, false).close_out(true, || asked.replace(true));
-        assert!(!asked.get());
+        // The gate fits curves: it is not asked while probes are out,
+        // nor once the cap has decided.
+        for spent in [false, true] {
+            let asked = std::cell::Cell::new(false);
+            phase(1, spent).close_out(true, || asked.replace(true));
+            assert!(!asked.get(), "spent: {spent}");
+        }
     }
 
     #[test]
-    fn close_out_answers_what_the_three_old_call_sites_answered() {
+    fn close_out_stops_waiting_for_probes_at_the_cap_and_nowhere_else() {
         use CloseOut::*;
-        // `ModelingController::status()`, as all three sites asked it.
-        let done = |o: usize, gate: bool, spent: bool| o == 0 && (gate || spent);
-        // After a completion the phase was forced shut on a dry pool...
-        let on_completion = |o, busy: bool, remaining: u64, gate, spent| match () {
-            () if done(o, gate, spent) => Finish,
-            () if remaining == 0 && !busy => Force,
-            () => KeepProbing,
-        };
-        // ...after a lost unit or a failed probe, on an empty flight list.
-        let on_fault = |o, busy: bool, gate, spent| match () {
-            () if done(o, gate, spent) => Finish,
-            () if o == 0 && !busy => Force,
+        // The close-out before the cap rule: it waited for every probe
+        // in flight, cap or no cap.
+        let waiting = |o: usize, busy: bool, gate: bool, spent: bool| match () {
+            () if o > 0 => KeepProbing,
+            () if spent || gate => Finish,
+            () if !busy => Force,
             () => KeepProbing,
         };
         let flags = [false, true];
-        for outstanding in [0usize, 2] {
-            for (busy, remaining) in [(false, 0u64), (false, 500), (true, 0), (true, 500)] {
+        for outstanding in [0usize, 1, 2] {
+            for busy in flags {
                 for (gate, spent) in flags.iter().flat_map(|&g| flags.map(|s| (g, s))) {
-                    let row = (outstanding, busy, remaining, gate, spent);
+                    let row = (outstanding, busy, gate, spent);
                     let now = phase(outstanding, spent).close_out(busy, || gate);
-                    assert_eq!(now, on_fault(outstanding, busy, gate, spent), "{row:?}");
-                    if now == on_completion(outstanding, busy, remaining, gate, spent) {
-                        continue;
+                    let was = waiting(outstanding, busy, gate, spent);
+                    if spent && outstanding > 0 {
+                        // The one change: nine tenths of a roster no
+                        // longer idle behind the slowest unit's probe.
+                        assert_eq!((was, now), (KeepProbing, Finish), "{row:?}");
+                    } else {
+                        assert_eq!(now, was, "{row:?}");
                     }
-                    // The completion site answered differently in two
-                    // families of states, neither of which a completion
-                    // can reach. A probe counted in flight on an idle
-                    // roster: the count is the units' own probes now,
-                    // and a unit with a probe out is busy. And nothing
-                    // in flight beside a failing gate, an unspent
-                    // budget and a pool that is not dry: the unit that
-                    // just landed is active (a lost unit's completions
-                    // are dropped by the driver) and idle, so it was
-                    // issued another probe before anyone asked. Should
-                    // the second ever occur, closing is the answer that
-                    // does not stall the run.
-                    let phantom_probe = outstanding > 0 && !busy;
-                    let idle_beside_work =
-                        outstanding == 0 && !busy && remaining > 0 && !gate && !spent;
-                    assert!(phantom_probe || idle_beside_work, "{row:?}");
                 }
             }
         }

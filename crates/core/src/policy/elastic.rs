@@ -34,19 +34,27 @@ impl PlbHecPolicy {
         }
     }
 
-    /// `pu` is gone, with its probe and its watch. The modeling phase
-    /// may be over without it; a running split is re-solved over the
-    /// survivors with their existing models (the paper's
-    /// fault-tolerance sketch, Section VI).
+    /// `pu` is gone, with its probe, its watch and its block. The
+    /// modeling phase may be over without it; a running split is
+    /// re-solved over the survivors with their existing models (the
+    /// paper's fault-tolerance sketch, Section VI).
     pub(super) fn unit_lost(&mut self, ctx: &mut dyn SchedulerCtx, pu: PuId) {
         self.set_active(pu, false);
         self.cancel_probe(pu);
-        if let Some(unit) = self.units.get_mut(pu.0) {
-            unit.watch = None;
-        }
+        let Some(unit) = self.units.get_mut(pu.0) else {
+            return;
+        };
+        unit.watch = None;
+        let had_block = unit.block > 0;
         match self.phase {
             Phase::Modeling(_) => self.close_modeling_if_due(ctx),
             Phase::Executing => {
+                // Out of the split even when nobody is left to re-solve
+                // over: the units on their first probe join a split
+                // whose shares are the survivors'.
+                if had_block {
+                    self.set_block(pu, 0);
+                }
                 self.unit_set_changed(ctx, pu, "device-lost");
             }
         }

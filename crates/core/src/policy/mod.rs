@@ -144,8 +144,11 @@ pub struct PlbHecPolicy {
     models: Vec<UnitModel>,
     units: Vec<Unit>,
     /// Sum of the units' blocks (one full round, in cost units), kept
-    /// by their one writer so a finished task does not walk the roster.
+    /// by their writers so a finished task does not walk the roster.
     round_total: u64,
+    /// `T`, the block time the split in force predicts for every unit:
+    /// what a unit sized alone is sized to.
+    split_time: f64,
     rebalance_pending: bool,
     selections: Vec<SelectionResult>,
     rebalances: usize,
@@ -169,6 +172,7 @@ impl PlbHecPolicy {
             models: Vec::new(),
             units: Vec::new(),
             round_total: 0,
+            split_time: 0.0,
             rebalance_pending: false,
             selections: Vec::new(),
             rebalances: 0,
@@ -269,25 +273,36 @@ impl PlbHecPolicy {
             .min(ctx.remaining_cost())
     }
 
-    /// Run the block-size selection over the current models and active
-    /// set, and put a block on every idle unit of the new split. Every
-    /// selection — the first, a divergence's, a change of the unit
-    /// set's — is this one.
+    /// A unit still on its first probe: active, but with no sample to
+    /// model it by. It stays out of every split until the probe lands.
+    fn on_first_probe(&self, pu: usize) -> bool {
+        let probing = self.units.get(pu).is_some_and(|u| u.probe.is_some());
+        probing && self.book.samples(pu) == 0
+    }
+
+    /// Run the block-size selection over the current models and the
+    /// active units that have one, and put a block on every idle unit of
+    /// the new split. Every selection — the first, a divergence's, a
+    /// change of the unit set's — is this one.
     fn resolve(&mut self, ctx: &mut dyn SchedulerCtx) {
-        let n_live = self.active.iter().filter(|&&a| a).count();
+        let in_split: Vec<bool> = (self.active.iter().enumerate())
+            .map(|(pu, &active)| active && !self.on_first_probe(pu))
+            .collect();
+        let n_live = in_split.iter().filter(|&&a| a).count();
         if ctx.remaining_items() == 0 || n_live == 0 {
             return;
         }
         let window = self.execution_window(ctx);
         let sel = select_block_sizes_cached(
             &self.models,
-            &self.active,
+            &in_split,
             window,
             self.cfg.granularity,
             self.cfg.solver,
             &mut self.warm_cache,
         );
         self.round_total = sel.blocks.iter().sum();
+        self.split_time = sel.predicted_time;
         let split = sel.fractions.iter().zip(&sel.blocks);
         for (unit, (&fraction, &block)) in self.units.iter_mut().zip(split) {
             unit.fraction = fraction;
@@ -340,19 +355,29 @@ impl PlbHecPolicy {
             50e-6 * (sel.ipm_iterations.max(4) as f64) * (n_live as f64).sqrt();
         ctx.charge_overhead(deterministic_cost);
         self.selections.push(sel);
-        // Arm the engine's watchdog with the model's prediction: a task
-        // deadline of k × E_p(x) only means something when E_p comes from
-        // the same fitted curves that sized the blocks.
         let split = self.units.iter().zip(&self.models).zip(&self.active);
         for (pu, ((unit, model), &active)) in split.enumerate() {
-            if active && unit.block > 0 {
-                let t = model.total_time(unit.block as f64);
-                if t.is_finite() && t > 0.0 {
-                    ctx.set_deadline_hint(PuId(pu), t / unit.block as f64);
-                }
+            if active {
+                arm_deadline(ctx, PuId(pu), model, unit.block);
             }
         }
         self.pump(ctx);
+    }
+
+    /// Give `pu` a block of `block` cost units in the split in force,
+    /// without a re-solve: every other unit keeps its block, and each
+    /// unit's fraction becomes its block's share of the round, so the
+    /// fractions still sum to one.
+    fn set_block(&mut self, pu: PuId, block: u64) {
+        let Some(unit) = self.units.get_mut(pu.0) else {
+            return;
+        };
+        self.round_total = self.round_total.saturating_sub(unit.block) + block;
+        unit.block = block;
+        let round = self.round_total.max(1) as f64;
+        for unit in &mut self.units {
+            unit.fraction = unit.block as f64 / round;
+        }
     }
 
     /// Put its block on every unit of the split that sits idle, while
@@ -365,6 +390,18 @@ impl PlbHecPolicy {
             if active && unit.block > 0 && !ctx.is_busy(PuId(pu)) {
                 ctx.assign(PuId(pu), unit.block);
             }
+        }
+    }
+}
+
+/// Arm the engine's watchdog with the model's prediction: a task
+/// deadline of k × E_p(x) only means something when E_p comes from the
+/// same fitted curves that sized the blocks.
+fn arm_deadline(ctx: &mut dyn SchedulerCtx, pu: PuId, model: &UnitModel, block: u64) {
+    if block > 0 {
+        let t = model.total_time(block as f64);
+        if t.is_finite() && t > 0.0 {
+            ctx.set_deadline_hint(pu, t / block as f64);
         }
     }
 }
@@ -404,6 +441,7 @@ impl Policy for PlbHecPolicy {
         self.active = ctx.pus().iter().map(|p| p.available).collect();
         self.units = self.active.iter().map(|_| Unit::idle()).collect();
         self.round_total = 0;
+        self.split_time = 0.0;
         self.rebalance_pending = false;
         self.selections.clear();
         // Earlier learning is a seed: never re-probe. A checkpoint's
@@ -934,6 +972,14 @@ mod tests {
             let names = names.collect();
             self.events.clear();
             names
+        }
+
+        /// [`take_events`](Self::take_events) without the interior
+        /// point's own trail, which every solve leaves.
+        pub fn take_decisions(&mut self) -> Vec<(Option<usize>, &'static str)> {
+            let mut events = self.take_events();
+            events.retain(|(_, name)| !name.starts_with("ipm_"));
+            events
         }
     }
 

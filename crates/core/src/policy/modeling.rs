@@ -2,7 +2,8 @@
 //! taking its measurement when it lands, and the one check that ends
 //! the modeling phase. The arithmetic and the phase's counters are
 //! [`crate::modeling`]'s; a unit admitted mid-execution walks the same
-//! ladder through the same two functions.
+//! ladder through the same two functions, and a probe that lands after
+//! the phase closed is taken through the second.
 
 use super::{Phase, PlbHecPolicy};
 use crate::config::{FitMode, ProbeSchedule};
@@ -60,8 +61,9 @@ impl PlbHecPolicy {
     /// while one is worth issuing — in the modeling phase until the fit
     /// gate passes or the budget is spent, beside a running split for
     /// one walk of the ladder while the pool lasts. When none goes out
-    /// the modeling phase may be over, and a unit admitted
-    /// mid-execution is folded into the split.
+    /// the modeling phase may be over, a unit admitted mid-execution is
+    /// folded into the split, and an active unit — its probe one of the
+    /// modeling phase's, landed late — takes its place in the split.
     pub(super) fn probe_landed(&mut self, ctx: &mut dyn SchedulerCtx, done: &TaskInfo) {
         let pu = done.pu;
         let (Some(unit), Some(&active)) = (self.units.get_mut(pu.0), self.active.get(pu.0)) else {
@@ -89,7 +91,7 @@ impl PlbHecPolicy {
                     && !modeling.spent()
                     && !modeling.gate_passes(&self.active, &mut self.book, self.cfg.r2_threshold)
             }
-            Phase::Executing => unit.step < LADDER_PROBES && ctx.remaining_items() > 0,
+            Phase::Executing => !active && unit.step < LADDER_PROBES && ctx.remaining_items() > 0,
         };
         if another && self.issue_probe(ctx, pu) {
             return;
@@ -98,6 +100,7 @@ impl PlbHecPolicy {
             // This unit idles briefly while the others complete their
             // probe quotas — unless it was the last.
             Phase::Modeling(_) => self.close_modeling_if_due(ctx),
+            Phase::Executing if active => self.late_probe_landed(ctx, pu),
             Phase::Executing => self.fold(ctx, pu),
         }
     }
@@ -105,8 +108,11 @@ impl PlbHecPolicy {
     /// The one close-out of the modeling phase, asked after anything
     /// that can end it — a probe landed and none went out, a unit was
     /// lost, a probe's block returned to the pool. Every unit leaves
-    /// with a model, active or not: its fit, or the mean rate of the
-    /// samples it has.
+    /// with a model, active or not, in the family its samples afford: a
+    /// best-subset fit from a full ladder, an affine one from two or
+    /// three samples, the mean rate of one. A unit still on its first
+    /// probe is modelled by nothing yet: it is not announced, and it
+    /// joins the split when the probe lands.
     pub(super) fn close_modeling_if_due(&mut self, ctx: &mut dyn SchedulerCtx) {
         let Phase::Modeling(modeling) = &self.phase else {
             return;
@@ -130,9 +136,11 @@ impl PlbHecPolicy {
         // and those are the curves the first split runs on; the
         // configured family applies from the first refit.
         let models: Vec<_> = (0..self.units.len())
-            .map(|pu| self.book.fit_or_mean_rate(pu, FitMode::BestSubset))
+            .map(|pu| self.book.model(pu, FitMode::BestSubset))
             .collect();
-        let fitted = vec![true; models.len()];
+        let fitted: Vec<bool> = (0..models.len())
+            .map(|pu| !self.on_first_probe(pu))
+            .collect();
         self.enter_execution(ctx, models, &fitted, Some(items_used));
     }
 }
@@ -386,23 +394,105 @@ mod tests {
         assert_eq!(used(&policy), (2000, true));
     }
 
+    fn split_sums_to_one(policy: &PlbHecPolicy) {
+        let shares = policy.block_distribution().expect("a split is in force");
+        assert!(
+            (shares.iter().sum::<f64>() - 1.0).abs() < 1e-12,
+            "{shares:?}"
+        );
+    }
+
     #[test]
-    fn idle_unit_lost_takes_nobody_elses_probe() {
-        // 20 % of 20 000: once 4 000 cost units are out, a unit that
-        // lands a probe gets no other and waits, idle.
+    fn the_cap_closes_at_the_next_landing_and_a_first_probe_joins_when_it_lands() {
+        // 20 % of 20 000: unit 2's second probe spends the budget, and
+        // its landing closes the phase with units 0 and 1 on their
+        // first probes.
         let (mut policy, mut ctx) = start(3, &cfg(1000, 0.7), 20_000);
         assert_eq!(land(&mut policy, &mut ctx, 2, 4e5), Some(2000));
-        assert_eq!(land(&mut policy, &mut ctx, 2, 4e5), None, "budget spent");
-        // The idle unit is lost while the other two are on their first
-        // probe: both probes are still awaited.
-        lose(&mut policy, &mut ctx, 2);
-        assert!(modeling(&policy));
-        land(&mut policy, &mut ctx, 0, 1e5);
-        assert!(modeling(&policy), "unit 1's probe is still in flight");
-        land(&mut policy, &mut ctx, 1, 1e5);
+        ctx.take_events();
+        let alone = land(&mut policy, &mut ctx, 2, 4e5).expect("unit 2 runs the split");
         assert!(!modeling(&policy));
-        assert_eq!(policy.book.samples(0), 1);
-        assert_eq!(policy.book.samples(1), 1);
+        assert_eq!(
+            ctx.take_decisions(),
+            [
+                (Some(2), "curve_fit"),
+                (None, "modeling_done"),
+                (None, "block_solve")
+            ],
+            "a unit with no sample is neither fitted nor in the split"
+        );
+        assert_eq!(policy.models[2].f.basis().describe(), "a0*1 + a1*x");
+        assert_eq!((policy.units[0].block, policy.units[2].block), (0, alone));
+        split_sums_to_one(&policy);
+
+        // Unit 0's first probe lands: one sample, the mean rate, and a
+        // block of E⁻¹(T) — no re-solve.
+        let t = policy.split_time;
+        let block = land(&mut policy, &mut ctx, 0, 1e5).expect("unit 0 joins");
+        assert_eq!(ctx.take_decisions(), [(Some(0), "curve_fit")]);
+        assert_eq!(policy.units[0].block, block);
+        let model = &policy.models[0];
+        let per_item = model.total_time(1.0);
+        assert!((model.total_time(block as f64) - t).abs() <= per_item);
+        assert!(block <= 2 * 1000);
+        assert_eq!(policy.units[2].block, alone, "nobody else moved");
+        split_sums_to_one(&policy);
+    }
+
+    #[test]
+    fn a_unit_lost_after_the_cap_takes_nobody_elses_probe() {
+        let (mut policy, mut ctx) = start(3, &cfg(1000, 0.7), 20_000);
+        land(&mut policy, &mut ctx, 2, 4e5);
+        land(&mut policy, &mut ctx, 2, 4e5).expect("the cap closed the phase");
+        // The only unit in the split is lost: units 0 and 1 keep their
+        // probes, and each joins the split when its probe lands.
+        lose(&mut policy, &mut ctx, 2);
+        assert!(policy.units[0].probe.is_some() && policy.units[1].probe.is_some());
+        for pu in 0..2 {
+            assert!(land(&mut policy, &mut ctx, pu, 1e5).is_some(), "unit {pu}");
+            assert_eq!(policy.book.samples(pu), 1);
+        }
+        assert_eq!(policy.units[2].block, 0);
+        split_sums_to_one(&policy);
+    }
+
+    #[test]
+    fn a_late_probe_that_lands_last_ends_the_drain() {
+        // 20 % of 20 000 again, probes from 100: units 1 and 2 walk
+        // their ladders while unit 0 is on its first probe, and unit 2's
+        // fifth probe spends the budget. Unit 1's fifth landing closes
+        // the phase; unit 2's lands late.
+        let (mut policy, mut ctx) = start(3, &cfg(100, 0.7), 20_000);
+        for _ in 0..4 {
+            land(&mut policy, &mut ctx, 1, 4e5);
+            land(&mut policy, &mut ctx, 2, 4e5);
+        }
+        assert!(modeling(&policy));
+        land(&mut policy, &mut ctx, 1, 4e5).expect("unit 1 runs the split");
+        assert!(!modeling(&policy));
+        assert!(policy.units[2].probe.is_some() && policy.units[0].probe.is_some());
+
+        // Unit 1's block runs three times over a model fitted from a
+        // full ladder: the paper's drain. Every completion but the last
+        // finds a unit still busy.
+        let slow = ctx.finish_timed(1, |cost| (3.0 * (1e-3 + cost as f64 / 4e5), 1e-4));
+        policy.on_task_finished(&mut ctx, &slow);
+        assert!(policy.rebalance_pending);
+        land(&mut policy, &mut ctx, 2, 4e5).expect("its extra block");
+        land(&mut policy, &mut ctx, 1, 4e5);
+        land(&mut policy, &mut ctx, 2, 4e5);
+        assert!(policy.rebalance_pending && ctx.any_busy());
+        ctx.take_events();
+        // The last busy unit was on its first probe: it joins the split,
+        // and its landing ends the drain in a refit and a re-solve.
+        land(&mut policy, &mut ctx, 0, 1e5);
+        assert!(!policy.rebalance_pending);
+        assert_eq!(policy.rebalances(), 1);
+        let events = ctx.take_decisions();
+        assert_eq!(events.first(), Some(&(Some(0), "curve_fit")));
+        assert_eq!(events.last(), Some(&(None, "block_solve")));
+        assert!(ctx.running.iter().all(Option::is_some), "{:?}", ctx.running);
+        split_sums_to_one(&policy);
     }
 
     #[test]

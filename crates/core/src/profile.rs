@@ -18,6 +18,34 @@ pub(crate) const PINNED: usize = LADDER_PROBES as usize;
 /// the drift goldens; CHANGES.md (PR 22) has the table.
 pub(crate) const WINDOW: usize = 16;
 
+/// How far past the largest block a unit has measured its model is
+/// trusted to size one: a block found by inverting a model is at most
+/// `REACH` times that block. Without the cap a late unit's two-point
+/// affine fit, over blocks of 1 000 and 904 items, inverted to a block
+/// of 38 724. It is also the spread a slope needs: fewer than a full
+/// ladder of samples are fitted by a line only when their blocks span
+/// this factor.
+pub(crate) const REACH: f64 = 2.0;
+
+/// The curve family `samples` afford: `full` from one walk of the
+/// ladder on, and below that the affine [`FitMode::LinearOnly`], which
+/// two points determine and three cannot bend — if the blocks span a
+/// factor of [`REACH`]. Blocks bunched closer measure noise, not a
+/// slope (three of 782–786 items fitted a line that ran downhill, and
+/// the next split gave their unit 18 727), and one sample fits no
+/// curve: `None`, the mean-rate model.
+pub(crate) fn fit_family(samples: &[(f64, f64)], full: FitMode) -> Option<FitMode> {
+    if samples.len() >= PINNED {
+        return Some(full);
+    }
+    let (lo, hi) = samples
+        .iter()
+        .fold((f64::INFINITY, 0.0f64), |(lo, hi), &(x, _)| {
+            (lo.min(x), hi.max(x))
+        });
+    (samples.len() >= 2 && hi >= REACH * lo).then_some(FitMode::LinearOnly)
+}
+
 /// Measurements kept for one processing unit: at most `PINNED + WINDOW`
 /// blocks, each one entry in both lists.
 ///
@@ -217,6 +245,35 @@ impl ProfileBook {
         outcome.as_ref().map_err(FitError::clone)
     }
 
+    /// `unit`'s processing-time samples (none for a unit outside the
+    /// book).
+    fn proc_samples(&self, unit: usize) -> &[(f64, f64)] {
+        self.profiles
+            .get(unit)
+            .map_or(&[], PerfProfile::proc_samples)
+    }
+
+    /// The largest block, in cost units, `unit`'s profile holds (0 for
+    /// none): the edge of what its model has seen.
+    pub(crate) fn largest_block(&self, unit: usize) -> f64 {
+        (self.proc_samples(unit).iter()).fold(0.0, |max, &(x, _)| max.max(x))
+    }
+
+    /// The family [`fit_family`] picks for what `unit` holds.
+    pub(crate) fn family(&self, unit: usize, full: FitMode) -> Option<FitMode> {
+        fit_family(self.proc_samples(unit), full)
+    }
+
+    /// [`fit_or_mean_rate`](Self::fit_or_mean_rate) in the family its
+    /// samples afford: `full` from a full ladder on, affine below it,
+    /// the mean rate when they afford no curve.
+    pub(crate) fn model(&mut self, unit: usize, full: FitMode) -> UnitModel {
+        match self.family(unit, full) {
+            Some(mode) => self.fit_or_mean_rate(unit, mode),
+            None => mean_rate_model(self.proc_samples(unit)),
+        }
+    }
+
     /// A model for `unit` no matter what: its fit, or — when its samples
     /// support no curve — the constant-rate model of its mean observed
     /// throughput.
@@ -224,11 +281,7 @@ impl ProfileBook {
         if let Ok(model) = self.fit(unit, mode) {
             return model.clone();
         }
-        mean_rate_model(
-            self.profiles
-                .get(unit)
-                .map_or(&[], PerfProfile::proc_samples),
-        )
+        mean_rate_model(self.proc_samples(unit))
     }
 }
 
@@ -312,6 +365,66 @@ impl UnitModel {
     /// Second derivative of `E_p` at `cost`.
     pub fn total_d2(&self, cost: f64) -> f64 {
         self.f.d2(cost) + self.g.d2(cost)
+    }
+
+    /// `E_p⁻¹(t)` clipped to `[lo, hi]`: the block this model predicts
+    /// to take `t` seconds. `E_p` is taken to be increasing: an affine
+    /// model is inverted in closed form, any other by bisection. A model
+    /// no block of the range takes `t` on gives the nearer end.
+    pub(crate) fn invert(&self, t: f64, lo: f64, hi: f64) -> f64 {
+        if !(t.is_finite() && lo <= hi) {
+            return lo;
+        }
+        if self.is_affine() {
+            let slope = self.total_d1(lo);
+            let x = lo + (t - self.total_time(lo)) / slope;
+            return if slope > 0.0 && x.is_finite() {
+                x.clamp(lo, hi)
+            } else {
+                hi
+            };
+        }
+        if self.total_time(hi) <= t {
+            return hi;
+        }
+        let (mut below, mut above) = (lo, hi);
+        if self.total_time(below) >= t {
+            return lo;
+        }
+        // E(below) < t < E(above): halve until the bracket is within
+        // half a cost unit.
+        for _ in 0..64 {
+            if above - below <= 0.5 {
+                break;
+            }
+            let mid = 0.5 * (below + above);
+            if self.total_time(mid) < t {
+                below = mid;
+            } else {
+                above = mid;
+            }
+        }
+        below
+    }
+
+    /// Is this a partial model: fitted from fewer samples than one walk
+    /// of the ladder, or a mean-rate stand-in (drawn through three
+    /// points of its own)? Good enough to size its own unit by, not to
+    /// call a rebalance of every unit on. Read off the model itself, so
+    /// a checkpoint that carries the model carries the verdict.
+    pub(crate) fn is_partial(&self) -> bool {
+        self.f.n_samples() < PINNED
+    }
+
+    /// Both curves affine: `E_p(x) = a + b·x`.
+    fn is_affine(&self) -> bool {
+        let affine = |c: &FittedCurve| {
+            c.basis()
+                .funcs()
+                .iter()
+                .all(|f| matches!(f, BasisFn::One | BasisFn::X))
+        };
+        affine(&self.f) && affine(&self.g)
     }
 
     /// The worse (smaller) of the two fit qualities — what the paper's
@@ -486,6 +599,56 @@ mod tests {
                 .abs()
                 < 1e-9
         );
+    }
+
+    #[test]
+    fn a_model_is_partial_below_a_full_ladder() {
+        let mut book = ProfileBook::from_profiles(vec![filled_profile(), PerfProfile::new()]);
+        for (k, &(x, t)) in filled_profile().proc_samples().iter().enumerate().take(4) {
+            let model = book.model(1, FitMode::BestSubset);
+            // One sample: the mean rate; two or three: an affine fit.
+            let (family, partial) = (model.f.basis().describe(), model.is_partial());
+            match k {
+                0 | 1 => assert_eq!((family.as_str(), partial), ("a0*x + a1*1", true)),
+                _ => assert_eq!((family.as_str(), partial), ("a0*1 + a1*x", true)),
+            }
+            book.record(1, x as u64, t, 0.0, false);
+        }
+        assert!(!book.model(1, FitMode::BestSubset).is_partial());
+        let ladder = |n: usize| filled_profile().proc_samples()[..n].to_vec();
+        assert_eq!(
+            fit_family(&ladder(3), FitMode::LogOnly),
+            Some(FitMode::LinearOnly)
+        );
+        assert_eq!(
+            fit_family(&ladder(4), FitMode::LogOnly),
+            Some(FitMode::LogOnly)
+        );
+        assert_eq!(fit_family(&ladder(1), FitMode::LogOnly), None);
+        // Three blocks within a factor of two of each other: no slope.
+        let bunched = [(782.0, 0.0293), (786.0, 0.0290), (786.0, 0.0297)];
+        assert_eq!(fit_family(&bunched, FitMode::BestSubset), None);
+        assert_eq!(book.largest_block(0), 3200.0);
+        assert_eq!(book.largest_block(9), 0.0);
+    }
+
+    #[test]
+    fn inversion_is_closed_form_on_an_affine_model_and_bisection_otherwise() {
+        let affine = filled_profile().fit_with(FitMode::LinearOnly).unwrap();
+        let t = affine.total_time(1234.0);
+        assert!((affine.invert(t, 1.0, 1e6) - 1234.0).abs() < 1e-6);
+        assert_eq!(affine.invert(t, 1.0, 1000.0), 1000.0, "clipped above");
+        assert_eq!(affine.invert(0.0, 10.0, 1e6), 10.0, "clipped below");
+        let mut p = PerfProfile::new();
+        for &x in &[100u64, 200, 400, 800, 1600] {
+            let xf = x as f64;
+            p.record(x, 1e-3 + 1e-6 * xf + 1e-9 * xf * xf, 0.0);
+        }
+        let curved = p.fit_with(FitMode::BestSubset).unwrap();
+        assert!(!curved.is_affine());
+        let t = curved.total_time(1000.0);
+        assert!((curved.invert(t, 1.0, 1e6) - 1000.0).abs() <= 0.5);
+        assert_eq!(affine.invert(f64::NAN, 5.0, 10.0), 5.0);
     }
 
     #[test]

@@ -246,11 +246,11 @@ impl FaultPlan {
         let mut factor = 1.0f64;
         for f in self.faults.iter().filter(|f| f.pu == pu) {
             match &f.kind {
-                FaultKind::DriftRamp { from, attempts, to } => {
-                    if attempt >= *from && *attempts > 0 {
-                        let step = (attempt - from + 1).min(*attempts) as f64;
-                        factor *= 1.0 + (to - 1.0) * step / *attempts as f64;
-                    }
+                FaultKind::DriftRamp { from, attempts, to }
+                    if attempt >= *from && *attempts > 0 =>
+                {
+                    let step = (attempt - from + 1).min(*attempts) as f64;
+                    factor *= 1.0 + (to - 1.0) * step / *attempts as f64;
                 }
                 FaultKind::DriftStep { points } => {
                     if let Some(&(_, fac)) = points.iter().rev().find(|&&(at, _)| attempt >= at) {
@@ -261,12 +261,10 @@ impl FaultPlan {
                     from,
                     period,
                     amplitude,
-                } => {
-                    if attempt >= *from && *period > 0 {
-                        let phase = (attempt - from) % period;
-                        let angle = std::f64::consts::TAU * phase as f64 / *period as f64;
-                        factor *= 1.0 + amplitude * angle.sin();
-                    }
+                } if attempt >= *from && *period > 0 => {
+                    let phase = (attempt - from) % period;
+                    let angle = std::f64::consts::TAU * phase as f64 / *period as f64;
+                    factor *= 1.0 + amplitude * angle.sin();
                 }
                 _ => {}
             }

@@ -15,10 +15,11 @@
 use serde::{Deserialize, Serialize};
 
 /// Which node pairs may exchange migrations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]
 pub enum Topology {
     /// Complete graph: every pair is adjacent.
+    #[default]
     Full,
     /// Cycle: node `i` is adjacent to `(i ± 1) mod n`.
     Ring,
@@ -67,12 +68,6 @@ impl Topology {
             Topology::Ring => "ring",
             Topology::Star => "star",
         }
-    }
-}
-
-impl Default for Topology {
-    fn default() -> Self {
-        Topology::Full
     }
 }
 

@@ -553,11 +553,13 @@ mod tests {
         assert!(step.dx.iter().all(|v| v.is_finite()));
     }
 
+    /// A dense system: Hessian, Jacobian, gradient, constraints, lower
+    /// bounds, bound multipliers, equality multipliers.
+    type DenseSystem = (Mat, Mat, Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>);
+
     /// Build the dense `KktInputs` equivalent of an arrow system so the
     /// dense path can serve as an oracle.
-    fn dense_equiv(
-        inp: &ArrowKktInputs<'_>,
-    ) -> (Mat, Mat, Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>) {
+    fn dense_equiv(inp: &ArrowKktInputs<'_>) -> DenseSystem {
         let n = inp.x.len();
         let k = n - 1;
         let mut hess = Mat::zeros(n, n);

@@ -68,21 +68,27 @@ pub trait NlpProblem {
         None
     }
 
-    /// Fill the arrow coefficients at `(x, lambda)`:
-    /// `jac_diag[g] = ∂c_g/∂x_g` (length `k`) and `hess_diag[i] = ∂²L/∂x_i²`
+    /// Fill the arrow Jacobian at `x`: `jac_diag[g] = ∂c_g/∂x_g`
+    /// (length `k`). Returns `true` on success; the default returns
+    /// `false`, which makes the solver hold this point's Jacobian dense.
+    ///
+    /// Asked once per point the solver evaluates, trial points of the
+    /// line search included. Only called when [`NlpProblem::arrow_k`]
+    /// returns `Some`.
+    fn arrow_jac_diag(&self, x: &[f64], jac_diag: &mut [f64]) -> bool {
+        let _ = (x, jac_diag);
+        false
+    }
+
+    /// Fill the arrow Hessian at `(x, lambda)`: `hess_diag[i] = ∂²L/∂x_i²`
     /// (length `n = k + 1`, last entry for `T`). Returns `true` on
     /// success; the default returns `false`, which makes the solver fall
     /// back to the dense assembly for that iteration.
     ///
-    /// Only called when [`NlpProblem::arrow_k`] returns `Some`.
-    fn arrow_coeffs(
-        &self,
-        x: &[f64],
-        lambda: &[f64],
-        jac_diag: &mut [f64],
-        hess_diag: &mut [f64],
-    ) -> bool {
-        let _ = (x, lambda, jac_diag, hess_diag);
+    /// Asked once per iteration, before the KKT solve, at an iterate
+    /// whose [`arrow_jac_diag`](Self::arrow_jac_diag) succeeded.
+    fn arrow_hess_diag(&self, x: &[f64], lambda: &[f64], hess_diag: &mut [f64]) -> bool {
+        let _ = (x, lambda, hess_diag);
         false
     }
 }

@@ -225,21 +225,26 @@ impl NlpProblem for BlockPartitionNlp {
         Some(self.curves.len())
     }
 
-    fn arrow_coeffs(
-        &self,
-        x: &[f64],
-        lambda: &[f64],
-        jac_diag: &mut [f64],
-        hess_diag: &mut [f64],
-    ) -> bool {
-        let k = self.curves.len();
+    // A non-finite derivative declines, and the solver falls back to
+    // the dense assembly and LU for that point.
+    fn arrow_jac_diag(&self, x: &[f64], jac_diag: &mut [f64]) -> bool {
         for (g, curve) in self.curves.iter().enumerate() {
             let d1 = curve.deriv1(x[g]);
-            let d2 = curve.deriv2(x[g]);
-            if !d1.is_finite() || !d2.is_finite() {
-                return false; // let the solver fall back to dense + LU
+            if !d1.is_finite() {
+                return false;
             }
             jac_diag[g] = d1;
+        }
+        true
+    }
+
+    fn arrow_hess_diag(&self, x: &[f64], lambda: &[f64], hess_diag: &mut [f64]) -> bool {
+        let k = self.curves.len();
+        for (g, curve) in self.curves.iter().enumerate() {
+            let d2 = curve.deriv2(x[g]);
+            if !d2.is_finite() {
+                return false;
+            }
             hess_diag[g] = lambda[g] * d2;
         }
         hess_diag[k] = 0.0; // T is linear in objective and constraints
@@ -369,15 +374,74 @@ mod tests {
         }
     }
 
-    /// A curve that goes non-finite makes `arrow_coeffs` decline, which
-    /// must fall back to the dense path rather than poison the solve.
+    /// `n` units of 64 speed grades and three fixed overheads, with a
+    /// `quad` term, their rates scaled by `drift`: the selection problem
+    /// `plbmark` times, its times O(1 s) at any `n`.
+    fn graded(n: usize, quad: f64, drift: f64) -> BlockPartitionNlp {
+        let k = n as f64;
+        let curves = (0..n)
+            .map(|g| {
+                let rate = (1.0 + (g % 64) as f64 * 0.25) * drift;
+                let overhead = 0.01 * (1 + g % 3) as f64;
+                Box::new(FnCurve::new(
+                    move |x: f64| overhead + x * k / rate + quad * (x * k) * (x * k),
+                    move |x: f64| k / rate + 2.0 * quad * k * (x * k),
+                    move |_| 2.0 * quad * k * k,
+                )) as BoxedCurve
+            })
+            .collect();
+        BlockPartitionNlp::new(curves)
+    }
+
+    /// Affine curves make the start's equalization exact, so the first
+    /// iterate is feasible to rounding. The φ test's margin then asked
+    /// more than any step could give: without the Armijo test this took
+    /// 10 iterations and 81 backtracks. With it, every step is full.
+    #[test]
+    fn an_exactly_feasible_start_takes_full_steps() {
+        let nlp = graded(450, 0.0, 1.0);
+        let mut c = vec![0.0; nlp.m()];
+        nlp.constraints(&nlp.initial_point(), &mut c);
+        let theta: f64 = c.iter().map(|v| v.abs()).sum();
+        assert!(theta <= 1e-12, "θ = {theta}");
+        let sol = solve(&nlp, &IpmOptions::default()).unwrap();
+        assert_eq!(sol.status, IpmStatus::Optimal);
+        assert!(sol.iterations <= 8, "{} iterations", sol.iterations);
+        let backtracks: usize = sol.iteration_log.iter().map(|r| r.backtracks).sum();
+        assert_eq!(backtracks, 0);
+    }
+
+    /// The rebalance case: curves drift 3 % and the split is solved
+    /// again from the old optimum, in the two iterations it took before
+    /// the Armijo test, to the cold solve's point.
+    #[test]
+    fn a_warm_resolve_still_takes_two_iterations() {
+        let opts = IpmOptions::default();
+        let old = solve(&graded(10, 0.05, 1.0), &opts).unwrap();
+        let warm = crate::solver::WarmStart::from_solution(&old);
+        let drifted = graded(10, 0.05, 1.03);
+        let again = crate::solver::solve_warm(&drifted, &opts, Some(&warm)).unwrap();
+        let cold = solve(&drifted, &opts).unwrap();
+        assert_eq!((again.status, again.iterations), (IpmStatus::Optimal, 2));
+        for (w, c) in again.x.iter().zip(&cold.x) {
+            assert!((w - c).abs() < 1e-9, "{w} vs {c}");
+        }
+    }
+
+    /// A curve that goes non-finite makes the arrow coefficients
+    /// decline, which must fall back to the dense path rather than
+    /// poison the solve.
     #[test]
     fn non_finite_coeffs_fall_back_to_dense() {
         let weird: BoxedCurve = Box::new(FnCurve::new(|x: f64| x * 2.0, |_| f64::NAN, |_| 0.0));
         let nlp = BlockPartitionNlp::new(vec![weird, linear_curve(1.0)]);
         let mut jd = vec![0.0; 2];
+        assert!(!nlp.arrow_jac_diag(&[0.5, 0.5, 1.0], &mut jd));
+        let curved: BoxedCurve = Box::new(FnCurve::new(|x: f64| x * 2.0, |_| 2.0, |_| f64::NAN));
+        let nlp = BlockPartitionNlp::new(vec![curved, linear_curve(1.0)]);
         let mut hd = vec![0.0; 3];
-        assert!(!nlp.arrow_coeffs(&[0.5, 0.5, 1.0], &[0.0, 0.0, 0.0], &mut jd, &mut hd));
+        assert!(nlp.arrow_jac_diag(&[0.5, 0.5, 1.0], &mut jd));
+        assert!(!nlp.arrow_hess_diag(&[0.5, 0.5, 1.0], &[0.0; 3], &mut hd));
     }
 
     #[test]

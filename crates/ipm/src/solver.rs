@@ -163,44 +163,93 @@ const KAPPA_MU: f64 = 0.2;
 const THETA_MU: f64 = 1.5;
 const KAPPA_SIGMA: f64 = 1e10;
 const ALPHA_MIN: f64 = 1e-12;
+/// Constraint violation at or below which an iterate counts as
+/// feasible: the level of rounding in `c(x)`, where a test that θ
+/// shrinks measures only the rounding.
+const THETA_FEASIBLE: f64 = 1e-12;
+/// IPOPT's η_φ: the share of the predicted barrier decrease an Armijo
+/// step must deliver.
+const ETA_PHI: f64 = 1e-8;
 
-/// How an iterate's constraint Jacobian is held: a dense `m x n` matrix,
-/// or just the `k` per-block diagonal entries of an arrow problem (the
-/// `-1` column on `T` and the all-ones coupling row are implied by the
-/// structure, so they are never materialized).
-enum JacRep {
-    Dense(Mat),
-    Arrow(Vec<f64>),
-}
-
+/// One evaluated point: objective, gradient, constraints and Jacobian.
+/// A solve holds two, the iterate and the line search's trial point,
+/// and evaluates into them in place, so no point allocates.
 struct Eval {
     f: f64,
     grad: Vec<f64>,
     c: Vec<f64>,
-    jac: JacRep,
+    /// Whether the Jacobian is held as `jd`, the `k` per-block diagonal
+    /// entries of an arrow problem (the `-1` column on `T` and the
+    /// all-ones coupling row are implied by the structure, so they are
+    /// never materialized), or as the dense `m x n` matrix `dense`.
+    arrow: bool,
+    jd: Vec<f64>,
+    /// Allocated the first time a point needs it.
+    dense: Option<Mat>,
 }
 
-/// `Jᵀλ` for either Jacobian representation — O(mn) dense, O(n) arrow.
-fn jt_lambda(jac: &JacRep, lambda: &[f64], n: usize) -> Vec<f64> {
-    match jac {
-        JacRep::Dense(m) => m.tr_matvec(lambda),
-        JacRep::Arrow(jd) => {
-            let k = jd.len();
-            let mut out = vec![0.0; n];
-            let nu = lambda[k];
-            let mut sum = 0.0;
-            for g in 0..k {
-                out[g] = jd[g] * lambda[g] + nu;
-                sum += lambda[g];
-            }
-            out[k] = -sum;
-            out
+impl Eval {
+    fn new(n: usize, m: usize, arrow: Option<usize>) -> Eval {
+        Eval {
+            f: 0.0,
+            grad: vec![0.0; n],
+            c: vec![0.0; m],
+            arrow: false,
+            jd: vec![0.0; arrow.unwrap_or(0)],
+            dense: None,
+        }
+    }
+
+    /// Evaluate `p` at `x`. The Jacobian diagonal is computed here and
+    /// nowhere else; the Hessian diagonal, the one coefficient that
+    /// needs the multipliers, is left to the iteration's KKT solve.
+    fn at(&mut self, p: &dyn NlpProblem, x: &[f64], arrow: bool) {
+        self.grad.fill(0.0);
+        p.gradient(x, &mut self.grad);
+        self.c.fill(0.0);
+        p.constraints(x, &mut self.c);
+        self.arrow = arrow && p.arrow_jac_diag(x, &mut self.jd);
+        if !self.arrow {
+            let (m, n) = (self.c.len(), self.grad.len());
+            let jac = self.dense.get_or_insert_with(|| Mat::zeros(m, n));
+            jac.as_mut_slice().fill(0.0);
+            p.jacobian(x, jac);
+        }
+        self.f = p.objective(x);
+    }
+
+    /// The dense Jacobian: the one evaluated, or, for an arrow point
+    /// whose Hessian declined, the arrow's materialized.
+    fn dense_jac(&self) -> std::borrow::Cow<'_, Mat> {
+        match &self.dense {
+            Some(jac) if !self.arrow => std::borrow::Cow::Borrowed(jac),
+            _ => std::borrow::Cow::Owned(arrow_dense_jac(&self.jd)),
         }
     }
 }
 
+/// `Jᵀλ` for either Jacobian representation — O(mn) dense, O(n) arrow.
+fn jt_lambda(ev: &Eval, lambda: &[f64], n: usize) -> Vec<f64> {
+    if !ev.arrow {
+        if let Some(jac) = &ev.dense {
+            return jac.tr_matvec(lambda);
+        }
+    }
+    let jd = &ev.jd;
+    let k = jd.len();
+    let mut out = vec![0.0; n];
+    let nu = lambda[k];
+    let mut sum = 0.0;
+    for g in 0..k {
+        out[g] = jd[g] * lambda[g] + nu;
+        sum += lambda[g];
+    }
+    out[k] = -sum;
+    out
+}
+
 /// Materialize the dense Jacobian of an arrow problem — only needed on
-/// the rare fallback path when `arrow_coeffs` declines an iterate.
+/// the rare fallback path when the Hessian diagonal declines an iterate.
 fn arrow_dense_jac(jd: &[f64]) -> Mat {
     let k = jd.len();
     let mut j = Mat::zeros(k + 1, k + 1);
@@ -210,43 +259,6 @@ fn arrow_dense_jac(jd: &[f64]) -> Mat {
         j[(k, g)] = 1.0;
     }
     j
-}
-
-fn evaluate(p: &dyn NlpProblem, x: &[f64], arrow: Option<usize>) -> Eval {
-    let (n, m) = (p.n(), p.m());
-    let mut grad = vec![0.0; n];
-    p.gradient(x, &mut grad);
-    let mut c = vec![0.0; m];
-    p.constraints(x, &mut c);
-    let jac = match arrow {
-        Some(k) => {
-            // The Jacobian diagonal is λ-independent, so zeros are a
-            // valid multiplier vector here; the Hessian output is
-            // scratch and recomputed with live multipliers before each
-            // KKT solve.
-            let mut jd = vec![0.0; k];
-            let mut hd_scratch = vec![0.0; n];
-            let zeros = vec![0.0; m];
-            if p.arrow_coeffs(x, &zeros, &mut jd, &mut hd_scratch) {
-                JacRep::Arrow(jd)
-            } else {
-                let mut jac = Mat::zeros(m, n);
-                p.jacobian(x, &mut jac);
-                JacRep::Dense(jac)
-            }
-        }
-        None => {
-            let mut jac = Mat::zeros(m, n);
-            p.jacobian(x, &mut jac);
-            JacRep::Dense(jac)
-        }
-    };
-    Eval {
-        f: p.objective(x),
-        grad,
-        c,
-        jac,
-    }
 }
 
 fn theta(c: &[f64]) -> f64 {
@@ -265,11 +277,20 @@ fn barrier_phi(f: f64, x: &[f64], lb: &[f64], mu: f64) -> f64 {
     phi
 }
 
+/// `∇φᵀd`: the slope of the barrier merit along the primal step `dx`.
+fn barrier_slope(grad: &[f64], x: &[f64], lb: &[f64], dx: &[f64], mu: f64) -> f64 {
+    let mut slope = 0.0;
+    for i in 0..x.len() {
+        slope += (grad[i] - mu / (x[i] - lb[i])) * dx[i];
+    }
+    slope
+}
+
 /// Unperturbed (μ = 0) KKT error: stationarity, feasibility,
 /// complementarity.
 fn kkt_error(ev: &Eval, x: &[f64], lb: &[f64], z: &[f64], lambda: &[f64], mu: f64) -> f64 {
     let n = x.len();
-    let jt_lambda = jt_lambda(&ev.jac, lambda, n);
+    let jt_lambda = jt_lambda(ev, lambda, n);
     let mut stat = 0.0f64;
     for i in 0..n {
         stat = stat.max((ev.grad[i] + jt_lambda[i] - z[i]).abs());
@@ -417,12 +438,15 @@ pub fn solve_warm(
         }
     };
 
-    let mut ev = evaluate(problem, &x, arrow);
+    let mut ev = Eval::new(n, m, arrow);
+    ev.at(problem, &x, arrow.is_some());
+    let mut trial = Eval::new(n, m, arrow);
+    let mut x_trial = vec![0.0; n];
+    let zeros = vec![0.0; n];
     let mut filter = Filter::new((theta(&ev.c) * 1e4).max(1.0));
     // The dense n×n Hessian is only materialized if the dense KKT path
     // is ever taken — at n = 10⁴ the arrow path never pays for it.
     let mut hess: Option<Mat> = None;
-    let mut jd_buf = vec![0.0; arrow.unwrap_or(0)];
     let mut hd_buf = vec![0.0; if arrow.is_some() { n } else { 0 }];
     let mut arrow_ws = ArrowWorkspace::new();
     let mut kstep = KktStep {
@@ -478,15 +502,12 @@ pub fn solve_warm(
         // KKT step: O(n) arrow elimination when the problem declared the
         // structure and can produce coefficients at this iterate; dense
         // LU otherwise.
-        let arrow_ready = match &ev.jac {
-            JacRep::Arrow(_) => problem.arrow_coeffs(&x, &lambda, &mut jd_buf, &mut hd_buf),
-            JacRep::Dense(_) => false,
-        };
+        let arrow_ready = ev.arrow && problem.arrow_hess_diag(&x, &lambda, &mut hd_buf);
         if arrow_ready {
             solve_kkt_arrow_into(
                 &ArrowKktInputs {
                     hess_diag: &hd_buf,
-                    jac_diag: &jd_buf,
+                    jac_diag: &ev.jd,
                     grad: &ev.grad,
                     c: &ev.c,
                     x: &x,
@@ -500,19 +521,12 @@ pub fn solve_warm(
             )
             .map_err(|e| IpmError::NumericalBreakdown(e.to_string()))?;
         } else {
-            let jac_owned;
-            let jac: &Mat = match &ev.jac {
-                JacRep::Dense(j) => j,
-                JacRep::Arrow(jd) => {
-                    jac_owned = arrow_dense_jac(jd);
-                    &jac_owned
-                }
-            };
+            let jac = ev.dense_jac();
             let hess = hess.get_or_insert_with(|| Mat::zeros(n, n));
             problem.lagrangian_hessian(&x, &lambda, hess);
             kstep = solve_kkt(&KktInputs {
                 hess,
-                jac,
+                jac: &jac,
                 grad: &ev.grad,
                 c: &ev.c,
                 x: &x,
@@ -526,17 +540,28 @@ pub fn solve_warm(
         let step = &kstep;
 
         let alpha_pri_max = max_step(&x, &lb, &step.dx, opts.tau);
-        let zeros = vec![0.0; n];
         let alpha_dual_max = max_step(&z, &zeros, &step.dz, opts.tau);
 
         // Filter line search on the primal step.
         let theta_cur = theta(&ev.c);
         let phi_cur = barrier_phi(ev.f, &x, &lb, mu);
+        // A feasible iterate may also pass on the standard Armijo test:
+        // the barrier merit falls by a share of what the step's slope
+        // ∇φᵀd predicts. Without it, θ at rounding level left only the
+        // φ test's margin of 1e-8·|φ| — ≈ 3e-6 at n = 450 and μ = 0.1,
+        // more than any step could deliver — and the search halved α
+        // until rounding happened to shave θ. A rise of φ at its own
+        // rounding level is no rise (IPOPT's comparison), and a
+        // direction that is not a descent one must not raise φ.
+        let feasible = theta_cur <= THETA_FEASIBLE;
+        let slope = if feasible {
+            barrier_slope(&ev.grad, &x, &lb, &step.dx, mu).min(0.0)
+        } else {
+            0.0
+        };
         let mut alpha = alpha_pri_max;
         let mut accepted = false;
         let mut backtracks = 0usize;
-        let mut x_trial = vec![0.0; n];
-        let mut ev_trial = None;
         for _ in 0..=opts.max_backtracks {
             if alpha < ALPHA_MIN {
                 break;
@@ -544,19 +569,20 @@ pub fn solve_warm(
             for i in 0..n {
                 x_trial[i] = x[i] + alpha * step.dx[i];
             }
-            let et = evaluate(problem, &x_trial, arrow);
-            let theta_t = theta(&et.c);
-            let phi_t = barrier_phi(et.f, &x_trial, &lb, mu);
+            trial.at(problem, &x_trial, arrow.is_some());
+            let theta_t = theta(&trial.c);
+            let phi_t = barrier_phi(trial.f, &x_trial, &lb, mu);
+            let armijo = || {
+                phi_t - (phi_cur + ETA_PHI * alpha * slope) <= 10.0 * f64::EPSILON * phi_cur.abs()
+            };
             let improves = theta_t < (1.0 - 1e-5) * theta_cur
-                || phi_t < phi_cur - 1e-8 * phi_cur.abs().max(1.0);
-            if filter.acceptable(theta_t, phi_t)
-                && (improves || theta_cur == 0.0 && phi_t <= phi_cur)
-            {
+                || phi_t < phi_cur - 1e-8 * phi_cur.abs().max(1.0)
+                || feasible && armijo();
+            if filter.acceptable(theta_t, phi_t) && improves {
                 // θ-type acceptance: remember the pair so we cannot cycle.
                 if phi_t >= phi_cur - 1e-8 {
                     filter.add(theta_cur, phi_cur);
                 }
-                ev_trial = Some(et);
                 accepted = true;
                 break;
             }
@@ -575,7 +601,7 @@ pub fn solve_warm(
             for i in 0..n {
                 x_trial[i] = x[i] + alpha * step.dx[i];
             }
-            let et = evaluate(problem, &x_trial, arrow);
+            trial.at(problem, &x_trial, arrow.is_some());
             let mut lambda_t = lambda.clone();
             for j in 0..m {
                 lambda_t[j] += alpha * step.dlambda[j];
@@ -584,9 +610,8 @@ pub fn solve_warm(
             for i in 0..n {
                 z_t[i] = (z_t[i] + alpha_dual_max * step.dz[i]).max(1e-300);
             }
-            let err_t = kkt_error(&et, &x_trial, &lb, &z_t, &lambda_t, 0.0);
+            let err_t = kkt_error(&trial, &x_trial, &lb, &z_t, &lambda_t, 0.0);
             if err_t < 0.9 * err0 {
-                ev_trial = Some(et);
                 accepted = true;
             }
         }
@@ -626,16 +651,14 @@ pub fn solve_warm(
             for i in 0..n {
                 x[i] += (alpha_pri_max * 1e-3) * step.dx[i];
             }
-            ev = evaluate(problem, &x, arrow);
+            ev.at(problem, &x, arrow.is_some());
             continue;
         }
         ls_failures = 0;
 
+        // An accepted step's point is the one last evaluated.
         x.copy_from_slice(&x_trial);
-        // An accepted step always carries its trial evaluation;
-        // re-evaluate defensively instead of panicking if that
-        // invariant ever breaks.
-        ev = ev_trial.unwrap_or_else(|| evaluate(problem, &x, arrow));
+        std::mem::swap(&mut ev, &mut trial);
         for j in 0..m {
             lambda[j] += alpha * step.dlambda[j];
         }
@@ -997,16 +1020,15 @@ mod tests {
         fn arrow_k(&self) -> Option<usize> {
             Some(self.k())
         }
-        fn arrow_coeffs(
-            &self,
-            x: &[f64],
-            lambda: &[f64],
-            jac_diag: &mut [f64],
-            hess_diag: &mut [f64],
-        ) -> bool {
+        fn arrow_jac_diag(&self, x: &[f64], jac_diag: &mut [f64]) -> bool {
+            for g in 0..self.k() {
+                jac_diag[g] = self.a[g] + 2.0 * self.b[g] * x[g];
+            }
+            true
+        }
+        fn arrow_hess_diag(&self, _x: &[f64], lambda: &[f64], hess_diag: &mut [f64]) -> bool {
             let k = self.k();
             for g in 0..k {
-                jac_diag[g] = self.a[g] + 2.0 * self.b[g] * x[g];
                 hess_diag[g] = lambda[g] * 2.0 * self.b[g];
             }
             hess_diag[k] = 0.0;

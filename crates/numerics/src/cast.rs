@@ -17,7 +17,7 @@ const MAX_USIZE_F: f64 = usize::MAX as f64;
 /// large to represent.
 pub fn floor_usize(x: f64) -> Option<usize> {
     let f = x.floor();
-    if !f.is_finite() || f < 0.0 || f > MAX_USIZE_F {
+    if !f.is_finite() || !(0.0..=MAX_USIZE_F).contains(&f) {
         return None;
     }
     // Guarded above: finite, non-negative, in range.
@@ -28,7 +28,7 @@ pub fn floor_usize(x: f64) -> Option<usize> {
 /// large to represent.
 pub fn ceil_usize(x: f64) -> Option<usize> {
     let c = x.ceil();
-    if !c.is_finite() || c < 0.0 || c > MAX_USIZE_F {
+    if !c.is_finite() || !(0.0..=MAX_USIZE_F).contains(&c) {
         return None;
     }
     // Guarded above: finite, non-negative, in range.

@@ -948,7 +948,7 @@ mod tests {
 
     #[test]
     fn owner_lookup_follows_shard_bounds() {
-        let be_bounds = vec![25u64, 50, 75];
+        let be_bounds = [25u64, 50, 75];
         let owner = |off: u64| be_bounds.partition_point(|&b| b <= off);
         assert_eq!(owner(0), 0);
         assert_eq!(owner(24), 0);

@@ -670,7 +670,7 @@ mod tests {
             while let Some((off, got)) = p.take(budgets[i % budgets.len()]) {
                 i += 1;
                 flaky += 1;
-                if flaky % fail_every == 0 {
+                if flaky.is_multiple_of(fail_every) {
                     p.reclaim(off, got);
                 } else {
                     served_cost += w.cost(off, got);

@@ -217,7 +217,8 @@ impl Backend for HostBackend {
 
     fn poll(&mut self, wake: Option<f64>, _events: &mut EventSink) -> Polled {
         let timeout = match wake {
-            Some(w) => (w - self.now()).max(0.0).min(60.0),
+            // Not `clamp`: a NaN wake must read as "now", not panic.
+            Some(w) => 60f64.min((w - self.now()).max(0.0)),
             None => 60.0,
         };
         let (pu, polled) = match self.done_rx.recv_timeout(Duration::from_secs_f64(timeout)) {
@@ -445,15 +446,13 @@ impl HostEngine {
                         let outcome =
                             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                                 match a.inject {
-                                    Some(FaultAction::Delay(s)) => {
-                                        if s.is_finite() && s > 0.0 {
-                                            std::thread::sleep(Duration::from_secs_f64(s));
-                                        }
+                                    Some(FaultAction::Delay(s)) if s.is_finite() && s > 0.0 => {
+                                        std::thread::sleep(Duration::from_secs_f64(s));
                                     }
                                     Some(FaultAction::Panic) => {
                                         panic!("injected fault: panic on attempt {}", a.attempt);
                                     }
-                                    None => {}
+                                    Some(FaultAction::Delay(_)) | None => {}
                                 }
                                 for _ in 0..repeat {
                                     codelet.execute(a.offset..a.offset + a.items, &res);
@@ -709,9 +708,10 @@ mod tests {
             r2.lock().push(r);
         }));
         let mut engine = HostEngine::new(two_unequal_pus());
-        engine
+        let report = engine
             .run(&mut FixedBlockPolicy { block: 97 }, codelet, 1000)
             .unwrap();
+        assert_eq!(report.total_items, 1000);
         let mut got = ranges.lock().clone();
         got.sort_by_key(|r| r.start);
         let mut expect = 0;

@@ -23,10 +23,11 @@ use crate::sync::Arc;
 /// Shared as `Arc<Weights>` between the pool, the driver, and the
 /// engines — the prefix table can be millions of entries and is
 /// read-only for the whole run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum Weights {
     /// Every item costs exactly 1 unit: cost ≡ item count. The default,
     /// and the fast path all pre-weights callers land on.
+    #[default]
     Uniform,
     /// Per-item costs, stored as prefix sums: `prefix[i]` is the total
     /// cost of items `0..i`, so `prefix.len()` is `n + 1` and
@@ -35,12 +36,6 @@ pub enum Weights {
         /// The prefix-sum table.
         prefix: Vec<u64>,
     },
-}
-
-impl Default for Weights {
-    fn default() -> Self {
-        Weights::Uniform
-    }
 }
 
 impl Weights {

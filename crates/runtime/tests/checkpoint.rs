@@ -59,9 +59,11 @@ fn healthy(name: &str) -> PuState {
 /// A mid-run-style snapshot: 500 of 1000 items done in two ranges,
 /// five snapshots already written, some carried event counts.
 fn midrun_snapshot(total: u64) -> Checkpoint {
-    let mut counters = EventCounters::default();
-    counters.checkpoints = 5;
-    counters.tasks_finished = 4;
+    let counters = EventCounters {
+        checkpoints: 5,
+        tasks_finished: 4,
+        ..Default::default()
+    };
     Checkpoint {
         version: CHECKPOINT_FORMAT_VERSION,
         workload: WorkloadId {
@@ -151,10 +153,7 @@ fn resume_processes_the_complement_and_completes_the_cover() {
     // Lifetime accounting: the resumed run's own final snapshot.
     let fin = load(&dst).unwrap();
     assert_eq!(fin.completed, vec![(0, total)]);
-    assert!(
-        fin.seq >= ckpt.seq + 1,
-        "sequence must continue, not restart"
-    );
+    assert!(fin.seq > ckpt.seq, "sequence must continue, not restart");
     assert!(fin.tasks_done > carried_tasks);
     assert_eq!(fin.counters.resumes, 1);
 

@@ -114,9 +114,10 @@ fn sim_retry_event_carries_backoff() {
     let mut cluster = quiet_cluster(Scenario::Two);
     let cost = LinearCost::generic();
     let mut engine = SimEngine::new(&mut cluster, &cost).with_faults(panic_on(1, 0));
-    engine
+    let report = engine
         .run(&mut FixedBlockPolicy { block: 5_000 }, 100_000)
         .expect("run completes");
+    assert_eq!(report.total_items, 100_000);
     let events = engine.last_events().expect("events recorded").events();
     let retry = events
         .iter()
@@ -295,9 +296,10 @@ fn sim_trace_times_stay_monotone_under_faults() {
     let mut cluster = quiet_cluster(Scenario::Two);
     let cost = LinearCost::generic();
     let mut engine = SimEngine::new(&mut cluster, &cost).with_faults(flaky(0, 10));
-    engine
+    let report = engine
         .run(&mut RedispatchPolicy { block: 5_000 }, 100_000)
         .expect("run completes");
+    assert_eq!(report.total_items, 100_000);
     let events = engine.last_events().expect("events recorded").events();
     let mut last: std::collections::HashMap<usize, f64> = Default::default();
     for e in &events {

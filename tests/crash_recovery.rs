@@ -19,7 +19,7 @@ use plb_hec_suite::hetsim::PuKind;
 use plb_hec_suite::plb::{PlbHecPolicy, PolicyConfig};
 use plb_hec_suite::runtime::checkpoint::load;
 use plb_hec_suite::runtime::{
-    Checkpoint, CheckpointConfig, Codelet, DisjointOutput, FnCodelet, HostEngine, HostPu,
+    Checkpoint, CheckpointConfig, DisjointOutput, FnCodelet, HostEngine, HostPu,
 };
 use std::path::Path;
 use std::process::Command;

@@ -177,8 +177,16 @@ fn host_qos_drift_triggers_real_rebalance() {
     // (injected as idempotent re-execution); the per-block deviation
     // trips the 10% threshold, the models are refit from *measured*
     // times, and the run completes with every option priced once.
+    //
+    // Sized so the fit gate, not the data cap, closes the modeling
+    // phase: every unit's model is fitted from a full ladder, so a
+    // surprise calls the paper's rebalance instead of re-sizing its
+    // unit alone. The drift starts on the wide unit's sixth task, one of
+    // its first blocks, while most of the pool is left: a drifted block
+    // lasts as long as six of the narrow unit's, and one that lands
+    // after the pool has run dry has nothing left to rebalance.
     use plb_hec_suite::runtime::HostPerturbation;
-    let n = 60_000usize;
+    let n = 600_000usize;
     let data = Arc::new(BsData::generate(n, 3));
     let cfg = PolicyConfig::default()
         .with_initial_block(1_500)
@@ -186,7 +194,7 @@ fn host_qos_drift_triggers_real_rebalance() {
     let codelet = Arc::new(BsCodelet::new(Arc::clone(&data)));
     let mut engine = HostEngine::new(pus()).with_perturbations(vec![HostPerturbation {
         pu: 0,
-        after_tasks: 8,
+        after_tasks: 5,
         repeat: 6,
     }]);
     let mut policy = PlbHecPolicy::new(&cfg);

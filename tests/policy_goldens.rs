@@ -15,6 +15,15 @@
 //! re-fit, at a rebalance, a unit that has landed more blocks than a
 //! profile keeps (its ladder and its 16 most recent), and the second
 //! run of a reused policy object keeps the models that still predict.
+//!
+//! Two changes then moved every stream, each printed on its own. The
+//! line search's Armijo test (`plb-ipm`) moved every run that solves:
+//! the same blocks on the same units, fewer `ipm_iteration` events, a
+//! smaller charged solve cost and so a makespan shorter by less than a
+//! millisecond; such a test names its constant from before in one line.
+//! Closing the modeling phase at the data cap, probes in flight or not,
+//! moved the runs that hit the cap with a probe out; they say how.
+//!
 //! A scenario whose constant moves prints what it got, with the run's
 //! summary.
 
@@ -206,13 +215,15 @@ fn is_quarantine(e: &Event) -> bool {
 fn fault_free_two_machines() {
     let o = run(Scenario::Two, &heavy_cost(), 4_000_000, Setup::default());
     assert_eq!(o.triggers("divergence"), 0);
-    o.check("fault_free_two_machines", 0x9065_b181_92ab_ade7);
+    // 0x9065_b181_92ab_ade7 before the Armijo test (see above).
+    o.check("fault_free_two_machines", 0x28e3_3698_c50a_0de9);
 }
 
 #[test]
 fn fault_free_four_machines() {
     let o = run(Scenario::Four, &heavy_cost(), 8_000_000, Setup::default());
-    o.check("fault_free_four_machines", 0x7e20_73ad_48a6_26c8);
+    // 0x7e20_73ad_48a6_26c8 before the Armijo test (see above).
+    o.check("fault_free_four_machines", 0xaeff_5340_ba45_f1ae);
 }
 
 // ---------------------------------------------------------------------
@@ -241,7 +252,8 @@ fn busy_unit_fails_mid_modeling() {
     // 0xf6e3_3eae_c10a_2bc0 at the parent: the lost probe's 1 000 cost
     // units now return to the modeling budget, so `modeling_done`
     // reports 1 000 fewer; every time and every block is as it was.
-    o.check("busy_unit_fails_mid_modeling", 0x1b47_5303_3add_67b1);
+    // 0x1b47_5303_3add_67b1 before the Armijo test (see above).
+    o.check("busy_unit_fails_mid_modeling", 0x81e0_9339_794a_983f);
 }
 
 #[test]
@@ -260,7 +272,8 @@ fn busy_unit_fails_mid_execution() {
         "the loss lands in the execution phase"
     );
     assert_eq!(o.triggers("device-lost"), 1);
-    o.check("busy_unit_fails_mid_execution", 0x71b0_269a_6eba_8a12);
+    // 0x71b0_269a_6eba_8a12 before the Armijo test (see above).
+    o.check("busy_unit_fails_mid_execution", 0x2e7d_0550_2f0f_c8a7);
 }
 
 #[test]
@@ -283,9 +296,10 @@ fn flaky_unit_is_quarantined_mid_modeling() {
     // rebalance (0.0460 s) fits 20 samples a unit where it fitted 24,
     // 58, 25 and 25, to the same lines — every time and every block is
     // as it was, `predicted_s` differs in its last two digits.
+    // 0x6e7b_046f_89ad_e624 before the Armijo test (see above).
     o.check(
         "flaky_unit_is_quarantined_mid_modeling",
-        0x6e7b_046f_89ad_e624,
+        0x2788_d854_4caa_ed34,
     );
 }
 
@@ -303,9 +317,10 @@ fn failing_unit_is_quarantined_mid_execution() {
     let quarantined = o.first_t(is_quarantine).expect("unit 3 is quarantined");
     assert!(quarantined > o.modeling_done_t());
     assert_eq!(o.triggers("device-lost"), 1);
+    // 0x68a9_88ba_414b_7f2c before the Armijo test (see above).
     o.check(
         "failing_unit_is_quarantined_mid_execution",
-        0x68a9_88ba_414b_7f2c,
+        0x8bbf_f16e_4e7b_96b7,
     );
 }
 
@@ -332,9 +347,12 @@ fn retries_exhausted_without_quarantine_mid_modeling() {
     );
     // 0x8f19_a36a_832d_f4cf with unbounded profiles; as above, the
     // rebalance's fits read 20 samples a unit and nothing else moves.
+    // 0xedf3_6ef9_c016_03ba then; 0x7642_2eef_45a3_8466 with the Armijo
+    // test. Closed at the cap one landing sooner, with a probe in flight
+    // (0.2387 → 0.2375 s).
     o.check(
         "retries_exhausted_without_quarantine_mid_modeling",
-        0xedf3_6ef9_c016_03ba,
+        0xab03_1dbf_3831_987d,
     );
 }
 
@@ -359,9 +377,10 @@ fn retries_exhausted_without_quarantine_mid_execution() {
         .first_t(|e| matches!(e.kind, EventKind::TaskFailed { .. }))
         .expect("unit 3 fails a block");
     assert!(failed > o.modeling_done_t());
+    // 0xf6e3_bd24_86ab_140e before the Armijo test (see above).
     o.check(
         "retries_exhausted_without_quarantine_mid_execution",
-        0xf6e3_bd24_86ab_140e,
+        0xe151_fc1d_afad_0c30,
     );
 }
 
@@ -375,16 +394,22 @@ fn pool_drains_during_probing() {
         o
     };
     let (tiny, small) = (drained(3_000), drained(40_000));
+    // 0x93fd_647e_a09d_5d0e and 0x0bab_da19_4e40_3337 before the phase
+    // closed at the cap. At 3 000 the cap is spent by the first probes:
+    // the phase closes at the first landing, and the two units still
+    // probing are fitted when theirs land. At 40 000 the slow units'
+    // first probes land late instead of holding the split back
+    // (0.0105 → 0.0049 s).
     check_all(&[
         (
             "pool_drains_during_probing (3 000)",
             &tiny,
-            0x93fd_647e_a09d_5d0e,
+            0x7066_061e_2264_0209,
         ),
         (
             "pool_drains_during_probing (40 000)",
             &small,
-            0x0bab_da19_4e40_3337,
+            0x4964_91d8_9fcf_97f1,
         ),
     ]);
 }
@@ -412,7 +437,8 @@ fn join_mid_modeling() {
         .expect("unit 2 joins");
     assert!(joined < o.modeling_done_t());
     assert!(o.items()[2] > 0);
-    o.check("join_mid_modeling", 0xf772_7dec_571d_ee2d);
+    // 0xf772_7dec_571d_ee2d before the Armijo test (see above).
+    o.check("join_mid_modeling", 0x3e9d_e7d5_b789_1c56);
 }
 
 #[test]
@@ -423,7 +449,8 @@ fn join_mid_execution_accepted() {
         o.count(|e| matches!(e.kind, EventKind::Restabilized { .. })),
         1
     );
-    o.check("join_mid_execution_accepted", 0x9efb_42b7_f76c_c151);
+    // 0x9efb_42b7_f76c_c151 before the Armijo test (see above).
+    o.check("join_mid_execution_accepted", 0x48f2_d772_f268_68b4);
 }
 
 #[test]
@@ -437,7 +464,8 @@ fn join_whose_ladder_outlives_the_pool() {
         o.count(|e| matches!(e.kind, EventKind::Restabilized { rebalances: 0 })),
         1
     );
-    o.check("join_whose_ladder_outlives_the_pool", 0x78c0_142d_4cdf_8afe);
+    // 0x78c0_142d_4cdf_8afe before the Armijo test (see above).
+    o.check("join_whose_ladder_outlives_the_pool", 0x3cbf_97a2_2da4_d073);
 }
 
 #[test]
@@ -448,7 +476,8 @@ fn join_near_the_end_declined() {
         1
     );
     assert_eq!(o.items()[2], 0);
-    o.check("join_near_the_end_declined", 0x8265_1707_cca0_7e40);
+    // 0x8265_1707_cca0_7e40 before the Armijo test (see above).
+    o.check("join_near_the_end_declined", 0x8ed6_2306_c476_7f2b);
 }
 
 #[test]
@@ -457,7 +486,8 @@ fn joiner_quarantined_on_its_ladder() {
     assert_eq!(o.count(is_quarantine), 1);
     assert_eq!(o.triggers("device-joined"), 0);
     assert_eq!(o.items()[2], 0);
-    o.check("joiner_quarantined_on_its_ladder", 0x1a51_bd78_3b36_e0af);
+    // 0x1a51_bd78_3b36_e0af before the Armijo test (see above).
+    o.check("joiner_quarantined_on_its_ladder", 0xe9cd_9a3f_9894_b005);
 }
 
 // ---------------------------------------------------------------------
@@ -497,7 +527,8 @@ fn slowdown_diverges_drains_and_refits() {
             .any(|e| matches!(e.kind, EventKind::CurveFit { .. })),
         "the re-solve runs on refitted curves"
     );
-    o.check("slowdown_diverges_drains_and_refits", 0x646d_da7e_16a3_f4b3);
+    // 0x646d_da7e_16a3_f4b3 before the Armijo test (see above).
+    o.check("slowdown_diverges_drains_and_refits", 0x5dce_a855_73ae_4b40);
 }
 
 #[test]
@@ -517,9 +548,11 @@ fn sinusoidal_drift_rebalances_without_thrash() {
     // gone (it changed neither the count nor, for the better, the
     // makespan: 0.6188 s with it on the windowed profile).
     assert_eq!(o.triggers("divergence"), 3);
+    // 0x02d5_9045_749c_1c89 then; 0x7ae3_01c7_697c_a1c9 with the Armijo
+    // test. Closed at the cap with a probe in flight (0.6084 → 0.6079 s).
     o.check(
         "sinusoidal_drift_rebalances_without_thrash",
-        0x02d5_9045_749c_1c89,
+        0x5acd_6bd3_5177_6e22,
     );
 }
 
@@ -548,7 +581,10 @@ fn ablation_knobs_under_a_slowdown() {
     // 0x8603_6d13_5938_5e7a with unbounded profiles (0.4717 s, 163
     // tasks): the refits after the slowdown no longer average the old
     // speed in (0.4319 s, 155 tasks).
-    o.check("ablation_knobs_under_a_slowdown", 0xc940_feaa_c86e_6067);
+    // 0xc940_feaa_c86e_6067 then, the fixed-point solver untouched by
+    // the Armijo test. Closed at the cap with a probe in flight
+    // (0.4313 s).
+    o.check("ablation_knobs_under_a_slowdown", 0xcde7_1c69_da5c_5123);
 }
 
 // ---------------------------------------------------------------------
@@ -639,9 +675,10 @@ fn resume_from_a_mid_modeling_checkpoint() {
     let (whole, o) = resume_after(6);
     assert!(tasks_at_modeling_done(&whole) > 6);
     assert!(o.count(is_probe) > 0, "too few samples to skip modeling");
+    // 0x8f73_ad5d_0b34_bfea before the Armijo test (see above).
     o.check(
         "resume_from_a_mid_modeling_checkpoint",
-        0x8f73_ad5d_0b34_bfea,
+        0xbc38_968b_ecb4_d18a,
     );
 }
 
@@ -650,9 +687,10 @@ fn resume_from_a_mid_execution_checkpoint() {
     let (whole, o) = resume_after(60);
     assert!(tasks_at_modeling_done(&whole) < 60);
     assert_eq!(o.count(is_probe), 0, "resume re-fits, never re-probes");
+    // 0x0d94_8e40_bf19_925f before the Armijo test (see above).
     o.check(
         "resume_from_a_mid_execution_checkpoint",
-        0x0d94_8e40_bf19_925f,
+        0x1c05_f28d_26d7_219f,
     );
 }
 
@@ -680,11 +718,13 @@ fn policy_object_reused_for_a_second_run() {
     );
     assert!(first.count(is_probe) > 0);
     assert_eq!(second.count(is_probe), 0);
+    // 0x763f_4e37_f1fc_732f and 0x9fdd_dbfc_91d3_2c24 before the
+    // Armijo test (see above).
     check_all(&[
         (
             "policy_object_reused_for_a_second_run (first)",
             &first,
-            0x763f_4e37_f1fc_732f,
+            0xf725_d0dd_118a_51f9,
         ),
         (
             "policy_object_reused_for_a_second_run (second)",
@@ -693,7 +733,7 @@ fn policy_object_reused_for_a_second_run() {
             // five models are kept and the five `curve_fit` events
             // are not emitted; every time and every block is as it was.
             &second,
-            0x9fdd_dbfc_91d3_2c24,
+            0x2cba_d5d0_16d1_87e9,
         ),
     ]);
 }
@@ -716,9 +756,15 @@ fn defect_run(perturbations: Vec<Perturbation>) -> Outcome {
     )
 }
 
+/// The four probes in flight when unit 4's second probe lands at
+/// 0.1075 s and spends the data budget: units 0 and 2 on their first,
+/// unit 1 on its fourth, unit 3 on its third.
+const LATE_PROBES: [u64; 4] = [0, 2, 7, 10];
+
 #[test]
 fn idle_unit_lost_mid_modeling() {
-    // Unit 4 has spent its probe budget and waits, idle, from 0.1075 s.
+    // Unit 4 spends the probe budget at 0.1075 s. It used to wait there,
+    // idle, until every probe had landed.
     let o = defect_run(vec![at(0.12, PerturbationKind::Fail(PuId(4)))]);
     // 0x3db3_fc1f_bbbf_2c2e at the parent, where losing the idle unit
     // un-counted unit 2's probe: the phase closed at 0.1603 s with that
@@ -726,28 +772,33 @@ fn idle_unit_lost_mid_modeling() {
     // (makespan 0.8873 s — by accident, the partial-model close-out of
     // ROADMAP item 7). It closes at 0.7055 s now, every probe landed
     // (1.4270 s).
-    o.check("idle_unit_lost_mid_modeling", 0x6a2a_ebf6_9de1_63d5);
+    // 0x6a2a_ebf6_9de1_63d5 then; 0xb957_0d2d_d67c_06ad with the Armijo
+    // test (1.4265 s). Closed at the cap, the phase ends at unit 4's
+    // landing with four probes in flight, and the loss takes unit 4 out
+    // of a running split: units 0 and 2 join it as their first probes
+    // land (0.8591 s).
+    o.check("idle_unit_lost_mid_modeling", 0x5d7a_73cf_4e6e_eb93);
     assert!(
-        o.modeling_done_t() > 0.12,
-        "the loss lands in the modeling phase"
+        o.modeling_done_t() < 0.12,
+        "the loss lands in the execution phase"
     );
-    assert_eq!(
-        o.in_flight_at_modeling_done(),
-        Vec::<u64>::new(),
-        "modeling closes only once every probe has landed"
-    );
+    assert_eq!(o.in_flight_at_modeling_done(), LATE_PROBES);
+    assert_eq!(o.triggers("device-lost"), 1);
 }
 
 #[test]
 fn busy_unit_lost_at_the_modeling_cap() {
-    // The same run with the loss on unit 3, which is on its third
-    // probe: the phase closes on the data cap, with unit 0 one probe in.
+    // The same run with the loss on unit 3: its third probe, in flight
+    // when the cap closed the phase, is lost with it.
     let o = defect_run(vec![at(0.12, PerturbationKind::Fail(PuId(3)))]);
-    assert_eq!(o.in_flight_at_modeling_done(), Vec::<u64>::new());
+    assert_eq!(o.in_flight_at_modeling_done(), LATE_PROBES);
+    assert_eq!(o.triggers("device-lost"), 1);
     // 0xcd44_51d2_7a6f_2b06 at the parent (1.4531 s): with the lost
     // probe's 10 317 cost units back in the budget, unit 0 fits two more
     // probes under the cap (1.4016 s).
-    o.check("busy_unit_lost_at_the_modeling_cap", 0x55f6_1e39_1d03_8c65);
+    // 0x55f6_1e39_1d03_8c65 then; 0x9574_fad0_cdfb_1df0 with the Armijo
+    // test (1.4013 s). Closed at the cap, as above.
+    o.check("busy_unit_lost_at_the_modeling_cap", 0x8146_cabf_cc7f_63cd);
 }
 
 #[test]
@@ -765,13 +816,18 @@ fn unit_restored_mid_modeling() {
     // for the late restore. Now 1.3769 s with 184 131 items, 1.3683 s
     // and 1.4428 s; the last two moved with the lost probe's 5 159 cost
     // units going back to the budget.
+    // 0xd573_3ae0_b835_760a, 0x4ffb_d463_72f2_e0b3 and
+    // 0xb42a_ed35_df03_2cc9 then; 0xbdfc_a3b5_3ae1_f91e,
+    // 0x91c1_ffb8_a3f7_710b and 0x0edd_0fb4_0fa6_dbcf with the Armijo
+    // test. Closed at the cap with three or four probes in flight, unit
+    // 2's first among them: 0.8003 s, 0.8593 s and 0.9131 s.
     check_all(&[
-        ("unit_restored_mid_modeling", &early, 0xd573_3ae0_b835_760a),
-        ("unit_restored_mid_execution", &late, 0x4ffb_d463_72f2_e0b3),
+        ("unit_restored_mid_modeling", &early, 0x6477_5c1c_6e82_4d77),
+        ("unit_restored_mid_execution", &late, 0xbaee_2dac_ebbd_012b),
         (
             "unit_lost_and_never_restored",
             &never,
-            0xb42a_ed35_df03_2cc9,
+            0x6bcd_202d_b190_a388,
         ),
     ]);
     assert!(early.modeling_done_t() > 0.10 && late.modeling_done_t() < 0.80);
