@@ -448,7 +448,6 @@ pub fn ablations(seeds: u64) -> (String, Vec<Table>) {
     );
     for (label, solver) in [
         ("interior point (paper)", SolverChoice::Auto),
-        ("fixed-point equalization", SolverChoice::FixedPointOnly),
         (
             "rate-proportional (Acosta-style)",
             SolverChoice::RateProportionalOnly,

@@ -14,15 +14,13 @@ pub enum FitMode {
 }
 
 /// Which solver the block-size selection uses — the interior-point
-/// method with fallbacks (default), or a forced fallback for the
-/// ablation study.
+/// method with its exact fallback (default), or the ablation's
+/// comparator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolverChoice {
-    /// Interior point, falling back to fixed point, then proportional.
+    /// Interior point, falling back to the exact water-fill.
     Auto,
-    /// Skip the NLP: damped fixed-point equalization.
-    FixedPointOnly,
-    /// Skip everything: one-shot rate-proportional split (what a
+    /// Skip the NLP: one-shot rate-proportional split (what a
     /// weighted-average scheme in the style of Acosta computes).
     RateProportionalOnly,
 }

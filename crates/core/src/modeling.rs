@@ -20,8 +20,9 @@
 //! budget (20 % of the application). The cap closes the phase at once:
 //! the probes still in flight land late, and a unit still on its first
 //! joins the split when it lands, so no unit waits for the slowest
-//! one's first probe. A unit admitted once the phase is over walks the
-//! same ladder, unscaled, beside the running split.
+//! one's first probe. A unit admitted once the phase is over lands the
+//! ladder's first rung, unscaled, beside the running split, and joins
+//! it on that one sample.
 //!
 //! The measurements belong to the policy's one `ProfileBook`, the set
 //! of active units and each unit's place on the ladder to the policy
@@ -54,13 +55,6 @@ pub(crate) fn ladder_multiplier(step: u32) -> u64 {
 pub(crate) fn probe_block(cfg: &PolicyConfig, step: u32, scale: f64) -> u64 {
     let raw = ladder_multiplier(step) as f64 * cfg.initial_block as f64 * scale;
     round_to_granularity(raw, cfg.granularity)
-}
-
-/// Cost of one unscaled walk of the ladder: what a unit admitted
-/// mid-execution sinks before it has a curve.
-pub(crate) fn ladder_cost(cfg: &PolicyConfig) -> u64 {
-    let multipliers: u64 = (0..LADDER_PROBES).map(ladder_multiplier).sum();
-    cfg.initial_block.saturating_mul(multipliers)
 }
 
 /// Does a unit in this state still owe the fit gate probes?
@@ -248,24 +242,6 @@ mod tests {
         assert_eq!(probe_block(&c, 1, 0.25), 500);
         assert_eq!(probe_block(&cfg(1000, 64), 1, 0.25), 512);
         assert_eq!(probe_block(&cfg(100, 64), 0, 1.0), 128);
-    }
-
-    #[test]
-    fn a_walk_of_the_ladder_costs_its_first_four_steps() {
-        let c = cfg(100, 1);
-        let walk: u64 = (0..LADDER_PROBES)
-            .map(|step| probe_block(&c, step, 1.0))
-            .sum();
-        assert_eq!(ladder_cost(&c), walk);
-        assert_eq!(
-            walk,
-            100 * 15,
-            "what the join gate used to spell as a literal"
-        );
-        // The gate prices the walk in initial blocks, whatever granule
-        // each probe is rounded to on its way out.
-        assert_eq!(ladder_cost(&cfg(100, 64)), 1500);
-        assert_eq!(ladder_cost(&cfg(u64::MAX / 2, 1)), u64::MAX);
     }
 
     #[test]

@@ -4,8 +4,7 @@
 
 use super::execution::settle;
 use super::{emit_fit, JoinWatch, Phase, PlbHecPolicy};
-use crate::modeling::{ladder_cost, owes_probes};
-use crate::profile::UnitModel;
+use crate::modeling::{owes_probes, probe_block};
 use plb_hetsim::PuId;
 use plb_runtime::{EventKind, SchedulerCtx};
 
@@ -88,8 +87,8 @@ impl PlbHecPolicy {
     /// what that phase spends its budget on anyway. Beside a running
     /// split, a unit the book has samples of still has a model that
     /// holds and goes straight back in; a unit nothing is known about
-    /// walks the ladder first, and only when the acquisition gate says
-    /// the walk pays off. A declined unit idles; the breadcrumb says
+    /// lands one probe first, and only when the acquisition gate says
+    /// the probe pays off. A declined unit idles; the breadcrumb says
     /// why.
     pub(super) fn admit(&mut self, ctx: &mut dyn SchedulerCtx, pu: PuId) {
         if self.active.get(pu.0) != Some(&false) {
@@ -117,9 +116,9 @@ impl PlbHecPolicy {
     /// the modeling phase it counts as active from here on, with a
     /// watch that stays dormant until its first blocks of the split;
     /// beside a running split it stays out of `active` — and thus out
-    /// of any concurrent re-solve — until [`fold`](Self::fold) flips it
-    /// in. False, with nothing changed, when the pool has no probe left
-    /// for it.
+    /// of any concurrent re-solve — until its probe lands and
+    /// [`fold`](Self::fold) flips it in. False, with nothing changed,
+    /// when the pool has no probe left for it.
     fn start_ladder(&mut self, ctx: &mut dyn SchedulerCtx, pu: PuId, modeling: bool) -> bool {
         if !modeling {
             return self.issue_probe(ctx, pu);
@@ -142,18 +141,18 @@ impl PlbHecPolicy {
         }
     }
 
-    /// The acquisition gate: let a unit walk the ladder beside a
-    /// running split only when the modeled makespan payoff on the
-    /// remaining work (cost units) exceeds the probing cost it must
-    /// sink before it can contribute.
+    /// The acquisition gate: let a unit probe beside a running split
+    /// only when the modeled makespan payoff on the remaining work (cost
+    /// units) exceeds the one probe it must sink before it can
+    /// contribute.
     ///
     /// The payoff is priced optimistically — the newcomer is assumed as
     /// fast as the fastest incumbent (its actual speed is unknown, that
-    /// is what the probes are for). Even under that best case, a join
+    /// is what the probe is for). Even under that best case, a join
     /// near the end of the run costs more probe work than the extra
     /// rate can recover; declining keeps the tail undisturbed.
     fn join_pays_off(&self, remaining: u64) -> bool {
-        let probe_cost = ladder_cost(&self.cfg);
+        let probe_cost = probe_block(&self.cfg, 0, 1.0);
         if remaining <= probe_cost.saturating_mul(2) {
             return false;
         }
@@ -182,24 +181,23 @@ impl PlbHecPolicy {
         payoff > cost
     }
 
-    /// `pu` came off the ladder beside a running split: fit its samples
-    /// and fold it in — re-solve over the full active set (warm-started
-    /// like any other rebalance) and arm the restabilization watch.
+    /// `pu`'s probe landed beside a running split: model it in the
+    /// family its samples afford — one sample gives the mean rate — and
+    /// fold it in: re-solve over the full active set (warm-started like
+    /// any other rebalance) and arm the restabilization watch. From then
+    /// on the unit is on a partial model, and a surprise re-sizes it
+    /// alone until it has a full ladder of samples.
     pub(super) fn fold(&mut self, ctx: &mut dyn SchedulerCtx, pu: PuId) {
-        let fitted = self.book.fit(pu.0, self.cfg.fit_mode).ok().cloned();
-        let accepted = fitted.is_some();
-        // Too few samples for a curve (the pool dried up during the
-        // walk): borrow the fastest incumbent's curve as a stand-in;
-        // the next refit replaces it with the unit's own.
-        let borrowed = || self.fastest_incumbent_model(pu.0);
-        let (Some(model), Some(slot)) = (fitted.or_else(borrowed), self.models.get_mut(pu.0))
-        else {
-            // No samples and no incumbent to borrow from: nothing to
-            // solve against, the unit sits back out.
+        let samples = self.book.samples(pu.0);
+        let Some(slot) = self.models.get_mut(pu.0).filter(|_| samples > 0) else {
+            // The probe measured nothing: nothing to solve against, the
+            // unit sits back out.
             self.decline(ctx, pu);
             return;
         };
-        emit_fit(ctx, pu.0, self.book.samples(pu.0), &model, Some(accepted));
+        let model = self.book.model(pu.0, self.cfg.fit_mode);
+        let accepted = model.min_r2() >= self.cfg.r2_threshold;
+        emit_fit(ctx, pu.0, samples, &model, Some(accepted));
         *slot = model;
         self.set_active(pu, true);
         let resolved = self.unit_set_changed(ctx, pu, "device-joined");
@@ -209,19 +207,6 @@ impl PlbHecPolicy {
             // split left to absorb it into, which is trivially stable.
             settle(ctx, pu.0, unit, self.rebalances);
         }
-    }
-
-    fn fastest_incumbent_model(&self, joined: usize) -> Option<UnitModel> {
-        let x = self.cfg.initial_block.max(1) as f64;
-        let incumbents = self.models.iter().zip(&self.active).enumerate();
-        incumbents
-            .filter(|&(pu, (_, &active))| pu != joined && active)
-            .map(|(_, (model, _))| model)
-            .min_by(|a, b| {
-                let (ta, tb) = (a.total_time(x), b.total_time(x));
-                ta.partial_cmp(&tb).unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .cloned()
     }
 }
 
@@ -243,14 +228,17 @@ mod tests {
         p.units[0].block = 1000;
         p.units[1].block = 1000;
         p.models = vec![linear_model(1e4), linear_model(1e4), linear_model(1e4)];
-        // Plenty of work left: the added rate easily recovers the 15
-        // initial blocks a walk of the ladder will consume.
+        // The price is the one initial block the joiner probes with
+        // (~0.01 s at the incumbents' rate); the payoff of a third unit
+        // as fast as the other two is a sixth of the remaining work's
+        // time at one unit's rate. With 1 000 cost units left the payoff
+        // (~0.017 s) covers it.
         assert!(p.join_pays_off(1_000_000));
-        // Just past the hard floor the modeled payoff (~0.05 s) cannot
-        // cover the probe cost (~0.15 s).
-        assert!(!p.join_pays_off(3_001));
-        // At or below twice the probe items the gate refuses outright.
-        assert!(!p.join_pays_off(3_000));
+        assert!(p.join_pays_off(1_000));
+        // Below 600 it does not (~0.008 s at 500)...
+        assert!(!p.join_pays_off(500));
+        // ...and at or below twice the probe the gate refuses outright.
+        assert!(!p.join_pays_off(200));
     }
 
     /// Two units at 10 000 cost units per second with a split in force,
@@ -326,8 +314,8 @@ mod tests {
         assert_eq!(names(&mut ctx), [""; 0]);
         assert!(policy.active[2]);
 
-        // Executing, a unit nothing is known about, and the walk pays
-        // off: onto the ladder, outside the active set.
+        // Executing, a unit nothing is known about, and its probe pays
+        // off: one probe, outside the active set.
         let (mut policy, mut ctx) = executing(false, 1_000_000);
         policy.on_device_restored(&mut ctx, PuId(2));
         assert_eq!(names(&mut ctx), ["probe_issued"]);
@@ -335,7 +323,7 @@ mod tests {
         assert_eq!(policy.units[2].probe, Some(100));
         // ...and when it does not: declined.
         let (mut policy, mut ctx) = executing(false, 1_000_000);
-        ctx.remaining = 2_000;
+        ctx.remaining = 500;
         policy.on_device_joined(&mut ctx, PuId(2));
         assert_eq!(names(&mut ctx), ["device_restored_ignored"]);
         assert!(!policy.active[2] && policy.units[2].probe.is_none());
@@ -344,18 +332,13 @@ mod tests {
     #[test]
     fn a_walk_beside_the_split_ends_in_a_fold() {
         let (mut policy, mut ctx) = executing(false, 1_000_000);
+        ctx.take_assigned();
         policy.on_device_joined(&mut ctx, PuId(2));
-        let mut walked = vec![100];
-        for _ in 0..3 {
-            let done = ctx.finish(2, 2e4);
-            ctx.take_assigned();
-            policy.on_task_finished(&mut ctx, &done);
-            walked.extend(ctx.take_assigned().iter().map(|&(_, block)| block));
-        }
-        assert_eq!(walked, [100, 200, 400, 800]);
+        assert_eq!(ctx.take_assigned(), [(2, 100)]);
         assert!(!policy.active[2]);
         ctx.take_events();
-        // The fourth probe lands: fitted, folded, watched.
+        // The walk is one probe long. It lands: modelled by its own
+        // mean rate, folded, watched.
         let done = ctx.finish(2, 2e4);
         policy.on_task_finished(&mut ctx, &done);
         assert_eq!(
@@ -363,7 +346,11 @@ mod tests {
             ["curve_fit", "rebalance_triggered", "block_solve"]
         );
         assert!(policy.active[2] && policy.units[2].block > 0);
-        assert_eq!(policy.book.samples(2), 4);
+        assert_eq!(policy.book.samples(2), 1);
+        let model = &policy.models[2];
+        assert!(model.is_partial());
+        let own_rate = 100.0 / (1e-3 + 100.0 / 2e4);
+        assert!((model.total_time(own_rate) - 1.0).abs() < 1e-9);
         let watch = policy.units[2].watch.as_ref().expect("watch armed");
         assert_eq!((watch.rebalances_at_join, policy.rebalances()), (1, 1));
     }
@@ -374,7 +361,7 @@ mod tests {
         policy.on_device_joined(&mut ctx, PuId(2));
         ctx.remaining = 0;
         ctx.take_events();
-        // One sample is no curve: the fastest incumbent's stands in.
+        // One sample is no curve: the unit's own mean rate models it.
         let done = ctx.finish(2, 2e4);
         policy.on_task_finished(&mut ctx, &done);
         assert_eq!(names(&mut ctx), ["curve_fit", "restabilized"]);

@@ -20,7 +20,7 @@
 //! The same machinery serves the paper's future-work scenarios
 //! (`elastic.rs`): when a unit is lost, restored or joins, the split is
 //! re-solved over whoever is active, a unit nothing is known about
-//! first walks the ladder beside the running split, and QoS drift shows
+//! first lands one probe beside the running split, and QoS drift shows
 //! up as a divergence that trips the rebalance threshold.
 //!
 //! Every fact has one owner: the measurements live in one
@@ -760,7 +760,7 @@ mod tests {
         for e in sink.events() {
             if let EventKind::BlockSolve { ref method, .. } = e.kind {
                 assert!(
-                    ["interior-point", "fixed-point", "rate-proportional"]
+                    ["interior-point", "water-fill", "rate-proportional"]
                         .contains(&method.as_str()),
                     "unknown method {method}"
                 );

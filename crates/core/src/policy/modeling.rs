@@ -1,13 +1,13 @@
 //! The policy's side of the probe ladder: issuing a unit's next probe,
 //! taking its measurement when it lands, and the one check that ends
 //! the modeling phase. The arithmetic and the phase's counters are
-//! [`crate::modeling`]'s; a unit admitted mid-execution walks the same
-//! ladder through the same two functions, and a probe that lands after
+//! [`crate::modeling`]'s; a unit admitted mid-execution lands its one
+//! probe through the same two functions, and a probe that lands after
 //! the phase closed is taken through the second.
 
 use super::{Phase, PlbHecPolicy};
 use crate::config::{FitMode, ProbeSchedule};
-use crate::modeling::{owes_probes, probe_block, CloseOut, Modeling, LADDER_PROBES};
+use crate::modeling::{owes_probes, probe_block, CloseOut, Modeling};
 use crate::profile::ProfileBook;
 use plb_hetsim::PuId;
 use plb_runtime::{EventKind, SchedulerCtx, TaskInfo};
@@ -57,13 +57,13 @@ impl PlbHecPolicy {
     }
 
     /// A probe came back: record the sample and move its unit one rung
-    /// up. Pipelined probing: the unit immediately gets its next probe
-    /// while one is worth issuing — in the modeling phase until the fit
-    /// gate passes or the budget is spent, beside a running split for
-    /// one walk of the ladder while the pool lasts. When none goes out
-    /// the modeling phase may be over, a unit admitted mid-execution is
-    /// folded into the split, and an active unit — its probe one of the
-    /// modeling phase's, landed late — takes its place in the split.
+    /// up. Pipelined probing: in the modeling phase the unit immediately
+    /// gets its next probe until the fit gate passes or the budget is
+    /// spent. When none goes out the modeling phase may be over; beside
+    /// a running split none ever does: a unit admitted mid-execution is
+    /// folded into the split on its one sample, and an active unit — its
+    /// probe one of the modeling phase's, landed late — takes its place
+    /// in the split.
     pub(super) fn probe_landed(&mut self, ctx: &mut dyn SchedulerCtx, done: &TaskInfo) {
         let pu = done.pu;
         let (Some(unit), Some(&active)) = (self.units.get_mut(pu.0), self.active.get(pu.0)) else {
@@ -91,7 +91,7 @@ impl PlbHecPolicy {
                     && !modeling.spent()
                     && !modeling.gate_passes(&self.active, &mut self.book, self.cfg.r2_threshold)
             }
-            Phase::Executing => !active && unit.step < LADDER_PROBES && ctx.remaining_items() > 0,
+            Phase::Executing => false,
         };
         if another && self.issue_probe(ctx, pu) {
             return;

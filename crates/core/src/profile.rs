@@ -370,27 +370,25 @@ impl UnitModel {
     /// `E_p⁻¹(t)` clipped to `[lo, hi]`: the block this model predicts
     /// to take `t` seconds. `E_p` is taken to be increasing: an affine
     /// model is inverted in closed form, any other by bisection. A model
-    /// no block of the range takes `t` on gives the nearer end.
+    /// no block of the range takes `t` on gives the nearer end: `hi`
+    /// when it predicts the whole range done within `t`, else `lo` — so
+    /// a flat or falling model is sized by where it stands, not by its
+    /// slope.
     pub(crate) fn invert(&self, t: f64, lo: f64, hi: f64) -> f64 {
         if !(t.is_finite() && lo <= hi) {
             return lo;
         }
-        if self.is_affine() {
-            let slope = self.total_d1(lo);
-            let x = lo + (t - self.total_time(lo)) / slope;
-            return if slope > 0.0 && x.is_finite() {
-                x.clamp(lo, hi)
-            } else {
-                hi
-            };
-        }
         if self.total_time(hi) <= t {
             return hi;
         }
-        let (mut below, mut above) = (lo, hi);
-        if self.total_time(below) >= t {
+        if self.total_time(lo) >= t {
             return lo;
         }
+        if self.is_affine() {
+            let x = lo + (t - self.total_time(lo)) / self.total_d1(lo);
+            return if x.is_finite() { x.clamp(lo, hi) } else { hi };
+        }
+        let (mut below, mut above) = (lo, hi);
         // E(below) < t < E(above): halve until the bracket is within
         // half a cost unit.
         for _ in 0..64 {
@@ -649,6 +647,23 @@ mod tests {
         let t = curved.total_time(1000.0);
         assert!((curved.invert(t, 1.0, 1e6) - 1000.0).abs() <= 0.5);
         assert_eq!(affine.invert(f64::NAN, 5.0, 10.0), 5.0);
+    }
+
+    #[test]
+    fn a_flat_or_falling_model_is_inverted_by_where_it_stands() {
+        // Blocks that all took 0.5 s, or took less the larger they were:
+        // no slope to divide by. Below the time the model stands at, no
+        // block is done in time — the smallest; above it, all are.
+        for fall in [0.0, 1e-5] {
+            let mut p = PerfProfile::new();
+            for &x in &[100u64, 200, 400, 800] {
+                p.record(x, 0.5 - fall * x as f64, 0.0);
+            }
+            let model = p.fit_with(FitMode::LinearOnly).unwrap();
+            assert!(model.is_affine() && model.total_d1(1.0) <= 1e-12);
+            assert_eq!(model.invert(0.1, 1.0, 1000.0), 1.0, "fall {fall}");
+            assert_eq!(model.invert(0.6, 1.0, 1000.0), 1000.0, "fall {fall}");
+        }
     }
 
     #[test]

@@ -47,11 +47,7 @@ fn granularity_larger_than_window_still_conserves() {
 #[test]
 fn identical_units_split_evenly_under_every_solver() {
     let models: Vec<UnitModel> = (0..4).map(|_| affine_model(1e4, 1e-3)).collect();
-    for solver in [
-        SolverChoice::Auto,
-        SolverChoice::FixedPointOnly,
-        SolverChoice::RateProportionalOnly,
-    ] {
+    for solver in [SolverChoice::Auto, SolverChoice::RateProportionalOnly] {
         let sel = select_block_sizes_with(&models, &[true; 4], 100_000, 1, solver);
         for &b in &sel.blocks {
             assert!(
@@ -73,13 +69,6 @@ fn solvers_agree_on_affine_devices() {
         affine_model(6e3, 0.0),
     ];
     let auto = select_block_sizes_with(&models, &[true; 3], 1_000_000, 1, SolverChoice::Auto);
-    let fp = select_block_sizes_with(
-        &models,
-        &[true; 3],
-        1_000_000,
-        1,
-        SolverChoice::FixedPointOnly,
-    );
     let rp = select_block_sizes_with(
         &models,
         &[true; 3],
@@ -88,11 +77,9 @@ fn solvers_agree_on_affine_devices() {
         SolverChoice::RateProportionalOnly,
     );
     for i in 0..3 {
-        assert!((auto.fractions[i] - fp.fractions[i]).abs() < 5e-3);
         assert!((auto.fractions[i] - rp.fractions[i]).abs() < 5e-3);
     }
     assert_eq!(auto.method, SelectionMethod::InteriorPoint);
-    assert_eq!(fp.method, SelectionMethod::FixedPoint);
     assert_eq!(rp.method, SelectionMethod::RateProportional);
 }
 

@@ -298,7 +298,7 @@ pub enum EventKind {
     BlockSolve {
         /// Items distributed by this round.
         window: u64,
-        /// `"interior-point"`, `"fixed-point"` or `"rate-proportional"`.
+        /// `"interior-point"`, `"water-fill"` or `"rate-proportional"`.
         method: String,
         /// Interior-point iterations (0 for fallbacks).
         iterations: usize,

@@ -22,7 +22,10 @@
 //! smaller charged solve cost and so a makespan shorter by less than a
 //! millisecond; such a test names its constant from before in one line.
 //! Closing the modeling phase at the data cap, probes in flight or not,
-//! moved the runs that hit the cap with a probe out; they say how.
+//! moved the runs that hit the cap with a probe out; they say how. A
+//! unit joining a running split on one probe instead of four moved the
+//! two joins it admits, and retiring the fixed point moved the
+//! ablation run that forced it.
 //!
 //! A scenario whose constant moves prints what it got, with the run's
 //! summary.
@@ -450,22 +453,28 @@ fn join_mid_execution_accepted() {
         1
     );
     // 0x9efb_42b7_f76c_c151 before the Armijo test (see above).
-    o.check("join_mid_execution_accepted", 0x48f2_d772_f268_68b4);
+    // 0x48f2_d772_f268_68b4 (0.220420 s) while a joiner walked four
+    // probes and folded in on their best-subset fit; it folds in on its
+    // first probe's mean rate now (0.220646 s).
+    o.check("join_mid_execution_accepted", 0xecb7_3190_f993_7d82);
 }
 
 #[test]
 fn join_whose_ladder_outlives_the_pool() {
-    // Admitted with 65 594 items left: the pool drains while the
-    // newcomer is on its third probe, and it folds with nothing to
-    // re-solve.
+    // Admitted with 65 594 items left. While a joiner walked four
+    // probes, the pool drained on its third and it folded with nothing
+    // to re-solve (`restabilized{0}`, no trigger), having spent the
+    // pool's tail on probes. On one probe it folds into the running
+    // split.
     let o = join("join:pu=2,after=60");
-    assert_eq!(o.triggers("device-joined"), 0);
+    assert_eq!(o.triggers("device-joined"), 1);
     assert_eq!(
         o.count(|e| matches!(e.kind, EventKind::Restabilized { rebalances: 0 })),
         1
     );
-    // 0x78c0_142d_4cdf_8afe before the Armijo test (see above).
-    o.check("join_whose_ladder_outlives_the_pool", 0x3cbf_97a2_2da4_d073);
+    // 0x78c0_142d_4cdf_8afe before the Armijo test (see above); then
+    // 0x3cbf_97a2_2da4_d073 (0.232980 s) with the four-probe walk.
+    o.check("join_whose_ladder_outlives_the_pool", 0xa79f_bee6_e41e_13fa);
 }
 
 #[test]
@@ -563,7 +572,7 @@ fn ablation_knobs_under_a_slowdown() {
     let knobs = PolicyConfig {
         granularity: 64,
         fit_mode: FitMode::LogOnly,
-        solver: SolverChoice::FixedPointOnly,
+        solver: SolverChoice::RateProportionalOnly,
         probe_schedule: ProbeSchedule::ExponentialEqual,
         ..cfg()
     };
@@ -581,10 +590,12 @@ fn ablation_knobs_under_a_slowdown() {
     // 0x8603_6d13_5938_5e7a with unbounded profiles (0.4717 s, 163
     // tasks): the refits after the slowdown no longer average the old
     // speed in (0.4319 s, 155 tasks).
-    // 0xc940_feaa_c86e_6067 then, the fixed-point solver untouched by
+    // 0xc940_feaa_c86e_6067 then, the fixed point untouched by
     // the Armijo test. Closed at the cap with a probe in flight
-    // (0.4313 s).
-    o.check("ablation_knobs_under_a_slowdown", 0xcde7_1c69_da5c_5123);
+    // (0.4313 s): 0xcde7_1c69_da5c_5123. The fixed point is gone; the
+    // water-fill in its place read the same 0.431308 s, and the solver
+    // knob left to turn is the rate-proportional split (0.5717 s).
+    o.check("ablation_knobs_under_a_slowdown", 0xdc9d_e06b_ab11_d1eb);
 }
 
 // ---------------------------------------------------------------------
