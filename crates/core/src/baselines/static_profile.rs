@@ -23,7 +23,7 @@
 
 use crate::config::PolicyConfig;
 use crate::profile::UnitModel;
-use crate::selection::select_block_sizes_with;
+use crate::selection::select_block_sizes;
 use plb_hetsim::PuId;
 use plb_runtime::{Policy, SchedulerCtx, TaskInfo};
 
@@ -77,12 +77,13 @@ impl Policy for StaticProfilePolicy {
         // algorithm ("determines the distribution of data before the
         // execution of the application"). There is no shared pool to
         // self-schedule from, hence no runtime adaptivity at all.
-        let sel = select_block_sizes_with(
+        let sel = select_block_sizes(
             &self.models,
             &self.active,
             ctx.total_items().max(1),
             self.cfg.granularity,
             self.cfg.solver,
+            &mut None,
         );
         self.fractions = sel.fractions;
         self.blocks = sel.blocks;

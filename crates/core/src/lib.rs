@@ -48,7 +48,4 @@ pub use config::{FitMode, PolicyConfig, ProbeSchedule, SolverChoice};
 pub use diffusion::NodeDiffusionPolicy;
 pub use policy::PlbHecPolicy;
 pub use profile::{PerfProfile, UnitModel};
-pub use selection::{
-    select_block_sizes, select_block_sizes_cached, select_block_sizes_with, SelectionMethod,
-    SelectionResult, SelectionWarmCache,
-};
+pub use selection::{select_block_sizes, SelectionMethod, SelectionResult, SelectionWarmCache};

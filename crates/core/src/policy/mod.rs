@@ -37,7 +37,7 @@ mod modeling;
 use crate::config::PolicyConfig;
 use crate::modeling::Modeling;
 use crate::profile::{PerfProfile, ProfileBook, UnitModel};
-use crate::selection::{select_block_sizes_cached, SelectionResult, SelectionWarmCache};
+use crate::selection::{select_block_sizes, SelectionResult, SelectionWarmCache};
 use plb_hetsim::PuId;
 use plb_runtime::{EventKind, Policy, SchedulerCtx, TaskFailure, TaskInfo};
 
@@ -293,7 +293,7 @@ impl PlbHecPolicy {
             return;
         }
         let window = self.execution_window(ctx);
-        let sel = select_block_sizes_cached(
+        let sel = select_block_sizes(
             &self.models,
             &in_split,
             window,

@@ -111,45 +111,18 @@ pub struct SelectionWarmCache {
 }
 
 /// Select the per-unit block sizes for a round of `window_cost` cost
-/// units (items under uniform weights).
+/// units (items under uniform weights), with the `solver` the
+/// configuration names.
 ///
 /// `active[i]` masks failed units: they receive fraction 0 and no work.
+/// `cache` is consumed and refreshed, so that a rebalance's re-solve
+/// starts from the previous optimum; a caller with no cache passes
+/// `&mut None`.
 ///
 /// # Panics
 /// Panics when `models` and `active` lengths differ, when no unit is
 /// active, or when `window_cost == 0`.
 pub fn select_block_sizes(
-    models: &[UnitModel],
-    active: &[bool],
-    window_cost: u64,
-    granularity: u64,
-) -> SelectionResult {
-    select_block_sizes_with(models, active, window_cost, granularity, SolverChoice::Auto)
-}
-
-/// [`select_block_sizes`] with an explicit solver choice (ablation knob).
-pub fn select_block_sizes_with(
-    models: &[UnitModel],
-    active: &[bool],
-    window_cost: u64,
-    granularity: u64,
-    solver: SolverChoice,
-) -> SelectionResult {
-    let mut no_cache = None;
-    select_block_sizes_cached(
-        models,
-        active,
-        window_cost,
-        granularity,
-        solver,
-        &mut no_cache,
-    )
-}
-
-/// [`select_block_sizes_with`] that additionally consumes and refreshes
-/// a [`SelectionWarmCache`] — the entry point the balancer's rebalance
-/// path uses so repeat solves start from the previous optimum.
-pub fn select_block_sizes_cached(
     models: &[UnitModel],
     active: &[bool],
     window_cost: u64,
@@ -410,7 +383,14 @@ mod tests {
     #[test]
     fn proportional_for_linear_devices() {
         let models = vec![linear_model(1e5, 0.0), linear_model(3e5, 0.0)];
-        let r = select_block_sizes(&models, &[true, true], 100_000, 1);
+        let r = select_block_sizes(
+            &models,
+            &[true, true],
+            100_000,
+            1,
+            SolverChoice::Auto,
+            &mut None,
+        );
         assert!((r.fractions[0] - 0.25).abs() < 0.02, "{:?}", r.fractions);
         assert!((r.fractions[1] - 0.75).abs() < 0.02, "{:?}", r.fractions);
         assert_eq!(r.blocks.iter().sum::<u64>(), 100_000);
@@ -425,7 +405,14 @@ mod tests {
             linear_model(2e5, 0.002),
             linear_model(8e5, 0.001),
         ];
-        let r = select_block_sizes(&models, &[true; 3], 1_000_000, 1);
+        let r = select_block_sizes(
+            &models,
+            &[true; 3],
+            1_000_000,
+            1,
+            SolverChoice::Auto,
+            &mut None,
+        );
         let times: Vec<f64> = (0..3)
             .map(|i| models[i].total_time(r.blocks[i] as f64))
             .collect();
@@ -441,7 +428,14 @@ mod tests {
     #[test]
     fn single_active_unit_takes_all() {
         let models = vec![linear_model(1e5, 0.0), linear_model(3e5, 0.0)];
-        let r = select_block_sizes(&models, &[false, true], 5000, 1);
+        let r = select_block_sizes(
+            &models,
+            &[false, true],
+            5000,
+            1,
+            SolverChoice::Auto,
+            &mut None,
+        );
         assert_eq!(r.blocks, vec![0, 5000]);
         assert_eq!(r.fractions, vec![0.0, 1.0]);
     }
@@ -453,7 +447,14 @@ mod tests {
             linear_model(1e5, 0.0),
             linear_model(1e5, 0.0),
         ];
-        let r = select_block_sizes(&models, &[true, false, true], 90_000, 1);
+        let r = select_block_sizes(
+            &models,
+            &[true, false, true],
+            90_000,
+            1,
+            SolverChoice::Auto,
+            &mut None,
+        );
         assert_eq!(r.blocks[1], 0);
         assert_eq!(r.blocks.iter().sum::<u64>(), 90_000);
         assert!((r.blocks[0] as f64 - 45_000.0).abs() < 2000.0);
@@ -462,7 +463,14 @@ mod tests {
     #[test]
     fn granularity_respected_and_total_conserved() {
         let models = vec![linear_model(1e5, 0.0), linear_model(2e5, 0.0)];
-        let r = select_block_sizes(&models, &[true, true], 10_000, 128);
+        let r = select_block_sizes(
+            &models,
+            &[true, true],
+            10_000,
+            128,
+            SolverChoice::Auto,
+            &mut None,
+        );
         assert_eq!(r.blocks.iter().sum::<u64>(), 10_000);
         // All blocks are multiples of 128 except the remainder carrier.
         let off_grid = r.blocks.iter().filter(|&&b| b % 128 != 0).count();
@@ -489,7 +497,14 @@ mod tests {
     #[test]
     fn ipm_log_kept_on_interior_point_path() {
         let models = vec![linear_model(1e5, 0.0), linear_model(3e5, 0.0)];
-        let r = select_block_sizes(&models, &[true, true], 100_000, 1);
+        let r = select_block_sizes(
+            &models,
+            &[true, true],
+            100_000,
+            1,
+            SolverChoice::Auto,
+            &mut None,
+        );
         assert_eq!(r.method, SelectionMethod::InteriorPoint);
         assert_eq!(r.ipm_status, Some(IpmStatus::Optimal));
         assert_eq!(r.ipm_log.len(), r.ipm_iterations);
@@ -509,7 +524,14 @@ mod tests {
         }
         let flat = p.fit().unwrap();
         let models = vec![flat, linear_model(1e5, 0.0)];
-        let r = select_block_sizes(&models, &[true, true], 10_000, 1);
+        let r = select_block_sizes(
+            &models,
+            &[true, true],
+            10_000,
+            1,
+            SolverChoice::Auto,
+            &mut None,
+        );
         assert_eq!(r.blocks, [0, 10_000], "{:?}", r.method);
         assert!(
             (r.predicted_time - 0.1).abs() < 1e-6,
@@ -530,7 +552,14 @@ mod tests {
             linear_model(1e5, 0.5),
             linear_model(2e5, 0.8),
         ];
-        let r = select_block_sizes(&models, &[true; 3], 100_000, 1);
+        let r = select_block_sizes(
+            &models,
+            &[true; 3],
+            100_000,
+            1,
+            SolverChoice::Auto,
+            &mut None,
+        );
         assert_eq!(r.method, SelectionMethod::WaterFill);
         assert_eq!(r.method.name(), "water-fill");
         assert_eq!(r.blocks, [100_000, 0, 0]);
@@ -542,6 +571,57 @@ mod tests {
             "{}",
             r.predicted_time
         );
+    }
+
+    /// A CPU's line fitted on 20 blocks, and a GPU whose best-subset
+    /// quadratic, fitted on its 4 probes, falls to a minimum near 36 000
+    /// items before it rises.
+    const CPU: &str = r#"{
+        "f": {"basis": {"funcs": ["One", "X"]},
+              "coeffs": [0.3812084750815972, 0.5982417652240971],
+              "r2": 0.9926618242242217, "adj_r2": 0.9917985094270713,
+              "x_scale": 105643.0, "y_scale": 5.2899408417730546e-5, "n_samples": 20},
+        "g": {"basis": {"funcs": ["One"]}, "coeffs": [0.0], "r2": 1.0, "adj_r2": 1.0,
+              "x_scale": 1.0, "y_scale": 1.0, "n_samples": 0},
+        "f_quality": 0.9926618242242217, "g_quality": 1.0}"#;
+    const GPU: &str = r#"{
+        "f": {"basis": {"funcs": ["One", "X", "X2"]},
+              "coeffs": [2.2090912925755744, -11.841844765945766, 10.632190277755091],
+              "r2": 0.9998515646615329, "adj_r2": 0.8498515646615329,
+              "x_scale": 65536.0, "y_scale": 6.386757972788896e-5, "n_samples": 4},
+        "g": {"basis": {"funcs": ["X", "One"]},
+              "coeffs": [0.5596207200747031, 0.4282565822373851],
+              "r2": 0.9987452123992067, "adj_r2": 0.99623563719762,
+              "x_scale": 65536.0, "y_scale": 0.00023181661380181727, "n_samples": 4},
+        "f_quality": 0.9998515646615329, "g_quality": 0.9987452123992067}"#;
+
+    /// ROADMAP item 4's line-search failure, pinned: one node's cold
+    /// round of `sim-cluster` at seed 201509, met in every sweep. The
+    /// equal-finish split is interior, x ≈ [0.9866, 0.0134], but the
+    /// interior point runs the GPU down to its floor, where the GPU's
+    /// equality cannot hold, and its line search fails; the water-fill
+    /// answers.
+    #[test]
+    fn a_line_search_failure_on_an_interior_optimum_falls_to_the_water_fill() {
+        let models: Vec<UnitModel> = [CPU, GPU]
+            .iter()
+            .map(|json| serde_json::from_str(json).unwrap())
+            .collect();
+        let r = select_block_sizes(
+            &models,
+            &[true, true],
+            14_363_247,
+            1,
+            SolverChoice::Auto,
+            &mut None,
+        );
+        assert_eq!(r.method, SelectionMethod::WaterFill);
+        let t = 0.004265146173820867;
+        assert!((r.predicted_time - t).abs() < 1e-12, "{}", r.predicted_time);
+        assert!((r.fractions[1] - 0.0134).abs() < 1e-4, "{:?}", r.fractions);
+        // Item 4's defect: the fix flips this to `Some(IpmStatus::Optimal)`
+        // and the method to `InteriorPoint`.
+        assert_eq!(r.ipm_status, Some(IpmStatus::LineSearchFailure));
     }
 
     #[test]
@@ -570,12 +650,13 @@ mod tests {
         // three-item window, which rounds to nothing; the one unit that
         // runs the round takes 3 ms.
         let models = vec![linear_model(1e3, 0.0), linear_model(1e3, 10.0)];
-        let r = select_block_sizes_with(
+        let r = select_block_sizes(
             &models,
             &[true, true],
             3,
             1,
             SolverChoice::RateProportionalOnly,
+            &mut None,
         );
         assert_eq!(r.blocks, [3, 0]);
         assert!(r.fractions[1] > 0.0);
@@ -587,14 +668,14 @@ mod tests {
     #[should_panic(expected = "no active")]
     fn all_inactive_panics() {
         let models = vec![linear_model(1e5, 0.0)];
-        let _ = select_block_sizes(&models, &[false], 100, 1);
+        let _ = select_block_sizes(&models, &[false], 100, 1, SolverChoice::Auto, &mut None);
     }
 
     #[test]
     #[should_panic(expected = "empty selection")]
     fn zero_window_panics() {
         let models = vec![linear_model(1e5, 0.0)];
-        let _ = select_block_sizes(&models, &[true], 0, 1);
+        let _ = select_block_sizes(&models, &[true], 0, 1, SolverChoice::Auto, &mut None);
     }
 
     #[test]
@@ -606,7 +687,7 @@ mod tests {
         ];
         let active = [true; 3];
         let mut cache = None;
-        let first = select_block_sizes_cached(
+        let first = select_block_sizes(
             &models,
             &active,
             1_000_000,
@@ -624,7 +705,7 @@ mod tests {
             linear_model(8.3e5, 0.001),
         ];
         let mut no_cache = None;
-        let cold = select_block_sizes_cached(
+        let cold = select_block_sizes(
             &drifted,
             &active,
             1_000_000,
@@ -632,7 +713,7 @@ mod tests {
             SolverChoice::Auto,
             &mut no_cache,
         );
-        let warm = select_block_sizes_cached(
+        let warm = select_block_sizes(
             &drifted,
             &active,
             1_000_000,
@@ -668,7 +749,7 @@ mod tests {
             linear_model(4e5, 0.0),
         ];
         let mut cache = None;
-        let _ = select_block_sizes_cached(
+        let _ = select_block_sizes(
             &models,
             &[true; 3],
             100_000,
@@ -679,7 +760,7 @@ mod tests {
         assert!(cache.is_some());
         // A unit dies: the cached 3-unit optimum no longer matches; the
         // 2-unit solve must still be correct (and refresh the cache).
-        let r = select_block_sizes_cached(
+        let r = select_block_sizes(
             &models,
             &[true, false, true],
             100_000,
@@ -761,7 +842,14 @@ mod tests {
             let models: Vec<UnitModel> = pool.iter().cycle().take(n).cloned().collect();
             let (fractions, t) = water_fill(models.iter(), window);
             proptest::prop_assume!(fractions.iter().all(|&f| f * window > 1.0));
-            let r = select_block_sizes(&models, &vec![true; n], window as u64, 1);
+            let r = select_block_sizes(
+                &models,
+                &vec![true; n],
+                window as u64,
+                1,
+                SolverChoice::Auto,
+                &mut None,
+            );
             proptest::prop_assert_eq!(r.method, SelectionMethod::InteriorPoint);
             proptest::prop_assert!(
                 (r.predicted_time - t).abs() <= 1e-6 * t,
@@ -788,7 +876,14 @@ mod tests {
         }
         let gpu = p.fit().unwrap();
         let cpu = linear_model(2e5, 0.0);
-        let r = select_block_sizes(&[gpu, cpu], &[true, true], 500_000, 1);
+        let r = select_block_sizes(
+            &[gpu, cpu],
+            &[true, true],
+            500_000,
+            1,
+            SolverChoice::Auto,
+            &mut None,
+        );
         assert!(
             r.fractions[0] > 0.7,
             "GPU should dominate at this window: {:?} ({:?})",

@@ -3,10 +3,7 @@
 //! pathologies, and solver-choice consistency.
 
 use plb_hec::selection::apportion;
-use plb_hec::{
-    select_block_sizes, select_block_sizes_with, PerfProfile, SelectionMethod, SolverChoice,
-    UnitModel,
-};
+use plb_hec::{select_block_sizes, PerfProfile, SelectionMethod, SolverChoice, UnitModel};
 
 fn affine_model(rate: f64, overhead: f64) -> UnitModel {
     let mut p = PerfProfile::new();
@@ -24,14 +21,21 @@ fn window_smaller_than_unit_count() {
         affine_model(2e3, 0.0),
         affine_model(4e3, 0.0),
     ];
-    let sel = select_block_sizes(&models, &[true; 3], 2, 1);
+    let sel = select_block_sizes(&models, &[true; 3], 2, 1, SolverChoice::Auto, &mut None);
     assert_eq!(sel.blocks.iter().sum::<u64>(), 2);
 }
 
 #[test]
 fn granularity_equal_to_window() {
     let models = vec![affine_model(1e3, 0.0), affine_model(2e3, 0.0)];
-    let sel = select_block_sizes(&models, &[true, true], 128, 128);
+    let sel = select_block_sizes(
+        &models,
+        &[true, true],
+        128,
+        128,
+        SolverChoice::Auto,
+        &mut None,
+    );
     assert_eq!(sel.blocks.iter().sum::<u64>(), 128);
     // Exactly one unit carries the single quantum.
     assert_eq!(sel.blocks.iter().filter(|&&b| b > 0).count(), 1);
@@ -40,7 +44,14 @@ fn granularity_equal_to_window() {
 #[test]
 fn granularity_larger_than_window_still_conserves() {
     let models = vec![affine_model(1e3, 0.0), affine_model(2e3, 0.0)];
-    let sel = select_block_sizes(&models, &[true, true], 100, 512);
+    let sel = select_block_sizes(
+        &models,
+        &[true, true],
+        100,
+        512,
+        SolverChoice::Auto,
+        &mut None,
+    );
     assert_eq!(sel.blocks.iter().sum::<u64>(), 100);
 }
 
@@ -48,7 +59,7 @@ fn granularity_larger_than_window_still_conserves() {
 fn identical_units_split_evenly_under_every_solver() {
     let models: Vec<UnitModel> = (0..4).map(|_| affine_model(1e4, 1e-3)).collect();
     for solver in [SolverChoice::Auto, SolverChoice::RateProportionalOnly] {
-        let sel = select_block_sizes_with(&models, &[true; 4], 100_000, 1, solver);
+        let sel = select_block_sizes(&models, &[true; 4], 100_000, 1, solver, &mut None);
         for &b in &sel.blocks {
             assert!(
                 (b as f64 - 25_000.0).abs() < 1500.0,
@@ -68,13 +79,21 @@ fn solvers_agree_on_affine_devices() {
         affine_model(3e3, 0.0),
         affine_model(6e3, 0.0),
     ];
-    let auto = select_block_sizes_with(&models, &[true; 3], 1_000_000, 1, SolverChoice::Auto);
-    let rp = select_block_sizes_with(
+    let auto = select_block_sizes(
+        &models,
+        &[true; 3],
+        1_000_000,
+        1,
+        SolverChoice::Auto,
+        &mut None,
+    );
+    let rp = select_block_sizes(
         &models,
         &[true; 3],
         1_000_000,
         1,
         SolverChoice::RateProportionalOnly,
+        &mut None,
     );
     for i in 0..3 {
         assert!((auto.fractions[i] - rp.fractions[i]).abs() < 5e-3);
@@ -94,7 +113,14 @@ fn per_task_constants_shift_work_to_fewer_task_units() {
         p.record(x, x as f64 / 1e4, 0.5); // +0.5 s per task, any size
     }
     let taxed = p.fit().unwrap();
-    let sel = select_block_sizes(&[free, taxed], &[true, true], 50_000, 1);
+    let sel = select_block_sizes(
+        &[free, taxed],
+        &[true, true],
+        50_000,
+        1,
+        SolverChoice::Auto,
+        &mut None,
+    );
     assert!(
         sel.blocks[0] > sel.blocks[1],
         "the unit without the per-task constant should get more: {:?}",
@@ -126,7 +152,14 @@ fn constant_time_curves_fall_back_gracefully() {
         }
         models.push(p.fit().unwrap());
     }
-    let sel = select_block_sizes(&models, &[true; 3], 30_000, 1);
+    let sel = select_block_sizes(
+        &models,
+        &[true; 3],
+        30_000,
+        1,
+        SolverChoice::Auto,
+        &mut None,
+    );
     assert_eq!(sel.blocks.iter().sum::<u64>(), 30_000);
     assert!(sel.fractions.iter().all(|f| f.is_finite() && *f >= 0.0));
 }

@@ -16,11 +16,12 @@
 //! Two solution paths share those exact semantics:
 //!
 //! * [`solve_kkt`] — dense assembly and LU factorization of the full
-//!   `(n+m)²` system, O((n+m)³) per call. The reference path: it makes
-//!   no structural assumption, serves as the oracle in the
-//!   structured-vs-dense agreement tests, and is what benchmarks
-//!   compare against (see `docs/PERFORMANCE.md`).
-//! * [`solve_kkt_arrow`] — the production path for PLB-HeC's selection
+//!   `(n+m)²` system, O((n+m)³) per call. The step oracle: it makes no
+//!   structural assumption, and the arrow path is checked against it
+//!   step by step (`arrow_agrees_with_dense_on_selection_shape` and the
+//!   proptest `arrow_kkt_step_matches_dense_oracle`). The solver never
+//!   calls it.
+//! * [`solve_kkt_arrow`] — the solver's path for PLB-HeC's selection
 //!   problem, which is an *arrow* system: per-unit curves couple only
 //!   through the shared finish time `T` and the simplex row `Σx = 1`.
 //!   Block elimination reduces the whole system to a 2×2 Schur
@@ -233,8 +234,8 @@ fn next_delta(delta: f64) -> f64 {
 /// `[x_0, …, x_{k-1}, T]`, `m = k + 1` constraints): a diagonal Hessian,
 /// per-block constraint rows `c_g` touching only `x_g` (entry
 /// `jac_diag[g]`) and `T` (entry `-1`), and a final coupling row that is
-/// all-ones over the blocks. See [`crate::nlp::NlpProblem::arrow_k`] for
-/// the structural contract.
+/// all-ones over the blocks: the shape of
+/// [`crate::problem::BlockPartitionNlp`].
 pub struct ArrowKktInputs<'a> {
     /// Diagonal of the Lagrangian Hessian, length `n = k + 1`.
     pub hess_diag: &'a [f64],

@@ -7,33 +7,31 @@
 // bad. Enforced by `cargo xtask lint` pass 10 (`panic-freedom`,
 // docs/SOUNDNESS.md).
 
-//! Interior-point NLP solver — the workspace's IPOPT substitute.
+//! Interior-point NLP solver — the workspace's IPOPT substitute, for
+//! the one problem it solves.
 //!
 //! The paper solves its block-size selection problem (Section III-C) with
 //! IPOPT's interior-point line-search filter method (reference \[25\],
 //! Nocedal, Wächter & Waltz, "Adaptive barrier update strategies for
-//! nonlinear interior methods"). This crate implements that algorithm
-//! family from scratch:
+//! nonlinear interior methods"). This crate implements that method, on
+//! [`problem::BlockPartitionNlp`] alone, the exact NLP of
+//! Equations (3)–(5): minimize the common finish time `T` subject to
+//! `E_g(x_g) = T` for every processing unit and `Σ x_g = 1`, with
+//! `x_g ≥ X_MIN`:
 //!
-//! * primal-dual log-barrier formulation of
-//!   `min f(x)  s.t.  c(x) = 0,  x ≥ lb`;
+//! * primal-dual log-barrier formulation;
 //! * Newton steps on the perturbed KKT system with inertia-correcting
-//!   diagonal regularization — via a dense LU factorization for general
-//!   problems, or an O(n) arrow-structured Schur elimination
-//!   ([`kkt::solve_kkt_arrow`]) for problems that declare the
-//!   selection shape through [`NlpProblem::arrow_k`], which is what
-//!   lets a solve over thousands of processing units finish in
-//!   microseconds (see `docs/PERFORMANCE.md`);
+//!   diagonal regularization, through the O(n) arrow-structured Schur
+//!   elimination ([`kkt::solve_kkt_arrow`]) the problem's shape allows,
+//!   which is what lets a solve over thousands of processing units
+//!   finish in microseconds (see `docs/PERFORMANCE.md`). The dense LU
+//!   solve ([`kkt::solve_kkt`]) stays as the oracle each arrow step is
+//!   checked against;
 //! * a Wächter–Biegler-style filter line search with a
 //!   fraction-to-boundary rule;
-//! * both a monotone (Fiacco–McCormick) and an adaptive (Mehrotra-style,
-//!   per the paper's reference) barrier-update strategy;
+//! * the monotone (Fiacco–McCormick) barrier update, IPOPT's default;
 //! * warm starting ([`solve_warm`]) of rebalance re-solves from the
 //!   previous optimum, cutting repeat solves to a few iterations.
-//!
-//! The crate also ships [`problem::BlockPartitionNlp`], the exact NLP of
-//! Equations (3)–(5): minimize the common finish time `T` subject to
-//! `E_g(x_g) = T` for every processing unit and `Σ x_g = 1`.
 
 pub mod filter;
 pub mod kkt;
@@ -41,9 +39,8 @@ pub mod nlp;
 pub mod problem;
 pub mod solver;
 
-pub use nlp::{BoxedCurve, NlpProblem};
+pub use nlp::BoxedCurve;
 pub use problem::BlockPartitionNlp;
 pub use solver::{
-    solve, solve_warm, BarrierStrategy, IpmError, IpmOptions, IpmStatus, IterationRecord, Solution,
-    WarmStart,
+    solve, solve_warm, IpmError, IpmOptions, IpmStatus, IterationRecord, Solution, WarmStart,
 };

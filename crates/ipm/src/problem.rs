@@ -14,9 +14,13 @@
 //! Minimizing the common time `T` while forcing all units to finish
 //! together is exactly the paper's formulation: "minimizes E_1(x_1) while
 //! satisfying the constraint E_1 = E_2 = ... = E_n".
+//!
+//! The KKT system has *arrow* shape: each `E_g` couples `x_g` only to
+//! the shared `T`, the simplex row is all ones, and the Lagrangian
+//! Hessian is diagonal. [`crate::kkt::solve_kkt_arrow`] eliminates it in
+//! O(n).
 
-use crate::nlp::{BoxedCurve, NlpProblem};
-use plb_numerics::Mat;
+use crate::nlp::BoxedCurve;
 
 /// Smallest admissible fraction per unit. Strictly positive so the
 /// logarithmic barrier is defined; practically zero work.
@@ -96,28 +100,10 @@ impl BlockPartitionNlp {
         }
         vec![uniform; n]
     }
-}
 
-impl NlpProblem for BlockPartitionNlp {
-    fn n(&self) -> usize {
-        self.curves.len() + 1 // fractions + T
-    }
-
-    fn m(&self) -> usize {
-        self.curves.len() + 1 // equal-time constraints + simplex
-    }
-
-    fn objective(&self, x: &[f64]) -> f64 {
-        // Minimize the common finish time T.
-        x[self.curves.len()]
-    }
-
-    fn gradient(&self, _x: &[f64], grad: &mut [f64]) {
-        grad.fill(0.0);
-        grad[self.curves.len()] = 1.0;
-    }
-
-    fn constraints(&self, x: &[f64], c: &mut [f64]) {
+    /// The equality residuals at `x = [x_1, ..., x_n, T]`: `E_g(x_g) − T`
+    /// for each unit, then the simplex row `Σ_g x_g − 1`.
+    pub(crate) fn constraints(&self, x: &[f64], c: &mut [f64]) {
         let n = self.curves.len();
         let t = x[n];
         for (g, curve) in self.curves.iter().enumerate() {
@@ -126,41 +112,18 @@ impl NlpProblem for BlockPartitionNlp {
         c[n] = x[..n].iter().sum::<f64>() - 1.0;
     }
 
-    fn jacobian(&self, x: &[f64], jac: &mut Mat) {
-        let n = self.curves.len();
-        for i in 0..jac.rows() {
-            jac.row_mut(i).fill(0.0);
-        }
-        for (g, curve) in self.curves.iter().enumerate() {
-            jac[(g, g)] = curve.deriv1(x[g]);
-            jac[(g, n)] = -1.0;
-        }
-        for g in 0..n {
-            jac[(n, g)] = 1.0;
-        }
-    }
-
-    fn lagrangian_hessian(&self, x: &[f64], lambda: &[f64], h: &mut Mat) {
-        for i in 0..h.rows() {
-            h.row_mut(i).fill(0.0);
-        }
-        // Objective is linear; only the equal-time constraints carry
-        // curvature: ∇²(λ_g (E_g(x_g) − T)) = λ_g E_g''(x_g) on (g, g).
-        for (g, curve) in self.curves.iter().enumerate() {
-            h[(g, g)] = lambda[g] * curve.deriv2(x[g]);
-        }
-    }
-
-    fn lower_bounds(&self) -> Vec<f64> {
+    /// `x_g ≥ X_MIN` for every fraction, `T ≥ 0`.
+    pub(crate) fn lower_bounds(&self) -> Vec<f64> {
         let n = self.curves.len();
         let mut lb = vec![X_MIN; n + 1];
-        lb[n] = 0.0; // T ≥ 0
+        lb[n] = 0.0;
         lb
     }
 
-    fn initial_point(&self) -> Vec<f64> {
+    /// The cold start: the inverse-rate fractions, equalized, and `T` at
+    /// the largest predicted time.
+    pub(crate) fn initial_point(&self) -> Vec<f64> {
         let mut fractions = self.warm_start_fractions();
-        let k = self.curves.len();
         // Equalize the predicted times before handing the point to the
         // interior-point solver. The inverse-rate guess alone leaves
         // the equal-time constraints violated by the overhead spread —
@@ -212,22 +175,14 @@ impl NlpProblem for BlockPartitionNlp {
             .fold(0.0f64, |a, v| a.max(if v.is_finite() { v } else { 0.0 }))
             .max(1e-6);
         let mut x = fractions;
-        debug_assert_eq!(x.len(), k);
         x.push(t0);
         x
     }
 
-    // The block-partition problem is exactly the arrow shape the O(n)
-    // KKT elimination wants: each E_g couples x_g only to the shared T,
-    // and the simplex row is the all-ones coupling row. Declaring it
-    // here is what lets `solve` scale to thousands of units.
-    fn arrow_k(&self) -> Option<usize> {
-        Some(self.curves.len())
-    }
-
-    // A non-finite derivative declines, and the solver falls back to
-    // the dense assembly and LU for that point.
-    fn arrow_jac_diag(&self, x: &[f64], jac_diag: &mut [f64]) -> bool {
+    /// The Jacobian's one free entry per unit, `jac_diag[g] = E′_g(x_g)`:
+    /// row `g` also holds `−1` on `T`, and the simplex row is all ones.
+    /// `false` when an `E′_g` is not finite.
+    pub(crate) fn jac_diag(&self, x: &[f64], jac_diag: &mut [f64]) -> bool {
         for (g, curve) in self.curves.iter().enumerate() {
             let d1 = curve.deriv1(x[g]);
             if !d1.is_finite() {
@@ -238,7 +193,10 @@ impl NlpProblem for BlockPartitionNlp {
         true
     }
 
-    fn arrow_hess_diag(&self, x: &[f64], lambda: &[f64], hess_diag: &mut [f64]) -> bool {
+    /// The Lagrangian Hessian, diagonal: the objective `T` and the simplex
+    /// row are linear, so only `λ_g·E″_g(x_g)` remains, and `T`'s entry is
+    /// 0. `false` when an `E″_g` is not finite.
+    pub(crate) fn hess_diag(&self, x: &[f64], lambda: &[f64], hess_diag: &mut [f64]) -> bool {
         let k = self.curves.len();
         for (g, curve) in self.curves.iter().enumerate() {
             let d2 = curve.deriv2(x[g]);
@@ -247,7 +205,7 @@ impl NlpProblem for BlockPartitionNlp {
             }
             hess_diag[g] = lambda[g] * d2;
         }
-        hess_diag[k] = 0.0; // T is linear in objective and constraints
+        hess_diag[k] = 0.0;
         true
     }
 }
@@ -360,7 +318,6 @@ mod tests {
     fn five_hundred_units_solve_via_arrow_path() {
         let rates: Vec<f64> = (0..500).map(|g| 1.0 + (g % 17) as f64 * 0.5).collect();
         let nlp = BlockPartitionNlp::new(rates.iter().map(|&r| linear_curve(r)).collect());
-        assert_eq!(nlp.arrow_k(), Some(500));
         let sol = solve(&nlp, &IpmOptions::default()).unwrap();
         assert!(sol.is_usable(1e-6), "{:?}", sol.status);
         let total: f64 = rates.iter().sum();
@@ -400,7 +357,7 @@ mod tests {
     #[test]
     fn an_exactly_feasible_start_takes_full_steps() {
         let nlp = graded(450, 0.0, 1.0);
-        let mut c = vec![0.0; nlp.m()];
+        let mut c = vec![0.0; nlp.units() + 1];
         nlp.constraints(&nlp.initial_point(), &mut c);
         let theta: f64 = c.iter().map(|v| v.abs()).sum();
         assert!(theta <= 1e-12, "θ = {theta}");
@@ -428,20 +385,20 @@ mod tests {
         }
     }
 
-    /// A curve that goes non-finite makes the arrow coefficients
-    /// decline, which must fall back to the dense path rather than
+    /// A curve that goes non-finite declines its derivatives, which the
+    /// solver turns into `IpmError::NumericalBreakdown` rather than
     /// poison the solve.
     #[test]
-    fn non_finite_coeffs_fall_back_to_dense() {
+    fn non_finite_derivatives_are_declined() {
         let weird: BoxedCurve = Box::new(FnCurve::new(|x: f64| x * 2.0, |_| f64::NAN, |_| 0.0));
         let nlp = BlockPartitionNlp::new(vec![weird, linear_curve(1.0)]);
         let mut jd = vec![0.0; 2];
-        assert!(!nlp.arrow_jac_diag(&[0.5, 0.5, 1.0], &mut jd));
+        assert!(!nlp.jac_diag(&[0.5, 0.5, 1.0], &mut jd));
         let curved: BoxedCurve = Box::new(FnCurve::new(|x: f64| x * 2.0, |_| 2.0, |_| f64::NAN));
         let nlp = BlockPartitionNlp::new(vec![curved, linear_curve(1.0)]);
         let mut hd = vec![0.0; 3];
-        assert!(nlp.arrow_jac_diag(&[0.5, 0.5, 1.0], &mut jd));
-        assert!(!nlp.arrow_hess_diag(&[0.5, 0.5, 1.0], &[0.0; 3], &mut hd));
+        assert!(nlp.jac_diag(&[0.5, 0.5, 1.0], &mut jd));
+        assert!(!nlp.hess_diag(&[0.5, 0.5, 1.0], &[0.0; 3], &mut hd));
     }
 
     #[test]
