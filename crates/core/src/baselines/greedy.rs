@@ -10,8 +10,8 @@
 //! the same wherever the runtime lets a unit hold a piece queued behind
 //! the one it runs (on a wall clock, one): at start it asks every unit
 //! for pieces until refused, and each completion refills the slot the
-//! unit's next piece just left. On a virtual clock a unit holds one
-//! piece, and this is plain first-idle dispatch.
+//! unit's next piece just left. A simulated device holds one piece,
+//! and this is plain first-idle dispatch.
 
 use crate::config::PolicyConfig;
 use plb_runtime::{Policy, SchedulerCtx, TaskInfo};

@@ -33,6 +33,10 @@ use plb_runtime::events::EventKind;
 use plb_runtime::policy::{Policy, SchedulerCtx};
 use plb_runtime::task::{TaskFailure, TaskInfo};
 
+/// Budget divisor keeping several rounds of chunks per node, so late
+/// rate drift can still re-balance the tail.
+const OVER_PARTITION: f64 = 4.0;
+
 /// Node-level diffusion scheduler (see the module docs). Drives the
 /// cluster tier's outer engine ([`plb_runtime::ClusterEngine`]), where
 /// every "unit" is a whole node.
@@ -41,12 +45,9 @@ pub struct NodeDiffusionPolicy {
     /// Interior home-shard boundaries (same values handed to the
     /// engine; see [`plb_runtime::equal_cost_shards`]).
     shard_bounds: Vec<u64>,
-    /// Minimum cost units per chunk (0 = derive at start:
-    /// `total_cost / (nodes × 32)`).
+    /// Minimum cost units per chunk, derived at start:
+    /// `total_cost / (nodes × 32)`.
     min_chunk: u64,
-    /// Budget divisor keeping several rounds of chunks per node, so
-    /// late rate drift can still re-balance the tail.
-    over_partition: f64,
     /// Per-node cost-units-per-second EWMA.
     rate: Vec<Option<f64>>,
     /// Gate verdicts: a declined node stays out of the split.
@@ -61,16 +62,9 @@ impl NodeDiffusionPolicy {
             topology,
             shard_bounds,
             min_chunk: 0,
-            over_partition: 4.0,
             rate: Vec::new(),
             admitted: Vec::new(),
         }
-    }
-
-    /// Override the minimum chunk cost (default: derived at start).
-    pub fn with_min_chunk(mut self, min_chunk: u64) -> NodeDiffusionPolicy {
-        self.min_chunk = min_chunk;
-        self
     }
 
     fn ensure_len(&mut self, n: usize) {
@@ -115,23 +109,23 @@ impl NodeDiffusionPolicy {
         }
         let mine = self.rate.get(node).copied().flatten().unwrap_or(1.0);
         let share = remaining as f64 * (mine / total_rate);
-        let budget = (share / self.over_partition).ceil() as u64;
+        let budget = (share / OVER_PARTITION).ceil() as u64;
         budget.clamp(self.min_chunk.min(remaining).max(1), remaining)
     }
 
-    /// Hand every idle admitted node one chunk: home shard, then the
-    /// topology neighbours' shards, then anywhere.
+    /// Offer every admitted node one chunk: home shard, then the
+    /// topology neighbours' shards, then anywhere. A busy node is
+    /// offered one too, as greedy offers a busy unit its next piece:
+    /// where the engine lets a node hold a chunk queued behind the one
+    /// it runs (the cluster tier), that chunk's payload crosses the
+    /// link while the node computes; a full node is refused by the
+    /// engine.
     fn pump(&mut self, ctx: &mut dyn SchedulerCtx) {
         let n = ctx.pus().len();
         self.ensure_len(n);
         let total = ctx.total_items();
         for i in 0..n {
-            let ready = {
-                let p = &ctx.pus()[i];
-                p.available
-                    && self.admitted.get(i).copied().unwrap_or(false)
-                    && !ctx.is_busy(PuId(i))
-            };
+            let ready = ctx.pus()[i].available && self.admitted.get(i).copied().unwrap_or(false);
             if !ready {
                 continue;
             }
@@ -202,10 +196,8 @@ impl Policy for NodeDiffusionPolicy {
     fn on_start(&mut self, ctx: &mut dyn SchedulerCtx) {
         let n = ctx.pus().len();
         self.ensure_len(n);
-        if self.min_chunk == 0 {
-            let rounds = (n as u64).saturating_mul(32).max(1);
-            self.min_chunk = (ctx.total_cost() / rounds).max(1);
-        }
+        let rounds = (n as u64).saturating_mul(32).max(1);
+        self.min_chunk = (ctx.total_cost() / rounds).max(1);
         self.pump(ctx);
     }
 
@@ -247,6 +239,109 @@ impl Policy for NodeDiffusionPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use plb_hetsim::PuKind;
+    use plb_runtime::{PuHandle, TaskId};
+
+    /// Available nodes over a pool of `remaining` cost units of
+    /// `total`: refuses every claim and records the budget of each
+    /// node's last-resort `assign`, one per node per pump.
+    struct Offers {
+        pus: Vec<PuHandle>,
+        total: u64,
+        remaining: u64,
+        offered: Vec<(usize, u64)>,
+    }
+
+    impl Offers {
+        fn new(n: usize, total: u64) -> Offers {
+            let pu = |i: usize| PuHandle {
+                id: PuId(i),
+                name: format!("node{i}"),
+                kind: PuKind::Cpu,
+                machine: i,
+                available: true,
+            };
+            Offers {
+                pus: (0..n).map(pu).collect(),
+                total,
+                remaining: total,
+                offered: Vec::new(),
+            }
+        }
+    }
+
+    impl SchedulerCtx for Offers {
+        fn now(&self) -> f64 {
+            0.0
+        }
+        fn pus(&self) -> &[PuHandle] {
+            &self.pus
+        }
+        fn remaining_items(&self) -> u64 {
+            self.remaining
+        }
+        fn total_items(&self) -> u64 {
+            self.total
+        }
+        fn assign(&mut self, pu: PuId, budget: u64) -> u64 {
+            self.offered.push((pu.0, budget));
+            0
+        }
+        fn assign_within(&mut self, _pu: PuId, _budget: u64, _lo: u64, _hi: u64) -> u64 {
+            0
+        }
+        fn is_busy(&self, _pu: PuId) -> bool {
+            false
+        }
+        fn any_busy(&self) -> bool {
+            false
+        }
+        fn charge_overhead(&mut self, _seconds: f64) {}
+    }
+
+    /// Pins today's fallback for a node with no observed rate: it
+    /// counts at 1 cost unit per second against observed rates of
+    /// billions, so the first node to finish is offered a quarter of
+    /// what remains in one chunk and the others the floor. (The faulted
+    /// `sim-cluster` cell shows the same at its first completions.)
+    #[test]
+    fn a_node_with_no_observed_rate_counts_at_one_cost_unit_per_second() {
+        let mut policy = NodeDiffusionPolicy::new(Topology::Ring, vec![250, 500, 750]);
+        let mut ctx = Offers::new(4, 1_000_000_000);
+        policy.on_start(&mut ctx);
+        // No rate known anywhere: an even split, over-partitioned 4×.
+        assert_eq!(
+            ctx.offered,
+            [
+                (0, 62_500_000),
+                (1, 62_500_000),
+                (2, 62_500_000),
+                (3, 62_500_000)
+            ]
+        );
+
+        ctx.offered.clear();
+        ctx.remaining = 845_000_000;
+        let done = TaskInfo {
+            task_id: TaskId(0),
+            pu: PuId(3),
+            items: 1,
+            cost: 33_000_000,
+            xfer_time: 0.0,
+            proc_time: 0.01,
+            start: 0.0,
+            finish: 0.01,
+        };
+        policy.on_task_finished(&mut ctx, &done);
+        // Node 3 runs at 3.3e9 cost units/s, the three others count at
+        // 1.0: node 3 is offered a quarter of the 845 M left, the others
+        // the floor of total / (4 × 32).
+        let floor = 7_812_500;
+        assert_eq!(
+            ctx.offered,
+            [(0, floor), (1, floor), (2, floor), (3, 211_250_000)]
+        );
+    }
 
     #[test]
     fn shard_ranges_partition_the_item_space() {

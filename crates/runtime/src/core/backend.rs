@@ -144,6 +144,17 @@ pub trait Backend {
     /// Current time, seconds (virtual or wall per [`Self::clock_kind`]).
     fn now(&self) -> f64;
 
+    /// Does a unit hold one block queued behind the one it runs? A
+    /// property of the backend (fixed for its lifetime), not a setting:
+    /// a wall-clock unit does, because every dispatch there pays a round
+    /// trip through the driver; a simulated device does not, because on
+    /// a virtual clock a dispatch costs nothing. The cluster tier does
+    /// on its virtual clock: a queued chunk's payload crosses the link
+    /// while the chunk ahead of it computes.
+    fn holds_one_ahead(&self) -> bool {
+        self.clock_kind() == ClockKind::Wall
+    }
+
     /// Can `pu` accept a launch right now? (A host unit whose worker
     /// channel is gone is not ready.) Availability bookkeeping is the
     /// core's; this covers backend-private state only.

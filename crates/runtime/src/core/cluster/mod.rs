@@ -24,6 +24,13 @@
 //! machinery (retry, quarantine, re-credit) reassigns the range with no
 //! item lost or double-counted.
 //!
+//! A node holds one chunk queued behind the one it computes
+//! ([`Backend::holds_one_ahead`]): the queued chunk's payload crosses
+//! the link meanwhile, and only the part of the transfer that outlasts
+//! the compute ahead is charged to the node (`task_finish.xfer_s`;
+//! `migration_sent.xfer_s` keeps the full link time). A node's
+//! outcomes surface in launch order.
+//!
 //! The tier emits the trace-v6 cluster events (`node_quarantined`,
 //! `migration_sent`, `migration_retried`, `cover_recredited`; the
 //! diffusion policy adds `node_joined`) and stamps the node roster into
@@ -201,7 +208,7 @@ enum Payload {
     Emit { pu: Option<usize>, kind: EventKind },
 }
 
-/// Backend-side record of the chunk currently on a node.
+/// Backend-side record of a chunk a node holds.
 #[derive(Debug, Clone)]
 struct InflightChunk {
     task: TaskId,
@@ -221,7 +228,17 @@ struct NodeState {
     epoch: u64,
     /// Completed chunks (the crash trigger's key).
     chunks_done: u64,
+    /// The chunk whose outcome surfaces next.
     inflight: Option<InflightChunk>,
+    /// The chunk queued behind it, whose payload crosses the link while
+    /// the one ahead computes. `Some` only while `inflight` is.
+    queued: Option<InflightChunk>,
+    /// When the last outcome scheduled on the node surfaces: the end of
+    /// the last scheduled compute, or a failed delivery. No chunk
+    /// launched later computes or fails before it, so outcomes surface
+    /// in launch order. A node cut off by a partition keeps computing
+    /// what it held, so it stays busy until then after the heal too.
+    free_at: f64,
     /// Size of the most recent failed delivery, kept so a quarantine
     /// that follows it can report the re-credited range.
     last_failed: Option<(u64, u64)>,
@@ -235,8 +252,40 @@ impl NodeState {
             epoch: 0,
             chunks_done: 0,
             inflight: None,
+            queued: None,
+            free_at: 0.0,
             last_failed: None,
         }
+    }
+
+    /// Chunks the node holds: 0, 1 or 2.
+    fn held(&self) -> u64 {
+        u64::from(self.inflight.is_some()) + u64::from(self.queued.is_some())
+    }
+
+    /// Take on `chunk`, whose outcome surfaces at `outcome_at`: it runs
+    /// next, or queues behind the chunk ahead.
+    fn hold(&mut self, chunk: InflightChunk, outcome_at: f64) {
+        self.free_at = outcome_at;
+        if self.inflight.is_none() {
+            self.inflight = Some(chunk);
+        } else {
+            debug_assert!(self.queued.is_none(), "a third chunk on a node");
+            self.queued = Some(chunk);
+        }
+    }
+
+    /// Is `task`, scheduled in `epoch`, the chunk whose outcome is due?
+    fn is_next(&self, epoch: u64, task: TaskId) -> bool {
+        self.epoch == epoch && self.inflight.as_ref().is_some_and(|f| f.task == task)
+    }
+
+    /// The outcome of the chunk ahead surfaced: the one queued behind
+    /// it is next.
+    fn pop_next(&mut self) -> Option<InflightChunk> {
+        let done = self.inflight.take();
+        self.inflight = self.queued.take();
+        done
     }
 }
 
@@ -279,19 +328,26 @@ impl ClusterBackend<'_> {
 
     /// A node at its crash threshold is already doomed: its `NodeDown`
     /// event sits in the heap at the current instant, but the driver
-    /// may dispatch between the fatal completion and that pop. Refusing
-    /// such launches keeps crashes exactly-once — no chunk is ever
-    /// executed on a node past its crash point.
+    /// may dispatch between the fatal completion and that pop. A node
+    /// whose held chunk is its last is doomed too: a chunk queued
+    /// behind it would run its nested engine at launch and then again
+    /// on a survivor. Refusing such launches keeps crashes
+    /// exactly-once — no chunk is ever executed on a node past its
+    /// crash point.
     fn crash_doomed(&self, pu: usize) -> bool {
-        self.node_faults
-            .crash_after(pu)
-            .is_some_and(|after| self.nodes.get(pu).is_some_and(|n| n.chunks_done >= after))
+        self.node_faults.crash_after(pu).is_some_and(|after| {
+            (self.nodes.get(pu)).is_some_and(|n| n.chunks_done + n.held() >= after)
+        })
     }
 }
 
 impl Backend for ClusterBackend<'_> {
     fn clock_kind(&self) -> ClockKind {
         ClockKind::Virtual
+    }
+
+    fn holds_one_ahead(&self) -> bool {
+        true
     }
 
     fn now(&self) -> f64 {
@@ -310,6 +366,11 @@ impl Backend for ClusterBackend<'_> {
         let send = self.queue.start_of(spec);
         let owner = self.owner_of(spec.offset);
         let cost = self.weights.cost(spec.offset, spec.items);
+        let chunk = InflightChunk {
+            task: spec.task,
+            items: spec.items,
+            cost,
+        };
         let bytes = (spec.items as f64 * self.migration.bytes_per_item).max(0.0);
 
         // Resolve the delivery schedule deterministically against the
@@ -397,41 +458,42 @@ impl Backend for ClusterBackend<'_> {
                 let Some(st) = self.nodes.get_mut(pu) else {
                     return Launch::UnitGone;
                 };
-                st.inflight = Some(InflightChunk {
-                    task: spec.task,
-                    items: spec.items,
-                    cost,
-                });
+                // The payload is on the link over [arrival, arrival +
+                // xfer_s]. A chunk queued behind another occupies the
+                // node from when the one ahead ends and computes once
+                // its payload is in too: only the part of the transfer
+                // that outlasts the compute ahead is charged to it.
+                let start = arrival.max(st.free_at);
+                let computes = (arrival + xfer_s).max(st.free_at);
+                let finish = computes + proc_s;
+                st.hold(chunk, finish);
                 st.last_failed = None;
                 let epoch = st.epoch;
                 self.queue.push(
-                    arrival + xfer_s + proc_s,
+                    finish,
                     Payload::ChunkDone {
                         node: pu,
                         epoch,
                         task: spec.task,
-                        start: arrival,
-                        xfer_s,
+                        start,
+                        xfer_s: computes - start,
                         proc_s,
                         doomed,
                     },
                 );
-                Launch::Started {
-                    start: Some(arrival),
-                }
+                Launch::Started { start: Some(start) }
             }
             (None, Some(t_fail)) => {
                 let Some(st) = self.nodes.get_mut(pu) else {
                     return Launch::UnitGone;
                 };
-                st.inflight = Some(InflightChunk {
-                    task: spec.task,
-                    items: spec.items,
-                    cost,
-                });
+                // Outcomes surface in launch order, or the driver would
+                // drop this one as stale.
+                let at = t_fail.max(st.free_at);
+                st.hold(chunk, at);
                 let epoch = st.epoch;
                 self.queue.push(
-                    t_fail,
+                    at,
                     Payload::DeliveryFailed {
                         node: pu,
                         epoch,
@@ -485,12 +547,10 @@ impl Backend for ClusterBackend<'_> {
                     let Some(st) = self.nodes.get_mut(node) else {
                         continue;
                     };
-                    let current =
-                        st.epoch == epoch && st.inflight.as_ref().is_some_and(|f| f.task == task);
-                    if !current {
+                    if !st.is_next(epoch, task) {
                         continue;
                     }
-                    st.inflight = None;
+                    st.pop_next();
                     if doomed {
                         return Polled::AttemptFailed {
                             pu: node,
@@ -525,13 +585,10 @@ impl Backend for ClusterBackend<'_> {
                     let Some(st) = self.nodes.get_mut(node) else {
                         continue;
                     };
-                    let current =
-                        st.epoch == epoch && st.inflight.as_ref().is_some_and(|f| f.task == task);
-                    if !current {
+                    if !st.is_next(epoch, task) {
                         continue;
                     }
-                    let fl = st.inflight.take();
-                    st.last_failed = fl.map(|f| (f.items, f.cost));
+                    st.last_failed = st.pop_next().map(|f| (f.items, f.cost));
                     return Polled::AttemptFailed {
                         pu: node,
                         task,
@@ -550,7 +607,7 @@ impl Backend for ClusterBackend<'_> {
                         DownReason::Partition => st.reachable = false,
                     }
                     st.epoch += 1;
-                    let fl = st.inflight.take();
+                    let held = [st.inflight.take(), st.queued.take()];
                     events.record(
                         self.queue.now(),
                         Some(node),
@@ -558,9 +615,9 @@ impl Backend for ClusterBackend<'_> {
                             reason: reason.name().to_string(),
                         },
                     );
-                    if let Some(f) = fl {
-                        // The unfinished range folds back into the
-                        // pool (the core reclaims it on `UnitDown`).
+                    for f in held.into_iter().flatten() {
+                        // The unfinished ranges fold back into the pool
+                        // (the core reclaims them on `UnitDown`).
                         events.record(
                             self.queue.now(),
                             Some(node),
@@ -593,13 +650,17 @@ impl Backend for ClusterBackend<'_> {
         self.queue.charge_overhead(seconds);
     }
 
+    /// The core quarantines a node on a failed attempt, whose outcome
+    /// has already left the node (or while it replays a snapshot, when
+    /// the node holds nothing). A chunk that was queued behind the
+    /// failed one is the core's attempt in flight now and keeps
+    /// running, so its outcome still surfaces; the note reports the
+    /// failed delivery's range as re-credited.
     fn on_unit_quarantined(&mut self, pu: usize) {
         let Some(st) = self.nodes.get_mut(pu) else {
             return;
         };
-        st.epoch += 1;
-        let fl = st.inflight.take().map(|f| (f.items, f.cost));
-        let (items, cost) = fl.or(st.last_failed.take()).unwrap_or((0, 0));
+        let (items, cost) = st.last_failed.take().unwrap_or((0, 0));
         self.pending_notes.push((pu, items, cost));
     }
 
@@ -608,6 +669,7 @@ impl Backend for ClusterBackend<'_> {
             st.alive = false;
             st.epoch += 1;
             st.inflight = None;
+            st.queued = None;
         }
     }
 
@@ -917,11 +979,12 @@ impl<'r> ClusterEngine<'r> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::FixedBlockPolicy;
+    use crate::policy::{FixedBlockPolicy, SchedulerCtx};
     use crate::sync::Mutex;
+    use crate::task::{TaskFailure, TaskInfo};
     use plb_hetsim::cluster::ClusterOptions;
     use plb_hetsim::workload::LinearCost;
-    use plb_hetsim::{cluster_scenario, Scenario};
+    use plb_hetsim::{cluster_scenario, NodeFault, NodeFaultKind, Scenario};
 
     #[test]
     fn equal_cost_shards_split_uniform_items_evenly() {
@@ -1050,6 +1113,214 @@ mod tests {
             .unwrap();
         let asked = std::mem::take(&mut *cost.asked.lock());
         (out, asked)
+    }
+
+    /// Every chunk computes for `per_item_s` seconds per item; the
+    /// chunks run are recorded.
+    struct Timed {
+        per_item_s: f64,
+        runs: Vec<(usize, u64, u64)>,
+    }
+
+    impl NodeRunner for Timed {
+        fn node_count(&self) -> usize {
+            2
+        }
+        fn node_name(&self, node: usize) -> String {
+            format!("n{node}")
+        }
+        fn run_chunk(
+            &mut self,
+            node: usize,
+            offset: u64,
+            items: u64,
+        ) -> Result<ChunkOutcome, String> {
+            self.runs.push((node, offset, items));
+            Ok(ChunkOutcome {
+                makespan_s: items as f64 * self.per_item_s,
+                bytes_in: 0,
+            })
+        }
+    }
+
+    /// At start node 1 takes a chunk of its home shard (`2000..`) and
+    /// queues a migrated one from node 0's behind it; node 0 takes a
+    /// home chunk. Afterwards, whenever anything happens, every idle
+    /// available node takes the next `BLOCK` items.
+    struct Script;
+
+    const BLOCK: u64 = 500;
+
+    impl Script {
+        fn refill(ctx: &mut dyn SchedulerCtx) {
+            for i in 0..ctx.pus().len() {
+                if ctx.pus()[i].available && !ctx.is_busy(PuId(i)) {
+                    ctx.assign(PuId(i), BLOCK);
+                }
+            }
+        }
+    }
+
+    impl Policy for Script {
+        fn name(&self) -> &str {
+            "script"
+        }
+        fn on_start(&mut self, ctx: &mut dyn SchedulerCtx) {
+            assert_eq!(ctx.assign_within(PuId(1), BLOCK, 2_000, 4_000), BLOCK);
+            assert_eq!(ctx.assign_within(PuId(1), BLOCK, 0, 2_000), BLOCK);
+            assert_eq!(
+                ctx.assign_within(PuId(1), BLOCK, 0, 2_000),
+                0,
+                "node 1 is full"
+            );
+            assert_eq!(ctx.assign_within(PuId(0), BLOCK, 0, 2_000), BLOCK);
+        }
+        fn on_task_finished(&mut self, ctx: &mut dyn SchedulerCtx, _done: &TaskInfo) {
+            Script::refill(ctx);
+        }
+        fn on_device_lost(&mut self, ctx: &mut dyn SchedulerCtx, _pu: PuId) {
+            Script::refill(ctx);
+        }
+        fn on_task_failed(&mut self, ctx: &mut dyn SchedulerCtx, _failure: &TaskFailure) {
+            Script::refill(ctx);
+        }
+        fn on_device_restored(&mut self, ctx: &mut dyn SchedulerCtx, _pu: PuId) {
+            Script::refill(ctx);
+        }
+    }
+
+    /// [`Script`] over 4 000 items on two [`Timed`] nodes, node 1 cut
+    /// off from `cut` seconds (if any) to 20 ms.
+    fn scripted(per_item_s: f64, cut: Option<f64>) -> (RunReport, EventSink, Trace, Timed) {
+        let mut runner = Timed {
+            per_item_s,
+            runs: Vec::new(),
+        };
+        let faults = cut.map_or_else(NodeFaultPlan::none, |from_s| {
+            NodeFaultPlan::new(vec![NodeFault {
+                node: 1,
+                kind: NodeFaultKind::Partition { from_s, to_s: 0.02 },
+            }])
+        });
+        let mut engine = ClusterEngine::new(&mut runner).with_node_faults(faults);
+        let report = engine.run(&mut Script, 4_000).expect("run completes");
+        assert_eq!(report.cover, vec![(0, 4_000)]);
+        assert_eq!(report.pus.iter().map(|p| p.items).sum::<u64>(), 4_000);
+        let events = engine.last_events().cloned().expect("events");
+        let trace = engine.last_trace().cloned().expect("trace");
+        (report, events, trace, runner)
+    }
+
+    /// Node 1's migrated chunk (task 1) queues behind its home chunk
+    /// (task 0), sent at 0 s.
+    fn migrated_payload_s(events: &EventSink) -> f64 {
+        let sent = events.iter().find_map(|e| match e.kind {
+            EventKind::MigrationSent {
+                task: 1, xfer_s, ..
+            } => Some(xfer_s),
+            _ => None,
+        });
+        sent.expect("task 1 migrated")
+    }
+
+    #[test]
+    fn a_queued_migration_is_charged_only_the_transfer_that_outlasts_the_chunk_ahead() {
+        // Node 1's home chunk computes 5 ms, then 0.5 ms: the payload
+        // (1 ms of latency plus 32 kB) is hidden, then mostly exposed.
+        for (per_item_s, hidden) in [(1e-5, true), (1e-6, false)] {
+            let (_, events, trace, _) = scripted(per_item_s, None);
+            let x = migrated_payload_s(&events);
+            let finish = |task: u64| {
+                let e = events
+                    .iter()
+                    .find(|e| matches!(e.kind, EventKind::TaskFinish { task: t, .. } if t == task));
+                e.map(|e| (e.t, e.kind.clone())).expect("finished")
+            };
+            let (free_at, _) = finish(0);
+            assert_eq!(free_at, 500.0 * per_item_s);
+            let (_, done) = finish(1);
+            let EventKind::TaskFinish { xfer_s, .. } = done else {
+                unreachable!()
+            };
+            let expected = (0.0 + x - free_at).max(0.0);
+            assert!((xfer_s - expected).abs() < 1e-15, "{xfer_s} vs {expected}");
+            assert_eq!(xfer_s == 0.0, hidden, "{xfer_s}");
+            // The queued chunk starts on the node when the one ahead ends.
+            let start = events.iter().find(|e| {
+                e.kind
+                    == EventKind::TaskStart {
+                        task: 1,
+                        items: BLOCK,
+                    }
+            });
+            assert_eq!(start.map(|e| e.t), Some(free_at));
+            // No two segments on a node overlap.
+            for pu in 0..2 {
+                let mut on_pu: Vec<_> = trace.segments().iter().filter(|s| s.pu == pu).collect();
+                on_pu.sort_by(|a, b| a.start.total_cmp(&b.start));
+                for w in on_pu.windows(2) {
+                    assert!(
+                        w[0].end <= w[1].start + 1e-12,
+                        "{:?} overlaps {:?}",
+                        w[0],
+                        w[1]
+                    );
+                }
+            }
+        }
+    }
+
+    /// The ranges re-credited on node 1, in the order reported.
+    fn recredited(events: &EventSink) -> Vec<u64> {
+        let on_node_1 = events.iter().filter(|e| e.pu == Some(1));
+        on_node_1
+            .filter_map(|e| match e.kind {
+                EventKind::CoverRecredited { items, .. } => Some(items),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_partition_during_a_queued_transfer_recredits_the_queued_chunk() {
+        // The cut opens 0.5 ms into the migrated payload's 1 ms on the
+        // link, while the home chunk ahead computes.
+        let (_, events, _, runner) = scripted(1e-5, Some(5e-4));
+        assert!(migrated_payload_s(&events) > 5e-4);
+        assert_eq!(recredited(&events), [BLOCK, BLOCK]);
+        // The queued chunk ran at its launch and once more elsewhere:
+        // the re-credit pays for the repeat.
+        let runs_of_0 = runner.runs.iter().filter(|r| r.1 == 0).count();
+        assert_eq!(runs_of_0, 2, "{:?}", runner.runs);
+        assert_eq!(runner.runs.first(), Some(&(1, 2_000, BLOCK)));
+    }
+
+    #[test]
+    fn a_node_lost_holding_two_chunks_recredits_both() {
+        // The cut opens at 3 ms: the migrated payload is in, queued
+        // behind the home chunk that computes until 5 ms.
+        let (_, events, _, _) = scripted(1e-5, Some(3e-3));
+        let on_node_1: Vec<_> = events.iter().filter(|e| e.pu == Some(1)).collect();
+        let cut = (on_node_1.iter())
+            .position(|e| e.kind.name() == "node_quarantined")
+            .expect("the cut quarantines node 1");
+        let lost = &on_node_1[cut..cut + 6];
+        // Stamped at the queued chunk's start, 5 ms, the node's latest
+        // stamp when the cut opens: a unit's stamps never decrease.
+        assert!(lost.iter().all(|e| e.t == BLOCK as f64 * 1e-5), "{lost:?}");
+        let names: Vec<&str> = lost.iter().map(|e| e.kind.name()).collect();
+        assert_eq!(
+            names,
+            [
+                "node_quarantined",
+                "cover_recredited",
+                "cover_recredited",
+                "task_failed",
+                "task_failed",
+                "device_failed"
+            ]
+        );
+        assert_eq!(recredited(&events), [BLOCK, BLOCK]);
     }
 
     #[test]

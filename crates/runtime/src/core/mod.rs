@@ -21,25 +21,29 @@
 //!
 //! Backends supply only mechanics: how an attempt is launched, how the
 //! next observation is surfaced, and what the clock means
-//! ([`ClockKind`]). The two clock semantics differ in exactly four
+//! ([`ClockKind`]). The two clock semantics differ in exactly three
 //! places, all conditioned explicitly here: virtual clocks know task
 //! start times at launch (so `task_start` is emitted at dispatch),
 //! wall clocks learn them at completion (so it is emitted
 //! retroactively); watchdog deadlines and probation timers are armed
-//! only under wall clocks (virtual time cannot be "late"); scheduler
-//! overhead only delays virtual launches (wall time already passed);
-//! and a unit on a wall clock accepts one block queued behind the one
-//! it runs, because there every dispatch pays a round trip through the
-//! driver, while on a virtual clock it pays nothing and a unit takes
-//! none ahead. The clock sets that capacity; nothing else does.
+//! only under wall clocks (virtual time cannot be "late"); and
+//! scheduler overhead only delays virtual launches (wall time already
+//! passed). One more capacity follows the clock by default: a
+//! wall-clock unit accepts one block queued behind the one it runs,
+//! because there every dispatch pays a round trip through the driver,
+//! while on a virtual clock it pays nothing and a unit takes none
+//! ahead. The backend declares that capacity
+//! ([`Backend::holds_one_ahead`]), and the cluster tier, whose chunks
+//! cross a link before they compute, holds one chunk ahead on its
+//! virtual clock.
 //!
 //! A queued block is in the executor's hands but not yet running: it
 //! has no deadline until the attempt ahead of it ends with an outcome,
-//! when it becomes the attempt in flight (`promote`) and its deadline
-//! runs from that attempt's end. A unit lost without an outcome gives
-//! it back to the pool with the rest of what it held (`write_off`,
-//! `UnitDown`). There is still one attempt in flight, one deadline and
-//! one deciding claim word per unit.
+//! when it becomes the attempt in flight (`promote`) and, on a wall
+//! clock, its deadline runs from that attempt's end. A unit lost
+//! without an outcome gives it back to the pool with the rest of what
+//! it held (`write_off`, `UnitDown`). There is still one attempt in
+//! flight, one deadline and one deciding claim word per unit.
 //!
 //! Who owns what: `handles` is what policies see
 //! ([`SchedulerCtx::pus`]); everything else the driver keeps about a
@@ -173,9 +177,9 @@ struct Unit {
     /// The attempt in flight. Written only by `run` and
     /// `take_inflight`, which keep `busy` and `armed_timers` in step.
     inflight: Option<Pending>,
-    /// The block queued behind it (wall clocks only), without a
-    /// deadline until `promote` makes it the attempt in flight. `Some`
-    /// only while `inflight` is.
+    /// The block queued behind it (on a backend that holds one ahead),
+    /// without a deadline until `promote` makes it the attempt in
+    /// flight. `Some` only while `inflight` is.
     queued: Option<Pending>,
     /// Dispatch counter (including retries) — the fault plan's attempt
     /// index.
@@ -514,16 +518,19 @@ impl<'b> Driver<'b> {
 
     /// The attempt in flight on `pu` ended with an outcome at `ended`,
     /// and its executor has already taken the block queued behind it:
-    /// that block is now the attempt in flight, and its deadline runs
-    /// from `ended`.
+    /// that block is now the attempt in flight, and on a wall clock its
+    /// deadline runs from `ended`.
     fn promote(&mut self, pu: usize, ended: f64) {
+        let wall = self.backend.clock_kind() == ClockKind::Wall;
         let Some(unit) = self.units.get_mut(pu) else {
             return;
         };
         let Some(mut next) = unit.queued.take() else {
             return;
         };
-        next.deadline_at = unit.deadline_from(&self.cfg.ft, &next, ended);
+        if wall {
+            next.deadline_at = unit.deadline_from(&self.cfg.ft, &next, ended);
+        }
         unit.run(next, &mut self.busy, &mut self.armed_timers);
     }
 
@@ -562,8 +569,8 @@ impl<'b> Driver<'b> {
     /// The body of both `assign` flavours: if `pu` has room, claim a
     /// range through `claim`, submit it as a new task and launch it;
     /// returns the claimed cost (0 when nothing was assigned). A unit
-    /// has room while nothing runs on it; on a wall clock also for one
-    /// block queued behind the one that does.
+    /// has room while nothing runs on it; on a backend that holds one
+    /// ahead also for one block queued behind the one that does.
     fn claim_and_launch(
         &mut self,
         pu: PuId,
@@ -573,7 +580,7 @@ impl<'b> Driver<'b> {
         if budget_cost == 0 || self.pool.remaining() == 0 {
             return 0;
         }
-        let ahead = self.backend.clock_kind() == ClockKind::Wall;
+        let ahead = self.backend.holds_one_ahead();
         let room = |u: &Unit| u.inflight.is_none() || (ahead && u.queued.is_none());
         let unit_free = self.handles.get(pu.0).is_some_and(|h| h.available)
             && self.units.get(pu.0).is_some_and(room)
@@ -1301,6 +1308,9 @@ mod tests {
     /// comes before the next outcome sleeps until then.
     struct MockBackend {
         clock: ClockKind,
+        /// Whether a unit holds one block queued behind the one it runs
+        /// (by default, on a wall clock only).
+        ahead: bool,
         task_s: Vec<f64>,
         queue: EventQueue<Ev>,
         /// The attempts each unit still owes an outcome for, oldest
@@ -1322,6 +1332,7 @@ mod tests {
         fn new(clock: ClockKind, task_s: &[f64]) -> MockBackend {
             MockBackend {
                 clock,
+                ahead: clock == ClockKind::Wall,
                 task_s: task_s.to_vec(),
                 queue: EventQueue::new(),
                 owed: vec![VecDeque::new(); task_s.len()],
@@ -1330,6 +1341,13 @@ mod tests {
                 wakes: Vec::new(),
                 hooks: Vec::new(),
             }
+        }
+
+        /// A unit holds one block ahead whatever the clock, as the
+        /// cluster tier's virtual one does.
+        fn one_ahead(mut self) -> MockBackend {
+            self.ahead = true;
+            self
         }
 
         /// The executor of `pu` goes away after `launches` launches.
@@ -1361,6 +1379,10 @@ mod tests {
 
         fn now(&self) -> f64 {
             self.queue.now()
+        }
+
+        fn holds_one_ahead(&self) -> bool {
+            self.ahead
         }
 
         fn launch(&mut self, spec: &LaunchSpec) -> Launch {
@@ -2399,5 +2421,41 @@ mod tests {
         // The slot is free again: the next block queues behind.
         assert_eq!(d.assign(PuId(1), 100), 100);
         assert_eq!(queued(&d), Some((TaskId(2), None)));
+    }
+
+    #[test]
+    fn a_promotion_on_a_virtual_clock_arms_no_deadline() {
+        // The cluster tier's case: a virtual clock whose units hold one
+        // block ahead, with a deadline hint on offer.
+        let mut backend = MockBackend::new(ClockKind::Virtual, &[0.3, 0.2]).one_ahead();
+        let mut policy = Pump::new(0, &[1e-3, 1e-3]);
+        let pool = WorkPool::new(1_000);
+        let cfg = RunConfig::default();
+        let mut d = Driver::new(&mut backend, handles(2), &mut policy, pool, cfg).expect("fresh");
+        policy.on_start(&mut d);
+        assert_eq!(d.assign(PuId(1), 100), 100);
+        assert_eq!(d.assign(PuId(1), 100), 100);
+        assert_eq!(d.assign(PuId(1), 100), 0, "one block ahead, no more");
+        let queued = |d: &Driver| (d.units[1].queued.as_ref()).map(|p| p.task);
+        assert_eq!(queued(&d), Some(TaskId(1)));
+        // The queued block's start is known at dispatch: when the one
+        // ahead of it ends.
+        let starts: Vec<f64> = (d.events.iter())
+            .filter(|e| matches!(e.kind, EventKind::TaskStart { .. }))
+            .map(|e| e.t)
+            .collect();
+        assert_eq!(starts, [0.0, 0.2]);
+
+        let polled = d.backend.poll(None, &mut d.events);
+        assert!(
+            matches!(polled, Polled::Completed { pu: 1, .. }),
+            "{polled:?}"
+        );
+        d.observe(&mut policy, polled).expect("run goes on");
+        let running = (d.units[1].inflight.as_ref()).map(|p| (p.task, p.deadline_at));
+        assert_eq!(running, Some((TaskId(1), None)));
+        assert_eq!(queued(&d), None);
+        assert_eq!(d.armed_timers, 0);
+        assert_eq!((d.busy, d.armed_timers, true), d.recount());
     }
 }

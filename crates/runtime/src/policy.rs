@@ -66,15 +66,16 @@ pub trait SchedulerCtx {
     ///
     /// A unit on a wall clock (the host engine) holds one block running
     /// and accepts one more queued behind it, which its executor starts
-    /// the moment the first ends; a unit on a virtual clock (the
-    /// simulator) holds one. So `assign` returns 0 — and policies must
+    /// the moment the first ends, and so does a node of the cluster
+    /// tier, whose queued chunk crosses the link meanwhile; a simulated
+    /// device holds one. So `assign` returns 0 — and policies must
     /// tolerate that — when `budget` is 0, nothing remains, the unit is
     /// unavailable (failed, quarantined, lost or not yet joined), its
     /// executor is gone, or the unit is full: a block running on a
-    /// virtual clock, a block running and one queued on a wall clock.
+    /// simulated device, a block running and one queued on the others.
     /// A policy that never assigns to a unit for which
     /// [`is_busy`](Self::is_busy) holds keeps one block per unit on
-    /// either clock.
+    /// every engine.
     fn assign(&mut self, pu: PuId, budget: u64) -> u64;
 
     /// Like [`assign`](Self::assign), but only claims work lying inside
