@@ -1,6 +1,6 @@
 //! Run-level durability: periodic, atomically-written snapshots of the
-//! [`core::drive()`](crate::core) driver state, and the resume path that
-//! restores them.
+//! scheduling core's driver state, and the resume path that restores
+//! them.
 //!
 //! PLB-HeC's value is the state it accumulates online — fitted `F_p`/`G_p`
 //! curves, per-unit measurements, quarantine history, and the disjoint
@@ -19,8 +19,11 @@
 //!   covers. Truncation and bit-rot are detected at load, not silently
 //!   resumed from.
 //! * **Workload identity.** A snapshot names the policy, total item
-//!   count and unit count it was taken under; [`Checkpoint::matches`]
-//!   rejects resuming it under a different workload.
+//!   count, unit count, total cost and node roster it was taken under;
+//!   [`Checkpoint::matches`] rejects resuming it under a different
+//!   workload.
+//! * **One version.** [`load`] reads only the version this build writes
+//!   ([`CHECKPOINT_FORMAT_VERSION`]).
 //!
 //! This is the *only* module in `plb-runtime` allowed to touch the
 //! filesystem — xtask lint pass 7 (`fs-confinement`) enforces that.
@@ -31,14 +34,9 @@ use std::fmt;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-/// Version stamped into every snapshot; [`load`] refuses newer ones.
-/// Version history: 1 = item-count workload identity; 2 adds
-/// [`WorkloadId::total_cost`] so a resumed weighted run refuses a
-/// snapshot taken under different per-item costs (v1 snapshots still
-/// load — their cost defaults to the 0 sentinel and is not matched);
-/// 3 adds [`WorkloadId::nodes`] so a mid-partition cluster run can only
-/// resume under the same node roster (pre-v3 snapshots still load —
-/// their roster defaults to empty and is not matched).
+/// Version stamped into every snapshot, and the only one [`load`]
+/// accepts. A change to the snapshot bumps it, and the version
+/// `docs/FAULT_TOLERANCE.md` states with it.
 pub const CHECKPOINT_FORMAT_VERSION: u32 = 3;
 
 /// Magic tag on the header line, so a wrong file path fails loudly.
@@ -56,18 +54,11 @@ pub struct WorkloadId {
     /// Processing units in the cluster.
     pub n_pus: usize,
     /// Total workload weight in cost units ([`crate::Weights`]); equals
-    /// `total_items` under uniform weights. 0 is the pre-v2 sentinel
-    /// (snapshot written before weights existed): [`Checkpoint::matches`]
-    /// skips the cost comparison when either side is 0. Real totals are
-    /// never 0 — per-item costs are clamped ≥ 1.
-    #[serde(default)]
+    /// `total_items` under uniform weights.
     pub total_cost: u64,
     /// Node roster of a cluster-tier run: one display name per node,
-    /// in shard order. Empty is the pre-v3 sentinel (single-node run or
-    /// old snapshot): [`Checkpoint::matches`] skips the roster
-    /// comparison when either side is empty, so node identity only
-    /// gates resumes of genuine cluster runs.
-    #[serde(default)]
+    /// in shard order. Empty for a single-node run, so a cluster
+    /// snapshot never resumes a single-node workload, nor the reverse.
     pub nodes: Vec<String>,
 }
 
@@ -127,11 +118,11 @@ impl Checkpoint {
         self.completed.iter().map(|&(_, len)| len).sum()
     }
 
-    /// Structural validity: supported version, completed ranges sorted,
+    /// Structural validity: the current version, completed ranges sorted,
     /// non-empty, disjoint and in bounds, unit list sized to the
     /// workload.
     pub fn validate(&self) -> Result<(), CheckpointError> {
-        if self.version > CHECKPOINT_FORMAT_VERSION {
+        if self.version != CHECKPOINT_FORMAT_VERSION {
             return Err(CheckpointError::Unsupported {
                 version: self.version,
             });
@@ -170,40 +161,26 @@ impl Checkpoint {
     }
 
     /// Does this snapshot belong to `workload`? Resume refuses a
-    /// mismatch instead of corrupting a different run. Field-wise on
-    /// purpose: `total_cost` is only compared when both sides carry one
-    /// (nonzero), so pre-v2 snapshots of uniform workloads still resume.
+    /// mismatch in any field instead of corrupting a different run.
     pub fn matches(&self, workload: &WorkloadId) -> Result<(), CheckpointError> {
-        let ours = &self.workload;
-        let cost_ok = ours.total_cost == 0
-            || workload.total_cost == 0
-            || ours.total_cost == workload.total_cost;
-        let nodes_ok =
-            ours.nodes.is_empty() || workload.nodes.is_empty() || ours.nodes == workload.nodes;
-        if ours.policy == workload.policy
-            && ours.total_items == workload.total_items
-            && ours.n_pus == workload.n_pus
-            && cost_ok
-            && nodes_ok
-        {
-            Ok(())
-        } else {
-            let describe = |w: &WorkloadId| {
-                let roster = if w.nodes.is_empty() {
-                    String::new()
-                } else {
-                    format!(" / nodes [{}]", w.nodes.join(", "))
-                };
-                format!(
-                    "{} / {} items / {} cost / {} units{roster}",
-                    w.policy, w.total_items, w.total_cost, w.n_pus
-                )
-            };
-            Err(CheckpointError::WorkloadMismatch {
-                expected: describe(workload),
-                found: describe(ours),
-            })
+        if self.workload == *workload {
+            return Ok(());
         }
+        let describe = |w: &WorkloadId| {
+            let roster = if w.nodes.is_empty() {
+                String::new()
+            } else {
+                format!(" / nodes [{}]", w.nodes.join(", "))
+            };
+            format!(
+                "{} / {} items / {} cost / {} units{roster}",
+                w.policy, w.total_items, w.total_cost, w.n_pus
+            )
+        };
+        Err(CheckpointError::WorkloadMismatch {
+            expected: describe(workload),
+            found: describe(&self.workload),
+        })
     }
 }
 
@@ -299,7 +276,8 @@ pub enum CheckpointError {
         /// Identity recorded in the snapshot.
         found: String,
     },
-    /// The snapshot was written by a newer format version.
+    /// The snapshot was written in a format version other than
+    /// [`CHECKPOINT_FORMAT_VERSION`].
     Unsupported {
         /// Version found in the snapshot.
         version: u32,
@@ -317,7 +295,7 @@ impl fmt::Display for CheckpointError {
             ),
             CheckpointError::Unsupported { version } => write!(
                 f,
-                "checkpoint format version {version} is newer than supported {CHECKPOINT_FORMAT_VERSION}"
+                "checkpoint format version {version}; this build reads only {CHECKPOINT_FORMAT_VERSION}"
             ),
         }
     }
@@ -548,12 +526,15 @@ mod tests {
         c.completed = vec![(0, 100)];
         c.units.pop();
         assert!(matches!(c.validate(), Err(CheckpointError::Corrupt(_))));
-        let mut newer = sample();
-        newer.version = CHECKPOINT_FORMAT_VERSION + 1;
-        assert!(matches!(
-            newer.validate(),
-            Err(CheckpointError::Unsupported { .. })
-        ));
+        // Only the current version is read: a newer one and an older
+        // one are refused alike.
+        for version in [CHECKPOINT_FORMAT_VERSION + 1, CHECKPOINT_FORMAT_VERSION - 1] {
+            let mut other = sample();
+            other.version = version;
+            let err = other.validate().unwrap_err();
+            assert_eq!(err, CheckpointError::Unsupported { version });
+            assert!(err.to_string().contains("this build reads only"), "{err}");
+        }
     }
 
     #[test]
@@ -570,43 +551,20 @@ mod tests {
         let err = c.matches(&other).unwrap_err();
         assert!(matches!(err, CheckpointError::WorkloadMismatch { .. }));
         assert!(err.to_string().contains("greedy"));
-    }
-
-    #[test]
-    fn total_cost_matched_only_when_both_sides_carry_one() {
-        let c = sample();
-        // A pre-v2 snapshot (sentinel 0) resumes under a costed workload
-        // and vice versa; two nonzero costs must agree.
-        let mut legacy = c.workload.clone();
-        legacy.total_cost = 0;
-        assert!(c.matches(&legacy).is_ok());
-        let mut old = sample();
-        old.workload.total_cost = 0;
-        assert!(old.matches(&c.workload).is_ok());
+        // Cost and roster are identity too.
         let mut reweighted = c.workload.clone();
         reweighted.total_cost = 999;
         let err = c.matches(&reweighted).unwrap_err();
-        assert!(err.to_string().contains("999 cost"));
-    }
-
-    #[test]
-    fn node_roster_matched_only_when_both_sides_carry_one() {
-        let mut c = sample();
-        c.workload.nodes = vec!["node0".into(), "node1".into()];
-        // A pre-v3 snapshot (empty roster) resumes under a cluster
-        // workload and vice versa; two non-empty rosters must agree.
-        let mut legacy = c.workload.clone();
-        legacy.nodes = Vec::new();
-        assert!(c.matches(&legacy).is_ok());
-        let mut old = sample();
-        old.workload.nodes = Vec::new();
-        assert!(old.matches(&c.workload).is_ok());
-        let mut reshaped = c.workload.clone();
+        assert!(err.to_string().contains("999 cost"), "{err}");
+        let mut cluster = sample();
+        cluster.workload.nodes = vec!["node0".into(), "node1".into()];
+        let mut reshaped = cluster.workload.clone();
         reshaped.nodes = vec!["node0".into(), "node2".into()];
-        let err = c.matches(&reshaped).unwrap_err();
+        let err = cluster.matches(&reshaped).unwrap_err();
         assert!(err.to_string().contains("node2"), "{err}");
-        let mut same = sample();
-        same.workload.nodes = c.workload.nodes.clone();
-        assert!(same.matches(&c.workload).is_ok());
+        // A cluster snapshot does not resume a single-node workload of
+        // the same policy, items, cost and unit count, nor the reverse.
+        assert!(cluster.matches(&c.workload).is_err());
+        assert!(c.matches(&cluster.workload).is_err());
     }
 }

@@ -18,7 +18,7 @@ use std::collections::BinaryHeap;
 /// How a backend's `now()` behaves — the one semantic difference the
 /// core must condition on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClockKind {
+pub(crate) enum ClockKind {
     /// Virtual time: `now()` advances only when [`Backend::poll`]
     /// consumes an event. Deterministic; watchdog deadlines and
     /// probation timers are meaningless (nothing can be "late"), and
@@ -34,32 +34,32 @@ pub enum ClockKind {
 /// resolves the fault plan (it owns the per-unit attempt counters) so
 /// the backend just applies `inject`.
 #[derive(Debug, Clone)]
-pub struct LaunchSpec {
+pub(crate) struct LaunchSpec {
     /// Unit index the attempt runs on.
-    pub pu: usize,
+    pub(crate) pu: usize,
     /// Task identity, stable across retries of the same block.
-    pub task: TaskId,
+    pub(crate) task: TaskId,
     /// First item of the block.
-    pub offset: u64,
+    pub(crate) offset: u64,
     /// Item count of the block.
-    pub items: u64,
+    pub(crate) items: u64,
     /// 0-based attempt number (0 = first dispatch).
-    pub attempt: u32,
+    pub(crate) attempt: u32,
     /// Delay before the attempt executes (retry backoff), seconds.
-    pub backoff_s: f64,
+    pub(crate) backoff_s: f64,
     /// Injected fault for this attempt, if any.
-    pub inject: Option<FaultAction>,
+    pub(crate) inject: Option<FaultAction>,
     /// Kernel-speed drift multiplier from the fault plan's drift
     /// schedule (1.0 = nominal). The core resolves the schedule (it owns
     /// the per-unit attempt counters); the backend applies the factor to
     /// kernel time only, never transfers. Wall-clock backends cannot
     /// speed real hardware up, so they realize factors below 1.0 as 1.0.
-    pub drift: f64,
+    pub(crate) drift: f64,
 }
 
 /// Outcome of [`Backend::launch`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Launch {
+pub(crate) enum Launch {
     /// The attempt is in flight. `start` is its known start time when
     /// the backend can predict it (virtual clocks), `None` when the
     /// start is only discovered at completion (wall clocks).
@@ -74,7 +74,7 @@ pub enum Launch {
 
 /// One observation surfaced by [`Backend::poll`].
 #[derive(Debug, Clone, PartialEq)]
-pub enum Polled {
+pub(crate) enum Polled {
     /// An attempt finished successfully.
     Completed {
         /// Unit index.
@@ -137,7 +137,7 @@ pub enum Polled {
 /// supply mechanics only; all fault-response and assignment decisions
 /// stay in the core (enforced by `cargo xtask lint`'s divergence
 /// guard).
-pub trait Backend {
+pub(crate) trait Backend {
     /// The backend's clock semantics (fixed for its lifetime).
     fn clock_kind(&self) -> ClockKind;
 

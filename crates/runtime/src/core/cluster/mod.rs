@@ -40,15 +40,13 @@
 
 use super::backend::{Backend, ClockKind, EventQueue, Launch, LaunchSpec, Polled};
 use super::{drive, RunConfig, WorkPool};
-use crate::checkpoint::{Checkpoint, CheckpointConfig};
-use crate::engine::{RunError, SimEngine};
+use crate::engine::{Engine, RunError, SimEngine};
 use crate::events::{EventKind, EventSink};
-use crate::fault::{FaultAction, FaultPlan, FaultToleranceConfig};
+use crate::fault::FaultAction;
 use crate::metrics::RunReport;
 use crate::policy::{Policy, PuHandle};
 use crate::sync::Arc;
 use crate::task::{FailureReason, TaskId};
-use crate::trace::Trace;
 use crate::weights::Weights;
 use plb_hetsim::transfer::Link;
 use plb_hetsim::workload::CostModel;
@@ -761,10 +759,20 @@ impl NodeRunner for SimNodeRunner<'_> {
     }
 }
 
-/// The cluster engine: multi-node balancing over any [`NodeRunner`],
-/// with node fault domains and inter-node migration. Mirrors the
-/// single-node engines' builder style and delegates to the same
-/// scheduling core, one tier up.
+/// The node machine: a [`NodeRunner`] with its node fault domains,
+/// migration tunables and home-shard boundaries.
+pub struct NodeMachine<'r> {
+    runner: &'r mut dyn NodeRunner,
+    node_faults: NodeFaultPlan,
+    migration: MigrationConfig,
+    shard_bounds: Option<Vec<u64>>,
+}
+
+/// The cluster engine: [`Engine`] over a [`NodeRunner`], with node
+/// fault domains and inter-node migration. It delegates to the same
+/// scheduling core as the single-node engines, one tier up: faults
+/// apply per node, snapshots carry the node roster, and weights make
+/// the home shards equal-cost.
 ///
 /// ```
 /// use plb_hetsim::cluster::ClusterOptions;
@@ -789,79 +797,30 @@ impl NodeRunner for SimNodeRunner<'_> {
 /// assert_eq!(report.total_items, 100_000);
 /// assert_eq!(report.cover, vec![(0, 100_000)]);
 /// ```
-pub struct ClusterEngine<'r> {
-    runner: &'r mut dyn NodeRunner,
-    node_faults: NodeFaultPlan,
-    migration: MigrationConfig,
-    shard_bounds: Option<Vec<u64>>,
-    cfg: RunConfig,
-    last_trace: Option<Trace>,
-    last_events: Option<EventSink>,
-}
+pub type ClusterEngine<'r> = Engine<NodeMachine<'r>>;
 
 impl<'r> ClusterEngine<'r> {
     /// Create an engine over a node runner.
     pub fn new(runner: &'r mut dyn NodeRunner) -> ClusterEngine<'r> {
-        ClusterEngine {
+        Engine::over(NodeMachine {
             runner,
             node_faults: NodeFaultPlan::none(),
             migration: MigrationConfig::default(),
             shard_bounds: None,
-            cfg: RunConfig::default(),
-            last_trace: None,
-            last_events: None,
-        }
+        })
     }
 
     /// Inject node-level faults: crashes, partitions, lossy links. See
     /// [`NodeFaultPlan`].
     pub fn with_node_faults(mut self, plan: NodeFaultPlan) -> ClusterEngine<'r> {
-        self.node_faults = plan;
-        self
-    }
-
-    /// Inject chunk-level faults (panics, delays, drift) by per-node
-    /// attempt index — the same grammar single-node runs use, applied
-    /// at node granularity. See [`FaultPlan`].
-    pub fn with_faults(mut self, plan: FaultPlan) -> ClusterEngine<'r> {
-        self.cfg.faults = plan;
-        self
-    }
-
-    /// Override the fault-response tunables (chunk retry bound,
-    /// backoff, node quarantine threshold).
-    pub fn with_fault_tolerance(mut self, ft: FaultToleranceConfig) -> ClusterEngine<'r> {
-        self.cfg.ft = ft;
+        self.machine.node_faults = plan;
         self
     }
 
     /// Override the migration tunables (link, payload size, delivery
     /// deadline and retries).
     pub fn with_migration(mut self, m: MigrationConfig) -> ClusterEngine<'r> {
-        self.migration = m;
-        self
-    }
-
-    /// Write periodic durability snapshots during `run` (plus one on
-    /// clean shutdown). Cluster snapshots carry the node roster
-    /// (checkpoint v3), so they resume only under the same roster.
-    pub fn with_checkpoint(mut self, cfg: CheckpointConfig) -> ClusterEngine<'r> {
-        self.cfg.checkpoint = Some(cfg);
-        self
-    }
-
-    /// Resume the next `run` from `ckpt` instead of starting fresh.
-    /// Consumed by that run. The snapshot must match the run's workload
-    /// *and* node roster, or `run` fails with [`RunError::Checkpoint`].
-    pub fn resume_from(mut self, ckpt: Checkpoint) -> ClusterEngine<'r> {
-        self.cfg.resume = Some(ckpt);
-        self
-    }
-
-    /// Use per-item work weights: home shards become equal-*cost* (not
-    /// equal-count), and chunk claims are cost-budgeted.
-    pub fn with_weights(mut self, weights: Arc<Weights>) -> ClusterEngine<'r> {
-        self.cfg.weights = weights;
+        self.machine.migration = m;
         self
     }
 
@@ -870,7 +829,7 @@ impl<'r> ClusterEngine<'r> {
     /// there are nodes (`run` rejects anything else). Defaults to
     /// [`equal_cost_shards`] over the run's weights.
     pub fn with_shard_bounds(mut self, bounds: Vec<u64>) -> ClusterEngine<'r> {
-        self.shard_bounds = Some(bounds);
+        self.machine.shard_bounds = Some(bounds);
         self
     }
 
@@ -884,16 +843,17 @@ impl<'r> ClusterEngine<'r> {
         policy: &mut dyn Policy,
         total_items: u64,
     ) -> Result<RunReport, RunError> {
-        let n = self.runner.node_count();
+        let node = &mut self.machine;
+        let n = node.runner.node_count();
         if n == 0 {
             return Err(RunError::NoUnits);
         }
-        if let Err(e) = self.node_faults.validate(n) {
+        if let Err(e) = node.node_faults.validate(n) {
             return Err(RunError::Infrastructure {
                 detail: format!("node fault plan: {e}"),
             });
         }
-        let names: Vec<String> = (0..n).map(|i| self.runner.node_name(i)).collect();
+        let names: Vec<String> = (0..n).map(|i| node.runner.node_name(i)).collect();
         let handles: Vec<PuHandle> = names
             .iter()
             .enumerate()
@@ -907,7 +867,7 @@ impl<'r> ClusterEngine<'r> {
                 available: true,
             })
             .collect();
-        let shard_bounds = match &self.shard_bounds {
+        let shard_bounds = match &node.shard_bounds {
             Some(b) => b.clone(),
             None => equal_cost_shards(total_items, n, &self.cfg.weights),
         };
@@ -931,11 +891,11 @@ impl<'r> ClusterEngine<'r> {
         let mut pool = WorkPool::over(0..total_items, Arc::clone(&cfg.weights));
         pool.fragment(&shard_bounds);
         let mut backend = ClusterBackend {
-            runner: self.runner,
+            runner: &mut *node.runner,
             nodes: (0..n).map(|_| NodeState::fresh()).collect(),
             shard_bounds,
-            node_faults: self.node_faults.clone(),
-            migration: self.migration.clone(),
+            node_faults: node.node_faults.clone(),
+            migration: node.migration.clone(),
             weights: Arc::clone(&cfg.weights),
             queue: EventQueue::new(),
             bytes_in: vec![0; n],
@@ -959,20 +919,7 @@ impl<'r> ClusterEngine<'r> {
             }
         }
         let outcome = drive(&mut backend, handles, policy, pool, cfg);
-        self.last_trace = Some(outcome.trace);
-        self.last_events = Some(outcome.events);
-        outcome.result
-    }
-
-    /// The node-level Gantt trace of the most recent `run`.
-    pub fn last_trace(&self) -> Option<&Trace> {
-        self.last_trace.as_ref()
-    }
-
-    /// The structured event stream of the most recent `run` — also
-    /// populated on a stalled run, for post-mortems.
-    pub fn last_events(&self) -> Option<&EventSink> {
-        self.last_events.as_ref()
+        self.keep(outcome)
     }
 }
 
@@ -982,6 +929,7 @@ mod tests {
     use crate::policy::{FixedBlockPolicy, SchedulerCtx};
     use crate::sync::Mutex;
     use crate::task::{TaskFailure, TaskInfo};
+    use crate::trace::Trace;
     use plb_hetsim::cluster::ClusterOptions;
     use plb_hetsim::workload::LinearCost;
     use plb_hetsim::{cluster_scenario, NodeFault, NodeFaultKind, Scenario};

@@ -67,7 +67,7 @@ pub mod cluster;
 mod pool;
 
 pub(crate) use backend::EventQueue;
-pub use backend::{Backend, ClockKind, Launch, LaunchSpec, Polled};
+pub(crate) use backend::{Backend, ClockKind, Launch, LaunchSpec, Polled};
 pub use pool::WorkPool;
 
 use crate::checkpoint::{
@@ -90,30 +90,30 @@ use plb_hetsim::PuId;
 /// defaults are uniform weights, no injected fault, the default
 /// response, and no durability.
 #[derive(Debug, Clone, Default)]
-pub struct RunConfig {
+pub(crate) struct RunConfig {
     /// The *global* per-item cost of the workload (uniform for regular
     /// workloads — cost ≡ item count): converts claimed ranges to cost
     /// units for events, deadlines, and the policy-facing cost
     /// accessors. The pool handed to [`drive`] is built over the same
     /// table. See [`crate::weights`].
-    pub weights: Arc<Weights>,
+    pub(crate) weights: Arc<Weights>,
     /// Deterministic fault injection (see [`crate::fault`]).
-    pub faults: FaultPlan,
+    pub(crate) faults: FaultPlan,
     /// The fault-response tunables.
-    pub ft: FaultToleranceConfig,
+    pub(crate) ft: FaultToleranceConfig,
     /// Write periodic snapshots (plus one on clean shutdown) here. See
     /// [`crate::checkpoint`] and `docs/FAULT_TOLERANCE.md`; defined for
     /// whole runs only, like `resume`.
-    pub checkpoint: Option<CheckpointConfig>,
+    pub(crate) checkpoint: Option<CheckpointConfig>,
     /// Restore this snapshot instead of starting fresh: the work pool
     /// resumes on the uncovered items, per-unit driver state is
     /// restored, and the policy is re-seeded via [`Policy::restore`].
-    pub resume: Option<Checkpoint>,
+    pub(crate) resume: Option<Checkpoint>,
     /// Cluster-tier node roster (one display name per node, in shard
     /// order). Stamped into snapshots as checkpoint-v3 workload
     /// identity so a mid-partition cluster run only resumes under the
     /// same roster. Empty for single-node runs.
-    pub roster: Vec<String>,
+    pub(crate) roster: Vec<String>,
 }
 
 impl RunConfig {
@@ -133,17 +133,17 @@ impl RunConfig {
 /// (with the report already built on success), plus the trace and the
 /// event stream — preserved on errors too, for post-mortems.
 #[derive(Debug)]
-pub struct CoreOutcome {
+pub(crate) struct CoreOutcome {
     /// The run's outcome: a full [`RunReport`] or the typed error.
-    pub result: Result<RunReport, RunError>,
+    pub(crate) result: Result<RunReport, RunError>,
     /// Gantt trace of every successful task.
-    pub trace: Trace,
+    pub(crate) trace: Trace,
     /// The structured event stream (see [`crate::events`]).
-    pub events: EventSink,
+    pub(crate) events: EventSink,
     /// Per-unit permanent-loss flags: `lost[i]` is true when unit `i`
     /// was written off (dead or wedged executor). The host engine skips
     /// joining those workers.
-    pub lost: Vec<bool>,
+    pub(crate) lost: Vec<bool>,
 }
 
 /// Engine-side record of one dispatched attempt: in flight, or queued
@@ -1205,7 +1205,7 @@ impl<'b> Driver<'b> {
 /// and one node's chunk, in global coordinates, for a nested
 /// cluster-tier run; `handles` is the backend's unit roster (with
 /// initial availability); `cfg` is everything else ([`RunConfig`]).
-pub fn drive(
+pub(crate) fn drive(
     backend: &mut dyn Backend,
     handles: Vec<PuHandle>,
     policy: &mut dyn Policy,
@@ -1254,7 +1254,6 @@ pub fn drive(
         // Lifetime totals: fold in the counters carried over from the
         // resumed snapshot.
         report.events.merge(&d.carried);
-        report.rebalances = report.events.rebalances as usize;
         // The completed cover (coalesced): callers assert the
         // disjoint-cover invariant on it across faults and resumes.
         d.coalesce_completed();

@@ -1,7 +1,7 @@
 //! [`DisjointOutput`], the audited concurrent-output buffer the app
 //! kernels assemble partial results into. (Transfer-byte accounting is
 //! not here: each backend counts the bytes its units pull in and
-//! reports them through [`Backend::bytes_into`](crate::Backend::bytes_into).)
+//! reports them as [`PuReport::bytes_in`](crate::PuReport::bytes_in).)
 //!
 //! This module is the **only** place in the workspace outside the test
 //! tree where `unsafe` is permitted (enforced by `cargo xtask lint`,

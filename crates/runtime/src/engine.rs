@@ -1,19 +1,26 @@
-//! The discrete-event simulation engine.
+//! The engine, and the discrete-event simulation machine.
 //!
-//! Executes a data-parallel application of `total_items` work units on a
-//! [`ClusterSim`] under a scheduling [`Policy`]. Virtual time advances
-//! through a binary-heap event queue; each task occupies its unit for
-//! `transfer_time + proc_time` as measured by the device models. A unit
-//! holds one task at a time: its clock is virtual, so a dispatch costs
-//! it nothing and the core queues no block behind a running one (the
-//! wall-clock host engine takes one ahead; see [`crate::core`]).
+//! [`Engine`] is the one public way to run: a machine, the run
+//! configuration every machine shares, and the trace and events of the
+//! last run. [`SimEngine`], [`HostEngine`](crate::HostEngine) and
+//! [`ClusterEngine`](crate::ClusterEngine) are it over the simulated,
+//! the host and the node machine.
+//!
+//! The simulated machine executes a data-parallel application of
+//! `total_items` work units on a [`ClusterSim`] under a scheduling
+//! [`Policy`]. Virtual time advances through a binary-heap event queue;
+//! each task occupies its unit for `transfer_time + proc_time` as
+//! measured by the device models. A unit holds one task at a time: its
+//! clock is virtual, so a dispatch costs it nothing and the core queues
+//! no block behind a running one (the wall-clock host engine takes one
+//! ahead).
 //!
 //! All scheduling decisions — assignment bookkeeping, retry, quarantine,
 //! re-credit, stall detection, event emission — live in the shared
-//! scheduling core ([`crate::core`]); this module is only the
-//! virtual-clock [`Backend`]: an event heap over the simulated cluster's
-//! device models, plus the per-unit transfer-byte counters behind the
-//! report's byte accounting.
+//! scheduling core (the crate-private `core` module); this module adds
+//! only the virtual-clock backend: an event heap over the simulated
+//! cluster's device models, plus the per-unit transfer-byte counters
+//! behind the report's byte accounting.
 //!
 //! Perturbations (slowdowns, failures, restorations) can be scheduled at
 //! absolute virtual times to reproduce the paper's future-work scenarios
@@ -21,7 +28,8 @@
 
 use crate::checkpoint::{Checkpoint, CheckpointConfig};
 use crate::core::{
-    self, Backend, ClockKind, EventQueue, Launch, LaunchSpec, Polled, RunConfig, WorkPool,
+    self, Backend, ClockKind, CoreOutcome, EventQueue, Launch, LaunchSpec, Polled, RunConfig,
+    WorkPool,
 };
 use crate::events::{EventKind, EventSink};
 use crate::fault::{FaultAction, FaultPlan, FaultToleranceConfig};
@@ -311,8 +319,111 @@ impl Backend for SimBackend<'_> {
     }
 }
 
-/// The discrete-event engine: a cluster, a cost model, and optional
+/// One engine over one machine `M`: the machine, the run configuration
+/// every machine shares, and what the last run left behind. The
+/// builders here serve every machine; each machine adds its own `new`,
+/// `run` and extra builders. [`SimEngine`], [`HostEngine`] and
+/// [`ClusterEngine`] name the three.
+///
+/// [`HostEngine`]: crate::HostEngine
+/// [`ClusterEngine`]: crate::ClusterEngine
+pub struct Engine<M> {
+    pub(crate) machine: M,
+    pub(crate) cfg: RunConfig,
+    last_trace: Option<Trace>,
+    last_events: Option<EventSink>,
+}
+
+impl<M> Engine<M> {
+    /// An engine over `machine` with the default configuration: uniform
+    /// weights, no injected fault, the default response, no durability.
+    pub(crate) fn over(machine: M) -> Engine<M> {
+        Engine {
+            machine,
+            cfg: RunConfig::default(),
+            last_trace: None,
+            last_events: None,
+        }
+    }
+
+    /// Inject deterministic faults (panics, delays, drift, joins) by
+    /// per-unit attempt index; a node engine applies them per node. See
+    /// [`FaultPlan`]. Re-dispatch after a loss assumes idempotent
+    /// codelets.
+    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
+        self.cfg.faults = plan;
+        self
+    }
+
+    /// Override the fault-response tunables: retry bound, backoff,
+    /// quarantine threshold, and on a wall clock the deadline factor and
+    /// probation window (virtual time cannot be late).
+    pub fn with_fault_tolerance(mut self, ft: FaultToleranceConfig) -> Self {
+        self.cfg.ft = ft;
+        self
+    }
+
+    /// Write periodic, atomically-replaced durability snapshots of the
+    /// driver state during `run` (plus one on clean shutdown), so a
+    /// killed run can be resumed. A node engine's snapshots carry the
+    /// node roster. See [`crate::checkpoint`].
+    pub fn with_checkpoint(mut self, cfg: CheckpointConfig) -> Self {
+        self.cfg.checkpoint = Some(cfg);
+        self
+    }
+
+    /// Resume the next `run` from `ckpt` instead of starting fresh.
+    /// Consumed by that run: a second `run` on the same engine starts
+    /// fresh again. The snapshot must match the run's workload (policy
+    /// name, item count, unit count, total cost and node roster) or
+    /// `run` fails with [`RunError::Checkpoint`]. Codelets must be
+    /// idempotent over a possibly re-executed tail block.
+    pub fn resume_from(mut self, ckpt: Checkpoint) -> Self {
+        self.cfg.resume = Some(ckpt);
+        self
+    }
+
+    /// Use per-item work weights for the run: pool claims become
+    /// cost-budgeted, profiling and selection see cost, not count, and a
+    /// node engine's home shards become equal-cost. The default is
+    /// [`Weights::Uniform`], under which cost equals item count. See
+    /// [`crate::weights`].
+    pub fn with_weights(mut self, weights: Arc<Weights>) -> Self {
+        self.cfg.weights = weights;
+        self
+    }
+
+    /// The Gantt trace of the most recent `run` (for rendering and
+    /// idle-time analysis).
+    pub fn last_trace(&self) -> Option<&Trace> {
+        self.last_trace.as_ref()
+    }
+
+    /// The structured event stream of the most recent `run` — also kept
+    /// on a stalled run, so post-mortems can see what the policy last
+    /// did. See [`crate::events`].
+    pub fn last_events(&self) -> Option<&EventSink> {
+        self.last_events.as_ref()
+    }
+
+    /// Keep the trace and events of a finished drive and hand back its
+    /// result.
+    pub(crate) fn keep(&mut self, outcome: CoreOutcome) -> Result<RunReport, RunError> {
+        self.last_trace = Some(outcome.trace);
+        self.last_events = Some(outcome.events);
+        outcome.result
+    }
+}
+
+/// The simulated machine: a cluster, a cost model, and optional
 /// perturbations.
+pub struct SimMachine<'a> {
+    cluster: &'a mut ClusterSim,
+    cost: &'a dyn CostModel,
+    perturbations: Vec<Perturbation>,
+}
+
+/// The discrete-event engine: [`Engine`] over a simulated cluster.
 ///
 /// ```
 /// use plb_hetsim::cluster::ClusterOptions;
@@ -330,78 +441,27 @@ impl Backend for SimBackend<'_> {
 /// assert_eq!(report.total_items, 50_000);
 /// assert!(report.makespan > 0.0);
 /// ```
-pub struct SimEngine<'a> {
-    cluster: &'a mut ClusterSim,
-    cost: &'a dyn CostModel,
-    perturbations: Vec<Perturbation>,
-    cfg: RunConfig,
-    last_trace: Option<Trace>,
-    last_events: Option<EventSink>,
-}
+pub type SimEngine<'a> = Engine<SimMachine<'a>>;
 
 impl<'a> SimEngine<'a> {
     /// Create an engine over a cluster and an application cost model.
     pub fn new(cluster: &'a mut ClusterSim, cost: &'a dyn CostModel) -> SimEngine<'a> {
-        SimEngine {
+        Engine::over(SimMachine {
             cluster,
             cost,
             perturbations: Vec::new(),
-            cfg: RunConfig::default(),
-            last_trace: None,
-            last_events: None,
-        }
+        })
     }
 
     /// Schedule perturbations (may be unsorted; the engine orders them).
     pub fn with_perturbations(mut self, p: Vec<Perturbation>) -> SimEngine<'a> {
-        self.perturbations = p;
-        self
-    }
-
-    /// Inject deterministic faults (panics, delays) by per-unit attempt
-    /// index. See [`FaultPlan`].
-    pub fn with_faults(mut self, plan: FaultPlan) -> SimEngine<'a> {
-        self.cfg.faults = plan;
-        self
-    }
-
-    /// Override the fault-response tunables (retry bound, backoff,
-    /// quarantine threshold). Deadlines don't apply to virtual time.
-    pub fn with_fault_tolerance(mut self, ft: FaultToleranceConfig) -> SimEngine<'a> {
-        self.cfg.ft = ft;
-        self
-    }
-
-    /// Write periodic, atomically-replaced durability snapshots of the
-    /// driver state during `run` (plus one on clean shutdown). See
-    /// [`crate::checkpoint`].
-    pub fn with_checkpoint(mut self, cfg: CheckpointConfig) -> SimEngine<'a> {
-        self.cfg.checkpoint = Some(cfg);
-        self
-    }
-
-    /// Resume the next `run` from `ckpt` instead of starting fresh.
-    /// Consumed by that run: a second `run` on the same engine starts
-    /// fresh again. The snapshot must match the run's workload (policy
-    /// name, item count, unit count) or `run` fails with
-    /// [`RunError::Checkpoint`].
-    pub fn resume_from(mut self, ckpt: Checkpoint) -> SimEngine<'a> {
-        self.cfg.resume = Some(ckpt);
-        self
-    }
-
-    /// Use per-item work weights for the run: pool claims become
-    /// cost-budgeted and profiling/selection see cost, not count. The
-    /// default is [`Weights::Uniform`], under which everything behaves
-    /// exactly as the pre-weights engine did. See [`crate::weights`].
-    pub fn with_weights(mut self, weights: Arc<Weights>) -> SimEngine<'a> {
-        self.cfg.weights = weights;
+        self.machine.perturbations = p;
         self
     }
 
     /// Run `total_items` under `policy`. Returns the run report, or an
     /// error when the policy deadlocks the run. Delegates to the shared
-    /// scheduling core ([`crate::core`]) over a virtual-clock backend.
+    /// scheduling core over a virtual-clock backend.
     pub fn run(
         &mut self,
         policy: &mut dyn Policy,
@@ -419,7 +479,8 @@ impl<'a> SimEngine<'a> {
         policy: &mut dyn Policy,
         items: Range<u64>,
     ) -> Result<RunReport, RunError> {
-        let handles: Vec<PuHandle> = self
+        let sim = &mut self.machine;
+        let handles: Vec<PuHandle> = sim
             .cluster
             .devices()
             .iter()
@@ -436,12 +497,12 @@ impl<'a> SimEngine<'a> {
             return Err(RunError::NoUnits);
         }
         let mut backend = SimBackend {
-            cluster: &mut *self.cluster,
-            cost: self.cost,
+            cluster: &mut *sim.cluster,
+            cost: sim.cost,
             queue: EventQueue::new(),
             units: vec![SimUnit::default(); handles.len()],
         };
-        for p in &self.perturbations {
+        for p in &sim.perturbations {
             backend
                 .queue
                 .push(p.at.max(0.0), EventPayload::Perturb(p.kind));
@@ -449,22 +510,7 @@ impl<'a> SimEngine<'a> {
         let cfg = self.cfg.for_run();
         let pool = WorkPool::over(items, Arc::clone(&cfg.weights));
         let outcome = core::drive(&mut backend, handles, policy, pool, cfg);
-        self.last_trace = Some(outcome.trace);
-        self.last_events = Some(outcome.events);
-        outcome.result
-    }
-
-    /// The full trace of the most recent successful `run` (for Gantt
-    /// rendering and idle-time analysis).
-    pub fn last_trace(&self) -> Option<&Trace> {
-        self.last_trace.as_ref()
-    }
-
-    /// The structured event stream of the most recent `run` — also
-    /// populated on a stalled run, so post-mortems can see what the
-    /// policy last did. See [`crate::events`].
-    pub fn last_events(&self) -> Option<&EventSink> {
-        self.last_events.as_ref()
+        self.keep(outcome)
     }
 }
 

@@ -33,16 +33,9 @@
 use crate::trace::{Segment, Trace};
 use serde::{Deserialize, Serialize};
 
-/// Schema version stamped into every exported trace header.
-/// Version history: 1 = PR 1 baseline; 2 adds the fault-tolerance kinds
-/// (`task_failed`, `task_retry`, `pu_quarantined`); 3 adds the run-level
-/// durability kinds (`checkpoint_written`, `run_resumed`); 4 adds the
-/// elastic-capacity kinds (`pu_joined`, `drift_applied`, `restabilized`,
-/// `device_restored_ignored`); 5 adds the weighted-work `cost` field to
-/// `task_submit` and `task_finish` (cost units of the block; equals
-/// `items` under uniform weights); 6 adds the cluster-tier kinds
-/// (`node_joined`, `node_quarantined`, `migration_sent`,
-/// `migration_retried`, `cover_recredited`).
+/// Schema version stamped into every exported trace header, and the
+/// only one [`TraceData::parse_jsonl`] accepts. A change to the schema
+/// bumps it, and the version `docs/OBSERVABILITY.md` states with it.
 pub const TRACE_FORMAT_VERSION: u32 = 6;
 
 /// Default ring-buffer capacity (events).
@@ -69,9 +62,7 @@ pub enum EventKind {
         /// Items in the task's block.
         items: u64,
         /// Weight of the block in cost units ([`crate::Weights`]);
-        /// equals `items` under uniform weights. Trace v5; absent in
-        /// older traces and deserialized as 0.
-        #[serde(default)]
+        /// equals `items` under uniform weights.
         cost: u64,
     },
     /// The task began occupying its unit (may trail the submit when a
@@ -89,9 +80,7 @@ pub enum EventKind {
         /// Items in the task's block.
         items: u64,
         /// Weight of the block in cost units; equals `items` under
-        /// uniform weights. Trace v5; absent in older traces and
-        /// deserialized as 0.
-        #[serde(default)]
+        /// uniform weights.
         cost: u64,
         /// Measured input-transfer time, seconds.
         xfer_s: f64,
@@ -539,48 +528,34 @@ pub struct EventCounters {
     pub device_failures: u64,
     /// Failed task attempts (kernel panics, blown deadlines, worker
     /// infrastructure loss).
-    #[serde(default)]
     pub task_failures: u64,
     /// In-place retries of failed blocks.
-    #[serde(default)]
     pub task_retries: u64,
     /// Units quarantined after hitting the consecutive-failure
     /// threshold.
-    #[serde(default)]
     pub quarantines: u64,
     /// Durability snapshots written (`checkpoint_written`).
-    #[serde(default)]
     pub checkpoints: u64,
     /// Resumes from a checkpoint (`run_resumed`; 0 or 1 per process).
-    #[serde(default)]
     pub resumes: u64,
     /// Units admitted mid-run (`pu_joined`).
-    #[serde(default)]
     pub joins: u64,
     /// Drift-factor changes applied at dispatch (`drift_applied`).
-    #[serde(default)]
     pub drift_changes: u64,
     /// Joined units absorbed back into a stable split (`restabilized`).
-    #[serde(default)]
     pub restabilizations: u64,
     /// Restore/join notifications a policy left unhandled
     /// (`device_restored_ignored`).
-    #[serde(default)]
     pub restores_ignored: u64,
     /// Cluster nodes admitted or re-admitted (`node_joined`).
-    #[serde(default)]
     pub node_joins: u64,
     /// Cluster nodes quarantined (`node_quarantined`).
-    #[serde(default)]
     pub node_quarantines: u64,
     /// Cross-node work migrations dispatched (`migration_sent`).
-    #[serde(default)]
     pub migrations_sent: u64,
     /// Migration delivery retries (`migration_retried`).
-    #[serde(default)]
     pub migration_retries: u64,
     /// Cross-node re-credits of unfinished ranges (`cover_recredited`).
-    #[serde(default)]
     pub cover_recredits: u64,
     /// Stall errors.
     pub stalls: u64,
@@ -769,9 +744,9 @@ impl TraceData {
                 "header" => {
                     let h: TraceHeader = serde_json::from_value(v)
                         .map_err(|e| format!("line {}: bad header: {e}", lineno + 1))?;
-                    if h.version > TRACE_FORMAT_VERSION {
+                    if h.version != TRACE_FORMAT_VERSION {
                         return Err(format!(
-                            "trace format version {} is newer than supported {}",
+                            "trace format version {}; this build reads only {}",
                             h.version, TRACE_FORMAT_VERSION
                         ));
                     }
@@ -1392,12 +1367,15 @@ mod tests {
         assert!(TraceData::parse_jsonl("{\"rec\":\"mystery\"}\n").is_err());
         // No header at all.
         assert!(TraceData::parse_jsonl("").is_err());
-        // A newer version is refused rather than misread.
-        let newer = format!(
-            "{{\"rec\":\"header\",\"version\":{},\"policy\":\"x\",\"pu_names\":[]}}",
-            TRACE_FORMAT_VERSION + 1
-        );
-        assert!(TraceData::parse_jsonl(&newer).is_err());
+        // Any version but the current one is refused rather than
+        // misread, a newer one and an older one alike.
+        for version in [TRACE_FORMAT_VERSION + 1, TRACE_FORMAT_VERSION - 1] {
+            let header = format!(
+                "{{\"rec\":\"header\",\"version\":{version},\"policy\":\"x\",\"pu_names\":[]}}"
+            );
+            let err = TraceData::parse_jsonl(&header).unwrap_err();
+            assert!(err.contains("this build reads only"), "{err}");
+        }
     }
 
     #[test]

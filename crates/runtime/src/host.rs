@@ -10,10 +10,11 @@
 //!
 //! All scheduling decisions — assignment bookkeeping, retry, quarantine,
 //! re-credit, deadlines, stall detection, event emission — live in the
-//! shared scheduling core ([`crate::core`]); this module is only the
-//! wall-clock [`Backend`]: per-unit worker threads fed by channels, a
-//! completion channel back, and the loom-checked attempt claim words
-//! that arbitrate worker results against the core's watchdog.
+//! shared scheduling core (the crate-private `core` module); this
+//! module is only the wall-clock backend: per-unit worker threads fed
+//! by channels, a completion channel back, and the loom-checked attempt
+//! claim words that arbitrate worker results against the core's
+//! watchdog.
 //!
 //! A unit runs one block at a time and holds at most one more queued
 //! behind it in its channel: a worker that finishes a block starts the
@@ -50,9 +51,10 @@
 //!   quarantined (but not deadline-lost) unit is restored after
 //!   `probation_s` and the policy told via `on_device_restored`.
 //!
-//! Deterministic faults are injected with a [`FaultPlan`] shared with
-//! the simulator; re-dispatch after a lost unit assumes idempotent
-//! codelets, exactly like [`HostPerturbation`] re-execution does.
+//! Deterministic faults are injected with a
+//! [`FaultPlan`](crate::FaultPlan) shared with the simulator;
+//! re-dispatch after a lost unit assumes idempotent codelets, exactly
+//! like [`HostPerturbation`] re-execution does.
 //!
 //! The racy decisions above — result-arrival vs. watchdog-deadline,
 //! quarantine/restore vs. permanent loss, failed-block re-credit vs.
@@ -60,19 +62,17 @@
 //! [`crate::protocol`] and model-checked under loom (see
 //! `docs/SOUNDNESS.md`).
 
-use crate::checkpoint::{Checkpoint, CheckpointConfig};
 use crate::codelet::{Codelet, PuResources};
-use crate::core::{self, Backend, ClockKind, Launch, LaunchSpec, Polled, RunConfig, WorkPool};
-use crate::engine::RunError;
+use crate::core::{self, Backend, ClockKind, Launch, LaunchSpec, Polled, WorkPool};
+use crate::engine::{Engine, RunError};
 use crate::events::EventSink;
-use crate::fault::{FaultAction, FaultPlan, FaultToleranceConfig};
+use crate::fault::FaultAction;
 use crate::metrics::RunReport;
 use crate::policy::{Policy, PuHandle};
 use crate::protocol::AttemptSlot;
 use crate::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use crate::sync::Arc;
 use crate::task::{FailureReason, TaskId};
-use crate::trace::Trace;
 use crate::weights::Weights;
 use plb_hetsim::{PuId, PuKind};
 use std::collections::VecDeque;
@@ -285,7 +285,14 @@ fn repeat_for(perturbations: &[HostPerturbation], pu: usize, done: u64) -> u32 {
         .unwrap_or(1)
 }
 
-/// The host engine: a set of unit configurations.
+/// The host machine: a set of unit configurations and optional QoS
+/// drift.
+pub struct HostMachine {
+    pus: Vec<HostPu>,
+    perturbations: Vec<HostPerturbation>,
+}
+
+/// The real-thread engine: [`Engine`] over host units.
 ///
 /// ```
 /// use plb_hetsim::PuKind;
@@ -312,82 +319,29 @@ fn repeat_for(perturbations: &[HostPerturbation], pu: usize, done: u64) -> u32 {
 /// assert_eq!(report.total_items, 1_000);
 /// assert_eq!(counter.load(Ordering::Relaxed), 1_000);
 /// ```
-pub struct HostEngine {
-    pus: Vec<HostPu>,
-    perturbations: Vec<HostPerturbation>,
-    cfg: RunConfig,
-    last_trace: Option<Trace>,
-    last_events: Option<EventSink>,
-}
+pub type HostEngine = Engine<HostMachine>;
 
 impl HostEngine {
     /// Create an engine with the given processing units.
     pub fn new(pus: Vec<HostPu>) -> HostEngine {
         assert!(!pus.is_empty(), "host engine needs at least one unit");
         assert!(pus.iter().all(|p| p.threads > 0), "each unit needs threads");
-        HostEngine {
+        Engine::over(HostMachine {
             pus,
             perturbations: Vec::new(),
-            cfg: RunConfig::default(),
-            last_trace: None,
-            last_events: None,
-        }
+        })
     }
 
     /// Schedule QoS-drift injections (idempotent codelets required; see
     /// [`HostPerturbation`]).
     pub fn with_perturbations(mut self, p: Vec<HostPerturbation>) -> HostEngine {
-        self.perturbations = p;
-        self
-    }
-
-    /// Inject deterministic faults (panics, delays) by per-unit attempt
-    /// index. See [`FaultPlan`]. Re-dispatch after a loss assumes
-    /// idempotent codelets.
-    pub fn with_faults(mut self, plan: FaultPlan) -> HostEngine {
-        self.cfg.faults = plan;
-        self
-    }
-
-    /// Override the fault-response tunables: retry bound, backoff,
-    /// quarantine threshold, deadline factor, probation window.
-    pub fn with_fault_tolerance(mut self, ft: FaultToleranceConfig) -> HostEngine {
-        self.cfg.ft = ft;
-        self
-    }
-
-    /// Write periodic, atomically-replaced durability snapshots of the
-    /// driver state during `run` (plus one on clean shutdown), so a
-    /// SIGKILLed run can be resumed. See [`crate::checkpoint`].
-    pub fn with_checkpoint(mut self, cfg: CheckpointConfig) -> HostEngine {
-        self.cfg.checkpoint = Some(cfg);
-        self
-    }
-
-    /// Resume the next `run` from `ckpt` instead of starting fresh.
-    /// Consumed by that run: a second `run` on the same engine starts
-    /// fresh again. The snapshot must match the run's workload (policy
-    /// name, item count, unit count) or `run` fails with
-    /// [`RunError::Checkpoint`]. Codelets must be idempotent over a
-    /// possibly re-executed tail block (the same contract re-dispatch
-    /// after a loss already requires).
-    pub fn resume_from(mut self, ckpt: Checkpoint) -> HostEngine {
-        self.cfg.resume = Some(ckpt);
-        self
-    }
-
-    /// Use per-item work weights for the run: pool claims become
-    /// cost-budgeted and profiling/selection see cost, not count. The
-    /// default is [`Weights::Uniform`], under which everything behaves
-    /// exactly as the pre-weights engine did. See [`crate::weights`].
-    pub fn with_weights(mut self, weights: Arc<Weights>) -> HostEngine {
-        self.cfg.weights = weights;
+        self.machine.perturbations = p;
         self
     }
 
     /// Run `total_items` of `codelet` under `policy`, with real
     /// execution and wall-clock timing. Delegates to the shared
-    /// scheduling core ([`crate::core`]) over a wall-clock backend.
+    /// scheduling core over a wall-clock backend.
     pub fn run(
         &mut self,
         policy: &mut dyn Policy,
@@ -406,7 +360,8 @@ impl HostEngine {
         codelet: Arc<dyn Codelet>,
         items: Range<u64>,
     ) -> Result<RunReport, RunError> {
-        let n = self.pus.len();
+        let host = &self.machine;
+        let n = host.pus.len();
         let epoch = Instant::now();
         let (done_tx, done_rx): (Sender<WorkerMsg>, Receiver<WorkerMsg>) = channel();
 
@@ -416,7 +371,7 @@ impl HostEngine {
         // loss instead of panicking.
         let mut senders: Vec<Sender<Assignment>> = Vec::with_capacity(n);
         let mut joins = Vec::with_capacity(n);
-        for (i, pu) in self.pus.iter().enumerate() {
+        for (i, pu) in host.pus.iter().enumerate() {
             let (tx, rx): (Sender<Assignment>, Receiver<Assignment>) = channel();
             let done = done_tx.clone();
             let codelet = Arc::clone(&codelet);
@@ -424,7 +379,7 @@ impl HostEngine {
                 threads: pu.threads,
                 kind: pu.kind,
             };
-            let perturbations = self.perturbations.clone();
+            let perturbations = host.perturbations.clone();
             let spawned = std::thread::Builder::new()
                 .name(format!("hostpu{i}"))
                 .spawn(move || {
@@ -522,7 +477,7 @@ impl HostEngine {
         }
         drop(done_tx);
 
-        let handles: Vec<PuHandle> = self
+        let handles: Vec<PuHandle> = host
             .pus
             .iter()
             .enumerate()
@@ -556,9 +511,7 @@ impl HostEngine {
                 join_failed = true;
             }
         }
-        self.last_events = Some(outcome.events);
-        self.last_trace = Some(outcome.trace);
-        let report = outcome.result?;
+        let report = self.keep(outcome)?;
         if join_failed {
             // The codelet guard catches kernel panics, so a panicking
             // worker thread means engine infrastructure broke.
@@ -567,17 +520,6 @@ impl HostEngine {
             });
         }
         Ok(report)
-    }
-
-    /// The trace of the most recent successful run.
-    pub fn last_trace(&self) -> Option<&Trace> {
-        self.last_trace.as_ref()
-    }
-
-    /// The structured event stream of the most recent run (also kept on
-    /// a stalled run for post-mortems). See [`crate::events`].
-    pub fn last_events(&self) -> Option<&EventSink> {
-        self.last_events.as_ref()
     }
 }
 

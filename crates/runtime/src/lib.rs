@@ -16,14 +16,21 @@
 //!   `on_start` / `on_task_finished` callbacks and assigns blocks of a
 //!   data-parallel workload to processing units, exactly the level at
 //!   which StarPU schedulers (and the paper's four algorithms) operate.
-//! * [`SimEngine`] — a discrete-event executor over a
-//!   [`plb_hetsim::ClusterSim`]: virtual time, deterministic, fast enough
-//!   to run 65536×65536-element experiments in milliseconds. It supports
-//!   scheduled perturbations (slowdowns, device failures) for the
-//!   paper's future-work scenarios.
-//! * [`HostEngine`] — a real-thread executor that runs actual
-//!   [`Codelet`] kernels on pools of host cores, so the same policies
-//!   drive genuinely measured wall-clock times in the examples.
+//! * [`Engine`] — the one public way to run: a machine plus the run
+//!   configuration every machine shares (fault plan and response,
+//!   checkpointing, resume, weights) and the trace and events of its
+//!   last run. Three machines plug in:
+//!   * [`SimEngine`] — a discrete-event executor over a
+//!     [`plb_hetsim::ClusterSim`]: virtual time, deterministic, fast
+//!     enough to run 65536×65536-element experiments in milliseconds.
+//!     It supports scheduled perturbations (slowdowns, device failures)
+//!     for the paper's future-work scenarios.
+//!   * [`HostEngine`] — a real-thread executor that runs actual
+//!     [`Codelet`] kernels on pools of host cores, so the same policies
+//!     drive genuinely measured wall-clock times in the examples.
+//!   * [`ClusterEngine`] — the cluster tier: whole nodes as units, each
+//!     chunk run by a [`NodeRunner`], with node fault domains and
+//!     inter-node migration.
 //! * [`DisjointOutput`] — the audited concurrent-output buffer host
 //!   kernels assemble partial results into; per-unit transfer-byte
 //!   accounting lives in the backends ([`PuReport::bytes_in`]).
@@ -41,12 +48,13 @@
 //!   ([`Checkpoint`]) and the resume path that restores them, so a
 //!   crashed run continues on the uncovered items with its profiles
 //!   and fitted models intact; see `docs/FAULT_TOLERANCE.md`.
-//! * [`core`] — the backend-agnostic scheduling core: one driver loop
-//!   (assignment bookkeeping, disjoint-range cover, retry/backoff,
-//!   quarantine/probation, re-credit, deadlines, stall detection, event
-//!   emission, report accounting) parameterized over a [`core::Backend`]
-//!   that supplies execution mechanics. Both engines above are thin
-//!   backends of this core; see `docs/ARCHITECTURE.md`.
+//! * `core` (crate-private) — the backend-agnostic scheduling core: one
+//!   driver loop (assignment bookkeeping, disjoint-range cover,
+//!   retry/backoff, quarantine/probation, re-credit, deadlines, stall
+//!   detection, event emission, report accounting) over a backend that
+//!   supplies execution mechanics. Every machine above is a thin backend
+//!   of this core, and nothing outside the crate names the seam; see
+//!   `docs/ARCHITECTURE.md`.
 //! * [`protocol`] — the racy decisions (result vs. deadline, quarantine
 //!   vs. loss, re-credit vs. completion) as explicit state machines,
 //!   model-checked under loom; [`sync`] is the primitive shim that
@@ -54,7 +62,7 @@
 
 pub mod checkpoint;
 pub mod codelet;
-pub mod core;
+mod core;
 pub mod data;
 pub mod engine;
 pub mod events;
@@ -71,16 +79,14 @@ pub mod weights;
 pub use crate::core::cluster::{
     equal_cost_shards, ChunkOutcome, ClusterEngine, MigrationConfig, NodeRunner, SimNodeRunner,
 };
-pub use crate::core::{
-    Backend, ClockKind, CoreOutcome, Launch, LaunchSpec, Polled, RunConfig, WorkPool,
-};
+pub use crate::core::WorkPool;
 pub use checkpoint::{
     Checkpoint, CheckpointConfig, CheckpointError, CheckpointWriter, PuState, WorkloadId,
     CHECKPOINT_FORMAT_VERSION,
 };
 pub use codelet::{Codelet, FnCodelet, PuResources};
 pub use data::{DisjointError, DisjointOutput, DisjointWriter};
-pub use engine::{Perturbation, PerturbationKind, RunError, SimEngine};
+pub use engine::{Engine, Perturbation, PerturbationKind, RunError, SimEngine};
 pub use events::{
     write_jsonl, Event, EventCounters, EventKind, EventSink, TraceData, TraceHeader,
     TRACE_FORMAT_VERSION,

@@ -42,21 +42,16 @@ pub struct RunReport {
     /// The policy's declared one-round block distribution (Fig. 6), if
     /// it has one.
     pub block_distribution: Option<Vec<f64>>,
-    /// Number of rebalance events the policy reported (via task
-    /// counting in the engine: set by the caller when known).
-    pub rebalances: usize,
     /// Aggregate decision-level event counts (probes, fits, solves,
     /// rebalances, perturbations) from the run's
     /// [`EventSink`](crate::events::EventSink). Zeroed when the run was
     /// executed without event tracing.
-    #[serde(default)]
     pub events: EventCounters,
     /// The disjoint cover of completed work: sorted, coalesced
     /// `(offset, items)` ranges over the item space. A complete run's
     /// cover is the single range `(0, total_items)`; tests assert on
     /// this to prove no item was lost or executed twice across node
     /// faults. Empty when the driver did not track completion ranges.
-    #[serde(default)]
     pub cover: Vec<(u64, u64)>,
 }
 
@@ -93,7 +88,6 @@ impl RunReport {
             tasks: ledger.iter().map(|u| u.tasks).sum(),
             pus,
             block_distribution,
-            rebalances: 0,
             events: EventCounters::default(),
             cover: Vec::new(),
         }

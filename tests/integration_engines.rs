@@ -1,10 +1,11 @@
 //! Cross-engine equivalence: the virtual-clock simulator and the
 //! real-thread host executor are thin backends of the same scheduling
-//! core (`plb_runtime::core`), so under the same policy and the same
-//! fault plan they must agree on everything the core decides — which
-//! fault events fire and how often, how the item space is covered, and
-//! which unit ends up with the work. Execution *times* legitimately
-//! differ (virtual vs. wall clock); the decisions must not.
+//! core (`plb_runtime`'s crate-private `core`), so under the same
+//! policy and the same fault plan they must agree on everything the
+//! core decides — which fault events fire and how often, how the item
+//! space is covered, and which unit ends up with the work. Execution
+//! *times* legitimately differ (virtual vs. wall clock); the decisions
+//! must not.
 
 use plb_hec_suite::hetsim::cluster::ClusterOptions;
 use plb_hec_suite::hetsim::workload::LinearCost;
