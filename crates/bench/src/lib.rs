@@ -7,7 +7,7 @@
 //!   policy, seed) → run reports, repeated over the paper's 10-run
 //!   protocol.
 //! * [`figures`] — one generator per table/figure of the paper
-//!   (Table I, Fig. 1, Fig. 3–7, plus the interior-point cost statistic
+//!   (Table I, Fig. 1, Fig. 3–7, plus the block-size solve cost statistic
 //!   from Section V and the ablation studies from DESIGN.md).
 //! * [`report`] — markdown/CSV emitters for `results/`.
 //!

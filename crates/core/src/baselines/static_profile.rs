@@ -14,9 +14,9 @@
 //! run (for instance a [`PlbHecPolicy`](crate::PlbHecPolicy) run via
 //! [`StaticProfilePolicy::from_profiles`], or analytic models in
 //! tests). At start the equal-time partition is solved once — with the
-//! same interior-point machinery PLB-HeC uses online — and the
-//! distribution is then *frozen*: every unit keeps requesting blocks of
-//! its precomputed size, with no refitting and no rebalancing. Under
+//! same water-fill PLB-HeC uses online — and the distribution is then
+//! *frozen*: every unit keeps requesting blocks of its precomputed
+//! size, with no refitting and no rebalancing. Under
 //! QoS drift or device failure this policy demonstrates exactly the
 //! weakness Section II describes (see the `static_vs_dynamic` ablation
 //! and tests).
@@ -83,7 +83,6 @@ impl Policy for StaticProfilePolicy {
             ctx.total_items().max(1),
             self.cfg.granularity,
             self.cfg.solver,
-            &mut None,
         );
         self.fractions = sel.fractions;
         self.blocks = sel.blocks;

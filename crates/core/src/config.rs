@@ -13,15 +13,14 @@ pub enum FitMode {
     LogOnly,
 }
 
-/// Which solver the block-size selection uses — the interior-point
-/// method with its exact fallback (default), or the ablation's
-/// comparator.
+/// Which solver the block-size selection uses — the exact equal-finish
+/// split (default), or the ablation's comparator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolverChoice {
-    /// Interior point, falling back to the exact water-fill.
+    /// The water-fill: one Newton root on the common time.
     Auto,
-    /// Skip the NLP: one-shot rate-proportional split (what a
-    /// weighted-average scheme in the style of Acosta computes).
+    /// Skip the equal-finish solve: one-shot rate-proportional split
+    /// (what a weighted-average scheme in the style of Acosta computes).
     RateProportionalOnly,
 }
 

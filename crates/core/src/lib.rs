@@ -17,9 +17,10 @@
 //!    `G_p[x] = a₁x + a₂`; probing stops at R² ≥ 0.7 on every unit or
 //!    after 20 % of the data.
 //! 2. **Block-size selection** ([`selection`]) — solve
-//!    `min T  s.t.  E_g(x_g) = T ∀g, Σ x_g = 1, x ≥ 0` with the
-//!    interior-point method from `plb-ipm`, then round to valid
-//!    application block sizes.
+//!    `min T  s.t.  E_g(x_g) = T ∀g, Σ x_g = 1, x ≥ 0`, which the paper
+//!    hands to IPOPT. Over increasing curves it has one degree of
+//!    freedom, `T`, so it is solved as one safeguarded Newton root on
+//!    `T`, then rounded to valid application block sizes.
 //! 3. **Execution and rebalancing** ([`policy`]) — asynchronous
 //!    self-scheduled execution with the selected sizes; when finish
 //!    times diverge beyond a threshold (10 % of a block's execution
@@ -48,4 +49,4 @@ pub use config::{FitMode, PolicyConfig, ProbeSchedule, SolverChoice};
 pub use diffusion::NodeDiffusionPolicy;
 pub use policy::PlbHecPolicy;
 pub use profile::{PerfProfile, UnitModel};
-pub use selection::{select_block_sizes, SelectionMethod, SelectionResult, SelectionWarmCache};
+pub use selection::{select_block_sizes, SelectionMethod, SelectionResult};

@@ -151,7 +151,8 @@ impl PlbHecPolicy {
         emit_fit(ctx, pu.0, samples, &model, Some(accepted));
         let lo = self.cfg.granularity.max(1) as f64;
         let hi = (REACH * self.book.largest_block(pu.0)).max(lo);
-        let x = model.invert(self.split_time, lo, hi);
+        let from = self.units.get(pu.0).map_or(lo, |u| u.block as f64);
+        let x = model.invert(self.split_time, lo, hi, from);
         let block = round_to_granularity(x, self.cfg.granularity);
         arm_deadline(ctx, pu, &model, block);
         if let Some(slot) = self.models.get_mut(pu.0) {
@@ -288,11 +289,11 @@ mod tests {
         // bunched to afford a slope, they get the mean rate, whose
         // inverse is still 4 687.
         let affine = flat.fit_with(FitMode::LinearOnly).unwrap();
-        let uncapped = affine.invert(0.049, 1.0, f64::INFINITY);
+        let uncapped = affine.invert(0.049, 1.0, f64::INFINITY, 1.0);
         assert!((uncapped - 38_440.0).abs() < 1.0, "{uncapped}");
         let (mut policy, mut ctx) = executing(vec![ladder, flat], 10_000_000);
         policy.split_time = 0.049;
-        let mean_rate = policy.models[1].invert(0.049, 1.0, f64::INFINITY);
+        let mean_rate = policy.models[1].invert(0.049, 1.0, f64::INFINITY, 1.0);
         assert!((mean_rate - 4_687.0).abs() < 1.0, "{mean_rate}");
         policy.size_alone(&mut ctx, PuId(1));
         assert_eq!(policy.units[1].block, 2 * 1000);
@@ -313,7 +314,7 @@ mod tests {
     fn a_surprise_on_a_partial_model_resizes_that_unit_alone() {
         let (policy, mut ctx, unit_0) = surprise(profile(&[100, 200], 2e5));
         assert_eq!(
-            ctx.take_decisions(),
+            ctx.take_events(),
             [(Some(1), "curve_fit")],
             "no drain, no re-solve"
         );
@@ -336,7 +337,7 @@ mod tests {
     #[test]
     fn the_same_surprise_on_a_full_model_drains() {
         let (policy, mut ctx, _) = surprise(profile(&[100, 200, 400, 800], 2e5));
-        assert_eq!(ctx.take_decisions(), [(Some(1), "rebalance_triggered")]);
+        assert_eq!(ctx.take_events(), [(Some(1), "rebalance_triggered")]);
         assert!(policy.rebalance_pending);
     }
 }

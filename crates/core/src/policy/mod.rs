@@ -37,7 +37,7 @@ mod modeling;
 use crate::config::PolicyConfig;
 use crate::modeling::Modeling;
 use crate::profile::{PerfProfile, ProfileBook, UnitModel};
-use crate::selection::{select_block_sizes, SelectionResult, SelectionWarmCache};
+use crate::selection::{select_block_sizes, SelectionResult};
 use plb_hetsim::PuId;
 use plb_runtime::{EventKind, Policy, SchedulerCtx, TaskFailure, TaskInfo};
 
@@ -155,10 +155,6 @@ pub struct PlbHecPolicy {
     /// Checkpointed learning delivered via [`Policy::restore`], consumed
     /// by the first `on_start` to skip the modeling phase.
     seed: Option<PolicySeed>,
-    /// Previous interior-point optimum, reused to warm-start rebalance
-    /// re-solves. Optimization only — never checkpointed; a restore
-    /// simply solves cold once.
-    warm_cache: Option<SelectionWarmCache>,
 }
 
 impl PlbHecPolicy {
@@ -177,13 +173,12 @@ impl PlbHecPolicy {
             selections: Vec::new(),
             rebalances: 0,
             seed: None,
-            warm_cache: None,
         }
     }
 
     /// Every block-size selection of the latest run (the first plus any
-    /// rebalances): exposes the interior-point solve times the paper
-    /// reports (~170 ms mean on its 4-machine scenario).
+    /// rebalances): exposes the selection's solve times, which the
+    /// paper reports for IPOPT (~170 ms mean on its 4-machine scenario).
     pub fn selections(&self) -> &[SelectionResult] {
         &self.selections
     }
@@ -299,7 +294,6 @@ impl PlbHecPolicy {
             window,
             self.cfg.granularity,
             self.cfg.solver,
-            &mut self.warm_cache,
         );
         self.round_total = sel.blocks.iter().sum();
         self.split_time = sel.predicted_time;
@@ -309,50 +303,25 @@ impl PlbHecPolicy {
             unit.block = block;
             unit.extra_granted = false;
         }
-        // Replay the interior-point trajectory into the event stream: the
-        // per-iteration log is what distinguishes "solver converged in 9
-        // steps" from "line search died and a fallback saved the round".
-        for rec in &sel.ipm_log {
-            ctx.emit_event(
-                None,
-                EventKind::IpmIteration {
-                    iter: rec.iter,
-                    mu: rec.mu,
-                    kkt_error: rec.kkt_error,
-                    theta: rec.theta,
-                    backtracks: rec.backtracks,
-                    accepted: rec.accepted,
-                },
-            );
-        }
-        if let Some(status) = sel.ipm_status {
-            ctx.emit_event(
-                None,
-                EventKind::IpmDone {
-                    status: status.name().to_string(),
-                    iterations: sel.ipm_log.len(),
-                },
-            );
-        }
         ctx.emit_event(
             None,
             EventKind::BlockSolve {
                 window,
                 method: sel.method.name().to_string(),
-                iterations: sel.ipm_iterations,
+                iterations: sel.iterations,
                 solve_s: sel.solve_seconds,
                 predicted_s: sel.predicted_time,
             },
         );
-        // The paper's execution times include the interior-point solve
+        // The paper's execution times include the selection's solve
         // cost; charge it so the comparison against cheap schedulers is
-        // fair. The charge uses a deterministic cost model (per-iteration
-        // dense KKT factorization over n units) rather than the measured
-        // wall time: wall-clock jitter in the virtual clock would break
-        // run reproducibility. The measured time is still recorded in
-        // `selections()` for the Section V solver-cost statistic.
-        let deterministic_cost =
-            50e-6 * (sel.ipm_iterations.max(4) as f64) * (n_live as f64).sqrt();
+        // fair. The charge uses a deterministic cost model (at least 4
+        // of the root's Newton steps on the common time, scaled by √n)
+        // rather than the measured wall time: wall-clock jitter in the
+        // virtual clock would break run reproducibility. The measured
+        // time is still recorded in `selections()` for the Section V
+        // solver-cost statistic.
+        let deterministic_cost = 50e-6 * (sel.iterations.max(4) as f64) * (n_live as f64).sqrt();
         ctx.charge_overhead(deterministic_cost);
         self.selections.push(sel);
         let split = self.units.iter().zip(&self.models).zip(&self.active);
@@ -760,8 +729,7 @@ mod tests {
         for e in sink.events() {
             if let EventKind::BlockSolve { ref method, .. } = e.kind {
                 assert!(
-                    ["interior-point", "water-fill", "rate-proportional"]
-                        .contains(&method.as_str()),
+                    ["water-fill", "rate-proportional"].contains(&method.as_str()),
                     "unknown method {method}"
                 );
             }
@@ -972,14 +940,6 @@ mod tests {
             let names = names.collect();
             self.events.clear();
             names
-        }
-
-        /// [`take_events`](Self::take_events) without the interior
-        /// point's own trail, which every solve leaves.
-        pub fn take_decisions(&mut self) -> Vec<(Option<usize>, &'static str)> {
-            let mut events = self.take_events();
-            events.retain(|(_, name)| !name.starts_with("ipm_"));
-            events
         }
     }
 

@@ -413,7 +413,7 @@ mod tests {
         let alone = land(&mut policy, &mut ctx, 2, 4e5).expect("unit 2 runs the split");
         assert!(!modeling(&policy));
         assert_eq!(
-            ctx.take_decisions(),
+            ctx.take_events(),
             [
                 (Some(2), "curve_fit"),
                 (None, "modeling_done"),
@@ -429,7 +429,7 @@ mod tests {
         // block of E⁻¹(T) — no re-solve.
         let t = policy.split_time;
         let block = land(&mut policy, &mut ctx, 0, 1e5).expect("unit 0 joins");
-        assert_eq!(ctx.take_decisions(), [(Some(0), "curve_fit")]);
+        assert_eq!(ctx.take_events(), [(Some(0), "curve_fit")]);
         assert_eq!(policy.units[0].block, block);
         let model = &policy.models[0];
         let per_item = model.total_time(1.0);
@@ -488,7 +488,7 @@ mod tests {
         land(&mut policy, &mut ctx, 0, 1e5);
         assert!(!policy.rebalance_pending);
         assert_eq!(policy.rebalances(), 1);
-        let events = ctx.take_decisions();
+        let events = ctx.take_events();
         assert_eq!(events.first(), Some(&(Some(0), "curve_fit")));
         assert_eq!(events.last(), Some(&(None, "block_solve")));
         assert!(ctx.running.iter().all(Option::is_some), "{:?}", ctx.running);

@@ -369,12 +369,12 @@ impl UnitModel {
 
     /// `E_p⁻¹(t)` clipped to `[lo, hi]`: the block this model predicts
     /// to take `t` seconds. `E_p` is taken to be increasing: an affine
-    /// model is inverted in closed form, any other by bisection. A model
-    /// no block of the range takes `t` on gives the nearer end: `hi`
-    /// when it predicts the whole range done within `t`, else `lo` — so
-    /// a flat or falling model is sized by where it stands, not by its
-    /// slope.
-    pub(crate) fn invert(&self, t: f64, lo: f64, hi: f64) -> f64 {
+    /// model is inverted in closed form, any other by Newton steps from
+    /// `from`, safeguarded by the bracket `[lo, hi]`. A model no block of
+    /// the range takes `t` on gives the nearer end: `hi` when it predicts
+    /// the whole range done within `t`, else `lo` — so a flat or falling
+    /// model is sized by where it stands, not by its slope.
+    pub(crate) fn invert(&self, t: f64, lo: f64, hi: f64, from: f64) -> f64 {
         if !(t.is_finite() && lo <= hi) {
             return lo;
         }
@@ -388,21 +388,34 @@ impl UnitModel {
             let x = lo + (t - self.total_time(lo)) / self.total_d1(lo);
             return if x.is_finite() { x.clamp(lo, hi) } else { hi };
         }
+        // E(below) < t < E(above). A step that would leave the bracket,
+        // or a slope that is not positive, halves it instead; so does a
+        // step no shorter than half the one before the last, which is
+        // how Newton crawls down the far side of a steep exponential.
         let (mut below, mut above) = (lo, hi);
-        // E(below) < t < E(above): halve until the bracket is within
-        // half a cost unit.
+        let mut x = Some(from)
+            .filter(|&x| x > lo && x < hi)
+            .unwrap_or(0.5 * (lo + hi));
+        let (mut before_last, mut last) = (hi - lo, hi - lo);
         for _ in 0..64 {
-            if above - below <= 0.5 {
+            let r = self.total_time(x) - t;
+            if r == 0.0 || r.is_nan() {
+                return x;
+            }
+            *(if r < 0.0 { &mut below } else { &mut above }) = x;
+            let step = r / self.total_d1(x);
+            let newton = x - step > below && x - step < above && step.abs() <= 0.5 * before_last;
+            before_last = last;
+            (x, last) = if newton {
+                (x - step, step.abs())
+            } else {
+                (0.5 * (below + above), 0.5 * (above - below))
+            };
+            if last <= 1e-12 * x {
                 break;
             }
-            let mid = 0.5 * (below + above);
-            if self.total_time(mid) < t {
-                below = mid;
-            } else {
-                above = mid;
-            }
         }
-        below
+        x
     }
 
     /// Is this a partial model: fitted from fewer samples than one walk
@@ -415,7 +428,7 @@ impl UnitModel {
     }
 
     /// Both curves affine: `E_p(x) = a + b·x`.
-    fn is_affine(&self) -> bool {
+    pub(crate) fn is_affine(&self) -> bool {
         let affine = |c: &FittedCurve| {
             c.basis()
                 .funcs()
@@ -631,12 +644,12 @@ mod tests {
     }
 
     #[test]
-    fn inversion_is_closed_form_on_an_affine_model_and_bisection_otherwise() {
+    fn inversion_is_closed_form_on_an_affine_model_and_newton_otherwise() {
         let affine = filled_profile().fit_with(FitMode::LinearOnly).unwrap();
         let t = affine.total_time(1234.0);
-        assert!((affine.invert(t, 1.0, 1e6) - 1234.0).abs() < 1e-6);
-        assert_eq!(affine.invert(t, 1.0, 1000.0), 1000.0, "clipped above");
-        assert_eq!(affine.invert(0.0, 10.0, 1e6), 10.0, "clipped below");
+        assert!((affine.invert(t, 1.0, 1e6, 1.0) - 1234.0).abs() < 1e-6);
+        assert_eq!(affine.invert(t, 1.0, 1000.0, 1.0), 1000.0, "clipped above");
+        assert_eq!(affine.invert(0.0, 10.0, 1e6, 1.0), 10.0, "clipped below");
         let mut p = PerfProfile::new();
         for &x in &[100u64, 200, 400, 800, 1600] {
             let xf = x as f64;
@@ -645,8 +658,32 @@ mod tests {
         let curved = p.fit_with(FitMode::BestSubset).unwrap();
         assert!(!curved.is_affine());
         let t = curved.total_time(1000.0);
-        assert!((curved.invert(t, 1.0, 1e6) - 1000.0).abs() <= 0.5);
-        assert_eq!(affine.invert(f64::NAN, 5.0, 10.0), 5.0);
+        // From either side, from outside the range and from the root.
+        for from in [1.0, 900.0, 1000.0, 1e5, 2e6, f64::NAN] {
+            let x = curved.invert(t, 1.0, 1e6, from);
+            assert!((x - 1000.0).abs() <= 1e-9 * 1000.0, "from {from}: {x}");
+        }
+        assert_eq!(affine.invert(f64::NAN, 5.0, 10.0, 7.0), 5.0);
+    }
+
+    #[test]
+    fn newton_does_not_crawl_down_a_steep_exponential() {
+        // E = 1e-4·(1 + u/2 + u·eᵘ/100) s, u = x / 65 536: a block of 16 M
+        // items is 244 units of u up the exponential, and a Newton step
+        // there comes down by about one, so Newton alone would not reach
+        // the 100 000-item root in the 64 steps allowed.
+        let model: UnitModel = serde_json::from_str(
+            r#"{"f": {"basis": {"funcs": ["One", "X", "XExpX"]}, "coeffs": [1.0, 0.5, 0.01],
+                      "r2": 1.0, "adj_r2": 1.0, "x_scale": 65536.0, "y_scale": 1e-4,
+                      "n_samples": 8},
+                "g": {"basis": {"funcs": ["One"]}, "coeffs": [0.0], "r2": 1.0, "adj_r2": 1.0,
+                      "x_scale": 1.0, "y_scale": 1.0, "n_samples": 0},
+                "f_quality": 1.0, "g_quality": 1.0}"#,
+        )
+        .unwrap();
+        let t = model.total_time(100_000.0);
+        let x = model.invert(t, 1.0, 1.6e7, 1.6e7 - 1.0);
+        assert!((x - 100_000.0).abs() <= 1e-9 * 100_000.0, "{x}");
     }
 
     #[test]
@@ -661,8 +698,8 @@ mod tests {
             }
             let model = p.fit_with(FitMode::LinearOnly).unwrap();
             assert!(model.is_affine() && model.total_d1(1.0) <= 1e-12);
-            assert_eq!(model.invert(0.1, 1.0, 1000.0), 1.0, "fall {fall}");
-            assert_eq!(model.invert(0.6, 1.0, 1000.0), 1000.0, "fall {fall}");
+            assert_eq!(model.invert(0.1, 1.0, 1000.0, 500.0), 1.0, "fall {fall}");
+            assert_eq!(model.invert(0.6, 1.0, 1000.0, 500.0), 1000.0, "fall {fall}");
         }
     }
 

@@ -50,7 +50,7 @@ proptest! {
         let models: Vec<UnitModel> =
             rates.iter().map(|&r| affine_model(r, 1e-4)).collect();
         let active = vec![true; models.len()];
-        let sel = select_block_sizes(&models, &active, window, 1, SolverChoice::Auto, &mut None);
+        let sel = select_block_sizes(&models, &active, window, 1, SolverChoice::Auto);
         prop_assert_eq!(sel.blocks.iter().sum::<u64>(), window);
         let fsum: f64 = sel.fractions.iter().sum();
         prop_assert!((fsum - 1.0).abs() < 1e-6, "fractions sum {fsum}");
@@ -67,7 +67,7 @@ proptest! {
             rates.iter().map(|&r| affine_model(r, 0.0)).collect();
         let mut active = vec![true; models.len()];
         active[dead % models.len()] = false;
-        let sel = select_block_sizes(&models, &active, window, 1, SolverChoice::Auto, &mut None);
+        let sel = select_block_sizes(&models, &active, window, 1, SolverChoice::Auto);
         prop_assert_eq!(sel.blocks[dead % models.len()], 0);
         prop_assert_eq!(sel.blocks.iter().sum::<u64>(), window);
     }
@@ -81,7 +81,7 @@ proptest! {
         let models =
             vec![affine_model(base_rate, 0.0), affine_model(base_rate * ratio, 0.0)];
         let active = [true, true];
-        let sel = select_block_sizes(&models, &active, window, 1, SolverChoice::Auto, &mut None);
+        let sel = select_block_sizes(&models, &active, window, 1, SolverChoice::Auto);
         prop_assert!(
             sel.blocks[1] >= sel.blocks[0],
             "faster unit got {} < {}",

@@ -21,21 +21,14 @@ fn window_smaller_than_unit_count() {
         affine_model(2e3, 0.0),
         affine_model(4e3, 0.0),
     ];
-    let sel = select_block_sizes(&models, &[true; 3], 2, 1, SolverChoice::Auto, &mut None);
+    let sel = select_block_sizes(&models, &[true; 3], 2, 1, SolverChoice::Auto);
     assert_eq!(sel.blocks.iter().sum::<u64>(), 2);
 }
 
 #[test]
 fn granularity_equal_to_window() {
     let models = vec![affine_model(1e3, 0.0), affine_model(2e3, 0.0)];
-    let sel = select_block_sizes(
-        &models,
-        &[true, true],
-        128,
-        128,
-        SolverChoice::Auto,
-        &mut None,
-    );
+    let sel = select_block_sizes(&models, &[true, true], 128, 128, SolverChoice::Auto);
     assert_eq!(sel.blocks.iter().sum::<u64>(), 128);
     // Exactly one unit carries the single quantum.
     assert_eq!(sel.blocks.iter().filter(|&&b| b > 0).count(), 1);
@@ -44,14 +37,7 @@ fn granularity_equal_to_window() {
 #[test]
 fn granularity_larger_than_window_still_conserves() {
     let models = vec![affine_model(1e3, 0.0), affine_model(2e3, 0.0)];
-    let sel = select_block_sizes(
-        &models,
-        &[true, true],
-        100,
-        512,
-        SolverChoice::Auto,
-        &mut None,
-    );
+    let sel = select_block_sizes(&models, &[true, true], 100, 512, SolverChoice::Auto);
     assert_eq!(sel.blocks.iter().sum::<u64>(), 100);
 }
 
@@ -59,7 +45,7 @@ fn granularity_larger_than_window_still_conserves() {
 fn identical_units_split_evenly_under_every_solver() {
     let models: Vec<UnitModel> = (0..4).map(|_| affine_model(1e4, 1e-3)).collect();
     for solver in [SolverChoice::Auto, SolverChoice::RateProportionalOnly] {
-        let sel = select_block_sizes(&models, &[true; 4], 100_000, 1, solver, &mut None);
+        let sel = select_block_sizes(&models, &[true; 4], 100_000, 1, solver);
         for &b in &sel.blocks {
             assert!(
                 (b as f64 - 25_000.0).abs() < 1500.0,
@@ -79,26 +65,18 @@ fn solvers_agree_on_affine_devices() {
         affine_model(3e3, 0.0),
         affine_model(6e3, 0.0),
     ];
-    let auto = select_block_sizes(
-        &models,
-        &[true; 3],
-        1_000_000,
-        1,
-        SolverChoice::Auto,
-        &mut None,
-    );
+    let auto = select_block_sizes(&models, &[true; 3], 1_000_000, 1, SolverChoice::Auto);
     let rp = select_block_sizes(
         &models,
         &[true; 3],
         1_000_000,
         1,
         SolverChoice::RateProportionalOnly,
-        &mut None,
     );
     for i in 0..3 {
         assert!((auto.fractions[i] - rp.fractions[i]).abs() < 5e-3);
     }
-    assert_eq!(auto.method, SelectionMethod::InteriorPoint);
+    assert_eq!(auto.method, SelectionMethod::WaterFill);
     assert_eq!(rp.method, SelectionMethod::RateProportional);
 }
 
@@ -113,14 +91,7 @@ fn per_task_constants_shift_work_to_fewer_task_units() {
         p.record(x, x as f64 / 1e4, 0.5); // +0.5 s per task, any size
     }
     let taxed = p.fit().unwrap();
-    let sel = select_block_sizes(
-        &[free, taxed],
-        &[true, true],
-        50_000,
-        1,
-        SolverChoice::Auto,
-        &mut None,
-    );
+    let sel = select_block_sizes(&[free, taxed], &[true, true], 50_000, 1, SolverChoice::Auto);
     assert!(
         sel.blocks[0] > sel.blocks[1],
         "the unit without the per-task constant should get more: {:?}",
@@ -152,14 +123,7 @@ fn constant_time_curves_fall_back_gracefully() {
         }
         models.push(p.fit().unwrap());
     }
-    let sel = select_block_sizes(
-        &models,
-        &[true; 3],
-        30_000,
-        1,
-        SolverChoice::Auto,
-        &mut None,
-    );
+    let sel = select_block_sizes(&models, &[true; 3], 30_000, 1, SolverChoice::Auto);
     assert_eq!(sel.blocks.iter().sum::<u64>(), 30_000);
     assert!(sel.fractions.iter().all(|f| f.is_finite() && *f >= 0.0));
 }

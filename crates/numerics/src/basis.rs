@@ -4,8 +4,9 @@
 //! as `F_p[x] = a_1 f_1(x) + ... + a_n f_n(x)` where each `f_i` is drawn
 //! from `{ln x, x, x², x³, eˣ, x·eˣ, x·ln x}` (plus a constant term for
 //! fixed overheads). This module provides those functions together with
-//! first and second derivatives — the interior-point block-size selection
-//! needs gradients and Hessians of the fitted curves.
+//! first and second derivatives — the block-size selection's Newton steps
+//! need the slopes of the fitted curves, and its interior-point oracle
+//! their Hessians too.
 //!
 //! Evaluation is defined on *normalized* block sizes (the curve-fitting
 //! layer rescales x into `(0, ~1]`), which keeps `eˣ` well-conditioned.

@@ -8,8 +8,8 @@
 //! exponential basis functions stay well-conditioned regardless of
 //! whether "block size" is 10 options or 10⁹ matrix elements; times are
 //! similarly normalized. [`FittedCurve::eval`] and the derivative methods
-//! transparently work in original units, which is what the interior-point
-//! block-size selection consumes.
+//! transparently work in original units, which is what the block-size
+//! selection consumes.
 
 use crate::basis::{BasisFn, BasisSet, CANDIDATE_MODELS};
 use crate::solve::{lstsq_into, LinAlgError, LstsqScratch};

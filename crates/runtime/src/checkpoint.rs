@@ -37,7 +37,7 @@ use std::path::{Path, PathBuf};
 /// Version stamped into every snapshot, and the only one [`load`]
 /// accepts. A change to the snapshot bumps it, and the version
 /// `docs/FAULT_TOLERANCE.md` states with it.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 3;
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 4;
 
 /// Magic tag on the header line, so a wrong file path fails loudly.
 const MAGIC: &str = "plb-checkpoint";

@@ -3,8 +3,8 @@
 //! The [`trace`](crate::trace) module records what each unit was *doing*
 //! (busy Compute/Transfer segments); this module records what the stack
 //! *decided* and *observed* — when a probe block was issued, when a curve
-//! was refit and with what quality, when the interior-point solver ran
-//! and how it converged, when a rebalance fired and why, when a device
+//! was refit and with what quality, when the block sizes were solved
+//! and in how many steps, when a rebalance fired and why, when a device
 //! failed or slowed down. Together the two streams make every run a
 //! replayable, diagnosable artifact (the data behind the paper's Figs.
 //! 3, 6 and 7 at decision granularity).
@@ -36,7 +36,7 @@ use serde::{Deserialize, Serialize};
 /// Schema version stamped into every exported trace header, and the
 /// only one [`TraceData::parse_jsonl`] accepts. A change to the schema
 /// bumps it, and the version `docs/OBSERVABILITY.md` states with it.
-pub const TRACE_FORMAT_VERSION: u32 = 6;
+pub const TRACE_FORMAT_VERSION: u32 = 7;
 
 /// Default ring-buffer capacity (events).
 pub const DEFAULT_SINK_CAPACITY: usize = 1 << 16;
@@ -282,14 +282,14 @@ pub enum EventKind {
         /// Items consumed by probing.
         items_used: u64,
     },
-    /// A block-size selection (interior-point solve or fallback) ran
-    /// (`pu` is `None`).
+    /// A block-size selection ran (`pu` is `None`).
     BlockSolve {
         /// Items distributed by this round.
         window: u64,
-        /// `"interior-point"`, `"water-fill"` or `"rate-proportional"`.
+        /// `"water-fill"` or `"rate-proportional"`.
         method: String,
-        /// Interior-point iterations (0 for fallbacks).
+        /// Newton steps on the common time (0 for the rate-proportional
+        /// split).
         iterations: usize,
         /// Wall-clock cost of the selection, seconds.
         solve_s: f64,
@@ -307,29 +307,6 @@ pub enum EventKind {
         observed_s: f64,
         /// `|observed − expected| / expected` (0 for `device-lost`).
         divergence: f64,
-    },
-
-    /// One interior-point iteration (`pu` is `None`).
-    IpmIteration {
-        /// 0-based iteration index within its solve.
-        iter: usize,
-        /// Barrier parameter μ at this iteration.
-        mu: f64,
-        /// Unperturbed KKT error at the iterate.
-        kkt_error: f64,
-        /// Constraint violation θ = ‖c(x)‖₁.
-        theta: f64,
-        /// Filter line-search rejections before acceptance.
-        backtracks: usize,
-        /// Whether the filter accepted a step this iteration.
-        accepted: bool,
-    },
-    /// An interior-point solve terminated (`pu` is `None`).
-    IpmDone {
-        /// `"optimal"`, `"max_iterations"` or `"line_search_failure"`.
-        status: String,
-        /// Iterations used.
-        iterations: usize,
     },
 }
 
@@ -365,8 +342,6 @@ impl EventKind {
             EventKind::ModelingDone { .. } => "modeling_done",
             EventKind::BlockSolve { .. } => "block_solve",
             EventKind::RebalanceTriggered { .. } => "rebalance_triggered",
-            EventKind::IpmIteration { .. } => "ipm_iteration",
-            EventKind::IpmDone { .. } => "ipm_done",
         }
     }
 }
@@ -514,14 +489,10 @@ pub struct EventCounters {
     pub curve_fits: u64,
     /// Fit attempts that were rejected (previous model kept).
     pub fit_rejections: u64,
-    /// Block-size selections (interior-point solve or fallback).
+    /// Block-size selections (`block_solve`).
     pub solves: u64,
     /// Rebalance triggers (divergence threshold or device loss).
     pub rebalances: u64,
-    /// Interior-point iterations across all solves.
-    pub ipm_iterations: u64,
-    /// Filter line-search rejections across all solves.
-    pub ipm_backtracks: u64,
     /// Perturbations applied (slowdowns, failures, restorations).
     pub perturbations: u64,
     /// Device failures among the perturbations.
@@ -588,10 +559,6 @@ impl EventCounters {
             }
             EventKind::BlockSolve { .. } => self.solves += 1,
             EventKind::RebalanceTriggered { .. } => self.rebalances += 1,
-            EventKind::IpmIteration { backtracks, .. } => {
-                self.ipm_iterations += 1;
-                self.ipm_backtracks += *backtracks as u64;
-            }
             EventKind::SlowdownSet { .. } | EventKind::DeviceRestored => {
                 self.perturbations += 1;
             }
@@ -617,8 +584,7 @@ impl EventCounters {
             EventKind::RunStart { .. }
             | EventKind::TaskStart { .. }
             | EventKind::RunEnd { .. }
-            | EventKind::ModelingDone { .. }
-            | EventKind::IpmDone { .. } => {}
+            | EventKind::ModelingDone { .. } => {}
         }
     }
 
@@ -634,8 +600,6 @@ impl EventCounters {
         self.fit_rejections += other.fit_rejections;
         self.solves += other.solves;
         self.rebalances += other.rebalances;
-        self.ipm_iterations += other.ipm_iterations;
-        self.ipm_backtracks += other.ipm_backtracks;
         self.perturbations += other.perturbations;
         self.device_failures += other.device_failures;
         self.task_failures += other.task_failures;
@@ -1099,8 +1063,8 @@ impl TraceData {
         );
         let _ = writeln!(
             out,
-            "  ipm: {} iterations, {} backtracks; perturbations={} stalls={} dropped={}",
-            c.ipm_iterations, c.ipm_backtracks, c.perturbations, c.stalls, c.dropped
+            "  perturbations={} stalls={} dropped={}",
+            c.perturbations, c.stalls, c.dropped
         );
         let _ = writeln!(
             out,
@@ -1247,23 +1211,11 @@ mod tests {
             },
         );
         sink.record(
-            0.3,
-            None,
-            EventKind::IpmIteration {
-                iter: 0,
-                mu: 0.1,
-                kkt_error: 1.0,
-                theta: 0.5,
-                backtracks: 3,
-                accepted: true,
-            },
-        );
-        sink.record(
             0.4,
             None,
             EventKind::BlockSolve {
                 window: 100,
-                method: "interior-point".into(),
+                method: "water-fill".into(),
                 iterations: 9,
                 solve_s: 1e-4,
                 predicted_s: 0.5,
@@ -1284,8 +1236,6 @@ mod tests {
         assert_eq!(c.probes, 1);
         assert_eq!(c.curve_fits, 2);
         assert_eq!(c.fit_rejections, 1);
-        assert_eq!(c.ipm_iterations, 1);
-        assert_eq!(c.ipm_backtracks, 3);
         assert_eq!(c.solves, 1);
         assert_eq!(c.rebalances, 1);
         assert_eq!(c.perturbations, 1);

@@ -711,16 +711,15 @@ mod tests {
 
     #[test]
     fn qos_drift_slows_the_unit_measurably() {
-        // A deterministic busy-work codelet; repeat=4 after 2 tasks
-        // roughly quadruples later task times on the drifted unit.
-        let codelet = Arc::new(FnCodelet::new("spin", |r, _| {
-            let mut acc = 0u64;
-            for i in r {
-                for k in 0..2_000u64 {
-                    acc = acc.wrapping_add(i ^ k).rotate_left(5);
-                }
-            }
-            std::hint::black_box(acc);
+        // Drift repeats the kernel: repeat=4 after 2 tasks runs the last
+        // two of four tasks four times each. The kernel counts its calls,
+        // so the repeat is asserted exactly; the wall-time ratio it makes
+        // is not asserted, since a busy machine can squeeze it below any
+        // fixed bound.
+        let calls = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&calls);
+        let codelet = Arc::new(FnCodelet::new("count", move |_, _| {
+            counter.fetch_add(1, Ordering::Relaxed);
         }));
         let mut engine = HostEngine::new(vec![HostPu {
             name: "solo".into(),
@@ -734,15 +733,8 @@ mod tests {
         }]);
         let mut policy = FixedBlockPolicy { block: 20_000 };
         let _ = engine.run(&mut policy, codelet, 80_000).unwrap();
-        let trace = engine.last_trace().unwrap();
-        let durations: Vec<f64> = trace.segments().iter().map(|s| s.end - s.start).collect();
-        assert_eq!(durations.len(), 4);
-        let before = (durations[0] + durations[1]) / 2.0;
-        let after = (durations[2] + durations[3]) / 2.0;
-        assert!(
-            after > 2.0 * before,
-            "drifted tasks should run >=2x longer: {before:.4}s -> {after:.4}s"
-        );
+        assert_eq!(engine.last_trace().unwrap().segments().len(), 4);
+        assert_eq!(calls.load(Ordering::Relaxed), 2 + 2 * 4);
     }
 
     #[test]

@@ -98,7 +98,7 @@ pub trait SchedulerCtx {
     fn any_busy(&self) -> bool;
 
     /// Charge scheduler computation time (curve fitting, the
-    /// interior-point solve) to the run. The paper's reported execution
+    /// block-size solve) to the run. The paper's reported execution
     /// times "include the time spent calculating the size of the task
     /// sizes ... using the interior point method"; on the simulator this
     /// delays subsequent assignments by `seconds` of virtual time, and on

@@ -156,7 +156,7 @@ mod tests {
     #[test]
     fn snake_case_matches_event_tags() {
         assert_eq!(snake_case("RunStart"), "run_start");
-        assert_eq!(snake_case("IpmIteration"), "ipm_iteration");
+        assert_eq!(snake_case("BlockSolve"), "block_solve");
         assert_eq!(snake_case("PuQuarantined"), "pu_quarantined");
         assert_eq!(snake_case("DeviceFailed"), "device_failed");
     }

@@ -4,7 +4,8 @@
 //! workspace.
 //!
 //! * [`numerics`] — dense linear algebra and the paper's curve models.
-//! * [`ipm`] — the interior-point NLP solver (IPOPT's role).
+//! * [`ipm`] — the interior-point NLP solver (IPOPT's role), the
+//!   block-size selection's test oracle.
 //! * [`hetsim`] — the heterogeneous CPU/GPU cluster simulator (Table I).
 //! * [`runtime`] — the StarPU-like task runtime (codelets, policies,
 //!   discrete-event and real-thread engines).

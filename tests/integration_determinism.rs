@@ -3,7 +3,7 @@
 //! seeds actually matter.
 //!
 //! The virtual clock charges a *deterministic* model of the scheduler's
-//! own computation cost (the measured interior-point wall times are
+//! own computation cost (the measured block-size solve wall times are
 //! recorded separately for reporting), so entire runs replay
 //! bit-for-bit.
 

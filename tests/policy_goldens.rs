@@ -27,6 +27,16 @@
 //! two joins it admits, and retiring the fixed point moved the
 //! ablation run that forced it.
 //!
+//! Solving every split as one Newton root on the common time `T`, in
+//! place of the interior point, moved all but one stream: the
+//! `ipm_iteration` and `ipm_done` events are gone, and the solve charged
+//! to the virtual clock counts at least 4 of the root's 2 to 5 steps
+//! (2 in 36 of 45 solves) where it counted the interior point's 1 to 13
+//! iterations (7 in 25). Every selection chose the same blocks; each
+//! constant names its value from before in one line. Two runs then
+//! handed out their last items differently, once their blocks started
+//! earlier; they say how.
+//!
 //! A scenario whose constant moves prints what it got, with the run's
 //! summary.
 
@@ -219,14 +229,16 @@ fn fault_free_two_machines() {
     let o = run(Scenario::Two, &heavy_cost(), 4_000_000, Setup::default());
     assert_eq!(o.triggers("divergence"), 0);
     // 0x9065_b181_92ab_ade7 before the Armijo test (see above).
-    o.check("fault_free_two_machines", 0x28e3_3698_c50a_0de9);
+    // 0x28e3_3698_c50a_0de9 before the root on `T` (see above).
+    o.check("fault_free_two_machines", 0x4588_6f37_bbdb_0a86);
 }
 
 #[test]
 fn fault_free_four_machines() {
     let o = run(Scenario::Four, &heavy_cost(), 8_000_000, Setup::default());
     // 0x7e20_73ad_48a6_26c8 before the Armijo test (see above).
-    o.check("fault_free_four_machines", 0xaeff_5340_ba45_f1ae);
+    // 0xaeff_5340_ba45_f1ae before the root on `T` (see above).
+    o.check("fault_free_four_machines", 0xa357_a7c1_d430_cf5b);
 }
 
 // ---------------------------------------------------------------------
@@ -256,7 +268,8 @@ fn busy_unit_fails_mid_modeling() {
     // units now return to the modeling budget, so `modeling_done`
     // reports 1 000 fewer; every time and every block is as it was.
     // 0x1b47_5303_3add_67b1 before the Armijo test (see above).
-    o.check("busy_unit_fails_mid_modeling", 0x81e0_9339_794a_983f);
+    // 0x81e0_9339_794a_983f before the root on `T` (see above).
+    o.check("busy_unit_fails_mid_modeling", 0x97cc_b9d3_ac48_c758);
 }
 
 #[test]
@@ -276,7 +289,8 @@ fn busy_unit_fails_mid_execution() {
     );
     assert_eq!(o.triggers("device-lost"), 1);
     // 0x71b0_269a_6eba_8a12 before the Armijo test (see above).
-    o.check("busy_unit_fails_mid_execution", 0x2e7d_0550_2f0f_c8a7);
+    // 0x2e7d_0550_2f0f_c8a7 before the root on `T` (see above).
+    o.check("busy_unit_fails_mid_execution", 0x97bf_75a8_b8df_5e0e);
 }
 
 #[test]
@@ -302,7 +316,8 @@ fn flaky_unit_is_quarantined_mid_modeling() {
     // 0x6e7b_046f_89ad_e624 before the Armijo test (see above).
     o.check(
         "flaky_unit_is_quarantined_mid_modeling",
-        0x2788_d854_4caa_ed34,
+        // 0x2788_d854_4caa_ed34 before the root on `T` (see above).
+        0xeb52_bd9f_be04_7084,
     );
 }
 
@@ -323,7 +338,8 @@ fn failing_unit_is_quarantined_mid_execution() {
     // 0x68a9_88ba_414b_7f2c before the Armijo test (see above).
     o.check(
         "failing_unit_is_quarantined_mid_execution",
-        0x8bbf_f16e_4e7b_96b7,
+        // 0x8bbf_f16e_4e7b_96b7 before the root on `T` (see above).
+        0x3ea0_4587_743c_26cc,
     );
 }
 
@@ -355,7 +371,10 @@ fn retries_exhausted_without_quarantine_mid_modeling() {
     // (0.2387 → 0.2375 s).
     o.check(
         "retries_exhausted_without_quarantine_mid_modeling",
-        0xab03_1dbf_3831_987d,
+        // 0xab03_1dbf_3831_987d before the root on `T` (see above): 215
+        // tasks in 0.237482 s, now 221 in 0.239476 s, the first split's
+        // blocks unchanged and charged 4 steps where it was 13.
+        0xb9af_dd13_dfec_e80f,
     );
 }
 
@@ -383,7 +402,8 @@ fn retries_exhausted_without_quarantine_mid_execution() {
     // 0xf6e3_bd24_86ab_140e before the Armijo test (see above).
     o.check(
         "retries_exhausted_without_quarantine_mid_execution",
-        0xe151_fc1d_afad_0c30,
+        // 0xe151_fc1d_afad_0c30 before the root on `T` (see above).
+        0xc0b5_bf91_8965_91a5,
     );
 }
 
@@ -412,7 +432,10 @@ fn pool_drains_during_probing() {
         (
             "pool_drains_during_probing (40 000)",
             &small,
-            0x4964_91d8_9fcf_97f1,
+            // 0x4964_91d8_9fcf_97f1 before the root on `T` (see above):
+            // the same 28 tasks, the last items on other units, 0.004882
+            // -> 0.004864 s.
+            0xb57d_f2bb_31ff_7e02,
         ),
     ]);
 }
@@ -441,7 +464,8 @@ fn join_mid_modeling() {
     assert!(joined < o.modeling_done_t());
     assert!(o.items()[2] > 0);
     // 0xf772_7dec_571d_ee2d before the Armijo test (see above).
-    o.check("join_mid_modeling", 0x3e9d_e7d5_b789_1c56);
+    // 0x3e9d_e7d5_b789_1c56 before the root on `T` (see above).
+    o.check("join_mid_modeling", 0x30c7_7812_c162_de94);
 }
 
 #[test]
@@ -456,7 +480,8 @@ fn join_mid_execution_accepted() {
     // 0x48f2_d772_f268_68b4 (0.220420 s) while a joiner walked four
     // probes and folded in on their best-subset fit; it folds in on its
     // first probe's mean rate now (0.220646 s).
-    o.check("join_mid_execution_accepted", 0xecb7_3190_f993_7d82);
+    // 0xecb7_3190_f993_7d82 before the root on `T` (see above).
+    o.check("join_mid_execution_accepted", 0x4eeb_99f9_ccb1_4eba);
 }
 
 #[test]
@@ -474,7 +499,8 @@ fn join_whose_ladder_outlives_the_pool() {
     );
     // 0x78c0_142d_4cdf_8afe before the Armijo test (see above); then
     // 0x3cbf_97a2_2da4_d073 (0.232980 s) with the four-probe walk.
-    o.check("join_whose_ladder_outlives_the_pool", 0xa79f_bee6_e41e_13fa);
+    // 0xa79f_bee6_e41e_13fa before the root on `T` (see above).
+    o.check("join_whose_ladder_outlives_the_pool", 0x528c_ed3e_567e_785d);
 }
 
 #[test]
@@ -486,7 +512,8 @@ fn join_near_the_end_declined() {
     );
     assert_eq!(o.items()[2], 0);
     // 0x8265_1707_cca0_7e40 before the Armijo test (see above).
-    o.check("join_near_the_end_declined", 0x8ed6_2306_c476_7f2b);
+    // 0x8ed6_2306_c476_7f2b before the root on `T` (see above).
+    o.check("join_near_the_end_declined", 0x219d_4088_025c_926a);
 }
 
 #[test]
@@ -496,7 +523,8 @@ fn joiner_quarantined_on_its_ladder() {
     assert_eq!(o.triggers("device-joined"), 0);
     assert_eq!(o.items()[2], 0);
     // 0x1a51_bd78_3b36_e0af before the Armijo test (see above).
-    o.check("joiner_quarantined_on_its_ladder", 0xe9cd_9a3f_9894_b005);
+    // 0xe9cd_9a3f_9894_b005 before the root on `T` (see above).
+    o.check("joiner_quarantined_on_its_ladder", 0xcb3f_e139_7bf9_a3a8);
 }
 
 // ---------------------------------------------------------------------
@@ -537,7 +565,8 @@ fn slowdown_diverges_drains_and_refits() {
         "the re-solve runs on refitted curves"
     );
     // 0x646d_da7e_16a3_f4b3 before the Armijo test (see above).
-    o.check("slowdown_diverges_drains_and_refits", 0x5dce_a855_73ae_4b40);
+    // 0x5dce_a855_73ae_4b40 before the root on `T` (see above).
+    o.check("slowdown_diverges_drains_and_refits", 0x62ba_512f_3e57_2296);
 }
 
 #[test]
@@ -561,7 +590,8 @@ fn sinusoidal_drift_rebalances_without_thrash() {
     // test. Closed at the cap with a probe in flight (0.6084 → 0.6079 s).
     o.check(
         "sinusoidal_drift_rebalances_without_thrash",
-        0x5acd_6bd3_5177_6e22,
+        // 0x5acd_6bd3_5177_6e22 before the root on `T` (see above).
+        0x6d8b_e55c_399b_462d,
     );
 }
 
@@ -689,7 +719,8 @@ fn resume_from_a_mid_modeling_checkpoint() {
     // 0x8f73_ad5d_0b34_bfea before the Armijo test (see above).
     o.check(
         "resume_from_a_mid_modeling_checkpoint",
-        0xbc38_968b_ecb4_d18a,
+        // 0xbc38_968b_ecb4_d18a before the root on `T` (see above).
+        0x3439_7fa5_fe95_9ed0,
     );
 }
 
@@ -701,7 +732,8 @@ fn resume_from_a_mid_execution_checkpoint() {
     // 0x0d94_8e40_bf19_925f before the Armijo test (see above).
     o.check(
         "resume_from_a_mid_execution_checkpoint",
-        0x1c05_f28d_26d7_219f,
+        // 0x1c05_f28d_26d7_219f before the root on `T` (see above).
+        0x4d58_9a28_2d98_668f,
     );
 }
 
@@ -735,7 +767,8 @@ fn policy_object_reused_for_a_second_run() {
         (
             "policy_object_reused_for_a_second_run (first)",
             &first,
-            0xf725_d0dd_118a_51f9,
+            // 0xf725_d0dd_118a_51f9 before the root on `T` (see above).
+            0x1e7c_3700_1528_c2bf,
         ),
         (
             "policy_object_reused_for_a_second_run (second)",
@@ -744,7 +777,8 @@ fn policy_object_reused_for_a_second_run() {
             // five models are kept and the five `curve_fit` events
             // are not emitted; every time and every block is as it was.
             &second,
-            0x2cba_d5d0_16d1_87e9,
+            // 0x2cba_d5d0_16d1_87e9 before the root on `T` (see above).
+            0x54ce_da76_050e_c099,
         ),
     ]);
 }
@@ -788,7 +822,8 @@ fn idle_unit_lost_mid_modeling() {
     // landing with four probes in flight, and the loss takes unit 4 out
     // of a running split: units 0 and 2 join it as their first probes
     // land (0.8591 s).
-    o.check("idle_unit_lost_mid_modeling", 0x5d7a_73cf_4e6e_eb93);
+    // 0x5d7a_73cf_4e6e_eb93 before the root on `T` (see above).
+    o.check("idle_unit_lost_mid_modeling", 0x9f1b_c041_c2e8_474d);
     assert!(
         o.modeling_done_t() < 0.12,
         "the loss lands in the execution phase"
@@ -809,7 +844,8 @@ fn busy_unit_lost_at_the_modeling_cap() {
     // probes under the cap (1.4016 s).
     // 0x55f6_1e39_1d03_8c65 then; 0x9574_fad0_cdfb_1df0 with the Armijo
     // test (1.4013 s). Closed at the cap, as above.
-    o.check("busy_unit_lost_at_the_modeling_cap", 0x8146_cabf_cc7f_63cd);
+    // 0x8146_cabf_cc7f_63cd before the root on `T` (see above).
+    o.check("busy_unit_lost_at_the_modeling_cap", 0x1800_b4a0_f9a4_a8f5);
 }
 
 #[test]
@@ -833,12 +869,15 @@ fn unit_restored_mid_modeling() {
     // test. Closed at the cap with three or four probes in flight, unit
     // 2's first among them: 0.8003 s, 0.8593 s and 0.9131 s.
     check_all(&[
-        ("unit_restored_mid_modeling", &early, 0x6477_5c1c_6e82_4d77),
-        ("unit_restored_mid_execution", &late, 0xbaee_2dac_ebbd_012b),
+        // 0x6477_5c1c_6e82_4d77 before the root on `T` (see above).
+        ("unit_restored_mid_modeling", &early, 0x0aa2_daed_04f9_5c23),
+        // 0xbaee_2dac_ebbd_012b before the root on `T` (see above).
+        ("unit_restored_mid_execution", &late, 0x28a4_d294_a0e5_c06a),
         (
             "unit_lost_and_never_restored",
             &never,
-            0x6bcd_202d_b190_a388,
+            // 0x6bcd_202d_b190_a388 before the root on `T` (see above).
+            0xa791_3ce5_2f6d_acb4,
         ),
     ]);
     assert!(early.modeling_done_t() > 0.10 && late.modeling_done_t() < 0.80);
