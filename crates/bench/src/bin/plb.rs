@@ -15,12 +15,13 @@
 //! JSON dump, an SVG Gantt, and a structured JSONL event trace);
 //! `compare` runs all four policies and prints their makespans and
 //! speedups; `cluster` shows the Table I machine presets; `trace` loads
-//! a JSONL trace written by `run --events` and prints per-PU Gantt
-//! summaries, idle-time breakdowns, fit-quality timelines, and the
+//! a JSONL trace written by `run --events` and prints per-PU time
+//! accounting, fit-quality timelines, block-size selections and the
 //! rebalance history (see docs/OBSERVABILITY.md for the file format);
-//! `diag` runs every policy once on the same workload and prints a
-//! compact side-by-side diagnostic (shares, distributions, solve times)
-//! plus a PLB-HeC deep dive into its block-size selection.
+//! `diag` runs every policy once on the same workload and prints each
+//! one's report (shares, distributions, solve times) plus a PLB-HeC
+//! deep dive into its block-size selection. Every report is a list of
+//! [`Table`]s printed by [`Table::to_text`].
 
 use plb_bench::harness::{default_initial_block, run_once, App, AppInputs, PolicyKind};
 use plb_bench::viz::gantt_svg;
@@ -34,7 +35,7 @@ use plb_hetsim::{cluster_scenario, ClusterSim, Scenario, Topology};
 use plb_runtime::{
     equal_cost_shards, write_jsonl, Checkpoint, CheckpointConfig, CheckpointError, ClusterEngine,
     EventSink, FaultPlan, NodeFaultPlan, Policy, RunReport, SegmentKind, SimEngine, SimNodeRunner,
-    Trace, TraceData, TraceHeader,
+    Table, Trace, TraceData, TraceHeader,
 };
 
 struct Args {
@@ -294,51 +295,12 @@ fn policy_of(name: &str, cfg: &PolicyConfig, profiles: &Option<String>) -> Box<d
     }
 }
 
-fn print_report(report: &RunReport) {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "policy    : {}", report.policy);
-    let _ = writeln!(out, "makespan  : {:.6} s", report.makespan);
-    let _ = writeln!(out, "tasks     : {}", report.tasks);
-    let _ = writeln!(out, "items     : {}", report.total_items);
-    let _ = writeln!(out, "per unit  :");
-    for pu in &report.pus {
-        let _ = writeln!(
-            out,
-            "  {:10} items={:>9} share={:>6.2}% busy={:>10.4}s idle={:>5.1}%",
-            pu.name,
-            pu.items,
-            pu.item_share * 100.0,
-            pu.busy_s,
-            pu.idle_fraction * 100.0
-        );
-    }
-    if let Some(d) = &report.block_distribution {
-        let pretty: Vec<String> = d.iter().map(|f| format!("{:.3}", f)).collect();
-        let _ = writeln!(out, "distribution: [{}]", pretty.join(", "));
-    }
-    let ev = &report.events;
-    if ev.task_failures > 0 || ev.task_retries > 0 || ev.quarantines > 0 {
-        let _ = writeln!(
-            out,
-            "faults    : {} failed, {} retried, {} quarantined, {} device losses",
-            ev.task_failures, ev.task_retries, ev.quarantines, ev.device_failures
-        );
-    }
-    if ev.migrations_sent > 0 || ev.node_quarantines > 0 || ev.node_joins > 0 {
-        let _ = writeln!(
-            out,
-            "cluster   : {} migrations ({} retried), {} node quarantines, {} re-credits, {} joins",
-            ev.migrations_sent,
-            ev.migration_retries,
-            ev.node_quarantines,
-            ev.cover_recredits,
-            ev.node_joins
-        );
-    }
-    // Write in one shot, tolerating a closed pipe (e.g. `plb run | head`).
+/// Print tables as aligned text, a blank line apart, in one write that
+/// tolerates a closed pipe (e.g. `plb run | head`).
+fn print_tables(tables: &[Table]) {
     use std::io::Write as _;
-    let _ = std::io::stdout().write_all(out.as_bytes());
+    let text: Vec<String> = tables.iter().map(Table::to_text).collect();
+    let _ = std::io::stdout().write_all(text.join("\n").as_bytes());
 }
 
 /// Shared `--json` / `--gantt` / `--trace` / `--events` emission for
@@ -350,11 +312,6 @@ fn write_outputs(
     events: Option<&EventSink>,
     title: &str,
 ) {
-    let dropped = events.map_or(0, EventSink::dropped);
-    if dropped > 0 {
-        let recorded = events.map_or(0, EventSink::recorded);
-        println!("events    : {recorded} recorded, {dropped} dropped (oldest overwritten)");
-    }
     if let Some(path) = &a.json {
         let json = serde_json::to_string_pretty(report).expect("report serializes");
         std::fs::write(path, json).expect("write json");
@@ -378,10 +335,11 @@ fn write_outputs(
             pu_names: names,
         };
         let segments = trace.expect("trace recorded").segments();
-        let events = events.expect("events recorded").events();
-        let jsonl = write_jsonl(&header, segments, &events);
+        let sink = events.expect("events recorded");
+        let jsonl = write_jsonl(&header, segments, &sink.events());
         std::fs::write(path, jsonl).expect("write event trace");
         println!("wrote {path} (inspect with `plb trace --input {path}`)");
+        let dropped = sink.dropped();
         if dropped > 0 {
             eprintln!("warning: {path} is truncated: it lacks the {dropped} oldest events");
         }
@@ -499,7 +457,7 @@ fn run_cluster_tier(a: &Args) {
         eprintln!("run failed: {e}");
         std::process::exit(1)
     });
-    print_report(&report);
+    print_tables(&report.tables());
     let title = format!(
         "{} on {} node(s) x {} machine(s) — {}",
         app.label(),
@@ -601,7 +559,7 @@ fn main() {
                     eprintln!("run failed: {e}");
                     std::process::exit(1)
                 });
-            print_report(&report);
+            print_tables(&report.tables());
             let title = format!(
                 "{} on {} machine(s) — {}",
                 app.label(),
@@ -625,8 +583,7 @@ fn main() {
                 .unwrap_or_else(|e| usage(&format!("cannot read {path}: {e}")));
             let data = TraceData::parse_jsonl(&text)
                 .unwrap_or_else(|e| usage(&format!("bad trace in {path}: {e}")));
-            use std::io::Write as _;
-            let _ = std::io::stdout().write_all(data.summarize().as_bytes());
+            print_tables(&data.summary());
         }
         "profile" => {
             let out = a
@@ -674,14 +631,15 @@ fn main() {
         "compare" => {
             let app = app_of(&a.app, a.size, a.skew, a.seed);
             let scenario = scenario_of(a.machines);
-            println!(
-                "{} on {} machine(s), mean over {} seeds:",
+            let title = format!(
+                "{} on {} machine(s), mean over {} seeds",
                 app.label(),
                 a.machines,
                 a.seeds
             );
+            let mut table = Table::new(&title, &["policy", "makespan", "σ", "speedup"]);
+            // Greedy runs first, so every speedup has its baseline.
             let mut greedy_mean = None;
-            let mut rows = Vec::new();
             for kind in [
                 PolicyKind::Greedy,
                 PolicyKind::Acosta,
@@ -689,19 +647,16 @@ fn main() {
                 PolicyKind::PlbHec,
             ] {
                 let agg = plb_bench::harness::run_many(app, scenario, a.single_gpu, kind, a.seeds);
-                if kind == PolicyKind::Greedy {
-                    greedy_mean = Some(agg.mean_makespan);
-                }
-                rows.push((kind.label(), agg.mean_makespan, agg.std_makespan));
+                let mean = agg.mean_makespan;
+                let g = *greedy_mean.get_or_insert(mean);
+                table.push_row(vec![
+                    kind.label().to_string(),
+                    format!("{mean:.6}s"),
+                    format!("{:.6}", agg.std_makespan),
+                    format!("{:.2}x", g / mean),
+                ]);
             }
-            let g = greedy_mean.expect("greedy ran");
-            println!(
-                "{:<10} {:>14} {:>10} {:>9}",
-                "policy", "makespan", "σ", "speedup"
-            );
-            for (label, mean, std) in rows {
-                println!("{label:<10} {mean:>12.6}s {std:>9.6} {:>8.2}x", g / mean);
-            }
+            print_tables(&[table]);
         }
         "diag" => {
             let app = app_of(&a.app, a.size, a.skew, a.seed);
@@ -714,24 +669,8 @@ fn main() {
             );
             for kind in PolicyKind::ALL {
                 let o = run_once(app, scenario, a.single_gpu, kind, a.seed, vec![]);
-                println!(
-                    "== {:<10} makespan={:.6}s tasks={} rebalances={}",
-                    o.report.policy, o.report.makespan, o.report.tasks, o.rebalances
-                );
-                for pu in &o.report.pus {
-                    println!(
-                        "   {:10} items={:>9} share={:>6.2}% busy={:>10.4}s idle={:>5.1}%",
-                        pu.name,
-                        pu.items,
-                        pu.item_share * 100.0,
-                        pu.busy_s,
-                        pu.idle_fraction * 100.0
-                    );
-                }
-                if let Some(d) = &o.report.block_distribution {
-                    let pretty: Vec<String> = d.iter().map(|f| format!("{f:.3}")).collect();
-                    println!("   distribution: [{}]", pretty.join(", "));
-                }
+                println!("== {} ({} rebalances)", o.report.policy, o.rebalances);
+                print_tables(&o.report.tables());
                 if !o.solve_times.is_empty() {
                     let pretty: Vec<String> = o
                         .solve_times

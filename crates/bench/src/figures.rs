@@ -4,12 +4,12 @@
 //! tables; the `repro` binary writes them under `results/`.
 
 use crate::harness::{default_initial_block, run_many, run_once, App, PolicyKind};
-use crate::report::{fmt_secs, Table};
+use crate::report::fmt_secs;
 use plb_hec::{FitMode, PlbHecPolicy, PolicyConfig, ProbeSchedule, SolverChoice};
 use plb_hetsim::cluster::ClusterOptions;
 use plb_hetsim::{cluster_scenario, machine_a, ClusterSim, DevicePerf, PuId, Scenario};
 use plb_numerics::fit_best_model;
-use plb_runtime::{Perturbation, PerturbationKind, SimEngine};
+use plb_runtime::{Perturbation, PerturbationKind, SimEngine, Table};
 
 /// The sizes plotted per app family in Figs. 6 and 7 ("two different
 /// input sizes for each").

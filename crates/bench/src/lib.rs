@@ -9,7 +9,8 @@
 //! * [`figures`] — one generator per table/figure of the paper
 //!   (Table I, Fig. 1, Fig. 3–7, plus the block-size solve cost statistic
 //!   from Section V and the ablation studies from DESIGN.md).
-//! * [`report`] — markdown/CSV emitters for `results/`.
+//! * [`report`] — writes each figure's markdown and its tables' CSVs
+//!   under `results/`; the tables are [`plb_runtime::Table`]s.
 //!
 //! The `repro` binary drives all of this:
 //! `cargo run -p plb-bench --bin repro --release -- all`.
@@ -22,5 +23,5 @@ pub mod viz;
 pub use harness::{
     default_initial_block, run_many, run_once, Aggregate, App, PolicyKind, RunOutcome,
 };
-pub use report::{write_results, Table};
+pub use report::write_results;
 pub use viz::{gantt_svg, grouped_bars_svg, line_chart_svg, Series};

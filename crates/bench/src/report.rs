@@ -1,73 +1,10 @@
-//! Markdown / CSV table emitters for the `results/` directory.
+//! Writes the `results/` directory: each figure's markdown and one CSV
+//! per [`Table`] (the table type and its renderers are
+//! [`plb_runtime::table`]'s).
 
+use plb_runtime::Table;
 use std::fs;
 use std::path::Path;
-
-/// A simple column-oriented table.
-#[derive(Debug, Clone)]
-pub struct Table {
-    /// Table title (markdown heading).
-    pub title: String,
-    /// Column headers.
-    pub headers: Vec<String>,
-    /// Rows of cells.
-    pub rows: Vec<Vec<String>>,
-}
-
-impl Table {
-    /// Create an empty table.
-    pub fn new(title: &str, headers: &[&str]) -> Table {
-        Table {
-            title: title.to_string(),
-            headers: headers.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Append a row. Panics if the arity differs from the headers.
-    pub fn push_row(&mut self, cells: Vec<String>) {
-        assert_eq!(cells.len(), self.headers.len(), "row arity mismatch");
-        self.rows.push(cells);
-    }
-
-    /// Render as GitHub-flavored markdown.
-    pub fn to_markdown(&self) -> String {
-        let mut out = format!("### {}\n\n", self.title);
-        out.push_str(&format!("| {} |\n", self.headers.join(" | ")));
-        out.push_str(&format!(
-            "|{}\n",
-            self.headers.iter().map(|_| "---|").collect::<String>()
-        ));
-        for row in &self.rows {
-            out.push_str(&format!("| {} |\n", row.join(" | ")));
-        }
-        out.push('\n');
-        out
-    }
-
-    /// Render as CSV (headers + rows; cells are escaped minimally).
-    pub fn to_csv(&self) -> String {
-        let esc = |s: &str| {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        let mut out = self
-            .headers
-            .iter()
-            .map(|h| esc(h))
-            .collect::<Vec<_>>()
-            .join(",");
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
-}
 
 /// Write a figure's markdown (and CSVs for each table) under `dir`.
 pub fn write_results(
@@ -100,44 +37,14 @@ pub fn fmt_secs(s: f64) -> String {
     }
 }
 
-/// Format a ratio as `1.23x`.
-pub fn fmt_speedup(x: f64) -> String {
-    format!("{x:.2}x")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn markdown_roundtrip() {
-        let mut t = Table::new("demo", &["a", "b"]);
-        t.push_row(vec!["1".into(), "2".into()]);
-        let md = t.to_markdown();
-        assert!(md.contains("### demo"));
-        assert!(md.contains("| a | b |"));
-        assert!(md.contains("| 1 | 2 |"));
-    }
-
-    #[test]
-    fn csv_escapes_commas() {
-        let mut t = Table::new("demo", &["a"]);
-        t.push_row(vec!["x,y".into()]);
-        assert!(t.to_csv().contains("\"x,y\""));
-    }
-
-    #[test]
-    #[should_panic(expected = "arity")]
-    fn arity_checked() {
-        let mut t = Table::new("demo", &["a", "b"]);
-        t.push_row(vec!["1".into()]);
-    }
 
     #[test]
     fn fmt_helpers() {
         assert_eq!(fmt_secs(2.5), "2.500 s");
         assert_eq!(fmt_secs(0.0025), "2.50 ms");
         assert_eq!(fmt_secs(2.5e-6), "2.5 µs");
-        assert_eq!(fmt_speedup(1.234), "1.23x");
     }
 }

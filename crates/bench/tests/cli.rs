@@ -10,6 +10,50 @@ fn repro() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro"))
 }
 
+/// Run `plb` with `args`, assert it succeeded, and return its stdout.
+fn plb_ok(args: &[&str]) -> String {
+    let out = plb().args(args).output().unwrap();
+    assert!(
+        out.status.success(),
+        "{args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).unwrap()
+}
+
+/// The table titled `title` in `plb`'s text output, header row first.
+/// Columns are at least two spaces apart and no cell holds two spaces
+/// in a row, so that is where a line splits into cells.
+fn table(text: &str, title: &str) -> Vec<Vec<String>> {
+    let rows: Vec<Vec<String>> = text
+        .lines()
+        .skip_while(|line| *line != title)
+        .skip(1)
+        .take_while(|line| line.starts_with("  "))
+        .map(|line| {
+            line.split("  ")
+                .map(str::trim)
+                .filter(|cell| !cell.is_empty())
+                .map(String::from)
+                .collect()
+        })
+        .collect();
+    assert!(!rows.is_empty(), "no `{title}` table in:\n{text}");
+    rows
+}
+
+/// The cells under `header` in `table`, top to bottom.
+fn column(table: &[Vec<String>], header: &str) -> Vec<String> {
+    let c = table[0].iter().position(|h| h == header).unwrap();
+    table[1..].iter().map(|row| row[c].clone()).collect()
+}
+
+/// The row of `table` whose first cell is `key`.
+fn row<'a>(table: &'a [Vec<String>], key: &str) -> &'a [String] {
+    let found = table[1..].iter().find(|row| row[0] == key);
+    found.unwrap_or_else(|| panic!("no `{key}` row in {table:?}"))
+}
+
 #[test]
 fn plb_cluster_lists_table1() {
     let out = plb().args(["cluster", "--machines", "4"]).output().unwrap();
@@ -106,8 +150,77 @@ fn plb_profile_then_static_run_roundtrip() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = String::from_utf8(out.stdout).unwrap();
-    assert!(text.contains("static-profile"));
-    assert!(text.contains("items     : 80000"));
+    let run = table(&text, "run");
+    assert_eq!(column(&run, "policy"), ["static-profile"]);
+    assert_eq!(column(&run, "items"), ["80000"]);
+}
+
+#[test]
+fn plb_trace_summarizes_a_run_it_recorded() {
+    let dir = std::env::temp_dir().join("plb_cli_trace_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let events = dir.join("bs.jsonl");
+    let events = events.to_str().unwrap();
+    let run = plb_ok(&[
+        "run",
+        "--app",
+        "bs",
+        "--size",
+        "50000",
+        "--machines",
+        "2",
+        "--events",
+        events,
+    ]);
+    let trace = plb_ok(&["trace", "--input", events]);
+    let units = column(&table(&run, "per unit"), "unit");
+    assert_eq!(units.len(), 5, "{run}");
+    assert_eq!(
+        column(&table(&trace, "per-unit time accounting"), "unit"),
+        units
+    );
+    let tasks = column(&table(&run, "run"), "tasks");
+    let counters = table(&trace, "event counters");
+    assert_eq!(row(&counters, "tasks_finished")[1], tasks[0]);
+    assert_eq!(column(&table(&trace, "run"), "dropped"), ["0"]);
+}
+
+#[test]
+fn plb_trace_shows_a_crash_and_a_partition_on_the_cluster_tier() {
+    let dir = std::env::temp_dir().join("plb_cli_trace_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let events = dir.join("cluster.jsonl");
+    let events = events.to_str().unwrap();
+    plb_ok(&[
+        "run",
+        "--app",
+        "mm",
+        "--size",
+        "8192",
+        "--machines",
+        "2",
+        "--nodes",
+        "3",
+        "--topology",
+        "ring",
+        "--node-faults",
+        "node-crash:1,2; partition:0+1|2,0.05,0.2",
+        "--events",
+        events,
+    ]);
+    let trace = plb_ok(&["trace", "--input", events]);
+    // Node 2 is cut off at 0.05 s and re-admitted when the partition
+    // heals at 0.20 s.
+    let partitions = table(&trace, "partitions");
+    assert_eq!(
+        row(&partitions, "node2")[1..3],
+        ["0.050000s", "0.200000s"],
+        "{trace}"
+    );
+    // The last column names why a node was quarantined.
+    let nodes = table(&trace, "cluster nodes");
+    assert_eq!(nodes[0].last().unwrap(), "quarantined");
+    assert!(row(&nodes, "node1").last().unwrap().contains("crash"));
 }
 
 #[test]

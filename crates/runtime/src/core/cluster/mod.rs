@@ -31,11 +31,11 @@
 //! `migration_sent.xfer_s` keeps the full link time). A node's
 //! outcomes surface in launch order.
 //!
-//! The tier emits the trace-v6 cluster events (`node_quarantined`,
+//! The tier emits the cluster events (`node_quarantined`,
 //! `migration_sent`, `migration_retried`, `cover_recredited`; the
 //! diffusion policy adds `node_joined`) and stamps the node roster into
-//! checkpoint-v3 workload identity so a mid-partition run only resumes
-//! under the same cluster shape. See `docs/FAULT_TOLERANCE.md`, "Node
+//! the checkpoint's workload identity so a mid-partition run only
+//! resumes under the same cluster shape. See `docs/FAULT_TOLERANCE.md`, "Node
 //! fault domains".
 
 use super::backend::{Backend, ClockKind, EventQueue, Launch, LaunchSpec, Polled};

@@ -110,7 +110,7 @@ pub(crate) struct RunConfig {
     /// restored, and the policy is re-seeded via [`Policy::restore`].
     pub(crate) resume: Option<Checkpoint>,
     /// Cluster-tier node roster (one display name per node, in shard
-    /// order). Stamped into snapshots as checkpoint-v3 workload
+    /// order). Stamped into snapshots as part of their workload
     /// identity so a mid-partition cluster run only resumes under the
     /// same roster. Empty for single-node runs.
     pub(crate) roster: Vec<String>,

@@ -12,7 +12,8 @@
 //! The full schema — every variant, field meanings, units — is
 //! documented in `docs/OBSERVABILITY.md`, together with the JSONL file
 //! format produced by [`write_jsonl`] and read back by
-//! [`TraceData::parse_jsonl`], and worked diagnosis examples.
+//! [`TraceData::parse_jsonl`], and worked diagnosis examples. The text
+//! summary `plb trace` prints is built in [`table`](crate::table).
 //!
 //! Design notes:
 //!
@@ -197,7 +198,7 @@ pub enum EventKind {
     /// A cluster node (`pu` = node index in the cluster driver) was
     /// admitted — either re-admitted through the acquisition gate after
     /// a partition healed, or accepted into the active set at cluster
-    /// start. Trace v6 (`docs/FAULT_TOLERANCE.md`, "Node fault
+    /// start. Since trace v6 (`docs/FAULT_TOLERANCE.md`, "Node fault
     /// domains").
     NodeJoined {
         /// Work-pool cost still unclaimed when the node was admitted.
@@ -206,14 +207,14 @@ pub enum EventKind {
     /// A cluster node (`pu` = node index) left the active set: it
     /// crashed, fell behind a partition, or exhausted its migration
     /// retries. Its unfinished ranges are re-credited to the surviving
-    /// nodes' pool. Trace v6.
+    /// nodes' pool. Since trace v6.
     NodeQuarantined {
         /// `"crash"`, `"partition"` or `"migration-failures"`.
         reason: String,
     },
     /// A work chunk was migrated from its home shard to another node
     /// over the inter-node link model (`pu` = destination node).
-    /// Trace v6.
+    /// Since trace v6.
     MigrationSent {
         /// Engine-assigned task id of the migrated chunk.
         task: u64,
@@ -232,7 +233,7 @@ pub enum EventKind {
     },
     /// A migration missed its delivery deadline (partition or degraded
     /// link) and is being re-sent after an exponential backoff
-    /// (`pu` = destination node). Trace v6.
+    /// (`pu` = destination node). Since trace v6.
     MigrationRetried {
         /// Engine-assigned task id (unchanged across resends).
         task: u64,
@@ -244,7 +245,7 @@ pub enum EventKind {
     /// Unfinished ranges from a quarantined node (or an undeliverable
     /// migration) were folded back into the shared pool, preserving the
     /// cluster-wide disjoint cover (`pu` = the node whose work was
-    /// re-credited). Trace v6.
+    /// re-credited). Since trace v6.
     CoverRecredited {
         /// Items returned to the pool.
         items: u64,
@@ -753,345 +754,14 @@ impl TraceData {
         Trace::from_segments(self.n_pus(), self.segments.clone())
     }
 
-    /// Aggregate event counters of the stored stream.
+    /// Aggregate event counters of the stored stream. `dropped` is the
+    /// first kept event's `seq`: the sink numbers events from 0 and
+    /// overwrites the oldest first, so that is how many a truncated
+    /// stream lost.
     pub fn counters(&self) -> EventCounters {
-        EventCounters::from_events(self.events.iter())
-    }
-
-    /// Human-readable run summary: per-PU Gantt totals, idle-time
-    /// breakdown, fit-quality timeline, solver activity, and rebalance
-    /// history. This is what `plb trace` prints.
-    pub fn summarize(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let n = self.n_pus();
-        let trace = self.to_trace();
-        let ms = trace.makespan();
-        let name_of = |p: usize| -> String {
-            self.header
-                .pu_names
-                .get(p)
-                .cloned()
-                .unwrap_or_else(|| format!("PU{p}"))
-        };
-        let name_w = (0..n).map(|p| name_of(p).len()).max().unwrap_or(4).max(4);
-
-        let _ = writeln!(out, "policy    : {}", self.header.policy);
-        let _ = writeln!(out, "makespan  : {ms:.6} s");
-        let _ = writeln!(
-            out,
-            "records   : {} segments, {} events",
-            self.segments.len(),
-            self.events.len()
-        );
-
-        // Per-PU Gantt summary and idle breakdown.
-        let _ = writeln!(out, "\nper-unit time accounting:");
-        let _ = writeln!(
-            out,
-            "  {:<name_w$} {:>7} {:>11} {:>11} {:>11} {:>7}",
-            "unit", "tasks", "compute", "transfer", "idle", "idle%"
-        );
-        for (p, u) in trace.ledger().iter().enumerate() {
-            let idle = (ms - u.compute_s - u.transfer_s).max(0.0);
-            let idle_pct = if ms > 0.0 { idle / ms * 100.0 } else { 0.0 };
-            let _ = writeln!(
-                out,
-                "  {:<name_w$} {:>7} {:>10.4}s {:>10.4}s {:>10.4}s {:>6.1}%",
-                name_of(p),
-                u.tasks,
-                u.compute_s,
-                u.transfer_s,
-                idle,
-                idle_pct
-            );
-        }
-
-        // Fit-quality timeline.
-        let fits: Vec<&Event> = self
-            .events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::CurveFit { .. }))
-            .collect();
-        if !fits.is_empty() {
-            let _ = writeln!(out, "\nfit-quality timeline:");
-            for e in &fits {
-                if let EventKind::CurveFit {
-                    r2_f,
-                    r2_g,
-                    basis_f,
-                    samples,
-                    accepted,
-                } = &e.kind
-                {
-                    let pu = e.pu.map(name_of).unwrap_or_else(|| "-".into());
-                    let _ = writeln!(
-                        out,
-                        "  t={:>10.6}s {:<name_w$} R²(F)={:.3} R²(G)={:.3} n={:<3} {} {}",
-                        e.t,
-                        pu,
-                        r2_f,
-                        r2_g,
-                        samples,
-                        if *accepted { "accepted" } else { "REJECTED" },
-                        basis_f
-                    );
-                }
-            }
-        }
-
-        // Solver activity.
-        let solves: Vec<&Event> = self
-            .events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::BlockSolve { .. }))
-            .collect();
-        if !solves.is_empty() {
-            let _ = writeln!(out, "\nblock-size selections:");
-            for e in &solves {
-                if let EventKind::BlockSolve {
-                    window,
-                    method,
-                    iterations,
-                    solve_s,
-                    predicted_s,
-                } = &e.kind
-                {
-                    let _ = writeln!(
-                        out,
-                        "  t={:>10.6}s window={:<9} {:<16} iters={:<3} solve={:.6}s predicted={:.6}s",
-                        e.t, window, method, iterations, solve_s, predicted_s
-                    );
-                }
-            }
-        }
-
-        // Rebalance history.
-        let rebalances: Vec<&Event> = self
-            .events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::RebalanceTriggered { .. }))
-            .collect();
-        let _ = writeln!(out, "\nrebalances: {}", rebalances.len());
-        for e in &rebalances {
-            if let EventKind::RebalanceTriggered {
-                trigger,
-                expected_s,
-                observed_s,
-                divergence,
-            } = &e.kind
-            {
-                let pu = e.pu.map(name_of).unwrap_or_else(|| "-".into());
-                let _ = writeln!(
-                    out,
-                    "  t={:>10.6}s {:<name_w$} {} expected={:.6}s observed={:.6}s divergence={:.1}%",
-                    e.t,
-                    pu,
-                    trigger,
-                    expected_s,
-                    observed_s,
-                    divergence * 100.0
-                );
-            }
-        }
-
-        // Elastic-capacity history: one line per mid-run join, with the
-        // time the split took to absorb the newcomer and how many
-        // rebalances that cost (docs/FAULT_TOLERANCE.md).
-        let joins: Vec<&Event> = self
-            .events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::PuJoined { .. }))
-            .collect();
-        if !joins.is_empty() {
-            let _ = writeln!(out, "\nelastic capacity:");
-            for j in &joins {
-                let pu = j.pu.map(name_of).unwrap_or_else(|| "-".into());
-                let after = match j.kind {
-                    EventKind::PuJoined { after_tasks } => after_tasks,
-                    _ => 0,
-                };
-                // The matching restabilized event, if the run got there.
-                let settled = self.events.iter().find(|e| {
-                    e.pu == j.pu && e.t >= j.t && matches!(e.kind, EventKind::Restabilized { .. })
-                });
-                match settled {
-                    Some(s) => {
-                        let cost = match s.kind {
-                            EventKind::Restabilized { rebalances } => rebalances,
-                            _ => 0,
-                        };
-                        let _ = writeln!(
-                            out,
-                            "  t={:>10.6}s {:<name_w$} joined after {} tasks; restabilized in {:.6}s ({} rebalances)",
-                            j.t,
-                            pu,
-                            after,
-                            s.t - j.t,
-                            cost
-                        );
-                    }
-                    None => {
-                        let _ = writeln!(
-                            out,
-                            "  t={:>10.6}s {:<name_w$} joined after {} tasks; never restabilized",
-                            j.t, pu, after
-                        );
-                    }
-                }
-            }
-        }
-
-        // Cluster tier: per-node migration and fault-domain accounting
-        // (trace v6; `pu` is the node index in a cluster trace).
-        let cluster_active = self.events.iter().any(|e| {
-            matches!(
-                e.kind,
-                EventKind::NodeJoined { .. }
-                    | EventKind::NodeQuarantined { .. }
-                    | EventKind::MigrationSent { .. }
-                    | EventKind::MigrationRetried { .. }
-                    | EventKind::CoverRecredited { .. }
-            )
-        });
-        if cluster_active {
-            #[derive(Default)]
-            struct NodeAgg {
-                mig_in: u64,
-                mig_out: u64,
-                retries: u64,
-                recredits: u64,
-                recredited_cost: u64,
-                quarantines: Vec<String>,
-            }
-            let mut nodes: std::collections::BTreeMap<usize, NodeAgg> = Default::default();
-            for e in &self.events {
-                match &e.kind {
-                    EventKind::MigrationSent { from, .. } => {
-                        if let Some(to) = e.pu {
-                            nodes.entry(to).or_default().mig_in += 1;
-                        }
-                        nodes.entry(*from).or_default().mig_out += 1;
-                    }
-                    EventKind::MigrationRetried { .. } => {
-                        if let Some(to) = e.pu {
-                            nodes.entry(to).or_default().retries += 1;
-                        }
-                    }
-                    EventKind::CoverRecredited { cost, .. } => {
-                        if let Some(n) = e.pu {
-                            let agg = nodes.entry(n).or_default();
-                            agg.recredits += 1;
-                            agg.recredited_cost += cost;
-                        }
-                    }
-                    EventKind::NodeQuarantined { reason } => {
-                        if let Some(n) = e.pu {
-                            nodes.entry(n).or_default().quarantines.push(reason.clone());
-                        }
-                    }
-                    EventKind::NodeJoined { .. } => {
-                        if let Some(n) = e.pu {
-                            nodes.entry(n).or_default();
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            let _ = writeln!(out, "\ncluster nodes:");
-            for (node, agg) in &nodes {
-                let q = if agg.quarantines.is_empty() {
-                    String::new()
-                } else {
-                    format!(" quarantined: {}", agg.quarantines.join(", "))
-                };
-                let _ = writeln!(
-                    out,
-                    "  node{node}: migrations in={} out={} retries={} \
-                     re-credited cost={} ({} ranges){q}",
-                    agg.mig_in, agg.mig_out, agg.retries, agg.recredited_cost, agg.recredits
-                );
-            }
-            // Time-to-restabilize after a partition heal: each
-            // partition quarantine paired with the node's next
-            // re-admission through the acquisition gate.
-            for e in &self.events {
-                if let EventKind::NodeQuarantined { reason } = &e.kind {
-                    if reason != "partition" {
-                        continue;
-                    }
-                    let rejoin = self.events.iter().find(|r| {
-                        r.pu == e.pu && r.t >= e.t && matches!(r.kind, EventKind::NodeJoined { .. })
-                    });
-                    let node = e.pu.map(|n| n.to_string()).unwrap_or_else(|| "-".into());
-                    match rejoin {
-                        Some(r) => {
-                            let _ = writeln!(
-                                out,
-                                "  node{node} partitioned at t={:.6}s; re-admitted at \
-                                 t={:.6}s (restabilized in {:.6}s)",
-                                e.t,
-                                r.t,
-                                r.t - e.t
-                            );
-                        }
-                        None => {
-                            let _ = writeln!(
-                                out,
-                                "  node{node} partitioned at t={:.6}s; never re-admitted",
-                                e.t
-                            );
-                        }
-                    }
-                }
-            }
-        }
-
-        // Aggregate counters.
-        let c = self.counters();
-        let _ = writeln!(out, "\nevent counters:");
-        let _ = writeln!(
-            out,
-            "  tasks={}/{} probes={} fits={} (rejected {}) solves={} rebalances={}",
-            c.tasks_finished,
-            c.tasks_submitted,
-            c.probes,
-            c.curve_fits,
-            c.fit_rejections,
-            c.solves,
-            c.rebalances
-        );
-        let _ = writeln!(
-            out,
-            "  perturbations={} stalls={} dropped={}",
-            c.perturbations, c.stalls, c.dropped
-        );
-        let _ = writeln!(
-            out,
-            "  faults: {} task failures, {} retries, {} quarantines, {} device failures",
-            c.task_failures, c.task_retries, c.quarantines, c.device_failures
-        );
-        let _ = writeln!(
-            out,
-            "  durability: {} checkpoints written, {} resumes",
-            c.checkpoints, c.resumes
-        );
-        let _ = writeln!(
-            out,
-            "  elastic: {} joins, {} drift changes, {} restabilizations, {} ignored restores",
-            c.joins, c.drift_changes, c.restabilizations, c.restores_ignored
-        );
-        let _ = writeln!(
-            out,
-            "  cluster: {} migrations ({} retries), {} node joins, {} node quarantines, \
-             {} re-credits",
-            c.migrations_sent,
-            c.migration_retries,
-            c.node_joins,
-            c.node_quarantines,
-            c.cover_recredits
-        );
-        out
+        let mut counters = EventCounters::from_events(self.events.iter());
+        counters.dropped = self.events.first().map_or(0, |e| e.seq);
+        counters
     }
 }
 
@@ -1328,19 +998,53 @@ mod tests {
         }
     }
 
+    /// The rows of the summary table titled `title` (none when the
+    /// summary leaves that section out).
+    fn rows(data: &TraceData, title: &str) -> Vec<Vec<String>> {
+        let table = data.summary().into_iter().find(|t| t.title == title);
+        table.map_or_else(Vec::new, |t| t.rows)
+    }
+
+    fn cells(row: &[&str]) -> Vec<String> {
+        row.iter().map(|c| c.to_string()).collect()
+    }
+
     #[test]
     fn summary_mentions_units_and_counters() {
         let data = sample_trace_data();
-        let s = data.summarize();
-        assert!(s.contains(
-            "per-unit time accounting:\n  \
-             unit   tasks     compute    transfer        idle   idle%\n  \
-             cpu        1     1.5000s     0.5000s     0.0000s    0.0%\n  \
-             gpu        1     1.0000s     0.0000s     1.0000s   50.0%\n"
-        ));
-        assert!(s.contains("rebalances: 0"));
-        assert!(s.contains("makespan"));
-        assert!(s.contains("event counters"));
+        assert_eq!(
+            rows(&data, "per-unit time accounting"),
+            [
+                cells(&["cpu", "1", "1.5000s", "0.5000s", "0.0000s", "0.0%"]),
+                cells(&["gpu", "1", "1.0000s", "0.0000s", "1.0000s", "50.0%"]),
+            ]
+        );
+        assert_eq!(
+            rows(&data, "run"),
+            [cells(&["test", "2.000000s", "3", "4", "0"])]
+        );
+        // No rebalance fired, so that section is left out.
+        assert!(rows(&data, "rebalances").is_empty());
+        assert_eq!(
+            rows(&data, "event counters"),
+            [
+                cells(&["tasks_finished", "1"]),
+                cells(&["tasks_submitted", "1"])
+            ]
+        );
+    }
+
+    #[test]
+    fn truncated_trace_reports_what_the_ring_dropped() {
+        let mut sink = EventSink::new(4);
+        fill(&mut sink, 10);
+        let data = sample_trace_data();
+        let text = write_jsonl(&data.header, &data.segments, &sink.events());
+        let parsed = TraceData::parse_jsonl(&text).unwrap();
+        assert_eq!(parsed.events[0].seq, 6);
+        assert_eq!(parsed.counters().dropped, 6);
+        assert_eq!(parsed.counters().dropped, sink.dropped());
+        assert_eq!(rows(&parsed, "run")[0][4], "6");
     }
 
     #[test]
@@ -1377,10 +1081,12 @@ mod tests {
         assert_eq!(c.tasks_finished, 10);
         assert_eq!(c.probes, 8);
         assert_eq!(c.resumes, 1);
-        // The summary surfaces the durability line.
+        // The summary's counters carry the durability events.
         let mut data = sample_trace_data();
         data.events.extend(sink.events());
-        assert!(data.summarize().contains("durability: 1 checkpoints"));
+        let counters = rows(&data, "event counters");
+        assert!(counters.contains(&cells(&["checkpoints", "1"])));
+        assert!(counters.contains(&cells(&["resumes", "1"])));
     }
 
     #[test]
@@ -1404,15 +1110,17 @@ mod tests {
         c.merge(&carried);
         assert_eq!(c.joins, 3);
         assert_eq!(c.drift_changes, 7);
-        // The summary surfaces the per-join restabilization line and the
-        // aggregate elastic counters.
+        // The summary shows the join with its time to restabilize and
+        // the rebalances that cost, and counts the elastic events.
         let mut data = sample_trace_data();
         data.events.extend(sink.events());
-        let s = data.summarize();
-        assert!(s.contains("elastic capacity:"));
-        assert!(s.contains("joined after 40 tasks"));
-        assert!(s.contains("(2 rebalances)"));
-        assert!(s.contains("elastic: 1 joins, 2 drift changes"));
+        assert_eq!(
+            rows(&data, "elastic capacity"),
+            [cells(&["1.000000s", "gpu", "40", "0.500000s", "2"])]
+        );
+        let counters = rows(&data, "event counters");
+        assert!(counters.contains(&cells(&["joins", "1"])));
+        assert!(counters.contains(&cells(&["drift_changes", "2"])));
     }
 
     #[test]
@@ -1421,7 +1129,10 @@ mod tests {
         let mut sink = EventSink::new(4);
         sink.record(1.0, Some(1), EventKind::PuJoined { after_tasks: 3 });
         data.events.extend(sink.events());
-        assert!(data.summarize().contains("never restabilized"));
+        assert_eq!(
+            rows(&data, "elastic capacity"),
+            [cells(&["1.000000s", "gpu", "3", "never", "-"])]
+        );
     }
 
     #[test]

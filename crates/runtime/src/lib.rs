@@ -39,6 +39,9 @@
 //! * [`events`] — structured decision-level event tracing (probes, curve
 //!   fits, solves, rebalances, perturbations) with JSONL export; see
 //!   `docs/OBSERVABILITY.md` for the schema.
+//! * [`table`] — the one [`Table`] type every human-readable report is
+//!   made of (run reports, trace summaries, the `repro` figures), with
+//!   its text, markdown and CSV renderers.
 //! * [`fault`] — fault injection ([`FaultPlan`], shared with the
 //!   simulator crate) and the fault-tolerance response knobs
 //!   ([`FaultToleranceConfig`]: retries, backoff, quarantine, host
@@ -72,6 +75,7 @@ pub mod metrics;
 pub mod policy;
 pub mod protocol;
 pub mod sync;
+pub mod table;
 pub mod task;
 pub mod trace;
 pub mod weights;
@@ -99,6 +103,7 @@ pub use host::{HostEngine, HostNodeRunner, HostPerturbation, HostPu};
 pub use metrics::{PuReport, RunReport};
 pub use policy::{FixedBlockPolicy, Policy, PuHandle, SchedulerCtx};
 pub use protocol::{AttemptOutcome, AttemptSlot, CompletionLatch, UnitGate};
+pub use table::Table;
 pub use task::{FailureReason, TaskFailure, TaskId, TaskInfo};
 pub use trace::{Segment, SegmentKind, Trace};
 pub use weights::Weights;

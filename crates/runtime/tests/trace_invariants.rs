@@ -10,7 +10,7 @@
 //!   `busy / makespan`.
 //! * The JSONL export round-trips losslessly through
 //!   `TraceData::parse_jsonl`.
-//! * Every per-unit number a `Trace`, a `RunReport`, `summarize()` and
+//! * Every per-unit number a `Trace`, a `RunReport`, `summary()` and
 //!   `ascii_gantt()` give equals the definitional computation — a
 //!   filter of the segment list per unit — kept here as the reference.
 
@@ -232,11 +232,20 @@ fn jsonl_round_trip_is_lossless() {
     assert!((rebuilt.makespan() - trace.makespan()).abs() < 1e-12);
     assert_eq!(rebuilt.items_per_pu(), trace.items_per_pu());
 
-    // And the summary renders without panicking, mentioning every unit.
-    let summary = parsed.summarize();
-    for p in &report.pus {
-        assert!(summary.contains(&p.name), "summary omits {}", p.name);
-    }
+    // And the summary's per-unit table lists every unit, in order.
+    let units = per_unit_rows(&parsed);
+    let names: Vec<&str> = units.iter().map(|row| row[0].as_str()).collect();
+    let expected: Vec<&str> = report.pus.iter().map(|p| p.name.as_str()).collect();
+    assert_eq!(names, expected);
+}
+
+/// The rows of the summary's per-unit time accounting.
+fn per_unit_rows(data: &TraceData) -> Vec<Vec<String>> {
+    let summary = data.summary();
+    let table = summary
+        .into_iter()
+        .find(|t| t.title == "per-unit time accounting");
+    table.map_or_else(Vec::new, |t| t.rows)
 }
 
 /// The per-unit numbers by their definitions: one filter of the whole
@@ -250,7 +259,7 @@ impl Reference<'_> {
         self.segments.iter().filter(move |s| s.pu == pu)
     }
     fn seconds(&self, pu: usize, kind: SegmentKind) -> f64 {
-        // Accumulates from +0.0 like `summarize()` always did.
+        // Accumulates from +0.0 like the summary always did.
         self.of(pu)
             .filter(|s| s.kind == kind)
             .fold(0.0, |acc, s| acc + s.duration())
@@ -303,7 +312,7 @@ fn assert_matches_reference(trace: &Trace, what: &str) {
         segments: trace.segments(),
     };
     let n = trace.n_pus();
-    // Five characters each, the width both renderings pad names to.
+    // Five characters each, the width `ascii_gantt` pads names to.
     let names: Vec<String> = (0..n).map(|i| format!("unit{i}")).collect();
     assert_eq!(
         trace.makespan().to_bits(),
@@ -335,7 +344,8 @@ fn assert_matches_reference(trace: &Trace, what: &str) {
         segments: trace.segments().to_vec(),
         events: Vec::new(),
     };
-    let summary = data.summarize();
+    let units = per_unit_rows(&data);
+    assert_eq!(units.len(), n, "{what}");
     let gantt = trace.ascii_gantt(&names, 64);
     let gantt_rows: Vec<&str> = gantt.lines().collect();
     assert_eq!(
@@ -378,25 +388,21 @@ fn assert_matches_reference(trace: &Trace, what: &str) {
         };
         assert_eq!(r.item_share.to_bits(), share.to_bits(), "{what}");
 
-        // The line `summarize()` printed for this unit before the
-        // ledger existed.
+        // What the summary reported for this unit before the ledger
+        // existed, cell by cell.
         let compute = reference.seconds(pu, SegmentKind::Compute);
         let transfer = reference.seconds(pu, SegmentKind::Transfer);
         let idle_s = (ms - compute - transfer).max(0.0);
         let idle_pct = if ms > 0.0 { idle_s / ms * 100.0 } else { 0.0 };
-        let line = format!(
-            "  {:<5} {:>7} {:>10.4}s {:>10.4}s {:>10.4}s {:>6.1}%\n",
-            names[pu],
-            reference.tasks(pu),
-            compute,
-            transfer,
-            idle_s,
-            idle_pct
-        );
-        assert!(
-            summary.contains(&line),
-            "{what}: {line:?} not in\n{summary}"
-        );
+        let cells = [
+            names[pu].clone(),
+            reference.tasks(pu).to_string(),
+            format!("{compute:.4}s"),
+            format!("{transfer:.4}s"),
+            format!("{idle_s:.4}s"),
+            format!("{idle_pct:.1}%"),
+        ];
+        assert_eq!(units[pu], cells, "{what}");
 
         if ms > 0.0 {
             let row = format!("{:<5} |{}|", names[pu], reference.gantt_row(pu, 64));

@@ -5,7 +5,7 @@
 //! re-admission through the acquisition gate on heal); crashes execute
 //! every item exactly once at the runner level; seeded cluster chaos
 //! preserves the disjoint complete cover; the simulator and host node
-//! runners agree on crash accounting; and checkpoint v3 stamps the node
+//! runners agree on crash accounting; and checkpoints stamp the node
 //! roster so mid-partition snapshots resume only under the same nodes.
 
 use plb_hec_suite::hetsim::cluster::ClusterOptions;
@@ -168,7 +168,7 @@ fn partition_degrades_gracefully_recredits_and_readmits() {
     // Zero lost, zero duplicated: the cover is exact.
     assert_full_cover(&report, total);
 
-    // The fault surfaced through the v6 event stream: quarantine on the
+    // The fault surfaced through the event stream: quarantine on the
     // cut, re-credit of the in-flight chunk, re-admission on heal.
     assert!(counters.node_quarantines >= 1, "no node_quarantined event");
     assert!(counters.cover_recredits >= 1, "no cover_recredited event");
@@ -434,7 +434,7 @@ fn sim_and_host_runners_agree_on_crash_accounting() {
     }
 }
 
-/// Checkpoint v3: cluster snapshots stamp the node roster, a roster
+/// Cluster snapshots stamp the node roster, a roster
 /// mismatch is rejected before any work runs, and a matching roster
 /// resumes onto the uncovered remainder.
 #[test]
