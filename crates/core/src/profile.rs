@@ -59,12 +59,14 @@ pub struct PerfProfile {
 
 /// Make room for one more sample: the oldest unpinned ones leave. One
 /// when the list is full; more only for a list read from a checkpoint
-/// that an unbounded profile wrote.
-fn evict(samples: &mut Vec<(f64, f64)>) {
+/// that an unbounded profile wrote. A list is allocated once, at its
+/// bound, when its first sample arrives.
+fn make_room(samples: &mut Vec<(f64, f64)>) {
     let newest = samples.len().saturating_sub(WINDOW - 1);
     if newest > PINNED {
         samples.drain(PINNED..newest);
     }
+    samples.reserve_exact((PINNED + WINDOW).saturating_sub(samples.len()));
 }
 
 impl PerfProfile {
@@ -88,8 +90,8 @@ impl PerfProfile {
             return;
         }
         let x = cost as f64;
-        evict(&mut self.proc_samples);
-        evict(&mut self.xfer_samples);
+        make_room(&mut self.proc_samples);
+        make_room(&mut self.xfer_samples);
         self.proc_samples.push((x, proc_time));
         self.xfer_samples.push((x, xfer_time));
     }
@@ -509,6 +511,19 @@ mod tests {
         for (&(x, proc), &(gx, xfer)) in p.proc_samples().iter().zip(&p.xfer_samples) {
             assert_eq!((gx, xfer), (x, 0.5 * proc), "one block, both lists");
         }
+    }
+
+    #[test]
+    fn each_list_is_allocated_once_at_its_bound() {
+        let caps = |p: &PerfProfile| (p.proc_samples.capacity(), p.xfer_samples.capacity());
+        let bound = PINNED + WINDOW;
+        let mut p = PerfProfile::new();
+        p.record(1, 1.0, 0.5);
+        assert_eq!(caps(&p), (bound, bound));
+        for block in 2..=100u64 {
+            p.record(block, block as f64, 0.5 * block as f64);
+        }
+        assert_eq!(caps(&p), (bound, bound));
     }
 
     #[test]

@@ -222,14 +222,20 @@ impl BasisSet {
         CANDIDATE_MODELS.iter().map(|f| BasisSet::new(f)).collect()
     }
 
-    /// Human-readable model form, e.g. `a0*1 + a1*x + a2*x^2`.
+    /// Human-readable model form, e.g. `a0*1 + a1*x + a2*x^2`, written
+    /// into one string sized up front: a term `a{i}*{name}` with its
+    /// `" + "` is the name plus 6 bytes, as a set of at most the eight
+    /// distinct functions keeps `i` to one digit.
     pub fn describe(&self) -> String {
-        self.funcs
-            .iter()
-            .enumerate()
-            .map(|(i, f)| format!("a{}*{}", i, f.name()))
-            .collect::<Vec<_>>()
-            .join(" + ")
+        use std::fmt::Write;
+        let len = self.funcs.iter().map(|f| f.name().len() + 6).sum();
+        let mut text = String::with_capacity(len);
+        for (i, f) in self.funcs.iter().enumerate() {
+            let sep = if i == 0 { "" } else { " + " };
+            // Writing into a `String` cannot fail.
+            let _ = write!(text, "{sep}a{i}*{}", f.name());
+        }
+        text
     }
 }
 
@@ -340,5 +346,22 @@ mod tests {
     fn describe_is_readable() {
         let s = BasisSet::new(&[BasisFn::One, BasisFn::XLnX]);
         assert_eq!(s.describe(), "a0*1 + a1*x*ln(x)");
+    }
+
+    #[test]
+    fn describe_is_the_joined_terms_in_a_string_that_never_grew() {
+        let mut sets = BasisSet::candidate_models();
+        sets.push(BasisSet::new(&BasisFn::ALL));
+        sets.push(BasisSet::new(&[BasisFn::XExpX]));
+        for set in sets {
+            let terms: Vec<String> = (set.funcs().iter().enumerate())
+                .map(|(i, f)| format!("a{i}*{}", f.name()))
+                .collect();
+            let text = set.describe();
+            assert_eq!(text, terms.join(" + "));
+            // Sized for one `" + "` per term: the last one's is spare.
+            assert_eq!(text.capacity(), text.len() + 3, "{text}");
+        }
+        assert_eq!(BasisSet::new(&[]).describe(), "");
     }
 }

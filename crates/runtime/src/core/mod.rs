@@ -359,6 +359,9 @@ impl SchedulerCtx for Driver<'_> {
 
     fn emit_event(&mut self, pu: Option<usize>, kind: EventKind) {
         let now = self.backend.now();
+        // A unit outside the roster is no unit: the event is kept, as
+        // a global one.
+        let pu = pu.filter(|&p| p < self.handles.len());
         self.events.record(now, pu, kind);
     }
 
@@ -1244,9 +1247,14 @@ pub(crate) fn drive(
                 total_items: d.total,
             },
         );
-        let names: Vec<String> = d.handles.iter().map(|h| h.name.clone()).collect();
+        // The loop is done with the handles: their names move into the
+        // report.
+        let names = std::mem::take(&mut d.handles)
+            .into_iter()
+            .map(|h| h.name)
+            .collect();
         let mut report =
-            RunReport::from_trace(policy.name(), &d.trace, &names, policy.block_distribution());
+            RunReport::from_trace(policy.name(), &d.trace, names, policy.block_distribution());
         for (i, pu) in report.pus.iter_mut().enumerate() {
             pu.bytes_in = d.backend.bytes_into(i);
         }

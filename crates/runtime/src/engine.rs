@@ -613,6 +613,39 @@ mod tests {
     }
 
     #[test]
+    fn an_event_naming_a_unit_outside_the_roster_is_kept_as_a_global_one() {
+        struct Stray(FixedBlockPolicy);
+        impl Policy for Stray {
+            fn name(&self) -> &str {
+                "stray"
+            }
+            fn on_start(&mut self, ctx: &mut dyn SchedulerCtx) {
+                let n = ctx.pus().len();
+                for pu in [usize::MAX, n] {
+                    ctx.emit_event(Some(pu), EventKind::DeviceRestoredIgnored);
+                }
+                self.0.on_start(ctx);
+            }
+            fn on_task_finished(&mut self, ctx: &mut dyn SchedulerCtx, done: &TaskInfo) {
+                self.0.on_task_finished(ctx, done);
+            }
+        }
+        let mut cluster = make_cluster(Scenario::Two);
+        let cost = LinearCost::generic();
+        let mut engine = SimEngine::new(&mut cluster, &cost);
+        let report = engine
+            .run(&mut Stray(FixedBlockPolicy { block: 1_000 }), 10_000)
+            .unwrap();
+        assert_eq!(report.cover, vec![(0, 10_000)]);
+        assert_eq!(report.events.restores_ignored, 2);
+        let strays: Vec<Option<usize>> = (engine.last_events().unwrap().iter())
+            .filter(|e| e.kind == EventKind::DeviceRestoredIgnored)
+            .map(|e| e.pu)
+            .collect();
+        assert_eq!(strays, [None, None]);
+    }
+
+    #[test]
     fn failure_recredit_items_and_completes() {
         let mut cluster = make_cluster(Scenario::Two);
         let cost = LinearCost::generic();

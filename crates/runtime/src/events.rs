@@ -17,11 +17,13 @@
 //!
 //! Design notes:
 //!
-//! * Events are recorded into an [`EventSink`], a bounded ring buffer:
-//!   recording never allocates past the configured capacity and never
-//!   blocks, so emission is safe on the scheduling hot path. When the
-//!   buffer wraps, the *oldest* events are overwritten and counted in
-//!   [`EventSink::dropped`] — recent history is what debugging needs.
+//! * Events are recorded into an [`EventSink`], a bounded ring buffer
+//!   allocated once, at its capacity, when the sink is made: recording
+//!   never allocates the ring and never blocks, so emission is safe on
+//!   the scheduling hot path. The pages of the ring are touched only as
+//!   events arrive. When the buffer wraps, the *oldest* events are
+//!   overwritten and counted in [`EventSink::dropped`] — recent history
+//!   is what debugging needs.
 //! * All emission happens on the scheduler thread (both engines route
 //!   policy callbacks and assignments through a single thread), so the
 //!   sink needs no lock.
@@ -387,12 +389,14 @@ impl Default for EventSink {
 }
 
 impl EventSink {
-    /// Create a sink holding at most `capacity` events.
+    /// Create a sink holding at most `capacity` events, with the ring
+    /// allocated at that size.
     pub fn new(capacity: usize) -> EventSink {
+        let capacity = capacity.max(1);
         EventSink {
-            buf: Vec::new(),
+            buf: Vec::with_capacity(capacity),
             head: 0,
-            capacity: capacity.max(1),
+            capacity,
             next_seq: 0,
             counters: EventCounters::default(),
             last_t: Vec::new(),
@@ -403,14 +407,19 @@ impl EventSink {
     /// Record one event at time `t` (clamped non-decreasing per unit).
     pub fn record(&mut self, t: f64, pu: Option<usize>, kind: EventKind) {
         let t = if t.is_finite() { t } else { self.last_global };
-        let t = match pu {
-            Some(p) => {
-                if self.last_t.len() <= p {
-                    self.last_t.resize(p + 1, 0.0);
-                }
-                let clamped = t.max(self.last_t[p]);
-                self.last_t[p] = clamped;
-                clamped
+        // A unit index at `usize::MAX` has no clamp slot; it clamps
+        // against the global time, as an event without a unit does.
+        let slot = pu.and_then(|p| {
+            let len = p.checked_add(1)?;
+            if self.last_t.len() < len {
+                self.last_t.resize(len, 0.0);
+            }
+            self.last_t.get_mut(p)
+        });
+        let t = match slot {
+            Some(last) => {
+                *last = t.max(*last);
+                *last
             }
             None => t.max(self.last_global),
         };
@@ -717,14 +726,18 @@ impl TraceData {
                     }
                     header = Some(h);
                 }
-                "segment" => segments.push(
-                    serde_json::from_value(v)
-                        .map_err(|e| format!("line {}: bad segment: {e}", lineno + 1))?,
-                ),
-                "event" => events.push(
-                    serde_json::from_value(v)
-                        .map_err(|e| format!("line {}: bad event: {e}", lineno + 1))?,
-                ),
+                "segment" => {
+                    let s: Segment = serde_json::from_value(v)
+                        .map_err(|e| format!("line {}: bad segment: {e}", lineno + 1))?;
+                    check_unit(header.as_ref(), Some(s.pu), lineno + 1)?;
+                    segments.push(s);
+                }
+                "event" => {
+                    let e: Event = serde_json::from_value(v)
+                        .map_err(|e| format!("line {}: bad event: {e}", lineno + 1))?;
+                    check_unit(header.as_ref(), e.pu, lineno + 1)?;
+                    events.push(e);
+                }
                 other => return Err(format!("line {}: unknown record \"{other}\"", lineno + 1)),
             }
         }
@@ -736,16 +749,10 @@ impl TraceData {
         })
     }
 
-    /// Number of processing units the trace covers.
+    /// Number of processing units the trace covers: those its header
+    /// names, which a parsed trace's records never exceed.
     pub fn n_pus(&self) -> usize {
-        self.header.pu_names.len().max(
-            self.segments
-                .iter()
-                .map(|s| s.pu + 1)
-                .chain(self.events.iter().filter_map(|e| e.pu.map(|p| p + 1)))
-                .max()
-                .unwrap_or(0),
-        )
+        self.header.pu_names.len()
     }
 
     /// Rebuild a [`Trace`] from the stored segments (for Gantt rendering
@@ -762,6 +769,20 @@ impl TraceData {
         let mut counters = EventCounters::from_events(self.events.iter());
         counters.dropped = self.events.first().map_or(0, |e| e.seq);
         counters
+    }
+}
+
+/// `Err` unless the header has been read and names `pu`, the unit of
+/// the segment or event on line `line`: a record must come after the
+/// header, and a unit the header does not name has no accounting.
+fn check_unit(header: Option<&TraceHeader>, pu: Option<usize>, line: usize) -> Result<(), String> {
+    let header = header.ok_or_else(|| format!("line {line}: record before the header"))?;
+    let units = header.pu_names.len();
+    match pu {
+        Some(p) if p >= units => Err(format!(
+            "line {line}: unit {p} is not one of the header's {units} units"
+        )),
+        _ => Ok(()),
     }
 }
 
@@ -801,6 +822,29 @@ mod tests {
             assert!(w[0].seq < w[1].seq);
             assert!(w[0].t <= w[1].t);
         }
+    }
+
+    #[test]
+    fn the_ring_is_allocated_once_at_its_capacity() {
+        let mut sink = EventSink::new(64);
+        assert_eq!(sink.buf.capacity(), 64);
+        fill(&mut sink, 3 * 64);
+        assert_eq!(sink.buf.capacity(), 64);
+        assert_eq!(sink.dropped(), 128);
+        let seqs: Vec<u64> = sink.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, (128..192).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn a_unit_index_at_the_top_of_usize_is_recorded_without_overflow() {
+        let mut sink = EventSink::new(4);
+        sink.record(2.0, None, EventKind::DeviceFailed);
+        sink.record(1.0, Some(usize::MAX), EventKind::DeviceFailed);
+        let evs = sink.events();
+        assert_eq!(evs[1].pu, Some(usize::MAX));
+        // No clamp slot of its own: it clamps against the global time.
+        assert_eq!(evs[1].t, 2.0);
+        assert!(sink.last_t.is_empty());
     }
 
     #[test]
@@ -996,6 +1040,52 @@ mod tests {
             let err = TraceData::parse_jsonl(&header).unwrap_err();
             assert!(err.contains("this build reads only"), "{err}");
         }
+    }
+
+    /// The sample trace as JSONL, with line `line` (1-based) passed
+    /// through `edit`.
+    fn edited_jsonl(line: usize, edit: impl Fn(&str) -> String) -> String {
+        let data = sample_trace_data();
+        let text = write_jsonl(&data.header, &data.segments, &data.events);
+        text.lines()
+            .enumerate()
+            .map(|(i, l)| if i + 1 == line { edit(l) } else { l.to_string() } + "\n")
+            .collect()
+    }
+
+    #[test]
+    fn parse_rejects_a_unit_the_header_does_not_name() {
+        // Line 2 is the first segment (unit 0), line 6 the first event
+        // that names a unit (`task_submit` on unit 0); the header names
+        // 2 units.
+        let cases = [
+            (2, "\"pu\":0", "\"pu\":1099511627776"),
+            (2, "\"pu\":0", "\"pu\":18446744073709551615"),
+            (2, "\"pu\":0", "\"pu\":2"),
+            (6, "\"pu\":0", "\"pu\":18446744073709551615"),
+        ];
+        for (line, from, to) in cases {
+            let text = edited_jsonl(line, |l| {
+                assert!(l.contains(from), "line {line}: {l}");
+                l.replacen(from, to, 1)
+            });
+            let err = TraceData::parse_jsonl(&text).unwrap_err();
+            assert!(err.starts_with(&format!("line {line}: unit ")), "{err}");
+            assert!(err.contains("header's 2 units"), "{err}");
+        }
+        // Unedited, every record names one of the two units.
+        let text = edited_jsonl(0, str::to_string);
+        assert_eq!(TraceData::parse_jsonl(&text).unwrap().n_pus(), 2);
+    }
+
+    #[test]
+    fn parse_rejects_a_record_before_the_header() {
+        let data = sample_trace_data();
+        let text = write_jsonl(&data.header, &data.segments, &data.events);
+        let mut lines: Vec<&str> = text.lines().collect();
+        lines.swap(0, 1);
+        let err = TraceData::parse_jsonl(&lines.join("\n")).unwrap_err();
+        assert_eq!(err, "line 1: record before the header");
     }
 
     /// The rows of the summary table titled `title` (none when the

@@ -56,20 +56,22 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Build a report from a trace.
+    /// Build a report from a trace. `names` are the units' display
+    /// names, by unit id; a unit past their end is named `PU{id}`.
     pub fn from_trace(
         policy: &str,
         trace: &Trace,
-        names: &[String],
+        names: Vec<String>,
         block_distribution: Option<Vec<f64>>,
     ) -> RunReport {
         let ledger = trace.ledger();
         let total: u64 = ledger.iter().map(|u| u.items).sum();
+        let mut names = names.into_iter();
         let pus = ledger
             .iter()
             .enumerate()
             .map(|(i, u)| PuReport {
-                name: names.get(i).cloned().unwrap_or_else(|| format!("PU{i}")),
+                name: names.next().unwrap_or_else(|| format!("PU{i}")),
                 items: u.items,
                 item_share: if total > 0 {
                     u.items as f64 / total as f64
@@ -113,7 +115,7 @@ mod tests {
         t.record_task(PuId(0), TaskId(0), 75, 0.0, 0.0, 2.0);
         t.record_task(PuId(1), TaskId(1), 25, 0.0, 0.5, 1.5);
         let names = vec!["a".into(), "b".into()];
-        let r = RunReport::from_trace("test", &t, &names, None);
+        let r = RunReport::from_trace("test", &t, names, None);
         assert_eq!(r.total_items, 100);
         assert_eq!(r.tasks, 2);
         assert!((r.pus[0].item_share - 0.75).abs() < 1e-12);
@@ -125,7 +127,7 @@ mod tests {
     #[test]
     fn empty_trace_report() {
         let t = Trace::new(1);
-        let r = RunReport::from_trace("x", &t, &["p".into()], None);
+        let r = RunReport::from_trace("x", &t, vec!["p".into()], None);
         assert_eq!(r.total_items, 0);
         assert_eq!(r.pus[0].item_share, 0.0);
     }

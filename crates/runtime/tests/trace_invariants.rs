@@ -203,7 +203,7 @@ fn report_accounting_is_consistent() {
     }
     // Rebuilding the report from the same trace reproduces it.
     let names: Vec<String> = report.pus.iter().map(|p| p.name.clone()).collect();
-    let rebuilt = RunReport::from_trace(&report.policy, &trace, &names, None);
+    let rebuilt = RunReport::from_trace(&report.policy, &trace, names, None);
     assert_eq!(rebuilt.total_items, report.total_items);
     assert_eq!(rebuilt.tasks, report.tasks);
     assert_eq!(rebuilt.makespan, report.makespan);
@@ -320,7 +320,7 @@ fn assert_matches_reference(trace: &Trace, what: &str) {
         "{what}"
     );
 
-    let report = RunReport::from_trace("oracle", trace, &names, None);
+    let report = RunReport::from_trace("oracle", trace, names.clone(), None);
     assert_eq!(report.pus.len(), n, "{what}");
     assert_eq!(
         report.makespan.to_bits(),
