@@ -118,7 +118,7 @@ impl BsData {
 /// Standard normal CDF via the Abramowitz–Stegun 7.1.26 polynomial
 /// approximation of erf (max abs error ≈ 1.5e-7), the same approximation
 /// the CUDA SDK Black-Scholes sample uses.
-pub fn norm_cdf(x: f64) -> f64 {
+pub(crate) fn norm_cdf(x: f64) -> f64 {
     let sign = if x < 0.0 { -1.0 } else { 1.0 };
     let ax = x.abs() / std::f64::consts::SQRT_2;
     let t = 1.0 / (1.0 + 0.3275911 * ax);
@@ -144,56 +144,6 @@ pub fn price(o: &OptionSpec) -> (f64, f64) {
     let call = s * norm_cdf(d1) - k * disc * norm_cdf(d2);
     let put = k * disc * norm_cdf(-d2) - s * norm_cdf(-d1);
     (call, put)
-}
-
-/// The standard normal density.
-pub fn norm_pdf(x: f64) -> f64 {
-    (-0.5 * x * x).exp() / (2.0 * std::f64::consts::PI).sqrt()
-}
-
-/// The Black-Scholes Greeks of a European option pair.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Greeks {
-    /// ∂call/∂S (the put's delta is `delta - 1`).
-    pub delta: f64,
-    /// ∂²V/∂S² (same for call and put).
-    pub gamma: f64,
-    /// ∂V/∂σ per 1.0 of volatility (same for call and put).
-    pub vega: f64,
-    /// ∂call/∂t per year (time decay; negative for long options).
-    pub theta_call: f64,
-    /// ∂call/∂r per 1.0 of rate.
-    pub rho_call: f64,
-}
-
-/// Closed-form Greeks.
-///
-/// ```
-/// use plb_apps::blackscholes::{greeks, OptionSpec};
-///
-/// let o = OptionSpec { s: 100.0, k: 100.0, t: 1.0, r: 0.05, sigma: 0.2 };
-/// let g = greeks(&o);
-/// // At the money, a call's delta is a bit above 0.5.
-/// assert!(g.delta > 0.5 && g.delta < 0.7);
-/// assert!(g.gamma > 0.0 && g.vega > 0.0);
-/// ```
-pub fn greeks(o: &OptionSpec) -> Greeks {
-    let s = o.s as f64;
-    let k = o.k as f64;
-    let t = o.t as f64;
-    let r = o.r as f64;
-    let sigma = o.sigma as f64;
-    let sqrt_t = t.sqrt();
-    let d1 = ((s / k).ln() + (r + 0.5 * sigma * sigma) * t) / (sigma * sqrt_t);
-    let d2 = d1 - sigma * sqrt_t;
-    let disc = (-r * t).exp();
-    Greeks {
-        delta: norm_cdf(d1),
-        gamma: norm_pdf(d1) / (s * sigma * sqrt_t),
-        vega: s * norm_pdf(d1) * sqrt_t,
-        theta_call: -(s * norm_pdf(d1) * sigma) / (2.0 * sqrt_t) - r * k * disc * norm_cdf(d2),
-        rho_call: k * t * disc * norm_cdf(d2),
-    }
 }
 
 /// The real CPU codelet: prices its option range.
@@ -338,97 +288,12 @@ mod tests {
     }
 
     #[test]
-    fn greeks_match_finite_differences() {
-        let o = OptionSpec {
-            s: 120.0,
-            k: 100.0,
-            t: 0.75,
-            r: 0.03,
-            sigma: 0.35,
-        };
-        let g = greeks(&o);
-        // f32 option fields quantize small bumps; a larger h keeps the
-        // central differences well-conditioned (error is O(h²)).
-        let h = 0.05;
-
-        // Delta: bump spot.
-        let up = price(&OptionSpec { s: o.s + h, ..o }).0;
-        let dn = price(&OptionSpec { s: o.s - h, ..o }).0;
-        let fd_delta = (up - dn) / (2.0 * h as f64);
-        assert!(
-            (g.delta - fd_delta).abs() < 1e-3,
-            "{} vs {fd_delta}",
-            g.delta
-        );
-
-        // Gamma: second difference in spot.
-        let mid = price(&o).0;
-        let fd_gamma = (up - 2.0 * mid + dn) / (h as f64 * h as f64);
-        assert!(
-            (g.gamma - fd_gamma).abs() < 1e-3 * (1.0 + g.gamma.abs()),
-            "{} vs {fd_gamma}",
-            g.gamma
-        );
-
-        // Vega: bump volatility.
-        let up = price(&OptionSpec {
-            sigma: o.sigma + h,
-            ..o
-        })
-        .0;
-        let dn = price(&OptionSpec {
-            sigma: o.sigma - h,
-            ..o
-        })
-        .0;
-        let fd_vega = (up - dn) / (2.0 * h as f64);
-        assert!(
-            (g.vega - fd_vega).abs() < 1e-2 * g.vega.abs(),
-            "{} vs {fd_vega}",
-            g.vega
-        );
-
-        // Rho: bump the rate.
-        let up = price(&OptionSpec { r: o.r + h, ..o }).0;
-        let dn = price(&OptionSpec { r: o.r - h, ..o }).0;
-        let fd_rho = (up - dn) / (2.0 * h as f64);
-        assert!((g.rho_call - fd_rho).abs() < 1e-2 * g.rho_call.abs());
-
-        // Theta: bump time to expiry (note theta is -dV/dT_expiry).
-        let up = price(&OptionSpec { t: o.t + h, ..o }).0;
-        let dn = price(&OptionSpec { t: o.t - h, ..o }).0;
-        let fd_theta = -(up - dn) / (2.0 * h as f64);
-        assert!(
-            (g.theta_call - fd_theta).abs() < 2e-2 * g.theta_call.abs(),
-            "{} vs {fd_theta}",
-            g.theta_call
-        );
-    }
-
-    #[test]
-    fn delta_bounds_and_monotonicity() {
-        let base = OptionSpec {
-            s: 100.0,
-            k: 100.0,
-            t: 1.0,
-            r: 0.02,
-            sigma: 0.25,
-        };
-        let mut last = 0.0;
-        for s in [50.0f32, 80.0, 100.0, 120.0, 200.0] {
-            let g = greeks(&OptionSpec { s, ..base });
-            assert!(g.delta > 0.0 && g.delta < 1.0);
-            assert!(g.delta > last, "delta must rise with spot");
-            last = g.delta;
-        }
-    }
-
-    #[test]
     fn pdf_integrates_to_cdf_slope() {
         for x in [-2.0, -0.5, 0.0, 0.7, 1.9] {
             let h = 1e-5;
             let slope = (norm_cdf(x + h) - norm_cdf(x - h)) / (2.0 * h);
-            assert!((slope - norm_pdf(x)).abs() < 1e-4);
+            let pdf = (-0.5 * x * x).exp() / (2.0 * std::f64::consts::PI).sqrt();
+            assert!((slope - pdf).abs() < 1e-4);
         }
     }
 

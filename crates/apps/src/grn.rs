@@ -18,7 +18,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 /// Number of discrete expression states (off / baseline / on).
-pub const STATES: usize = 3;
+pub(crate) const STATES: usize = 3;
 
 /// The GRN inference application over `genes` genes.
 #[derive(Debug, Clone)]
@@ -36,7 +36,7 @@ impl GrnInference {
     }
 
     /// Create with an explicit sample count.
-    pub fn with_samples(genes: u64, samples: u64) -> GrnInference {
+    pub(crate) fn with_samples(genes: u64, samples: u64) -> GrnInference {
         assert!(genes >= 3, "need at least 3 genes (target + pair)");
         assert!(samples > 0, "need samples");
         GrnInference { genes, samples }
@@ -64,7 +64,7 @@ impl GrnInference {
 /// the per-target cost heavy (≈ a GPU-millisecond) and the full-run
 /// scaling super-linear in the gene count, preserving the evaluation's
 /// shape.
-pub const CANDIDATE_WINDOW: u64 = 1024;
+pub(crate) const CANDIDATE_WINDOW: u64 = 1024;
 
 /// Cost model: one item = one target gene = an exhaustive pair scan
 /// over the candidate window.
@@ -160,14 +160,14 @@ impl GrnData {
     }
 
     /// Expression row of one gene.
-    pub fn gene(&self, g: usize) -> &[u8] {
+    pub(crate) fn gene(&self, g: usize) -> &[u8] {
         &self.expr[g * self.samples..(g + 1) * self.samples]
     }
 }
 
 /// Conditional entropy `H(target | (a, b))` over the sample set, in
 /// bits. Zero means the pair perfectly determines the target.
-pub fn conditional_entropy(data: &GrnData, target: usize, a: usize, b: usize) -> f64 {
+pub(crate) fn conditional_entropy(data: &GrnData, target: usize, a: usize, b: usize) -> f64 {
     let mut joint = [[0u32; STATES]; STATES * STATES];
     let t = data.gene(target);
     let ga = data.gene(a);
@@ -194,85 +194,6 @@ pub fn conditional_entropy(data: &GrnData, target: usize, a: usize, b: usize) ->
         h += pc * hc;
     }
     h
-}
-
-/// Marginal entropy `H(target)` over the sample set, in bits.
-pub fn entropy(data: &GrnData, gene: usize) -> f64 {
-    let mut counts = [0u32; STATES];
-    for &v in data.gene(gene) {
-        counts[v as usize] += 1;
-    }
-    let n = data.samples as f64;
-    counts
-        .iter()
-        .filter(|&&c| c > 0)
-        .map(|&c| {
-            let p = c as f64 / n;
-            -p * p.log2()
-        })
-        .sum()
-}
-
-/// Mutual information `I(target; (a, b)) = H(target) − H(target | a, b)`
-/// in bits — the complementary view of the conditional-entropy
-/// criterion: a pair that fully determines the target has
-/// `I = H(target)`.
-pub fn mutual_information(data: &GrnData, target: usize, a: usize, b: usize) -> f64 {
-    entropy(data, target) - conditional_entropy(data, target, a, b)
-}
-
-/// A reconstructed regulatory network: the best predictor pair per
-/// target, thresholded into directed edges `regulator -> target`.
-#[derive(Debug, Clone)]
-pub struct GrnNetwork {
-    /// Directed edges `(regulator, target)`.
-    pub edges: Vec<(u32, u32)>,
-}
-
-impl GrnNetwork {
-    /// Assemble a network from per-target inference results: targets
-    /// whose best pair scores at or below `max_entropy` contribute both
-    /// regulators as edges.
-    pub fn assemble(results: &[Option<GrnResult>], max_entropy: f64) -> GrnNetwork {
-        let mut edges = Vec::new();
-        for (target, r) in results.iter().enumerate() {
-            if let Some(r) = r {
-                if r.score <= max_entropy {
-                    edges.push((r.pair.0, target as u32));
-                    edges.push((r.pair.1, target as u32));
-                }
-            }
-        }
-        GrnNetwork { edges }
-    }
-
-    /// Precision/recall of the reconstruction against a ground-truth
-    /// edge set.
-    pub fn score_against(&self, truth: &[(u32, u32)]) -> (f64, f64) {
-        if self.edges.is_empty() {
-            return (0.0, 0.0);
-        }
-        let hit = |e: &(u32, u32)| truth.contains(e);
-        let tp = self.edges.iter().filter(|e| hit(e)).count() as f64;
-        let precision = tp / self.edges.len() as f64;
-        let recall = if truth.is_empty() {
-            0.0
-        } else {
-            tp / truth.len() as f64
-        };
-        (precision, recall)
-    }
-}
-
-/// The ground-truth edges planted by [`GrnData::generate`]: for every
-/// third gene `g ≥ 2`, `g-1 -> g` and `g-2 -> g`.
-pub fn planted_edges(genes: usize) -> Vec<(u32, u32)> {
-    let mut edges = Vec::new();
-    for g in (2..genes).step_by(3) {
-        edges.push(((g - 2) as u32, g as u32));
-        edges.push(((g - 1) as u32, g as u32));
-    }
-    edges
 }
 
 /// Result of inferring one target gene.
@@ -454,20 +375,31 @@ mod tests {
         GrnInference::new(2);
     }
 
+    /// Marginal entropy `H(target)` over the sample set, in bits.
+    fn entropy(data: &GrnData, gene: usize) -> f64 {
+        let mut counts = [0u32; STATES];
+        for &v in data.gene(gene) {
+            counts[v as usize] += 1;
+        }
+        let n = data.samples as f64;
+        counts
+            .iter()
+            .filter(|&&c| c > 0)
+            .map(|&c| {
+                let p = c as f64 / n;
+                -p * p.log2()
+            })
+            .sum()
+    }
+
     #[test]
-    fn mutual_information_identities() {
+    fn conditioning_never_raises_entropy() {
         let data = GrnData::generate(12, 80, 21);
-        // Planted: gene 2 = f(gene 0, gene 1) → I = H(target).
-        let mi = mutual_information(&data, 2, 0, 1);
-        let h = entropy(&data, 2);
-        assert!(
-            (mi - h).abs() < 1e-12,
-            "planted pair: I = H, got {mi} vs {h}"
-        );
-        // MI is non-negative and bounded by H(target).
-        let mi_rand = mutual_information(&data, 0, 4, 5);
-        assert!(mi_rand >= -1e-12);
-        assert!(mi_rand <= entropy(&data, 0) + 1e-12);
+        // Mutual information I(target; pair) = H(target) - H(target |
+        // pair) lies in [0, H(target)].
+        let h = conditional_entropy(&data, 0, 4, 5);
+        assert!(h >= -1e-12);
+        assert!(h <= entropy(&data, 0) + 1e-12);
     }
 
     #[test]
@@ -494,13 +426,25 @@ mod tests {
                 kind: PuKind::Cpu,
             },
         );
-        let net = GrnNetwork::assemble(&codelet.results(), 0.0);
-        let truth = planted_edges(genes);
-        let (_, recall) = net.score_against(&truth);
-        assert!(
-            recall > 0.999,
-            "every planted edge must be recovered: recall {recall}"
-        );
+        // Targets whose best pair has zero entropy contribute both
+        // regulators as edges `regulator -> target`.
+        let mut edges = Vec::new();
+        for (target, r) in codelet.results().iter().enumerate() {
+            if let Some(r) = r.filter(|r| r.score <= 0.0) {
+                edges.push((r.pair.0, target as u32));
+                edges.push((r.pair.1, target as u32));
+            }
+        }
+        // The planted edges: for every third gene `g ≥ 2`, `g-1 -> g`
+        // and `g-2 -> g`.
+        for g in (2..genes as u32).step_by(3) {
+            for planted in [(g - 2, g), (g - 1, g)] {
+                assert!(
+                    edges.contains(&planted),
+                    "planted edge {planted:?} not recovered"
+                );
+            }
+        }
         // The planted relation g = (a + 2b) mod 3 is *invertible*: every
         // gene of a triple {g-2, g-1, g} is perfectly determined by the
         // other two, so zero-entropy edges within a triple are correct
@@ -513,19 +457,13 @@ mod tests {
                 .step_by(3)
                 .find(|&t| g == t || g == t - 1 || g == t - 2)
         };
-        for (reg, tgt) in &net.edges {
+        for (reg, tgt) in &edges {
             let (a, b) = (triple_of(*reg), triple_of(*tgt));
             assert!(
                 a.is_some() && a == b,
                 "edge {reg}->{tgt} crosses unrelated genes"
             );
         }
-    }
-
-    #[test]
-    fn empty_network_scores_zero() {
-        let net = GrnNetwork::assemble(&[None, None], 0.0);
-        assert_eq!(net.score_against(&[(0, 1)]), (0.0, 0.0));
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub use blackscholes::{BlackScholes, BsCodelet, BsCost};
 pub use grn::{GrnCodelet, GrnCost, GrnInference};
 pub use matmul::{MatMul, MatMulCodelet, MatMulCost};
 pub use nnlayer::{NnLayer, NnLayerCodelet, NnLayerCost};
-pub use spmv::{Spmv, SpmvCodelet, SpmvCost};
+pub use spmv::{Spmv, SpmvCost};
 
 /// The input-size grids of the paper's evaluation (Figures 4 and 5).
 pub mod paper_inputs {

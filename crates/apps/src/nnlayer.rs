@@ -1,8 +1,8 @@
 //! Dense neural-network layer inference — an *extension* application.
 //!
 //! The paper's introduction motivates heterogeneous clusters with
-//! machine-learning and neural-network workloads (its references [5]
-//! and [7]); this module adds one as a fourth application to
+//! machine-learning and neural-network workloads (its references \[5\]
+//! and \[7\]); this module adds one as a fourth application to
 //! demonstrate that the balancer generalizes beyond the three the paper
 //! evaluates. One work item is one input sample pushed through a dense
 //! layer: `y = relu(W·x + b)` with a weight matrix of `out × in`.

@@ -17,9 +17,8 @@
 
 use plb_hetsim::CostModel;
 use plb_rng::ChaCha8Rng;
-use plb_runtime::{Codelet, DisjointOutput, PuResources, Weights};
+use plb_runtime::Weights;
 use std::fmt;
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Lightest admissible row: the power law's scale parameter `x_min`.
@@ -40,7 +39,7 @@ const BYTES_PER_NNZ: f64 = 12.0;
 /// bound the tail is so heavy the cap dominates every row; above the
 /// upper bound the matrix is effectively uniform and SpMV stops being
 /// an irregularity test.
-pub const SKEW_RANGE: (f64, f64) = (0.5, 4.0);
+pub(crate) const SKEW_RANGE: (f64, f64) = (0.5, 4.0);
 
 /// Nonzeros of rows `offset..offset + items` of a `rows`-row matrix
 /// whose row lengths are the costs in `table`. [`Weights`] charges items
@@ -89,7 +88,7 @@ impl fmt::Debug for Spmv {
 impl Spmv {
     /// What [`Spmv::new`] checks before it generates anything: a
     /// description of the problem when `rows == 0` or `skew` is outside
-    /// [`SKEW_RANGE`]. The CLI surfaces it as a usage error without
+    /// `[0.5, 4.0]`. The CLI surfaces it as a usage error without
     /// paying for a matrix.
     pub fn validate(rows: u64, skew: f64) -> Result<(), String> {
         if rows == 0 {
@@ -134,12 +133,12 @@ impl Spmv {
     }
 
     /// Nonzeros of row `i` (0 for out-of-range rows).
-    pub fn row_nnz(&self, i: u64) -> u64 {
+    pub(crate) fn row_nnz(&self, i: u64) -> u64 {
         range_nnz(&self.table, self.rows, i, 1)
     }
 
     /// Total stored nonzeros.
-    pub fn total_nnz(&self) -> u64 {
+    pub(crate) fn total_nnz(&self) -> u64 {
         range_nnz(&self.table, self.rows, 0, self.rows)
     }
 
@@ -194,7 +193,7 @@ impl fmt::Debug for SpmvCost {
 
 impl SpmvCost {
     /// Nonzeros in the row range `offset..offset + items`.
-    pub fn range_nnz(&self, offset: u64, items: u64) -> u64 {
+    pub(crate) fn range_nnz(&self, offset: u64, items: u64) -> u64 {
         range_nnz(&self.table, self.rows, offset, items)
     }
 }
@@ -278,63 +277,11 @@ impl SpmvData {
             x,
         }
     }
-
-    /// `y[row] = Σ_j A[row, j] · x[j]` for one row.
-    pub fn row_dot(&self, row: usize) -> f64 {
-        let lo = self.row_ptr.get(row).copied().unwrap_or(0) as usize;
-        let hi = self.row_ptr.get(row + 1).copied().unwrap_or(0) as usize;
-        let mut acc = 0.0;
-        for k in lo..hi.min(self.cols.len()) {
-            let c = self.cols.get(k).copied().unwrap_or(0) as usize;
-            let v = self.vals.get(k).copied().unwrap_or(0.0);
-            acc += v * self.x.get(c).copied().unwrap_or(0.0);
-        }
-        acc
-    }
-}
-
-/// The real CPU codelet: multiplies its row range.
-pub struct SpmvCodelet {
-    data: Arc<SpmvData>,
-    /// Output `y` per row; each task claims its row range as a
-    /// [`DisjointOutput`] view.
-    y: Arc<DisjointOutput<f64>>,
-}
-
-impl SpmvCodelet {
-    /// Wrap host data.
-    pub fn new(data: Arc<SpmvData>) -> SpmvCodelet {
-        let rows = data.row_ptr.len().saturating_sub(1);
-        let y = Arc::new(DisjointOutput::new(0.0, rows));
-        SpmvCodelet { data, y }
-    }
-
-    /// The computed result vector.
-    pub fn results(&self) -> Vec<f64> {
-        self.y.snapshot()
-    }
-}
-
-impl Codelet for SpmvCodelet {
-    fn name(&self) -> &str {
-        "spmv"
-    }
-
-    fn execute(&self, range: Range<u64>, res: &PuResources) {
-        res.for_each_chunk(range, |sub| {
-            let (lo, hi) = (sub.start as usize, sub.end as usize);
-            let mut out = self.y.writer(lo..hi);
-            for (slot, row) in out.iter_mut().zip(lo..hi) {
-                *slot = self.data.row_dot(row);
-            }
-        });
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use plb_hetsim::PuKind;
 
     /// Every row's length, in row order.
     fn row_lengths(app: &Spmv) -> Vec<u64> {
@@ -398,49 +345,6 @@ mod tests {
         assert!((whole - cost.flops(app.rows)).abs() < 1e-6 * whole);
         // Past-the-end ranges cost nothing.
         assert_eq!(cost.range_nnz(app.rows, 50), 0);
-    }
-
-    #[test]
-    fn codelet_multiplies_range_only() {
-        let app = Spmv::new(64, 1.5, 11).unwrap();
-        let data = Arc::new(SpmvData::generate(&app));
-        let codelet = SpmvCodelet::new(Arc::clone(&data));
-        codelet.execute(
-            10..20,
-            &PuResources {
-                threads: 1,
-                kind: PuKind::Cpu,
-            },
-        );
-        let y = codelet.results();
-        assert!(y[..10].iter().all(|&v| v == 0.0));
-        for (i, &yi) in y.iter().enumerate().take(20).skip(10) {
-            assert_eq!(yi, data.row_dot(i));
-        }
-        assert!(y[20..].iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn parallel_equals_sequential() {
-        let app = Spmv::new(256, 1.2, 5).unwrap();
-        let data = Arc::new(SpmvData::generate(&app));
-        let a = SpmvCodelet::new(Arc::clone(&data));
-        a.execute(
-            0..256,
-            &PuResources {
-                threads: 1,
-                kind: PuKind::Cpu,
-            },
-        );
-        let b = SpmvCodelet::new(Arc::clone(&data));
-        b.execute(
-            0..256,
-            &PuResources {
-                threads: 8,
-                kind: PuKind::Gpu,
-            },
-        );
-        assert_eq!(a.results(), b.results());
     }
 
     #[test]

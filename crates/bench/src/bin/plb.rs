@@ -131,13 +131,17 @@ fn parse_args() -> Args {
             "--seeds" => {
                 a.seeds = next("--seeds")
                     .parse()
-                    .unwrap_or_else(|_| usage("bad --seeds"))
+                    .ok()
+                    .filter(|&n| n > 0)
+                    .unwrap_or_else(|| usage("bad --seeds (expects a count of at least 1)"))
             }
             "--single-gpu" => a.single_gpu = true,
             "--noise" => {
                 a.noise = next("--noise")
                     .parse()
-                    .unwrap_or_else(|_| usage("bad --noise"))
+                    .ok()
+                    .filter(|s: &f64| s.is_finite() && *s >= 0.0)
+                    .unwrap_or_else(|| usage("bad --noise (expects a finite SIGMA >= 0)"))
             }
             "--json" => a.json = Some(next("--json")),
             "--gantt" => a.gantt = Some(next("--gantt")),
@@ -254,14 +258,14 @@ fn scenario_of(machines: usize) -> Scenario {
 }
 
 fn app_of(name: &str, size: u64, skew: f64, seed: u64) -> App {
-    match name {
+    // Validate up front so bad parameters are a usage error, not a panic
+    // deep inside the harness.
+    let app = match name {
         "mm" | "matmul" => App::MatMul(size),
         "grn" => App::Grn(size),
         "bs" | "blackscholes" => App::BlackScholes(size),
         "nn" | "nnlayer" => App::NnLayer(size),
         "spmv" => {
-            // Validate up front so bad parameters are a usage error, not
-            // a panic deep inside the harness.
             if let Err(e) = plb_apps::Spmv::validate(size, skew) {
                 usage(&e);
             }
@@ -272,7 +276,12 @@ fn app_of(name: &str, size: u64, skew: f64, seed: u64) -> App {
             }
         }
         _ => usage("--app must be mm, grn, bs, nn or spmv"),
+    };
+    let least = if let App::Grn(_) = app { 3 } else { 1 };
+    if size < least {
+        usage(&format!("--app {name} needs --size of at least {least}"));
     }
+    app
 }
 
 fn policy_of(name: &str, cfg: &PolicyConfig, profiles: &Option<String>) -> Box<dyn Policy> {
@@ -303,6 +312,14 @@ fn print_tables(tables: &[Table]) {
     let _ = std::io::stdout().write_all(text.join("\n").as_bytes());
 }
 
+/// Write `contents` to `path`, or report why not and exit 1.
+fn write_file(path: &str, contents: impl AsRef<[u8]>) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("cannot write {path}: {e}");
+        std::process::exit(1);
+    }
+}
+
 /// Shared `--json` / `--gantt` / `--trace` / `--events` emission for
 /// the single-node and cluster run paths.
 fn write_outputs(
@@ -314,18 +331,18 @@ fn write_outputs(
 ) {
     if let Some(path) = &a.json {
         let json = serde_json::to_string_pretty(report).expect("report serializes");
-        std::fs::write(path, json).expect("write json");
+        write_file(path, json);
         println!("wrote {path}");
     }
     let names: Vec<String> = report.pus.iter().map(|p| p.name.clone()).collect();
     if let Some(path) = &a.gantt {
         let svg = gantt_svg(trace.expect("trace recorded"), &names, title);
-        std::fs::write(path, svg).expect("write gantt svg");
+        write_file(path, svg);
         println!("wrote {path}");
     }
     if let Some(path) = &a.trace {
         let json = trace.expect("trace recorded").to_chrome_trace(&names);
-        std::fs::write(path, json).expect("write chrome trace");
+        write_file(path, json);
         println!("wrote {path} (open in chrome://tracing)");
     }
     if let Some(path) = &a.events {
@@ -337,7 +354,7 @@ fn write_outputs(
         let segments = trace.expect("trace recorded").segments();
         let sink = events.expect("events recorded");
         let jsonl = write_jsonl(&header, segments, &sink.events());
-        std::fs::write(path, jsonl).expect("write event trace");
+        write_file(path, jsonl);
         println!("wrote {path} (inspect with `plb trace --input {path}`)");
         let dropped = sink.dropped();
         if dropped > 0 {
@@ -625,7 +642,7 @@ fn main() {
                 println!("unit {i}: F {}", m.f.describe());
             }
             let json = serde_json::to_string_pretty(&models).expect("models serialize");
-            std::fs::write(out, json).expect("write profiles");
+            write_file(out, json);
             println!("wrote {} unit profiles to {out}", models.len());
         }
         "compare" => {

@@ -25,7 +25,8 @@ fn main() {
                 seeds = it
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--seeds needs a number"));
+                    .filter(|&n| n > 0)
+                    .unwrap_or_else(|| usage("--seeds needs a count of at least 1"));
             }
             "--out" => {
                 out = PathBuf::from(it.next().unwrap_or_else(|| usage("--out needs a path")));

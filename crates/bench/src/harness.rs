@@ -24,7 +24,7 @@ pub enum App {
     Spmv {
         /// Matrix order (items = rows).
         rows: u64,
-        /// Power-law exponent (see [`plb_apps::spmv::SKEW_RANGE`]).
+        /// Power-law exponent (see [`plb_apps::Spmv::validate`]).
         skew: f64,
         /// Matrix generator seed.
         seed: u64,
@@ -75,24 +75,13 @@ impl App {
     }
 
     /// Total work items.
-    pub fn total_items(&self) -> u64 {
+    pub(crate) fn total_items(&self) -> u64 {
         match *self {
             App::MatMul(n) => n,
             App::Grn(n) => n,
             App::BlackScholes(n) => n,
             App::NnLayer(n) => n,
             App::Spmv { rows, .. } => rows,
-        }
-    }
-
-    /// Short family name ("MM", "GRN", "BS").
-    pub fn family(&self) -> &'static str {
-        match self {
-            App::MatMul(_) => "MM",
-            App::Grn(_) => "GRN",
-            App::BlackScholes(_) => "BS",
-            App::NnLayer(_) => "NN",
-            App::Spmv { .. } => "SPMV",
         }
     }
 
@@ -174,7 +163,8 @@ pub struct RunOutcome {
 /// exactly where the paper reports "large fluctuation".
 pub fn default_initial_block(total_items: u64, cost: &dyn plb_hetsim::CostModel) -> u64 {
     let threads_per_item = cost.threads(1).max(1.0);
-    let floor = ((1e5 / threads_per_item).ceil() as u64).clamp(32, total_items.max(1));
+    let total = total_items.max(1);
+    let floor = ((1e5 / threads_per_item).ceil() as u64).clamp(32.min(total), total);
     let b = (total_items as f64 * 0.001).ceil().max(1.0) as u64;
     b.max(floor)
 }
@@ -279,13 +269,13 @@ pub struct Aggregate {
 impl Aggregate {
     /// Two-sided 95% confidence half-width of the mean makespan
     /// (Student-t on the 10-run protocol).
-    pub fn makespan_ci95(&self) -> f64 {
+    pub(crate) fn makespan_ci95(&self) -> f64 {
         let makespans: Vec<f64> = self.runs.iter().map(|r| r.report.makespan).collect();
         plb_numerics::stats::confidence95_half_width(&makespans)
     }
 
     /// Mean of the per-unit item shares across runs (Fig. 6's bars).
-    pub fn mean_item_shares(&self) -> Vec<f64> {
+    pub(crate) fn mean_item_shares(&self) -> Vec<f64> {
         let n = self.runs[0].report.pus.len();
         let mut m = vec![0.0; n];
         for r in &self.runs {
@@ -301,7 +291,7 @@ impl Aggregate {
 
     /// Mean of the policies' declared block distributions (Fig. 6), when
     /// available.
-    pub fn mean_block_distribution(&self) -> Option<Vec<f64>> {
+    pub(crate) fn mean_block_distribution(&self) -> Option<Vec<f64>> {
         let dists: Vec<&Vec<f64>> = self
             .runs
             .iter()
@@ -325,7 +315,7 @@ impl Aggregate {
 
     /// Per-unit standard deviation of the block distributions (the error
     /// bars of Fig. 6).
-    pub fn std_block_distribution(&self) -> Option<Vec<f64>> {
+    pub(crate) fn std_block_distribution(&self) -> Option<Vec<f64>> {
         let mean = self.mean_block_distribution()?;
         let dists: Vec<&Vec<f64>> = self
             .runs
@@ -349,7 +339,7 @@ impl Aggregate {
     }
 
     /// Mean idle fraction per unit (Fig. 7's bars).
-    pub fn mean_idle_fractions(&self) -> Vec<f64> {
+    pub(crate) fn mean_idle_fractions(&self) -> Vec<f64> {
         let n = self.runs[0].report.pus.len();
         let mut m = vec![0.0; n];
         for r in &self.runs {
@@ -400,6 +390,15 @@ mod tests {
         // Floor never exceeds the input itself.
         let bs_small = App::BlackScholes(100).inputs().cost;
         assert_eq!(default_initial_block(100, bs_small.as_ref()), 100);
+        // Nor does it for inputs smaller than the 32-item minimum.
+        for total in [1u64, 8, 31] {
+            let mm = App::MatMul(total).inputs().cost;
+            let bs = App::BlackScholes(total).inputs().cost;
+            for cost in [mm.as_ref(), bs.as_ref()] {
+                let block = default_initial_block(total, cost);
+                assert!((1..=total).contains(&block), "{total}: {block}");
+            }
+        }
     }
 
     #[test]

@@ -24,4 +24,4 @@ pub use harness::{
     default_initial_block, run_many, run_once, Aggregate, App, PolicyKind, RunOutcome,
 };
 pub use report::write_results;
-pub use viz::{gantt_svg, grouped_bars_svg, line_chart_svg, Series};
+pub use viz::gantt_svg;

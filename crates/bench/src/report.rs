@@ -27,7 +27,7 @@ pub fn write_results(
 }
 
 /// Format seconds compactly (µs/ms/s).
-pub fn fmt_secs(s: f64) -> String {
+pub(crate) fn fmt_secs(s: f64) -> String {
     if s < 1e-3 {
         format!("{:.1} µs", s * 1e6)
     } else if s < 1.0 {

@@ -86,7 +86,7 @@ pub fn gantt_svg(trace: &Trace, names: &[String], title: &str) -> String {
 
 /// One named series of a bar/line chart.
 #[derive(Debug, Clone)]
-pub struct Series {
+pub(crate) struct Series {
     /// Legend label.
     pub label: String,
     /// One value per category / x-position.
@@ -95,7 +95,7 @@ pub struct Series {
 
 /// Render grouped vertical bars: `categories` along the x axis, one bar
 /// per series within each category (Figs. 6 and 7).
-pub fn grouped_bars_svg(
+pub(crate) fn grouped_bars_svg(
     title: &str,
     categories: &[String],
     series: &[Series],
@@ -177,7 +177,7 @@ pub fn grouped_bars_svg(
 /// Render a line chart with a log-ish x axis given by explicit
 /// positions (Figs. 4 and 5: execution time vs input size, one line per
 /// policy).
-pub fn line_chart_svg(
+pub(crate) fn line_chart_svg(
     title: &str,
     x_labels: &[String],
     series: &[Series],

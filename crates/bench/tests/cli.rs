@@ -276,6 +276,79 @@ fn plb_rejects_bad_fault_specs() {
 }
 
 #[test]
+fn plb_runs_inputs_smaller_than_the_initial_block_floor() {
+    for args in [
+        ["--app", "mm", "--size", "8", "--machines", "2"],
+        ["--app", "bs", "--size", "1", "--machines", "4"],
+        ["--app", "spmv", "--size", "1", "--machines", "1"],
+    ] {
+        let out = plb_ok(&[&["run", "--policy", "plb-hec"], &args[..]].concat());
+        assert!(out.contains("tasks_finished"), "{args:?}: {out}");
+    }
+}
+
+/// Run `cmd`, assert it exits with `code`, and that its stderr names
+/// `needle` and reports no panic.
+fn assert_refused(mut cmd: Command, args: &[&str], code: i32, needle: &str) {
+    let out = cmd.args(args).output().unwrap();
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(code), "{args:?}: {err}");
+    assert!(err.contains(needle), "{args:?}: no `{needle}` in:\n{err}");
+    assert!(!err.contains("panicked"), "{args:?}: {err}");
+}
+
+#[test]
+fn plb_refuses_an_empty_input() {
+    for app in ["bs", "mm", "nn"] {
+        let needle = format!("--app {app} needs --size of at least 1");
+        assert_refused(plb(), &["run", "--app", app, "--size", "0"], 2, &needle);
+    }
+    let profiles = std::env::temp_dir().join("plb_cli_empty_profiles.json");
+    let profile = ["profile", "--app", "mm", "--size", "0", "--profiles"];
+    let profile = [&profile[..], &[profiles.to_str().unwrap()]].concat();
+    assert_refused(plb(), &profile, 2, "--app mm needs --size of at least 1");
+    let diag = ["diag", "--app", "nn", "--size", "0"];
+    assert_refused(plb(), &diag, 2, "--app nn needs --size of at least 1");
+}
+
+#[test]
+fn plb_refuses_a_grn_of_fewer_than_three_genes() {
+    let args = ["run", "--app", "grn", "--size", "1"];
+    assert_refused(plb(), &args, 2, "--app grn needs --size of at least 3");
+}
+
+#[test]
+fn plb_refuses_a_negative_or_undefined_noise() {
+    for sigma in ["-1", "nan"] {
+        assert_refused(plb(), &["run", "--noise", sigma], 2, "bad --noise");
+    }
+}
+
+#[test]
+fn plb_and_repro_refuse_zero_seeds() {
+    let args = ["compare", "--app", "bs", "--size", "1000", "--seeds", "0"];
+    assert_refused(plb(), &args, 2, "bad --seeds");
+    assert_refused(
+        repro(),
+        &["fig4", "--seeds", "0"],
+        2,
+        "--seeds needs a count",
+    );
+}
+
+#[test]
+fn plb_reports_an_output_it_cannot_write() {
+    let missing = std::env::temp_dir().join("plb_cli_no_such_dir");
+    assert!(!missing.exists(), "{} must not exist", missing.display());
+    let path = missing.join("out");
+    let path = path.to_str().unwrap();
+    for flag in ["--json", "--gantt", "--trace", "--events"] {
+        let args = ["run", "--app", "bs", "--size", "2000", flag, path];
+        assert_refused(plb(), &args, 1, &format!("cannot write {path}: "));
+    }
+}
+
+#[test]
 fn repro_generates_table1() {
     let dir = std::env::temp_dir().join("plb_cli_repro_test");
     let out = repro()

@@ -29,11 +29,6 @@ impl GreedyPolicy {
             block: cfg.initial_block.max(cfg.granularity),
         }
     }
-
-    /// The fixed piece size.
-    pub fn block(&self) -> u64 {
-        self.block
-    }
 }
 
 impl Policy for GreedyPolicy {
@@ -104,6 +99,6 @@ mod tests {
             granularity: 64,
             ..Default::default()
         };
-        assert_eq!(GreedyPolicy::new(&cfg).block(), 64);
+        assert_eq!(GreedyPolicy::new(&cfg).block, 64);
     }
 }

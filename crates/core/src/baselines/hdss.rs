@@ -66,11 +66,6 @@ impl HdssPolicy {
         }
     }
 
-    /// The fitted per-unit weights (sum to 1 over active units).
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-
     /// Hand `pu` its next adaptive probe if the budget allows. The
     /// probe sizes follow the same growth schedule on every unit —
     /// HDSS has no round-1 speed preview to rescale with — and every

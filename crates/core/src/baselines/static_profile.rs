@@ -50,11 +50,6 @@ impl StaticProfilePolicy {
             active: Vec::new(),
         }
     }
-
-    /// The frozen fractions (empty before `on_start`).
-    pub fn fractions(&self) -> &[f64] {
-        &self.fractions
-    }
 }
 
 impl Policy for StaticProfilePolicy {

@@ -95,13 +95,6 @@ impl PolicyConfig {
         self
     }
 
-    /// Builder-style override of the rebalance threshold.
-    pub fn with_rebalance_threshold(mut self, t: f64) -> Self {
-        assert!(t > 0.0 && t.is_finite(), "threshold must be positive");
-        self.rebalance_threshold = t;
-        self
-    }
-
     /// Builder-style override of the per-round distribution window.
     pub fn with_round_fraction(mut self, f: f64) -> Self {
         assert!(f > 0.0 && f <= 1.0, "round fraction must be in (0, 1]");
@@ -126,10 +119,8 @@ mod tests {
     fn builders_apply() {
         let c = PolicyConfig::default()
             .with_initial_block(512)
-            .with_rebalance_threshold(0.05)
             .with_round_fraction(0.5);
         assert_eq!(c.initial_block, 512);
-        assert_eq!(c.rebalance_threshold, 0.05);
         assert_eq!(c.round_fraction, 0.5);
     }
 

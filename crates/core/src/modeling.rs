@@ -202,7 +202,7 @@ impl Modeling {
 
 /// Round `raw` cost units to the application granularity, at least one
 /// granule.
-pub fn round_to_granularity(raw: f64, granularity: u64) -> u64 {
+pub(crate) fn round_to_granularity(raw: f64, granularity: u64) -> u64 {
     let g = granularity.max(1);
     let blocks = (raw / g as f64).round().max(1.0);
     (blocks as u64).saturating_mul(g)

@@ -7,7 +7,7 @@
 //!   (pipelined, exponentially growing, speed-rescaled blocks) until
 //!   the fit gate passes or the data budget is spent.
 //! * **Execution** (`execution.rs`) — distributes blocks of the sizes
-//!   chosen by [`select_block_sizes`](crate::select_block_sizes); each
+//!   chosen by [`select_block_sizes`]; each
 //!   unit that finishes "requests another task of the same size" (paper
 //!   Section III-D) until the data runs out.
 //! * **Rebalancing** — when a block runs more than the threshold (10 %
@@ -871,7 +871,7 @@ mod tests {
     }
 
     impl MockCtx {
-        pub fn new(n_pus: usize, total: u64) -> MockCtx {
+        pub(crate) fn new(n_pus: usize, total: u64) -> MockCtx {
             let handle = |i| plb_runtime::PuHandle {
                 id: PuId(i),
                 name: format!("pu{i}"),
@@ -892,12 +892,16 @@ mod tests {
 
         /// `pu`'s block completes on a linear device: `overhead_s` plus
         /// `cost / rate` of kernel time, 0.1 ms of transfer.
-        pub fn finish(&mut self, pu: usize, rate: f64) -> TaskInfo {
+        pub(crate) fn finish(&mut self, pu: usize, rate: f64) -> TaskInfo {
             self.finish_timed(pu, |cost| (1e-3 + cost as f64 / rate, 1e-4))
         }
 
         /// `pu`'s block completes in `(proc, xfer)` seconds.
-        pub fn finish_timed(&mut self, pu: usize, time: impl Fn(u64) -> (f64, f64)) -> TaskInfo {
+        pub(crate) fn finish_timed(
+            &mut self,
+            pu: usize,
+            time: impl Fn(u64) -> (f64, f64),
+        ) -> TaskInfo {
             let cost = self.running[pu].take().expect("unit is running a block");
             let (proc_time, xfer_time) = time(cost);
             TaskInfo {
@@ -914,7 +918,7 @@ mod tests {
 
         /// `pu`'s block is lost with its unit or returns to the pool:
         /// what the driver does before it calls a fault hook.
-        pub fn drop_task(&mut self, pu: usize) -> TaskFailure {
+        pub(crate) fn drop_task(&mut self, pu: usize) -> TaskFailure {
             let cost = self.running[pu].take().expect("unit is running a block");
             self.remaining += cost;
             TaskFailure {
@@ -929,13 +933,13 @@ mod tests {
         }
 
         /// The blocks assigned since the last call.
-        pub fn take_assigned(&mut self) -> Vec<(usize, u64)> {
+        pub(crate) fn take_assigned(&mut self) -> Vec<(usize, u64)> {
             std::mem::take(&mut self.assigned)
         }
 
         /// The names of the events emitted since the last call, with
         /// the unit each concerns.
-        pub fn take_events(&mut self) -> Vec<(Option<usize>, &'static str)> {
+        pub(crate) fn take_events(&mut self) -> Vec<(Option<usize>, &'static str)> {
             let names = self.events.iter().map(|(pu, kind)| (*pu, kind.name()));
             let names = names.collect();
             self.events.clear();

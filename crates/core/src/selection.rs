@@ -32,7 +32,7 @@ pub enum SelectionMethod {
 
 impl SelectionMethod {
     /// Short machine name (used in trace events and reports).
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             SelectionMethod::WaterFill => "water-fill",
             SelectionMethod::RateProportional => "rate-proportional",
@@ -668,7 +668,8 @@ mod tests {
             self.window * self.model.total_d1(x * self.window)
         }
         fn deriv2(&self, x: f64) -> f64 {
-            self.window * self.window * self.model.total_d2(x * self.window)
+            let cost = x * self.window;
+            self.window * self.window * (self.model.f.d2(cost) + self.model.g.d2(cost))
         }
     }
 

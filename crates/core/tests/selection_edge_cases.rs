@@ -127,26 +127,3 @@ fn constant_time_curves_fall_back_gracefully() {
     assert_eq!(sel.blocks.iter().sum::<u64>(), 30_000);
     assert!(sel.fractions.iter().all(|f| f.is_finite() && *f >= 0.0));
 }
-
-#[test]
-fn unit_models_roundtrip_through_json() {
-    // Model persistence: the CLI's `plb profile` flow depends on fitted
-    // curves surviving serialization exactly.
-    let model = affine_model(2.5e4, 3e-3);
-    let json = serde_json::to_string(&model).expect("serializes");
-    let back: UnitModel = serde_json::from_str(&json).expect("deserializes");
-    // serde_json's float printing is shortest-roundtrip, so stored
-    // coefficients survive exactly; evaluation should agree to within
-    // an ULP or two (summation order through the deserialized Vec can
-    // differ).
-    for &x in &[50.0, 500.0, 5_000.0, 50_000.0] {
-        let (a, b) = (model.total_time(x), back.total_time(x));
-        assert!(
-            ((a - b) / a).abs() < 1e-14,
-            "prediction changed at {x}: {a} vs {b}"
-        );
-        let (da, db) = (model.total_d1(x), back.total_d1(x));
-        assert!(((da - db) / da.abs().max(1e-300)).abs() < 1e-12);
-    }
-    assert!((model.min_r2() - back.min_r2()).abs() < 1e-14);
-}

@@ -132,11 +132,6 @@ impl SimDevice {
         overflow / (link.bandwidth_gbs * 1e9)
     }
 
-    /// Current slowdown factor.
-    pub fn slowdown(&self) -> f64 {
-        self.slowdown
-    }
-
     /// Set the slowdown factor (QoS drift; must be > 0).
     pub fn set_slowdown(&mut self, factor: f64) {
         assert!(
@@ -294,16 +289,6 @@ impl ClusterSim {
     pub fn devices(&self) -> &[SimDevice] {
         &self.devices
     }
-
-    /// Ids of currently available devices.
-    pub fn available_ids(&self) -> Vec<PuId> {
-        self.devices
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.is_available())
-            .map(|(i, _)| PuId(i))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -358,13 +343,17 @@ mod tests {
             .iter()
             .find(|d| d.spec.machine == 1 && d.spec.kind == PuKind::Gpu)
             .unwrap();
-        assert_eq!(remote_gpu.spec.path.hop_count(), 2);
+        let opts = ClusterOptions::default();
+        assert_eq!(
+            remote_gpu.spec.path,
+            TransferPath::remote_gpu(opts.network, opts.pcie)
+        );
         let local_gpu = c
             .devices()
             .iter()
             .find(|d| d.spec.machine == 0 && d.spec.kind == PuKind::Gpu)
             .unwrap();
-        assert_eq!(local_gpu.spec.path.hop_count(), 1);
+        assert_eq!(local_gpu.spec.path, TransferPath::local_gpu(opts.pcie));
     }
 
     #[test]
@@ -399,13 +388,13 @@ mod tests {
     fn failed_device_excluded_from_available() {
         let mut c = cluster(Scenario::Two, false);
         let n = c.len();
-        assert_eq!(c.available_ids().len(), n);
+        let available = |c: &ClusterSim| c.devices().iter().filter(|d| d.is_available()).count();
+        assert_eq!(available(&c), n);
         c.device_mut(PuId(1)).fail();
-        let avail = c.available_ids();
-        assert_eq!(avail.len(), n - 1);
-        assert!(!avail.contains(&PuId(1)));
+        assert_eq!(available(&c), n - 1);
+        assert!(!c.device(PuId(1)).is_available());
         c.device_mut(PuId(1)).restore();
-        assert_eq!(c.available_ids().len(), n);
+        assert_eq!(available(&c), n);
     }
 
     #[test]

@@ -131,7 +131,7 @@ pub enum FaultKind {
 /// Inclusive bounds a drift slowdown factor must lie within — outside
 /// this range a "drift" is really a failure (or a time machine) and
 /// [`FaultPlan::validate`] rejects it.
-pub const DRIFT_FACTOR_RANGE: (f64, f64) = (0.01, 100.0);
+pub(crate) const DRIFT_FACTOR_RANGE: (f64, f64) = (0.01, 100.0);
 
 /// What a unit must do on a given attempt.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -337,7 +337,7 @@ impl FaultPlan {
     /// * attempt windows need `n ≥ 1` and `from + n` must not overflow;
     /// * injected durations (`s`, `max`) must be finite and positive;
     /// * drift factors (`to`, step factors) must lie within
-    ///   [`DRIFT_FACTOR_RANGE`]; step breakpoints must be non-empty and
+    ///   `[0.01, 100]`; step breakpoints must be non-empty and
     ///   strictly increasing; a sinusoid needs `period ≥ 2` and `amp`
     ///   in (0, 1);
     /// * no fault may be listed twice.

@@ -38,8 +38,8 @@ pub use fault::{
     Fault, FaultAction, FaultKind, FaultPlan, FaultSpecError, NodeFault, NodeFaultKind,
     NodeFaultPlan,
 };
-pub use noise::NoiseGen;
-pub use perf::{cpu_peak_gflops, gpu_peak_gflops, DevicePerf};
+
+pub use perf::DevicePerf;
 pub use presets::{cluster_scenario, machine_a, machine_b, machine_c, machine_d, Scenario};
 pub use specs::{CpuSpec, GpuSpec, MachineSpec};
 pub use topology::Topology;

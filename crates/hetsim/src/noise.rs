@@ -10,7 +10,7 @@ use plb_rng::ChaCha8Rng;
 
 /// Per-device noise generator.
 #[derive(Debug, Clone)]
-pub struct NoiseGen {
+pub(crate) struct NoiseGen {
     rng: ChaCha8Rng,
     sigma: f64,
 }
@@ -34,7 +34,7 @@ impl NoiseGen {
     }
 
     /// Next multiplicative factor, always positive and finite.
-    pub fn factor(&mut self) -> f64 {
+    pub(crate) fn factor(&mut self) -> f64 {
         if self.sigma == 0.0 {
             return 1.0;
         }

@@ -23,14 +23,14 @@ use serde::{Deserialize, Serialize};
 /// Peak single-precision GFLOP/s of a CPU: cores × clock × SIMD lanes ×
 /// 2 (FMA), derated to a realistic fraction of theoretical peak for
 /// compiled scalar-ish kernels.
-pub fn cpu_peak_gflops(cpu: &CpuSpec) -> f64 {
+pub(crate) fn cpu_peak_gflops(cpu: &CpuSpec) -> f64 {
     let derate = 0.35; // real kernels rarely sustain full FMA issue
     cpu.cores as f64 * cpu.clock_ghz * cpu.simd_width as f64 * 2.0 * derate
 }
 
 /// Peak single-precision GFLOP/s of a GPU processor: cores × clock × 2,
 /// derated per generation (older architectures sustain less of peak).
-pub fn gpu_peak_gflops(gpu: &GpuSpec) -> f64 {
+pub(crate) fn gpu_peak_gflops(gpu: &GpuSpec) -> f64 {
     // Pre-Fermi parts (GTX 295 era: few, simple SMs per core count)
     // sustain a smaller fraction of theoretical peak on real kernels.
     let derate = if gpu.cuda_cores < 512 { 0.45 } else { 0.60 };
@@ -84,7 +84,7 @@ impl DevicePerf {
 
     /// Occupancy-dependent efficiency for a block exposing `threads`
     /// parallel work units.
-    pub fn efficiency(&self, threads: f64) -> f64 {
+    pub(crate) fn efficiency(&self, threads: f64) -> f64 {
         if threads <= 0.0 {
             return 0.0;
         }

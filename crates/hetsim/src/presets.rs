@@ -201,7 +201,7 @@ mod tests {
     #[test]
     fn single_gpu_mode_has_8_pus_on_4_machines() {
         let ms = cluster_scenario(Scenario::Four, true);
-        let pus: usize = ms.iter().map(|m| m.pu_count()).sum();
+        let pus: usize = ms.iter().map(|m| 1 + m.gpus.len()).sum();
         assert_eq!(pus, 8); // 4 CPUs + 4 GPUs
     }
 

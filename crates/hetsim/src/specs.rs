@@ -53,14 +53,9 @@ pub struct MachineSpec {
 }
 
 impl MachineSpec {
-    /// Total processing units this machine contributes (1 CPU + GPUs).
-    pub fn pu_count(&self) -> usize {
-        1 + self.gpus.len()
-    }
-
     /// Keep only the first GPU processor (the Fig. 6 / Fig. 7 setup uses
     /// "machines A, B, C and D with one GPU per machine").
-    pub fn with_single_gpu(mut self) -> MachineSpec {
+    pub(crate) fn with_single_gpu(mut self) -> MachineSpec {
         self.gpus.truncate(1);
         self
     }
@@ -91,16 +86,6 @@ mod tests {
             mem_bandwidth_gbs: 200.0,
             mem_gb: 4.0,
         }
-    }
-
-    #[test]
-    fn pu_count_includes_cpu() {
-        let m = MachineSpec {
-            name: "X".into(),
-            cpu: cpu(),
-            gpus: vec![gpu("a"), gpu("b")],
-        };
-        assert_eq!(m.pu_count(), 3);
     }
 
     #[test]

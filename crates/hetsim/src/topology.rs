@@ -42,7 +42,7 @@ impl Topology {
     /// True when nodes `a` and `b` are directly connected in an
     /// `n`-node cluster. A node is never adjacent to itself, and ids
     /// at or beyond `n` are adjacent to nothing.
-    pub fn adjacent(&self, a: usize, b: usize, n: usize) -> bool {
+    pub(crate) fn adjacent(&self, a: usize, b: usize, n: usize) -> bool {
         if a == b || a >= n || b >= n || n < 2 {
             return false;
         }
@@ -59,15 +59,6 @@ impl Topology {
     /// Node `a`'s neighbours in an `n`-node cluster, ascending.
     pub fn neighbors(&self, a: usize, n: usize) -> Vec<usize> {
         (0..n).filter(|&b| self.adjacent(a, b, n)).collect()
-    }
-
-    /// The CLI spelling, inverse of [`parse`](Self::parse).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Topology::Full => "full",
-            Topology::Ring => "ring",
-            Topology::Star => "star",
-        }
     }
 }
 

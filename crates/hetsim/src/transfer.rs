@@ -19,14 +19,6 @@ pub struct Link {
 }
 
 impl Link {
-    /// 10-gigabit Ethernet between cluster nodes.
-    pub fn ethernet_10g() -> Link {
-        Link {
-            latency_s: 50e-6,
-            bandwidth_gbs: 1.1,
-        }
-    }
-
     /// The *effective* per-task node-to-node link of a 2015 StarPU-MPI
     /// cluster: raw 10 GbE bandwidth, but ~1 ms of per-task latency —
     /// the MPI request/reply, StarPU-MPI bookkeeping, and TCP stack a
@@ -42,25 +34,9 @@ impl Link {
 
     /// PCIe 2.0 x16 with per-task driver costs (cudaMemcpy setup +
     /// kernel-launch driver path of the era): the default host↔GPU link.
-    pub fn pcie_task() -> Link {
+    pub(crate) fn pcie_task() -> Link {
         Link {
             latency_s: 100e-6,
-            bandwidth_gbs: 6.0,
-        }
-    }
-
-    /// Gigabit Ethernet (commodity-cluster variant used in ablations).
-    pub fn ethernet_1g() -> Link {
-        Link {
-            latency_s: 80e-6,
-            bandwidth_gbs: 0.11,
-        }
-    }
-
-    /// PCIe 2.0 x16 host↔GPU link (the Table I machines' era).
-    pub fn pcie2_x16() -> Link {
-        Link {
-            latency_s: 10e-6,
             bandwidth_gbs: 6.0,
         }
     }
@@ -82,7 +58,7 @@ pub struct TransferPath {
 impl TransferPath {
     /// A path with no hops: data already where it is consumed (the
     /// master's own CPU).
-    pub fn local() -> TransferPath {
+    pub(crate) fn local() -> TransferPath {
         TransferPath { hops: Vec::new() }
     }
 
@@ -92,17 +68,17 @@ impl TransferPath {
     }
 
     /// Path to a CPU on a remote machine: one network hop.
-    pub fn remote_cpu(net: Link) -> TransferPath {
+    pub(crate) fn remote_cpu(net: Link) -> TransferPath {
         TransferPath { hops: vec![net] }
     }
 
     /// Path to a GPU on the master machine: one PCIe hop.
-    pub fn local_gpu(pcie: Link) -> TransferPath {
+    pub(crate) fn local_gpu(pcie: Link) -> TransferPath {
         TransferPath { hops: vec![pcie] }
     }
 
     /// Path to a GPU on a remote machine: network then PCIe.
-    pub fn remote_gpu(net: Link, pcie: Link) -> TransferPath {
+    pub(crate) fn remote_gpu(net: Link, pcie: Link) -> TransferPath {
         TransferPath {
             hops: vec![net, pcie],
         }
@@ -112,11 +88,6 @@ impl TransferPath {
     /// serially: store-and-forward through host memory).
     pub fn time(&self, bytes: f64) -> f64 {
         self.hops.iter().map(|l| l.time(bytes)).sum()
-    }
-
-    /// Number of hops (0 = master-local CPU).
-    pub fn hop_count(&self) -> usize {
-        self.hops.len()
     }
 }
 
@@ -141,23 +112,16 @@ mod tests {
     #[test]
     fn local_path_is_free() {
         assert_eq!(TransferPath::local().time(1e9), 0.0);
-        assert_eq!(TransferPath::local().hop_count(), 0);
     }
 
     #[test]
     fn remote_gpu_slower_than_local_gpu() {
-        let net = Link::ethernet_10g();
-        let pcie = Link::pcie2_x16();
+        let net = Link::cluster_ethernet();
+        let pcie = Link::pcie_task();
         let bytes = 64e6;
         let local = TransferPath::local_gpu(pcie).time(bytes);
         let remote = TransferPath::remote_gpu(net, pcie).time(bytes);
         assert!(remote > local);
         assert!((remote - local - net.time(bytes)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn tenge_faster_than_gige() {
-        let b = 1e8;
-        assert!(Link::ethernet_10g().time(b) < Link::ethernet_1g().time(b));
     }
 }

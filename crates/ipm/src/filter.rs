@@ -15,7 +15,7 @@ const GAMMA_PHI: f64 = 1e-5;
 
 /// One `(constraint violation, barrier objective)` pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FilterEntry {
+pub(crate) struct FilterEntry {
     /// Constraint violation θ = ‖c(x)‖₁.
     pub theta: f64,
     /// Barrier objective φ = f(x) − μ Σ ln(x − lb).
@@ -24,7 +24,7 @@ pub struct FilterEntry {
 
 /// The filter: a non-dominated set of entries.
 #[derive(Debug, Clone, Default)]
-pub struct Filter {
+pub(crate) struct Filter {
     entries: Vec<FilterEntry>,
     /// Upper bound on acceptable constraint violation.
     theta_max: f64,
@@ -39,22 +39,12 @@ impl Filter {
         }
     }
 
-    /// Number of stored entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no entries are stored.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Is a trial point `(theta, phi)` acceptable to the filter?
     ///
     /// Acceptable means: below the hard violation cap, and for every
     /// entry it improves violation or objective by the sufficient-decrease
     /// margin.
-    pub fn acceptable(&self, theta: f64, phi: f64) -> bool {
+    pub(crate) fn acceptable(&self, theta: f64, phi: f64) -> bool {
         if !theta.is_finite() || !phi.is_finite() {
             return false;
         }
@@ -124,7 +114,7 @@ mod tests {
                          // keep entries that a new better point dominates. Insert a point
                          // dominating both:
         f.add(1.0, 1.0);
-        assert_eq!(f.len(), 1);
+        assert_eq!(f.entries.len(), 1);
         assert_eq!(
             f.entries[0],
             FilterEntry {
@@ -147,7 +137,7 @@ mod tests {
         let mut f = Filter::new(10.0);
         f.add(1.0, 1.0);
         f.clear();
-        assert!(f.is_empty());
+        assert!(f.entries.is_empty());
         assert!(f.acceptable(5.0, 5.0));
     }
 }

@@ -261,7 +261,7 @@ pub struct ArrowKktInputs<'a> {
 /// Reusable scratch for [`solve_kkt_arrow_into`] so the solver performs
 /// no per-iteration heap allocation once buffers have grown to size.
 #[derive(Default)]
-pub struct ArrowWorkspace {
+pub(crate) struct ArrowWorkspace {
     d: Vec<f64>,    // slack distances x_i - lb_i
     r1: Vec<f64>,   // variable-row rhs
     dcap: Vec<f64>, // D_i = hess_ii + σ_i + δ
@@ -279,7 +279,7 @@ impl ArrowWorkspace {
 
 /// Solve an arrow-structured KKT system in O(n) time, escalating
 /// regularization as needed. Convenience wrapper over
-/// [`solve_kkt_arrow_into`] that allocates the step and scratch.
+/// `solve_kkt_arrow_into` that allocates the step and scratch.
 pub fn solve_kkt_arrow(inp: &ArrowKktInputs<'_>) -> Result<KktStep, KktError> {
     let mut step = KktStep {
         dx: Vec::new(),
@@ -310,7 +310,7 @@ pub fn solve_kkt_arrow(inp: &ArrowKktInputs<'_>) -> Result<KktStep, KktError> {
 /// The inertia check is exact: the reduced primal block is
 /// `diag(D_i)`, so `D_i > 0` for all `i` is necessary and sufficient
 /// for positive curvature, and `δ` is escalated until it holds.
-pub fn solve_kkt_arrow_into(
+pub(crate) fn solve_kkt_arrow_into(
     inp: &ArrowKktInputs<'_>,
     ws: &mut ArrowWorkspace,
     step: &mut KktStep,

@@ -24,7 +24,7 @@ use crate::nlp::BoxedCurve;
 
 /// Smallest admissible fraction per unit. Strictly positive so the
 /// logarithmic barrier is defined; practically zero work.
-pub const X_MIN: f64 = 1e-9;
+pub(crate) const X_MIN: f64 = 1e-9;
 
 /// The block-partition NLP over `n` processing units.
 ///
@@ -319,7 +319,11 @@ mod tests {
         let rates: Vec<f64> = (0..500).map(|g| 1.0 + (g % 17) as f64 * 0.5).collect();
         let nlp = BlockPartitionNlp::new(rates.iter().map(|&r| linear_curve(r)).collect());
         let sol = solve(&nlp, &IpmOptions::default()).unwrap();
-        assert!(sol.is_usable(1e-6), "{:?}", sol.status);
+        assert!(
+            sol.x.iter().all(|v| v.is_finite()) && sol.constraint_violation <= 1e-6,
+            "{:?}",
+            sol.status
+        );
         let total: f64 = rates.iter().sum();
         for (g, &r) in rates.iter().enumerate().step_by(97) {
             assert!(

@@ -59,7 +59,7 @@ pub struct IterationRecord {
 
 /// A solver result.
 #[derive(Debug, Clone)]
-#[must_use = "a Solution must be checked (`is_usable`/`status`) before its point is trusted"]
+#[must_use = "a Solution must be checked (`status`) before its point is trusted"]
 pub struct Solution {
     /// Final primal point `[x_1, ..., x_n, T]`.
     pub x: Vec<f64>,
@@ -79,14 +79,6 @@ pub struct Solution {
     pub status: IpmStatus,
     /// Per-iteration log, one record per iteration taken.
     pub iteration_log: Vec<IterationRecord>,
-}
-
-impl Solution {
-    /// True when the point is usable: optimal, or stopped early but with
-    /// small constraint violation and finite values.
-    pub fn is_usable(&self, feas_tol: f64) -> bool {
-        self.x.iter().all(|v| v.is_finite()) && self.constraint_violation <= feas_tol
-    }
 }
 
 /// Hard errors (numerics, not convergence).

@@ -137,8 +137,23 @@ impl BasisFn {
     }
 }
 
-/// The model forms [`BasisSet::candidate_models`] returns, in the order
-/// the best-subset fit tries them.
+/// The candidate model forms tried by the performance-modeling phase,
+/// in the order the best-subset fit tries them.
+///
+/// The paper fits "a function of the form a1 f1(x)+...+an fn(x)" over
+/// its basis set. Throwing all eight functions into a single
+/// regression on a handful of probe points overfits and produces
+/// wildly collinear columns, so — like any practical implementation —
+/// we perform model selection over curated subsets that each capture
+/// one plausible application shape, and keep the best adjusted fit:
+///
+/// * linear / affine — O(n) kernels (Black-Scholes);
+/// * quadratic and cubic polynomials — O(n²)/O(n³) kernels (MM, GRN);
+/// * log-augmented affine — GPU curves that flatten once occupancy
+///   saturates (the HDSS observation);
+/// * `x ln x` — divide-and-conquer kernels;
+/// * exponential forms — kernels that degrade past cache/memory
+///   capacity.
 pub(crate) static CANDIDATE_MODELS: [&[BasisFn]; 10] = {
     use BasisFn::*;
     [
@@ -190,36 +205,10 @@ impl BasisSet {
         self.funcs.is_empty()
     }
 
-    /// Evaluate every function at `x` into `out`.
-    pub fn eval_row(&self, x: f64, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(self.funcs.iter().map(|f| f.eval(x)));
-    }
-
     /// Linear model `G_p[x] = a_1 x + a_2` used for transfer times
     /// (Equation 2 of the paper).
-    pub fn transfer_linear() -> Self {
+    pub(crate) fn transfer_linear() -> Self {
         BasisSet::new(&[BasisFn::X, BasisFn::One])
-    }
-
-    /// The candidate model forms tried by the performance-modeling phase.
-    ///
-    /// The paper fits "a function of the form a1 f1(x)+...+an fn(x)" over
-    /// its basis set. Throwing all eight functions into a single
-    /// regression on a handful of probe points overfits and produces
-    /// wildly collinear columns, so — like any practical implementation —
-    /// we perform model selection over curated subsets that each capture
-    /// one plausible application shape, and keep the best adjusted fit:
-    ///
-    /// * linear / affine — O(n) kernels (Black-Scholes);
-    /// * quadratic and cubic polynomials — O(n²)/O(n³) kernels (MM, GRN);
-    /// * log-augmented affine — GPU curves that flatten once occupancy
-    ///   saturates (the HDSS observation);
-    /// * `x ln x` — divide-and-conquer kernels;
-    /// * exponential forms — kernels that degrade past cache/memory
-    ///   capacity.
-    pub fn candidate_models() -> Vec<BasisSet> {
-        CANDIDATE_MODELS.iter().map(|f| BasisSet::new(f)).collect()
     }
 
     /// Human-readable model form, e.g. `a0*1 + a1*x + a2*x^2`, written
@@ -315,14 +304,6 @@ mod tests {
     }
 
     #[test]
-    fn eval_row_layout() {
-        let s = BasisSet::new(&[BasisFn::One, BasisFn::X, BasisFn::X2]);
-        let mut row = Vec::new();
-        s.eval_row(3.0, &mut row);
-        assert_eq!(row, vec![1.0, 3.0, 9.0]);
-    }
-
-    #[test]
     fn transfer_model_is_affine() {
         let t = BasisSet::transfer_linear();
         assert_eq!(t.funcs(), &[BasisFn::X, BasisFn::One]);
@@ -332,10 +313,9 @@ mod tests {
     fn candidate_models_cover_paper_basis() {
         // Every basis function of the paper appears in at least one
         // candidate model.
-        let cands = BasisSet::candidate_models();
         for f in BasisFn::ALL {
             assert!(
-                cands.iter().any(|c| c.funcs().contains(&f)),
+                CANDIDATE_MODELS.iter().any(|c| c.contains(&f)),
                 "{} missing from candidate models",
                 f.name()
             );
@@ -350,7 +330,7 @@ mod tests {
 
     #[test]
     fn describe_is_the_joined_terms_in_a_string_that_never_grew() {
-        let mut sets = BasisSet::candidate_models();
+        let mut sets: Vec<BasisSet> = CANDIDATE_MODELS.iter().map(|f| BasisSet::new(f)).collect();
         sets.push(BasisSet::new(&BasisFn::ALL));
         sets.push(BasisSet::new(&[BasisFn::XExpX]));
         for set in sets {

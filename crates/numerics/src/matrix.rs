@@ -14,9 +14,8 @@ use std::ops::{Index, IndexMut};
 /// use plb_numerics::Mat;
 ///
 /// let a = Mat::from_rows(2, 2, &[1.0, 2.0, 3.0, 4.0]);
-/// let b = a.matmul(&Mat::identity(2));
-/// assert_eq!(a, b);
-/// assert_eq!(a.matvec(&[1.0, 1.0]), vec![3.0, 7.0]);
+/// assert_eq!(a.row(1), &[3.0, 4.0]);
+/// assert_eq!(a.tr_matvec(&[1.0, 1.0]), vec![4.0, 6.0]);
 /// ```
 #[derive(Clone, PartialEq)]
 pub struct Mat {
@@ -61,17 +60,6 @@ impl Mat {
         }
     }
 
-    /// Build a matrix by evaluating `f(row, col)` at every position.
-    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
-        let mut m = Mat::zeros(rows, cols);
-        for i in 0..rows {
-            for j in 0..cols {
-                m[(i, j)] = f(i, j);
-            }
-        }
-        m
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -83,18 +71,8 @@ impl Mat {
     }
 
     /// True when the matrix is square.
-    pub fn is_square(&self) -> bool {
+    pub(crate) fn is_square(&self) -> bool {
         self.rows == self.cols
-    }
-
-    /// Borrow the underlying row-major storage.
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// Mutably borrow the underlying row-major storage.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
     }
 
     /// Borrow row `i` as a slice.
@@ -106,79 +84,6 @@ impl Mat {
             self.rows
         );
         &self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Mutably borrow row `i` as a slice.
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        assert!(
-            i < self.rows,
-            "row {} out of bounds ({} rows)",
-            i,
-            self.rows
-        );
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Copy of column `j`.
-    pub fn col(&self, j: usize) -> Vec<f64> {
-        assert!(
-            j < self.cols,
-            "col {} out of bounds ({} cols)",
-            j,
-            self.cols
-        );
-        (0..self.rows).map(|i| self[(i, j)]).collect()
-    }
-
-    /// Transposed copy.
-    pub fn transpose(&self) -> Mat {
-        let mut t = Mat::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                t[(j, i)] = self[(i, j)];
-            }
-        }
-        t
-    }
-
-    /// Matrix-matrix product `self * rhs`.
-    pub fn matmul(&self, rhs: &Mat) -> Mat {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "matmul: inner dimensions differ ({}x{} * {}x{})",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let mut out = Mat::zeros(self.rows, rhs.cols);
-        // i-k-j loop order keeps the inner accesses sequential in memory.
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
-                if a == 0.0 {
-                    continue;
-                }
-                let rrow = rhs.row(k);
-                let orow = out.row_mut(i);
-                for j in 0..rhs.cols {
-                    orow[j] += a * rrow[j];
-                }
-            }
-        }
-        out
-    }
-
-    /// Matrix-vector product `self * v`.
-    pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            self.cols,
-            v.len(),
-            "matvec: dimension mismatch ({}x{} * {})",
-            self.rows,
-            self.cols,
-            v.len()
-        );
-        (0..self.rows)
-            .map(|i| self.row(i).iter().zip(v).map(|(a, b)| a * b).sum())
-            .collect()
     }
 
     /// Transposed matrix-vector product `selfᵀ * v`.
@@ -202,95 +107,6 @@ impl Mat {
             }
         }
         out
-    }
-
-    /// `selfᵀ * self` (the normal-equations Gram matrix).
-    pub fn gram(&self) -> Mat {
-        let mut g = Mat::zeros(self.cols, self.cols);
-        for k in 0..self.rows {
-            let row = self.row(k);
-            for i in 0..self.cols {
-                let a = row[i];
-                if a == 0.0 {
-                    continue;
-                }
-                for j in i..self.cols {
-                    g[(i, j)] += a * row[j];
-                }
-            }
-        }
-        // Mirror the upper triangle.
-        for i in 0..self.cols {
-            for j in 0..i {
-                g[(i, j)] = g[(j, i)];
-            }
-        }
-        g
-    }
-
-    /// In-place scalar multiplication.
-    pub fn scale(&mut self, s: f64) {
-        for v in &mut self.data {
-            *v *= s;
-        }
-    }
-
-    /// Element-wise sum `self + rhs`.
-    pub fn add(&self, rhs: &Mat) -> Mat {
-        assert_eq!(
-            (self.rows, self.cols),
-            (rhs.rows, rhs.cols),
-            "add: shape mismatch"
-        );
-        let data = self
-            .data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(a, b)| a + b)
-            .collect();
-        Mat {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-
-    /// Element-wise difference `self - rhs`.
-    pub fn sub(&self, rhs: &Mat) -> Mat {
-        assert_eq!(
-            (self.rows, self.cols),
-            (rhs.rows, rhs.cols),
-            "sub: shape mismatch"
-        );
-        let data = self
-            .data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(a, b)| a - b)
-            .collect();
-        Mat {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-
-    /// Add `s` to every diagonal entry (Hessian regularization).
-    pub fn add_diag(&mut self, s: f64) {
-        let n = self.rows.min(self.cols);
-        for i in 0..n {
-            self[(i, i)] += s;
-        }
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
-    /// Max absolute element.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0f64, |m, v| m.max(v.abs()))
     }
 
     /// True if every element is finite.
@@ -334,27 +150,37 @@ impl fmt::Debug for Mat {
     }
 }
 
-/// Dot product of two equal-length slices.
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dot: length mismatch");
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
+/// Test-only constructors and products.
+#[cfg(test)]
+impl Mat {
+    /// Build a matrix by evaluating `f(row, col)` at every position.
+    pub(crate) fn from_fn(
+        rows: usize,
+        cols: usize,
+        mut f: impl FnMut(usize, usize) -> f64,
+    ) -> Self {
+        let mut m = Mat::zeros(rows, cols);
+        for i in 0..rows {
+            for j in 0..cols {
+                m[(i, j)] = f(i, j);
+            }
+        }
+        m
+    }
 
-/// Euclidean norm of a slice.
-pub fn norm2(v: &[f64]) -> f64 {
-    dot(v, v).sqrt()
-}
-
-/// Infinity norm of a slice.
-pub fn norm_inf(v: &[f64]) -> f64 {
-    v.iter().fold(0.0f64, |m, x| m.max(x.abs()))
-}
-
-/// `y += alpha * x` (axpy).
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
+    /// Matrix-vector product `self * v`.
+    pub(crate) fn matvec(&self, v: &[f64]) -> Vec<f64> {
+        assert_eq!(
+            self.cols,
+            v.len(),
+            "matvec: dimension mismatch ({}x{} * {})",
+            self.rows,
+            self.cols,
+            v.len()
+        );
+        (0..self.rows)
+            .map(|i| self.row(i).iter().zip(v).map(|(a, b)| a * b).sum())
+            .collect()
     }
 }
 
@@ -367,7 +193,7 @@ mod tests {
         let z = Mat::zeros(2, 3);
         assert_eq!(z.rows(), 2);
         assert_eq!(z.cols(), 3);
-        assert!(z.as_slice().iter().all(|&v| v == 0.0));
+        assert!(z.data.iter().all(|&v| v == 0.0));
 
         let i = Mat::identity(3);
         for r in 0..3 {
@@ -393,33 +219,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_involution() {
-        let m = Mat::from_rows(2, 3, &[1., 2., 3., 4., 5., 6.]);
-        let t = m.transpose();
-        assert_eq!(t.rows(), 3);
-        assert_eq!(t.cols(), 2);
-        assert_eq!(t[(2, 1)], 6.0);
-        assert_eq!(t.transpose(), m);
-    }
-
-    #[test]
-    fn matmul_known() {
-        let a = Mat::from_rows(2, 2, &[1., 2., 3., 4.]);
-        let b = Mat::from_rows(2, 2, &[5., 6., 7., 8.]);
-        let c = a.matmul(&b);
-        assert_eq!(c.as_slice(), &[19., 22., 43., 50.]);
-    }
-
-    #[test]
-    fn matmul_identity_is_noop() {
-        let a = Mat::from_rows(2, 3, &[1., 2., 3., 4., 5., 6.]);
-        let c = Mat::identity(2).matmul(&a);
-        assert_eq!(c, a);
-        let c = a.matmul(&Mat::identity(3));
-        assert_eq!(c, a);
-    }
-
-    #[test]
     fn matvec_and_transposed() {
         let a = Mat::from_rows(2, 3, &[1., 2., 3., 4., 5., 6.]);
         assert_eq!(a.matvec(&[1., 1., 1.]), vec![6., 15.]);
@@ -427,52 +226,9 @@ mod tests {
     }
 
     #[test]
-    fn gram_matches_explicit_product() {
-        let a = Mat::from_rows(3, 2, &[1., 2., 3., 4., 5., 6.]);
-        let g = a.gram();
-        let explicit = a.transpose().matmul(&a);
-        for i in 0..2 {
-            for j in 0..2 {
-                assert!((g[(i, j)] - explicit[(i, j)]).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn add_sub_scale_diag() {
-        let a = Mat::from_rows(2, 2, &[1., 2., 3., 4.]);
-        let b = Mat::from_rows(2, 2, &[4., 3., 2., 1.]);
-        assert_eq!(a.add(&b).as_slice(), &[5., 5., 5., 5.]);
-        assert_eq!(a.sub(&b).as_slice(), &[-3., -1., 1., 3.]);
-        let mut c = a.clone();
-        c.scale(2.0);
-        assert_eq!(c.as_slice(), &[2., 4., 6., 8.]);
-        let mut d = a;
-        d.add_diag(10.0);
-        assert_eq!(d.as_slice(), &[11., 2., 3., 14.]);
-    }
-
-    #[test]
-    fn norms() {
-        let m = Mat::from_rows(1, 2, &[3., -4.]);
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-12);
-        assert_eq!(m.max_abs(), 4.0);
-        assert!((norm2(&[3., 4.]) - 5.0).abs() < 1e-12);
-        assert_eq!(norm_inf(&[1., -7., 3.]), 7.0);
-    }
-
-    #[test]
-    fn axpy_accumulates() {
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[3.0, 4.0], &mut y);
-        assert_eq!(y, vec![7.0, 9.0]);
-    }
-
-    #[test]
-    fn row_col_access() {
+    fn row_access() {
         let m = Mat::from_rows(2, 3, &[1., 2., 3., 4., 5., 6.]);
         assert_eq!(m.row(1), &[4., 5., 6.]);
-        assert_eq!(m.col(2), vec![3., 6.]);
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! Direct dense solvers: LU with partial pivoting, Cholesky, Householder
-//! QR, and linear least squares.
+//! Direct dense solvers: LU with partial pivoting, and linear least
+//! squares by Householder QR.
 //!
 //! These cover every linear-algebra need of the workspace: the
 //! least-squares curve fits of the performance-modeling phase (QR), and
-//! the symmetric KKT systems of the interior-point solver (LU / Cholesky
-//! with diagonal regularization).
+//! the dense KKT oracle of the interior-point solver (LU).
 
 use crate::matrix::Mat;
 
@@ -16,12 +15,6 @@ pub enum LinAlgError {
         /// Magnitude of the offending pivot.
         pivot: f64,
         /// Column index where elimination failed.
-        index: usize,
-    },
-    /// Cholesky hit a non-positive diagonal: matrix is not positive
-    /// definite.
-    NotPositiveDefinite {
-        /// Diagonal index where positivity failed.
         index: usize,
     },
     /// Shapes are inconsistent with the requested operation.
@@ -39,9 +32,6 @@ impl std::fmt::Display for LinAlgError {
             LinAlgError::Singular { pivot, index } => {
                 write!(f, "singular matrix: pivot {pivot:.3e} at column {index}")
             }
-            LinAlgError::NotPositiveDefinite { index } => {
-                write!(f, "matrix not positive definite at diagonal {index}")
-            }
             LinAlgError::ShapeMismatch { detail } => write!(f, "shape mismatch: {detail}"),
             LinAlgError::NotFinite => write!(f, "non-finite values in input"),
         }
@@ -58,8 +48,6 @@ pub struct Lu {
     lu: Mat,
     /// Row permutation: `perm[i]` is the source row of factored row `i`.
     perm: Vec<usize>,
-    /// Sign of the permutation (for determinants).
-    sign: f64,
 }
 
 impl Lu {
@@ -76,7 +64,6 @@ impl Lu {
         let n = a.rows();
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0;
 
         for k in 0..n {
             // Partial pivoting: pick the largest magnitude in column k.
@@ -102,7 +89,6 @@ impl Lu {
                     lu[(p, j)] = tmp;
                 }
                 perm.swap(k, p);
-                sign = -sign;
             }
             let pivot = lu[(k, k)];
             for i in (k + 1)..n {
@@ -117,7 +103,7 @@ impl Lu {
                 }
             }
         }
-        Ok(Lu { lu, perm, sign })
+        Ok(Lu { lu, perm })
     }
 
     /// Solve `A x = b` using the factorization.
@@ -147,94 +133,12 @@ impl Lu {
         }
         Ok(x)
     }
-
-    /// Determinant from the factorization.
-    pub fn det(&self) -> f64 {
-        let n = self.lu.rows();
-        (0..n).map(|i| self.lu[(i, i)]).product::<f64>() * self.sign
-    }
-}
-
-/// Cholesky factorization `A = L Lᵀ` of a symmetric positive-definite
-/// matrix. Only the lower triangle of the input is read.
-pub struct Cholesky {
-    l: Mat,
-}
-
-impl Cholesky {
-    /// Factor a symmetric positive definite matrix.
-    pub fn factor(a: &Mat) -> Result<Cholesky, LinAlgError> {
-        if !a.is_square() {
-            return Err(LinAlgError::ShapeMismatch {
-                detail: format!(
-                    "Cholesky requires square matrix, got {}x{}",
-                    a.rows(),
-                    a.cols()
-                ),
-            });
-        }
-        if !a.is_finite() {
-            return Err(LinAlgError::NotFinite);
-        }
-        let n = a.rows();
-        let mut l = Mat::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut s = a[(i, j)];
-                for k in 0..j {
-                    s -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if s <= 0.0 || !s.is_finite() {
-                        return Err(LinAlgError::NotPositiveDefinite { index: i });
-                    }
-                    l[(i, j)] = s.sqrt();
-                } else {
-                    l[(i, j)] = s / l[(j, j)];
-                }
-            }
-        }
-        Ok(Cholesky { l })
-    }
-
-    /// Solve `A x = b`.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinAlgError> {
-        let n = self.l.rows();
-        if b.len() != n {
-            return Err(LinAlgError::ShapeMismatch {
-                detail: format!("rhs length {} != {}", b.len(), n),
-            });
-        }
-        let mut y = b.to_vec();
-        // Forward: L y = b.
-        for i in 0..n {
-            let mut s = y[i];
-            for j in 0..i {
-                s -= self.l[(i, j)] * y[j];
-            }
-            y[i] = s / self.l[(i, i)];
-        }
-        // Backward: Lᵀ x = y.
-        for i in (0..n).rev() {
-            let mut s = y[i];
-            for j in (i + 1)..n {
-                s -= self.l[(j, i)] * y[j];
-            }
-            y[i] = s / self.l[(i, i)];
-        }
-        Ok(y)
-    }
-
-    /// Access the lower factor.
-    pub fn l(&self) -> &Mat {
-        &self.l
-    }
 }
 
 /// Householder QR of the row-major `m x n` matrix in `a` (`m >= n`), in
 /// place: reflector vectors end up below the diagonal, R on and above
 /// it, the reflector scalars in `tau` (length `n`). The one copy of the
-/// factorization loops; [`Qr`] and [`lstsq`] both run it.
+/// factorization loops, which [`lstsq`] runs.
 fn householder_factor(
     a: &mut [f64],
     m: usize,
@@ -334,54 +238,6 @@ fn householder_solve(
         x[i] = s / d;
     }
     Ok(())
-}
-
-/// Householder QR factorization of a (possibly tall) matrix.
-pub struct Qr {
-    /// Packed Householder vectors below the diagonal; R on and above it.
-    qr: Mat,
-    /// Householder scalar coefficients.
-    tau: Vec<f64>,
-}
-
-impl Qr {
-    /// Factor an `m x n` matrix with `m >= n`.
-    pub fn factor(a: &Mat) -> Result<Qr, LinAlgError> {
-        let (m, n) = (a.rows(), a.cols());
-        let mut qr = a.clone();
-        let mut tau = vec![0.0; n];
-        householder_factor(qr.as_mut_slice(), m, n, &mut tau)?;
-        Ok(Qr { qr, tau })
-    }
-
-    /// Least-squares solve: minimize `||A x - b||_2`.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinAlgError> {
-        let (m, n) = (self.qr.rows(), self.qr.cols());
-        if b.len() != m {
-            return Err(LinAlgError::ShapeMismatch {
-                detail: format!("rhs length {} != {}", b.len(), m),
-            });
-        }
-        let mut y = b.to_vec();
-        let mut x = vec![0.0; n];
-        householder_solve(self.qr.as_slice(), m, n, &self.tau, &mut y, &mut x)?;
-        Ok(x)
-    }
-}
-
-/// Convenience: solve `A x = b` by LU.
-pub fn lu_solve(a: &Mat, b: &[f64]) -> Result<Vec<f64>, LinAlgError> {
-    Lu::factor(a)?.solve(b)
-}
-
-/// Convenience: solve SPD `A x = b` by Cholesky.
-pub fn cholesky_solve(a: &Mat, b: &[f64]) -> Result<Vec<f64>, LinAlgError> {
-    Cholesky::factor(a)?.solve(b)
-}
-
-/// Convenience: least squares via QR.
-pub fn qr_solve(a: &Mat, b: &[f64]) -> Result<Vec<f64>, LinAlgError> {
-    Qr::factor(a)?.solve(b)
 }
 
 /// Scratch of one [`lstsq_into`] solve of an `m x n` system, provided
@@ -512,7 +368,7 @@ mod tests {
     #[test]
     fn lu_solves_known_system() {
         let a = Mat::from_rows(3, 3, &[2., 1., 1., 1., 3., 2., 1., 0., 0.]);
-        let x = lu_solve(&a, &[4., 5., 6.]).unwrap();
+        let x = Lu::factor(&a).unwrap().solve(&[4., 5., 6.]).unwrap();
         // Check residual instead of hand-computing the solution.
         let r = a.matvec(&x);
         assert_close(&r, &[4., 5., 6.], 1e-10);
@@ -532,52 +388,12 @@ mod tests {
     }
 
     #[test]
-    fn lu_det_of_permuted_identity() {
-        // Swapping two rows of I gives det = -1.
-        let a = Mat::from_rows(2, 2, &[0., 1., 1., 0.]);
-        let f = Lu::factor(&a).unwrap();
-        assert!((f.det() + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cholesky_solves_spd() {
-        // A = Mᵀ M + I is SPD.
-        let m = Mat::from_rows(3, 3, &[1., 2., 0., 0., 1., 1., 1., 0., 1.]);
-        let mut a = m.gram();
-        a.add_diag(1.0);
-        let b = [1., 2., 3.];
-        let x = cholesky_solve(&a, &b).unwrap();
-        assert_close(&a.matvec(&x), &b, 1e-10);
-    }
-
-    #[test]
-    fn cholesky_rejects_indefinite() {
-        let a = Mat::from_rows(2, 2, &[1., 0., 0., -1.]);
-        assert!(matches!(
-            Cholesky::factor(&a),
-            Err(LinAlgError::NotPositiveDefinite { .. })
-        ));
-    }
-
-    #[test]
-    fn cholesky_factor_reconstructs() {
-        let m = Mat::from_rows(3, 3, &[2., 1., 0., 1., 3., 1., 0., 1., 4.]);
-        let f = Cholesky::factor(&m).unwrap();
-        let rec = f.l().matmul(&f.l().transpose());
-        for i in 0..3 {
-            for j in 0..3 {
-                assert!((rec[(i, j)] - m[(i, j)]).abs() < 1e-10);
-            }
-        }
-    }
-
-    #[test]
     fn qr_least_squares_overdetermined() {
         // Fit y = 2x + 1 through noisy-free points: exact recovery.
         let xs = [0.0, 1.0, 2.0, 3.0];
         let a = Mat::from_fn(4, 2, |i, j| if j == 0 { xs[i] } else { 1.0 });
         let b: Vec<f64> = xs.iter().map(|x| 2.0 * x + 1.0).collect();
-        let sol = qr_solve(&a, &b).unwrap();
+        let sol = lstsq(&a, &b).unwrap();
         assert_close(&sol, &[2.0, 1.0], 1e-10);
     }
 
@@ -585,16 +401,16 @@ mod tests {
     fn qr_square_matches_lu() {
         let a = Mat::from_rows(3, 3, &[4., 1., 2., 1., 3., 0., 2., 0., 5.]);
         let b = [1., 2., 3.];
-        let xq = qr_solve(&a, &b).unwrap();
-        let xl = lu_solve(&a, &b).unwrap();
+        let xq = lstsq(&a, &b).unwrap();
+        let xl = Lu::factor(&a).unwrap().solve(&b).unwrap();
         assert_close(&xq, &xl, 1e-9);
     }
 
     #[test]
-    fn qr_rejects_wide() {
-        let a = Mat::zeros(2, 3);
+    fn lstsq_rejects_wide() {
+        let a = Mat::from_rows(2, 3, &[1., 2., 3., 4., 5., 6.]);
         assert!(matches!(
-            Qr::factor(&a),
+            lstsq(&a, &[0.0, 0.0]),
             Err(LinAlgError::ShapeMismatch { .. })
         ));
     }
@@ -635,5 +451,75 @@ mod tests {
         let a = Mat::zeros(3, 2);
         let x = lstsq(&a, &[1., 2., 3.]).unwrap();
         assert_eq!(x, vec![0.0, 0.0]);
+    }
+
+    // Edge cases beyond the one-property tests above.
+
+    #[test]
+    fn one_by_one_systems() {
+        let a = Mat::from_rows(1, 1, &[4.0]);
+        assert_eq!(Lu::factor(&a).unwrap().solve(&[8.0]).unwrap(), vec![2.0]);
+        assert_eq!(lstsq(&a, &[8.0]).unwrap(), vec![2.0]);
+    }
+
+    #[test]
+    fn tall_least_squares_residual_is_orthogonal() {
+        // m=6, n=2: the residual of the LS solution must be orthogonal to
+        // the column space.
+        let a = Mat::from_fn(6, 2, |i, j| ((i + 1) as f64).powi(j as i32 + 1));
+        let b: Vec<f64> = (0..6)
+            .map(|i| (i as f64) * 1.3 - 2.0 + ((i * i) as f64) * 0.1)
+            .collect();
+        let x = lstsq(&a, &b).unwrap();
+        let ax = a.matvec(&x);
+        let r: Vec<f64> = b.iter().zip(&ax).map(|(bi, ai)| bi - ai).collect();
+        let atr = a.tr_matvec(&r);
+        for v in atr {
+            assert!(v.abs() < 1e-8, "residual not orthogonal: {v}");
+        }
+    }
+
+    #[test]
+    fn lstsq_with_more_columns_than_independent_data_shapes() {
+        // 4 samples, 3 columns where col2 = 2*col1: collinear. Plain QR
+        // would fail; lstsq's scaling doesn't fix rank deficiency, so the
+        // call may error — the contract is that it never panics and never
+        // returns NaN.
+        let a = Mat::from_fn(4, 3, |i, j| match j {
+            0 => 1.0,
+            1 => (i + 1) as f64,
+            _ => 2.0 * (i + 1) as f64,
+        });
+        let b = vec![1.0, 2.0, 3.0, 4.0];
+        // Rank-deficient: an error is acceptable.
+        if let Ok(x) = lstsq(&a, &b) {
+            assert!(x.iter().all(|v| v.is_finite()));
+        }
+    }
+
+    #[test]
+    fn solvers_reject_dimension_mismatches() {
+        let a = Mat::identity(3);
+        assert!(Lu::factor(&a).unwrap().solve(&[1.0, 2.0]).is_err());
+        assert!(lstsq(&a, &[1.0, 2.0, 3.0, 4.0]).is_err());
+    }
+
+    #[test]
+    fn large_well_conditioned_system_round_trips() {
+        // 40x40 diagonally dominant: residual stays tiny.
+        let n = 40;
+        let a = Mat::from_fn(n, n, |i, j| {
+            if i == j {
+                100.0
+            } else {
+                ((i * 31 + j * 17) % 13) as f64 / 13.0 - 0.5
+            }
+        });
+        let truth: Vec<f64> = (0..n).map(|i| (i as f64 - 20.0) / 7.0).collect();
+        let b = a.matvec(&truth);
+        let x = Lu::factor(&a).unwrap().solve(&b).unwrap();
+        for (xi, ti) in x.iter().zip(&truth) {
+            assert!((xi - ti).abs() < 1e-9, "{xi} vs {ti}");
+        }
     }
 }

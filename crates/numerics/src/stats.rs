@@ -11,20 +11,6 @@ pub fn mean(v: &[f64]) -> f64 {
     v.iter().sum::<f64>() / v.len() as f64
 }
 
-/// Population variance. Returns 0 for slices with fewer than 2 elements.
-pub fn variance(v: &[f64]) -> f64 {
-    if v.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(v);
-    v.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / v.len() as f64
-}
-
-/// Population standard deviation.
-pub fn stddev(v: &[f64]) -> f64 {
-    variance(v).sqrt()
-}
-
 /// Sample standard deviation (n-1 denominator), as reported by the paper
 /// for its 10-run experiment protocol.
 pub fn sample_stddev(v: &[f64]) -> f64 {
@@ -96,41 +82,6 @@ pub fn confidence95_half_width(v: &[f64]) -> f64 {
     t * sample_stddev(v) / (n as f64).sqrt()
 }
 
-/// p-quantile (0 ≤ p ≤ 1) by linear interpolation on the sorted sample.
-pub fn quantile(v: &[f64], p: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&p), "quantile p out of range");
-    if v.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = v.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let last = sorted.len() - 1;
-    let pos = p * last as f64;
-    let (lo, hi) = match (crate::cast::floor_usize(pos), crate::cast::ceil_usize(pos)) {
-        (Some(lo), Some(hi)) => (lo.min(last), hi.min(last)),
-        // Unreachable for p in [0, 1] and a non-empty sample, but keep
-        // a well-defined fallback rather than a panic path.
-        _ => (last, last),
-    };
-    if lo == hi {
-        sorted[lo]
-    } else {
-        let w = pos - lo as f64;
-        sorted[lo] * (1.0 - w) + sorted[hi] * w
-    }
-}
-
-/// Relative difference `|a - b| / max(|a|, |b|)`, 0 when both are 0.
-/// Used for rebalance-threshold checks on finish times.
-pub fn rel_diff(a: f64, b: f64) -> f64 {
-    let m = a.abs().max(b.abs());
-    if m == 0.0 {
-        0.0
-    } else {
-        (a - b).abs() / m
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,14 +91,6 @@ mod tests {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[2.0]), 2.0);
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
-    }
-
-    #[test]
-    fn variance_and_stddev() {
-        assert_eq!(variance(&[5.0]), 0.0);
-        let v = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        assert!((variance(&v) - 4.0).abs() < 1e-12);
-        assert!((stddev(&v) - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -208,27 +151,5 @@ mod tests {
         let expect = 2.262 * sample_stddev(&v) / 10.0f64.sqrt();
         assert!((hw - expect).abs() < 1e-12);
         assert_eq!(confidence95_half_width(&[1.0]), 0.0);
-    }
-
-    #[test]
-    fn quantile_interpolates() {
-        let v = [4.0, 1.0, 3.0, 2.0];
-        assert_eq!(quantile(&v, 0.0), 1.0);
-        assert_eq!(quantile(&v, 1.0), 4.0);
-        assert!((quantile(&v, 0.5) - 2.5).abs() < 1e-12);
-        assert_eq!(quantile(&[], 0.5), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn quantile_rejects_bad_p() {
-        quantile(&[1.0], 1.5);
-    }
-
-    #[test]
-    fn rel_diff_cases() {
-        assert_eq!(rel_diff(0.0, 0.0), 0.0);
-        assert!((rel_diff(10.0, 11.0) - 1.0 / 11.0).abs() < 1e-15);
-        assert!((rel_diff(-2.0, 2.0) - 2.0).abs() < 1e-15);
     }
 }

@@ -1,8 +1,6 @@
 //! Property-based tests for the numerics crate.
 
-use plb_numerics::{
-    fit_best_model, fit_linear, lstsq, qr_solve, r_squared, BasisFn, Cholesky, Lu, Mat,
-};
+use plb_numerics::{fit_best_model, fit_linear, lstsq, r_squared, BasisFn, Lu, Mat};
 use proptest::prelude::*;
 
 /// A well-conditioned random square matrix: diagonally dominant.
@@ -23,25 +21,11 @@ proptest! {
         b in proptest::collection::vec(-10.0f64..10.0, 4),
     ) {
         let x = Lu::factor(&a).unwrap().solve(&b).unwrap();
-        let r = a.matvec(&x);
+        let r: Vec<f64> = (0..4)
+            .map(|i| a.row(i).iter().zip(&x).map(|(aij, xj)| aij * xj).sum())
+            .collect();
         for (ri, bi) in r.iter().zip(&b) {
             prop_assert!((ri - bi).abs() < 1e-8, "residual {ri} vs {bi}");
-        }
-    }
-
-    #[test]
-    fn cholesky_solves_gram_systems(
-        v in proptest::collection::vec(-2.0f64..2.0, 12),
-        b in proptest::collection::vec(-5.0f64..5.0, 3),
-    ) {
-        // A = MᵀM + I is always symmetric positive definite.
-        let m = Mat::from_rows(4, 3, &v);
-        let mut a = m.gram();
-        a.add_diag(1.0);
-        let x = Cholesky::factor(&a).unwrap().solve(&b).unwrap();
-        let r = a.matvec(&x);
-        for (ri, bi) in r.iter().zip(&b) {
-            prop_assert!((ri - bi).abs() < 1e-8);
         }
     }
 
@@ -50,7 +34,7 @@ proptest! {
         a in dominant_matrix(3),
         b in proptest::collection::vec(-5.0f64..5.0, 3),
     ) {
-        let xq = qr_solve(&a, &b).unwrap();
+        let xq = lstsq(&a, &b).unwrap();
         let xl = Lu::factor(&a).unwrap().solve(&b).unwrap();
         for (q, l) in xq.iter().zip(&xl) {
             prop_assert!((q - l).abs() < 1e-7);
@@ -137,7 +121,10 @@ proptest! {
     fn lstsq_zero_columns_never_fail(
         ys in proptest::collection::vec(-10.0f64..10.0, 4),
     ) {
-        let a = Mat::from_fn(4, 3, |i, j| if j == 1 { 0.0 } else { (i + j) as f64 + 1.0 });
+        let values: Vec<f64> = (0..12)
+            .map(|k| if k % 3 == 1 { 0.0 } else { (k / 3 + k % 3) as f64 + 1.0 })
+            .collect();
+        let a = Mat::from_rows(4, 3, &values);
         let x = lstsq(&a, &ys).unwrap();
         prop_assert_eq!(x[1], 0.0);
     }

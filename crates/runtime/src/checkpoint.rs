@@ -20,8 +20,7 @@
 //!   resumed from.
 //! * **Workload identity.** A snapshot names the policy, total item
 //!   count, unit count, total cost and node roster it was taken under;
-//!   [`Checkpoint::matches`] rejects resuming it under a different
-//!   workload.
+//!   resuming it under a different workload is refused.
 //! * **One version.** [`load`] reads only the version this build writes
 //!   ([`CHECKPOINT_FORMAT_VERSION`]).
 //!
@@ -121,7 +120,7 @@ impl Checkpoint {
     /// Structural validity: the current version, completed ranges sorted,
     /// non-empty, disjoint and in bounds, unit list sized to the
     /// workload.
-    pub fn validate(&self) -> Result<(), CheckpointError> {
+    pub(crate) fn validate(&self) -> Result<(), CheckpointError> {
         if self.version != CHECKPOINT_FORMAT_VERSION {
             return Err(CheckpointError::Unsupported {
                 version: self.version,
@@ -162,7 +161,7 @@ impl Checkpoint {
 
     /// Does this snapshot belong to `workload`? Resume refuses a
     /// mismatch in any field instead of corrupting a different run.
-    pub fn matches(&self, workload: &WorkloadId) -> Result<(), CheckpointError> {
+    pub(crate) fn matches(&self, workload: &WorkloadId) -> Result<(), CheckpointError> {
         if self.workload == *workload {
             return Ok(());
         }
@@ -216,7 +215,7 @@ impl CheckpointConfig {
 /// number and the task count at the last write so `due` can answer
 /// cheaply on the completion hot path.
 #[derive(Debug, Clone)]
-pub struct CheckpointWriter {
+pub(crate) struct CheckpointWriter {
     cfg: CheckpointConfig,
     next_seq: u64,
     tasks_at_last: u64,
@@ -234,24 +233,19 @@ impl CheckpointWriter {
 
     /// Continue an existing sequence after a resume: the next snapshot
     /// gets `next_seq`, and the interval counts from `tasks_done`.
-    pub fn continue_from(&mut self, next_seq: u64, tasks_done: u64) {
+    pub(crate) fn continue_from(&mut self, next_seq: u64, tasks_done: u64) {
         self.next_seq = next_seq;
         self.tasks_at_last = tasks_done;
     }
 
     /// Is a periodic snapshot due at `tasks_done` completed tasks?
-    pub fn due(&self, tasks_done: u64) -> bool {
+    pub(crate) fn due(&self, tasks_done: u64) -> bool {
         tasks_done.saturating_sub(self.tasks_at_last) >= self.cfg.interval_tasks.max(1)
-    }
-
-    /// Target path of the snapshots.
-    pub fn path(&self) -> &Path {
-        &self.cfg.path
     }
 
     /// Stamp `ckpt` with the next sequence number and write it
     /// atomically. Returns the sequence number written.
-    pub fn write(&mut self, ckpt: &mut Checkpoint) -> Result<u64, CheckpointError> {
+    pub(crate) fn write(&mut self, ckpt: &mut Checkpoint) -> Result<u64, CheckpointError> {
         ckpt.seq = self.next_seq;
         save(&self.cfg.path, ckpt)?;
         let seq = self.next_seq;

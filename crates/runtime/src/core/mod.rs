@@ -2159,7 +2159,7 @@ mod tests {
                 }
             }
         }
-        let (seen, called) = (d.events.len(), policy.calls.len());
+        let (seen, called) = (d.events.iter().count(), policy.calls.len());
         let hooked = usize::from(matches!(state, State::Quarantined | State::Lost));
         assert_eq!(
             (d.busy, d.armed_timers, true),

@@ -75,13 +75,14 @@ impl WorkPool {
     /// `0..total` — the resume path: the uncovered holes become
     /// reclaimed-style ranges (served lowest offset first) and the
     /// cursor starts exhausted, so a resumed run dispatches exactly the
-    /// items the checkpointed run never finished. Uniform weights; see
-    /// [`WorkPool::resume_with_weights`] for irregular workloads.
+    /// items the checkpointed run never finished. Uniform weights; the
+    /// driver resumes an irregular workload with its weights.
     ///
     /// `completed` must be sorted by offset, non-empty per range,
-    /// disjoint and within `0..total` (what
-    /// [`Checkpoint::validate`](crate::checkpoint::Checkpoint::validate)
+    /// disjoint and within `0..total` (what a loaded [`Checkpoint`]
     /// guarantees); otherwise an error describes the first violation.
+    ///
+    /// [`Checkpoint`]: crate::checkpoint::Checkpoint
     pub fn resume(total: u64, completed: &[(u64, u64)]) -> Result<WorkPool, String> {
         WorkPool::resume_with_weights(total, completed, Weights::uniform())
     }
@@ -89,7 +90,7 @@ impl WorkPool {
     /// [`WorkPool::resume`] with per-item weights: the uncovered holes
     /// keep their positional cost, so a resumed weighted run budgets
     /// claims over exactly the weight the checkpointed run left behind.
-    pub fn resume_with_weights(
+    pub(crate) fn resume_with_weights(
         total: u64,
         completed: &[(u64, u64)],
         weights: Arc<Weights>,
@@ -137,19 +138,19 @@ impl WorkPool {
 
     /// The range the pool was built over: `0..total` for a whole (or
     /// resumed) run, one node's chunk for a nested cluster-tier run.
-    pub fn items(&self) -> Range<u64> {
+    pub(crate) fn items(&self) -> Range<u64> {
         self.items.clone()
     }
 
     /// Items not yet distributed (0 after a close).
-    pub fn remaining(&self) -> u64 {
+    pub(crate) fn remaining(&self) -> u64 {
         self.latch.remaining()
     }
 
     /// Total cost of the items not yet distributed: the reclaimed
     /// fragments' weight plus the fresh range's weight. Equal to
     /// [`remaining`](WorkPool::remaining) under uniform weights.
-    pub fn remaining_cost(&self) -> u64 {
+    pub(crate) fn remaining_cost(&self) -> u64 {
         let reclaimed_items: u64 = self.reclaimed.iter().map(|&(_, len)| len).sum();
         let fresh = self.latch.remaining().saturating_sub(reclaimed_items);
         self.reclaimed
@@ -157,11 +158,6 @@ impl WorkPool {
             .map(|&(off, len)| self.weights.cost(off, len))
             .sum::<u64>()
             .saturating_add(self.weights.cost(self.cursor, fresh))
-    }
-
-    /// The workload's per-item weights.
-    pub fn weights(&self) -> &Arc<Weights> {
-        &self.weights
     }
 
     /// Take a contiguous range worth up to `budget_cost` cost units:

@@ -108,7 +108,7 @@ unsafe impl<T: Send> Sync for DisjointOutput<T> {}
 
 impl<T> DisjointOutput<T> {
     /// Take ownership of `v` as the output buffer.
-    pub fn from_vec(v: Vec<T>) -> DisjointOutput<T> {
+    pub(crate) fn from_vec(v: Vec<T>) -> DisjointOutput<T> {
         let mut v = ManuallyDrop::new(v);
         DisjointOutput {
             ptr: v.as_mut_ptr(),
@@ -124,16 +124,6 @@ impl<T> DisjointOutput<T> {
         T: Clone,
     {
         DisjointOutput::from_vec(vec![init; len])
-    }
-
-    /// Buffer length in elements.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Is the buffer empty?
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Try to claim `range` and return a mutable view of it. Fails if
@@ -252,13 +242,6 @@ pub struct DisjointWriter<'a, T> {
     len: usize,
 }
 
-impl<T> DisjointWriter<'_, T> {
-    /// The absolute element range this view covers.
-    pub fn range(&self) -> Range<usize> {
-        self.start..self.start + self.len
-    }
-}
-
 impl<T> Deref for DisjointWriter<'_, T> {
     type Target = [T];
 
@@ -301,11 +284,10 @@ mod tests {
     #[test]
     fn disjoint_output_roundtrips() {
         let out = DisjointOutput::new(0u32, 8);
-        assert_eq!(out.len(), 8);
-        assert!(!out.is_empty());
+        assert_eq!(out.len, 8);
         {
             let mut w = out.writer(2..5);
-            assert_eq!(w.range(), 2..5);
+            assert_eq!((w.start, w.len), (2, 3));
             w.copy_from_slice(&[20, 30, 40]);
         }
         assert_eq!(out.into_vec(), vec![0, 0, 20, 30, 40, 0, 0, 0]);

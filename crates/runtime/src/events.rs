@@ -42,7 +42,7 @@ use serde::{Deserialize, Serialize};
 pub const TRACE_FORMAT_VERSION: u32 = 7;
 
 /// Default ring-buffer capacity (events).
-pub const DEFAULT_SINK_CAPACITY: usize = 1 << 16;
+pub(crate) const DEFAULT_SINK_CAPACITY: usize = 1 << 16;
 
 /// What happened. Field units: times in seconds (`*_s` suffix), sizes in
 /// work items. See `docs/OBSERVABILITY.md` for the 1:1 schema reference.
@@ -456,16 +456,6 @@ impl EventSink {
             .chain(self.buf[..self.head].iter())
     }
 
-    /// Number of events currently held.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Events overwritten because the ring wrapped.
     pub fn dropped(&self) -> u64 {
         self.counters.dropped
@@ -556,7 +546,7 @@ impl EventCounters {
     }
 
     /// Count one event.
-    pub fn tally(&mut self, kind: &EventKind) {
+    pub(crate) fn tally(&mut self, kind: &EventKind) {
         match kind {
             EventKind::TaskSubmit { .. } => self.tasks_submitted += 1,
             EventKind::TaskFinish { .. } => self.tasks_finished += 1,
@@ -602,7 +592,7 @@ impl EventCounters {
     /// A resumed run carries the pre-crash totals from its checkpoint
     /// and merges them into the final report, so lifetime counts survive
     /// the process boundary.
-    pub fn merge(&mut self, other: &EventCounters) {
+    pub(crate) fn merge(&mut self, other: &EventCounters) {
         self.tasks_submitted += other.tasks_submitted;
         self.tasks_finished += other.tasks_finished;
         self.probes += other.probes;
@@ -810,7 +800,7 @@ mod tests {
     fn ring_buffer_overwrites_oldest() {
         let mut sink = EventSink::new(4);
         fill(&mut sink, 6);
-        assert_eq!(sink.len(), 4);
+        assert_eq!(sink.buf.len(), 4);
         assert_eq!(sink.dropped(), 2);
         assert_eq!(sink.recorded(), 6);
         let evs = sink.events();

@@ -65,7 +65,7 @@ impl Default for FaultToleranceConfig {
 
 impl FaultToleranceConfig {
     /// Backoff before retry number `attempt` (1-based) of one block.
-    pub fn backoff_for(&self, attempt: u32) -> f64 {
+    pub(crate) fn backoff_for(&self, attempt: u32) -> f64 {
         if !(self.backoff_base_s.is_finite() && self.backoff_base_s > 0.0) {
             return 0.0;
         }
@@ -75,7 +75,7 @@ impl FaultToleranceConfig {
     /// The deadline (seconds from dispatch) for a task of `items` items
     /// given a seconds-per-item estimate, or `None` when deadlines are
     /// disabled or no estimate exists yet.
-    pub fn deadline_for(&self, seconds_per_item: Option<f64>, items: u64) -> Option<f64> {
+    pub(crate) fn deadline_for(&self, seconds_per_item: Option<f64>, items: u64) -> Option<f64> {
         if !self.deadline_factor.is_finite() || self.deadline_factor <= 0.0 {
             return None;
         }
@@ -84,12 +84,6 @@ impl FaultToleranceConfig {
             return None;
         }
         Some((self.deadline_factor * rate * items as f64).max(self.min_deadline_s))
-    }
-
-    /// Builder-style override of the retry bound.
-    pub fn with_max_retries(mut self, n: u32) -> Self {
-        self.max_retries = n;
-        self
     }
 
     /// Builder-style override of the quarantine threshold.

@@ -85,8 +85,7 @@ pub use crate::core::cluster::{
 };
 pub use crate::core::WorkPool;
 pub use checkpoint::{
-    Checkpoint, CheckpointConfig, CheckpointError, CheckpointWriter, PuState, WorkloadId,
-    CHECKPOINT_FORMAT_VERSION,
+    Checkpoint, CheckpointConfig, CheckpointError, PuState, WorkloadId, CHECKPOINT_FORMAT_VERSION,
 };
 pub use codelet::{Codelet, FnCodelet, PuResources};
 pub use data::{DisjointError, DisjointOutput, DisjointWriter};

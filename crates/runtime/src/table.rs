@@ -3,7 +3,7 @@
 //!
 //! Every text a person reads off a run is a list of tables:
 //! [`RunReport::tables`] is what `plb run` prints, [`TraceData::summary`]
-//! is what `plb trace` prints, and [`EventCounters::table`] is the
+//! is what `plb trace` prints, and the [`EventCounters`] table is the
 //! counter listing both share. The `repro` figures are tables too. One
 //! module owns the layout, so a table renders the same way everywhere:
 //! [`Table::to_text`] for a terminal, [`Table::to_markdown`] and
@@ -116,7 +116,7 @@ impl EventCounters {
     /// The nonzero counters, one row each, named by their serde field
     /// names (alphabetical), so a counter added to the struct shows up
     /// in every report without a renderer edit.
-    pub fn table(&self) -> Table {
+    pub(crate) fn table(&self) -> Table {
         let mut table = Table::new("event counters", &["counter", "count"]);
         if let Ok(serde_json::Value::Object(fields)) = serde_json::to_value(self) {
             for (name, count) in fields {

@@ -1,7 +1,7 @@
 //! Repo-local automation (`cargo xtask <command>`), dependency-free by
 //! design so it builds anywhere the workspace does.
 //!
-//! * `lint` — the determinism auditor: ten token-accurate static
+//! * `lint` — the determinism auditor: eleven token-accurate static
 //!   passes over the workspace sources (policy table in
 //!   `docs/SOUNDNESS.md`). Sources are lexed (`lexer.rs`) into a code
 //!   view with comments, string/char literals, and `#[cfg(test)]`
@@ -34,7 +34,7 @@ fn main() -> ExitCode {
                 "usage: cargo xtask <command>\n\n\
                  commands:\n  \
                  lint [--format text|sarif] [--out PATH]\n      \
-                 run the ten soundness passes (docs/SOUNDNESS.md)"
+                 run the eleven soundness passes (docs/SOUNDNESS.md)"
             );
             ExitCode::FAILURE
         }
@@ -88,7 +88,7 @@ fn lint(root: &Path, args: &[String]) -> ExitCode {
         }
     }
 
-    let sources = match load_sources(root) {
+    let (sources, users) = match load_sources(root) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("lint: {e}");
@@ -98,6 +98,7 @@ fn lint(root: &Path, args: &[String]) -> ExitCode {
     let ctx = Context {
         root,
         sources: &sources,
+        users: &users,
     };
 
     let passes = registry();
@@ -153,41 +154,62 @@ fn lint(root: &Path, args: &[String]) -> ExitCode {
     }
 }
 
-/// Load every `.rs` file under the workspace crates' `src` trees,
-/// lexed into its code view (comments, string/char literals, and
-/// `#[cfg(test)]` modules blanked in place).
-fn load_sources(root: &Path) -> Result<Vec<Source>, String> {
+/// Load every `.rs` file that can name a library item, lexed into its
+/// code view (comments and string/char literals blanked in place). The
+/// first list is the workspace crates' and the root package's `src`
+/// trees with `#[cfg(test)]` modules blanked too: what the passes
+/// audit. The second is every file that compiles against those crates —
+/// the same `src` trees with their test modules, the crates' `tests/`
+/// and `benches/`, the root package's `tests/`, `examples/`, and
+/// `plbmark/src` — for pass 11's users.
+fn load_sources(root: &Path) -> Result<(Vec<Source>, Vec<Source>), String> {
     let crates_dir = root.join("crates");
-    let mut files: Vec<PathBuf> = Vec::new();
+    let mut audited: Vec<PathBuf> = Vec::new();
+    let mut others: Vec<PathBuf> = Vec::new();
     let entries =
         fs::read_dir(&crates_dir).map_err(|e| format!("{}: {e}", crates_dir.display()))?;
     for entry in entries.flatten() {
-        let src = entry.path().join("src");
-        if src.is_dir() {
-            collect_rs(&src, &mut files)?;
-        }
+        collect_rs(&entry.path().join("src"), &mut audited)?;
+        collect_rs(&entry.path().join("tests"), &mut others)?;
+        collect_rs(&entry.path().join("benches"), &mut others)?;
     }
-    let root_src = root.join("src");
-    if root_src.is_dir() {
-        collect_rs(&root_src, &mut files)?;
+    collect_rs(&root.join("src"), &mut audited)?;
+    for dir in ["tests", "examples", "plbmark/src"] {
+        collect_rs(&root.join(dir), &mut others)?;
     }
-    files.sort();
-    let mut sources = Vec::with_capacity(files.len());
-    for path in files {
-        let raw = fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+    audited.sort();
+    others.sort();
+    let lex = |path: &PathBuf| -> Result<Source, String> {
+        let raw = fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         let rel = path
             .strip_prefix(root)
-            .unwrap_or(&path)
+            .unwrap_or(path)
             .to_string_lossy()
             .replace('\\', "/");
-        let tokens = lexer::lex(&raw);
-        let code = lexer::strip_test_modules(&lexer::code_view(&raw, &tokens));
-        sources.push(Source { rel, code });
+        let code = lexer::code_view(&raw, &lexer::lex(&raw));
+        Ok(Source { rel, code })
+    };
+    let mut sources = Vec::with_capacity(audited.len());
+    let mut users = Vec::with_capacity(audited.len() + others.len());
+    for path in &audited {
+        let user = lex(path)?;
+        sources.push(Source {
+            rel: user.rel.clone(),
+            code: lexer::strip_test_modules(&user.code),
+        });
+        users.push(user);
     }
-    Ok(sources)
+    for path in &others {
+        users.push(lex(path)?);
+    }
+    Ok((sources, users))
 }
 
+/// Every `.rs` file under `dir`, if it is a directory.
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
+    if !dir.is_dir() {
+        return Ok(());
+    }
     let entries = fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     for entry in entries.flatten() {
         let path = entry.path();

@@ -1,13 +1,9 @@
 //! Pass 4: no `as` casts to narrower numeric types in
-//! `plb-numerics`/`plb-ipm` outside the audited `cast` module.
+//! `plb-numerics`/`plb-ipm`.
 
 use super::{Context, Pass};
 use crate::lexer::{is_word_byte, line_of, word_occurrences};
 use crate::report::Violation;
-
-/// Checked-conversion module exempt from this pass (its whole point is
-/// to fence the raw casts behind guarded APIs).
-const CAST_MODULE: &str = "crates/numerics/src/cast.rs";
 
 /// Cast targets that can drop bits or change sign coming from the
 /// `f64`/`u64` domains the numeric crates work in.
@@ -23,14 +19,14 @@ impl Pass for LossyCast {
     }
 
     fn summary(&self) -> &'static str {
-        "no narrowing `as` casts in the numeric crates outside cast.rs"
+        "no narrowing `as` casts in the numeric crates"
     }
 
     fn run(&self, ctx: &Context, out: &mut Vec<Violation>) {
         for s in ctx.sources {
             let scoped =
                 s.rel.starts_with("crates/numerics/src/") || s.rel.starts_with("crates/ipm/src/");
-            if !scoped || s.rel == CAST_MODULE {
+            if !scoped {
                 continue;
             }
             let b = s.code.as_bytes();
@@ -51,7 +47,8 @@ impl Pass for LossyCast {
                         pass: self.name(),
                         msg: format!(
                             "`as {target}` can silently truncate, wrap, or change sign; \
-                             use the checked `plb_numerics::cast` helpers or `TryFrom`"
+                             use `TryFrom`, or a conversion guarded against NaN, negative \
+                             and out-of-range values"
                         ),
                     });
                 }

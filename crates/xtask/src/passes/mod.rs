@@ -14,6 +14,7 @@ mod lossy_cast;
 mod must_use;
 mod nondeterminism;
 mod panic_freedom;
+mod pub_surface;
 mod sync_shim;
 mod unsafe_allowlist;
 
@@ -33,6 +34,10 @@ pub struct Context<'a> {
     pub root: &'a Path,
     /// Every lexed `.rs` file under the workspace `src` trees.
     pub sources: &'a [Source],
+    /// Every `.rs` file that can name a library item — the `src` trees,
+    /// `tests/`, `examples/` and `plbmark/src` — lexed with its
+    /// `#[cfg(test)]` modules kept (pass 11's users).
+    pub users: &'a [Source],
 }
 
 impl Context<'_> {
@@ -53,7 +58,7 @@ pub trait Pass {
     fn run(&self, ctx: &Context, out: &mut Vec<Violation>);
 }
 
-/// The full registry, in documented order (pass 1 … pass 10).
+/// The full registry, in documented order (pass 1 … pass 11).
 pub fn registry() -> Vec<Box<dyn Pass>> {
     vec![
         Box::new(unsafe_allowlist::UnsafeAllowlist),
@@ -66,6 +71,7 @@ pub fn registry() -> Vec<Box<dyn Pass>> {
         Box::new(doc_consistency::DocConsistency),
         Box::new(nondeterminism::NondeterminismConfinement),
         Box::new(panic_freedom::PanicFreedom),
+        Box::new(pub_surface::PubSurface),
     ]
 }
 

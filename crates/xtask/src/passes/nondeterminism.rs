@@ -159,6 +159,7 @@ mod tests {
         let ctx = Context {
             root: &root,
             sources: &sources,
+            users: &[],
         };
         let mut out = Vec::new();
         NondeterminismConfinement.run(&ctx, &mut out);

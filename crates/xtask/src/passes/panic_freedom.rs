@@ -206,6 +206,7 @@ mod tests {
             let ctx = Context {
                 root: &root,
                 sources: &sources,
+                users: &[],
             };
             let mut out = Vec::new();
             PanicFreedom.run(&ctx, &mut out);

@@ -52,6 +52,7 @@ mod tests {
             let ctx = Context {
                 root: &root,
                 sources: &sources,
+                users: &[],
             };
             let mut out = Vec::new();
             SyncShim.run(&ctx, &mut out);
