@@ -23,7 +23,7 @@
 //! deep dive into its block-size selection. Every report is a list of
 //! [`Table`]s printed by [`Table::to_text`].
 
-use plb_bench::harness::{default_initial_block, run_once, App, AppInputs, PolicyKind};
+use plb_bench::harness::{default_initial_block, run_once, App, AppInputs, PolicyKind, RunOutcome};
 use plb_bench::viz::gantt_svg;
 use plb_hec::NodeDiffusionPolicy;
 use plb_hec::{
@@ -175,7 +175,9 @@ fn parse_args() -> Args {
             "--nodes" => {
                 a.nodes = next("--nodes")
                     .parse()
-                    .unwrap_or_else(|_| usage("bad --nodes"))
+                    .ok()
+                    .filter(|&n| n > 0)
+                    .unwrap_or_else(|| usage("bad --nodes: needs a count of at least 1"))
             }
             "--topology" => a.topology = next("--topology"),
             "--node-faults" => a.node_faults = Some(next("--node-faults")),
@@ -197,11 +199,11 @@ fn usage(err: &str) -> ! {
         "usage:\n  plb run     --app mm|grn|bs|nn|spmv --size N --machines 1-4 --policy \
          plb-hec|greedy|acosta|hdss\n              [--seed N] [--skew A] [--single-gpu] [--noise SIGMA] \
          [--json FILE] [--gantt FILE.svg] [--trace FILE.json]\n              [--events \
-         FILE.jsonl] [--cluster FILE.json] [--faults SPEC] [--chaos SEED] [--chaos-elastic N]\n\
-              [--checkpoint FILE [--checkpoint-interval N] [--resume]]\n              [--nodes N \
+         FILE.jsonl] [--cluster FILE.json] [--faults SPEC] [--chaos SEED] [--chaos-elastic N]\n              \
+         [--checkpoint FILE [--checkpoint-interval N] [--resume]]\n              [--nodes N \
          [--topology full|ring|star] [--node-faults SPEC]]\n  plb compare --app \
          mm|grn|bs|spmv --size N --machines 1-4 [--seeds N] [--single-gpu]\n  plb cluster \
-         [--machines 1-4] [--cluster FILE.json]\n  plb profile --app mm|grn|bs|nn --size N \
+         [--machines 1-4] [--cluster FILE.json]\n  plb profile --app mm|grn|bs|nn|spmv --size N \
          [--machines 1-4|--cluster FILE.json] --profiles OUT.json\n  plb trace   --input \
          FILE.jsonl\n  plb diag    [--app mm|grn|bs|nn|spmv] [--size N] [--machines 1-4] [--seed N] \
          [--single-gpu]\n\n`--app spmv` is the irregular workload: a sparse matrix whose \
@@ -232,6 +234,48 @@ fn usage(err: &str) -> ! {
          (docs/FAULT_TOLERANCE.md, Node fault domains)."
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
+}
+
+/// The PLB-HeC deep dive of `diag`: the run's first block-size
+/// selection, one row per unit, and every compute segment longer than a
+/// tenth of the makespan.
+fn deep_dive(o: &RunOutcome) -> [Table; 2] {
+    let secs = |s: f64| format!("{s:.6}s");
+    let names: Vec<&str> = o.report.pus.iter().map(|p| p.name.as_str()).collect();
+    let mut selection = Table::new(
+        "block-size selection: none recorded (run too small?)",
+        &["unit", "fraction", "block"],
+    );
+    if let Some(sel) = &o.selection {
+        selection.title = format!(
+            "block-size selection: {:?}, predicted makespan {}",
+            sel.method,
+            secs(sel.predicted_time)
+        );
+        for ((name, frac), block) in names.iter().zip(&sel.fractions).zip(&sel.blocks) {
+            let row = vec![name.to_string(), format!("{frac:.4}"), block.to_string()];
+            selection.push_row(row);
+        }
+    }
+    let threshold = o.report.makespan * 0.1;
+    let mut long = Table::new(
+        "compute segments over 10% of the makespan",
+        &["unit", "task", "items", "start", "end", "duration"],
+    );
+    for seg in o.trace.segments() {
+        if seg.kind == SegmentKind::Compute && seg.end - seg.start > threshold {
+            let name = names.get(seg.pu).copied().unwrap_or("?");
+            long.push_row(vec![
+                name.to_string(),
+                seg.task.to_string(),
+                seg.items.to_string(),
+                secs(seg.start),
+                secs(seg.end),
+                secs(seg.end - seg.start),
+            ]);
+        }
+    }
+    [selection, long]
 }
 
 /// Machines from a user JSON file, or the Table I presets.
@@ -684,6 +728,7 @@ fn main() {
                 a.machines,
                 a.seed
             );
+            let mut plb_hec = None;
             for kind in PolicyKind::ALL {
                 let o = run_once(app, scenario, a.single_gpu, kind, a.seed, vec![]);
                 println!("== {} ({} rebalances)", o.report.policy, o.rebalances);
@@ -696,67 +741,18 @@ fn main() {
                         .collect();
                     println!("   solve times: [{}]", pretty.join(", "));
                 }
+                if kind == PolicyKind::PlbHec {
+                    plb_hec = Some(o);
+                }
             }
-            // PLB-HeC deep dive: how the block-size selection came out and
-            // whether any compute segment dominates the run (the two things
-            // the old ad-hoc debug binaries existed to show).
-            let machines = machines_of(&a);
-            let opts = ClusterOptions {
-                seed: a.seed,
-                noise_sigma: a.noise,
-                ..Default::default()
-            };
-            let mut cluster = ClusterSim::build(&machines, &opts);
-            let inputs = app.inputs();
-            let cost = inputs.cost.as_ref();
-            let cfg = PolicyConfig {
-                initial_block: default_initial_block(inputs.total_cost, cost),
-                seed: a.seed,
-                ..Default::default()
-            };
-            println!(
-                "-- plb-hec deep dive (initial_block = {})",
-                cfg.initial_block
-            );
-            let mut policy = PlbHecPolicy::new(&cfg);
-            let mut engine = SimEngine::new(&mut cluster, cost).with_weights(inputs.weights);
-            let report = engine
-                .run(&mut policy, inputs.total_items)
-                .unwrap_or_else(|e| {
-                    eprintln!("plb-hec deep-dive run failed: {e}");
-                    std::process::exit(1)
-                });
-            if let Some(sel) = policy.selections().first() {
-                println!(
-                    "   selection: method {:?}, predicted makespan {:.6}s",
-                    sel.method, sel.predicted_time
-                );
-                for ((pu, frac), block) in report.pus.iter().zip(&sel.fractions).zip(&sel.blocks) {
-                    println!("   {:10} fraction={:.4} block={:>8}", pu.name, frac, block);
-                }
-            } else {
-                println!("   no block-size selection recorded (run too small?)");
-            }
-            if let Some(trace) = engine.last_trace() {
-                let threshold = report.makespan * 0.1;
-                let mut shown = 0usize;
-                for seg in trace.segments() {
-                    if seg.kind == SegmentKind::Compute && seg.end - seg.start > threshold {
-                        println!(
-                            "   long compute: pu{} task{} items={} {:.1}..{:.1} ({:.1}s)",
-                            seg.pu,
-                            seg.task,
-                            seg.items,
-                            seg.start,
-                            seg.end,
-                            seg.end - seg.start
-                        );
-                        shown += 1;
-                    }
-                }
-                if shown == 0 {
-                    println!("   no compute segment exceeds 10% of the makespan");
-                }
+            // PLB-HeC deep dive, read off the run reported above: how the
+            // block-size selection came out and whether any compute
+            // segment dominates the run.
+            if let Some(o) = plb_hec {
+                let inputs = app.inputs();
+                let initial = default_initial_block(inputs.total_cost, inputs.cost.as_ref());
+                println!("-- plb-hec deep dive (initial_block = {initial})");
+                print_tables(&deep_dive(&o));
             }
         }
         _ => usage("unknown command"),

@@ -1,6 +1,8 @@
 //! The scenario runner.
 
-use plb_hec::{AcostaPolicy, GreedyPolicy, HdssPolicy, PlbHecPolicy, PolicyConfig};
+use plb_hec::{
+    AcostaPolicy, GreedyPolicy, HdssPolicy, PlbHecPolicy, PolicyConfig, SelectionResult,
+};
 use plb_hetsim::cluster::ClusterOptions;
 use plb_hetsim::{cluster_scenario, ClusterSim, CostModel, Scenario};
 use plb_runtime::{EventSink, Perturbation, RunReport, SimEngine, Trace, Weights};
@@ -139,6 +141,8 @@ pub struct RunOutcome {
     pub trace: Trace,
     /// PLB-HeC only: wall-clock seconds of each block-size solve.
     pub solve_times: Vec<f64>,
+    /// PLB-HeC only: the run's first block-size selection.
+    pub selection: Option<SelectionResult>,
     /// Rebalance / share-update events the policy performed.
     pub rebalances: usize,
     /// The structured decision-event stream of the run (see
@@ -219,29 +223,29 @@ fn run_with(
         .with_weights(Arc::clone(&inputs.weights))
         .with_perturbations(perturbations);
 
-    let (report, solve_times, rebalances) = match kind {
+    let (report, solve_times, selection, rebalances) = match kind {
         PolicyKind::Greedy => {
             let mut p = GreedyPolicy::new(&cfg);
             let r = engine.run(&mut p, total).expect("greedy run completes");
-            (r, Vec::new(), 0)
+            (r, Vec::new(), None, 0)
         }
         PolicyKind::Acosta => {
             let mut p = AcostaPolicy::new(&cfg);
             let r = engine.run(&mut p, total).expect("acosta run completes");
             let reb = p.rebalances();
-            (r, Vec::new(), reb)
+            (r, Vec::new(), None, reb)
         }
         PolicyKind::Hdss => {
             let mut p = HdssPolicy::new(&cfg);
             let r = engine.run(&mut p, total).expect("hdss run completes");
-            (r, Vec::new(), 0)
+            (r, Vec::new(), None, 0)
         }
         PolicyKind::PlbHec => {
             let mut p = PlbHecPolicy::new(&cfg);
             let r = engine.run(&mut p, total).expect("plb-hec run completes");
             let st = p.selections().iter().map(|s| s.solve_seconds).collect();
             let reb = p.rebalances();
-            (r, st, reb)
+            (r, st, p.selections().first().cloned(), reb)
         }
     };
     let trace = engine.last_trace().expect("trace recorded").clone();
@@ -250,6 +254,7 @@ fn run_with(
         report,
         trace,
         solve_times,
+        selection,
         rebalances,
         events,
     }

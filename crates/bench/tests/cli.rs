@@ -318,6 +318,36 @@ fn plb_refuses_a_grn_of_fewer_than_three_genes() {
 }
 
 #[test]
+fn plb_refuses_zero_nodes() {
+    let args = ["run", "--app", "bs", "--size", "2000", "--nodes", "0"];
+    assert_refused(plb(), &args, 2, "bad --nodes");
+}
+
+#[test]
+fn plb_diag_deep_dive_reads_the_reported_run_in_real_durations() {
+    let out = plb_ok(&["diag", "--app", "mm", "--size", "4096", "--machines", "2"]);
+    for token in out.split_whitespace() {
+        let bare = token.trim_matches(|c| matches!(c, '(' | ')' | ',' | '[' | ']'));
+        assert_ne!(bare, "0.0s", "a duration printed as zero in:\n{out}");
+    }
+    let long = table(&out, "compute segments over 10% of the makespan");
+    let durations = column(&long, "duration");
+    assert!(!durations.is_empty(), "no long segment in:\n{out}");
+    for d in durations {
+        let secs: f64 = d.trim_end_matches('s').parse().unwrap();
+        assert!(secs > 0.0, "{d}");
+    }
+    // The selection splits the units the per-unit table above reports.
+    let title = out
+        .lines()
+        .find(|l| l.starts_with("block-size selection: "));
+    let selection = table(&out, title.expect("a selection table"));
+    let units = column(&table(&out, "per unit"), "unit");
+    assert!(units.len() > 1);
+    assert_eq!(column(&selection, "unit"), units);
+}
+
+#[test]
 fn plb_refuses_a_negative_or_undefined_noise() {
     for sigma in ["-1", "nan"] {
         assert_refused(plb(), &["run", "--noise", sigma], 2, "bad --noise");

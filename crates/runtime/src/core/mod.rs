@@ -48,10 +48,12 @@
 //! Who owns what: `handles` is what policies see
 //! ([`SchedulerCtx::pus`]); everything else the driver keeps about a
 //! unit is one `Unit` record, resolved once per hook and per
-//! observation; and a unit's availability changes in three functions
-//! only — `take_down`, `bring_back`, `write_off` — which the run loop
-//! and the checkpoint restore share (`docs/FAULT_TOLERANCE.md`,
-//! "Transitions").
+//! observation. A unit's availability is one plain field of that record
+//! (`Availability`), since only the driver thread reads or writes it:
+//! `set_state` is its one writer and keeps the handle's `available` in
+//! step, and three functions decide the moves — `take_down`,
+//! `bring_back`, `write_off` — which the run loop and the checkpoint
+//! restore share (`docs/FAULT_TOLERANCE.md`, "Transitions").
 //!
 //! What the loop spends per poll does not grow with the roster: the
 //! driver counts the attempts in flight and the timers it has armed as
@@ -78,7 +80,6 @@ use crate::events::{EventCounters, EventKind, EventSink};
 use crate::fault::{FaultPlan, FaultToleranceConfig};
 use crate::metrics::RunReport;
 use crate::policy::{Policy, PuHandle, SchedulerCtx};
-use crate::protocol::UnitGate;
 use crate::sync::Arc;
 use crate::task::{FailureReason, TaskFailure, TaskId, TaskInfo};
 use crate::trace::Trace;
@@ -165,15 +166,40 @@ struct Pending {
     deadline_at: Option<f64>,
 }
 
+/// Where a unit stands in the run. Its handle is `available` exactly
+/// while it is `Active`.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+enum Availability {
+    /// Not in the active set yet: waiting for its join, or handed over
+    /// unavailable by the backend (a device an earlier run left failed).
+    /// A due join or a restore brings it up.
+    Latent,
+    /// In the active set.
+    #[default]
+    Active,
+    /// Taken down, restorably. `until` is the probation expiry, armed
+    /// as a timer, when the core took it down under a wall clock.
+    Quarantined { until: Option<f64> },
+    /// Written off (its executor is gone or wedged); absorbing.
+    Lost,
+}
+
+impl Availability {
+    /// The probation expiry, when one is armed.
+    fn probation(self) -> Option<f64> {
+        match self {
+            Availability::Quarantined { until } => until,
+            _ => None,
+        }
+    }
+}
+
 /// Everything the driver keeps about one unit besides its policy-facing
 /// [`PuHandle`].
 #[derive(Debug, Default)]
 struct Unit {
-    /// Availability lattice (`Active ⇄ Quarantined`, `Lost` absorbing):
-    /// a probation restore can never resurrect a unit whose executor is
-    /// gone. A unit still waiting for its join is `Active` here and
-    /// unavailable in its handle. See [`crate::protocol::UnitGate`].
-    gate: UnitGate,
+    /// Where the unit stands. Written only by `Driver::set_state`.
+    state: Availability,
     /// The attempt in flight. Written only by `run` and
     /// `take_inflight`, which keep `busy` and `armed_timers` in step.
     inflight: Option<Pending>,
@@ -195,20 +221,9 @@ struct Unit {
     deadline_hint: Option<f64>,
     /// Observed seconds-per-cost-unit EWMA (deadline fallback).
     rate_ewma: Option<f64>,
-    /// Probation expiry while quarantined (wall clocks only). Written
-    /// only through `set_probation`.
-    quarantined_until: Option<f64>,
 }
 
 impl Unit {
-    /// Arm (`Some`) or clear (`None`) the probation timer, keeping the
-    /// driver's count of armed timers in step.
-    fn set_probation(&mut self, until: Option<f64>, armed_timers: &mut usize) {
-        *armed_timers -= usize::from(self.quarantined_until.is_some());
-        *armed_timers += usize::from(until.is_some());
-        self.quarantined_until = until;
-    }
-
     /// Make `pend` the attempt in flight, keeping the driver's counts of
     /// busy units and armed timers in step.
     fn run(&mut self, pend: Pending, busy: &mut usize, armed_timers: &mut usize) {
@@ -245,7 +260,7 @@ impl Unit {
     /// attempt in flight, and its probation expiry.
     fn timers(&self) -> impl Iterator<Item = f64> {
         let deadline = self.inflight.as_ref().and_then(|p| p.deadline_at);
-        [deadline, self.quarantined_until].into_iter().flatten()
+        [deadline, self.state.probation()].into_iter().flatten()
     }
 }
 
@@ -261,7 +276,7 @@ enum Up {
 struct Driver<'b> {
     backend: &'b mut dyn Backend,
     /// What policies see of the units; `available` is written by
-    /// `take_down`, `bring_back` and `write_off` only.
+    /// `set_state` only.
     handles: Vec<PuHandle>,
     /// What the driver keeps about them, index for index.
     units: Vec<Unit>,
@@ -382,7 +397,7 @@ impl<'b> Driver<'b> {
     /// one over the remains of another.
     fn new(
         backend: &'b mut dyn Backend,
-        mut handles: Vec<PuHandle>,
+        handles: Vec<PuHandle>,
         policy: &mut dyn Policy,
         mut pool: WorkPool,
         mut cfg: RunConfig,
@@ -413,18 +428,8 @@ impl<'b> Driver<'b> {
             pool = WorkPool::resume_with_weights(total, &ckpt.completed, Arc::clone(&cfg.weights))?;
         }
 
-        // Units with a scheduled mid-run join start *latent*: invisible
-        // to the policy's probing and assignment until the global
-        // completed-task count reaches their threshold
-        // (`admit_due_joins`). Out-of-range targets (a plan built for a
-        // larger cluster) are ignored.
         let mut joins = cfg.faults.joins();
         joins.reverse();
-        for &(pu, _) in &joins {
-            if let Some(handle) = handles.get_mut(pu) {
-                handle.available = false;
-            }
-        }
         let mut d = Driver {
             backend,
             handles,
@@ -452,6 +457,18 @@ impl<'b> Driver<'b> {
             n_pus: n,
         };
         d.events.record(0.0, None, started);
+        // Units with a scheduled mid-run join start *latent*: invisible
+        // to the policy's probing and assignment until the global
+        // completed-task count reaches their threshold
+        // (`admit_due_joins`), as do units the backend hands over
+        // unavailable. Out-of-range join targets (a plan built for a
+        // larger cluster) are ignored.
+        let unavailable = (d.handles.iter().enumerate()).filter(|(_, h)| !h.available);
+        let joining = d.joins.iter().map(|&(pu, _)| pu);
+        let latent: Vec<usize> = unavailable.map(|(pu, _)| pu).chain(joining).collect();
+        for pu in latent {
+            d.set_state(pu, Availability::Latent);
+        }
         if let Some(ckpt) = &resume {
             d.restore(policy, ckpt);
         }
@@ -479,7 +496,7 @@ impl<'b> Driver<'b> {
             if saved.lost {
                 // The executor died with the previous process.
                 let _ = self.write_off(pu);
-            } else if saved.quarantined && self.handles.get(pu).is_some_and(|h| h.available) {
+            } else if saved.quarantined && unit.state == Availability::Active {
                 let _ = self.take_down(pu, true);
             }
         }
@@ -697,52 +714,67 @@ impl<'b> Driver<'b> {
         }
     }
 
-    /// Take `pu` out of the active set, restorably: its handle goes
-    /// unavailable and the gate records a quarantine, so a later
-    /// restore succeeds (a no-op on a unit that is already down). When
-    /// the core itself decided it (`by_core`: the failure bar, or a
-    /// quarantine replayed from a snapshot) the backend mirrors it and,
-    /// under a wall clock with a probation window, the timer that
-    /// brings the unit back is armed; a down the backend reported is
-    /// ended by the backend. `false` when `pu` is outside the roster.
-    fn take_down(&mut self, pu: usize, by_core: bool) -> bool {
+    /// Move `pu` to `state`: the one writer of a unit's availability,
+    /// which keeps its handle's `available` (true iff `Active`) and the
+    /// count of armed timers in step. A no-op outside the roster.
+    fn set_state(&mut self, pu: usize, state: Availability) {
         let (Some(handle), Some(unit)) = (self.handles.get_mut(pu), self.units.get_mut(pu)) else {
+            return;
+        };
+        self.armed_timers -= usize::from(unit.state.probation().is_some());
+        self.armed_timers += usize::from(state.probation().is_some());
+        unit.state = state;
+        handle.available = state == Availability::Active;
+    }
+
+    /// Take `pu` out of the active set, restorably: an active or latent
+    /// unit becomes quarantined, so a later restore succeeds (a no-op on
+    /// a unit that is already down). When the core itself decided it
+    /// (`by_core`: the failure bar, or a quarantine replayed from a
+    /// snapshot) the backend mirrors it and, under a wall clock with a
+    /// probation window, the timer that brings the unit back is armed;
+    /// a down the backend reported is ended by the backend. `false` when
+    /// `pu` is outside the roster.
+    fn take_down(&mut self, pu: usize, by_core: bool) -> bool {
+        let Some(unit) = self.units.get(pu) else {
             return false;
         };
-        handle.available = false;
-        let gated = unit.gate.try_quarantine();
+        if matches!(
+            unit.state,
+            Availability::Quarantined { .. } | Availability::Lost
+        ) {
+            debug_assert!(!by_core, "quarantining a unit that is down");
+            return true;
+        }
+        let mut until = None;
         if by_core {
-            debug_assert!(gated, "quarantining a non-active unit");
             self.backend.on_unit_quarantined(pu);
             if self.backend.clock_kind() == ClockKind::Wall {
-                let until = self.cfg.ft.probation_s.map(|p| self.backend.now() + p);
-                unit.set_probation(until, &mut self.armed_timers);
+                until = self.cfg.ft.probation_s.map(|p| self.backend.now() + p);
             }
         }
+        self.set_state(pu, Availability::Quarantined { until });
         true
     }
 
     /// Bring `pu` into the active set — back, after a probation window
     /// or a backend-external restore, or for the first time, when its
-    /// join is due — with a clean failure run, and tell the policy. The
-    /// gate arbitrates against loss: a written-off unit stays gone (no
-    /// event, no callback), because its executor is. A restore of a
-    /// unit that never failed still fires, matching the perturbation's
-    /// contract; a join admits only a latent unit — active at the gate,
-    /// unavailable in its handle — so one that is already up, or
-    /// quarantined and serving its probation, stays as it is.
+    /// join is due — with a clean failure run, and tell the policy. A
+    /// written-off unit stays gone (no event, no callback), because its
+    /// executor is. A restore of a unit that never failed still fires,
+    /// matching the perturbation's contract; a join admits only a latent
+    /// unit, so one that is already up, or quarantined and serving its
+    /// probation, stays as it is.
     fn bring_back(&mut self, policy: &mut dyn Policy, pu: usize, why: Up) {
-        let (Some(handle), Some(unit)) = (self.handles.get_mut(pu), self.units.get_mut(pu)) else {
+        let Some(unit) = self.units.get_mut(pu) else {
             return;
         };
-        let latent = unit.gate.is_active() && !handle.available;
-        if unit.gate.is_lost() || (matches!(why, Up::Joined { .. }) && !latent) {
+        let joined = matches!(why, Up::Joined { .. });
+        if unit.state == Availability::Lost || (joined && unit.state != Availability::Latent) {
             return;
         }
-        let _ = unit.gate.try_restore();
-        unit.set_probation(None, &mut self.armed_timers);
         unit.consec_failures = 0;
-        handle.available = true;
+        self.set_state(pu, Availability::Active);
         let now = self.backend.now();
         match why {
             Up::Restored => {
@@ -761,21 +793,18 @@ impl<'b> Driver<'b> {
         self.notify_lost(policy);
     }
 
-    /// Permanently remove a unit whose executor is gone or wedged. The
-    /// gate's swap makes loss idempotent and absorbing: exactly one
-    /// caller performs the teardown (and gets `true`), and a pending
-    /// probation restore can no longer succeed. What the unit still
-    /// holds goes back to the pool; the backend revokes a queued block,
-    /// and if the executor started it anyway its report is stale.
+    /// Permanently remove a unit whose executor is gone or wedged. Loss
+    /// is idempotent and absorbing: exactly one caller performs the
+    /// teardown (and gets `true`), and a later restore or join finds the
+    /// unit `Lost`. What the unit still holds goes back to the pool; the
+    /// backend revokes a queued block, and if the executor started it
+    /// anyway its report is stale.
     fn write_off(&mut self, pu: usize) -> bool {
-        let (Some(handle), Some(unit)) = (self.handles.get_mut(pu), self.units.get_mut(pu)) else {
-            return false;
-        };
-        if !unit.gate.mark_lost() {
+        let lost = |u: &Unit| u.state == Availability::Lost;
+        if self.units.get(pu).is_none_or(lost) {
             return false;
         }
-        handle.available = false;
-        unit.set_probation(None, &mut self.armed_timers);
+        self.set_state(pu, Availability::Lost);
         self.abandon_held(pu);
         self.backend.forget_unit(pu);
         true
@@ -863,15 +892,14 @@ impl<'b> Driver<'b> {
         self.coalesce_completed();
         let mut counters = self.events.counters();
         counters.merge(&self.carried);
-        // The gate tells a quarantined unit (neither active nor lost)
-        // from one that is merely waiting for its join.
+        // A latent unit is waiting for its join, not down.
         let state = |(handle, unit): (&PuHandle, &Unit)| PuState {
             name: handle.name.clone(),
             dispatches: unit.attempts,
             consecutive_failures: unit.consec_failures,
             rate_ewma: unit.rate_ewma,
-            quarantined: !unit.gate.is_active() && !unit.gate.is_lost(),
-            lost: unit.gate.is_lost(),
+            quarantined: matches!(unit.state, Availability::Quarantined { .. }),
+            lost: unit.state == Availability::Lost,
         };
         Checkpoint {
             version: CHECKPOINT_FORMAT_VERSION,
@@ -970,7 +998,7 @@ impl<'b> Driver<'b> {
         let failures = unit.consec_failures;
         // A block promoted past a quarantine that now fails too: the
         // unit is down already, so the block just goes back.
-        let up = unit.gate.is_active();
+        let up = unit.state == Availability::Active;
         self.promote(pu, now);
         let quarantine = up && failures >= self.cfg.ft.quarantine_after;
         if up && !quarantine && pend.attempt < self.cfg.ft.max_retries {
@@ -1038,7 +1066,7 @@ impl<'b> Driver<'b> {
     fn end_elapsed_probations(&mut self, policy: &mut dyn Policy) {
         let now = self.backend.now();
         for pu in 0..self.units.len() {
-            let elapsed = |u: &Unit| u.quarantined_until.is_some_and(|t| now >= t);
+            let elapsed = |u: &Unit| u.state.probation().is_some_and(|t| now >= t);
             if self.units.get(pu).is_some_and(elapsed) {
                 self.bring_back(policy, pu, Up::Restored);
             }
@@ -1051,7 +1079,7 @@ impl<'b> Driver<'b> {
             debug_assert_eq!(
                 (self.busy, self.armed_timers, true),
                 self.recount(),
-                "busy / armed-timer counts drifted from the units' inflight / quarantined_until, \
+                "busy / armed-timer counts drifted from the units' inflight / probation, \
                  or a block is queued on an idle unit"
             );
             if self.try_finish() {
@@ -1272,7 +1300,9 @@ pub(crate) fn drive(
         result,
         trace: d.trace,
         events: d.events,
-        lost: d.units.iter().map(|u| u.gate.is_lost()).collect(),
+        lost: (d.units.iter())
+            .map(|u| u.state == Availability::Lost)
+            .collect(),
     }
 }
 
@@ -2097,12 +2127,12 @@ mod tests {
         ExecutorGone,
     }
 
-    /// Where a row leaves unit 1: its gate, its handle's `available`,
+    /// Where a row leaves unit 1: its state, its handle's `available`,
     /// the timers armed, and — since the cause — the events on it, the
     /// policy's callbacks and the backend's hooks.
     #[derive(Debug, PartialEq)]
     struct After {
-        gate: State,
+        state: State,
         available: bool,
         timers: usize,
         events: String,
@@ -2110,10 +2140,10 @@ mod tests {
         hooks: String,
     }
 
-    fn after(gate: State, timers: usize, events: &str, calls: &str, hooks: &str) -> After {
+    fn after(state: State, timers: usize, events: &str, calls: &str, hooks: &str) -> After {
         After {
-            gate,
-            available: matches!(gate, State::Active | State::Ahead),
+            state,
+            available: matches!(state, State::Active | State::Ahead),
             timers,
             events: events.into(),
             calls: calls.into(),
@@ -2218,19 +2248,19 @@ mod tests {
             "{state:?} x {cause:?}: an item lost or held twice"
         );
         let unit = &d.units[1];
-        let gate = match (unit.gate.is_active(), unit.gate.is_lost()) {
-            (true, _) if !d.handles[1].available => State::Latent,
-            (true, _) if unit.queued.is_some() => State::Ahead,
-            (true, _) => State::Active,
-            (_, true) => State::Lost,
-            _ => State::Quarantined,
+        let state = match unit.state {
+            Availability::Latent => State::Latent,
+            Availability::Active if unit.queued.is_some() => State::Ahead,
+            Availability::Active => State::Active,
+            Availability::Quarantined { .. } => State::Quarantined,
+            Availability::Lost => State::Lost,
         };
         let events: Vec<&str> = (d.events.iter().skip(seen))
             .filter(|e| e.pu == Some(1))
             .map(|e| e.kind.name())
             .collect();
         let result = After {
-            gate,
+            state,
             available: d.handles[1].available,
             timers: d.armed_timers,
             events: events.join(" "),
@@ -2317,7 +2347,7 @@ mod tests {
             ((Lost, JoinDue), unchanged(Lost)),
             ((Lost, BlownDeadline), unchanged(Lost)),
             ((Lost, ExecutorGone), unchanged(Lost)),
-            // Latent: the gate is active, the handle is not available.
+            // Latent: waiting for its join, its handle not available.
             ((Latent, FailureAtTheBar), unchanged(Latent)),
             ((Latent, ExternalDown), down_again(Quarantined, 0)),
             ((Latent, ProbationExpiry), unchanged(Latent)),
@@ -2390,6 +2420,63 @@ mod tests {
         for ((state, cause), expected) in table {
             assert_eq!(transition(state, cause), expected, "{state:?} x {cause:?}");
         }
+    }
+
+    /// A driver over two idle units of a wall-clock mock with a 5 s
+    /// probation window, and a reader of unit 1's state, handle and the
+    /// armed timers.
+    fn idle_driver<'b>(backend: &'b mut MockBackend, policy: &mut Pump) -> Driver<'b> {
+        let cfg = RunConfig {
+            ft: FaultToleranceConfig::default().with_probation(5.0),
+            ..Default::default()
+        };
+        Driver::new(backend, handles(2), policy, WorkPool::new(100), cfg).expect("fresh")
+    }
+
+    fn unit_1(d: &Driver) -> (Availability, bool, usize) {
+        (d.units[1].state, d.handles[1].available, d.armed_timers)
+    }
+
+    #[test]
+    fn a_quarantine_is_restored_and_a_join_admits_only_a_latent_unit() {
+        use Availability::*;
+        let mut backend = MockBackend::new(ClockKind::Wall, &[0.3, 0.2]);
+        let mut policy = Pump::new(0, &[]);
+        let mut d = idle_driver(&mut backend, &mut policy);
+        assert_eq!(unit_1(&d), (Active, true, 0));
+        d.bring_back(&mut policy, 1, Up::Joined { after_tasks: 0 });
+        assert_eq!(unit_1(&d), (Active, true, 0), "a join needs a latent unit");
+        assert!(d.take_down(1, true));
+        let quarantined = Quarantined { until: Some(5.0) };
+        assert_eq!(unit_1(&d), (quarantined, false, 1));
+        assert!(d.take_down(1, false), "a second down is a no-op");
+        assert_eq!(unit_1(&d), (quarantined, false, 1));
+        d.bring_back(&mut policy, 1, Up::Joined { after_tasks: 0 });
+        assert_eq!(unit_1(&d), (quarantined, false, 1), "probation is served");
+        d.bring_back(&mut policy, 1, Up::Restored);
+        assert_eq!(unit_1(&d), (Active, true, 0));
+        drop(d);
+        assert_eq!(policy.calls, ["restored 1"]);
+        assert_eq!(backend.hooks, ["quarantined 1"]);
+    }
+
+    #[test]
+    fn lost_is_absorbing() {
+        use Availability::*;
+        let mut backend = MockBackend::new(ClockKind::Wall, &[0.3, 0.2]);
+        let mut policy = Pump::new(0, &[]);
+        let mut d = idle_driver(&mut backend, &mut policy);
+        assert!(d.take_down(1, true));
+        assert!(d.write_off(1), "the first loss tears down");
+        assert_eq!(unit_1(&d), (Lost, false, 0), "the probation timer is gone");
+        assert!(!d.write_off(1), "a second loss is a no-op");
+        d.bring_back(&mut policy, 1, Up::Restored);
+        d.bring_back(&mut policy, 1, Up::Joined { after_tasks: 0 });
+        assert!(d.take_down(1, false));
+        assert_eq!(unit_1(&d), (Lost, false, 0));
+        drop(d);
+        assert!(policy.calls.is_empty(), "{:?}", policy.calls);
+        assert_eq!(backend.hooks, ["quarantined 1", "forgot 1"]);
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! coordinates) and must preserve the disjoint-cover invariant: every
 //! item is processed by exactly one *successful* attempt, even when
 //! failed blocks are re-credited and re-dispatched to other units. The
-//! pool pairs a fresh-range cursor with a reclaimed-range free list on top
-//! of the loom-checked [`CompletionLatch`] (the item count and the
-//! run-closed bit share one atomic word, so a re-credit can never race
-//! a run completion — see `docs/SOUNDNESS.md`).
+//! pool pairs a fresh-range cursor with a reclaimed-range free list and
+//! counts its own undistributed items. It is plain data: only the
+//! driver thread claims, re-credits and closes, one observation at a
+//! time, so a re-credit cannot race the close (`docs/SOUNDNESS.md`).
 //!
 //! Claims are budgeted in **cost units**, not item counts: `take`
 //! converts its budget into an item range through the pool's
@@ -16,25 +16,28 @@
 //! on an irregular workload returns a range whose *weight*, not
 //! length, approximates the budget. Under [`Weights::Uniform`] —
 //! the default — cost and item count coincide and every path below
-//! behaves exactly as the pre-weights pool did. The completion latch
-//! always counts *items*: the disjoint-cover invariant is exact in
-//! item space, and weights are positional, so a re-credited fragment
-//! keeps its original weight by construction.
+//! behaves exactly as the pre-weights pool did. The item count is
+//! always in *items*: the disjoint-cover invariant is exact in item
+//! space, and weights are positional, so a re-credited fragment keeps
+//! its original weight by construction.
 
-use crate::protocol::CompletionLatch;
 use crate::sync::Arc;
 use crate::weights::Weights;
 use std::ops::Range;
 
 /// The undistributed-item pool: a cursor over fresh ranges plus a free
-/// list of reclaimed (failed-block) ranges, with the item count and the
-/// run-completion latch backed by [`CompletionLatch`], and claims
-/// budgeted through the workload's [`Weights`].
+/// list of reclaimed (failed-block) ranges, the count of items not yet
+/// distributed, and whether the run is closed; claims are budgeted
+/// through the workload's [`Weights`].
 #[derive(Debug)]
 pub struct WorkPool {
     /// The range the pool was built over.
     items: Range<u64>,
-    latch: CompletionLatch,
+    /// Items not yet distributed: the fresh range past `cursor` plus
+    /// every reclaimed fragment.
+    remaining: u64,
+    /// Set once, by `try_close`, when the run is over.
+    closed: bool,
     cursor: u64,
     /// Ranges of failed blocks returned to the pool; served before
     /// fresh cursor ranges so the disjoint-cover invariant holds under
@@ -63,7 +66,8 @@ impl WorkPool {
     /// `items.start` and `weights` is the global table.
     pub(crate) fn over(items: Range<u64>, weights: Arc<Weights>) -> WorkPool {
         WorkPool {
-            latch: CompletionLatch::new(items.end.saturating_sub(items.start)),
+            remaining: items.end.saturating_sub(items.start),
+            closed: false,
             cursor: items.start,
             items,
             reclaimed: Vec::new(),
@@ -129,7 +133,8 @@ impl WorkPool {
         holes.reverse();
         Ok(WorkPool {
             items: 0..total,
-            latch: CompletionLatch::new(total - covered),
+            remaining: total - covered,
+            closed: false,
             cursor: total,
             reclaimed: holes,
             weights,
@@ -144,7 +149,7 @@ impl WorkPool {
 
     /// Items not yet distributed (0 after a close).
     pub(crate) fn remaining(&self) -> u64 {
-        self.latch.remaining()
+        self.remaining
     }
 
     /// Total cost of the items not yet distributed: the reclaimed
@@ -152,7 +157,7 @@ impl WorkPool {
     /// [`remaining`](WorkPool::remaining) under uniform weights.
     pub(crate) fn remaining_cost(&self) -> u64 {
         let reclaimed_items: u64 = self.reclaimed.iter().map(|&(_, len)| len).sum();
-        let fresh = self.latch.remaining().saturating_sub(reclaimed_items);
+        let fresh = self.remaining.saturating_sub(reclaimed_items);
         self.reclaimed
             .iter()
             .map(|&(off, len)| self.weights.cost(off, len))
@@ -170,7 +175,7 @@ impl WorkPool {
     /// fragment may carry less weight than the budget — callers (and
     /// policies) must tolerate any return value.
     pub fn take(&mut self, budget_cost: u64) -> Option<(u64, u64)> {
-        if budget_cost == 0 || self.latch.remaining() == 0 {
+        if budget_cost == 0 || self.remaining == 0 {
             return None;
         }
         let (offset, got) = if let Some((off, len)) = self.reclaimed.pop() {
@@ -180,7 +185,7 @@ impl WorkPool {
             }
             (off, n)
         } else {
-            let avail = self.latch.remaining();
+            let avail = self.remaining;
             let off = self.cursor;
             let n = self.weights.items_for_budget(off, avail, budget_cost);
             self.cursor += n;
@@ -189,8 +194,7 @@ impl WorkPool {
         if got == 0 {
             return None;
         }
-        let debited = self.latch.take(got);
-        debug_assert_eq!(debited, got, "latch and range pool out of sync");
+        self.debit(got);
         Some((offset, got))
     }
 
@@ -205,7 +209,7 @@ impl WorkPool {
     /// head/tail splits are no-ops. Returns `None` when no unclaimed
     /// work overlaps the range.
     pub fn take_within(&mut self, lo: u64, hi: u64, budget_cost: u64) -> Option<(u64, u64)> {
-        if budget_cost == 0 || lo >= hi || self.latch.remaining() == 0 {
+        if budget_cost == 0 || lo >= hi || self.remaining == 0 {
             return None;
         }
         // Highest-offset overlapping fragment, mirroring `take`'s
@@ -231,8 +235,7 @@ impl WorkPool {
         if n == 0 {
             return None;
         }
-        let debited = self.latch.take(n);
-        debug_assert_eq!(debited, n, "latch and range pool out of sync");
+        self.debit(n);
         Some((off, n))
     }
 
@@ -245,7 +248,7 @@ impl WorkPool {
     /// `(cursor, total)` are ignored. A no-op when nothing remains.
     pub fn fragment(&mut self, bounds: &[u64]) {
         let reclaimed_items: u64 = self.reclaimed.iter().map(|&(_, len)| len).sum();
-        let fresh = self.latch.remaining().saturating_sub(reclaimed_items);
+        let fresh = self.remaining.saturating_sub(reclaimed_items);
         if fresh == 0 {
             return;
         }
@@ -274,21 +277,31 @@ impl WorkPool {
         self.cursor = end;
     }
 
+    /// Count `items` just claimed as distributed. A claim never exceeds
+    /// what the pool holds, and a closed pool holds nothing.
+    fn debit(&mut self, items: u64) {
+        debug_assert!(items <= self.remaining, "claim beyond the pool");
+        self.remaining = self.remaining.saturating_sub(items);
+    }
+
     /// Return a failed block's range to the pool. Weights are
     /// positional, so the fragment re-enters with its original cost.
     pub fn reclaim(&mut self, offset: u64, items: u64) {
-        // The driver only reclaims while work is in flight, and the
-        // latch closes only when nothing is — so the re-credit cannot
-        // race a close (the interleaving the loom model rules out).
-        let credited = self.latch.recredit(items);
-        debug_assert!(credited, "re-credit refused: run already closed");
+        // The driver only reclaims while work is in flight, and closes
+        // the run only when nothing is.
+        debug_assert!(!self.closed, "re-credit after the run closed");
+        self.remaining += items;
         self.reclaimed.push((offset, items));
     }
 
     /// Close out the run. Succeeds exactly once, and only with an empty
     /// pool.
-    pub fn try_close(&self) -> bool {
-        self.latch.try_close()
+    pub fn try_close(&mut self) -> bool {
+        if self.closed || self.remaining > 0 {
+            return false;
+        }
+        self.closed = true;
+        true
     }
 }
 
@@ -354,6 +367,40 @@ mod tests {
         assert_eq!(p.take(100), Some((20, 30)), "fragment caps the grant");
         assert_eq!(p.take(100), Some((50, 50)), "then back to the cursor");
         assert!(p.try_close());
+    }
+
+    #[test]
+    fn take_and_reclaim_count_items() {
+        let mut p = WorkPool::new(10);
+        assert_eq!(p.take(4), Some((0, 4)));
+        assert_eq!(p.take(100), Some((4, 6)), "take clamps to the pool");
+        assert_eq!(p.take(1), None);
+        p.reclaim(4, 3);
+        assert_eq!(p.remaining(), 3);
+        assert!(!p.try_close(), "re-credited items are undistributed");
+    }
+
+    #[test]
+    fn close_needs_an_empty_pool_and_happens_once() {
+        let mut p = WorkPool::new(2);
+        assert!(!p.try_close(), "items still undistributed");
+        assert_eq!(p.take(2), Some((0, 2)));
+        assert!(p.try_close());
+        assert!(!p.try_close(), "single close");
+        assert_eq!(p.take(1), None);
+        assert_eq!(p.remaining(), 0);
+    }
+
+    /// The driver re-credits only while a block is in flight and closes
+    /// only when none is: a re-credit after the close is a driver bug.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "re-credit after the run closed")]
+    fn a_recredit_after_the_close_is_a_bug() {
+        let mut p = WorkPool::new(2);
+        assert_eq!(p.take(2), Some((0, 2)));
+        assert!(p.try_close());
+        p.reclaim(0, 2);
     }
 
     #[test]

@@ -58,10 +58,13 @@
 //!   supplies execution mechanics. Every machine above is a thin backend
 //!   of this core, and nothing outside the crate names the seam; see
 //!   `docs/ARCHITECTURE.md`.
-//! * [`protocol`] — the racy decisions (result vs. deadline, quarantine
-//!   vs. loss, re-credit vs. completion) as explicit state machines,
-//!   model-checked under loom; [`sync`] is the primitive shim that
-//!   swaps in loom's twins under `--cfg loom`. See `docs/SOUNDNESS.md`.
+//! * [`protocol`] — the one decision a worker thread races the driver
+//!   for (a result vs. the watchdog's deadline, a queued block's start
+//!   vs. its revoke) as an explicit state machine, model-checked under
+//!   loom; [`sync`] is the primitive shim that swaps in loom's twins
+//!   under `--cfg loom`. What only the driver touches — a unit's
+//!   availability, the work pool — is plain data. See
+//!   `docs/SOUNDNESS.md`.
 
 pub mod checkpoint;
 pub mod codelet;
@@ -101,7 +104,7 @@ pub use fault::{
 pub use host::{HostEngine, HostNodeRunner, HostPerturbation, HostPu};
 pub use metrics::{PuReport, RunReport};
 pub use policy::{FixedBlockPolicy, Policy, PuHandle, SchedulerCtx};
-pub use protocol::{AttemptOutcome, AttemptSlot, CompletionLatch, UnitGate};
+pub use protocol::{AttemptOutcome, AttemptSlot};
 pub use table::Table;
 pub use task::{FailureReason, TaskFailure, TaskId, TaskInfo};
 pub use trace::{Segment, SegmentKind, Trace};

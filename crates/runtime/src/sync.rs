@@ -4,8 +4,10 @@
 //!
 //! Normally the module re-exports the standard library's primitives;
 //! under `--cfg loom` it re-exports [loom](https://docs.rs/loom)'s
-//! modeled twins so the concurrency protocols in [`crate::protocol`]
-//! can be exhaustively model-checked. The loom crate is *not* a manifest
+//! modeled twins so the one protocol threads race for,
+//! [`crate::protocol::AttemptSlot`], can be exhaustively model-checked.
+//! Its `atomic` re-export is named only in [`crate::protocol`] (the same
+//! lint pass): state only the driver thread touches is plain data. The loom crate is *not* a manifest
 //! dependency — the loom CI job (and a local run, see
 //! `docs/SOUNDNESS.md`) adds it with `cargo add loom --dev` before
 //! building with `RUSTFLAGS="--cfg loom"`, which keeps the default

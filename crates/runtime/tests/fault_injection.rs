@@ -324,6 +324,77 @@ fn sim_trace_times_stay_monotone_under_faults() {
     }
 }
 
+/// A unit can start a run unavailable without being quarantined: a
+/// device an earlier run on the same cluster left failed, as inside a
+/// cluster-tier node across chunks. Such a unit is latent. A due join
+/// admits it, a snapshot records it as neither quarantined nor lost,
+/// and a `Restore` perturbation brings it up.
+#[test]
+fn sim_a_unit_that_starts_failed_is_latent() {
+    let cost = LinearCost::generic();
+    let failed_cluster = || {
+        let mut cl = quiet_cluster(Scenario::One);
+        cl.device_mut(PuId(1)).fail();
+        cl
+    };
+    let join = |after_tasks| {
+        FaultPlan::new(vec![Fault {
+            pu: 1,
+            kind: FaultKind::Join { after_tasks },
+        }])
+    };
+    let on_unit_1 = |events: &plb_runtime::EventSink, kind: EventKind| {
+        events
+            .iter()
+            .filter(|e| e.pu == Some(1) && e.kind == kind)
+            .count()
+    };
+
+    // The join is due after three completions: it admits the unit.
+    let mut cl = failed_cluster();
+    let mut policy = RedispatchPolicy { block: 1_000 };
+    let mut engine = SimEngine::new(&mut cl, &cost).with_faults(join(3));
+    let report = engine.run(&mut policy, 40_000).expect("run completes");
+    let events = engine.last_events().expect("events recorded");
+    let joined = EventKind::PuJoined { after_tasks: 3 };
+    assert_eq!(on_unit_1(events, joined), 1);
+    assert!(report.pus[1].items > 0, "{:?}", report.pus[1]);
+    assert_eq!(report.cover, vec![(0, 40_000)]);
+    assert_eq!(report.events.quarantines, 0);
+
+    // The join never comes due: the final snapshot holds the unit as
+    // waiting, not as down.
+    let path = std::env::temp_dir().join(format!("plb-latent-{}.json", std::process::id()));
+    let mut cl = failed_cluster();
+    let mut policy = RedispatchPolicy { block: 1_000 };
+    let report = SimEngine::new(&mut cl, &cost)
+        .with_faults(join(1_000_000))
+        .with_checkpoint(plb_runtime::CheckpointConfig::new(&path))
+        .run(&mut policy, 40_000)
+        .expect("run completes");
+    assert_eq!(report.pus[1].items, 0);
+    let ckpt = plb_runtime::checkpoint::load(&path).expect("snapshot written");
+    std::fs::remove_file(&path).expect("snapshot removed");
+    let unit = &ckpt.units[1];
+    assert_eq!((unit.quarantined, unit.lost), (false, false), "{unit:?}");
+
+    // A restore brings the unit up, with its join still pending.
+    let mut cl = failed_cluster();
+    let mut policy = RedispatchPolicy { block: 1_000 };
+    let restore = plb_runtime::Perturbation {
+        at: 1e-3,
+        kind: plb_runtime::PerturbationKind::Restore(PuId(1)),
+    };
+    let mut engine = SimEngine::new(&mut cl, &cost)
+        .with_faults(join(1_000_000))
+        .with_perturbations(vec![restore]);
+    let report = engine.run(&mut policy, 40_000).expect("run completes");
+    let events = engine.last_events().expect("events recorded");
+    assert_eq!(on_unit_1(events, EventKind::DeviceRestored), 1);
+    assert!(report.pus[1].items > 0, "{:?}", report.pus[1]);
+    assert_eq!(report.cover, vec![(0, 40_000)]);
+}
+
 // ---------------------------------------------------------------------
 // Host engine
 // ---------------------------------------------------------------------

@@ -1,5 +1,5 @@
-//! Exhaustive loom models of the host engine's concurrency protocols
-//! (`plb_runtime::protocol`).
+//! Exhaustive loom models of the one protocol the host engine's threads
+//! race for (`plb_runtime::protocol::AttemptSlot`).
 //!
 //! This target only builds under `--cfg loom`, and `loom` itself is not
 //! a manifest dependency (the container image and default builds stay
@@ -13,20 +13,21 @@
 //!
 //! The CI `loom` job does exactly this (see `.github/workflows/ci.yml`
 //! and `docs/SOUNDNESS.md`). Under `--cfg loom` the runtime's sync shim
-//! re-exports loom's modeled primitives, so the `AttemptSlot`,
-//! `UnitGate`, and `CompletionLatch` exercised here are built on the
-//! same atomics the production engine uses — loom explores every
-//! interleaving of the host engine's racy protocols:
+//! re-exports loom's modeled primitives, so the `AttemptSlot` exercised
+//! here is built on the same atomics the production engine uses — loom
+//! explores every interleaving of
 //!
-//! * result-arrival vs. watchdog-deadline (`AttemptSlot`),
-//! * a queued block's start vs. its revoke and vs. the watchdog
-//!   (`AttemptSlot`),
-//! * quarantine / probation-restore vs. permanent loss (`UnitGate`),
-//! * failed-block re-credit vs. run completion (`CompletionLatch`).
+//! * result-arrival vs. watchdog-deadline, for a completion and for a
+//!   caught panic,
+//! * a queued block's start vs. its revoke, and vs. the watchdog.
+//!
+//! A unit's availability and the work pool are not modeled: only the
+//! driver thread touches them, so their sequential tests (the
+//! transition table in `core` and the pool's unit tests) cover them.
 #![cfg(loom)]
 
 use loom::thread;
-use plb_runtime::protocol::{AttemptOutcome, AttemptSlot, CompletionLatch, UnitGate};
+use plb_runtime::protocol::{AttemptOutcome, AttemptSlot};
 use plb_runtime::sync::Arc;
 
 /// Result-arrival vs. watchdog-deadline: a completing worker and the
@@ -110,151 +111,5 @@ fn queued_block_races_the_watchdog_with_one_winner() {
             AttemptOutcome::TimedOut
         };
         assert_eq!(slot.outcome(), Some(expect));
-    });
-}
-
-/// A queued block lost with its unit: the driver re-credits it whether
-/// its revoke wins or the worker already started it (whose report is
-/// then stale and dropped), so it is re-credited exactly once; and a
-/// run completion racing that re-credit either sees the items back or
-/// closes first and refuses them — never both, never neither.
-#[test]
-fn lost_queued_block_is_recredited_exactly_once() {
-    loom::model(|| {
-        let latch = Arc::new(CompletionLatch::new(2));
-        assert_eq!(latch.take(2), 2);
-        let slot = Arc::new(AttemptSlot::queued());
-        let (s2, l2) = (Arc::clone(&slot), Arc::clone(&latch));
-        let worker = thread::spawn(move || s2.try_start() && s2.try_complete());
-        let closer = thread::spawn(move || l2.try_close());
-        let revoked = slot.try_revoke();
-        let recredited = latch.recredit(2);
-        let stale_report = worker.join().expect("worker thread");
-        let closed = closer.join().expect("closer thread");
-        assert_ne!(revoked, stale_report, "revoked, or started and stale");
-        assert_ne!(recredited, closed, "exactly one racer wins");
-        if recredited {
-            assert!(!latch.is_closed());
-            assert_eq!(latch.remaining(), 2, "re-credited once, in full");
-        } else {
-            assert!(latch.is_closed());
-            assert_eq!(latch.remaining(), 0);
-        }
-    });
-}
-
-/// Probation-restore vs. permanent loss: whatever the interleaving, a
-/// unit marked lost ends lost — a restore can win the race only by
-/// linearizing *before* the loss, never by resurrecting it after.
-#[test]
-fn lost_unit_is_never_resurrected_by_probation() {
-    loom::model(|| {
-        let gate = Arc::new(UnitGate::new());
-        assert!(gate.try_quarantine());
-        let g2 = Arc::clone(&gate);
-        let loser = thread::spawn(move || g2.mark_lost());
-        let restored = gate.try_restore();
-        let newly_lost = loser.join().expect("loss thread");
-        assert!(newly_lost, "first mark_lost always reports the transition");
-        assert!(gate.is_lost(), "loss is absorbing");
-        assert!(!gate.is_active());
-        // If the restore won, it strictly preceded the loss; it can
-        // never observe success while the gate reads Lost.
-        let _ = restored;
-    });
-}
-
-/// Quarantine (worker-failure path) vs. loss (watchdog path) racing on
-/// a healthy unit: loss absorbs either way, and the newly-lost edge is
-/// reported exactly once.
-#[test]
-fn quarantine_and_loss_race_resolves_to_loss() {
-    loom::model(|| {
-        let gate = Arc::new(UnitGate::new());
-        let g2 = Arc::clone(&gate);
-        let q = thread::spawn(move || g2.try_quarantine());
-        let newly_lost = gate.mark_lost();
-        let _quarantined = q.join().expect("quarantine thread");
-        assert!(newly_lost);
-        assert!(gate.is_lost());
-        assert!(!gate.try_restore(), "no path back from lost");
-    });
-}
-
-/// Failed-block re-credit vs. run completion: with the pool drained and
-/// one block's fate undecided, a reclaiming watchdog and a closing
-/// engine cannot both win — either the re-credit lands (close fails,
-/// run continues) or the close lands (re-credit refused).
-#[test]
-fn recredit_and_close_cannot_both_win() {
-    loom::model(|| {
-        let latch = Arc::new(CompletionLatch::new(1));
-        assert_eq!(latch.take(1), 1);
-        let l2 = Arc::clone(&latch);
-        let reclaimer = thread::spawn(move || l2.recredit(1));
-        let closed = latch.try_close();
-        let recredited = reclaimer.join().expect("reclaim thread");
-        assert_ne!(closed, recredited, "exactly one racer wins");
-        if closed {
-            assert!(latch.is_closed());
-            assert_eq!(latch.remaining(), 0);
-        } else {
-            assert!(!latch.is_closed());
-            assert_eq!(latch.remaining(), 1);
-        }
-    });
-}
-
-/// Item conservation under concurrent take and re-credit: no
-/// interleaving loses or double-counts items.
-#[test]
-fn concurrent_take_and_recredit_conserve_items() {
-    loom::model(|| {
-        let latch = Arc::new(CompletionLatch::new(4));
-        let l2 = Arc::clone(&latch);
-        let taker = thread::spawn(move || l2.take(3));
-        let recredited = latch.recredit(2);
-        let took = taker.join().expect("taker thread");
-        assert!(recredited, "run is open: re-credit always lands");
-        assert_eq!(took, 3, "pool never drops below the request here");
-        assert_eq!(latch.remaining(), 4 + 2 - took);
-    });
-}
-
-/// Composition of the two protocols on the full timeout path: the last
-/// in-flight block either completes (worker wins the slot, the run
-/// closes) or blows its deadline (watchdog wins, the items are
-/// re-credited) — never both, never neither.
-#[test]
-fn timeout_reclaim_never_races_run_completion() {
-    loom::model(|| {
-        let latch = Arc::new(CompletionLatch::new(2));
-        assert_eq!(latch.take(2), 2);
-        let slot = Arc::new(AttemptSlot::new());
-        let (s2, l2) = (Arc::clone(&slot), Arc::clone(&latch));
-        let worker = thread::spawn(move || {
-            // Engine-side handling of a delivered completion: the run
-            // drains and closes.
-            if s2.try_complete() {
-                l2.try_close()
-            } else {
-                false
-            }
-        });
-        // Watchdog side: deadline blown — reclaim the block's items.
-        let reclaimed = if slot.try_timeout() {
-            latch.recredit(2)
-        } else {
-            false
-        };
-        let closed = worker.join().expect("worker thread");
-        assert_ne!(closed, reclaimed, "exactly one side of the race acts");
-        if closed {
-            assert!(latch.is_closed());
-            assert_eq!(latch.remaining(), 0);
-        } else {
-            assert!(!latch.is_closed());
-            assert_eq!(latch.remaining(), 2, "lost block fully re-credited");
-        }
     });
 }

@@ -1,14 +1,13 @@
 //! Pass 6: fault-response decision logic (retry, backoff, quarantine,
-//! probation, re-credit) lives only in the scheduling core and the
-//! state machines it drives; engine backends must not grow their own
-//! copies (`docs/ARCHITECTURE.md`).
+//! probation, re-credit) lives only in the scheduling core; engine
+//! backends must not grow their own copies (`docs/ARCHITECTURE.md`).
 
 use super::{Context, Pass, SYNC_SHIM};
 use crate::lexer::{line_of, word_occurrences};
 use crate::report::Violation;
 
 /// The vocabulary of fault-response decisions: config knobs, driver
-/// state, and state-machine transitions. Any of these appearing in a
+/// state, and a unit's transitions. Any of these appearing in a
 /// runtime file outside [`fault_response_home`] means a backend is
 /// re-implementing core policy.
 const FAULT_RESPONSE_TOKENS: &[&str] = &[
@@ -20,20 +19,19 @@ const FAULT_RESPONSE_TOKENS: &[&str] = &[
     "reclaim",
     "take_range",
     "probation_s",
-    "quarantined_until",
     "pending_lost",
-    "try_quarantine",
-    "try_restore",
-    "mark_lost",
+    "set_state",
+    "take_down",
+    "bring_back",
+    "write_off",
 ];
 
 /// Files where fault-response logic legitimately lives: the scheduling
-/// core (decisions), the fault config (knobs), the protocol state
-/// machines (transitions), and the sync shim they are built on.
+/// core (decisions and a unit's transitions), the fault config (knobs),
+/// and the sync shim.
 fn fault_response_home(rel: &str) -> bool {
     rel.starts_with("crates/runtime/src/core/")
         || rel == "crates/runtime/src/fault.rs"
-        || rel == "crates/runtime/src/protocol.rs"
         || rel == SYNC_SHIM
 }
 
