@@ -3,13 +3,27 @@
 //! Each function returns the rendered markdown plus machine-readable
 //! tables; the `repro` binary writes them under `results/`.
 
-use crate::harness::{default_initial_block, run_many, run_once, App, PolicyKind};
+use crate::harness::{
+    default_initial_block, Aggregate, App, PolicyChoice, PolicyKind, RunOutcome, RunSpec,
+};
 use crate::report::fmt_secs;
-use plb_hec::{FitMode, PlbHecPolicy, PolicyConfig, ProbeSchedule, SolverChoice};
-use plb_hetsim::cluster::ClusterOptions;
-use plb_hetsim::{cluster_scenario, machine_a, ClusterSim, DevicePerf, PuId, Scenario};
+use plb_hec::{FitMode, PolicyConfig, ProbeSchedule, SolverChoice};
+use plb_hetsim::{cluster_scenario, machine_a, DevicePerf, PuId, Scenario};
 use plb_numerics::fit_best_model;
-use plb_runtime::{Perturbation, PerturbationKind, SimEngine, Table};
+use plb_runtime::{Perturbation, PerturbationKind, Table};
+
+/// One cell of the paper's grid: `seeds` runs of `kind` on `app` over a
+/// Table I scenario at σ = 0.02, seeds 0, 1, ….
+fn cell(app: App, scenario: Scenario, single_gpu: bool, kind: PolicyKind, seeds: u64) -> Aggregate {
+    RunSpec {
+        app,
+        machines: cluster_scenario(scenario, single_gpu),
+        noise: 0.02,
+        policy: PolicyChoice::Paper(kind),
+        ..RunSpec::default()
+    }
+    .run_many(seeds)
+}
 
 /// The sizes plotted per app family in Figs. 6 and 7 ("two different
 /// input sizes for each").
@@ -122,18 +136,11 @@ pub fn fig1() -> (String, Vec<Table>) {
     (md, tables)
 }
 
-/// Fig. 3: the rebalancing Gantt chart. A mid-run slowdown on one unit
-/// trips the 10 % threshold; the chart shows the synchronization and the
-/// new block sizes afterward.
-pub fn fig3() -> (String, Vec<Table>) {
+/// Fig. 3's run: MM 16384 on machines A and B with one GPU each, at
+/// σ = 0.01, where A's GPU slows 5x mid-execution. Returns the run and
+/// the time of the slowdown.
+fn fig3_run() -> (RunOutcome, f64) {
     let app = App::MatMul(16384);
-    let machines = cluster_scenario(Scenario::Two, true);
-    let opts = ClusterOptions {
-        seed: 0,
-        noise_sigma: 0.01,
-        ..Default::default()
-    };
-    let mut cluster = ClusterSim::build(&machines, &opts);
     let cost = app.inputs().cost;
     // Smaller execution rounds than the default: QoS drift is detected
     // when the slowed unit's current block completes, so finer blocks
@@ -144,29 +151,32 @@ pub fn fig3() -> (String, Vec<Table>) {
         ..Default::default()
     }
     .with_round_fraction(0.12);
+    let mut spec = RunSpec {
+        app,
+        machines: cluster_scenario(Scenario::Two, true),
+        noise: 0.01,
+        config: Some(cfg),
+        ..RunSpec::default()
+    };
     // Baseline run to size the drift time: the perturbation must land
     // mid-execution (inside modeling it is absorbed into the fits; near
     // the end nothing is left to redistribute).
-    let baseline = {
-        let mut c = ClusterSim::build(&machines, &opts);
-        let mut p = PlbHecPolicy::new(&cfg);
-        SimEngine::new(&mut c, cost.as_ref())
-            .run(&mut p, app.total_items())
-            .expect("baseline run completes")
-            .makespan
-    };
-    let mut policy = PlbHecPolicy::new(&cfg);
-    let mut engine =
-        SimEngine::new(&mut cluster, cost.as_ref()).with_perturbations(vec![Perturbation {
-            at: 0.45 * baseline,
-            kind: PerturbationKind::SetSlowdown(PuId(1), 5.0),
-        }]);
-    let report = engine
-        .run(&mut policy, app.total_items())
-        .expect("fig3 run completes");
-    let trace = engine.last_trace().expect("trace recorded");
-    let names: Vec<String> = report.pus.iter().map(|p| p.name.clone()).collect();
-    let gantt = trace.ascii_gantt(&names, 100);
+    let baseline = spec.run().expect("baseline run completes").report.makespan;
+    let at = 0.45 * baseline;
+    spec.perturbations = vec![Perturbation {
+        at,
+        kind: PerturbationKind::SetSlowdown(PuId(1), 5.0),
+    }];
+    (spec.run().expect("fig3 run completes"), at)
+}
+
+/// Fig. 3: the rebalancing Gantt chart. A mid-run slowdown on one unit
+/// trips the 10 % threshold; the chart shows the synchronization and the
+/// new block sizes afterward.
+pub fn fig3() -> (String, Vec<Table>) {
+    let (o, at) = fig3_run();
+    let names: Vec<String> = o.report.pus.iter().map(|p| p.name.clone()).collect();
+    let gantt = o.trace.ascii_gantt(&names, 100);
 
     let mut md = String::from("## Fig. 3 — execution and rebalancing Gantt\n\n");
     md.push_str(&format!(
@@ -175,17 +185,12 @@ pub fn fig3() -> (String, Vec<Table>) {
          block overshoots the fitted model by far more than the 10% \
          threshold and PLB-HeC rebalances ({} rebalance(s) performed).\n\n\
          ```text\n{}```\n\n(`#` compute, `-` transfer, `.` idle)\n",
-        0.45 * baseline,
-        policy.rebalances(),
-        gantt
+        at, o.rebalances, gantt
     ));
     let mut t = Table::new("Fig. 3 run summary", &["metric", "value"]);
-    t.push_row(vec!["makespan".into(), fmt_secs(report.makespan)]);
-    t.push_row(vec!["rebalances".into(), policy.rebalances().to_string()]);
-    t.push_row(vec![
-        "selections".into(),
-        policy.selections().len().to_string(),
-    ]);
+    t.push_row(vec!["makespan".into(), fmt_secs(o.report.makespan)]);
+    t.push_row(vec!["rebalances".into(), o.rebalances.to_string()]);
+    t.push_row(vec!["selections".into(), o.solve_times.len().to_string()]);
     md.push_str(&t.to_markdown());
     (md, vec![t])
 }
@@ -207,7 +212,7 @@ fn exec_time_figure(title: &str, apps: &[App], seeds: u64) -> (String, Vec<Table
         for scenario in Scenario::ALL {
             let mut means = std::collections::HashMap::new();
             for kind in PolicyKind::ALL {
-                let agg = run_many(app, scenario, false, kind, seeds);
+                let agg = cell(app, scenario, false, kind, seeds);
                 means.insert(kind.label(), agg.mean_makespan);
             }
             let greedy = means["greedy"];
@@ -279,7 +284,7 @@ pub fn fig6(seeds: u64) -> (String, Vec<Table>) {
             ],
         );
         for kind in [PolicyKind::Acosta, PolicyKind::Hdss, PolicyKind::PlbHec] {
-            let agg = run_many(app, Scenario::Four, true, kind, seeds);
+            let agg = cell(app, Scenario::Four, true, kind, seeds);
             let mean = agg
                 .mean_block_distribution()
                 .unwrap_or_else(|| agg.mean_item_shares());
@@ -312,7 +317,7 @@ pub fn fig7(seeds: u64) -> (String, Vec<Table>) {
             ],
         );
         for kind in [PolicyKind::PlbHec, PolicyKind::Hdss] {
-            let agg = run_many(app, Scenario::Four, true, kind, seeds);
+            let agg = cell(app, Scenario::Four, true, kind, seeds);
             let idle = agg.mean_idle_fractions();
             let mean_idle: f64 = idle.iter().sum::<f64>() / idle.len() as f64;
             let mut row = vec![kind.label().to_string()];
@@ -331,18 +336,14 @@ pub fn fig7(seeds: u64) -> (String, Vec<Table>) {
 /// The Section V statistic: cost of the block-size calculation (paper,
 /// with IPOPT: 170 ms ± 32.3 ms, 4 machines, MM 65536).
 pub fn ipmcost(seeds: u64) -> (String, Vec<Table>) {
-    let mut solve_times = Vec::new();
-    for seed in 0..seeds {
-        let o = run_once(
-            App::MatMul(65536),
-            Scenario::Four,
-            false,
-            PolicyKind::PlbHec,
-            seed,
-            vec![],
-        );
-        solve_times.extend(o.solve_times);
-    }
+    let agg = cell(
+        App::MatMul(65536),
+        Scenario::Four,
+        false,
+        PolicyKind::PlbHec,
+        seeds,
+    );
+    let solve_times: Vec<f64> = agg.runs.into_iter().flat_map(|o| o.solve_times).collect();
     let mean = plb_numerics::mean(&solve_times);
     let std = plb_numerics::stats::sample_stddev(&solve_times);
     let mut t = Table::new(
@@ -376,41 +377,21 @@ pub fn ablations(seeds: u64) -> (String, Vec<Table>) {
          itself an ablation finding recorded here).\n\n",
     );
     let mut tables = Vec::new();
-    // One thread per item and substantial per-item work: execution
-    // blocks of ~10-20k items expose only 10-20k threads, well below
-    // the big GPUs' ~40k-thread half-occupancy points.
-    let ramp_cost = || plb_hetsim::workload::LinearCost {
-        label: "ramp".into(),
-        flops_per_item: 2e5,
-        in_bytes_per_item: 64.0,
-        out_bytes_per_item: 8.0,
-        threads_per_item: 1.0,
-    };
-    let scenario = Scenario::Four;
     let total: u64 = 400_000;
-
-    let run_cfg = |cfg: PolicyConfig, perturb: Vec<Perturbation>| -> (f64, usize) {
-        let mut makespans = Vec::new();
-        let mut rebalances = 0;
-        for seed in 0..seeds {
-            let machines = cluster_scenario(scenario, false);
-            let opts = ClusterOptions {
-                seed,
-                noise_sigma: 0.02,
-                ..Default::default()
-            };
-            let mut cluster = ClusterSim::build(&machines, &opts);
-            let cost = ramp_cost();
-            let mut policy = PlbHecPolicy::new(&cfg);
-            let mut engine =
-                SimEngine::new(&mut cluster, &cost).with_perturbations(perturb.clone());
-            let r = engine
-                .run(&mut policy, total)
-                .expect("ablation run completes");
-            makespans.push(r.makespan);
-            rebalances += policy.rebalances();
-        }
-        (plb_numerics::mean(&makespans), rebalances)
+    // The occupancy-ramp workload on the four Table I machines at
+    // σ = 0.02, under PLB-HeC with `cfg`.
+    let run_cfg = |cfg: PolicyConfig, perturbations: Vec<Perturbation>| -> (f64, usize) {
+        let spec = RunSpec {
+            app: App::Ramp(total),
+            machines: cluster_scenario(Scenario::Four, false),
+            noise: 0.02,
+            config: Some(cfg),
+            perturbations,
+            ..RunSpec::default()
+        };
+        let agg = spec.run_many(seeds);
+        let rebalances = agg.runs.iter().map(|o| o.rebalances).sum();
+        (agg.mean_makespan, rebalances)
     };
 
     // The thread-aware floor of `default_initial_block` would demand
@@ -489,40 +470,20 @@ pub fn ablations(seeds: u64) -> (String, Vec<Table>) {
     //    profiles — the paper's Section II argument against its own
     //    ancestor [17].
     {
-        use plb_hec::{PerfProfile, StaticProfilePolicy, UnitModel};
-        let machines = cluster_scenario(scenario, false);
         // A saturated workload: the static-vs-dynamic question is about
         // *staleness*, so both sides should have good curve shapes (on
         // the ramp workload PLB's own small probes are the bottleneck,
         // which is ablation 3's finding, not this one's).
-        let saturated = || plb_hetsim::workload::LinearCost {
-            label: "saturated".into(),
-            flops_per_item: 1e5,
-            in_bytes_per_item: 64.0,
-            out_bytes_per_item: 16.0,
-            threads_per_item: 64.0,
-        };
-        let static_cfg = PolicyConfig {
-            initial_block: 1_000,
-            ..Default::default()
-        };
-        let cost_for_profiles = saturated();
-        let record = |cluster: &mut ClusterSim| -> Vec<UnitModel> {
-            cluster
-                .ids()
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|id| {
-                    let mut p = PerfProfile::new();
-                    for &b in &[500u64, 1000, 2000, 4000, 8000, 16000] {
-                        let d = cluster.device_mut(id);
-                        let xfer = d.transfer_time(&cost_for_profiles, b);
-                        let proc = d.proc_time(&cost_for_profiles, b);
-                        p.record(b, proc, xfer);
-                    }
-                    p.fit().expect("offline profiles fit")
-                })
-                .collect()
+        let saturated = |seed: u64, initial_block: u64| RunSpec {
+            app: App::Saturated(total),
+            machines: cluster_scenario(Scenario::Four, false),
+            noise: 0.02,
+            seed,
+            config: Some(PolicyConfig {
+                initial_block,
+                ..Default::default()
+            }),
+            ..RunSpec::default()
         };
         let mut t = Table::new(
             "Ablation: static prior-profile distribution [17] vs dynamic PLB-HeC              (profiles recorded on a healthy cluster; the A GPU has since slowed 4x)",
@@ -531,36 +492,21 @@ pub fn ablations(seeds: u64) -> (String, Vec<Table>) {
         let mut static_means = Vec::new();
         let mut dynamic_means = Vec::new();
         for seed in 0..seeds {
-            let opts = ClusterOptions {
-                seed,
-                noise_sigma: 0.02,
-                ..Default::default()
+            // Profiles probed at 500 × 1, 2, …, 32 items.
+            let models = saturated(seed, 500)
+                .profile()
+                .expect("offline profiles fit");
+            // The A GPU is already slowed when the run starts.
+            let degraded = RunSpec {
+                slowed: vec![(PuId(1), 4.0)],
+                ..saturated(seed, 1_000)
             };
-            let mut profile_cluster = ClusterSim::build(&machines, &opts);
-            let models = record(&mut profile_cluster);
-
-            let degraded = || {
-                let mut c = ClusterSim::build(&machines, &opts);
-                c.device_mut(PuId(1)).set_slowdown(4.0);
-                c
+            let static_run = RunSpec {
+                policy: PolicyChoice::Static(models),
+                ..degraded.clone()
             };
-            let mut c = degraded();
-            let cost = saturated();
-            let mut sp = StaticProfilePolicy::from_profiles(&static_cfg, models);
-            static_means.push(
-                SimEngine::new(&mut c, &cost)
-                    .run(&mut sp, total)
-                    .expect("static run")
-                    .makespan,
-            );
-            let mut c = degraded();
-            let mut dp = PlbHecPolicy::new(&static_cfg);
-            dynamic_means.push(
-                SimEngine::new(&mut c, &cost)
-                    .run(&mut dp, total)
-                    .expect("dynamic run")
-                    .makespan,
-            );
+            static_means.push(static_run.run().expect("static run").report.makespan);
+            dynamic_means.push(degraded.run().expect("dynamic run").report.makespan);
         }
         t.push_row(vec![
             "static-profile [17]".into(),
@@ -644,47 +590,17 @@ pub fn svgs(seeds: u64) -> Vec<(String, String)> {
     use crate::viz::{gantt_svg, grouped_bars_svg, line_chart_svg, Series};
     let mut out = Vec::new();
 
-    // Fig. 3 Gantt: reuse the same drifted scenario.
-    {
-        let app = App::MatMul(16384);
-        let machines = cluster_scenario(Scenario::Two, true);
-        let opts = ClusterOptions {
-            seed: 0,
-            noise_sigma: 0.01,
-            ..Default::default()
-        };
-        let cost = app.inputs().cost;
-        let cfg = PolicyConfig {
-            initial_block: default_initial_block(app.total_items(), cost.as_ref()),
-            ..Default::default()
-        }
-        .with_round_fraction(0.12);
-        let baseline = {
-            let mut c = ClusterSim::build(&machines, &opts);
-            let mut p = PlbHecPolicy::new(&cfg);
-            SimEngine::new(&mut c, cost.as_ref())
-                .run(&mut p, app.total_items())
-                .unwrap()
-                .makespan
-        };
-        let mut cluster = ClusterSim::build(&machines, &opts);
-        let mut policy = PlbHecPolicy::new(&cfg);
-        let mut engine =
-            SimEngine::new(&mut cluster, cost.as_ref()).with_perturbations(vec![Perturbation {
-                at: 0.45 * baseline,
-                kind: PerturbationKind::SetSlowdown(PuId(1), 5.0),
-            }]);
-        let report = engine.run(&mut policy, app.total_items()).unwrap();
-        let names: Vec<String> = report.pus.iter().map(|p| p.name.clone()).collect();
-        out.push((
-            "fig3_gantt".to_string(),
-            gantt_svg(
-                engine.last_trace().unwrap(),
-                &names,
-                "Fig. 3 — PLB-HeC rebalancing after mid-run QoS drift (MM 16384, machines A+B)",
-            ),
-        ));
-    }
+    // Fig. 3 Gantt: the same drifted run.
+    let (o, _) = fig3_run();
+    let names: Vec<String> = o.report.pus.iter().map(|p| p.name.clone()).collect();
+    out.push((
+        "fig3_gantt".to_string(),
+        gantt_svg(
+            &o.trace,
+            &names,
+            "Fig. 3 — PLB-HeC rebalancing after mid-run QoS drift (MM 16384, machines A+B)",
+        ),
+    ));
 
     // Figs. 4/5 line charts: execution time vs input size, 4 machines.
     let line = |title: &str, apps: &[App], seeds: u64| -> String {
@@ -695,7 +611,7 @@ pub fn svgs(seeds: u64) -> Vec<(String, String)> {
                 label: kind.label().to_string(),
                 values: apps
                     .iter()
-                    .map(|&a| run_many(a, Scenario::Four, false, kind, seeds).mean_makespan)
+                    .map(|&a| cell(a, Scenario::Four, false, kind, seeds).mean_makespan)
                     .collect(),
             })
             .collect();
@@ -741,7 +657,7 @@ pub fn svgs(seeds: u64) -> Vec<(String, String)> {
         let series: Vec<Series> = [PolicyKind::Acosta, PolicyKind::Hdss, PolicyKind::PlbHec]
             .iter()
             .map(|&kind| {
-                let agg = run_many(App::MatMul(65536), Scenario::Four, true, kind, seeds);
+                let agg = cell(App::MatMul(65536), Scenario::Four, true, kind, seeds);
                 Series {
                     label: kind.label().to_string(),
                     values: agg
@@ -772,7 +688,7 @@ pub fn svgs(seeds: u64) -> Vec<(String, String)> {
         let series: Vec<Series> = [PolicyKind::PlbHec, PolicyKind::Hdss]
             .iter()
             .map(|&kind| {
-                let agg = run_many(App::MatMul(65536), Scenario::Four, true, kind, seeds);
+                let agg = cell(App::MatMul(65536), Scenario::Four, true, kind, seeds);
                 Series {
                     label: kind.label().to_string(),
                     values: agg.mean_idle_fractions(),
@@ -791,6 +707,95 @@ pub fn svgs(seeds: u64) -> Vec<(String, String)> {
     }
 
     out
+}
+
+/// A one-page summary of the headline reproduced results: the numbers
+/// EXPERIMENTS.md discusses, regenerated in one call.
+pub fn summary(seeds: u64) -> (String, Vec<Table>) {
+    let mut md = String::from("# Reproduction summary\n\n");
+
+    // Headline: MM 65536 on 4 machines, all four policies.
+    let mut t = Table::new(
+        "Headline case — MM 65536, 4 machines (paper: PLB-HeC 2.2x, HDSS 1.2x, Acosta 1.04x vs greedy)",
+        &["policy", "mean makespan", "95% CI (±)", "speedup vs greedy"],
+    );
+    let mut greedy_mean = 0.0;
+    let mut rows = Vec::new();
+    for kind in [
+        PolicyKind::Greedy,
+        PolicyKind::Acosta,
+        PolicyKind::Hdss,
+        PolicyKind::PlbHec,
+    ] {
+        let agg = cell(App::MatMul(65536), Scenario::Four, false, kind, seeds);
+        if kind == PolicyKind::Greedy {
+            greedy_mean = agg.mean_makespan;
+        }
+        rows.push((kind.label(), agg.mean_makespan, agg.makespan_ci95()));
+    }
+    for (label, mean, ci) in rows {
+        t.push_row(vec![
+            label.into(),
+            fmt_secs(mean),
+            fmt_secs(ci),
+            format!("{:.2}x", greedy_mean / mean),
+        ]);
+    }
+    md.push_str(&t.to_markdown());
+    let mut tables = vec![t];
+
+    // Crossover: PLB-HeC speedup across MM sizes (greedy wins small,
+    // loses big).
+    let mut t = Table::new(
+        "Crossover — PLB-HeC speedup vs greedy across MM sizes, 4 machines",
+        &["matrix order", "speedup"],
+    );
+    for &n in &plb_apps::paper_inputs::MM_SIZES {
+        let plb = cell(
+            App::MatMul(n),
+            Scenario::Four,
+            false,
+            PolicyKind::PlbHec,
+            seeds,
+        );
+        let greedy = cell(
+            App::MatMul(n),
+            Scenario::Four,
+            false,
+            PolicyKind::Greedy,
+            seeds,
+        );
+        t.push_row(vec![
+            n.to_string(),
+            format!("{:.2}x", greedy.mean_makespan / plb.mean_makespan),
+        ]);
+    }
+    md.push_str(&t.to_markdown());
+    tables.push(t);
+
+    // Scaling: PLB-HeC makespan by machine count (BS 500k).
+    let mut t = Table::new(
+        "Cluster scaling — PLB-HeC makespan, Black-Scholes 500k options",
+        &["machines", "mean makespan"],
+    );
+    for s in Scenario::ALL {
+        let agg = cell(
+            App::BlackScholes(500_000),
+            s,
+            false,
+            PolicyKind::PlbHec,
+            seeds,
+        );
+        t.push_row(vec![s.machines().to_string(), fmt_secs(agg.mean_makespan)]);
+    }
+    md.push_str(&t.to_markdown());
+    tables.push(t);
+
+    md.push_str(
+        "See `EXPERIMENTS.md` for the full paper-vs-measured discussion and \
+         `results/fig*.md` for every table and figure.\n",
+    );
+    (md, tables)
 }
 
 #[cfg(test)]
@@ -827,11 +832,6 @@ mod tests {
         assert!(md.contains("170 ms"));
         assert_eq!(tables[0].rows.len(), 3);
     }
-}
-
-#[cfg(test)]
-mod generator_tests {
-    use super::*;
 
     #[test]
     fn fig4_and_fig5_tables_have_full_grids() {
@@ -880,93 +880,4 @@ mod generator_tests {
             assert!(svg.ends_with("</svg>\n"), "{stem}");
         }
     }
-}
-
-/// A one-page summary of the headline reproduced results: the numbers
-/// EXPERIMENTS.md discusses, regenerated in one call.
-pub fn summary(seeds: u64) -> (String, Vec<Table>) {
-    let mut md = String::from("# Reproduction summary\n\n");
-
-    // Headline: MM 65536 on 4 machines, all four policies.
-    let mut t = Table::new(
-        "Headline case — MM 65536, 4 machines (paper: PLB-HeC 2.2x, HDSS 1.2x, Acosta 1.04x vs greedy)",
-        &["policy", "mean makespan", "95% CI (±)", "speedup vs greedy"],
-    );
-    let mut greedy_mean = 0.0;
-    let mut rows = Vec::new();
-    for kind in [
-        PolicyKind::Greedy,
-        PolicyKind::Acosta,
-        PolicyKind::Hdss,
-        PolicyKind::PlbHec,
-    ] {
-        let agg = run_many(App::MatMul(65536), Scenario::Four, false, kind, seeds);
-        if kind == PolicyKind::Greedy {
-            greedy_mean = agg.mean_makespan;
-        }
-        rows.push((kind.label(), agg.mean_makespan, agg.makespan_ci95()));
-    }
-    for (label, mean, ci) in rows {
-        t.push_row(vec![
-            label.into(),
-            fmt_secs(mean),
-            fmt_secs(ci),
-            format!("{:.2}x", greedy_mean / mean),
-        ]);
-    }
-    md.push_str(&t.to_markdown());
-    let mut tables = vec![t];
-
-    // Crossover: PLB-HeC speedup across MM sizes (greedy wins small,
-    // loses big).
-    let mut t = Table::new(
-        "Crossover — PLB-HeC speedup vs greedy across MM sizes, 4 machines",
-        &["matrix order", "speedup"],
-    );
-    for &n in &plb_apps::paper_inputs::MM_SIZES {
-        let plb = run_many(
-            App::MatMul(n),
-            Scenario::Four,
-            false,
-            PolicyKind::PlbHec,
-            seeds,
-        );
-        let greedy = run_many(
-            App::MatMul(n),
-            Scenario::Four,
-            false,
-            PolicyKind::Greedy,
-            seeds,
-        );
-        t.push_row(vec![
-            n.to_string(),
-            format!("{:.2}x", greedy.mean_makespan / plb.mean_makespan),
-        ]);
-    }
-    md.push_str(&t.to_markdown());
-    tables.push(t);
-
-    // Scaling: PLB-HeC makespan by machine count (BS 500k).
-    let mut t = Table::new(
-        "Cluster scaling — PLB-HeC makespan, Black-Scholes 500k options",
-        &["machines", "mean makespan"],
-    );
-    for s in Scenario::ALL {
-        let agg = run_many(
-            App::BlackScholes(500_000),
-            s,
-            false,
-            PolicyKind::PlbHec,
-            seeds,
-        );
-        t.push_row(vec![s.machines().to_string(), fmt_secs(agg.mean_makespan)]);
-    }
-    md.push_str(&t.to_markdown());
-    tables.push(t);
-
-    md.push_str(
-        "See `EXPERIMENTS.md` for the full paper-vs-measured discussion and \
-         `results/fig*.md` for every table and figure.\n",
-    );
-    (md, tables)
 }

@@ -1,11 +1,19 @@
-//! The scenario runner.
+//! The run description, [`RunSpec`], and the one path from it to an
+//! engine, [`RunSpec::run`].
 
 use plb_hec::{
-    AcostaPolicy, GreedyPolicy, HdssPolicy, PlbHecPolicy, PolicyConfig, SelectionResult,
+    AcostaPolicy, GreedyPolicy, HdssPolicy, NodeDiffusionPolicy, PerfProfile, PlbHecPolicy,
+    PolicyConfig, SelectionResult, StaticProfilePolicy, UnitModel,
 };
 use plb_hetsim::cluster::ClusterOptions;
-use plb_hetsim::{cluster_scenario, ClusterSim, CostModel, Scenario};
-use plb_runtime::{EventSink, Perturbation, RunReport, SimEngine, Trace, Weights};
+use plb_hetsim::workload::LinearCost;
+use plb_hetsim::{cluster_scenario, ClusterSim, CostModel, MachineSpec, PuId, Scenario, Topology};
+use plb_numerics::FitError;
+use plb_runtime::{
+    equal_cost_shards, Checkpoint, CheckpointConfig, ClusterEngine, Engine, EventSink, FaultPlan,
+    NodeFaultPlan, Perturbation, Policy, RunError, RunReport, SimEngine, SimNodeRunner, Trace,
+    Weights,
+};
 use std::sync::Arc;
 
 /// An evaluation application at a given input size.
@@ -31,22 +39,29 @@ pub enum App {
         /// Matrix generator seed.
         seed: u64,
     },
+    /// The ablations' synthetic kernel whose execution blocks sit on the
+    /// GPU occupancy ramp: one thread per item and substantial per-item
+    /// work, so blocks of ~10-20k items expose only 10-20k threads, well
+    /// below the big GPUs' ~40k-thread half-occupancy points.
+    Ramp(u64),
+    /// The ablations' synthetic saturated kernel: 64 threads per item.
+    Saturated(u64),
 }
 
 /// What a run needs of its application, built once by [`App::inputs`].
-pub struct AppInputs {
+pub(crate) struct AppInputs {
     /// The simulator cost model.
-    pub cost: Box<dyn CostModel>,
+    pub(crate) cost: Box<dyn CostModel>,
     /// The run's work weights: per-row nonzero costs for SpMV (the very
     /// table `cost` reads), uniform for the regular apps (for which
     /// cost ≡ item count).
-    pub weights: Arc<Weights>,
+    pub(crate) weights: Arc<Weights>,
     /// Total work items.
-    pub total_items: u64,
+    pub(crate) total_items: u64,
     /// Total workload weight in cost units (equals `total_items` for
     /// the uniform apps): the quantity block-size heuristics should
     /// scale with.
-    pub total_cost: u64,
+    pub(crate) total_cost: u64,
 }
 
 impl App {
@@ -54,13 +69,27 @@ impl App {
     /// matrix's row profile — once, whatever the run then reads of it.
     /// Panics on parameters [`plb_apps::Spmv::validate`] rejects — the
     /// CLI validates before constructing the variant.
-    pub fn inputs(&self) -> AppInputs {
+    pub(crate) fn inputs(&self) -> AppInputs {
         let uniform = |cost: Box<dyn CostModel>| (cost, Weights::uniform());
         let (cost, weights) = match *self {
             App::MatMul(n) => uniform(Box::new(plb_apps::MatMul::new(n).cost())),
             App::Grn(n) => uniform(Box::new(plb_apps::GrnInference::new(n).cost())),
             App::BlackScholes(n) => uniform(Box::new(plb_apps::BlackScholes::new(n).cost())),
             App::NnLayer(n) => uniform(Box::new(plb_apps::NnLayer::new(n, 16384, 16384).cost())),
+            App::Ramp(_) => uniform(Box::new(LinearCost {
+                label: "ramp".into(),
+                flops_per_item: 2e5,
+                in_bytes_per_item: 64.0,
+                out_bytes_per_item: 8.0,
+                threads_per_item: 1.0,
+            })),
+            App::Saturated(_) => uniform(Box::new(LinearCost {
+                label: "saturated".into(),
+                flops_per_item: 1e5,
+                in_bytes_per_item: 64.0,
+                out_bytes_per_item: 16.0,
+                threads_per_item: 64.0,
+            })),
             App::Spmv { rows, skew, seed } => {
                 let app = plb_apps::Spmv::new(rows, skew, seed)
                     .expect("spmv parameters validated by caller");
@@ -84,6 +113,8 @@ impl App {
             App::BlackScholes(n) => n,
             App::NnLayer(n) => n,
             App::Spmv { rows, .. } => rows,
+            App::Ramp(n) => n,
+            App::Saturated(n) => n,
         }
     }
 
@@ -95,6 +126,8 @@ impl App {
             App::BlackScholes(n) => format!("BS {n}"),
             App::NnLayer(n) => format!("NN {n}"),
             App::Spmv { rows, skew, .. } => format!("SPMV {rows} a={skew}"),
+            App::Ramp(n) => format!("ramp {n}"),
+            App::Saturated(n) => format!("saturated {n}"),
         }
     }
 }
@@ -148,6 +181,8 @@ pub struct RunOutcome {
     /// The structured decision-event stream of the run (see
     /// [`plb_runtime::events`]).
     pub events: EventSink,
+    /// The policy configuration the run used.
+    pub config: PolicyConfig,
 }
 
 /// The paper's `initialBlockSize` heuristic: chosen "empirically, so
@@ -165,7 +200,7 @@ pub struct RunOutcome {
 /// higher floor than items that are already wide (matrix columns). Tiny
 /// inputs end up with blocks that are a visible fraction of the data —
 /// exactly where the paper reports "large fluctuation".
-pub fn default_initial_block(total_items: u64, cost: &dyn plb_hetsim::CostModel) -> u64 {
+pub(crate) fn default_initial_block(total_items: u64, cost: &dyn plb_hetsim::CostModel) -> u64 {
     let threads_per_item = cost.threads(1).max(1.0);
     let total = total_items.max(1);
     let floor = ((1e5 / threads_per_item).ceil() as u64).clamp(32.min(total), total);
@@ -173,101 +208,306 @@ pub fn default_initial_block(total_items: u64, cost: &dyn plb_hetsim::CostModel)
     b.max(floor)
 }
 
-/// Run one (application, scenario, policy, seed) combination.
-pub fn run_once(
-    app: App,
-    scenario: Scenario,
-    single_gpu: bool,
-    kind: PolicyKind,
-    seed: u64,
-    perturbations: Vec<Perturbation>,
-) -> RunOutcome {
-    run_with(
-        &app.inputs(),
-        scenario,
-        single_gpu,
-        kind,
-        seed,
-        perturbations,
-    )
+/// The policy a run balances with.
+#[derive(Debug, Clone)]
+pub enum PolicyChoice {
+    /// One of the paper's four algorithms.
+    Paper(PolicyKind),
+    /// The static prior-profile distribution (the paper's reference
+    /// \[17\]) over offline profiles, e.g. from [`RunSpec::profile`].
+    Static(Vec<UnitModel>),
 }
 
-/// [`run_once`] over inputs the caller built, so repeated runs of one
-/// application share them.
-fn run_with(
-    inputs: &AppInputs,
-    scenario: Scenario,
-    single_gpu: bool,
-    kind: PolicyKind,
-    seed: u64,
-    perturbations: Vec<Perturbation>,
-) -> RunOutcome {
-    let machines = cluster_scenario(scenario, single_gpu);
-    let opts = ClusterOptions {
-        seed,
-        noise_sigma: 0.02,
-        ..Default::default()
-    };
-    let mut cluster = ClusterSim::build(&machines, &opts);
-    let total = inputs.total_items;
-    let cost = inputs.cost.as_ref();
-    let cfg = PolicyConfig {
-        // Block sizes are cost budgets, so the heuristic scales with
-        // the workload's weight, not its item count (identical for the
-        // uniform apps).
-        initial_block: default_initial_block(inputs.total_cost, cost),
-        seed,
-        ..Default::default()
-    };
-    let mut engine = SimEngine::new(&mut cluster, cost)
-        .with_weights(Arc::clone(&inputs.weights))
-        .with_perturbations(perturbations);
-
-    let (report, solve_times, selection, rebalances) = match kind {
-        PolicyKind::Greedy => {
-            let mut p = GreedyPolicy::new(&cfg);
-            let r = engine.run(&mut p, total).expect("greedy run completes");
-            (r, Vec::new(), None, 0)
+impl PolicyChoice {
+    /// The one place a policy is built.
+    fn build(&self, cfg: &PolicyConfig) -> Built {
+        match self {
+            PolicyChoice::Paper(PolicyKind::PlbHec) => Built::PlbHec(PlbHecPolicy::new(cfg)),
+            PolicyChoice::Paper(PolicyKind::Acosta) => Built::Acosta(AcostaPolicy::new(cfg)),
+            PolicyChoice::Paper(PolicyKind::Hdss) => Built::Other(Box::new(HdssPolicy::new(cfg))),
+            PolicyChoice::Paper(PolicyKind::Greedy) => {
+                Built::Other(Box::new(GreedyPolicy::new(cfg)))
+            }
+            PolicyChoice::Static(models) => Built::Other(Box::new(
+                StaticProfilePolicy::from_profiles(cfg, models.clone()),
+            )),
         }
-        PolicyKind::Acosta => {
-            let mut p = AcostaPolicy::new(&cfg);
-            let r = engine.run(&mut p, total).expect("acosta run completes");
-            let reb = p.rebalances();
-            (r, Vec::new(), None, reb)
-        }
-        PolicyKind::Hdss => {
-            let mut p = HdssPolicy::new(&cfg);
-            let r = engine.run(&mut p, total).expect("hdss run completes");
-            (r, Vec::new(), None, 0)
-        }
-        PolicyKind::PlbHec => {
-            let mut p = PlbHecPolicy::new(&cfg);
-            let r = engine.run(&mut p, total).expect("plb-hec run completes");
-            let st = p.selections().iter().map(|s| s.solve_seconds).collect();
-            let reb = p.rebalances();
-            (r, st, p.selections().first().cloned(), reb)
-        }
-    };
-    let trace = engine.last_trace().expect("trace recorded").clone();
-    let events = engine.last_events().cloned().unwrap_or_default();
-    RunOutcome {
-        report,
-        trace,
-        solve_times,
-        selection,
-        rebalances,
-        events,
     }
 }
 
-/// Aggregate over the paper's 10-run protocol.
+/// A built policy, keeping the type of the two whose reports read more
+/// than the run report: PLB-HeC's selections and both one's rebalances.
+enum Built {
+    PlbHec(PlbHecPolicy),
+    Acosta(AcostaPolicy),
+    Other(Box<dyn Policy>),
+}
+
+impl Built {
+    fn policy(&mut self) -> &mut dyn Policy {
+        match self {
+            Built::PlbHec(p) => p,
+            Built::Acosta(p) => p,
+            Built::Other(p) => p.as_mut(),
+        }
+    }
+
+    fn boxed(self) -> Box<dyn Policy> {
+        match self {
+            Built::PlbHec(p) => Box::new(p),
+            Built::Acosta(p) => Box::new(p),
+            Built::Other(p) => p,
+        }
+    }
+}
+
+/// One run, described: everything from which [`RunSpec::run`] builds
+/// its engine, and the only way this crate builds one. `plb` parses its
+/// argv into one; each `repro` figure writes its own.
+///
+/// The default is `plb run` without flags: PLB-HeC on MM 16384 over the
+/// four Table I machines at σ = 0.02, seed 0, fault-free, on one node.
+#[derive(Debug, Clone)]
+pub struct RunSpec {
+    /// The application and its input size.
+    pub app: App,
+    /// The platform: Table I presets ([`cluster_scenario`]) or machines
+    /// read from a file.
+    pub machines: Vec<MachineSpec>,
+    /// Lognormal σ of the simulated timing noise.
+    pub noise: f64,
+    /// Seeds the noise streams and, unless [`RunSpec::config`] is set,
+    /// the policy.
+    pub seed: u64,
+    /// The policy.
+    pub policy: PolicyChoice,
+    /// The policy's configuration; `None` is the paper's defaults with
+    /// the initial block of the paper's 10 % heuristic, sized on the
+    /// workload's (on the cluster tier, one node's share of its) cost,
+    /// seeded with the run seed.
+    pub config: Option<PolicyConfig>,
+    /// Injected faults: on one node per unit, on the cluster tier per
+    /// node. `plb` merges its `--chaos` plan in here.
+    pub faults: FaultPlan,
+    /// Timed perturbations (one node only).
+    pub perturbations: Vec<Perturbation>,
+    /// Units that are already slowed, by the given factor, when the
+    /// cluster is built. Unlike a `SetSlowdown` perturbation at t = 0,
+    /// which the engine queues behind the first launches, this slows
+    /// those launches too.
+    pub slowed: Vec<(PuId, f64)>,
+    /// Where to write durability snapshots.
+    pub checkpoint: Option<CheckpointConfig>,
+    /// The snapshot to resume from.
+    pub resume: Option<Checkpoint>,
+    /// Nodes of the cluster tier; each is a whole copy of `machines`,
+    /// node `i` seeded with `seed + i`. One node is a plain run.
+    pub nodes: usize,
+    /// Which nodes may exchange migrations (cluster tier).
+    pub topology: Topology,
+    /// Node crashes, partitions and lossy links (cluster tier).
+    pub node_faults: NodeFaultPlan,
+}
+
+impl Default for RunSpec {
+    fn default() -> RunSpec {
+        RunSpec {
+            app: App::MatMul(16384),
+            machines: cluster_scenario(Scenario::Four, false),
+            noise: 0.02,
+            seed: 0,
+            policy: PolicyChoice::Paper(PolicyKind::PlbHec),
+            config: None,
+            faults: FaultPlan::none(),
+            perturbations: Vec::new(),
+            slowed: Vec::new(),
+            checkpoint: None,
+            resume: None,
+            nodes: 1,
+            topology: Topology::Full,
+            node_faults: NodeFaultPlan::none(),
+        }
+    }
+}
+
+impl RunSpec {
+    /// Run the spec once.
+    pub fn run(&self) -> Result<RunOutcome, RunError> {
+        self.run_seeded(&self.app.inputs(), self.seed)
+    }
+
+    /// The paper's protocol: the spec run with seeds `seed`,
+    /// `seed + 1`, …, `seed + seeds − 1` (wrapping), on application
+    /// inputs built once.
+    ///
+    /// # Panics
+    ///
+    /// If `seeds` is 0, or a run fails, which a fault-free run on at
+    /// least one machine does not.
+    pub fn run_many(&self, seeds: u64) -> Aggregate {
+        assert!(seeds > 0);
+        let inputs = self.app.inputs();
+        let runs: Vec<RunOutcome> = (0..seeds)
+            .map(|i| self.run_seeded(&inputs, self.seed.wrapping_add(i)))
+            .map(|o| o.expect("run completes"))
+            .collect();
+        let makespans: Vec<f64> = runs.iter().map(|r| r.report.makespan).collect();
+        Aggregate {
+            mean_makespan: plb_numerics::mean(&makespans),
+            std_makespan: plb_numerics::stats::sample_stddev(&makespans),
+            runs,
+        }
+    }
+
+    /// Offline profiling, the static algorithm's input: each unit
+    /// of the spec's cluster timed at its initial block × 1, 2, 4, …, 32
+    /// and fitted.
+    pub fn profile(&self) -> Result<Vec<UnitModel>, FitError> {
+        let inputs = self.app.inputs();
+        let cost = inputs.cost.as_ref();
+        let base = self.policy_config(&inputs, self.seed).initial_block;
+        let mut cluster = self.cluster(self.seed);
+        let ids: Vec<PuId> = cluster.ids().collect();
+        ids.into_iter()
+            .map(|id| {
+                let mut p = PerfProfile::new();
+                for mult in [1u64, 2, 4, 8, 16, 32] {
+                    let b = base.saturating_mul(mult);
+                    let d = cluster.device_mut(id);
+                    let xfer = d.transfer_time(cost, b);
+                    let proc = d.proc_time(cost, b);
+                    p.record(b, proc, xfer);
+                }
+                p.fit()
+            })
+            .collect()
+    }
+
+    fn policy_config(&self, inputs: &AppInputs, seed: u64) -> PolicyConfig {
+        self.config.clone().unwrap_or_else(|| PolicyConfig {
+            // Block sizes are cost budgets, so the heuristic scales with
+            // the workload's weight, not its item count (identical for
+            // the uniform apps). A node's chunks are shard-sized, not
+            // run-sized.
+            initial_block: default_initial_block(
+                (inputs.total_cost / (self.nodes as u64).max(1)).max(1),
+                inputs.cost.as_ref(),
+            ),
+            seed,
+            ..Default::default()
+        })
+    }
+
+    /// The one place a simulated cluster is built.
+    fn cluster(&self, seed: u64) -> ClusterSim {
+        let opts = ClusterOptions {
+            seed,
+            noise_sigma: self.noise,
+            ..Default::default()
+        };
+        let mut cluster = ClusterSim::build(&self.machines, &opts);
+        for &(pu, factor) in &self.slowed {
+            cluster.device_mut(pu).set_slowdown(factor);
+        }
+        cluster
+    }
+
+    /// What either engine takes from the spec besides its machine.
+    fn configure<M>(&self, engine: Engine<M>, inputs: &AppInputs) -> Engine<M> {
+        let mut engine = engine
+            .with_weights(Arc::clone(&inputs.weights))
+            .with_faults(self.faults.clone());
+        if let Some(cfg) = &self.checkpoint {
+            engine = engine.with_checkpoint(cfg.clone());
+        }
+        if let Some(ckpt) = &self.resume {
+            engine = engine.resume_from(ckpt.clone());
+        }
+        engine
+    }
+
+    fn run_seeded(&self, inputs: &AppInputs, seed: u64) -> Result<RunOutcome, RunError> {
+        let cost = inputs.cost.as_ref();
+        let config = self.policy_config(inputs, seed);
+        if self.nodes > 1 {
+            return self.run_nodes(inputs, seed, config);
+        }
+        let mut cluster = self.cluster(seed);
+        let mut built = self.policy.build(&config);
+        let engine =
+            SimEngine::new(&mut cluster, cost).with_perturbations(self.perturbations.clone());
+        let mut engine = self.configure(engine, inputs);
+        let report = engine.run(built.policy(), inputs.total_items)?;
+        Ok(outcome(report, &engine, Some(&built), config))
+    }
+
+    /// The cluster tier: equal-cost home shards balanced across whole
+    /// nodes by diffusion over the topology, each node running the
+    /// spec's policy.
+    fn run_nodes(
+        &self,
+        inputs: &AppInputs,
+        seed: u64,
+        config: PolicyConfig,
+    ) -> Result<RunOutcome, RunError> {
+        let n = self.nodes;
+        // Per-node seeds keep the nodes' noise streams independent while
+        // the whole run stays reproducible from one seed.
+        let clusters = (0..n)
+            .map(|i| self.cluster(seed.wrapping_add(i as u64)))
+            .collect();
+        let policies = (0..n).map(|_| self.policy.build(&config).boxed()).collect();
+        let names = (0..n).map(|i| format!("node{i}")).collect();
+        let weights = Arc::clone(&inputs.weights);
+        let mut runner =
+            SimNodeRunner::new(inputs.cost.as_ref(), names, clusters, policies, weights);
+        let bounds = equal_cost_shards(inputs.total_items, n, &inputs.weights);
+        let mut outer = NodeDiffusionPolicy::new(self.topology, bounds.clone());
+        let engine = ClusterEngine::new(&mut runner)
+            .with_node_faults(self.node_faults.clone())
+            .with_shard_bounds(bounds);
+        let mut engine = self.configure(engine, inputs);
+        let report = engine.run(&mut outer, inputs.total_items)?;
+        Ok(outcome(report, &engine, None, config))
+    }
+}
+
+/// A finished run's outcome on `engine`, with what its single-node
+/// policy, if `built`, recorded besides the report.
+fn outcome<M>(
+    report: RunReport,
+    engine: &Engine<M>,
+    built: Option<&Built>,
+    config: PolicyConfig,
+) -> RunOutcome {
+    let (solve_times, selection, rebalances) = match built {
+        Some(Built::PlbHec(p)) => (
+            p.selections().iter().map(|s| s.solve_seconds).collect(),
+            p.selections().first().cloned(),
+            p.rebalances(),
+        ),
+        Some(Built::Acosta(p)) => (Vec::new(), None, p.rebalances()),
+        _ => (Vec::new(), None, 0),
+    };
+    RunOutcome {
+        report,
+        trace: engine.last_trace().expect("trace recorded").clone(),
+        solve_times,
+        selection,
+        rebalances,
+        events: engine.last_events().cloned().unwrap_or_default(),
+        config,
+    }
+}
+
+/// Aggregate over the paper's 10-run protocol ([`RunSpec::run_many`]).
 #[derive(Debug, Clone)]
 pub struct Aggregate {
     /// Mean makespan, seconds.
     pub mean_makespan: f64,
     /// Sample standard deviation of the makespan.
     pub std_makespan: f64,
-    /// Per-seed outcomes (seed i at index i).
+    /// Per-seed outcomes, in seed order.
     pub runs: Vec<RunOutcome>,
 }
 
@@ -359,27 +599,6 @@ impl Aggregate {
     }
 }
 
-/// Run `seeds` repetitions (the paper uses 10).
-pub fn run_many(
-    app: App,
-    scenario: Scenario,
-    single_gpu: bool,
-    kind: PolicyKind,
-    seeds: u64,
-) -> Aggregate {
-    assert!(seeds > 0);
-    let inputs = app.inputs();
-    let runs: Vec<RunOutcome> = (0..seeds)
-        .map(|s| run_with(&inputs, scenario, single_gpu, kind, s, Vec::new()))
-        .collect();
-    let makespans: Vec<f64> = runs.iter().map(|r| r.report.makespan).collect();
-    Aggregate {
-        mean_makespan: plb_numerics::mean(&makespans),
-        std_makespan: plb_numerics::stats::sample_stddev(&makespans),
-        runs,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -434,17 +653,22 @@ mod tests {
         assert_eq!(uniform.total_cost, uniform.total_items);
     }
 
+    /// One run of `kind` on `app` over a Table I scenario, seed `seed`.
+    fn run(app: App, scenario: Scenario, kind: PolicyKind, seed: u64) -> RunOutcome {
+        let spec = RunSpec {
+            app,
+            machines: cluster_scenario(scenario, false),
+            seed,
+            policy: PolicyChoice::Paper(kind),
+            ..RunSpec::default()
+        };
+        spec.run().unwrap()
+    }
+
     #[test]
-    fn run_once_all_policies_complete() {
+    fn every_policy_completes() {
         for kind in PolicyKind::ALL {
-            let o = run_once(
-                App::BlackScholes(50_000),
-                Scenario::Two,
-                false,
-                kind,
-                0,
-                Vec::new(),
-            );
+            let o = run(App::BlackScholes(50_000), Scenario::Two, kind, 0);
             assert_eq!(o.report.total_items, 50_000, "{kind:?}");
             assert!(o.report.makespan > 0.0);
         }
@@ -454,14 +678,7 @@ mod tests {
     fn nn_extension_app_runs_and_streams_weights() {
         // The 1 GB weight matrix overflows the small GPUs: their shares
         // must come out below a proportional-by-core-count split.
-        let o = run_once(
-            App::NnLayer(50_000),
-            Scenario::Four,
-            false,
-            PolicyKind::PlbHec,
-            0,
-            vec![],
-        );
+        let o = run(App::NnLayer(50_000), Scenario::Four, PolicyKind::PlbHec, 0);
         assert_eq!(o.report.total_items, 50_000);
         // B's GTX 295 halves (0.44 GB memory) stream hardest; each gets
         // only a sliver of the batch.
@@ -474,13 +691,13 @@ mod tests {
 
     #[test]
     fn aggregate_statistics() {
-        let agg = run_many(
-            App::BlackScholes(30_000),
-            Scenario::One,
-            false,
-            PolicyKind::Greedy,
-            3,
-        );
+        let spec = RunSpec {
+            app: App::BlackScholes(30_000),
+            machines: cluster_scenario(Scenario::One, false),
+            policy: PolicyChoice::Paper(PolicyKind::Greedy),
+            ..RunSpec::default()
+        };
+        let agg = spec.run_many(3);
         assert_eq!(agg.runs.len(), 3);
         assert!(agg.mean_makespan > 0.0);
         assert!(agg.std_makespan >= 0.0);
@@ -491,26 +708,17 @@ mod tests {
 
     #[test]
     fn plb_records_solve_times() {
-        let o = run_once(
-            App::MatMul(8192),
-            Scenario::Two,
-            false,
-            PolicyKind::PlbHec,
-            1,
-            Vec::new(),
-        );
+        let o = run(App::MatMul(8192), Scenario::Two, PolicyKind::PlbHec, 1);
         assert!(!o.solve_times.is_empty());
     }
 
     #[test]
     fn outcomes_carry_event_streams() {
-        let o = run_once(
+        let o = run(
             App::BlackScholes(50_000),
             Scenario::Two,
-            false,
             PolicyKind::PlbHec,
             0,
-            Vec::new(),
         );
         let c = o.events.counters();
         assert!(c.probes > 0 && c.curve_fits > 0 && c.solves > 0);

@@ -413,3 +413,476 @@ fn repro_fig5_quick_run_has_speedup_table() {
     assert!(md.contains("speedup vs greedy"));
     assert!(md.contains("BS 500000"));
 }
+
+/// The Table I alternative every `--cluster` case reads: two machines.
+const CLUSTER_FILE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../docs/cluster.example.json"
+);
+
+/// A fresh scratch directory for one test.
+fn scratch(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Run `plb` with `args`: its exit code, stdout and stderr.
+fn plb_out(args: &[&str]) -> (Option<i32>, String, String) {
+    let out = plb().args(args).output().unwrap();
+    let text = |b: Vec<u8>| String::from_utf8(b).unwrap();
+    (out.status.code(), text(out.stdout), text(out.stderr))
+}
+
+#[test]
+fn plb_help_prints_the_synopsis_of_the_module_doc() {
+    let source = include_str!("../src/bin/plb.rs");
+    let doc: Vec<&str> = source
+        .lines()
+        .skip_while(|l| *l != "//! ```text")
+        .skip(1)
+        .take_while(|l| *l != "//! ```")
+        .map(|l| l.trim_start_matches("//! "))
+        .collect();
+    let (code, _, help) = plb_out(&["--help"]);
+    assert_eq!(code, Some(0));
+    let synopsis: Vec<&str> = help
+        .lines()
+        .skip_while(|l| *l != "usage:")
+        .skip(1)
+        .take_while(|l| !l.is_empty())
+        .collect();
+    assert!(synopsis.len() > 6, "{help}");
+    assert_eq!(doc, synopsis);
+}
+
+/// Every `plb` subcommand, and every flag it reads. Any other pair is
+/// a usage error.
+const READS: [(&str, &[&str]); 6] = [
+    (
+        "run",
+        &[
+            "--app",
+            "--size",
+            "--skew",
+            "--seed",
+            "--machines",
+            "--single-gpu",
+            "--cluster",
+            "--noise",
+            "--policy",
+            "--profiles",
+            "--json",
+            "--gantt",
+            "--trace",
+            "--events",
+            "--faults",
+            "--chaos",
+            "--chaos-elastic",
+            "--checkpoint",
+            "--checkpoint-interval",
+            "--resume",
+            "--nodes",
+            "--topology",
+            "--node-faults",
+        ],
+    ),
+    (
+        "compare",
+        &[
+            "--app",
+            "--size",
+            "--skew",
+            "--seed",
+            "--seeds",
+            "--machines",
+            "--single-gpu",
+            "--cluster",
+            "--noise",
+        ],
+    ),
+    (
+        "diag",
+        &[
+            "--app",
+            "--size",
+            "--skew",
+            "--seed",
+            "--machines",
+            "--single-gpu",
+            "--cluster",
+            "--noise",
+        ],
+    ),
+    (
+        "profile",
+        &[
+            "--app",
+            "--size",
+            "--skew",
+            "--seed",
+            "--machines",
+            "--single-gpu",
+            "--cluster",
+            "--noise",
+            "--profiles",
+        ],
+    ),
+    ("cluster", &["--machines", "--single-gpu", "--cluster"]),
+    ("trace", &["--input"]),
+];
+
+#[test]
+fn plb_reads_each_flag_it_lists_and_refuses_every_other() {
+    let dir = scratch("plb_cli_flags");
+    let file = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let events = [file("a.jsonl"), file("b.jsonl")];
+    for (path, size) in events.iter().zip(["20000", "30000"]) {
+        plb_ok(&["run", "--app", "bs", "--size", size, "--events", path]);
+    }
+    let profiles = file("profiles.json");
+    plb_ok(&[
+        "profile",
+        "--app",
+        "bs",
+        "--size",
+        "20000",
+        "--profiles",
+        &profiles,
+    ]);
+    let out = file("out.json");
+    // What a command shows: its stdout, and for `profile` the models it
+    // writes, which its stdout only names.
+    let shows = |args: &[&str], stdout: String| -> String {
+        let written = args.iter().rposition(|a| *a == "--profiles");
+        match written.filter(|_| args[0] == "profile") {
+            Some(i) => stdout + &std::fs::read_to_string(args[i + 1]).unwrap(),
+            None => stdout,
+        }
+    };
+    // Each flag: what it needs besides itself, then the flag with a
+    // value other than the subcommand's base or default.
+    let flags: Vec<(&str, Vec<String>, Vec<String>)> = [
+        ("--app", &[][..], &["--app", "mm"][..]),
+        ("--size", &[], &["--size", "1000000"]),
+        ("--skew", &["--app", "spmv"], &["--skew", "3.0"]),
+        ("--seed", &[], &["--seed", "3"]),
+        ("--seeds", &[], &["--seeds", "2"]),
+        ("--machines", &[], &["--machines", "2"]),
+        ("--single-gpu", &[], &["--single-gpu"]),
+        ("--cluster", &[], &["--cluster", CLUSTER_FILE]),
+        ("--noise", &[], &["--noise", "0.3"]),
+        ("--policy", &[], &["--policy", "greedy"]),
+        (
+            "--profiles",
+            &["--policy", "static"],
+            &["--profiles", &profiles],
+        ),
+        ("--json", &[], &["--json", &file("run.json")]),
+        ("--gantt", &[], &["--gantt", &file("run.svg")]),
+        ("--trace", &[], &["--trace", &file("run.trace.json")]),
+        ("--events", &[], &["--events", &file("run.jsonl")]),
+        ("--faults", &[], &["--faults", "flaky:pu=2,n=4"]),
+        ("--chaos", &[], &["--chaos", "42"]),
+        ("--chaos-elastic", &[], &["--chaos-elastic", "2"]),
+        ("--checkpoint", &[], &["--checkpoint", &file("a.ckpt")]),
+        (
+            "--checkpoint-interval",
+            &["--checkpoint", &file("b.ckpt")],
+            &["--checkpoint-interval", "8"],
+        ),
+        (
+            "--resume",
+            &["--checkpoint", &file("c.ckpt")],
+            &["--resume"],
+        ),
+        ("--nodes", &[], &["--nodes", "2"]),
+        ("--topology", &["--nodes", "4"], &["--topology", "ring"]),
+        (
+            "--node-faults",
+            &["--nodes", "3"],
+            &["--node-faults", "node-crash:1,2"],
+        ),
+        ("--input", &[], &["--input", &events[1]]),
+    ]
+    .into_iter()
+    .map(|(name, needs, set)| {
+        let owned = |args: &[&str]| args.iter().map(|s| s.to_string()).collect();
+        (name, owned(needs), owned(set))
+    })
+    .collect();
+    let base = |cmd: &str| -> Vec<String> {
+        let args: &[&str] = match cmd {
+            "run" | "diag" => &["--app", "bs", "--size", "20000"],
+            "compare" => &["--app", "bs", "--size", "20000", "--seeds", "1"],
+            "profile" => &["--app", "bs", "--size", "20000", "--profiles", &out],
+            "trace" => &["--input", &events[0]],
+            _ => &[],
+        };
+        [cmd].iter().chain(args).map(|s| s.to_string()).collect()
+    };
+    let mut pairs = 0;
+    for (cmd, reads) in READS {
+        for (name, needs, set) in &flags {
+            let with = |extra: &[String]| -> Vec<String> {
+                let mut args = base(cmd);
+                // `profile` writes the file `--profiles` names; only
+                // `run` needs `--policy static` to read one.
+                if reads.contains(name) && (cmd, *name) != ("profile", "--profiles") {
+                    args.extend(needs.iter().cloned());
+                }
+                args.extend(extra.iter().cloned());
+                args
+            };
+            let args = with(set);
+            let args: Vec<&str> = args.iter().map(String::as_str).collect();
+            let (code, stdout, stderr) = plb_out(&args);
+            assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+            if reads.contains(name) {
+                assert_eq!(code, Some(0), "{args:?}: {stderr}");
+                let shown = shows(&args, stdout);
+                // Read means it shows: without the flag the output differs.
+                // (`--policy static` is refused without its profiles.)
+                if !(*name == "--profiles" && cmd == "run") {
+                    let without = with(&[]);
+                    let without: Vec<&str> = without.iter().map(String::as_str).collect();
+                    let before = shows(&without, plb_ok(&without));
+                    assert_ne!(before, shown, "{args:?} ignores {name}");
+                }
+            } else {
+                assert_eq!(code, Some(2), "{args:?}: {stderr}");
+                let needle = format!("`plb {cmd}` does not read {name}");
+                assert!(stderr.contains(&needle), "{args:?}: {stderr}");
+            }
+            pairs += 1;
+        }
+    }
+    assert_eq!(pairs, 6 * 25);
+}
+
+#[test]
+fn plb_refuses_flags_that_contradict_or_need_another() {
+    let dir = scratch("plb_cli_combinations");
+    let profiles = dir.join("profiles.json");
+    let profiles = profiles.to_str().unwrap();
+    let run = ["run", "--app", "bs", "--size", "20000"];
+    // Each row: the arguments after `run`'s, and the flag the refusal
+    // names.
+    let rows: [(&[&str], &str); 14] = [
+        (&["--topology", "ring"], "--topology needs --nodes"),
+        (
+            &["--nodes", "1", "--topology", "ring"],
+            "--topology needs --nodes",
+        ),
+        (
+            &["--node-faults", "node-crash:1,2"],
+            "--node-faults needs --nodes",
+        ),
+        (&["--nodes", "3", "--chaos", "7"], "--chaos injects"),
+        (
+            &["--nodes", "3", "--chaos-elastic", "2"],
+            "--chaos-elastic injects",
+        ),
+        (
+            &[
+                "--nodes",
+                "3",
+                "--topology",
+                "ring",
+                "--chaos",
+                "7",
+                "--chaos-elastic",
+                "2",
+            ],
+            "--chaos injects",
+        ),
+        (
+            &["--cluster", CLUSTER_FILE, "--machines", "3"],
+            "--cluster replaces",
+        ),
+        (
+            &["--cluster", CLUSTER_FILE, "--single-gpu"],
+            "--cluster replaces",
+        ),
+        (&["--app", "mm", "--skew", "3.0"], "--skew needs --app spmv"),
+        (&["--skew", "3.0"], "--skew needs --app spmv"),
+        (
+            &["--checkpoint-interval", "8"],
+            "--checkpoint-interval needs --checkpoint",
+        ),
+        (&["--resume"], "--resume needs --checkpoint"),
+        (
+            &["--profiles", profiles],
+            "--profiles on run needs --policy static",
+        ),
+        (
+            &["--policy", "greedy", "--profiles", profiles],
+            "--profiles on run needs --policy static",
+        ),
+    ];
+    for (extra, needle) in rows {
+        assert_refused(plb(), &[&run[..], extra].concat(), 2, needle);
+    }
+    let compare = ["compare", "--cluster", CLUSTER_FILE, "--machines", "2"];
+    assert_refused(plb(), &compare, 2, "--cluster replaces");
+    let diag = ["diag", "--app", "bs", "--skew", "2.0"];
+    assert_refused(plb(), &diag, 2, "--skew needs --app spmv");
+}
+
+/// Each flag `plb` once accepted and silently ignored is now either read
+/// (the command succeeds) or refused (exit 2, naming the flag).
+#[test]
+fn plb_no_longer_ignores_what_it_used_to() {
+    let dir = scratch("plb_cli_ignored");
+    let file = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let bs = ["--app", "bs", "--size", "20000"];
+    let read: [&[&str]; 5] = [
+        &[
+            "compare",
+            "--noise",
+            "0.3",
+            "--cluster",
+            CLUSTER_FILE,
+            "--seeds",
+            "1",
+        ],
+        &[
+            "compare", "--app", "bs", "--size", "20000", "--seed", "9", "--seeds", "1",
+        ],
+        &["diag", "--noise", "0.3"],
+        &["diag", "--cluster", CLUSTER_FILE],
+        &["run", "--nodes", "3", "--topology", "ring"],
+    ];
+    for args in read {
+        plb_ok(&[args, &bs].concat());
+    }
+    let refused: [(&[&str], &str); 17] = [
+        (&["diag", "--faults", "flaky:pu=2,n=4"], "--faults"),
+        (&["diag", "--nodes", "3"], "--nodes"),
+        (&["diag", "--topology", "ring"], "--topology"),
+        (&["diag", "--checkpoint", &file("ckpt")], "--checkpoint"),
+        (&["diag", "--events", &file("e.jsonl")], "--events"),
+        (&["diag", "--json", &file("r.json")], "--json"),
+        (&["diag", "--gantt", &file("g.svg")], "--gantt"),
+        (
+            &["run", "--nodes", "3", "--topology", "ring", "--chaos", "7"],
+            "--chaos",
+        ),
+        (
+            &["run", "--nodes", "3", "--chaos-elastic", "2"],
+            "--chaos-elastic",
+        ),
+        (&["run", "--topology", "ring"], "--topology"),
+        (&["run", "--seeds", "3"], "--seeds"),
+        (&["run", "--input", &file("e.jsonl")], "--input"),
+        (
+            &["run", "--cluster", CLUSTER_FILE, "--single-gpu"],
+            "--single-gpu",
+        ),
+        (
+            &["run", "--cluster", CLUSTER_FILE, "--machines", "3"],
+            "--machines",
+        ),
+        (&["run", "--app", "mm", "--skew", "3.0"], "--skew"),
+        (&["cluster", "--policy", "greedy"], "--policy"),
+        (&["cluster", "--events", &file("e.jsonl")], "--events"),
+    ];
+    for (args, flag) in refused {
+        let workload: &[&str] = if args[0] == "cluster" { &[] } else { &bs };
+        let args = [&args[..1], workload, &args[1..]].concat();
+        assert_refused(plb(), &args, 2, flag);
+    }
+}
+
+#[test]
+fn compare_and_diag_run_the_noise_and_machines_they_are_given() {
+    for cmd in [&["compare", "--seeds", "1"][..], &["diag"][..]] {
+        let base = [cmd, &["--app", "bs", "--size", "20000"]].concat();
+        let quiet = plb_ok(&base);
+        let noisy = plb_ok(&[&base[..], &["--noise", "0.3"]].concat());
+        assert_ne!(quiet, noisy, "{cmd:?} ignores --noise");
+        let file = plb_ok(&[&base[..], &["--cluster", CLUSTER_FILE]].concat());
+        // The file's two machines: node-0 and node-1's units, not A-D's.
+        assert!(file.contains("2 machine(s)"), "{file}");
+        if cmd[0] == "diag" {
+            let units = column(&table(&file, "per unit"), "unit");
+            assert!(units.iter().all(|u| u.starts_with("node-")), "{units:?}");
+        }
+    }
+}
+
+#[test]
+fn titles_count_the_machines_of_the_platform_run() {
+    let dir = scratch("plb_cli_titles");
+    let svg = dir.join("g.svg");
+    let svg = svg.to_str().unwrap();
+    let bs = ["run", "--app", "bs", "--size", "20000", "--gantt", svg];
+    for (extra, title) in [
+        (
+            &["--cluster", CLUSTER_FILE][..],
+            "BS 20000 on 2 machine(s) — plb-hec",
+        ),
+        (
+            &["--machines", "3"][..],
+            "BS 20000 on 3 machine(s) — plb-hec",
+        ),
+        (
+            &["--cluster", CLUSTER_FILE, "--nodes", "2"][..],
+            "BS 20000 on 2 node(s) x 2 machine(s) — plb-hec",
+        ),
+    ] {
+        plb_ok(&[&bs[..], extra].concat());
+        let text = std::fs::read_to_string(svg).unwrap();
+        assert!(text.contains(title), "{extra:?}: no `{title}` in the Gantt");
+    }
+}
+
+#[test]
+fn plb_finishes_when_stdout_is_closed() {
+    let dir = scratch("plb_cli_closed_stdout");
+    let file = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let events = file("e.jsonl");
+    let bs = ["--app", "bs", "--size", "20000"];
+    plb_ok(&[&["run"][..], &bs, &["--events", &events]].concat());
+    let cases: [&[&str]; 6] = [
+        &[
+            "run",
+            "--app",
+            "bs",
+            "--size",
+            "20000",
+            "--json",
+            &file("r.json"),
+        ],
+        &["compare", "--app", "bs", "--size", "20000", "--seeds", "1"],
+        &["diag", "--app", "mm", "--size", "4096", "--machines", "2"],
+        &[
+            "profile",
+            "--app",
+            "bs",
+            "--size",
+            "20000",
+            "--profiles",
+            &file("p.json"),
+        ],
+        &["cluster"],
+        &["trace", "--input", &events],
+    ];
+    for args in cases {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = plb()
+            .args(args)
+            .stdout(writer)
+            .stderr(std::process::Stdio::piped())
+            .output()
+            .unwrap();
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+    // The files a run writes are still written.
+    assert!(std::fs::metadata(file("r.json")).is_ok());
+    assert!(std::fs::metadata(file("p.json")).is_ok());
+}
