@@ -58,7 +58,8 @@ fn range_nnz(table: &Weights, rows: u64, offset: u64, items: u64) -> u64 {
 /// The row lengths exist once, as the prefix sums of an
 /// `Arc<`[`Weights`]`>` built by [`Spmv::new`]: [`Spmv::weights`],
 /// [`Spmv::cost`] and every clone of the app hand out handles to that
-/// one table (4 000 001 `u64`s, 32 MB, at the benchmark's size).
+/// one table (at the benchmark's size, 4 000 001 `u32` offsets and 977
+/// `u64` block bases: 16 MB).
 #[derive(Clone)]
 pub struct Spmv {
     /// Matrix order (one item = one row).

@@ -1,16 +1,26 @@
 //! Regenerate the paper's tables and figures.
 //!
 //! ```text
-//! repro [all|table1|fig1|fig3|fig4|fig5|fig6|fig7|ipmcost|ablations]
+//! repro [all|table1|fig1|fig3|fig4|fig5|fig6|fig7|ipmcost|ablations|svgs|summary]
 //!       [--seeds N] [--out DIR]
 //! ```
 //!
-//! Results land under `results/` as markdown plus CSV.
+//! Results land under `results/` as markdown plus CSV. A result that
+//! cannot be written is an error (exit 1); a closed stdout is not.
 
 use plb_bench::figures;
 use plb_bench::report::write_results;
+use std::io::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
+
+/// `println!` that tolerates a closed stdout (`repro | head -1`): the
+/// progress lines are a courtesy, the files are the results.
+macro_rules! say {
+    ($($arg:tt)*) => {{
+        let _ = writeln!(std::io::stdout(), $($arg)*);
+    }};
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -57,11 +67,14 @@ fn main() {
     for job in jobs {
         let t0 = Instant::now();
         if job == "svgs" {
-            std::fs::create_dir_all(&out).expect("create results dir");
+            std::fs::create_dir_all(&out)
+                .unwrap_or_else(|e| fail(&format!("create {}: {e}", out.display())));
             for (stem, svg) in figures::svgs(seeds.min(3)) {
-                std::fs::write(out.join(format!("{stem}.svg")), svg).expect("write svg");
+                let path = out.join(format!("{stem}.svg"));
+                std::fs::write(&path, svg)
+                    .unwrap_or_else(|e| fail(&format!("write {}: {e}", path.display())));
             }
-            println!(
+            say!(
                 "[svgs] done in {:.2}s -> {}/fig*.svg",
                 t0.elapsed().as_secs_f64(),
                 out.display()
@@ -81,13 +94,20 @@ fn main() {
             "ablations" => figures::ablations(seeds),
             other => usage(&format!("unknown figure {other}")),
         };
-        write_results(&out, job, &md, &tables).expect("write results");
-        println!(
+        write_results(&out, job, &md, &tables)
+            .unwrap_or_else(|e| fail(&format!("write {job} results to {}: {e}", out.display())));
+        say!(
             "[{job}] done in {:.2}s -> {}/{job}.md",
             t0.elapsed().as_secs_f64(),
             out.display()
         );
     }
+}
+
+/// A result that could not be written: say why and exit 1.
+fn fail(err: &str) -> ! {
+    eprintln!("error: {err}");
+    std::process::exit(1);
 }
 
 fn usage(err: &str) -> ! {

@@ -397,6 +397,37 @@ fn repro_generates_table1() {
 }
 
 #[test]
+fn repro_finishes_when_stdout_is_closed() {
+    let dir = scratch("plb_cli_repro_closed_stdout");
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let out = repro()
+        .args(["table1", "--out"])
+        .arg(&dir)
+        .stdout(writer)
+        .stderr(std::process::Stdio::piped())
+        .output()
+        .unwrap();
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    // The results are still written.
+    assert!(std::fs::metadata(dir.join("table1.md")).is_ok());
+    assert!(std::fs::metadata(dir.join("table1.csv")).is_ok());
+}
+
+#[test]
+fn repro_reports_results_it_cannot_write() {
+    // `--out` names a file, so no results directory can be made there.
+    let file = scratch("plb_cli_repro_unwritable").join("a_file");
+    std::fs::write(&file, "").unwrap();
+    let path = file.to_str().unwrap();
+    for figure in ["table1", "svgs"] {
+        assert_refused(repro(), &[figure, "--seeds", "1", "--out", path], 1, path);
+    }
+}
+
+#[test]
 fn repro_fig5_quick_run_has_speedup_table() {
     let dir = std::env::temp_dir().join("plb_cli_repro_fig5");
     let out = repro()

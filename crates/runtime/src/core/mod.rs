@@ -66,6 +66,7 @@
 
 mod backend;
 pub mod cluster;
+mod cover;
 mod pool;
 
 pub(crate) use backend::EventQueue;
@@ -84,6 +85,7 @@ use crate::sync::Arc;
 use crate::task::{FailureReason, TaskFailure, TaskId, TaskInfo};
 use crate::trace::Trace;
 use crate::weights::Weights;
+use cover::Cover;
 use plb_hetsim::PuId;
 
 /// What a run is configured with besides its backend, units, policy and
@@ -310,9 +312,9 @@ struct Driver<'b> {
     /// delivers `on_device_lost` once the hook in progress (a loss can
     /// be detected inside the policy's own `assign`) has returned.
     pending_lost: Vec<PuId>,
-    /// Completed ranges accumulated this process (sorted + coalesced
-    /// lazily) — the disjoint cover a checkpoint persists.
-    completed: Vec<(u64, u64)>,
+    /// Completed ranges, kept sorted and coalesced as they arrive —
+    /// the disjoint cover a checkpoint persists.
+    completed: Cover,
     /// Completed tasks, lifetime (restored across a resume).
     tasks_done: u64,
     /// Periodic-snapshot writer, when checkpointing is on.
@@ -445,7 +447,7 @@ impl<'b> Driver<'b> {
             has_drift: cfg.faults.has_drift(),
             joins,
             pending_lost: Vec::new(),
-            completed: Vec::new(),
+            completed: Cover::default(),
             tasks_done: 0,
             ckpt_writer: cfg.checkpoint.take().map(CheckpointWriter::new),
             carried: EventCounters::default(),
@@ -484,7 +486,7 @@ impl<'b> Driver<'b> {
     fn restore(&mut self, policy: &mut dyn Policy, ckpt: &Checkpoint) {
         self.next_task = ckpt.next_task;
         self.tasks_done = ckpt.tasks_done;
-        self.completed = ckpt.completed.clone();
+        self.completed = Cover::resume(ckpt.completed.clone());
         self.carried = ckpt.counters.clone();
         for (pu, saved) in ckpt.units.iter().enumerate() {
             let Some(unit) = self.units.get_mut(pu) else {
@@ -872,24 +874,9 @@ impl<'b> Driver<'b> {
         }
     }
 
-    /// Sort the completed ranges and merge adjacent ones in place. The
-    /// ranges are disjoint by construction (every item completes under
-    /// exactly one attempt), so adjacency is the only merge case.
-    fn coalesce_completed(&mut self) {
-        self.completed.sort_unstable();
-        self.completed.dedup_by(|next, kept| {
-            let adjacent = kept.0 + kept.1 == next.0;
-            if adjacent {
-                kept.1 += next.1;
-            }
-            adjacent
-        });
-    }
-
     /// Snapshot the driver state (see [`crate::checkpoint`]). The
     /// sequence number is stamped by the writer.
     fn build_checkpoint(&mut self, policy: &dyn Policy) -> Checkpoint {
-        self.coalesce_completed();
         let mut counters = self.events.counters();
         counters.merge(&self.carried);
         // A latent unit is waiting for its join, not down.
@@ -914,7 +901,7 @@ impl<'b> Driver<'b> {
             at: self.backend.now(),
             tasks_done: self.tasks_done,
             next_task: self.next_task,
-            completed: self.completed.clone(),
+            completed: self.completed.coalesced().to_vec(),
             units: self.handles.iter().zip(&self.units).map(state).collect(),
             counters,
             policy_state: policy.snapshot(),
@@ -1133,7 +1120,7 @@ impl<'b> Driver<'b> {
                 unit.consec_failures = 0;
                 unit.observe_rate(proc_s, pend.cost);
                 self.promote(pu, finish);
-                self.completed.push((pend.offset, pend.items));
+                self.completed.push(pend.offset, pend.items);
                 self.tasks_done += 1;
                 self.trace
                     .record_task(PuId(pu), task, pend.items, start, xfer_s, proc_s);
@@ -1292,8 +1279,7 @@ pub(crate) fn drive(
         report.events.merge(&d.carried);
         // The completed cover (coalesced): callers assert the
         // disjoint-cover invariant on it across faults and resumes.
-        d.coalesce_completed();
-        report.cover = d.completed.clone();
+        report.cover = d.completed.coalesced().to_vec();
         report
     });
     CoreOutcome {
@@ -1324,12 +1310,13 @@ mod tests {
 
     /// What the mock's queue holds.
     enum Ev {
-        /// The attempt of `task` on `pu`, started at `start`, ends at
-        /// `at`; `doomed` attempts end in a panic.
+        /// The attempt of `task` on `pu` over the items `range`, started
+        /// at `start`, ends at `at`; `doomed` attempts end in a panic.
         Done {
             at: f64,
             pu: usize,
             task: TaskId,
+            range: (u64, u64),
             start: f64,
             doomed: bool,
         },
@@ -1363,6 +1350,9 @@ mod tests {
         wakes: Vec<Option<f64>>,
         /// The per-unit hooks the core called, in order.
         hooks: Vec<String>,
+        /// The `(offset, items)` of every attempt reported completed, in
+        /// order.
+        finished: Vec<(u64, u64)>,
     }
 
     impl MockBackend {
@@ -1377,6 +1367,7 @@ mod tests {
                 launches_left: vec![u64::MAX; task_s.len()],
                 wakes: Vec::new(),
                 hooks: Vec::new(),
+                finished: Vec::new(),
             }
         }
 
@@ -1440,6 +1431,7 @@ mod tests {
                     at,
                     pu: spec.pu,
                     task: spec.task,
+                    range: (spec.offset, spec.items),
                     start,
                     doomed: matches!(spec.inject, Some(FaultAction::Panic)),
                 },
@@ -1468,6 +1460,7 @@ mod tests {
                     Some(Ev::Done {
                         pu,
                         task,
+                        range,
                         start,
                         doomed,
                         ..
@@ -1483,6 +1476,7 @@ mod tests {
                                 reason: FailureReason::Panicked,
                             };
                         }
+                        self.finished.push(range);
                         return Polled::Completed {
                             pu,
                             task,
@@ -2420,6 +2414,63 @@ mod tests {
         for ((state, cause), expected) in table {
             assert_eq!(transition(state, cause), expected, "{state:?} x {cause:?}");
         }
+    }
+
+    /// A run of thousands of one-item tasks over units of 32 speeds,
+    /// one of them flaky: the completed cover stays a few ranges per
+    /// unit however long the run, and snapshots as one sort of every
+    /// completed range would. With `stop_at`, the backend fails the run
+    /// at that time, with 32 blocks in flight and so as many holes in
+    /// the cover.
+    fn long_run_cover(stop_at: Option<f64>) {
+        const UNITS: usize = 32;
+        let total = 40_000;
+        let task_s: Vec<f64> = (0..UNITS).map(|i| 0.2 + 0.017 * i as f64).collect();
+        let mut backend = MockBackend::new(ClockKind::Virtual, &task_s);
+        if let Some(at) = stop_at {
+            let detail = "stopped".to_string();
+            backend = backend.external(at, Polled::Infrastructure { detail });
+        }
+        let mut policy = Pump::new(1, &[]);
+        let cfg = RunConfig {
+            faults: flaky(3, 5),
+            ..Default::default()
+        };
+        let pool = WorkPool::new(total);
+        let mut d =
+            Driver::new(&mut backend, handles(UNITS), &mut policy, pool, cfg).expect("fresh");
+        policy.on_start(&mut d);
+        let ended = d.run_loop(&mut policy);
+        assert_eq!(ended.is_ok(), stop_at.is_none(), "{ended:?}");
+        assert!(d.tasks_done >= 20_000, "{} tasks", d.tasks_done);
+        let held = d.completed.len();
+        assert!(held <= 4 * UNITS, "{held} ranges held for {UNITS} units");
+        let snapshot = d.build_checkpoint(&policy);
+        drop(d);
+
+        let mut once = backend.finished;
+        once.sort_unstable();
+        once.dedup_by(|next, kept| {
+            let adjacent = kept.0 + kept.1 == next.0;
+            if adjacent {
+                kept.1 += next.1;
+            }
+            adjacent
+        });
+        assert_eq!(snapshot.completed, once);
+        assert_eq!(once.len() > 1, stop_at.is_some(), "holes only when stopped");
+        let bytes = |c: &Checkpoint| serde_json::to_string(c).expect("serializes");
+        let sorted_once = Checkpoint {
+            completed: once,
+            ..snapshot.clone()
+        };
+        assert_eq!(bytes(&snapshot), bytes(&sorted_once));
+    }
+
+    #[test]
+    fn a_long_run_keeps_its_cover_short_and_snapshots_it_as_one_sort_would() {
+        long_run_cover(None);
+        long_run_cover(Some(400.0));
     }
 
     /// A driver over two idle units of a wall-clock mock with a 5 s

@@ -12,14 +12,14 @@
 //!
 //! Claims are budgeted in **cost units**, not item counts: `take`
 //! converts its budget into an item range through the pool's
-//! [`Weights`] (binary search on the per-item prefix sums), so a claim
-//! on an irregular workload returns a range whose *weight*, not
-//! length, approximates the budget. Under [`Weights::Uniform`] —
-//! the default — cost and item count coincide and every path below
-//! behaves exactly as the pre-weights pool did. The item count is
-//! always in *items*: the disjoint-cover invariant is exact in item
-//! space, and weights are positional, so a re-credited fragment keeps
-//! its original weight by construction.
+//! [`Weights`] (a galloping search on the per-item prefix sums from the
+//! claim's offset), so a claim on an irregular workload returns a range
+//! whose *weight*, not length, approximates the budget. Under
+//! [`Weights::Uniform`] — the default — cost and item count coincide
+//! and every path below behaves exactly as the pre-weights pool did.
+//! The item count is always in *items*: the disjoint-cover invariant is
+//! exact in item space, and weights are positional, so a re-credited
+//! fragment keeps its original weight by construction.
 
 use crate::sync::Arc;
 use crate::weights::Weights;
@@ -692,43 +692,51 @@ mod tests {
         assert!(p.try_close());
     }
 
+    /// The weighted cover invariant: however claims and re-credits
+    /// interleave, the served ranges form a disjoint, complete cover of
+    /// the item space, and the served weight sums to the total cost.
+    fn check_weighted_cover(
+        costs: Vec<u64>,
+        budgets: &[u64],
+        fail_every: usize,
+    ) -> Result<(), proptest::TestCaseError> {
+        let total = costs.len() as u64;
+        let w = Arc::new(Weights::per_item(costs));
+        let mut p = WorkPool::with_weights(total, Arc::clone(&w));
+        let mut done: Vec<(u64, u64)> = Vec::new();
+        let mut served_cost = 0u64;
+        let mut i = 0usize;
+        let mut flaky = 0usize;
+        while let Some((off, got)) = p.take(budgets[i % budgets.len()]) {
+            i += 1;
+            flaky += 1;
+            if flaky.is_multiple_of(fail_every) {
+                p.reclaim(off, got);
+            } else {
+                served_cost += w.cost(off, got);
+                done.push((off, got));
+            }
+        }
+        done.sort_unstable();
+        let mut expect = 0u64;
+        for (off, len) in done {
+            proptest::prop_assert_eq!(off, expect, "gap or overlap");
+            expect = off + len;
+        }
+        proptest::prop_assert_eq!(expect, total);
+        proptest::prop_assert_eq!(served_cost, w.total_cost(total));
+        proptest::prop_assert!(p.try_close());
+        Ok(())
+    }
+
     proptest::proptest! {
-        /// Weighted cover invariant: however claims and re-credits
-        /// interleave, the served ranges form a disjoint, complete
-        /// cover of the item space, and the served weight sums to the
-        /// total cost.
         #[test]
         fn weighted_cover_is_disjoint_and_complete(
             costs in proptest::collection::vec(0u64..50, 1..200),
             budgets in proptest::collection::vec(1u64..100, 1..64),
             fail_every in 2usize..6,
         ) {
-            let total = costs.len() as u64;
-            let w = Arc::new(Weights::per_item(costs));
-            let mut p = WorkPool::with_weights(total, Arc::clone(&w));
-            let mut done: Vec<(u64, u64)> = Vec::new();
-            let mut served_cost = 0u64;
-            let mut i = 0usize;
-            let mut flaky = 0usize;
-            while let Some((off, got)) = p.take(budgets[i % budgets.len()]) {
-                i += 1;
-                flaky += 1;
-                if flaky.is_multiple_of(fail_every) {
-                    p.reclaim(off, got);
-                } else {
-                    served_cost += w.cost(off, got);
-                    done.push((off, got));
-                }
-            }
-            done.sort_unstable();
-            let mut expect = 0u64;
-            for (off, len) in done {
-                proptest::prop_assert_eq!(off, expect, "gap or overlap");
-                expect = off + len;
-            }
-            proptest::prop_assert_eq!(expect, total);
-            proptest::prop_assert_eq!(served_cost, w.total_cost(total));
-            proptest::prop_assert!(p.try_close());
+            check_weighted_cover(costs, &budgets, fail_every)?;
         }
 
         /// Resume round-trips weighted holes: whatever cover a run
@@ -797,6 +805,22 @@ mod tests {
                 proptest::prop_assert_eq!(w.cost(off2, got2), cost_before);
             }
             proptest::prop_assert!(p.try_close());
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+
+        /// The cover invariant over tables of several blocks of the
+        /// weights' two-level prefix (2¹² items a block), with budgets
+        /// whose claims cross block boundaries.
+        #[test]
+        fn weighted_cover_holds_across_table_blocks(
+            costs in proptest::collection::vec(0u64..50, 4_097..20_000),
+            budgets in proptest::collection::vec(1u64..200_000, 1..64),
+            fail_every in 2usize..6,
+        ) {
+            check_weighted_cover(costs, &budgets, fail_every)?;
         }
     }
 }
