@@ -48,8 +48,8 @@ use plb_bench::viz::gantt_svg;
 use plb_hec::UnitModel;
 use plb_hetsim::{cluster_scenario, MachineSpec, Scenario, Topology};
 use plb_runtime::{
-    write_jsonl, Checkpoint, CheckpointConfig, CheckpointError, FaultPlan, NodeFaultPlan,
-    SegmentKind, Table, TraceData, TraceHeader,
+    chrome_trace, gantt_segments, write_jsonl, Checkpoint, CheckpointConfig, CheckpointError,
+    FaultPlan, NodeFaultPlan, SegmentKind, Table, TraceData, TraceHeader,
 };
 use std::io::Write as _;
 
@@ -331,7 +331,7 @@ fn deep_dive(o: &RunOutcome) -> [Table; 2] {
         "compute segments over 10% of the makespan",
         &["unit", "task", "items", "start", "end", "duration"],
     );
-    for seg in o.trace.segments() {
+    for seg in gantt_segments(o.events.iter()) {
         if seg.kind == SegmentKind::Compute && seg.end - seg.start > threshold {
             let name = names.get(seg.pu).copied().unwrap_or("?");
             long.push_row(vec![
@@ -563,12 +563,13 @@ fn write_outputs(a: &Args, o: &RunOutcome, title: &str) {
         say!("wrote {path}");
     }
     let names: Vec<String> = o.report.pus.iter().map(|p| p.name.clone()).collect();
+    let segments = || gantt_segments(o.events.iter());
     if let Some(path) = a.value("--gantt") {
-        write_file(path, gantt_svg(&o.trace, &names, title));
+        write_file(path, gantt_svg(&segments(), &names, title));
         say!("wrote {path}");
     }
     if let Some(path) = a.value("--trace") {
-        write_file(path, o.trace.to_chrome_trace(&names));
+        write_file(path, chrome_trace(&segments(), &names));
         say!("wrote {path} (open in chrome://tracing)");
     }
     if let Some(path) = a.value("--events") {
@@ -577,7 +578,7 @@ fn write_outputs(a: &Args, o: &RunOutcome, title: &str) {
             policy: o.report.policy.clone(),
             pu_names: names,
         };
-        let jsonl = write_jsonl(&header, o.trace.segments(), &o.events.events());
+        let jsonl = write_jsonl(&header, &o.ledger, &o.events.events());
         write_file(path, jsonl);
         say!("wrote {path} (inspect with `plb trace --input {path}`)");
         let dropped = o.events.dropped();

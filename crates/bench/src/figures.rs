@@ -10,7 +10,7 @@ use crate::report::fmt_secs;
 use plb_hec::{FitMode, PolicyConfig, ProbeSchedule, SolverChoice};
 use plb_hetsim::{cluster_scenario, machine_a, DevicePerf, PuId, Scenario};
 use plb_numerics::fit_best_model;
-use plb_runtime::{Perturbation, PerturbationKind, Table};
+use plb_runtime::{ascii_gantt, gantt_segments, Perturbation, PerturbationKind, Table};
 
 /// One cell of the paper's grid: `seeds` runs of `kind` on `app` over a
 /// Table I scenario at σ = 0.02, seeds 0, 1, ….
@@ -176,7 +176,7 @@ fn fig3_run() -> (RunOutcome, f64) {
 pub fn fig3() -> (String, Vec<Table>) {
     let (o, at) = fig3_run();
     let names: Vec<String> = o.report.pus.iter().map(|p| p.name.clone()).collect();
-    let gantt = o.trace.ascii_gantt(&names, 100);
+    let gantt = ascii_gantt(&gantt_segments(o.events.iter()), &names, 100);
 
     let mut md = String::from("## Fig. 3 — execution and rebalancing Gantt\n\n");
     md.push_str(&format!(
@@ -596,7 +596,7 @@ pub fn svgs(seeds: u64) -> Vec<(String, String)> {
     out.push((
         "fig3_gantt".to_string(),
         gantt_svg(
-            &o.trace,
+            &gantt_segments(o.events.iter()),
             &names,
             "Fig. 3 — PLB-HeC rebalancing after mid-run QoS drift (MM 16384, machines A+B)",
         ),

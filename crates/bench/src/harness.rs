@@ -11,7 +11,7 @@ use plb_hetsim::{cluster_scenario, ClusterSim, CostModel, MachineSpec, PuId, Sce
 use plb_numerics::FitError;
 use plb_runtime::{
     equal_cost_shards, Checkpoint, CheckpointConfig, ClusterEngine, Engine, EventSink, FaultPlan,
-    NodeFaultPlan, Perturbation, Policy, RunError, RunReport, SimEngine, SimNodeRunner, Trace,
+    NodeFaultPlan, Perturbation, Policy, RunError, RunReport, SimEngine, SimNodeRunner, UnitLedger,
     Weights,
 };
 use std::sync::Arc;
@@ -170,16 +170,18 @@ impl PolicyKind {
 pub struct RunOutcome {
     /// The runtime's report (makespan, per-unit shares, idleness).
     pub report: RunReport,
-    /// The execution trace (for Gantt rendering).
-    pub trace: Trace,
+    /// The per-unit ledger the report was built from (the `unit`
+    /// records of the run's trace file).
+    pub ledger: Vec<UnitLedger>,
     /// PLB-HeC only: wall-clock seconds of each block-size solve.
     pub solve_times: Vec<f64>,
     /// PLB-HeC only: the run's first block-size selection.
     pub selection: Option<SelectionResult>,
     /// Rebalance / share-update events the policy performed.
     pub rebalances: usize,
-    /// The structured decision-event stream of the run (see
-    /// [`plb_runtime::events`]).
+    /// The structured event stream of the run (see
+    /// [`plb_runtime::events`]); its Gantt segments are
+    /// [`plb_runtime::gantt_segments`] of it.
     pub events: EventSink,
     /// The policy configuration the run used.
     pub config: PolicyConfig,
@@ -491,7 +493,7 @@ fn outcome<M>(
     };
     RunOutcome {
         report,
-        trace: engine.last_trace().expect("trace recorded").clone(),
+        ledger: engine.last_ledger().to_vec(),
         solve_times,
         selection,
         rebalances,

@@ -2,7 +2,7 @@
 //! (Fig. 3), grouped bar charts (Figs. 6 and 7), and line charts
 //! (Figs. 4 and 5). Pure `std`; no drawing dependencies.
 
-use plb_runtime::{SegmentKind, Trace};
+use plb_runtime::{gantt_span, Segment, SegmentKind};
 use std::fmt::Write as _;
 
 /// Categorical palette (colorblind-safe-ish).
@@ -27,11 +27,12 @@ fn svg_header(w: u32, h: u32, title: &str) -> String {
     )
 }
 
-/// Render a run trace as a Gantt chart: one row per unit, compute
-/// segments in the unit's colour, transfer segments hatched grey.
-pub fn gantt_svg(trace: &Trace, names: &[String], title: &str) -> String {
-    let makespan = trace.makespan().max(1e-12);
-    let n = trace.n_pus().max(1);
+/// Render Gantt segments ([`plb_runtime::gantt_segments`]) as a chart:
+/// one row per unit of `names`, compute segments in the unit's colour,
+/// transfer segments hatched grey.
+pub fn gantt_svg(segments: &[Segment], names: &[String], title: &str) -> String {
+    let makespan = gantt_span(segments).max(1e-12);
+    let n = names.len().max(1);
     let label_w = 110.0;
     let plot_w = 760.0;
     let row_h = 26.0;
@@ -40,7 +41,7 @@ pub fn gantt_svg(trace: &Trace, names: &[String], title: &str) -> String {
     let h = (top + n as f64 * row_h + 40.0) as u32;
 
     let mut out = svg_header(w, h, title);
-    for (i, name) in names.iter().enumerate().take(n) {
+    for (i, name) in names.iter().enumerate() {
         let y = top + i as f64 * row_h;
         let _ = writeln!(
             out,
@@ -55,7 +56,7 @@ pub fn gantt_svg(trace: &Trace, names: &[String], title: &str) -> String {
             row_h - 4.0
         );
     }
-    for seg in trace.segments() {
+    for seg in segments {
         let x = label_w + seg.start / makespan * plot_w;
         let width = ((seg.end - seg.start) / makespan * plot_w).max(0.5);
         let y = top + seg.pu as f64 * row_h;
@@ -288,33 +289,31 @@ fn legend(out: &mut String, series: &[Series], x0: f64, y: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use plb_runtime::trace::Trace as RtTrace;
+    use plb_runtime::{gantt_segments, EventKind, EventSink};
 
-    fn sample_trace() -> RtTrace {
-        let mut t = RtTrace::new(2);
-        t.record_task(
-            plb_hetsim::PuId(0),
-            plb_runtime::TaskId(0),
-            10,
-            0.0,
-            0.2,
-            1.0,
-        );
-        t.record_task(
-            plb_hetsim::PuId(1),
-            plb_runtime::TaskId(1),
-            10,
-            0.0,
-            0.0,
-            2.0,
-        );
-        t
+    /// A 0.2 s transfer then 1 s of compute on unit 0, 2 s of compute on
+    /// unit 1.
+    fn sample_segments() -> Vec<Segment> {
+        let mut sink = EventSink::new(8);
+        for (pu, xfer_s, proc_s) in [(0, 0.2, 1.0), (1, 0.0, 2.0)] {
+            let task = pu as u64;
+            sink.record(0.0, Some(pu), EventKind::TaskStart { task, items: 10 });
+            let finish = EventKind::TaskFinish {
+                task,
+                items: 10,
+                cost: 10,
+                xfer_s,
+                proc_s,
+            };
+            sink.record(xfer_s + proc_s, Some(pu), finish);
+        }
+        gantt_segments(sink.iter())
     }
 
     #[test]
     fn gantt_contains_rows_and_segments() {
         let names = vec!["cpu".to_string(), "gpu".to_string()];
-        let svg = gantt_svg(&sample_trace(), &names, "demo");
+        let svg = gantt_svg(&sample_segments(), &names, "demo");
         assert!(svg.starts_with("<svg"));
         assert!(svg.ends_with("</svg>\n"));
         assert!(svg.contains(">cpu<"));

@@ -929,7 +929,6 @@ mod tests {
     use crate::policy::{FixedBlockPolicy, SchedulerCtx};
     use crate::sync::Mutex;
     use crate::task::{TaskFailure, TaskInfo};
-    use crate::trace::Trace;
     use plb_hetsim::cluster::ClusterOptions;
     use plb_hetsim::workload::LinearCost;
     use plb_hetsim::{cluster_scenario, NodeFault, NodeFaultKind, Scenario};
@@ -1139,7 +1138,7 @@ mod tests {
 
     /// [`Script`] over 4 000 items on two [`Timed`] nodes, node 1 cut
     /// off from `cut` seconds (if any) to 20 ms.
-    fn scripted(per_item_s: f64, cut: Option<f64>) -> (RunReport, EventSink, Trace, Timed) {
+    fn scripted(per_item_s: f64, cut: Option<f64>) -> (RunReport, EventSink, Timed) {
         let mut runner = Timed {
             per_item_s,
             runs: Vec::new(),
@@ -1155,8 +1154,7 @@ mod tests {
         assert_eq!(report.cover, vec![(0, 4_000)]);
         assert_eq!(report.pus.iter().map(|p| p.items).sum::<u64>(), 4_000);
         let events = engine.last_events().cloned().expect("events");
-        let trace = engine.last_trace().cloned().expect("trace");
-        (report, events, trace, runner)
+        (report, events, runner)
     }
 
     /// Node 1's migrated chunk (task 1) queues behind its home chunk
@@ -1176,7 +1174,7 @@ mod tests {
         // Node 1's home chunk computes 5 ms, then 0.5 ms: the payload
         // (1 ms of latency plus 32 kB) is hidden, then mostly exposed.
         for (per_item_s, hidden) in [(1e-5, true), (1e-6, false)] {
-            let (_, events, trace, _) = scripted(per_item_s, None);
+            let (_, events, _) = scripted(per_item_s, None);
             let x = migrated_payload_s(&events);
             let finish = |task: u64| {
                 let e = events
@@ -1203,8 +1201,9 @@ mod tests {
             });
             assert_eq!(start.map(|e| e.t), Some(free_at));
             // No two segments on a node overlap.
+            let segments = crate::gantt_segments(events.iter());
             for pu in 0..2 {
-                let mut on_pu: Vec<_> = trace.segments().iter().filter(|s| s.pu == pu).collect();
+                let mut on_pu: Vec<_> = segments.iter().filter(|s| s.pu == pu).collect();
                 on_pu.sort_by(|a, b| a.start.total_cmp(&b.start));
                 for w in on_pu.windows(2) {
                     assert!(
@@ -1233,7 +1232,7 @@ mod tests {
     fn a_partition_during_a_queued_transfer_recredits_the_queued_chunk() {
         // The cut opens 0.5 ms into the migrated payload's 1 ms on the
         // link, while the home chunk ahead computes.
-        let (_, events, _, runner) = scripted(1e-5, Some(5e-4));
+        let (_, events, runner) = scripted(1e-5, Some(5e-4));
         assert!(migrated_payload_s(&events) > 5e-4);
         assert_eq!(recredited(&events), [BLOCK, BLOCK]);
         // The queued chunk ran at its launch and once more elsewhere:
@@ -1247,7 +1246,7 @@ mod tests {
     fn a_node_lost_holding_two_chunks_recredits_both() {
         // The cut opens at 3 ms: the migrated payload is in, queued
         // behind the home chunk that computes until 5 ms.
-        let (_, events, _, _) = scripted(1e-5, Some(3e-3));
+        let (_, events, _) = scripted(1e-5, Some(3e-3));
         let on_node_1: Vec<_> = events.iter().filter(|e| e.pu == Some(1)).collect();
         let cut = (on_node_1.iter())
             .position(|e| e.kind.name() == "node_quarantined")

@@ -79,11 +79,10 @@ use crate::checkpoint::{
 use crate::engine::RunError;
 use crate::events::{EventCounters, EventKind, EventSink};
 use crate::fault::{FaultPlan, FaultToleranceConfig};
-use crate::metrics::RunReport;
+use crate::metrics::{Ledger, RunReport, UnitLedger};
 use crate::policy::{Policy, PuHandle, SchedulerCtx};
 use crate::sync::Arc;
 use crate::task::{FailureReason, TaskFailure, TaskId, TaskInfo};
-use crate::trace::Trace;
 use crate::weights::Weights;
 use cover::Cover;
 use plb_hetsim::PuId;
@@ -133,14 +132,14 @@ impl RunConfig {
 }
 
 /// Everything a finished drive hands back to its engine: the result
-/// (with the report already built on success), plus the trace and the
-/// event stream — preserved on errors too, for post-mortems.
+/// (with the report already built on success), plus the per-unit ledger
+/// and the event stream — preserved on errors too, for post-mortems.
 #[derive(Debug)]
 pub(crate) struct CoreOutcome {
     /// The run's outcome: a full [`RunReport`] or the typed error.
     pub(crate) result: Result<RunReport, RunError>,
-    /// Gantt trace of every successful task.
-    pub(crate) trace: Trace,
+    /// Per-unit totals of every successful task, indexed by unit id.
+    pub(crate) ledger: Vec<UnitLedger>,
     /// The structured event stream (see [`crate::events`]).
     pub(crate) events: EventSink,
     /// Per-unit permanent-loss flags: `lost[i]` is true when unit `i`
@@ -293,7 +292,7 @@ struct Driver<'b> {
     start: u64,
     total: u64,
     next_task: u64,
-    trace: Trace,
+    ledger: Ledger,
     events: EventSink,
     /// The run's configuration; its `checkpoint` has moved into
     /// `ckpt_writer` and its `resume` snapshot, restored, is gone.
@@ -442,7 +441,7 @@ impl<'b> Driver<'b> {
             start: items.start,
             total,
             next_task: 0,
-            trace: Trace::new(n),
+            ledger: Ledger::new(n),
             events: EventSink::default(),
             has_drift: cfg.faults.has_drift(),
             joins,
@@ -1122,8 +1121,8 @@ impl<'b> Driver<'b> {
                 self.promote(pu, finish);
                 self.completed.push(pend.offset, pend.items);
                 self.tasks_done += 1;
-                self.trace
-                    .record_task(PuId(pu), task, pend.items, start, xfer_s, proc_s);
+                self.ledger
+                    .record_task(pu, pend.items, start, xfer_s, proc_s);
                 if self.backend.clock_kind() == ClockKind::Wall {
                     // Wall clocks learn the start time only now: record
                     // it retroactively (virtual clocks already did at
@@ -1236,7 +1235,7 @@ pub(crate) fn drive(
         Err(detail) => {
             return CoreOutcome {
                 result: Err(RunError::Checkpoint { detail }),
-                trace: Trace::new(n),
+                ledger: vec![UnitLedger::default(); n],
                 events: EventSink::default(),
                 lost: vec![false; n],
             }
@@ -1258,7 +1257,7 @@ pub(crate) fn drive(
             d.backend.now(),
             None,
             EventKind::RunEnd {
-                makespan_s: d.trace.makespan(),
+                makespan_s: d.ledger.makespan,
                 total_items: d.total,
             },
         );
@@ -1269,7 +1268,7 @@ pub(crate) fn drive(
             .map(|h| h.name)
             .collect();
         let mut report =
-            RunReport::from_trace(policy.name(), &d.trace, names, policy.block_distribution());
+            RunReport::from_ledger(policy.name(), &d.ledger, names, policy.block_distribution());
         for (i, pu) in report.pus.iter_mut().enumerate() {
             pu.bytes_in = d.backend.bytes_into(i);
         }
@@ -1284,7 +1283,7 @@ pub(crate) fn drive(
     });
     CoreOutcome {
         result,
-        trace: d.trace,
+        ledger: d.ledger.units,
         events: d.events,
         lost: (d.units.iter())
             .map(|u| u.state == Availability::Lost)
@@ -1306,7 +1305,7 @@ mod tests {
     use crate::fault::{Fault, FaultAction, FaultKind};
     use crate::task::{FailureReason, TaskFailure, TaskInfo};
     use plb_hetsim::PuKind;
-    use std::collections::VecDeque;
+    use std::collections::{HashMap, HashSet, VecDeque};
 
     /// What the mock's queue holds.
     enum Ev {
@@ -1350,9 +1349,20 @@ mod tests {
         wakes: Vec<Option<f64>>,
         /// The per-unit hooks the core called, in order.
         hooks: Vec<String>,
-        /// The `(offset, items)` of every attempt reported completed, in
-        /// order.
-        finished: Vec<(u64, u64)>,
+        /// Every attempt reported completed, in order.
+        finished: Vec<Finished>,
+    }
+
+    /// One completion [`MockBackend`] reported.
+    #[derive(Debug, Clone, Copy)]
+    struct Finished {
+        pu: usize,
+        task: TaskId,
+        /// The block's `(offset, items)`.
+        range: (u64, u64),
+        start: f64,
+        proc_s: f64,
+        finish: f64,
     }
 
     impl MockBackend {
@@ -1476,14 +1486,22 @@ mod tests {
                                 reason: FailureReason::Panicked,
                             };
                         }
-                        self.finished.push(range);
+                        let done = Finished {
+                            pu,
+                            task,
+                            range,
+                            start,
+                            proc_s: self.now() - start,
+                            finish: self.now(),
+                        };
+                        self.finished.push(done);
                         return Polled::Completed {
                             pu,
                             task,
                             start,
                             xfer_s: 0.0,
-                            proc_s: self.now() - start,
-                            finish: self.now(),
+                            proc_s: done.proc_s,
+                            finish: done.finish,
                         };
                     }
                     Some(Ev::External { polled, .. }) => return polled,
@@ -2448,7 +2466,7 @@ mod tests {
         let snapshot = d.build_checkpoint(&policy);
         drop(d);
 
-        let mut once = backend.finished;
+        let mut once: Vec<(u64, u64)> = backend.finished.iter().map(|f| f.range).collect();
         once.sort_unstable();
         once.dedup_by(|next, kept| {
             let adjacent = kept.0 + kept.1 == next.0;
@@ -2471,6 +2489,80 @@ mod tests {
     fn a_long_run_keeps_its_cover_short_and_snapshots_it_as_one_sort_would() {
         long_run_cover(None);
         long_run_cover(Some(400.0));
+    }
+
+    /// The run of `long_run_cover`, driven to its end: its 40 000
+    /// one-item tasks record about 120 000 events, past the 65 536 the
+    /// ring holds. The report still sums every completion, and the Gantt
+    /// view draws the tasks whose start and finish both survived.
+    #[test]
+    fn a_run_that_wraps_the_ring_reports_every_completion_and_draws_what_survived() {
+        const UNITS: usize = 32;
+        let task_s: Vec<f64> = (0..UNITS).map(|i| 0.2 + 0.017 * i as f64).collect();
+        let mut backend = MockBackend::new(ClockKind::Virtual, &task_s);
+        let mut policy = Pump::new(1, &[]);
+        let cfg = RunConfig {
+            faults: flaky(3, 5),
+            ..Default::default()
+        };
+        let pool = WorkPool::new(40_000);
+        let out = drive(&mut backend, handles(UNITS), &mut policy, pool, cfg);
+        let report = out.result.expect("run completes");
+        assert!(
+            out.events.dropped() > 50_000,
+            "{} dropped",
+            out.events.dropped()
+        );
+
+        // Every completion the mock reported, summed per unit in order:
+        // each occupies its unit over `[start, start + proc_s]`.
+        let mut sums = vec![(0.0f64, 0u64); UNITS];
+        let mut makespan = 0.0f64;
+        for f in &backend.finished {
+            let end = f.start + f.proc_s;
+            sums[f.pu].0 += end - f.start;
+            sums[f.pu].1 += f.range.1;
+            makespan = makespan.max(end);
+        }
+        assert_eq!(report.tasks, backend.finished.len());
+        assert_eq!(report.makespan.to_bits(), makespan.to_bits());
+        for (pu, (r, &(busy, items))) in report.pus.iter().zip(&sums).enumerate() {
+            let idle = ((makespan - busy) / makespan).max(0.0);
+            assert_eq!(r.busy_s.to_bits(), busy.to_bits(), "unit {pu}");
+            assert_eq!(r.idle_fraction.to_bits(), idle.to_bits(), "unit {pu}");
+            assert_eq!(r.items, items, "unit {pu}");
+        }
+
+        // A task is drawn iff the ring kept its finish and a start of
+        // the attempt that finished: its first start, or a retry.
+        let mut started = HashSet::new();
+        let mut survived = Vec::new();
+        for e in out.events.iter() {
+            match e.kind {
+                EventKind::TaskStart { task, .. } | EventKind::TaskRetry { task, .. } => {
+                    started.insert(task);
+                }
+                EventKind::TaskFinish { task, .. } if started.contains(&task) => {
+                    survived.push(task);
+                }
+                _ => {}
+            }
+        }
+        let segments = crate::gantt_segments(out.events.iter());
+        let drawn: Vec<u64> = segments.iter().map(|s| s.task).collect();
+        assert_eq!(drawn, survived);
+        assert!(
+            drawn.len() > 10_000 && drawn.len() < report.tasks,
+            "{}",
+            drawn.len()
+        );
+        // Drawn where the mock ran them.
+        let ran: HashMap<u64, &Finished> =
+            (backend.finished.iter()).map(|f| (f.task.0, f)).collect();
+        for s in &segments {
+            let f = ran[&s.task];
+            assert_eq!((s.pu, s.start, s.end), (f.pu, f.start, f.finish), "{s:?}");
+        }
     }
 
     /// A driver over two idle units of a wall-clock mock with a 5 s

@@ -1,8 +1,9 @@
 //! The engine, and the discrete-event simulation machine.
 //!
 //! [`Engine`] is the one public way to run: a machine, the run
-//! configuration every machine shares, and the trace and events of the
-//! last run. [`SimEngine`], [`HostEngine`](crate::HostEngine) and
+//! configuration every machine shares, and the per-unit ledger and
+//! events of the last run. [`SimEngine`],
+//! [`HostEngine`](crate::HostEngine) and
 //! [`ClusterEngine`](crate::ClusterEngine) are it over the simulated,
 //! the host and the node machine.
 //!
@@ -33,11 +34,10 @@ use crate::core::{
 };
 use crate::events::{EventKind, EventSink};
 use crate::fault::{FaultAction, FaultPlan, FaultToleranceConfig};
-use crate::metrics::RunReport;
+use crate::metrics::{RunReport, UnitLedger};
 use crate::policy::{Policy, PuHandle};
 use crate::sync::Arc;
 use crate::task::{FailureReason, TaskId};
-use crate::trace::Trace;
 use crate::weights::Weights;
 use plb_hetsim::{ClusterSim, CostModel, PuId};
 use std::ops::Range;
@@ -330,7 +330,7 @@ impl Backend for SimBackend<'_> {
 pub struct Engine<M> {
     pub(crate) machine: M,
     pub(crate) cfg: RunConfig,
-    last_trace: Option<Trace>,
+    last_ledger: Vec<UnitLedger>,
     last_events: Option<EventSink>,
 }
 
@@ -341,7 +341,7 @@ impl<M> Engine<M> {
         Engine {
             machine,
             cfg: RunConfig::default(),
-            last_trace: None,
+            last_ledger: Vec::new(),
             last_events: None,
         }
     }
@@ -393,23 +393,25 @@ impl<M> Engine<M> {
         self
     }
 
-    /// The Gantt trace of the most recent `run` (for rendering and
-    /// idle-time analysis).
-    pub fn last_trace(&self) -> Option<&Trace> {
-        self.last_trace.as_ref()
+    /// The per-unit ledger of the most recent `run`, indexed by unit id
+    /// (empty before the first): what its report's busy and idle figures
+    /// were built from, and the `unit` records of its trace file.
+    pub fn last_ledger(&self) -> &[UnitLedger] {
+        &self.last_ledger
     }
 
     /// The structured event stream of the most recent `run` — also kept
     /// on a stalled run, so post-mortems can see what the policy last
-    /// did. See [`crate::events`].
+    /// did. Its Gantt segments are [`crate::gantt_segments`] of it. See
+    /// [`crate::events`].
     pub fn last_events(&self) -> Option<&EventSink> {
         self.last_events.as_ref()
     }
 
-    /// Keep the trace and events of a finished drive and hand back its
+    /// Keep the ledger and events of a finished drive and hand back its
     /// result.
     pub(crate) fn keep(&mut self, outcome: CoreOutcome) -> Result<RunReport, RunError> {
-        self.last_trace = Some(outcome.trace);
+        self.last_ledger = outcome.ledger;
         self.last_events = Some(outcome.events);
         outcome.result
     }

@@ -1,13 +1,15 @@
-//! Structured decision-level event tracing.
+//! Structured event tracing: the one record of a run.
 //!
-//! The [`trace`](crate::trace) module records what each unit was *doing*
-//! (busy Compute/Transfer segments); this module records what the stack
-//! *decided* and *observed* — when a probe block was issued, when a curve
-//! was refit and with what quality, when the block sizes were solved
-//! and in how many steps, when a rebalance fired and why, when a device
-//! failed or slowed down. Together the two streams make every run a
-//! replayable, diagnosable artifact (the data behind the paper's Figs.
-//! 3, 6 and 7 at decision granularity).
+//! The stream records what each unit was *doing* — every task's submit,
+//! start and finish — and what the stack *decided* and *observed*: when
+//! a probe block was issued, when a curve was refit and with what
+//! quality, when the block sizes were solved and in how many steps,
+//! when a rebalance fired and why, when a device failed or slowed down.
+//! That makes every run a replayable, diagnosable artifact (the data
+//! behind the paper's Figs. 3, 6 and 7 at decision granularity). The
+//! Gantt chart of Fig. 3 is a view over the stream ([`gantt_segments`]);
+//! the per-unit totals of Fig. 7 come from the driver's
+//! [`UnitLedger`], which a trace file carries beside the events.
 //!
 //! The full schema — every variant, field meanings, units — is
 //! documented in `docs/OBSERVABILITY.md`, together with the JSONL file
@@ -33,13 +35,14 @@
 //!   a scheduler-overhead window) and a perturbation lands inside that
 //!   window.
 
-use crate::trace::{Segment, Trace};
+use crate::metrics::UnitLedger;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// Schema version stamped into every exported trace header, and the
 /// only one [`TraceData::parse_jsonl`] accepts. A change to the schema
 /// bumps it, and the version `docs/OBSERVABILITY.md` states with it.
-pub const TRACE_FORMAT_VERSION: u32 = 7;
+pub const TRACE_FORMAT_VERSION: u32 = 8;
 
 /// Default ring-buffer capacity (events).
 pub(crate) const DEFAULT_SINK_CAPACITY: usize = 1 << 16;
@@ -632,15 +635,15 @@ pub struct TraceHeader {
     pub pu_names: Vec<String>,
 }
 
-/// Serialize a run (header, busy segments, decision events) to JSONL:
-/// one JSON object per line, each tagged with a `"rec"` field of
-/// `"header"`, `"segment"` or `"event"`. The format is documented in
-/// `docs/OBSERVABILITY.md`.
+/// Serialize a run (header, per-unit ledger, events) to JSONL: one JSON
+/// object per line, each tagged with a `"rec"` field of `"header"`,
+/// `"unit"` (one per unit, in unit-id order) or `"event"`. The format is
+/// documented in `docs/OBSERVABILITY.md`.
 // Serializing plain data structs (no maps with non-string keys, no
 // custom Serialize impls) cannot fail; the expects below are
 // unreachable rather than error paths (audited in
 // crates/xtask/allowlists/panic-freedom.txt).
-pub fn write_jsonl(header: &TraceHeader, segments: &[Segment], events: &[Event]) -> String {
+pub fn write_jsonl(header: &TraceHeader, units: &[UnitLedger], events: &[Event]) -> String {
     fn tagged(rec: &str, value: serde_json::Value) -> String {
         let mut obj = value;
         if let Some(map) = obj.as_object_mut() {
@@ -654,10 +657,10 @@ pub fn write_jsonl(header: &TraceHeader, segments: &[Segment], events: &[Event])
         serde_json::to_value(header).expect("header serializes"),
     ));
     out.push('\n');
-    for s in segments {
+    for u in units {
         out.push_str(&tagged(
-            "segment",
-            serde_json::to_value(s).expect("segment serializes"),
+            "unit",
+            serde_json::to_value(u).expect("unit ledger serializes"),
         ));
         out.push('\n');
     }
@@ -677,8 +680,8 @@ pub fn write_jsonl(header: &TraceHeader, segments: &[Segment], events: &[Event])
 pub struct TraceData {
     /// The file header.
     pub header: TraceHeader,
-    /// Busy segments, in recorded order.
-    pub segments: Vec<Segment>,
+    /// The per-unit ledger, indexed by unit id.
+    pub units: Vec<UnitLedger>,
     /// Decision events, oldest first.
     pub events: Vec<Event>,
 }
@@ -687,7 +690,7 @@ impl TraceData {
     /// Parse a JSONL trace produced by [`write_jsonl`].
     pub fn parse_jsonl(text: &str) -> Result<TraceData, String> {
         let mut header: Option<TraceHeader> = None;
-        let mut segments = Vec::new();
+        let mut units = Vec::new();
         let mut events = Vec::new();
         for (lineno, line) in text.lines().enumerate() {
             let line = line.trim();
@@ -716,11 +719,11 @@ impl TraceData {
                     }
                     header = Some(h);
                 }
-                "segment" => {
-                    let s: Segment = serde_json::from_value(v)
-                        .map_err(|e| format!("line {}: bad segment: {e}", lineno + 1))?;
-                    check_unit(header.as_ref(), Some(s.pu), lineno + 1)?;
-                    segments.push(s);
+                "unit" => {
+                    let u: UnitLedger = serde_json::from_value(v)
+                        .map_err(|e| format!("line {}: bad unit: {e}", lineno + 1))?;
+                    check_unit(header.as_ref(), Some(units.len()), lineno + 1)?;
+                    units.push(u);
                 }
                 "event" => {
                     let e: Event = serde_json::from_value(v)
@@ -734,7 +737,7 @@ impl TraceData {
         let header = header.ok_or("trace file has no header line")?;
         Ok(TraceData {
             header,
-            segments,
+            units,
             events,
         })
     }
@@ -743,12 +746,6 @@ impl TraceData {
     /// names, which a parsed trace's records never exceed.
     pub fn n_pus(&self) -> usize {
         self.header.pu_names.len()
-    }
-
-    /// Rebuild a [`Trace`] from the stored segments (for Gantt rendering
-    /// and idle accounting).
-    pub fn to_trace(&self) -> Trace {
-        Trace::from_segments(self.n_pus(), self.segments.clone())
     }
 
     /// Aggregate event counters of the stored stream. `dropped` is the
@@ -763,8 +760,8 @@ impl TraceData {
 }
 
 /// `Err` unless the header has been read and names `pu`, the unit of
-/// the segment or event on line `line`: a record must come after the
-/// header, and a unit the header does not name has no accounting.
+/// the record on line `line`: a record must come after the header, and
+/// a unit the header does not name has no accounting.
 fn check_unit(header: Option<&TraceHeader>, pu: Option<usize>, line: usize) -> Result<(), String> {
     let header = header.ok_or_else(|| format!("line {line}: record before the header"))?;
     let units = header.pu_names.len();
@@ -776,11 +773,178 @@ fn check_unit(header: Option<&TraceHeader>, pu: Option<usize>, line: usize) -> R
     }
 }
 
+/// What a unit was doing during a [`Segment`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SegmentKind {
+    /// Moving input/result data.
+    Transfer,
+    /// Executing the kernel.
+    Compute,
+}
+
+/// One busy interval of one unit: a bar of the Gantt chart.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Segment {
+    /// The unit.
+    pub pu: usize,
+    /// The task occupying it.
+    pub task: u64,
+    /// Transfer or compute.
+    pub kind: SegmentKind,
+    /// Interval start, seconds.
+    pub start: f64,
+    /// Interval end, seconds.
+    pub end: f64,
+    /// Items in the task's block.
+    pub items: u64,
+}
+
+/// The Gantt segments of an event stream, in finish order. Each
+/// `task_finish` at `t` draws a transfer `[start, start + xfer_s]` when
+/// the task moved data, then a compute `[start + xfer_s, t]`.
+///
+/// A task's `start` is its latest `task_start` on the unit, or, when a
+/// `task_retry` came after that, the retry's stamp plus its backoff: a
+/// virtual clock stamps the start of a first attempt only, and a retry
+/// begins when its backoff runs out. A finish whose start the ring
+/// dropped is not drawn. On a virtual clock the segments are exact; on
+/// a wall clock a start is the stamp the sink kept, which its per-unit
+/// clamp may have raised (`docs/OBSERVABILITY.md`).
+pub fn gantt_segments<'a>(events: impl IntoIterator<Item = &'a Event>) -> Vec<Segment> {
+    let mut started: BTreeMap<(usize, u64), f64> = BTreeMap::new();
+    let mut segments = Vec::new();
+    for e in events {
+        let Some(pu) = e.pu else {
+            continue;
+        };
+        match e.kind {
+            EventKind::TaskStart { task, .. } => {
+                started.insert((pu, task), e.t);
+            }
+            EventKind::TaskRetry {
+                task, backoff_s, ..
+            } => {
+                started.insert((pu, task), e.t + backoff_s);
+            }
+            EventKind::TaskFinish {
+                task,
+                items,
+                xfer_s,
+                ..
+            } => {
+                let Some(start) = started.remove(&(pu, task)) else {
+                    continue;
+                };
+                let mid = start + xfer_s;
+                let mut push = |kind, start, end| {
+                    segments.push(Segment {
+                        pu,
+                        task,
+                        kind,
+                        start,
+                        end,
+                        items,
+                    });
+                };
+                if xfer_s > 0.0 {
+                    push(SegmentKind::Transfer, start, mid);
+                }
+                push(SegmentKind::Compute, mid, e.t);
+            }
+            _ => {}
+        }
+    }
+    segments
+}
+
+/// The latest end of `segments` (0 when there are none): the span a
+/// Gantt chart of them covers.
+pub fn gantt_span(segments: &[Segment]) -> f64 {
+    segments.iter().fold(0.0, |m, s| m.max(s.end))
+}
+
+/// Render `segments` in Chrome trace-event format (the JSON array
+/// flavour): open in `chrome://tracing` or [Perfetto] for an
+/// interactive timeline. Each unit of `names` is a "thread"; transfer
+/// and compute segments become complete ("X") events with microsecond
+/// timestamps.
+///
+/// [Perfetto]: https://ui.perfetto.dev
+// Serializing a Vec of serde_json::Value cannot fail; the expect is
+// unreachable rather than an error path (audited in
+// crates/xtask/allowlists/panic-freedom.txt).
+pub fn chrome_trace(segments: &[Segment], names: &[String]) -> String {
+    let mut events = Vec::with_capacity(segments.len() + names.len());
+    for (i, name) in names.iter().enumerate() {
+        events.push(serde_json::json!({
+            "name": "thread_name",
+            "ph": "M",
+            "pid": 1,
+            "tid": i,
+            "args": {"name": name},
+        }));
+    }
+    for s in segments {
+        let kind = match s.kind {
+            SegmentKind::Compute => "compute",
+            SegmentKind::Transfer => "transfer",
+        };
+        events.push(serde_json::json!({
+            "name": format!("{kind} T{} ({} items)", s.task, s.items),
+            "cat": kind,
+            "ph": "X",
+            "ts": s.start * 1e6,
+            "dur": (s.end - s.start) * 1e6,
+            "pid": 1,
+            "tid": s.pu,
+        }));
+    }
+    serde_json::to_string_pretty(&events).expect("trace events serialize")
+}
+
+/// Render a coarse ASCII Gantt chart of `segments` (for examples and the
+/// Fig. 3 reproduction): one row per unit of `names`, `width` columns
+/// spanning [`gantt_span`], `#` = compute, `-` = transfer, `.` = idle.
+pub fn ascii_gantt(segments: &[Segment], names: &[String], width: usize) -> String {
+    let ms = gantt_span(segments);
+    if ms <= 0.0 || width == 0 {
+        return String::new();
+    }
+    let name_w = names.iter().map(|n| n.len()).max().unwrap_or(4).max(4);
+    // One pass over the segments paints every row; a unit's cells are
+    // still painted in its own finish order.
+    let mut rows = vec![vec!['.'; width]; names.len()];
+    for s in segments {
+        let Some(row) = rows.get_mut(s.pu) else {
+            continue;
+        };
+        let a = ((s.start / ms) * width as f64).floor() as usize;
+        let b = (((s.end / ms) * width as f64).ceil() as usize).min(width);
+        let ch = match s.kind {
+            SegmentKind::Compute => '#',
+            SegmentKind::Transfer => '-',
+        };
+        for c in row.iter_mut().take(b).skip(a.min(width)) {
+            // Compute overwrites transfer if they round onto the same
+            // cell; never overwrite compute with transfer.
+            if *c != '#' {
+                *c = ch;
+            }
+        }
+    }
+    let mut out = String::new();
+    for (name, row) in names.iter().zip(rows) {
+        out.push_str(&format!("{name:<name_w$} |"));
+        out.extend(row);
+        out.push_str("|\n");
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::TaskId;
-    use plb_hetsim::PuId;
+    use crate::metrics::Ledger;
 
     fn fill(sink: &mut EventSink, n: usize) {
         for i in 0..n {
@@ -947,10 +1111,31 @@ mod tests {
         assert_eq!(c.dropped, 0);
     }
 
+    /// Record one completed task of `pu`: its start, then its finish.
+    fn task(
+        sink: &mut EventSink,
+        pu: usize,
+        task: u64,
+        items: u64,
+        start: f64,
+        xfer: f64,
+        proc: f64,
+    ) {
+        sink.record(start, Some(pu), EventKind::TaskStart { task, items });
+        let kind = EventKind::TaskFinish {
+            task,
+            items,
+            cost: items,
+            xfer_s: xfer,
+            proc_s: proc,
+        };
+        sink.record(start + xfer + proc, Some(pu), kind);
+    }
+
     fn sample_trace_data() -> TraceData {
-        let mut trace = Trace::new(2);
-        trace.record_task(PuId(0), TaskId(0), 100, 0.0, 0.5, 1.5);
-        trace.record_task(PuId(1), TaskId(1), 50, 0.0, 0.0, 1.0);
+        let mut ledger = Ledger::new(2);
+        ledger.record_task(0, 100, 0.0, 0.5, 1.5);
+        ledger.record_task(1, 50, 0.0, 0.0, 1.0);
         let mut sink = EventSink::new(64);
         sink.record(
             0.0,
@@ -970,17 +1155,7 @@ mod tests {
                 cost: 100,
             },
         );
-        sink.record(
-            2.0,
-            Some(0),
-            EventKind::TaskFinish {
-                task: 0,
-                items: 100,
-                cost: 100,
-                xfer_s: 0.5,
-                proc_s: 1.5,
-            },
-        );
+        task(&mut sink, 0, 0, 100, 0.0, 0.5, 1.5);
         sink.record(
             2.0,
             None,
@@ -995,7 +1170,7 @@ mod tests {
                 policy: "test".into(),
                 pu_names: vec!["cpu".into(), "gpu".into()],
             },
-            segments: trace.segments().to_vec(),
+            units: ledger.units,
             events: sink.events(),
         }
     }
@@ -1003,16 +1178,13 @@ mod tests {
     #[test]
     fn jsonl_round_trips() {
         let data = sample_trace_data();
-        let text = write_jsonl(&data.header, &data.segments, &data.events);
+        let text = write_jsonl(&data.header, &data.units, &data.events);
         let parsed = TraceData::parse_jsonl(&text).unwrap();
         assert_eq!(parsed.header, data.header);
-        assert_eq!(parsed.segments.len(), data.segments.len());
+        assert_eq!(parsed.units, data.units);
         assert_eq!(parsed.events, data.events);
-        // The reconstructed trace matches the original accounting.
-        let t = parsed.to_trace();
-        assert_eq!(t.n_pus(), 2);
-        assert_eq!(t.makespan(), 2.0);
-        assert_eq!(t.items_per_pu(), vec![100, 50]);
+        let items: Vec<u64> = parsed.units.iter().map(|u| u.items).collect();
+        assert_eq!(items, [100, 50]);
     }
 
     #[test]
@@ -1036,7 +1208,7 @@ mod tests {
     /// through `edit`.
     fn edited_jsonl(line: usize, edit: impl Fn(&str) -> String) -> String {
         let data = sample_trace_data();
-        let text = write_jsonl(&data.header, &data.segments, &data.events);
+        let text = write_jsonl(&data.header, &data.units, &data.events);
         text.lines()
             .enumerate()
             .map(|(i, l)| if i + 1 == line { edit(l) } else { l.to_string() } + "\n")
@@ -1045,14 +1217,13 @@ mod tests {
 
     #[test]
     fn parse_rejects_a_unit_the_header_does_not_name() {
-        // Line 2 is the first segment (unit 0), line 6 the first event
-        // that names a unit (`task_submit` on unit 0); the header names
-        // 2 units.
+        // Lines 2 and 3 are the two units' records, line 5 the first
+        // event that names a unit (`task_submit` on unit 0); the header
+        // names 2 units.
         let cases = [
-            (2, "\"pu\":0", "\"pu\":1099511627776"),
-            (2, "\"pu\":0", "\"pu\":18446744073709551615"),
-            (2, "\"pu\":0", "\"pu\":2"),
-            (6, "\"pu\":0", "\"pu\":18446744073709551615"),
+            (5, "\"pu\":0", "\"pu\":1099511627776"),
+            (5, "\"pu\":0", "\"pu\":18446744073709551615"),
+            (5, "\"pu\":0", "\"pu\":2"),
         ];
         for (line, from, to) in cases {
             let text = edited_jsonl(line, |l| {
@@ -1066,12 +1237,16 @@ mod tests {
         // Unedited, every record names one of the two units.
         let text = edited_jsonl(0, str::to_string);
         assert_eq!(TraceData::parse_jsonl(&text).unwrap().n_pus(), 2);
+        // A third unit record names a unit the header does not.
+        let text = edited_jsonl(3, |l| format!("{l}\n{l}"));
+        let err = TraceData::parse_jsonl(&text).unwrap_err();
+        assert_eq!(err, "line 4: unit 2 is not one of the header's 2 units");
     }
 
     #[test]
     fn parse_rejects_a_record_before_the_header() {
         let data = sample_trace_data();
-        let text = write_jsonl(&data.header, &data.segments, &data.events);
+        let text = write_jsonl(&data.header, &data.units, &data.events);
         let mut lines: Vec<&str> = text.lines().collect();
         lines.swap(0, 1);
         let err = TraceData::parse_jsonl(&lines.join("\n")).unwrap_err();
@@ -1101,7 +1276,7 @@ mod tests {
         );
         assert_eq!(
             rows(&data, "run"),
-            [cells(&["test", "2.000000s", "3", "4", "0"])]
+            [cells(&["test", "2.000000s", "2", "5", "0"])]
         );
         // No rebalance fired, so that section is left out.
         assert!(rows(&data, "rebalances").is_empty());
@@ -1119,7 +1294,7 @@ mod tests {
         let mut sink = EventSink::new(4);
         fill(&mut sink, 10);
         let data = sample_trace_data();
-        let text = write_jsonl(&data.header, &data.segments, &sink.events());
+        let text = write_jsonl(&data.header, &data.units, &sink.events());
         let parsed = TraceData::parse_jsonl(&text).unwrap();
         assert_eq!(parsed.events[0].seq, 6);
         assert_eq!(parsed.counters().dropped, 6);
@@ -1243,5 +1418,92 @@ mod tests {
         let v = serde_json::to_value(&e).unwrap();
         assert_eq!(v["kind"], "modeling_done");
         assert_eq!(v["items_used"].as_u64(), Some(7));
+    }
+
+    /// Three tasks: one with a transfer prefix on unit 0 (busy 0..2),
+    /// two back to back on unit 1 (busy 0..3).
+    fn sample_stream() -> EventSink {
+        let mut sink = EventSink::new(64);
+        task(&mut sink, 0, 0, 100, 0.0, 0.5, 1.5);
+        task(&mut sink, 1, 1, 50, 0.0, 0.0, 1.0);
+        task(&mut sink, 1, 2, 50, 1.0, 0.0, 2.0);
+        sink
+    }
+
+    #[test]
+    fn segments_are_drawn_from_starts_and_finishes() {
+        let segs = gantt_segments(sample_stream().iter());
+        let spans: Vec<_> = segs
+            .iter()
+            .map(|s| (s.pu, s.kind, s.start, s.end))
+            .collect();
+        use SegmentKind::*;
+        assert_eq!(
+            spans,
+            [
+                (0, Transfer, 0.0, 0.5),
+                (0, Compute, 0.5, 2.0),
+                (1, Compute, 0.0, 1.0),
+                (1, Compute, 1.0, 3.0)
+            ]
+        );
+        assert_eq!(gantt_span(&segs), 3.0);
+        assert_eq!(gantt_span(&[]), 0.0);
+    }
+
+    #[test]
+    fn a_retry_starts_after_its_backoff_and_a_dropped_start_is_not_drawn() {
+        let mut sink = EventSink::new(64);
+        sink.record(0.0, Some(0), EventKind::TaskStart { task: 7, items: 4 });
+        let retry = EventKind::TaskRetry {
+            task: 7,
+            items: 4,
+            attempt: 1,
+            backoff_s: 0.25,
+        };
+        sink.record(1.0, Some(0), retry);
+        let finish = |task| EventKind::TaskFinish {
+            task,
+            items: 4,
+            cost: 4,
+            xfer_s: 0.0,
+            proc_s: 0.5,
+        };
+        sink.record(1.75, Some(0), finish(7));
+        // Task 8's start is not in the stream.
+        sink.record(2.0, Some(1), finish(8));
+        let segs = gantt_segments(sink.iter());
+        assert_eq!(segs.len(), 1);
+        assert_eq!((segs[0].task, segs[0].start, segs[0].end), (7, 1.25, 1.75));
+    }
+
+    #[test]
+    fn ascii_gantt_shape() {
+        let segs = gantt_segments(sample_stream().iter());
+        let names = vec!["cpu".to_string(), "gpu".to_string()];
+        // A transfer prefix, then compute, then idle in the last third.
+        assert_eq!(
+            ascii_gantt(&segs, &names, 30),
+            "cpu  |-----###############..........|\n\
+             gpu  |##############################|\n"
+        );
+        assert_eq!(ascii_gantt(&[], &names, 10), "");
+    }
+
+    #[test]
+    fn chrome_trace_roundtrips_as_json() {
+        let segs = gantt_segments(sample_stream().iter());
+        let names = vec!["cpu".to_string(), "gpu".to_string()];
+        let parsed: serde_json::Value = serde_json::from_str(&chrome_trace(&segs, &names)).unwrap();
+        let events = parsed.as_array().unwrap();
+        // 2 thread-name metadata events + 4 segments (one task has a
+        // transfer prefix).
+        assert_eq!(events.len(), 2 + segs.len());
+        let xs: Vec<&serde_json::Value> = events.iter().filter(|e| e["ph"] == "X").collect();
+        assert_eq!(xs.len(), segs.len());
+        for e in xs {
+            assert!(e["ts"].as_f64().unwrap() >= 0.0);
+            assert!(e["dur"].as_f64().unwrap() > 0.0);
+        }
     }
 }

@@ -733,7 +733,8 @@ mod tests {
         }]);
         let mut policy = FixedBlockPolicy { block: 20_000 };
         let _ = engine.run(&mut policy, codelet, 80_000).unwrap();
-        assert_eq!(engine.last_trace().unwrap().segments().len(), 4);
+        let events = engine.last_events().unwrap();
+        assert_eq!(crate::gantt_segments(events.iter()).len(), 4);
         assert_eq!(calls.load(Ordering::Relaxed), 2 + 2 * 4);
     }
 
@@ -795,8 +796,8 @@ mod tests {
             .run(&mut FixedBlockPolicy { block: 50_000 }, codelet, 200_000)
             .unwrap();
         assert!(report.makespan > 0.0);
-        let trace = engine.last_trace().unwrap();
-        assert!(!trace.segments().is_empty());
-        assert!(trace.segments().iter().all(|s| s.end >= s.start));
+        let segments = crate::gantt_segments(engine.last_events().unwrap().iter());
+        assert!(!segments.is_empty());
+        assert!(segments.iter().all(|s| s.end >= s.start));
     }
 }

@@ -18,8 +18,8 @@
 //!   which StarPU schedulers (and the paper's four algorithms) operate.
 //! * [`Engine`] — the one public way to run: a machine plus the run
 //!   configuration every machine shares (fault plan and response,
-//!   checkpointing, resume, weights) and the trace and events of its
-//!   last run. Three machines plug in:
+//!   checkpointing, resume, weights) and the per-unit ledger and events
+//!   of its last run. Three machines plug in:
 //!   * [`SimEngine`] — a discrete-event executor over a
 //!     [`plb_hetsim::ClusterSim`]: virtual time, deterministic, fast
 //!     enough to run 65536×65536-element experiments in milliseconds.
@@ -34,11 +34,13 @@
 //! * [`DisjointOutput`] — the audited concurrent-output buffer host
 //!   kernels assemble partial results into; per-unit transfer-byte
 //!   accounting lives in the backends ([`PuReport::bytes_in`]).
-//! * [`trace`] — Gantt segments, per-unit busy/idle accounting, and the
-//!   run reports from which every figure of the paper is regenerated.
-//! * [`events`] — structured decision-level event tracing (probes, curve
-//!   fits, solves, rebalances, perturbations) with JSONL export; see
-//!   `docs/OBSERVABILITY.md` for the schema.
+//! * [`metrics`] — per-unit busy/idle accounting ([`UnitLedger`]) and
+//!   the run reports from which every figure of the paper is
+//!   regenerated.
+//! * [`events`] — the structured event stream, the one record of a run
+//!   (task starts and finishes, probes, curve fits, solves, rebalances,
+//!   perturbations), with JSONL export and the Gantt segments drawn from
+//!   it ([`gantt_segments`]); see `docs/OBSERVABILITY.md` for the schema.
 //! * [`table`] — the one [`Table`] type every human-readable report is
 //!   made of (run reports, trace summaries, the `repro` figures), with
 //!   its text, markdown and CSV renderers.
@@ -80,7 +82,6 @@ pub mod protocol;
 pub mod sync;
 pub mod table;
 pub mod task;
-pub mod trace;
 pub mod weights;
 
 pub use crate::core::cluster::{
@@ -94,18 +95,17 @@ pub use codelet::{Codelet, FnCodelet, PuResources};
 pub use data::{DisjointError, DisjointOutput, DisjointWriter};
 pub use engine::{Engine, Perturbation, PerturbationKind, RunError, SimEngine};
 pub use events::{
-    write_jsonl, Event, EventCounters, EventKind, EventSink, TraceData, TraceHeader,
-    TRACE_FORMAT_VERSION,
+    ascii_gantt, chrome_trace, gantt_segments, gantt_span, write_jsonl, Event, EventCounters,
+    EventKind, EventSink, Segment, SegmentKind, TraceData, TraceHeader, TRACE_FORMAT_VERSION,
 };
 pub use fault::{
     Fault, FaultAction, FaultKind, FaultPlan, FaultSpecError, FaultToleranceConfig, NodeFault,
     NodeFaultKind, NodeFaultPlan,
 };
 pub use host::{HostEngine, HostNodeRunner, HostPerturbation, HostPu};
-pub use metrics::{PuReport, RunReport};
+pub use metrics::{PuReport, RunReport, UnitLedger};
 pub use policy::{FixedBlockPolicy, Policy, PuHandle, SchedulerCtx};
 pub use protocol::{AttemptOutcome, AttemptSlot};
 pub use table::Table;
 pub use task::{FailureReason, TaskFailure, TaskId, TaskInfo};
-pub use trace::{Segment, SegmentKind, Trace};
 pub use weights::Weights;

@@ -1,9 +1,75 @@
-//! Run reports: the per-experiment summary every figure is built from.
+//! Run reports: the per-experiment summary every figure is built from,
+//! and the per-unit ledger the driver keeps to build it.
 
 use crate::events::EventCounters;
-use crate::trace::Trace;
-use plb_hetsim::PuId;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
+
+/// One unit's running totals over its completed tasks, and the `unit`
+/// record of a trace file (`docs/OBSERVABILITY.md`). Each task posts a
+/// transfer interval `[start, start + xfer]` (when it moved data) and a
+/// compute interval `[start + xfer, start + xfer + proc]`; every sum
+/// grows in completion order, by those intervals' durations.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct UnitLedger {
+    /// Seconds in compute intervals.
+    pub compute_s: f64,
+    /// Seconds in transfer intervals.
+    pub transfer_s: f64,
+    /// Seconds in intervals of either kind. Kept beside the two above
+    /// because transfer and compute durations interleave in it, which
+    /// `compute_s + transfer_s` does not reproduce to the bit.
+    pub busy_s: f64,
+    /// Items of the completed tasks.
+    pub items: u64,
+    /// Completed tasks.
+    pub tasks: usize,
+}
+
+/// The driver's record of a run: a [`UnitLedger`] per unit, indexed by
+/// unit id, and the makespan, the latest end of a completed task.
+#[derive(Debug)]
+pub(crate) struct Ledger {
+    pub(crate) units: Vec<UnitLedger>,
+    pub(crate) makespan: f64,
+}
+
+impl Ledger {
+    /// An empty ledger over `n_pus` units.
+    pub(crate) fn new(n_pus: usize) -> Ledger {
+        Ledger {
+            units: vec![UnitLedger::default(); n_pus],
+            makespan: 0.0,
+        }
+    }
+
+    /// Post one completed task of `pu` to its unit's totals.
+    pub(crate) fn record_task(
+        &mut self,
+        pu: usize,
+        items: u64,
+        start: f64,
+        xfer_s: f64,
+        proc_s: f64,
+    ) {
+        debug_assert!(xfer_s >= 0.0 && proc_s >= 0.0);
+        let Some(u) = self.units.get_mut(pu) else {
+            return;
+        };
+        let mid = start + xfer_s;
+        let end = mid + proc_s;
+        if xfer_s > 0.0 {
+            let d = mid - start;
+            u.busy_s += d;
+            u.transfer_s += d;
+        }
+        let d = end - mid;
+        u.busy_s += d;
+        u.compute_s += d;
+        u.items += items;
+        u.tasks += 1;
+        self.makespan = self.makespan.max(end);
+    }
+}
 
 /// Per-unit summary.
 #[derive(Debug, Clone, Serialize)]
@@ -56,18 +122,19 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Build a report from a trace. `names` are the units' display
+    /// Build a report from a run's ledger. `names` are the units' display
     /// names, by unit id; a unit past their end is named `PU{id}`.
-    pub fn from_trace(
+    pub(crate) fn from_ledger(
         policy: &str,
-        trace: &Trace,
+        ledger: &Ledger,
         names: Vec<String>,
         block_distribution: Option<Vec<f64>>,
     ) -> RunReport {
-        let ledger = trace.ledger();
-        let total: u64 = ledger.iter().map(|u| u.items).sum();
+        let ms = ledger.makespan;
+        let total: u64 = ledger.units.iter().map(|u| u.items).sum();
         let mut names = names.into_iter();
         let pus = ledger
+            .units
             .iter()
             .enumerate()
             .map(|(i, u)| PuReport {
@@ -79,15 +146,20 @@ impl RunReport {
                     0.0
                 },
                 busy_s: u.busy_s,
-                idle_fraction: trace.idle_fraction(PuId(i)),
+                // Fig. 7's quantity; 0 for a run that completed nothing.
+                idle_fraction: if ms > 0.0 {
+                    ((ms - u.busy_s) / ms).max(0.0)
+                } else {
+                    0.0
+                },
                 bytes_in: 0,
             })
             .collect();
         RunReport {
             policy: policy.to_string(),
-            makespan: trace.makespan(),
+            makespan: ms,
             total_items: total,
-            tasks: ledger.iter().map(|u| u.tasks).sum(),
+            tasks: ledger.units.iter().map(|u| u.tasks).sum(),
             pus,
             block_distribution,
             events: EventCounters::default(),
@@ -107,15 +179,14 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::TaskId;
 
     #[test]
-    fn report_from_trace() {
-        let mut t = Trace::new(2);
-        t.record_task(PuId(0), TaskId(0), 75, 0.0, 0.0, 2.0);
-        t.record_task(PuId(1), TaskId(1), 25, 0.0, 0.5, 1.5);
+    fn report_from_ledger() {
+        let mut l = Ledger::new(2);
+        l.record_task(0, 75, 0.0, 0.0, 2.0);
+        l.record_task(1, 25, 0.0, 0.5, 1.5);
         let names = vec!["a".into(), "b".into()];
-        let r = RunReport::from_trace("test", &t, names, None);
+        let r = RunReport::from_ledger("test", &l, names, None);
         assert_eq!(r.total_items, 100);
         assert_eq!(r.tasks, 2);
         assert!((r.pus[0].item_share - 0.75).abs() < 1e-12);
@@ -125,10 +196,28 @@ mod tests {
     }
 
     #[test]
-    fn empty_trace_report() {
-        let t = Trace::new(1);
-        let r = RunReport::from_trace("x", &t, vec!["p".into()], None);
+    fn ledger_splits_transfer_from_compute_and_counts_items_once() {
+        let mut l = Ledger::new(2);
+        l.record_task(0, 100, 0.0, 0.5, 1.5); // busy 0..2
+        l.record_task(1, 50, 0.0, 0.0, 1.0); // busy 0..1
+        l.record_task(1, 50, 1.0, 0.0, 2.0); // busy 1..3
+        assert_eq!(l.makespan, 3.0);
+        let [a, b] = [l.units[0], l.units[1]];
+        assert_eq!((a.transfer_s, a.compute_s, a.busy_s), (0.5, 1.5, 2.0));
+        assert_eq!((b.transfer_s, b.compute_s, b.busy_s), (0.0, 3.0, 3.0));
+        assert_eq!((a.items, a.tasks, b.items, b.tasks), (100, 1, 100, 2));
+        let r = RunReport::from_ledger("x", &l, Vec::new(), None);
+        assert!((r.pus[0].idle_fraction - 1.0 / 3.0).abs() < 1e-12);
+        assert_eq!(r.pus[1].idle_fraction, 0.0);
+        assert_eq!(r.pus[1].name, "PU1");
+    }
+
+    #[test]
+    fn empty_ledger_report() {
+        let l = Ledger::new(1);
+        let r = RunReport::from_ledger("x", &l, vec!["p".into()], None);
         assert_eq!(r.total_items, 0);
         assert_eq!(r.pus[0].item_share, 0.0);
+        assert_eq!(r.pus[0].idle_fraction, 0.0);
     }
 }

@@ -162,6 +162,20 @@ impl RunReport {
 }
 
 impl TraceData {
+    /// The run's makespan: what its `run_end` reports, or, for a run that
+    /// did not end, its latest `task_finish` stamp.
+    fn makespan(&self) -> f64 {
+        let ended = self.events.iter().rev().find_map(|e| match e.kind {
+            EventKind::RunEnd { makespan_s, .. } => Some(makespan_s),
+            _ => None,
+        });
+        ended.unwrap_or_else(|| {
+            let finishes = self.events.iter();
+            let finishes = finishes.filter(|e| matches!(e.kind, EventKind::TaskFinish { .. }));
+            finishes.fold(0.0, |m, e| m.max(e.t))
+        })
+    }
+
     /// What `plb trace` prints: the run, per-unit time accounting, the
     /// fit-quality timeline, every block-size selection, the rebalance
     /// history, elastic joins, cluster-node accounting, partitions and
@@ -172,19 +186,16 @@ impl TraceData {
             Some(p) => names.get(p).cloned().unwrap_or_else(|| format!("PU{p}")),
             None => "-".into(),
         };
-        let trace = self.to_trace();
-        let ms = trace.makespan();
+        let ms = self.makespan();
+        let tasks: usize = self.units.iter().map(|u| u.tasks).sum();
         let counters = self.counters();
         let totals = counters.table();
 
-        let mut run = Table::new(
-            "run",
-            &["policy", "makespan", "segments", "events", "dropped"],
-        );
+        let mut run = Table::new("run", &["policy", "makespan", "tasks", "events", "dropped"]);
         run.push_row(vec![
             self.header.policy.clone(),
             secs(ms),
-            self.segments.len().to_string(),
+            tasks.to_string(),
             self.events.len().to_string(),
             counters.dropped.to_string(),
         ]);
@@ -193,7 +204,7 @@ impl TraceData {
             "per-unit time accounting",
             &["unit", "tasks", "compute", "transfer", "idle", "idle%"],
         );
-        for (p, u) in trace.ledger().iter().enumerate() {
+        for (p, u) in self.units.iter().enumerate() {
             let idle = (ms - u.compute_s - u.transfer_s).max(0.0);
             let idle_pct = if ms > 0.0 { idle / ms * 100.0 } else { 0.0 };
             units.push_row(vec![

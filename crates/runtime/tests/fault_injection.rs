@@ -10,9 +10,9 @@ use plb_hetsim::cluster::ClusterOptions;
 use plb_hetsim::workload::LinearCost;
 use plb_hetsim::{cluster_scenario, ClusterSim, PuId, PuKind, Scenario};
 use plb_runtime::{
-    Codelet, EventKind, Fault, FaultKind, FaultPlan, FaultToleranceConfig, FixedBlockPolicy,
-    FnCodelet, HostEngine, HostPu, Policy, RunError, SchedulerCtx, SimEngine, TaskFailure,
-    TaskInfo,
+    gantt_segments, Codelet, EventKind, Fault, FaultKind, FaultPlan, FaultToleranceConfig,
+    FixedBlockPolicy, FnCodelet, HostEngine, HostPu, Policy, RunError, SchedulerCtx, SimEngine,
+    TaskFailure, TaskInfo,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -310,10 +310,9 @@ fn sim_trace_times_stay_monotone_under_faults() {
         }
     }
     // Compute segments on one unit never overlap.
-    let trace = engine.last_trace().expect("trace recorded");
-    let n = trace.n_pus();
-    for pu in 0..n {
-        let mut segs: Vec<_> = trace.segments().iter().filter(|s| s.pu == pu).collect();
+    let segments = gantt_segments(&events);
+    for pu in 0..report.pus.len() {
+        let mut segs: Vec<_> = segments.iter().filter(|s| s.pu == pu).collect();
         segs.sort_by(|a, b| a.start.total_cmp(&b.start));
         for w in segs.windows(2) {
             assert!(

@@ -4,7 +4,7 @@
 use plb_hetsim::cluster::ClusterOptions;
 use plb_hetsim::workload::LinearCost;
 use plb_hetsim::{cluster_scenario, ClusterSim, Scenario};
-use plb_runtime::{Policy, SchedulerCtx, SimEngine, TaskInfo};
+use plb_runtime::{gantt_segments, Policy, SchedulerCtx, SimEngine, TaskInfo};
 use proptest::prelude::*;
 
 // FixedBlockPolicy lives behind the policy module; re-exported for tests.
@@ -53,11 +53,10 @@ proptest! {
         let mut policy = Fixed { block };
         let mut engine = SimEngine::new(&mut cluster, &c);
         let report = engine.run(&mut policy, total).unwrap();
-        let trace = engine.last_trace().unwrap();
+        let segments = gantt_segments(engine.last_events().unwrap().iter());
 
-        for pu in 0..trace.n_pus() {
-            let mut segs: Vec<(f64, f64)> = trace
-                .segments()
+        for pu in 0..report.pus.len() {
+            let mut segs: Vec<(f64, f64)> = segments
                 .iter()
                 .filter(|s| s.pu == pu)
                 .map(|s| (s.start, s.end))
@@ -72,7 +71,7 @@ proptest! {
             }
         }
         // Makespan is the latest segment end.
-        let max_end = trace.segments().iter().fold(0.0f64, |m, s| m.max(s.end));
+        let max_end = segments.iter().fold(0.0f64, |m, s| m.max(s.end));
         prop_assert_eq!(report.makespan.to_bits(), max_end.to_bits());
     }
 

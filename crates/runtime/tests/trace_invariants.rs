@@ -1,18 +1,19 @@
 //! Structural invariants of execution traces and event streams: the
 //! guarantees `docs/OBSERVABILITY.md` documents for trace consumers.
 //!
-//! * Per-PU Gantt segments never overlap (a unit runs one task at a
-//!   time, even with another queued behind it on the host engine) and
-//!   carry non-negative durations.
+//! * Per-PU Gantt segments — the view `gantt_segments` draws from the
+//!   event stream — never overlap (a unit runs one task at a time, even
+//!   with another queued behind it on the host engine) and carry
+//!   non-negative durations.
 //! * Event timestamps are non-decreasing per PU, on both engines.
-//! * `RunReport::from_trace` accounting is self-consistent:
-//!   `item_share` sums to 1 and `idle_fraction` complements
-//!   `busy / makespan`.
+//! * `RunReport` accounting is self-consistent: `item_share` sums to 1
+//!   and `idle_fraction` complements `busy / makespan`.
 //! * The JSONL export round-trips losslessly through
 //!   `TraceData::parse_jsonl`.
-//! * Every per-unit number a `Trace`, a `RunReport`, `summary()` and
-//!   `ascii_gantt()` give equals the definitional computation — a
-//!   filter of the segment list per unit — kept here as the reference.
+//! * Every per-unit number a `RunReport`, the engine's ledger,
+//!   `summary()` and `ascii_gantt()` give equals the definitional
+//!   computation — a filter of the Gantt segments per unit — kept here
+//!   as the reference.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -23,9 +24,9 @@ use plb_hetsim::{cluster_scenario, ClusterSim, PuId, PuKind, Scenario};
 use plb_rng::ChaCha8Rng;
 use plb_runtime::policy::FixedBlockPolicy;
 use plb_runtime::{
-    write_jsonl, EventKind, EventSink, FnCodelet, HostEngine, HostPu, Policy, RunReport,
-    SchedulerCtx, Segment, SegmentKind, SimEngine, TaskId, TaskInfo, Trace, TraceData, TraceHeader,
-    TRACE_FORMAT_VERSION,
+    ascii_gantt, gantt_segments, gantt_span, write_jsonl, Event, EventKind, EventSink, Fault,
+    FaultKind, FaultPlan, FnCodelet, HostEngine, HostPu, Policy, RunReport, SchedulerCtx, Segment,
+    SegmentKind, SimEngine, TaskInfo, TraceData, TraceHeader, UnitLedger, TRACE_FORMAT_VERSION,
 };
 
 fn cluster() -> ClusterSim {
@@ -49,16 +50,17 @@ fn cost() -> LinearCost {
     }
 }
 
-/// One instrumented run: the report, its trace, and its event stream.
-fn run() -> (RunReport, Trace, EventSink) {
+/// One instrumented run: the report, the engine's ledger, and its event
+/// stream.
+fn run() -> (RunReport, Vec<UnitLedger>, EventSink) {
     let mut c = cluster();
     let cost = cost();
     let mut p = FixedBlockPolicy { block: 20_000 };
     let mut engine = SimEngine::new(&mut c, &cost);
     let report = engine.run(&mut p, 400_000).expect("run completes");
-    let trace = engine.last_trace().expect("trace recorded").clone();
+    let ledger = engine.last_ledger().to_vec();
     let events = engine.last_events().expect("events recorded").clone();
-    (report, trace, events)
+    (report, ledger, events)
 }
 
 /// The shape of the greedy baseline (`plb_hec::GreedyPolicy`, which
@@ -84,8 +86,8 @@ impl Policy for Greedy {
     }
 }
 
-/// One greedy run on two real-thread units: its trace and events.
-fn host_greedy_run() -> (Trace, EventSink) {
+/// One greedy run on two real-thread units: its events.
+fn host_greedy_run() -> EventSink {
     let codelet = Arc::new(FnCodelet::new("spin", |r, _| {
         let mut acc = 0u64;
         for i in r {
@@ -105,14 +107,12 @@ fn host_greedy_run() -> (Trace, EventSink) {
     let mut engine = HostEngine::new(pus);
     let report = (engine.run(&mut Greedy { block: 500 }, codelet, 40_000)).expect("run completes");
     assert_eq!(report.cover, vec![(0, 40_000)]);
-    let trace = engine.last_trace().expect("trace recorded").clone();
-    let events = engine.last_events().expect("events recorded").clone();
-    (trace, events)
+    engine.last_events().expect("events recorded").clone()
 }
 
-fn assert_segments_disjoint_per_pu(trace: &Trace) {
+fn assert_segments_disjoint_per_pu(events: &EventSink) {
     let mut by_pu: HashMap<usize, Vec<(f64, f64)>> = HashMap::new();
-    for s in trace.segments() {
+    for s in gantt_segments(events.iter()) {
         assert!(s.end >= s.start, "segment with negative duration: {s:?}");
         by_pu.entry(s.pu).or_default().push((s.start, s.end));
     }
@@ -132,8 +132,8 @@ fn assert_segments_disjoint_per_pu(trace: &Trace) {
 
 #[test]
 fn per_pu_segments_never_overlap() {
-    let (_, trace, _) = run();
-    assert_segments_disjoint_per_pu(&trace);
+    let (_, _, events) = run();
+    assert_segments_disjoint_per_pu(&events);
 }
 
 fn assert_stamps_monotone_per_pu(events: &EventSink) {
@@ -168,8 +168,8 @@ fn event_timestamps_monotone_per_pu() {
 /// same two invariants hold.
 #[test]
 fn host_greedy_segments_never_overlap_and_stamps_never_decrease() {
-    let (trace, events) = host_greedy_run();
-    assert_segments_disjoint_per_pu(&trace);
+    let events = host_greedy_run();
+    assert_segments_disjoint_per_pu(&events);
     assert_stamps_monotone_per_pu(&events);
     for pu in 0..2 {
         let on_pu = events.iter().filter(|e| e.pu == Some(pu));
@@ -183,16 +183,17 @@ fn host_greedy_segments_never_overlap_and_stamps_never_decrease() {
 
 #[test]
 fn report_accounting_is_consistent() {
-    let (report, trace, _) = run();
+    let (report, ledger, _) = run();
     let share_sum: f64 = report.pus.iter().map(|p| p.item_share).sum();
     assert!(
         (share_sum - 1.0).abs() < 1e-9,
         "item shares sum to {share_sum}"
     );
-    for (i, pu) in report.pus.iter().enumerate() {
-        let busy = trace.busy_time(PuId(i));
-        assert!((pu.busy_s - busy).abs() < 1e-12);
-        let expect_idle = 1.0 - busy / report.makespan;
+    assert_eq!(ledger.len(), report.pus.len());
+    for (i, (pu, unit)) in report.pus.iter().zip(&ledger).enumerate() {
+        assert_eq!(pu.busy_s.to_bits(), unit.busy_s.to_bits());
+        assert_eq!(pu.items, unit.items);
+        let expect_idle = 1.0 - unit.busy_s / report.makespan;
         assert!(
             (pu.idle_fraction - expect_idle).abs() < 1e-9,
             "pu {i}: idle {} vs 1 - busy/makespan {}",
@@ -201,36 +202,31 @@ fn report_accounting_is_consistent() {
         );
         assert!((0.0..=1.0).contains(&pu.idle_fraction));
     }
-    // Rebuilding the report from the same trace reproduces it.
-    let names: Vec<String> = report.pus.iter().map(|p| p.name.clone()).collect();
-    let rebuilt = RunReport::from_trace(&report.policy, &trace, names, None);
-    assert_eq!(rebuilt.total_items, report.total_items);
-    assert_eq!(rebuilt.tasks, report.tasks);
-    assert_eq!(rebuilt.makespan, report.makespan);
+    assert_eq!(report.tasks, ledger.iter().map(|u| u.tasks).sum::<usize>());
 }
 
 #[test]
 fn jsonl_round_trip_is_lossless() {
-    let (report, trace, events) = run();
+    let (report, ledger, events) = run();
     let header = TraceHeader {
         version: TRACE_FORMAT_VERSION,
         policy: report.policy.clone(),
         pu_names: report.pus.iter().map(|p| p.name.clone()).collect(),
     };
     let stream = events.events();
-    let text = write_jsonl(&header, trace.segments(), &stream);
+    let text = write_jsonl(&header, &ledger, &stream);
 
     let parsed = TraceData::parse_jsonl(&text).expect("valid JSONL parses");
     assert_eq!(parsed.header, header);
-    assert_eq!(parsed.segments, trace.segments());
+    assert_eq!(parsed.units, ledger);
     assert_eq!(parsed.events, stream);
     assert_eq!(parsed.counters(), events.counters());
 
-    // The re-derived trace preserves the Gantt accounting.
-    let rebuilt = parsed.to_trace();
-    assert_eq!(rebuilt.n_pus(), trace.n_pus());
-    assert!((rebuilt.makespan() - trace.makespan()).abs() < 1e-12);
-    assert_eq!(rebuilt.items_per_pu(), trace.items_per_pu());
+    // The Gantt segments drawn from the file are the run's.
+    assert_eq!(
+        gantt_segments(&parsed.events),
+        gantt_segments(events.iter())
+    );
 
     // And the summary's per-unit table lists every unit, in order.
     let units = per_unit_rows(&parsed);
@@ -249,12 +245,12 @@ fn per_unit_rows(data: &TraceData) -> Vec<Vec<String>> {
 }
 
 /// The per-unit numbers by their definitions: one filter of the whole
-/// segment list per unit and quantity.
-struct Reference<'a> {
-    segments: &'a [Segment],
+/// list of Gantt segments per unit and quantity.
+struct Reference {
+    segments: Vec<Segment>,
 }
 
-impl Reference<'_> {
+impl Reference {
     fn of(&self, pu: usize) -> impl Iterator<Item = &Segment> {
         self.segments.iter().filter(move |s| s.pu == pu)
     }
@@ -262,7 +258,7 @@ impl Reference<'_> {
         // Accumulates from +0.0 like the summary always did.
         self.of(pu)
             .filter(|s| s.kind == kind)
-            .fold(0.0, |acc, s| acc + s.duration())
+            .fold(0.0, |acc, s| acc + (s.end - s.start))
     }
     fn tasks(&self, pu: usize) -> usize {
         self.of(pu)
@@ -274,7 +270,7 @@ impl Reference<'_> {
         compute.map(|s| s.items).sum()
     }
     fn busy(&self, pu: usize) -> f64 {
-        self.of(pu).map(Segment::duration).sum()
+        self.of(pu).map(|s| s.end - s.start).sum()
     }
     fn makespan(&self) -> f64 {
         self.segments.iter().fold(0.0f64, |m, s| m.max(s.end))
@@ -306,27 +302,30 @@ impl Reference<'_> {
     }
 }
 
-/// Compare everything `trace` reports per unit against the reference.
-fn assert_matches_reference(trace: &Trace, what: &str) {
+/// Compare everything a run reports per unit — its `report`, the
+/// engine's `ledger`, the summary of its trace file and its ASCII Gantt
+/// chart — against the reference drawn from its `events`.
+fn assert_matches_reference(
+    report: &RunReport,
+    ledger: &[UnitLedger],
+    events: &[Event],
+    what: &str,
+) {
     let reference = Reference {
-        segments: trace.segments(),
+        segments: gantt_segments(events),
     };
-    let n = trace.n_pus();
-    // Five characters each, the width `ascii_gantt` pads names to.
-    let names: Vec<String> = (0..n).map(|i| format!("unit{i}")).collect();
+    let n = report.pus.len();
+    let names: Vec<String> = report.pus.iter().map(|p| p.name.clone()).collect();
+    let name_w = names.iter().map(String::len).max().unwrap_or(0).max(4);
+    let ms = reference.makespan();
+    assert!(ms > 0.0, "{what}");
     assert_eq!(
-        trace.makespan().to_bits(),
-        reference.makespan().to_bits(),
+        gantt_span(&reference.segments).to_bits(),
+        ms.to_bits(),
         "{what}"
     );
-
-    let report = RunReport::from_trace("oracle", trace, names.clone(), None);
-    assert_eq!(report.pus.len(), n, "{what}");
-    assert_eq!(
-        report.makespan.to_bits(),
-        reference.makespan().to_bits(),
-        "{what}"
-    );
+    assert_eq!(report.makespan.to_bits(), ms.to_bits(), "{what}");
+    assert_eq!(ledger.len(), n, "{what}");
     assert_eq!(
         report.tasks,
         (0..n).map(|p| reference.tasks(p)).sum::<usize>(),
@@ -338,62 +337,50 @@ fn assert_matches_reference(trace: &Trace, what: &str) {
     let data = TraceData {
         header: TraceHeader {
             version: TRACE_FORMAT_VERSION,
-            policy: "oracle".into(),
+            policy: report.policy.clone(),
             pu_names: names.clone(),
         },
-        segments: trace.segments().to_vec(),
-        events: Vec::new(),
+        units: ledger.to_vec(),
+        events: events.to_vec(),
     };
     let units = per_unit_rows(&data);
     assert_eq!(units.len(), n, "{what}");
-    let gantt = trace.ascii_gantt(&names, 64);
+    let gantt = ascii_gantt(&reference.segments, &names, 64);
     let gantt_rows: Vec<&str> = gantt.lines().collect();
-    assert_eq!(
-        gantt_rows.len(),
-        if reference.makespan() > 0.0 { n } else { 0 },
-        "{what}"
-    );
+    assert_eq!(gantt_rows.len(), n, "{what}");
 
-    let ms = reference.makespan();
     for pu in 0..n {
         let what = format!("{what}, unit {pu}");
         let (busy, idle) = (reference.busy(pu), reference.idle_fraction(pu));
-        let r = &report.pus[pu];
+        let (r, u) = (&report.pus[pu], &ledger[pu]);
         // `==` holds for every unit; the bits as well, except for a
         // unit with no segment, whose empty sum is -0.0 by definition
         // and +0.0 in the ledger.
-        assert_eq!(trace.busy_time(PuId(pu)), busy, "{what}");
-        assert_eq!(trace.idle_fraction(PuId(pu)), idle, "{what}");
-        assert_eq!(trace.items_per_pu()[pu], reference.items(pu), "{what}");
         assert_eq!(
             (r.busy_s, r.idle_fraction, r.items),
             (busy, idle, reference.items(pu)),
             "{what}"
         );
+        assert_eq!((u.busy_s, u.items), (busy, reference.items(pu)), "{what}");
         if reference.of(pu).next().is_some() {
-            assert_eq!(
-                trace.busy_time(PuId(pu)).to_bits(),
-                busy.to_bits(),
-                "{what}"
-            );
+            assert_eq!(u.busy_s.to_bits(), busy.to_bits(), "{what}");
             assert_eq!(r.busy_s.to_bits(), busy.to_bits(), "{what}");
             assert_eq!(r.idle_fraction.to_bits(), idle.to_bits(), "{what}");
         } else {
             assert_eq!(r.busy_s.to_bits(), 0.0f64.to_bits(), "{what}");
         }
-        let share = if total > 0 {
-            reference.items(pu) as f64 / total as f64
-        } else {
-            0.0
-        };
+        let share = reference.items(pu) as f64 / total as f64;
         assert_eq!(r.item_share.to_bits(), share.to_bits(), "{what}");
 
-        // What the summary reported for this unit before the ledger
-        // existed, cell by cell.
+        // What the summary reported for this unit when it read a list of
+        // segments, cell by cell.
         let compute = reference.seconds(pu, SegmentKind::Compute);
         let transfer = reference.seconds(pu, SegmentKind::Transfer);
+        assert_eq!(u.compute_s, compute, "{what}");
+        assert_eq!(u.transfer_s, transfer, "{what}");
+        assert_eq!(u.tasks, reference.tasks(pu), "{what}");
         let idle_s = (ms - compute - transfer).max(0.0);
-        let idle_pct = if ms > 0.0 { idle_s / ms * 100.0 } else { 0.0 };
+        let idle_pct = idle_s / ms * 100.0;
         let cells = [
             names[pu].clone(),
             reference.tasks(pu).to_string(),
@@ -404,44 +391,69 @@ fn assert_matches_reference(trace: &Trace, what: &str) {
         ];
         assert_eq!(units[pu], cells, "{what}");
 
-        if ms > 0.0 {
-            let row = format!("{:<5} |{}|", names[pu], reference.gantt_row(pu, 64));
-            assert_eq!(gantt_rows[pu], row, "{what}");
-        }
+        let row = format!("{:<name_w$} |{}|", names[pu], reference.gantt_row(pu, 64));
+        assert_eq!(gantt_rows[pu], row, "{what}");
     }
 }
 
+/// Simulated runs of random shape — platform, block, item count, and a
+/// unit whose first attempts fail, so some blocks finish on a retry —
+/// checked against the reference. Item counts below the roster's first
+/// round leave the last units without a task.
 #[test]
 fn per_unit_accounting_matches_the_definitional_reference() {
     let mut rng = ChaCha8Rng::seed_from_u64(201_509);
-    for case in 0..40 {
-        // Up to 9 units, of which the last two never run a task.
-        let n = rng.gen_range(3..10usize);
-        let active = n - 2;
-        let mut free_at = vec![0.0f64; n];
-        let mut trace = Trace::new(n);
-        for task in 0..rng.gen_range(0..60u64) {
-            let pu = rng.gen_range(0..active);
-            // One task in three moves no data: a single compute segment.
-            let xfer = if rng.gen_bool(1.0 / 3.0) {
-                0.0
-            } else {
-                rng.gen_range(0.0..1.37)
+    let scenarios = [
+        Scenario::One,
+        Scenario::Two,
+        Scenario::Three,
+        Scenario::Four,
+    ];
+    let (mut retried, mut idle_units) = (0, 0);
+    for case in 0..24 {
+        let scenario = scenarios[case % scenarios.len()];
+        let mut c = ClusterSim::build(
+            &cluster_scenario(scenario, false),
+            &ClusterOptions {
+                seed: rng.gen_range(0..1_000u64),
+                noise_sigma: 0.02,
+                ..Default::default()
+            },
+        );
+        let n = c.ids().count();
+        let block = rng.gen_range(500..20_000u64);
+        let total = if case % 3 == 0 {
+            block * rng.gen_range(1..n as u64)
+        } else {
+            rng.gen_range(50_000..400_000u64)
+        };
+        let faults = if case % 2 == 1 {
+            let pu = rng.gen_range(0..n);
+            let kind = FaultKind::FlakyUntil {
+                attempts: rng.gen_range(1..3u64),
             };
-            let proc = rng.gen_range(0.0..1.37);
-            let start = free_at[pu] + rng.gen_range(0.0..1.37);
-            let items = rng.gen_range(1..=5_000u64);
-            trace.record_task(PuId(pu), TaskId(task), items, start, xfer, proc);
-            free_at[pu] = start + xfer + proc;
-        }
-        assert_eq!(trace.n_pus(), n);
-        assert_matches_reference(&trace, &format!("case {case}, recorded"));
-
-        // Rebuilt from its segments, told of fewer units than they name.
-        let rebuilt = Trace::from_segments(1, trace.segments().to_vec());
-        let named = trace.segments().iter().map(|s| s.pu + 1).max().unwrap_or(0);
-        assert_eq!(rebuilt.n_pus(), named.max(1), "case {case}");
-        assert_eq!(rebuilt.segments(), trace.segments());
-        assert_matches_reference(&rebuilt, &format!("case {case}, rebuilt"));
+            FaultPlan::new(vec![Fault { pu, kind }])
+        } else {
+            FaultPlan::none()
+        };
+        let cost = cost();
+        let mut engine = SimEngine::new(&mut c, &cost).with_faults(faults);
+        let report = (engine.run(&mut FixedBlockPolicy { block }, total)).expect("run completes");
+        let events = engine.last_events().expect("events recorded");
+        assert_eq!(events.dropped(), 0, "case {case}");
+        let stream = events.events();
+        retried += stream
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::TaskRetry { .. }))
+            .count();
+        idle_units += report.pus.iter().filter(|p| p.items == 0).count();
+        assert_matches_reference(
+            &report,
+            engine.last_ledger(),
+            &stream,
+            &format!("case {case}"),
+        );
     }
+    assert!(retried > 0, "no block was retried");
+    assert!(idle_units > 0, "every unit ran a task");
 }

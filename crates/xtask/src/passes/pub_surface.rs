@@ -33,7 +33,7 @@ use crate::lexer::{is_word_byte, line_of, word_occurrences};
 use crate::report::{Allowlist, Violation};
 
 /// The committed public-item count. It may only fall.
-const PUBLIC_ITEMS: usize = 434;
+const PUBLIC_ITEMS: usize = 424;
 
 /// The library crates whose public surface is audited.
 const LIBRARY_CRATES: &[&str] = &[

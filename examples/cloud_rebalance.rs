@@ -17,8 +17,8 @@ use plb_hec_suite::hetsim::cluster::ClusterOptions;
 use plb_hec_suite::hetsim::{cluster_scenario, ClusterSim, PuId, Scenario};
 use plb_hec_suite::plb::{GreedyPolicy, PlbHecPolicy, PolicyConfig};
 use plb_hec_suite::runtime::{
-    write_jsonl, EventKind, Perturbation, PerturbationKind, SimEngine, TraceHeader,
-    TRACE_FORMAT_VERSION,
+    ascii_gantt, gantt_segments, write_jsonl, EventKind, Perturbation, PerturbationKind, SimEngine,
+    TraceHeader, TRACE_FORMAT_VERSION,
 };
 
 fn main() {
@@ -68,15 +68,13 @@ fn main() {
             .collect();
         println!("  selection {}: [{}]", i + 1, shares.join(", "));
     }
-    println!("\nGantt ('#' compute, '-' transfer, '.' idle):");
-    print!(
-        "{}",
-        engine.last_trace().expect("trace").ascii_gantt(&names, 96)
-    );
-
-    // The structured event stream shows the decision trail behind the
-    // Gantt: when the threshold fired and by how much the block ran over.
+    // The Gantt chart is drawn from the run's event stream, which also
+    // shows the decision trail behind it: when the threshold fired and
+    // by how much the block ran over.
     let sink = engine.last_events().expect("events recorded");
+    println!("\nGantt ('#' compute, '-' transfer, '.' idle):");
+    print!("{}", ascii_gantt(&gantt_segments(sink.iter()), &names, 96));
+
     for e in sink.events() {
         if let EventKind::RebalanceTriggered {
             ref trigger,
@@ -103,11 +101,7 @@ fn main() {
         policy: report.policy.clone(),
         pu_names: names.clone(),
     };
-    let jsonl = write_jsonl(
-        &header,
-        engine.last_trace().expect("trace").segments(),
-        &sink.events(),
-    );
+    let jsonl = write_jsonl(&header, engine.last_ledger(), &sink.events());
     let out = std::env::temp_dir().join("cloud_rebalance.trace.jsonl");
     std::fs::write(&out, jsonl).expect("write event trace");
     println!(

@@ -12,7 +12,7 @@ use plb_hec_suite::hetsim::cluster::ClusterOptions;
 use plb_hec_suite::hetsim::CostModel;
 use plb_hec_suite::hetsim::{cluster_scenario, ClusterSim, PuKind, Scenario};
 use plb_hec_suite::plb::{PlbHecPolicy, PolicyConfig};
-use plb_hec_suite::runtime::{HostEngine, HostPu, SimEngine};
+use plb_hec_suite::runtime::{chrome_trace, gantt_segments, HostEngine, HostPu, SimEngine};
 use std::sync::Arc;
 
 fn main() {
@@ -49,7 +49,8 @@ fn main() {
         );
     }
     let names: Vec<String> = report.pus.iter().map(|p| p.name.clone()).collect();
-    let trace_json = engine.last_trace().expect("trace").to_chrome_trace(&names);
+    let events = engine.last_events().expect("events recorded");
+    let trace_json = chrome_trace(&gantt_segments(events.iter()), &names);
     let path = "/tmp/nn_inference_trace.json";
     std::fs::write(path, trace_json).expect("write trace");
     println!("  wrote Chrome trace to {path} (open in chrome://tracing)\n");

@@ -18,20 +18,23 @@
 use plb_hec_suite::apps::{BlackScholes, Spmv};
 use plb_hec_suite::hetsim::cluster::ClusterOptions;
 use plb_hec_suite::hetsim::{machine_a, machine_b, machine_c, machine_d, ClusterSim, MachineSpec};
-use plb_hec_suite::plb::{PlbHecPolicy, PolicyConfig};
-use plb_hec_suite::runtime::SimEngine;
+use plb_hec_suite::plb::{GreedyPolicy, PlbHecPolicy, PolicyConfig};
+use plb_hec_suite::runtime::{Event, RunReport, SimEngine};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 /// Allocation and reallocation calls the PLB-HeC run below may make.
 /// It made 10 807 while its stores grew per task, per sample and per
-/// fit, and makes 6 994 with each allocated once at its bound.
+/// fit, and makes 6 985 with each allocated once at its bound.
 const BUDGET: u64 = 7_500;
 
 /// Peak heap bytes per row the cost table of an SpMV app may take,
 /// while it is built and after: 8.0 for a flat `u64` prefix, 4.0 for
 /// the two-level table's `u32` offsets plus its `u64` block bases.
 const TABLE_BYTES_PER_ROW: f64 = 4.1;
+
+/// Events the sink's ring holds (`EventSink::default`).
+const EVENT_RING: usize = 1 << 16;
 
 thread_local! {
     static CALLS: Cell<u64> = const { Cell::new(0) };
@@ -150,6 +153,58 @@ fn one_plb_hec_run_on_the_scale_roster_stays_within_its_allocation_budget() {
         made <= BUDGET,
         "{made} allocation calls; the budget is {BUDGET}"
     );
+}
+
+/// One greedy run of `tasks` blocks of 1 000 items on four machines:
+/// the allocation calls it makes and the peak live bytes it adds, with
+/// the report.
+fn greedy_run(tasks: u64) -> (u64, i64, RunReport) {
+    let block = 1_000;
+    let total = tasks * block;
+    let opts = ClusterOptions {
+        seed: 7,
+        noise_sigma: 0.02,
+        ..Default::default()
+    };
+    let mut cluster = ClusterSim::build(&machines(4), &opts);
+    let cost = BlackScholes::new(total).cost();
+    let mut policy = GreedyPolicy::new(&PolicyConfig::default().with_initial_block(block));
+    let mut engine = SimEngine::new(&mut cluster, &cost);
+    let (before, live_before) = (calls(), live());
+    reset_peak();
+    let report = engine.run(&mut policy, total).expect("run completes");
+    let made = calls() - before;
+    assert_eq!(report.cover, vec![(0, total)]);
+    assert_eq!(report.tasks as u64, tasks);
+    (made, peak() - live_before, report)
+}
+
+/// A run's stores are sized by the roster and the event ring, not by
+/// its task count: a greedy run of ten times the tasks makes no more
+/// allocation calls, and its peak heap does not grow past the 1x run's,
+/// which already holds the whole ring and the completed cover.
+#[test]
+fn ten_times_the_tasks_allocate_no_more() {
+    let (calls_1x, peak_1x, report) = greedy_run(2_000);
+    let (calls_10x, peak_10x, _) = greedy_run(20_000);
+    let ring = EVENT_RING * std::mem::size_of::<Event>();
+    let cover = report.cover.len() * std::mem::size_of::<(u64, u64)>();
+    println!(
+        "1x: {calls_1x} calls, peak {peak_1x} B; 10x: {calls_10x} calls, peak {peak_10x} B; \
+         ring {ring} B, cover {cover} B"
+    );
+    assert!(
+        calls_10x <= calls_1x,
+        "{calls_10x} allocation calls for 10x the tasks, {calls_1x} for 1x"
+    );
+    // The ring is allocated whole when the run starts, and the cover is
+    // coalesced as it grows, so both are in the 1x peak already.
+    assert!(
+        peak_10x <= peak_1x,
+        "the peak grew by {} B for 10x the tasks",
+        peak_10x - peak_1x
+    );
+    assert!(peak_1x as usize >= ring + cover, "{peak_1x} B");
 }
 
 #[test]

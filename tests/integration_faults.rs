@@ -13,6 +13,8 @@ use plb_hec_suite::runtime::{
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+mod last_events;
+
 fn three_pus() -> Vec<HostPu> {
     vec![
         HostPu {
@@ -94,9 +96,13 @@ fn plb_hec_host_run_survives_panic_and_hang() {
         .with_faults(plan)
         .with_fault_tolerance(ft);
     let t0 = std::time::Instant::now();
-    let report = engine
-        .run(&mut policy, Arc::clone(&codelet), n)
-        .expect("the healthy units must finish the run");
+    let report = match engine.run(&mut policy, Arc::clone(&codelet), n) {
+        Ok(report) => report,
+        Err(e) => panic!(
+            "the healthy units must finish the run: {e:?}\n{}",
+            last_events::tail(engine.last_events())
+        ),
+    };
     assert!(
         t0.elapsed().as_secs_f64() < 25.0,
         "the watchdog, not the hung kernel, bounds the wait"

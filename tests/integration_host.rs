@@ -11,6 +11,8 @@ use plb_hec_suite::plb::{AcostaPolicy, GreedyPolicy, HdssPolicy, PlbHecPolicy, P
 use plb_hec_suite::runtime::{Codelet, HostEngine, HostPu, Policy};
 use std::sync::Arc;
 
+mod last_events;
+
 fn pus() -> Vec<HostPu> {
     vec![
         HostPu {
@@ -198,17 +200,23 @@ fn host_qos_drift_triggers_real_rebalance() {
         repeat: 6,
     }]);
     let mut policy = PlbHecPolicy::new(&cfg);
-    let report = engine
-        .run(
-            &mut policy,
-            Arc::clone(&codelet) as Arc<dyn Codelet>,
-            n as u64,
-        )
-        .expect("host run completes under drift");
+    let run = engine.run(
+        &mut policy,
+        Arc::clone(&codelet) as Arc<dyn Codelet>,
+        n as u64,
+    );
+    let report = match run {
+        Ok(report) => report,
+        Err(e) => panic!(
+            "host run completes under drift: {e:?}\n{}",
+            last_events::tail(engine.last_events())
+        ),
+    };
     assert_eq!(report.total_items, n as u64);
     assert!(
         policy.rebalances() >= 1,
-        "a 6x drift on real measurements must trigger a rebalance"
+        "a 6x drift on real measurements must trigger a rebalance\n{}",
+        last_events::tail(engine.last_events())
     );
     // Results still correct despite re-execution.
     let results = codelet.results();
