@@ -28,6 +28,21 @@ const X_MIN_NNZ: f64 = 8.0;
 /// dwarf the rest of the matrix.
 const MAX_ROW_NNZ: u64 = 65_536;
 
+/// Most rows a matrix may have: [`SpmvData`] stores its column
+/// indices as `u32`s.
+const MAX_ROWS: u64 = 1 << 32;
+
+/// Smallest draw the inverse CDF is evaluated at: it is infinite at 0.
+const MIN_DRAW: f64 = 1e-12;
+
+/// Equal cells of `[0, 1)` in a [`LengthCells`] table: 2¹³ `u32`s,
+/// 32 KB, which keeps a 1 M-row build under 4.1 bytes a row at its peak.
+const CELLS: usize = 1 << 13;
+
+/// How far a cell's end values are widened, in ulps, before they are
+/// compared: libm's `pow` is within 1 ulp of the true power.
+const WIDEN_ULPS: i64 = 16;
+
 /// FLOPs per stored nonzero (one multiply–add).
 const FLOPS_PER_NNZ: f64 = 2.0;
 
@@ -40,6 +55,75 @@ const BYTES_PER_NNZ: f64 = 12.0;
 /// upper bound the matrix is effectively uniform and SpMV stops being
 /// an irregularity test.
 pub(crate) const SKEW_RANGE: (f64, f64) = (0.5, 4.0);
+
+/// The inverse-CDF Pareto draw `x_min · u^exponent` at draw `u`, with
+/// `exponent = -1 / skew`, before truncation.
+fn pareto(u: f64, exponent: f64) -> f64 {
+    X_MIN_NNZ * u.max(MIN_DRAW).powf(exponent)
+}
+
+/// The row length a [`pareto`] value stands for: truncated, capped.
+fn row_length(raw: f64) -> u64 {
+    (raw as u64).clamp(1, MAX_ROW_NNZ)
+}
+
+/// `x`, a positive finite value, moved `ulps` representable values up
+/// (down when negative). Every [`pareto`] value is one: at least 8, and
+/// at most 8 · 10²⁴ for draws of at least [`MIN_DRAW`] and skews in
+/// [`SKEW_RANGE`].
+fn widen(x: f64, ulps: i64) -> f64 {
+    f64::from_bits(x.to_bits().wrapping_add_signed(ulps))
+}
+
+/// Row lengths by lookup: [`CELLS`] equal cells of `[0, 1)`, each
+/// holding the one length every draw in it gets, or 0 when its draws
+/// can get more than one.
+///
+/// A cell `[a, b)` holds a length only when [`pareto`] at `b` widened
+/// [`WIDEN_ULPS`] down and at `a` widened as far up give the same
+/// [`row_length`]. The true curve falls monotonically in `u` and the
+/// computed one is within 1 ulp of it, so every draw in the cell
+/// computes to a value between the two, and truncation and the cap are
+/// monotone too: the draw's length is that one. A draw in an
+/// undecided cell evaluates the expression itself. Either way the
+/// length is bit for bit what [`pareto`] and [`row_length`] give.
+struct LengthCells {
+    exponent: f64,
+    cells: Vec<u32>,
+}
+
+impl LengthCells {
+    /// The cells for `skew`: none for fewer than two rows a cell, where
+    /// the table would cost more evaluations than it saves.
+    fn new(rows: u64, skew: f64) -> LengthCells {
+        let exponent = -1.0 / skew;
+        let count = if rows >= 2 * CELLS as u64 { CELLS } else { 0 };
+        let end = |k: usize| pareto(k as f64 / CELLS as f64, exponent);
+        let mut upper = end(0);
+        let cells = (1..=count)
+            .map(|k| {
+                let lower = end(k);
+                let hi = row_length(widen(upper, WIDEN_ULPS));
+                let lo = row_length(widen(lower, -WIDEN_ULPS));
+                upper = lower;
+                if hi == lo {
+                    hi as u32
+                } else {
+                    0
+                }
+            })
+            .collect();
+        LengthCells { exponent, cells }
+    }
+
+    /// The row length of draw `u`.
+    fn length(&self, u: f64) -> u64 {
+        match self.cells.get((u * CELLS as f64) as usize) {
+            Some(&n) if n > 0 => u64::from(n),
+            _ => row_length(pareto(u, self.exponent)),
+        }
+    }
+}
 
 /// Nonzeros of rows `offset..offset + items` of a `rows`-row matrix
 /// whose row lengths are the costs in `table`. [`Weights`] charges items
@@ -88,12 +172,17 @@ impl fmt::Debug for Spmv {
 
 impl Spmv {
     /// What [`Spmv::new`] checks before it generates anything: a
-    /// description of the problem when `rows == 0` or `skew` is outside
-    /// `[0.5, 4.0]`. The CLI surfaces it as a usage error without
-    /// paying for a matrix.
+    /// description of the problem when `rows` is 0 or past 2³² (column
+    /// indices are 32-bit), or `skew` is outside `[0.5, 4.0]`. The CLI
+    /// surfaces it as a usage error without paying for a matrix.
     pub fn validate(rows: u64, skew: f64) -> Result<(), String> {
         if rows == 0 {
             return Err("spmv needs at least one row".to_string());
+        }
+        if rows > MAX_ROWS {
+            return Err(format!(
+                "spmv takes at most 2^32 = {MAX_ROWS} rows (its column indices are 32-bit), not {rows}"
+            ));
         }
         let (lo, hi) = SKEW_RANGE;
         if !skew.is_finite() || skew < lo || skew > hi {
@@ -104,22 +193,26 @@ impl Spmv {
         Ok(())
     }
 
-    /// Create the application, generating the row-length profile.
+    /// Create the application, generating the row-length profile: one
+    /// draw `u` per row, and row length `⌊x_min · u^(-1/skew)⌋` capped
+    /// to `[1, 65 536]`.
+    ///
+    /// Most draws read their length off a table of 2¹³ equal cells of
+    /// `[0, 1)`, built here for the call; a cell holds a length only
+    /// where its two ends, widened 16 ulps, already agree on it, and a
+    /// draw anywhere else evaluates the power. The lengths are bit for
+    /// bit those of evaluating it for every row (see `LengthCells`).
     ///
     /// Returns [`Spmv::validate`]'s description of the problem instead
     /// of panicking on parameters it rejects.
     pub fn new(rows: u64, skew: f64, seed: u64) -> Result<Spmv, String> {
         Self::validate(rows, skew)?;
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let cells = LengthCells::new(rows, skew);
         // Every draw lands in [1, MAX_ROW_NNZ], so `per_item`'s own
         // clamp to at least one unit changes nothing: the table holds
         // the row lengths exactly.
-        let table = Weights::per_item((0..rows).map(|_| {
-            // Inverse-CDF Pareto draw: nnz = x_min · u^(-1/skew).
-            let u: f64 = rng.gen::<f64>().max(1e-12);
-            let raw = X_MIN_NNZ * u.powf(-1.0 / skew);
-            (raw as u64).clamp(1, MAX_ROW_NNZ)
-        }));
+        let table = Weights::per_item((0..rows).map(|_| cells.length(rng.gen::<f64>())));
         Ok(Spmv {
             rows,
             skew,
@@ -289,6 +382,97 @@ mod tests {
         (0..app.rows).map(|i| app.row_nnz(i)).collect()
     }
 
+    /// The oracle: the row length of draw `u`, evaluated as the
+    /// generator did for every row before it had cells.
+    fn reference_length(u: f64, skew: f64) -> u64 {
+        let u = u.max(1e-12);
+        let raw = X_MIN_NNZ * u.powf(-1.0 / skew);
+        (raw as u64).clamp(1, MAX_ROW_NNZ)
+    }
+
+    /// The oracle's row lengths of a `(rows, skew, seed)` matrix.
+    fn reference_lengths(rows: u64, skew: f64, seed: u64) -> Vec<u64> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        (0..rows)
+            .map(|_| reference_length(rng.gen::<f64>(), skew))
+            .collect()
+    }
+
+    /// The skews the cells are checked at: both ends of `SKEW_RANGE`,
+    /// the benchmark's, and one between.
+    const SKEWS: [f64; 4] = [SKEW_RANGE.0, 0.8, 1.5, SKEW_RANGE.1];
+
+    #[test]
+    fn every_cell_end_and_random_draw_gets_the_formula_s_length() {
+        let mut rng = ChaCha8Rng::seed_from_u64(47);
+        for skew in SKEWS {
+            let cells = LengthCells::new(2 * CELLS as u64, skew);
+            assert_eq!(cells.cells.len(), CELLS);
+            // Each cell end, and 8 ulps either side of it; what lands
+            // outside `[0, 1)` (a NaN below 0, 1 and up) is no draw.
+            let ends = (0..=CELLS).flat_map(|k| {
+                let end = k as f64 / CELLS as f64;
+                (-8..=8).map(move |ulps| widen(end, ulps))
+            });
+            let draws = (0..100_000).map(|_| rng.gen::<f64>());
+            for u in ends.chain(draws).filter(|u| (0.0..1.0).contains(u)) {
+                assert_eq!(
+                    cells.length(u),
+                    reference_length(u, skew),
+                    "skew {skew}, draw {u:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn some_cells_are_undecided_so_the_fallback_runs() {
+        for skew in SKEWS {
+            let cells = LengthCells::new(2 * CELLS as u64, skew);
+            let undecided = cells.cells.iter().filter(|&&n| n == 0).count();
+            assert!(
+                (1..CELLS / 2).contains(&undecided),
+                "skew {skew}: {undecided} of {CELLS} cells undecided"
+            );
+        }
+        // Too few rows to pay for a table: every draw evaluates.
+        assert!(LengthCells::new(2 * CELLS as u64 - 1, 0.8).cells.is_empty());
+    }
+
+    #[test]
+    fn whole_tables_equal_the_reference_loop() {
+        const ROWS: u64 = (1 << 20) + 1;
+        for (skew, seed) in SKEWS.into_iter().zip([201_509, 1_931, 7, 42]) {
+            let app = Spmv::new(ROWS, skew, seed).unwrap();
+            assert!(
+                row_lengths(&app) == reference_lengths(ROWS, skew, seed),
+                "skew {skew}, seed {seed}"
+            );
+        }
+        // Below the table's threshold, and just at it.
+        for rows in [1, 500, 2 * CELLS as u64 - 1, 2 * CELLS as u64] {
+            let app = Spmv::new(rows, 1.2, 3).unwrap();
+            assert_eq!(row_lengths(&app), reference_lengths(rows, 1.2, 3));
+        }
+    }
+
+    /// The two 4 M-row tables the benchmark's `sim-cluster` workload
+    /// builds, at the seeds it derives from `--seed 201509` and
+    /// `--seed 1931`, against the reference loop. Slow unoptimized:
+    /// CI runs it in release with `--ignored`.
+    #[test]
+    #[ignore = "4 M rows twice; run in release"]
+    fn benchmark_size_tables_equal_the_reference_loop() {
+        const ROWS: u64 = 4_000_000;
+        for seed in [16_661_506_818_128_106_374, 8_990_834_177_376_722_786] {
+            let app = Spmv::new(ROWS, 0.8, seed).unwrap();
+            assert!(
+                row_lengths(&app) == reference_lengths(ROWS, 0.8, seed),
+                "seed {seed}"
+            );
+        }
+    }
+
     #[test]
     fn generation_is_deterministic() {
         let a = Spmv::new(500, 1.5, 42).unwrap();
@@ -305,6 +489,14 @@ mod tests {
     #[test]
     fn skew_validation_is_an_error_not_a_panic() {
         assert!(Spmv::new(0, 1.5, 1).is_err());
+        // Past 2³² rows a column index does not fit a `u32`.
+        let err = Spmv::validate((1 << 32) + 1, 0.8).unwrap_err();
+        assert!(
+            err.contains("at most 2^32") && err.contains("32-bit"),
+            "{err}"
+        );
+        assert!(Spmv::validate(1 << 32, 0.8).is_ok());
+        assert!(Spmv::validate(u64::MAX, 0.8).is_err());
         assert!(Spmv::new(100, 0.0, 1).is_err());
         assert!(Spmv::new(100, 99.0, 1).is_err());
         assert!(Spmv::new(100, f64::NAN, 1).is_err());
@@ -401,13 +593,9 @@ mod tests {
 
     impl ReferenceCost {
         fn new(rows: u64, skew: f64, seed: u64) -> ReferenceCost {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let nnz: Vec<u32> = (0..rows)
-                .map(|_| {
-                    let u: f64 = rng.gen::<f64>().max(1e-12);
-                    let raw = X_MIN_NNZ * u.powf(-1.0 / skew);
-                    (raw as u64).clamp(1, MAX_ROW_NNZ) as u32
-                })
+            let nnz: Vec<u32> = reference_lengths(rows, skew, seed)
+                .into_iter()
+                .map(|c| c as u32)
                 .collect();
             let mut prefix = Vec::with_capacity(nnz.len() + 1);
             prefix.push(0u64);

@@ -119,9 +119,10 @@ Defaults: --app mm --size 16384 --machines 4 --noise 0.02 --seed 0 \
 `profile` needs --profiles, the file it writes. \
 `--app spmv` is the irregular workload: a sparse matrix whose power-law \
 row lengths are generated from --seed, with tail exponent --skew \
-(default 1.2, supported range [0.5, 4.0]); the run balances nonzeros, \
-not rows. A --cluster file is a JSON array of machine specs (see \
-docs/cluster.example.json); it replaces the Table I presets. \
+(default 1.2, supported range [0.5, 4.0]) and at most 2^32 rows; the \
+run balances nonzeros, not rows. A --cluster file is a JSON array of \
+machine specs (see docs/cluster.example.json); it replaces the Table I \
+presets. \
 `plb profile` probes each unit offline and saves its fitted models; \
 `plb run --policy static --profiles FILE` reuses them without any \
 online probing. `plb run --events` captures the structured \

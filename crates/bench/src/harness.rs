@@ -224,7 +224,9 @@ impl PolicyChoice {
     /// The one place a policy is built.
     fn build(&self, cfg: &PolicyConfig) -> Built {
         match self {
-            PolicyChoice::Paper(PolicyKind::PlbHec) => Built::PlbHec(PlbHecPolicy::new(cfg)),
+            PolicyChoice::Paper(PolicyKind::PlbHec) => {
+                Built::PlbHec(Box::new(PlbHecPolicy::new(cfg)))
+            }
             PolicyChoice::Paper(PolicyKind::Acosta) => Built::Acosta(AcostaPolicy::new(cfg)),
             PolicyChoice::Paper(PolicyKind::Hdss) => Built::Other(Box::new(HdssPolicy::new(cfg))),
             PolicyChoice::Paper(PolicyKind::Greedy) => {
@@ -239,8 +241,9 @@ impl PolicyChoice {
 
 /// A built policy, keeping the type of the two whose reports read more
 /// than the run report: PLB-HeC's selections and both one's rebalances.
+/// PLB-HeC is boxed: it is over twice the size of the others.
 enum Built {
-    PlbHec(PlbHecPolicy),
+    PlbHec(Box<PlbHecPolicy>),
     Acosta(AcostaPolicy),
     Other(Box<dyn Policy>),
 }
@@ -248,7 +251,7 @@ enum Built {
 impl Built {
     fn policy(&mut self) -> &mut dyn Policy {
         match self {
-            Built::PlbHec(p) => p,
+            Built::PlbHec(p) => p.as_mut(),
             Built::Acosta(p) => p,
             Built::Other(p) => p.as_mut(),
         }
@@ -256,7 +259,7 @@ impl Built {
 
     fn boxed(self) -> Box<dyn Policy> {
         match self {
-            Built::PlbHec(p) => Box::new(p),
+            Built::PlbHec(p) => p,
             Built::Acosta(p) => Box::new(p),
             Built::Other(p) => p,
         }

@@ -297,6 +297,16 @@ fn assert_refused(mut cmd: Command, args: &[&str], code: i32, needle: &str) {
     assert!(!err.contains("panicked"), "{args:?}: {err}");
 }
 
+/// An SpMV matrix past 2³² rows has column indices no `u32` holds: the
+/// size is a usage error, refused before anything is allocated for it.
+#[test]
+fn plb_refuses_an_spmv_matrix_past_two_to_the_32_rows() {
+    for size in ["4294967297", "10000000000000"] {
+        let args = ["run", "--app", "spmv", "--size", size];
+        assert_refused(plb(), &args, 2, "spmv takes at most 2^32");
+    }
+}
+
 #[test]
 fn plb_refuses_an_empty_input() {
     for app in ["bs", "mm", "nn"] {

@@ -43,7 +43,9 @@ impl PlbHecPolicy {
         let Some(unit) = self.units.get_mut(pu.0) else {
             return;
         };
-        unit.watch = None;
+        if unit.watch.take().is_some() {
+            self.armed_watches -= 1;
+        }
         let had_block = unit.block > 0;
         match self.phase {
             Phase::Modeling(_) => self.close_modeling_if_due(ctx),
@@ -134,10 +136,13 @@ impl PlbHecPolicy {
 
     fn arm_watch(&mut self, pu: PuId) {
         if let Some(unit) = self.units.get_mut(pu.0) {
-            unit.watch = Some(JoinWatch {
+            let watch = JoinWatch {
                 rebalances_at_join: self.rebalances,
                 post_blocks: 0,
-            });
+            };
+            if unit.watch.replace(watch).is_none() {
+                self.armed_watches += 1;
+            }
         }
     }
 
@@ -205,7 +210,7 @@ impl PlbHecPolicy {
         if let (false, Some(unit)) = (resolved, self.units.get_mut(pu.0)) {
             // The pool drained while the newcomer probed: there is no
             // split left to absorb it into, which is trivially stable.
-            settle(ctx, pu.0, unit, self.rebalances);
+            settle(ctx, pu.0, unit, &mut self.armed_watches, self.rebalances);
         }
     }
 }

@@ -49,9 +49,17 @@ fn divergence(
 }
 
 /// Declare `unit` restabilized, if a watch is armed on it: the one
-/// `restabilized` event, counting the re-solves since its admission.
-pub(super) fn settle(ctx: &mut dyn SchedulerCtx, pu: usize, unit: &mut Unit, rebalances: usize) {
+/// `restabilized` event, counting the re-solves since its admission,
+/// and one fewer of the policy's `armed` watches.
+pub(super) fn settle(
+    ctx: &mut dyn SchedulerCtx,
+    pu: usize,
+    unit: &mut Unit,
+    armed: &mut usize,
+    rebalances: usize,
+) {
     if let Some(watch) = unit.watch.take() {
+        *armed -= 1;
         let rebalances = (rebalances - watch.rebalances_at_join) as u32;
         ctx.emit_event(Some(pu), EventKind::Restabilized { rebalances });
     }
@@ -84,12 +92,12 @@ impl PlbHecPolicy {
         if let Some(watch) = unit.watch.as_mut() {
             watch.post_blocks += 1;
             if pool_dry || watch.post_blocks >= SETTLE_BLOCKS || !surprise {
-                settle(ctx, pu.0, unit, self.rebalances);
+                settle(ctx, pu.0, unit, &mut self.armed_watches, self.rebalances);
             }
         }
-        if pool_dry {
+        if pool_dry && self.armed_watches > 0 {
             for (k, other) in self.units.iter_mut().enumerate() {
-                settle(ctx, k, other, self.rebalances);
+                settle(ctx, k, other, &mut self.armed_watches, self.rebalances);
             }
         }
         let round_total = self.round_total;
@@ -97,6 +105,11 @@ impl PlbHecPolicy {
             round_total,
             self.units.iter().map(|u| u.block).sum::<u64>(),
             "round_total out of step with the units' blocks"
+        );
+        debug_assert_eq!(
+            self.armed_watches,
+            self.units.iter().filter(|u| u.watch.is_some()).count(),
+            "armed_watches out of step with the units' watches"
         );
 
         // A divergence is only actionable while data remains to

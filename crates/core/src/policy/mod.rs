@@ -146,6 +146,10 @@ pub struct PlbHecPolicy {
     /// Sum of the units' blocks (one full round, in cost units), kept
     /// by their writers so a finished task does not walk the roster.
     round_total: u64,
+    /// Units with a restabilization watch armed, kept by the watches'
+    /// writers so a completion on a drained pool does not walk the
+    /// roster.
+    armed_watches: usize,
     /// `T`, the block time the split in force predicts for every unit:
     /// what a unit sized alone is sized to.
     split_time: f64,
@@ -168,6 +172,7 @@ impl PlbHecPolicy {
             models: Vec::new(),
             units: Vec::new(),
             round_total: 0,
+            armed_watches: 0,
             split_time: 0.0,
             rebalance_pending: false,
             selections: Vec::new(),
@@ -410,6 +415,7 @@ impl Policy for PlbHecPolicy {
         self.active = ctx.pus().iter().map(|p| p.available).collect();
         self.units = self.active.iter().map(|_| Unit::idle()).collect();
         self.round_total = 0;
+        self.armed_watches = 0;
         self.split_time = 0.0;
         self.rebalance_pending = false;
         self.selections.clear();
