@@ -21,12 +21,10 @@ use std::collections::BinaryHeap;
 pub(crate) enum ClockKind {
     /// Virtual time: `now()` advances only when [`Backend::poll`]
     /// consumes an event. Deterministic; watchdog deadlines and
-    /// probation timers are meaningless (nothing can be "late"), and
-    /// task start times are known at launch.
+    /// probation timers are meaningless (nothing can be "late").
     Virtual,
     /// Wall-clock time: `now()` advances on its own. The core arms
-    /// watchdog deadlines and probation timers, and learns task start
-    /// times only when completions report them.
+    /// watchdog deadlines and probation timers.
     Wall,
 }
 
@@ -60,11 +58,12 @@ pub(crate) struct LaunchSpec {
 /// Outcome of [`Backend::launch`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Launch {
-    /// The attempt is in flight. `start` is its known start time when
-    /// the backend can predict it (virtual clocks), `None` when the
-    /// start is only discovered at completion (wall clocks).
+    /// The attempt is in flight. `start` is its start time when the
+    /// backend knows it at launch, `None` when it does not: the backend
+    /// then reports the start as [`Polled::Started`] when it comes
+    /// (the cluster tier) or with the completion (wall clocks).
     Started {
-        /// Predicted start time, seconds.
+        /// Start time, seconds, when known at launch.
         start: Option<f64>,
     },
     /// The unit's executor is gone; the attempt was not launched. The
@@ -90,6 +89,13 @@ pub(crate) enum Polled {
         proc_s: f64,
         /// Finish time, seconds.
         finish: f64,
+    },
+    /// An attempt whose launch reported no start has started, now.
+    Started {
+        /// Unit index.
+        pu: usize,
+        /// Task identity.
+        task: TaskId,
     },
     /// An attempt failed (kernel panic, injected or real). The core
     /// decides retry / quarantine / re-credit.

@@ -28,7 +28,12 @@
 //! ([`Backend::holds_one_ahead`]): the queued chunk's payload crosses
 //! the link meanwhile, and only the part of the transfer that outlasts
 //! the compute ahead is charged to the node (`task_finish.xfer_s`;
-//! `migration_sent.xfer_s` keeps the full link time). A node's
+//! `migration_sent.xfer_s` keeps the full link time). Launch resolves
+//! only the queued chunk's link. Its nested run executes when the
+//! outcome ahead surfaces, the moment the core makes it the attempt in
+//! flight, so a node cut before then has run nothing of it. Every chunk
+//! reports its start ([`Polled::Started`]) when the clock reaches it,
+//! so no stamp of the tier is written ahead of the clock. A node's
 //! outcomes surface in launch order.
 //!
 //! The tier emits the cluster events (`node_quarantined`,
@@ -174,11 +179,19 @@ impl DownReason {
     }
 }
 
-/// Heap payloads of the cluster tier's virtual clock.
+/// Heap payloads of the cluster tier's virtual clock. Those naming a
+/// node and an epoch are stale once the node's epoch moved on (it was
+/// cut, crashed or written off while the chunk was in flight).
 #[derive(Debug, Clone, PartialEq)]
 enum Payload {
-    /// A chunk's node-level execution finishes (stale when the node's
-    /// epoch moved on — it was quarantined or crashed mid-chunk).
+    /// A chunk starts computing on its node: its start reaches the core
+    /// as [`Polled::Started`].
+    Started {
+        node: usize,
+        epoch: u64,
+        task: TaskId,
+    },
+    /// A chunk's node-level execution finishes.
     ChunkDone {
         node: usize,
         epoch: u64,
@@ -206,85 +219,44 @@ enum Payload {
     Emit { pu: Option<usize>, kind: EventKind },
 }
 
-/// Backend-side record of a chunk a node holds.
+/// A chunk whose link launch has resolved: what its run needs when the
+/// node takes it.
 #[derive(Debug, Clone)]
-struct InflightChunk {
-    task: TaskId,
-    items: u64,
+struct Chunk {
+    spec: LaunchSpec,
     cost: u64,
+    /// Payload bytes that cross the link (0 on the home node).
+    bytes: f64,
+    /// `Ok((arrival, xfer_s))`: the payload is on the link over
+    /// `[arrival, arrival + xfer_s]`. `Err(at)`: its delivery failed at
+    /// `at`.
+    link: Result<(f64, f64), f64>,
 }
 
 /// Per-node backend state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct NodeState {
-    /// False after a crash — permanent.
-    alive: bool,
-    /// False while partitioned from the cluster.
-    reachable: bool,
+    /// True once the node crashed or was written off — permanent.
+    gone: bool,
+    /// True while partitioned from the cluster.
+    cut: bool,
     /// Bumped whenever the node leaves the active set; scheduled
-    /// outcomes carrying an older epoch are stale.
+    /// payloads carrying an older epoch are stale.
     epoch: u64,
     /// Completed chunks (the crash trigger's key).
     chunks_done: u64,
-    /// The chunk whose outcome surfaces next.
-    inflight: Option<InflightChunk>,
-    /// The chunk queued behind it, whose payload crosses the link while
-    /// the one ahead computes. `Some` only while `inflight` is.
-    queued: Option<InflightChunk>,
-    /// When the last outcome scheduled on the node surfaces: the end of
-    /// the last scheduled compute, or a failed delivery. No chunk
-    /// launched later computes or fails before it, so outcomes surface
-    /// in launch order. A node cut off by a partition keeps computing
-    /// what it held, so it stays busy until then after the heal too.
+    /// `(items, cost)` of the chunk the node has taken, whose outcome
+    /// is scheduled.
+    running: Option<(u64, u64)>,
+    /// The chunk queued behind it, not run until that outcome surfaces.
+    queued: Option<Chunk>,
+    /// When the outcome of the chunk the node took last surfaces. A
+    /// node cut off by a partition keeps computing what it had taken,
+    /// so it stays busy until then after the heal too.
     free_at: f64,
     /// Size of the most recent failed delivery, kept so a quarantine
     /// that follows it can report the re-credited range.
     last_failed: Option<(u64, u64)>,
-}
-
-impl NodeState {
-    fn fresh() -> NodeState {
-        NodeState {
-            alive: true,
-            reachable: true,
-            epoch: 0,
-            chunks_done: 0,
-            inflight: None,
-            queued: None,
-            free_at: 0.0,
-            last_failed: None,
-        }
-    }
-
-    /// Chunks the node holds: 0, 1 or 2.
-    fn held(&self) -> u64 {
-        u64::from(self.inflight.is_some()) + u64::from(self.queued.is_some())
-    }
-
-    /// Take on `chunk`, whose outcome surfaces at `outcome_at`: it runs
-    /// next, or queues behind the chunk ahead.
-    fn hold(&mut self, chunk: InflightChunk, outcome_at: f64) {
-        self.free_at = outcome_at;
-        if self.inflight.is_none() {
-            self.inflight = Some(chunk);
-        } else {
-            debug_assert!(self.queued.is_none(), "a third chunk on a node");
-            self.queued = Some(chunk);
-        }
-    }
-
-    /// Is `task`, scheduled in `epoch`, the chunk whose outcome is due?
-    fn is_next(&self, epoch: u64, task: TaskId) -> bool {
-        self.epoch == epoch && self.inflight.as_ref().is_some_and(|f| f.task == task)
-    }
-
-    /// The outcome of the chunk ahead surfaced: the one queued behind
-    /// it is next.
-    fn pop_next(&mut self) -> Option<InflightChunk> {
-        let done = self.inflight.take();
-        self.inflight = self.queued.take();
-        done
-    }
 }
 
 /// The cluster-tier backend: per-node chunk execution behind the
@@ -324,18 +296,148 @@ impl ClusterBackend<'_> {
         !self.node_faults.partitioned(from, t) && !self.node_faults.partitioned(to, t)
     }
 
-    /// A node at its crash threshold is already doomed: its `NodeDown`
-    /// event sits in the heap at the current instant, but the driver
-    /// may dispatch between the fatal completion and that pop. A node
-    /// whose held chunk is its last is doomed too: a chunk queued
-    /// behind it would run its nested engine at launch and then again
-    /// on a survivor. Refusing such launches keeps crashes
-    /// exactly-once — no chunk is ever executed on a node past its
-    /// crash point.
+    /// The crash model: a node that crashes after N chunks takes none
+    /// past N. A node at its threshold is doomed already — its
+    /// `NodeDown` sits in the heap at the current instant, but the
+    /// driver may dispatch between the fatal completion and that pop —
+    /// and so is one whose running chunk is its last.
     fn crash_doomed(&self, pu: usize) -> bool {
         self.node_faults.crash_after(pu).is_some_and(|after| {
-            (self.nodes.get(pu)).is_some_and(|n| n.chunks_done + n.held() >= after)
+            (self.nodes.get(pu))
+                .is_some_and(|n| n.chunks_done + u64::from(n.running.is_some()) >= after)
         })
+    }
+
+    /// Resolve the delivery of `chunk`'s payload from `owner`, sent at
+    /// `send`, against the fault plan's windows: it retries with
+    /// exponential backoff while either endpoint is partitioned. Schedules
+    /// the send and retry breadcrumbs on `pu`.
+    fn resolve_link(
+        &mut self,
+        pu: usize,
+        chunk: &Chunk,
+        owner: usize,
+        send: f64,
+    ) -> Result<(f64, f64), f64> {
+        let link_s = |t: f64| {
+            self.migration.link.time(chunk.bytes) * self.node_faults.degrade_factor(owner, pu, t)
+        };
+        let sent = EventKind::MigrationSent {
+            task: chunk.spec.task.0,
+            from: owner,
+            items: chunk.spec.items,
+            cost: chunk.cost,
+            bytes: chunk.bytes as u64,
+            xfer_s: link_s(send),
+        };
+        self.queue.push(
+            send,
+            Payload::Emit {
+                pu: Some(pu),
+                kind: sent,
+            },
+        );
+        let mut t = send;
+        let mut attempt = 0u32;
+        loop {
+            if self.deliverable(owner, pu, t) {
+                return Ok((t, link_s(t)));
+            }
+            attempt += 1;
+            if attempt >= self.migration.max_attempts.max(1) {
+                return Err(t);
+            }
+            let backoff = self.migration.base_backoff_s
+                * f64::from(2u32.saturating_pow(attempt.saturating_sub(1)).min(1 << 16));
+            t += backoff;
+            if t - send > self.migration.deadline_s {
+                return Err(t);
+            }
+            let retried = EventKind::MigrationRetried {
+                task: chunk.spec.task.0,
+                attempt,
+                backoff_s: backoff,
+            };
+            self.queue.push(
+                t,
+                Payload::Emit {
+                    pu: Some(pu),
+                    kind: retried,
+                },
+            );
+        }
+    }
+
+    /// `node` takes `chunk`: its nested engine runs now (exactly once,
+    /// and only on a successful delivery), and its start and outcome are
+    /// scheduled. A chunk taken while the one before still computes
+    /// occupies the node from when that one ends and computes once its
+    /// payload is in too: only the part of the transfer that outlasts
+    /// the compute ahead is charged to it.
+    fn take(&mut self, node: usize, chunk: Chunk) {
+        let Some(st) = self.nodes.get(node) else {
+            return;
+        };
+        let (free_at, epoch, task) = (st.free_at, st.epoch, chunk.spec.task);
+        let spec = &chunk.spec;
+        let (at, outcome) = match chunk.link {
+            Err(failed_at) => {
+                // Outcomes surface in launch order, or the driver would
+                // drop this one as stale.
+                let at = failed_at.max(free_at);
+                (at, Payload::DeliveryFailed { node, epoch, task })
+            }
+            Ok((arrival, xfer_s)) => {
+                let (proc_s, inner_bytes, doomed) = match spec.inject {
+                    Some(FaultAction::Panic) => (0.0, 0, true),
+                    other => match self.runner.run_chunk(node, spec.offset, spec.items) {
+                        Ok(out) => {
+                            let extra = match other {
+                                Some(FaultAction::Delay(s)) => s,
+                                _ => 0.0,
+                            };
+                            (out.makespan_s * spec.drift + extra, out.bytes_in, false)
+                        }
+                        Err(_) => (0.0, 0, true),
+                    },
+                };
+                if let Some(b) = self.bytes_in.get_mut(node) {
+                    *b += inner_bytes + chunk.bytes as u64;
+                }
+                let start = arrival.max(free_at);
+                let computes = (arrival + xfer_s).max(free_at);
+                self.queue
+                    .push(start, Payload::Started { node, epoch, task });
+                let done = Payload::ChunkDone {
+                    node,
+                    epoch,
+                    task,
+                    start,
+                    xfer_s: computes - start,
+                    proc_s,
+                    doomed,
+                };
+                (computes + proc_s, done)
+            }
+        };
+        self.queue.push(at, outcome);
+        if let Some(st) = self.nodes.get_mut(node) {
+            st.running = Some((spec.items, chunk.cost));
+            st.free_at = at;
+        }
+    }
+
+    /// The outcome of the chunk `node` runs surfaced: the one queued
+    /// behind it, if any, is taken now.
+    fn take_next(&mut self, node: usize) {
+        if let Some(next) = self.nodes.get_mut(node).and_then(|st| st.queued.take()) {
+            self.take(node, next);
+        }
+    }
+
+    /// The node `node` in the current epoch, if `epoch` still is.
+    fn current(&mut self, node: usize, epoch: u64) -> Option<&mut NodeState> {
+        self.nodes.get_mut(node).filter(|st| st.epoch == epoch)
     }
 }
 
@@ -353,156 +455,33 @@ impl Backend for ClusterBackend<'_> {
     }
 
     fn unit_ready(&self, pu: usize) -> bool {
-        !self.crash_doomed(pu) && self.nodes.get(pu).is_some_and(|n| n.alive && n.reachable)
+        !self.crash_doomed(pu) && self.nodes.get(pu).is_some_and(|n| !n.gone && !n.cut)
     }
 
     fn launch(&mut self, spec: &LaunchSpec) -> Launch {
         let pu = spec.pu;
-        if !self.nodes.get(pu).is_some_and(|n| n.alive) || self.crash_doomed(pu) {
+        if self.nodes.get(pu).is_none_or(|n| n.gone) || self.crash_doomed(pu) {
             return Launch::UnitGone;
         }
         let send = self.queue.start_of(spec);
         let owner = self.owner_of(spec.offset);
-        let cost = self.weights.cost(spec.offset, spec.items);
-        let chunk = InflightChunk {
-            task: spec.task,
-            items: spec.items,
-            cost,
-        };
+        // Chunks on their home node are local (no network); migrated
+        // chunks cross the link.
         let bytes = (spec.items as f64 * self.migration.bytes_per_item).max(0.0);
-
-        // Resolve the delivery schedule deterministically against the
-        // fault plan's windows: chunks on their home node are local
-        // (no network); migrated chunks cross the link, retrying with
-        // exponential backoff while either endpoint is partitioned.
-        let mut delivered: Option<(f64, f64)> = None;
-        let mut failed_at: Option<f64> = None;
-        if owner == pu {
-            delivered = Some((send, 0.0));
-        } else {
-            let nominal =
-                self.migration.link.time(bytes) * self.node_faults.degrade_factor(owner, pu, send);
-            self.queue.push(
-                send,
-                Payload::Emit {
-                    pu: Some(pu),
-                    kind: EventKind::MigrationSent {
-                        task: spec.task.0,
-                        from: owner,
-                        items: spec.items,
-                        cost,
-                        bytes: bytes as u64,
-                        xfer_s: nominal,
-                    },
-                },
-            );
-            let mut t = send;
-            let mut attempt = 0u32;
-            loop {
-                if self.deliverable(owner, pu, t) {
-                    let factor = self.node_faults.degrade_factor(owner, pu, t);
-                    delivered = Some((t, self.migration.link.time(bytes) * factor));
-                    break;
-                }
-                attempt += 1;
-                if attempt >= self.migration.max_attempts.max(1) {
-                    failed_at = Some(t);
-                    break;
-                }
-                let backoff = self.migration.base_backoff_s
-                    * f64::from(2u32.saturating_pow(attempt.saturating_sub(1)).min(1 << 16));
-                t += backoff;
-                if t - send > self.migration.deadline_s {
-                    failed_at = Some(t);
-                    break;
-                }
-                self.queue.push(
-                    t,
-                    Payload::Emit {
-                        pu: Some(pu),
-                        kind: EventKind::MigrationRetried {
-                            task: spec.task.0,
-                            attempt,
-                            backoff_s: backoff,
-                        },
-                    },
-                );
-            }
+        let mut chunk = Chunk {
+            spec: spec.clone(),
+            cost: self.weights.cost(spec.offset, spec.items),
+            bytes: if owner == pu { 0.0 } else { bytes },
+            link: Ok((send, 0.0)),
+        };
+        if owner != pu {
+            chunk.link = self.resolve_link(pu, &chunk, owner, send);
         }
-
-        match (delivered, failed_at) {
-            (Some((arrival, xfer_s)), _) => {
-                // Exactly-once execution: the runner sees the chunk
-                // only on this, the successful delivery.
-                let (proc_s, inner_bytes, doomed) = match spec.inject {
-                    Some(FaultAction::Panic) => (0.0, 0, true),
-                    other => match self.runner.run_chunk(pu, spec.offset, spec.items) {
-                        Ok(out) => {
-                            let extra = match other {
-                                Some(FaultAction::Delay(s)) => s,
-                                _ => 0.0,
-                            };
-                            (out.makespan_s * spec.drift + extra, out.bytes_in, false)
-                        }
-                        Err(_) => (0.0, 0, true),
-                    },
-                };
-                if let Some(b) = self.bytes_in.get_mut(pu) {
-                    *b += inner_bytes;
-                    if owner != pu {
-                        *b += bytes as u64;
-                    }
-                }
-                let Some(st) = self.nodes.get_mut(pu) else {
-                    return Launch::UnitGone;
-                };
-                // The payload is on the link over [arrival, arrival +
-                // xfer_s]. A chunk queued behind another occupies the
-                // node from when the one ahead ends and computes once
-                // its payload is in too: only the part of the transfer
-                // that outlasts the compute ahead is charged to it.
-                let start = arrival.max(st.free_at);
-                let computes = (arrival + xfer_s).max(st.free_at);
-                let finish = computes + proc_s;
-                st.hold(chunk, finish);
-                st.last_failed = None;
-                let epoch = st.epoch;
-                self.queue.push(
-                    finish,
-                    Payload::ChunkDone {
-                        node: pu,
-                        epoch,
-                        task: spec.task,
-                        start,
-                        xfer_s: computes - start,
-                        proc_s,
-                        doomed,
-                    },
-                );
-                Launch::Started { start: Some(start) }
-            }
-            (None, Some(t_fail)) => {
-                let Some(st) = self.nodes.get_mut(pu) else {
-                    return Launch::UnitGone;
-                };
-                // Outcomes surface in launch order, or the driver would
-                // drop this one as stale.
-                let at = t_fail.max(st.free_at);
-                st.hold(chunk, at);
-                let epoch = st.epoch;
-                self.queue.push(
-                    at,
-                    Payload::DeliveryFailed {
-                        node: pu,
-                        epoch,
-                        task: spec.task,
-                    },
-                );
-                // The chunk never started; no start time to report.
-                Launch::Started { start: None }
-            }
-            (None, None) => Launch::UnitGone,
+        match self.nodes.get_mut(pu) {
+            Some(st) if st.running.is_some() => st.queued = Some(chunk),
+            _ => self.take(pu, chunk),
         }
+        Launch::Started { start: None }
     }
 
     fn poll(&mut self, _wake: Option<f64>, events: &mut EventSink) -> Polled {
@@ -530,7 +509,11 @@ impl Backend for ClusterBackend<'_> {
             match payload {
                 Payload::Emit { pu, kind } => {
                     events.record(self.queue.now(), pu, kind);
-                    continue;
+                }
+                Payload::Started { node, epoch, task } => {
+                    if self.current(node, epoch).is_some() {
+                        return Polled::Started { pu: node, task };
+                    }
                 }
                 Payload::ChunkDone {
                     node,
@@ -542,14 +525,14 @@ impl Backend for ClusterBackend<'_> {
                     doomed,
                 } => {
                     let crash_after = self.node_faults.crash_after(node);
-                    let Some(st) = self.nodes.get_mut(node) else {
+                    let now = self.queue.now();
+                    let Some(st) = self.current(node, epoch) else {
                         continue;
                     };
-                    if !st.is_next(epoch, task) {
-                        continue;
-                    }
-                    st.pop_next();
+                    st.running = None;
+                    st.last_failed = None;
                     if doomed {
+                        self.take_next(node);
                         return Polled::AttemptFailed {
                             pu: node,
                             task,
@@ -557,36 +540,33 @@ impl Backend for ClusterBackend<'_> {
                         };
                     }
                     st.chunks_done += 1;
-                    if crash_after.is_some_and(|after| st.chunks_done >= after) && st.alive {
+                    if crash_after.is_some_and(|after| st.chunks_done >= after) {
                         // The node dies right after reporting this
                         // chunk: the crash event lands at the same
-                        // instant, after the completion below.
-                        let at = self.queue.now();
-                        self.queue.push(
-                            at,
-                            Payload::NodeDown {
-                                node,
-                                reason: DownReason::Crash,
-                            },
-                        );
+                        // instant, after the completion below. It holds
+                        // nothing more (`crash_doomed`).
+                        let crash = Payload::NodeDown {
+                            node,
+                            reason: DownReason::Crash,
+                        };
+                        self.queue.push(now, crash);
                     }
+                    self.take_next(node);
                     return Polled::Completed {
                         pu: node,
                         task,
                         start,
                         xfer_s,
                         proc_s,
-                        finish: self.queue.now(),
+                        finish: now,
                     };
                 }
                 Payload::DeliveryFailed { node, epoch, task } => {
-                    let Some(st) = self.nodes.get_mut(node) else {
+                    let Some(st) = self.current(node, epoch) else {
                         continue;
                     };
-                    if !st.is_next(epoch, task) {
-                        continue;
-                    }
-                    st.last_failed = st.pop_next().map(|f| (f.items, f.cost));
+                    st.last_failed = st.running.take();
+                    self.take_next(node);
                     return Polled::AttemptFailed {
                         pu: node,
                         task,
@@ -597,15 +577,16 @@ impl Backend for ClusterBackend<'_> {
                     let Some(st) = self.nodes.get_mut(node) else {
                         continue;
                     };
-                    if !st.alive || (reason == DownReason::Partition && !st.reachable) {
+                    if st.gone || (reason == DownReason::Partition && st.cut) {
                         continue;
                     }
                     match reason {
-                        DownReason::Crash => st.alive = false,
-                        DownReason::Partition => st.reachable = false,
+                        DownReason::Crash => st.gone = true,
+                        DownReason::Partition => st.cut = true,
                     }
                     st.epoch += 1;
-                    let held = [st.inflight.take(), st.queued.take()];
+                    let queued = st.queued.take().map(|c| (c.spec.items, c.cost));
+                    let held = [st.running.take(), queued];
                     events.record(
                         self.queue.now(),
                         Some(node),
@@ -613,16 +594,14 @@ impl Backend for ClusterBackend<'_> {
                             reason: reason.name().to_string(),
                         },
                     );
-                    for f in held.into_iter().flatten() {
-                        // The unfinished ranges fold back into the pool
-                        // (the core reclaims them on `UnitDown`).
+                    // The unfinished ranges fold back into the pool (the
+                    // core reclaims them on `UnitDown`); the queued one
+                    // never ran.
+                    for (items, cost) in held.into_iter().flatten() {
                         events.record(
                             self.queue.now(),
                             Some(node),
-                            EventKind::CoverRecredited {
-                                items: f.items,
-                                cost: f.cost,
-                            },
+                            EventKind::CoverRecredited { items, cost },
                         );
                     }
                     return Polled::UnitDown { pu: node };
@@ -632,12 +611,12 @@ impl Backend for ClusterBackend<'_> {
                     let Some(st) = self.nodes.get_mut(node) else {
                         continue;
                     };
-                    if !st.alive || st.reachable {
+                    if st.gone || !st.cut {
                         // Crashed while partitioned (or never cut):
                         // the heal changes nothing.
                         continue;
                     }
-                    st.reachable = true;
+                    st.cut = false;
                     return Polled::UnitRestored { pu: node };
                 }
             }
@@ -664,9 +643,9 @@ impl Backend for ClusterBackend<'_> {
 
     fn forget_unit(&mut self, pu: usize) {
         if let Some(st) = self.nodes.get_mut(pu) {
-            st.alive = false;
+            st.gone = true;
             st.epoch += 1;
-            st.inflight = None;
+            st.running = None;
             st.queued = None;
         }
     }
@@ -892,7 +871,7 @@ impl<'r> ClusterEngine<'r> {
         pool.fragment(&shard_bounds);
         let mut backend = ClusterBackend {
             runner: &mut *node.runner,
-            nodes: (0..n).map(|_| NodeState::fresh()).collect(),
+            nodes: vec![NodeState::default(); n],
             shard_bounds,
             node_faults: node.node_faults.clone(),
             migration: node.migration.clone(),
@@ -919,6 +898,8 @@ impl<'r> ClusterEngine<'r> {
             }
         }
         let outcome = drive(&mut backend, handles, policy, pool, cfg);
+        // Every stamp of the tier is taken at the clock.
+        debug_assert_eq!(outcome.events.raised(), 0, "the clamp raised a stamp");
         self.keep(outcome)
     }
 }
@@ -1136,16 +1117,16 @@ mod tests {
         }
     }
 
-    /// [`Script`] over 4 000 items on two [`Timed`] nodes, node 1 cut
-    /// off from `cut` seconds (if any) to 20 ms.
-    fn scripted(per_item_s: f64, cut: Option<f64>) -> (RunReport, EventSink, Timed) {
+    /// [`Script`] over 4 000 items on two [`Timed`] nodes; with a `cut`
+    /// of `(node, from_s)`, that node is cut off from `from_s` to 20 ms.
+    fn scripted(per_item_s: f64, cut: Option<(usize, f64)>) -> (RunReport, EventSink, Timed) {
         let mut runner = Timed {
             per_item_s,
             runs: Vec::new(),
         };
-        let faults = cut.map_or_else(NodeFaultPlan::none, |from_s| {
+        let faults = cut.map_or_else(NodeFaultPlan::none, |(node, from_s)| {
             NodeFaultPlan::new(vec![NodeFault {
-                node: 1,
+                node,
                 kind: NodeFaultKind::Partition { from_s, to_s: 0.02 },
             }])
         });
@@ -1232,13 +1213,13 @@ mod tests {
     fn a_partition_during_a_queued_transfer_recredits_the_queued_chunk() {
         // The cut opens 0.5 ms into the migrated payload's 1 ms on the
         // link, while the home chunk ahead computes.
-        let (_, events, runner) = scripted(1e-5, Some(5e-4));
+        let (_, events, runner) = scripted(1e-5, Some((1, 5e-4)));
         assert!(migrated_payload_s(&events) > 5e-4);
         assert_eq!(recredited(&events), [BLOCK, BLOCK]);
-        // The queued chunk ran at its launch and once more elsewhere:
-        // the re-credit pays for the repeat.
-        let runs_of_0 = runner.runs.iter().filter(|r| r.1 == 0).count();
-        assert_eq!(runs_of_0, 2, "{:?}", runner.runs);
+        // The queued chunk never ran on the cut node: it runs once, on
+        // the survivor.
+        let runs_of_0: Vec<_> = runner.runs.iter().filter(|r| r.1 == 0).collect();
+        assert_eq!(runs_of_0, [&(0, 0, BLOCK)], "{:?}", runner.runs);
         assert_eq!(runner.runs.first(), Some(&(1, 2_000, BLOCK)));
     }
 
@@ -1246,15 +1227,15 @@ mod tests {
     fn a_node_lost_holding_two_chunks_recredits_both() {
         // The cut opens at 3 ms: the migrated payload is in, queued
         // behind the home chunk that computes until 5 ms.
-        let (_, events, _) = scripted(1e-5, Some(3e-3));
+        let (_, events, _) = scripted(1e-5, Some((1, 3e-3)));
         let on_node_1: Vec<_> = events.iter().filter(|e| e.pu == Some(1)).collect();
         let cut = (on_node_1.iter())
             .position(|e| e.kind.name() == "node_quarantined")
             .expect("the cut quarantines node 1");
         let lost = &on_node_1[cut..cut + 6];
-        // Stamped at the queued chunk's start, 5 ms, the node's latest
-        // stamp when the cut opens: a unit's stamps never decrease.
-        assert!(lost.iter().all(|e| e.t == BLOCK as f64 * 1e-5), "{lost:?}");
+        // Stamped at the cut's own time: the queued chunk, which would
+        // have started at 5 ms, left no stamp ahead of the clock.
+        assert!(lost.iter().all(|e| e.t == 3e-3), "{lost:?}");
         let names: Vec<&str> = lost.iter().map(|e| e.kind.name()).collect();
         assert_eq!(
             names,
@@ -1268,6 +1249,29 @@ mod tests {
             ]
         );
         assert_eq!(recredited(&events), [BLOCK, BLOCK]);
+    }
+
+    #[test]
+    fn a_delivery_retried_past_the_chunk_ahead_starts_when_it_goes_out() {
+        // Node 0, the owner of the queued chunk's payload, is cut off from
+        // 0 to 20 ms: the delivery to node 1 goes out on its first retry,
+        // 50 ms in, long after node 1's home chunk ended at 5 ms.
+        let (_, events, _) = scripted(1e-5, Some((0, 0.0)));
+        let stamp = |name: &str, task: u64| {
+            let of = |kind: &EventKind| match *kind {
+                EventKind::TaskStart { task, .. }
+                | EventKind::TaskFinish { task, .. }
+                | EventKind::MigrationRetried { task, .. } => Some(task),
+                _ => None,
+            };
+            let mut on_node_1 = events.iter().filter(|e| e.pu == Some(1));
+            let e = on_node_1.find(|e| e.kind.name() == name && of(&e.kind) == Some(task));
+            e.map(|e| e.t)
+        };
+        let retry_s = MigrationConfig::default().base_backoff_s;
+        assert_eq!(stamp("task_finish", 0), Some(BLOCK as f64 * 1e-5));
+        assert_eq!(stamp("migration_retried", 1), Some(retry_s));
+        assert_eq!(stamp("task_start", 1), Some(retry_s));
     }
 
     #[test]

@@ -21,14 +21,16 @@
 //!
 //! Backends supply only mechanics: how an attempt is launched, how the
 //! next observation is surfaced, and what the clock means
-//! ([`ClockKind`]). The two clock semantics differ in exactly three
-//! places, all conditioned explicitly here: virtual clocks know task
-//! start times at launch (so `task_start` is emitted at dispatch),
-//! wall clocks learn them at completion (so it is emitted
-//! retroactively); watchdog deadlines and probation timers are armed
-//! only under wall clocks (virtual time cannot be "late"); and
-//! scheduler overhead only delays virtual launches (wall time already
-//! passed). One more capacity follows the clock by default: a
+//! ([`ClockKind`]). The two clock semantics differ in exactly two
+//! places, both conditioned explicitly here: watchdog deadlines and
+//! probation timers are armed only under wall clocks (virtual time
+//! cannot be "late"); and scheduler overhead only delays virtual
+//! launches (wall time already passed). A block's `task_start` is
+//! recorded once, when its start is first known: at launch if the
+//! backend knows it then (the simulator), when the backend reports it
+//! (the cluster tier, whose queued chunk starts when the one ahead
+//! ends), or else with the completion (wall clocks, retroactively).
+//! One more capacity follows the clock by default: a
 //! wall-clock unit accepts one block queued behind the one it runs,
 //! because there every dispatch pays a round trip through the driver,
 //! while on a virtual clock it pays nothing and a unit takes none
@@ -165,6 +167,23 @@ struct Pending {
     /// Absolute watchdog deadline, when one applies (wall clocks only,
     /// from the moment the attempt runs).
     deadline_at: Option<f64>,
+    /// Whether the block's `task_start` is in the stream (kept across
+    /// retries: a block has one submit/start pair).
+    started: bool,
+}
+
+impl Pending {
+    /// Record the block's `task_start` at `at`, unless it has one.
+    fn start(&mut self, pu: usize, at: f64, events: &mut EventSink) {
+        if !self.started {
+            self.started = true;
+            let kind = EventKind::TaskStart {
+                task: self.task.0,
+                items: self.items,
+            };
+            events.record(at, Some(pu), kind);
+        }
+    }
 }
 
 /// Where a unit stands in the run. Its handle is `available` exactly
@@ -637,6 +656,7 @@ impl<'b> Driver<'b> {
             attempt: 0,
             backoff_s: 0.0,
             deadline_at: None,
+            started: false,
         };
         // An executor that died out from under us took nothing: the
         // loop delivers the policy's notification once this hook ends.
@@ -687,15 +707,8 @@ impl<'b> Driver<'b> {
             drift,
         }) {
             Launch::Started { start } => {
-                // Virtual clocks know the start time at dispatch; it is
-                // recorded for first attempts only (retries of the same
-                // block keep the original submit/start pair).
-                if let (0, Some(s)) = (pend.attempt, start) {
-                    let kind = EventKind::TaskStart {
-                        task: pend.task.0,
-                        items: pend.items,
-                    };
-                    self.events.record(s, Some(pu), kind);
+                if let Some(s) = start {
+                    pend.start(pu, s, &mut self.events);
                 }
                 if behind {
                     debug_assert!(unit.queued.is_none(), "queueing onto a full unit");
@@ -1113,7 +1126,7 @@ impl<'b> Driver<'b> {
                 // Stale completions (from units already written off,
                 // whose wedged worker eventually finished) are ignored:
                 // the block was re-dispatched elsewhere.
-                let Some((unit, pend)) = self.take_if_current(pu, task) else {
+                let Some((unit, mut pend)) = self.take_if_current(pu, task) else {
                     return Ok(());
                 };
                 unit.consec_failures = 0;
@@ -1123,16 +1136,9 @@ impl<'b> Driver<'b> {
                 self.tasks_done += 1;
                 self.ledger
                     .record_task(pu, pend.items, start, xfer_s, proc_s);
-                if self.backend.clock_kind() == ClockKind::Wall {
-                    // Wall clocks learn the start time only now: record
-                    // it retroactively (virtual clocks already did at
-                    // dispatch).
-                    let kind = EventKind::TaskStart {
-                        task: task.0,
-                        items: pend.items,
-                    };
-                    self.events.record(start, Some(pu), kind);
-                }
+                // A start nobody reported is learnt only now (wall
+                // clocks): it is recorded retroactively.
+                pend.start(pu, start, &mut self.events);
                 self.events.record(
                     finish,
                     Some(pu),
@@ -1158,6 +1164,14 @@ impl<'b> Driver<'b> {
                 self.notify_lost(policy);
                 self.admit_due_joins(policy);
                 self.maybe_checkpoint(&*policy, false)?;
+            }
+            Polled::Started { pu, task } => {
+                let now = self.backend.now();
+                let unit = self.units.get_mut(pu);
+                let running = unit.and_then(|u| u.inflight.as_mut());
+                if let Some(pend) = running.filter(|p| p.task == task) {
+                    pend.start(pu, now, &mut self.events);
+                }
             }
             Polled::AttemptFailed { pu, task, reason } => {
                 self.handle_failure(policy, pu, task, reason)?;

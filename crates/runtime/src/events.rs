@@ -383,6 +383,8 @@ pub struct EventSink {
     /// global events (those clamp against `last_global`).
     last_t: Vec<f64>,
     last_global: f64,
+    /// Records whose stamp the per-unit clamp raised.
+    raised: u64,
 }
 
 impl Default for EventSink {
@@ -404,6 +406,7 @@ impl EventSink {
             counters: EventCounters::default(),
             last_t: Vec::new(),
             last_global: 0.0,
+            raised: 0,
         }
     }
 
@@ -421,6 +424,7 @@ impl EventSink {
         });
         let t = match slot {
             Some(last) => {
+                self.raised += u64::from(t < *last);
                 *last = t.max(*last);
                 *last
             }
@@ -462,6 +466,12 @@ impl EventSink {
     /// Events overwritten because the ring wrapped.
     pub fn dropped(&self) -> u64 {
         self.counters.dropped
+    }
+
+    /// How many records the per-unit clamp raised: 0 when every unit's
+    /// events were recorded in the order of their stamps.
+    pub(crate) fn raised(&self) -> u64 {
+        self.raised
     }
 
     /// Total events ever recorded (held + dropped).

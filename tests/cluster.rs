@@ -22,6 +22,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 mod common;
+mod last_events;
 
 /// Per-node simulated machines, intra-node policies, and names for an
 /// `n`-node homogeneous cluster.
@@ -89,9 +90,26 @@ fn run_sim_cluster(
     plan: NodeFaultPlan,
     migration: Option<MigrationConfig>,
 ) -> (Result<RunReport, RunError>, EventSink) {
+    let (result, events, _) = run_counted(n, total, plan, migration);
+    (result, events)
+}
+
+/// Chunk executions as `(node, offset, items)`, in order.
+type Runs = Vec<(usize, u64, u64)>;
+
+/// [`run_sim_cluster`], also returning every chunk execution.
+fn run_counted(
+    n: usize,
+    total: u64,
+    plan: NodeFaultPlan,
+    migration: Option<MigrationConfig>,
+) -> (Result<RunReport, RunError>, EventSink, Runs) {
     let cost = LinearCost::generic();
     let (clusters, policies, names) = sim_nodes(n);
-    let mut runner = SimNodeRunner::new(&cost, names, clusters, policies, Weights::uniform());
+    let mut runner = CountingRunner {
+        inner: SimNodeRunner::new(&cost, names, clusters, policies, Weights::uniform()),
+        runs: Vec::new(),
+    };
     let mut policy = diffusion_for(n, total);
     let mut engine = ClusterEngine::new(&mut runner).with_node_faults(plan);
     if let Some(m) = migration {
@@ -99,7 +117,7 @@ fn run_sim_cluster(
     }
     let result = engine.run(&mut policy, total);
     let events = engine.last_events().cloned().unwrap_or_default();
-    (result, events)
+    (result, events, runner.runs)
 }
 
 fn assert_full_cover(report: &RunReport, total: u64) {
@@ -194,7 +212,7 @@ fn partition_degrades_gracefully_recredits_and_readmits() {
 /// the driver's accounting).
 struct CountingRunner<'c> {
     inner: SimNodeRunner<'c>,
-    runs: Vec<(usize, u64, u64)>,
+    runs: Runs,
 }
 
 impl NodeRunner for CountingRunner<'_> {
@@ -346,7 +364,11 @@ proptest! {
     /// Seeded cluster chaos (crashes, partitions, lossy links in random
     /// combination) never loses or duplicates an item: a finished run
     /// covers the item space exactly, and the only admissible failure
-    /// is a detected stall (every node dead), never a bad cover.
+    /// is a detected stall (every node dead), never a bad cover. At the
+    /// execution level, every item runs, and a chunk runs again only if
+    /// a cut took its node while it computed there: a node's runs that
+    /// did not finish number at most its cuts. (The cluster engine
+    /// debug-asserts that no stamp was raised by the sink's clamp.)
     #[test]
     fn cluster_chaos_preserves_disjoint_complete_cover(
         seed in any::<u64>(),
@@ -361,7 +383,29 @@ proptest! {
         let m = baseline.map(|r| r.makespan).unwrap_or(1.0);
         let plan = rescale_windows(plan, m / 6.0);
         prop_assert!(plan.validate(3).is_ok());
-        let (result, _) = run_sim_cluster(3, total, plan, Some(scaled_migration(m)));
+        let (result, events, runs) = run_counted(3, total, plan, Some(scaled_migration(m)));
+        let mut hits = vec![0u32; total as usize];
+        for &(_, offset, items) in &runs {
+            for h in &mut hits[offset as usize..(offset + items) as usize] {
+                *h += 1;
+            }
+        }
+        let stalled = matches!(result, Err(RunError::Stalled { .. }));
+        prop_assert!(stalled || hits.iter().all(|&h| h > 0), "an item never ran");
+        for node in 0..3 {
+            let on_node: Vec<_> = events.iter().filter(|e| e.pu == Some(node)).collect();
+            let finished = on_node.iter().filter(|e| e.kind.name() == "task_finish");
+            let cuts = on_node.iter().filter(|e| {
+                matches!(&e.kind, EventKind::NodeQuarantined { reason } if reason == "partition")
+            });
+            let ran = runs.iter().filter(|r| r.0 == node).count();
+            let unfinished = ran - finished.count();
+            prop_assert!(
+                unfinished <= cuts.count(),
+                "node {}: {} of {} runs did not finish ({:?})",
+                node, unfinished, ran, runs
+            );
+        }
         match result {
             Ok(report) => {
                 prop_assert_eq!(report.cover.clone(), vec![(0, total)]);
@@ -411,7 +455,13 @@ fn sim_and_host_runners_agree_on_crash_accounting() {
     let mut runner = HostNodeRunner::new(names, pus, policies, codelet, Weights::uniform());
     let mut policy = diffusion_for(2, total);
     let mut engine = ClusterEngine::new(&mut runner).with_node_faults(plan);
-    let host_report = engine.run(&mut policy, total).expect("host cluster run");
+    let host_report = match engine.run(&mut policy, total) {
+        Ok(report) => report,
+        Err(e) => panic!(
+            "host cluster run: {e:?}\n{}",
+            last_events::tail(engine.last_events())
+        ),
+    };
     let host_counters = engine
         .last_events()
         .map(|s| s.counters())
@@ -644,7 +694,16 @@ fn four_node_ring_keeps_its_stream_across_commits() {
         // predict; the root gives the unit its flat curve says is done
         // first the whole window, in 2 to 5 steps a solve. Fault-free
         // 0.010815 s -> 0.008835 s, faulted 0.010670 s -> 0.013510 s.
-        (0xb9f0_052a_67b6_bdbf, 0x6325_02c8_2c74_ab06),
+        // Then (0xb9f0_052a_67b6_bdbf, 0x6325_02c8_2c74_ab06) until a
+        // queued chunk ran when the chunk ahead ended, not at its launch,
+        // and reported its start when the clock reached it. Both
+        // makespans and every report field but one keep their bits. Each
+        // `task_start` moves to when the chunk starts, and a queued
+        // chunk's `migration_sent` keeps its send time instead of being
+        // raised to that start. In the faulted run the partition of node 3
+        // cuts a queued chunk that never ran: its `task_start` is gone,
+        // and node 3's `bytes_in` falls 232 464 -> 224 480.
+        (0xc0a6_1af4_9940_6193, 0xc228_e147_e102_7140),
         "got ({fault_free:#018x}, {faulted:#018x}); fault-free makespan {m:?} s"
     );
 }
